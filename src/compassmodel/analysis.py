@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from statistics import fmean, mean
 
 import numpy as np
-from scipy import stats as _scipy_stats
 
 from .opinion_space import mod_s
 from .topology import Graph
@@ -129,23 +128,27 @@ class RunRecord:
         )
 
 
+def _chart(x: np.ndarray) -> np.ndarray:
+    """mod_s on an array: the same exact fmod and +-2 fold, the same error."""
+    bad = ~np.isfinite(x)
+    if bad.any():
+        raise ValueError(f"opinion values must be finite, got {float(x[bad][0])!r}")
+    y = np.fmod(x, 2.0)
+    return np.where(y > 1.0, y - 2.0, np.where(y <= -1.0, y + 2.0, y))
+
+
 def circle_opinion_range(opinions) -> float:
     """Length of the smallest closed arc containing all the opinions.
 
     Two minus the largest gap between circularly consecutive values; zero
     for a single opinion or a fully concentrated profile.
     """
-    vals = sorted(mod_s(v) for v in opinions)
-    n = len(vals)
-    if n <= 1:
+    vals = np.sort(_chart(np.asarray(opinions, dtype=float)))
+    if vals.size <= 1:
         return 0.0
     # grouping the subtraction first keeps a fully concentrated profile at
     # exactly zero range (0.3 + 2.0 already rounds)
-    largest = (vals[0] - vals[-1]) + 2.0
-    for i in range(n - 1):
-        gap = vals[i + 1] - vals[i]
-        if gap > largest:
-            largest = gap
+    largest = max(float(vals[0] - vals[-1]) + 2.0, float(np.diff(vals).max()))
     return 2.0 - largest
 
 
@@ -154,31 +157,31 @@ def compute_metrics(g: Graph, opinions, space: str = "circle",
     """Evaluate all per-probe metrics for one opinion profile.
 
     Gap values are recomputed from the opinions unless a tracked list is
-    passed in (then that list is used verbatim, drift and all).
+    passed in (then that list is used verbatim, drift and all). W is an
+    exactly rounded sum (math.fsum), so it does not depend on edge order.
     """
     if len(opinions) != g.vertex_count:
         raise ValueError(f"expected {g.vertex_count} opinions, got {len(opinions)}")
+    x = np.asarray(opinions, dtype=float)
     if delta_values is None:
+        delta = x[g.edge_array[:, 1]] - x[g.edge_array[:, 0]]
         if space == "circle":
-            delta_values = [mod_s(opinions[b] - opinions[a]) for a, b in g.edges]
-        else:
-            delta_values = [opinions[b] - opinions[a] for a, b in g.edges]
+            delta = _chart(delta)
     elif len(delta_values) != g.edge_count:
         raise ValueError(f"expected {g.edge_count} gap values, got {len(delta_values)}")
-    absd = [abs(v) for v in delta_values]
-    w = math.fsum(absd)
-    max_nd = max(absd) if absd else 0.0
-    mean_ad = w / len(absd) if absd else 0.0
+    else:
+        delta = np.asarray(delta_values, dtype=float)
+    absd = np.abs(delta)
+    w = math.fsum(memoryview(absd))
+    # as the builtin max over the list: a leading NaN wins, later ones are skipped
+    max_nd = float(max(absd[0], np.fmax.reduce(absd))) if absd.size else 0.0
+    mean_ad = w / absd.size if absd.size else 0.0
     if space == "circle":
-        rng = circle_opinion_range(opinions)
+        rng = circle_opinion_range(x)
     else:
-        rng = max(opinions) - min(opinions) if opinions else 0.0
-    pairs = g.adjacent_edge_pairs
-    if pairs:
-        flips = sum(1 for i, j in pairs if delta_values[i] * delta_values[j] < 0.0)
-        flip_frac = flips / len(pairs)
-    else:
-        flip_frac = 0.0
+        rng = max(opinions) - min(opinions) if len(opinions) else 0.0
+    pairs = g.edge_pair_array
+    flip_frac = _flip_fraction(pairs, delta) if pairs.size else 0.0
     return MetricSample(time=at_time, W=w, max_neighbor_dist=max_nd,
                         mean_abs_delta=mean_ad, opinion_range=rng,
                         sign_flip_fraction=flip_frac)
@@ -190,6 +193,11 @@ def consensus_classify(record_or_sample, tol: float = 1e-6) -> str:
     Strong means globally concentrated (opinion range under tol). Weak-only
     means every edge is locally tight but the profile stays spread out, the
     signature of a wound state on a ring. Anything else is 'none'.
+
+    A ring of n vertices wound k != 0 times keeps W >= 2|k|, so some edge
+    keeps a distance of at least 2|k|/n: such a ring is 'weak-only-like'
+    only when n > 2/tol (over two million vertices at tol = 1e-6). Smaller
+    wound rings are 'none'.
     """
     x = record_or_sample
     if isinstance(x, RunRecord):
@@ -329,9 +337,11 @@ def ks_uniform_pvalue(samples, low: float = -1.0, high: float = 1.0) -> Uniformi
     Uses the exact null distribution up to 100 samples and the asymptotic
     form beyond that.
     """
+    from scipy import stats  # about a second to import, so only when needed
+
     arr = np.asarray(list(samples), dtype=float)
     method = "exact" if arr.size <= 100 else "asymp"
-    res = _scipy_stats.kstest(arr, "uniform", args=(low, high - low), method=method)
+    res = stats.kstest(arr, "uniform", args=(low, high - low), method=method)
     return UniformityReport(statistic=float(res.statistic), pvalue=float(res.pvalue),
                             n_samples=int(arr.size), method=method)
 
@@ -357,10 +367,16 @@ def sign_product_rate(g: Graph, delta_values) -> float:
         raise ValueError("need at least 2 edges to form adjacent pairs")
     if len(delta_values) != g.edge_count:
         raise ValueError(f"expected {g.edge_count} gap values, got {len(delta_values)}")
-    pairs = g.adjacent_edge_pairs
-    if not pairs:
+    pairs = g.edge_pair_array
+    if not pairs.size:
         raise ValueError("graph has no adjacent edge pairs")
-    return sum(1 for i, j in pairs if delta_values[i] * delta_values[j] < 0.0) / len(pairs)
+    return _flip_fraction(pairs, np.asarray(delta_values, dtype=float))
+
+
+def _flip_fraction(pairs: np.ndarray, delta: np.ndarray) -> float:
+    """Fraction of the edge pairs whose gap values multiply to below zero."""
+    # the sign of each product, not of each gap: products of tiny gaps underflow to 0
+    return int(np.count_nonzero(delta[pairs[:, 0]] * delta[pairs[:, 1]] < 0.0)) / len(pairs)
 
 
 def write_samples_csv(samples, dest) -> None:

@@ -214,7 +214,11 @@ class StopRule:
     Several bounds may be set at once; whichever trips first ends the run
     and names the stop reason. The W test runs every w_check_interval
     events and once more when the event budget lands, so a run that
-    converges exactly at the budget still counts as converged.
+    converges exactly at the budget still counts as converged. It is exact:
+    it stops exactly when the left-to-right sum of the edge distances is
+    below w_below. On a graph with more than 2 * max_degree *
+    w_check_interval edges it costs O(degree) per event instead of O(edges)
+    per test.
     """
 
     max_events: int | None = None
@@ -266,6 +270,77 @@ def _total_w(state: SimState) -> float:
         for a, b in state.graph.edges:
             total += abs(op[a] - op[b])
     return total
+
+
+class _WTest:
+    """The w_below stop test; every answer is `_total_w(state) < w_below`.
+
+    On a graph with more edges than the events between two tests can touch
+    (m > 2 * max_degree * w_check_interval) and opinions in [-1, 1] ([0, 1]
+    on the interval), the loops append each event's edge id to `touched`; a
+    test updates the edge distances d (computed as `_total_w` does) around
+    those edges and their running sum `est`, and calls `_total_w` only when
+    `est` is within its error bound of w_below.
+    """
+
+    def __init__(self, state: SimState, stop: StopRule):
+        g = state.graph
+        self.state = state
+        self.w_below = stop.w_below
+        self.touched: list[int] = []
+        lo = -1.0 if state.space == "circle" else 0.0
+        self.tracked = (g.edge_count > 2 * g.max_degree * stop.w_check_interval
+                        and all(lo <= x <= 1.0 for x in state.opinions))
+        if self.tracked:
+            op = state.opinions
+            self.d = [abs(op[a] - op[b]) for a, b in g.edges]
+            if state.space == "circle":
+                self.d = [x if x <= 1.0 else 2.0 - x for x in self.d]
+            self._sync()
+
+    def _sync(self) -> None:
+        self.est = self.w_max = math.fsum(self.d)
+        self.updates = 0
+
+    def below(self) -> bool:
+        state = self.state
+        if not self.tracked:
+            return _total_w(state) < self.w_below
+        g = state.graph
+        edges, incident, op, d = g.edges, g.incident_edges, state.opinions, self.d
+        circle = state.space == "circle"
+        acc = 0.0
+        for e in self.touched:
+            for v in edges[e]:
+                for f in incident[v]:
+                    a, b = edges[f]
+                    x = abs(op[a] - op[b])
+                    if circle and x > 1.0:
+                        x = 2.0 - x
+                    acc += x - d[f]
+                    d[f] = x
+        self.est += acc
+        self.updates += 2 * g.max_degree * len(self.touched)
+        self.touched.clear()
+        m = g.edge_count
+        if self.updates >= m:
+            self._sync()
+        elif self.est > self.w_max:
+            self.w_max = self.est
+        # Error bound, with u = 2**-53, S the exact sum of d (all d >= 0 on
+        # these opinions), M the largest est since the last fsum re-sync and
+        # k >= the edge updates since then. The re-sync rounds by u*M. Each
+        # update rounds x - d[f] by u*M and acc + (x - d[f]) by 2u*M, since
+        # acc's partial sums are a mix of old and new d minus the old ones.
+        # est + acc rounds by u*M per test, at most one per 2 updates, so
+        # |est - S| <= (4k + 1)u*M. `_total_w` sums the same d left to right
+        # (|T - S| <= (m - 1)u*S) and est - bound rounds by u*M, so the
+        # bound must reach (m + 4k + 1)u*M. The spare u*M and 1.2e-16 > u
+        # cover second-order terms for m < 1e13 and M's error as a bound on S.
+        bound = (m + 4 * self.updates + 2) * 1.2e-16 * self.w_max
+        if self.est - bound > self.w_below:
+            return False
+        return _total_w(state) < self.w_below
 
 
 def run(state: SimState, stream=None, stop: StopRule | None = None,
@@ -375,6 +450,8 @@ def _run_fast_circle(state: SimState, stream: PoissonStream, stop: StopRule,
     w_tol = stop.w_below
     interval = stop.w_check_interval
     countdown = interval if w_tol is not None else 0
+    w_test = _WTest(state, stop) if w_tol is not None else None
+    note = w_test.touched.append if w_test and w_test.tracked else None
     pi = 0
     next_probe = probes[pi] if probes else math.inf
     pending = state.pending
@@ -383,11 +460,7 @@ def _run_fast_circle(state: SimState, stream: PoissonStream, stop: StopRule,
     while True:
         budget_hit = max_events is not None and count >= max_events
         if w_tol is not None and (countdown <= 0 or budget_hit):
-            w = 0.0
-            for a, b in edges:
-                d = abs(op[a] - op[b])
-                w += d if d <= 1.0 else 2.0 - d
-            if w < w_tol:
+            if w_test.below():
                 reason = "w_below"
                 break
             countdown = interval
@@ -413,16 +486,14 @@ def _run_fast_circle(state: SimState, stream: PoissonStream, stop: StopRule,
             pi += 1
             next_probe = probes[pi] if pi < len(probes) else math.inf
 
+        if note:
+            note(e)
         a, b = edges[e]
         xu = op[a]
         xv = op[b]
         diff = xu - xv
         ad = abs(diff)
-        skip = False
-        if gated:
-            gap = ad if ad <= 1.0 else 2.0 - ad
-            skip = gap > theta
-        if skip:
+        if gated and (ad if ad <= 1.0 else 2.0 - ad) > theta:
             pass
         elif ad < 1.0:
             if halfmu:
@@ -510,6 +581,8 @@ def _run_general(state: SimState, stream, stop: StopRule, probes, samples,
     w_tol = stop.w_below
     interval = stop.w_check_interval
     countdown = interval if w_tol is not None else 0
+    w_test = _WTest(state, stop) if w_tol is not None else None
+    note = w_test.touched.append if w_test and w_test.tracked else None
     pi = 0
     next_probe = probes[pi] if probes else math.inf
     exhausted = False
@@ -517,7 +590,7 @@ def _run_general(state: SimState, stream, stop: StopRule, probes, samples,
     while True:
         budget_hit = max_events is not None and state.events_applied >= max_events
         if w_tol is not None and (countdown <= 0 or budget_hit):
-            if _total_w(state) < w_tol:
+            if w_test.below():
                 reason = "w_below"
                 break
             countdown = interval
@@ -544,6 +617,8 @@ def _run_general(state: SimState, stream, stop: StopRule, probes, samples,
             pi += 1
             next_probe = probes[pi] if pi < len(probes) else math.inf
         apply_event(state, ev)
+        if note:
+            note(ev.edge_id)
         for obs in observers:
             obs.apply_event(ev)
         countdown -= 1

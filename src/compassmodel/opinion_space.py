@@ -156,7 +156,9 @@ def update_pair_deffuant(x_u: float, x_v: float,
 
     No move when the gap exceeds params.theta. The pair sum is preserved,
     exactly when mu = 1/2 (a single rounded midpoint is shared) and to a
-    few ulp otherwise.
+    few ulp otherwise. The exact case needs x_u + x_v to be 0 or at least
+    2 * sys.float_info.min: below that, halving the sum underflows (0.0 and
+    5e-324 share the midpoint 0.0, and no float is half of 5e-324).
     """
     diff = x_u - x_v
     if abs(diff) > params.theta:

@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
+import numpy as np
+
 __all__ = [
     "Graph",
     "build_path",
@@ -106,13 +108,32 @@ class Graph:
 
     @cached_property
     def adjacent_edge_pairs(self) -> tuple[tuple[int, int], ...]:
-        """Unordered pairs of distinct edges sharing a vertex, each once."""
-        pairs = set()
-        for inc in self.incident_edges:
-            for x in range(len(inc)):
-                for y in range(x + 1, len(inc)):
-                    pairs.add((inc[x], inc[y]))
-        return tuple(sorted(pairs))
+        """edge_pair_array as a sorted tuple of (lower id, higher id) pairs."""
+        return tuple(sorted(map(tuple, self.edge_pair_array.tolist())))
+
+    @cached_property
+    def edge_array(self) -> np.ndarray:
+        """The edges as a read-only (m, 2) array of (tail, head) rows, by id."""
+        arr = np.array(self.edges, dtype=np.intp).reshape(-1, 2)
+        arr.setflags(write=False)
+        return arr
+
+    @cached_property
+    def edge_pair_array(self) -> np.ndarray:
+        """Pairs of distinct edges sharing a vertex, each once, as read-only
+        (lower id, higher id) rows grouped by the shared vertex."""
+        ends = self.edge_array.T.ravel()  # every tail, then every head
+        ids = np.tile(np.arange(self.edge_count, dtype=np.intp), 2)
+        order = np.lexsort((ids, ends))
+        ids = ids[order]  # grouped by vertex, ascending id within a group
+        sizes = np.bincount(ends, minlength=self.vertex_count)
+        pos = np.arange(ids.size)
+        later = np.repeat(np.cumsum(sizes), sizes) - pos - 1  # same-vertex entries after pos
+        first = np.repeat(pos, later)
+        second = first + 1 + np.arange(first.size) - np.repeat(np.cumsum(later) - later, later)
+        arr = np.stack((ids[first], ids[second]), axis=1)
+        arr.setflags(write=False)
+        return arr
 
     @cached_property
     def is_oriented_cycle(self) -> bool:

@@ -1,14 +1,15 @@
 import io
 import math
 import random
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from compassmodel import (Explicit, IidUniform, MetricSample, ModelParams,
-                          RunRecord, StopRule, build_path, build_ring,
+from compassmodel import (Explicit, Graph, IidUniform, MetricSample, ModelParams,
+                          RunRecord, StopRule, build_path, build_ring, build_torus,
                           circle_mean, circle_opinion_range, compute_metrics,
                           consensus_classify, delta_from_config,
                           extract_limits, initial_opinions, ks_uniform_pvalue,
@@ -127,6 +128,129 @@ class TestComputeMetrics:
         d = delta_from_config(g, ops)
         m = compute_metrics(g, ops)
         assert m.W == math.fsum(abs(v) for v in d.values)
+
+
+def scalar_opinion_range(opinions):
+    """circle_opinion_range as a list sort and loop: the oracle for the array code."""
+    vals = sorted(mod_s(v) for v in opinions)
+    n = len(vals)
+    if n <= 1:
+        return 0.0
+    largest = (vals[0] - vals[-1]) + 2.0
+    for i in range(n - 1):
+        gap = vals[i + 1] - vals[i]
+        if gap > largest:
+            largest = gap
+    return 2.0 - largest
+
+
+def scalar_metrics(g, opinions, space="circle", at_time=0.0, delta_values=None):
+    """compute_metrics as list arithmetic over adjacent_edge_pairs: the oracle."""
+    if delta_values is None:
+        if space == "circle":
+            delta_values = [mod_s(opinions[b] - opinions[a]) for a, b in g.edges]
+        else:
+            delta_values = [opinions[b] - opinions[a] for a, b in g.edges]
+    absd = [abs(v) for v in delta_values]
+    w = math.fsum(absd)
+    max_nd = max(absd) if absd else 0.0
+    mean_ad = w / len(absd) if absd else 0.0
+    if space == "circle":
+        rng = scalar_opinion_range(opinions)
+    else:
+        rng = max(opinions) - min(opinions) if opinions else 0.0
+    pairs = g.adjacent_edge_pairs
+    if pairs:
+        flips = sum(1 for i, j in pairs if delta_values[i] * delta_values[j] < 0.0)
+        flip_frac = flips / len(pairs)
+    else:
+        flip_frac = 0.0
+    return MetricSample(time=at_time, W=w, max_neighbor_dist=max_nd,
+                        mean_abs_delta=mean_ad, opinion_range=rng,
+                        sign_flip_fraction=flip_frac)
+
+
+def outcome(fn, *args, **kwargs):
+    """Every field of the result, bit for bit (hex tells -0.0 from 0.0), or the error."""
+    try:
+        result = fn(*args, **kwargs)
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+    fields = astuple(result) if isinstance(result, MetricSample) else (result,)
+    return [(type(v), float(v).hex()) for v in fields]
+
+
+def nudge(value, ulps):
+    for _ in range(abs(ulps)):
+        value = math.nextafter(value, math.copysign(math.inf, ulps))
+    return value
+
+
+specials = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 0.3, 1e-300, 5e-324, -5e-324])
+# ties (specials repeat), tiny gaps (a few ulps apart) and values off the chart
+chart_like = st.one_of(specials, circle_values,
+                       st.builds(nudge, st.one_of(specials, circle_values),
+                                 st.integers(-3, 3)),
+                       st.floats(-5.0, 5.0))
+unit_like = st.one_of(st.sampled_from([0.0, 1.0, 0.5, 5e-324]), st.floats(0.0, 1.0),
+                      st.builds(nudge, st.sampled_from([0.0, 0.5, 1.0]), st.integers(-2, 2)),
+                      st.floats(allow_nan=True, allow_infinity=True))
+gaps_like = st.one_of(specials, st.sampled_from([1e-200, -1e-200, 1e-170]),
+                      st.floats(-2.0, 2.0), st.floats(allow_nan=True, allow_infinity=True))
+graphs = st.one_of(st.just(Graph("custom", 1, ())), st.integers(2, 9).map(build_path),
+                   st.integers(3, 9).map(build_ring),
+                   st.lists(st.integers(3, 4), min_size=1, max_size=3).map(build_torus))
+
+
+def profile(g, values):
+    return st.lists(values, min_size=g.vertex_count, max_size=g.vertex_count)
+
+
+@pytest.mark.filterwarnings("ignore:.*encountered in:RuntimeWarning")
+class TestVectorizedMetrics:
+    """The array code against the list code it replaced, bit for bit.
+
+    numpy warns where the list code was silent (inf - inf, overflowing
+    products of huge tracked gaps); the values still agree.
+    """
+
+    @given(graphs, st.data())
+    @settings(max_examples=300)
+    def test_circle_profiles(self, g, data):
+        ops = data.draw(profile(g, chart_like))
+        assert outcome(compute_metrics, g, ops, at_time=2.5) == \
+            outcome(scalar_metrics, g, ops, at_time=2.5)
+        assert outcome(circle_opinion_range, ops) == outcome(scalar_opinion_range, ops)
+
+    @given(graphs, st.data())
+    @settings(max_examples=200)
+    def test_interval_profiles(self, g, data):
+        ops = data.draw(profile(g, unit_like))
+        assert outcome(compute_metrics, g, ops, "interval") == \
+            outcome(scalar_metrics, g, ops, "interval")
+
+    @given(graphs, st.sampled_from(["circle", "interval"]), st.data())
+    @settings(max_examples=200)
+    def test_tracked_gap_values(self, g, space, data):
+        ops = data.draw(profile(g, circle_values if space == "circle" else unit_like))
+        gaps = data.draw(st.lists(gaps_like, min_size=g.edge_count, max_size=g.edge_count))
+        assert outcome(compute_metrics, g, ops, space, delta_values=gaps) == \
+            outcome(scalar_metrics, g, ops, space, delta_values=gaps)
+
+    @given(graphs, st.sampled_from([math.nan, math.inf, -math.inf]), st.data())
+    @settings(max_examples=100)
+    def test_non_finite_circle_opinions_raise_alike(self, g, bad, data):
+        ops = data.draw(profile(g, circle_values))
+        ops[data.draw(st.integers(0, g.vertex_count - 1))] = bad
+        got = outcome(compute_metrics, g, ops)
+        assert got[0] is ValueError and got == outcome(scalar_metrics, g, ops)
+        assert outcome(circle_opinion_range, ops) == outcome(scalar_opinion_range, ops)
+
+    def test_tiny_gap_products_underflow_to_no_flip(self):
+        g, ops, gaps = build_path(3), [0.0] * 3, [1e-200, -1e-200]
+        assert compute_metrics(g, ops, delta_values=gaps).sign_flip_fraction == 0.0
+        assert outcome(compute_metrics, g, ops, delta_values=gaps) == \
+            outcome(scalar_metrics, g, ops, delta_values=gaps)
 
 
 class TestConsensusClassify:

@@ -1,8 +1,12 @@
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import compassmodel
 from compassmodel.analysis import read_samples_csv
 from compassmodel.cli import (ConfigError, WORKERS_ENV, load_config, main,
                               parse_config, run_batch)
@@ -252,3 +256,14 @@ class TestMain:
                      "--values", "0.25,oops", "-o", str(tmp_path / "s")])
         assert code == 2
         assert "mu" in capsys.readouterr().err
+
+
+def test_import_leaves_scipy_out():
+    # scipy.stats costs about a second to import; only the KS test needs it
+    src = str(Path(compassmodel.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "import compassmodel, compassmodel.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    done = subprocess.run([sys.executable, "-I", "-c", code, src],
+                          capture_output=True, text=True, check=True, timeout=60)
+    assert done.stdout.strip() == "[]"

@@ -11,6 +11,7 @@ from compassmodel import (Constant, Event, Explicit, IidUniform, ModelParams,
                           build_path, build_ring, build_torus, derive_seed,
                           initial_opinions, new_simulation, restore, run,
                           snapshot)
+from compassmodel.engine import _total_w
 
 
 class Noop:
@@ -269,6 +270,27 @@ class TestRun:
         assert [(s.time, s.W) for s in r1.samples] == \
                [(s.time, s.W) for s in r2.samples]
 
+    def test_fast_and_general_loops_agree_on_a_tracked_w_stop(self):
+        # 72 edges > 2 * 4 * 3: both loops follow W instead of summing it
+        rng = random.Random(8)
+        init = [0.2 * rng.random() - 0.1 for _ in range(36)]
+
+        def go(observers):
+            state = new_simulation(build_torus([6, 6]), Explicit(init),
+                                   ModelParams(mu=0.37), stream=99)
+            rec = run(state, stop=StopRule(max_events=100_000, w_below=1e-4,
+                                           w_check_interval=3),
+                      probes=(2.0, 20.0), observers=observers)
+            return state, rec
+
+        (s1, r1), (s2, r2) = go(()), go([Noop()])
+        assert r1.stop_reason == r2.stop_reason == "w_below"
+        assert r1.events_applied == r2.events_applied < 100_000
+        assert r1.events_applied % 3 == 0
+        assert (s1.opinions, s1.clock) == (s2.opinions, s2.clock)
+        assert r1.samples == r2.samples
+        assert _total_w(s1) < 1e-4
+
     def test_constant_profile_bitwise_invariant(self):
         vals = [0.7071067811865476] * 8
         state = fresh(build_ring(8), list(vals), mu=0.29, stream=5)
@@ -282,6 +304,66 @@ class TestRun:
                                ModelParams(mu=0.25), stream=seed)
         rec = run(state, stop=StopRule(max_events=137))
         assert rec.events_applied == 137
+
+
+@st.composite
+def tracked_w_cases(draw):
+    """A graph whose W test is tracked, a start, rates, and a check interval."""
+    if draw(st.booleans()):
+        g = build_ring(draw(st.integers(9, 40)))
+    else:
+        g = build_torus([draw(st.integers(3, 6)), draw(st.integers(3, 6))])
+    interval = draw(st.integers(1, min(6, (g.edge_count - 1) // (2 * g.max_degree))))
+    space = draw(st.sampled_from(["circle", "interval"]))
+    values = (st.one_of(st.sampled_from([0.0, 1.0, 0.5, -0.5]),
+                        st.floats(-1.0, 1.0, exclude_min=True))
+              if space == "circle" else
+              st.one_of(st.sampled_from([0.0, 1.0, 0.5]), st.floats(0.0, 1.0)))
+    if draw(st.booleans()):
+        # a start inside a short arc, so W can fall all the way to zero
+        values = values.map(lambda v: 0.05 * v)
+    init = draw(st.lists(values, min_size=g.vertex_count, max_size=g.vertex_count))
+    mu = draw(st.sampled_from([0.5, 0.25]) | st.floats(0.05, 0.5))
+    theta = draw(st.sampled_from([math.inf, 0.9, 0.3]))
+    return g, space, init, ModelParams(mu=mu, theta=theta), interval
+
+
+class TestTrackedWTest:
+    """The tracked W test against `_total_w` checked after every interval."""
+
+    @given(tracked_w_cases(), st.integers(0, 2**32), st.integers(0, 600),
+           st.booleans(), st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_stops_where_total_w_first_falls_below(self, case, seed, budget,
+                                                   observed, data):
+        g, space, init, params, interval = case
+
+        def fresh_state():
+            return new_simulation(g, Explicit(init), params, space=space,
+                                  stream=PoissonStream(seed))
+
+        # the oracle: step the same trajectory one interval at a time
+        state = fresh_state()
+        points = []
+        while state.events_applied < budget or not points:
+            run(state, stop=StopRule(max_events=min(state.events_applied + interval,
+                                                    budget)))
+            points.append((state.events_applied, _total_w(state),
+                           list(state.opinions), state.clock))
+        # w_below at, just above or just below a W the tests will see
+        w_seen = data.draw(st.sampled_from([w for _, w, _, _ in points if w > 0.0] or [1.0]))
+        w_below = data.draw(st.sampled_from(
+            [w_seen, math.nextafter(w_seen, math.inf), math.nextafter(w_seen, 0.0)]))
+        hit = next((p for p in points if p[1] < w_below), None)
+        events, _, opinions, clock = hit or points[-1]
+
+        state = fresh_state()
+        rec = run(state, stop=StopRule(max_events=budget, w_below=w_below,
+                                       w_check_interval=interval),
+                  observers=[Noop()] if observed else ())
+        assert rec.stop_reason == ("w_below" if hit else "max_events")
+        assert (state.events_applied, state.opinions, state.clock) == \
+            (events, opinions, clock)
 
 
 class TestSnapshot:

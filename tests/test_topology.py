@@ -122,6 +122,21 @@ class TestAdjacencyIndex:
         g = build_ring(4)
         assert g.adjacent_edge_pairs == ((0, 1), (0, 3), (1, 2), (2, 3))
 
+    @pytest.mark.parametrize("g", [
+        build_path(2), build_path(9), build_ring(3), build_ring(10),
+        build_torus([3, 5]), build_torus([4, 4]), build_torus([3, 4, 3]),
+        graph_from_edges(5, [(0, 1), (0, 2), (0, 3), (2, 3), (4, 0), (3, 4)]),
+        Graph("custom", 1, ()),
+    ], ids=lambda g: f"{g.kind}-{g.vertex_count}")
+    def test_pair_arrays_list_each_adjacent_pair_once(self, g):
+        assert g.edge_array.tolist() == [list(e) for e in g.edges]
+        m = g.edge_count
+        expected = [(i, j) for i in range(m) for j in range(i + 1, m)
+                    if set(g.edges[i]) & set(g.edges[j])]
+        assert sorted(map(tuple, g.edge_pair_array.tolist())) == expected
+        assert g.adjacent_edge_pairs == tuple(expected)
+        assert not g.edge_array.flags.writeable and not g.edge_pair_array.flags.writeable
+
 
 class TestEdgeNeighborSigns:
     def test_consistent_chain_all_plus(self):
