@@ -12,7 +12,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
-from statistics import fmean, mean
+from statistics import fmean
 
 import numpy as np
 
@@ -29,11 +29,9 @@ __all__ = [
     "circle_opinion_range",
     "consensus_classify",
     "extract_limits",
-    "spatial_average",
     "monotone_mean_delta_check",
     "marginal_uniformity_test",
     "ks_uniform_pvalue",
-    "sign_product_rate",
     "write_samples_csv",
     "read_samples_csv",
     "CSV_SCHEMA",
@@ -253,38 +251,23 @@ def extract_limits(record: RunRecord, initial_opinions,
     return _circle_limits(record.final_opinions, initial_opinions)
 
 
+def _circle_lift(opinions) -> float:
+    """Mean of a concentrated circle profile, unwrapped around its first value.
+
+    Meaningful when the profile fits inside an open half circle; once a run
+    is that concentrated no further event can cross the cut, so mod_s of
+    this value is frozen and equals the eventual consensus limit.
+    """
+    ref = mod_s(opinions[0])
+    return ref + fmean([mod_s(v - ref) for v in opinions])
+
+
 def _circle_limits(final_opinions, initial_opinions) -> LimitReport:
-    ref = mod_s(final_opinions[0])
-    lift = ref + fmean([mod_s(v - ref) for v in final_opinions])
+    lift = _circle_lift(final_opinions)
     n = len(final_opinions)
     k_real = (n * lift - math.fsum(initial_opinions)) / 2.0
     k = round(k_real)
     return LimitReport(L=mod_s(lift), K=k, K_gap=abs(k_real - k))
-
-
-def spatial_average(values) -> float:
-    """Exact mean over a window of per-edge values.
-
-    statistics.mean goes through rationals, so a window of equal values
-    averages to exactly that value.
-    """
-    vals = list(values)
-    if not vals:
-        raise ValueError("cannot average an empty window")
-    return float(mean(vals))
-
-
-def circle_mean(opinions) -> float:
-    """Mean of a concentrated circle profile, unwrapped around its first value.
-
-    Meaningful when the profile fits inside an open half circle; once a run
-    is that concentrated no further event can cross the cut, so this value
-    is frozen and equals the eventual consensus limit.
-    """
-    if not opinions:
-        raise ValueError("no opinions")
-    ref = mod_s(opinions[0])
-    return mod_s(ref + fmean([mod_s(v - ref) for v in opinions]))
 
 
 @dataclass(frozen=True)
@@ -359,18 +342,6 @@ def marginal_uniformity_test(samples) -> UniformityReport:
     if max(vals) == min(vals):
         raise ValueError("samples are constant; uniformity test is meaningless")
     return ks_uniform_pvalue(vals, -1.0, 1.0)
-
-
-def sign_product_rate(g: Graph, delta_values) -> float:
-    """Fraction of adjacent edge pairs whose gap values disagree in sign."""
-    if g.edge_count < 2:
-        raise ValueError("need at least 2 edges to form adjacent pairs")
-    if len(delta_values) != g.edge_count:
-        raise ValueError(f"expected {g.edge_count} gap values, got {len(delta_values)}")
-    pairs = g.edge_pair_array
-    if not pairs.size:
-        raise ValueError("graph has no adjacent edge pairs")
-    return _flip_fraction(pairs, np.asarray(delta_values, dtype=float))
 
 
 def _flip_fraction(pairs: np.ndarray, delta: np.ndarray) -> float:

@@ -3,7 +3,7 @@
 Configs are JSON. Validation is strict and total: unknown keys are errors
 and every problem in a config is reported in one pass, not just the first.
 Exit codes: 0 on success, 1 when a scenario's contract fails, 2 on config
-or IO problems.
+or IO problems, a bad scenario override or a bad COMPASSMODEL_WORKERS value.
 
 Batch outputs land in the chosen directory: one replicate_NNNN.csv per
 replicate (the probe rows plus a final-state row) and one aggregate.json.
@@ -22,7 +22,6 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 from time import perf_counter
@@ -33,8 +32,7 @@ from .engine import (Constant, Explicit, IidUniform, PoissonStream, StopRule,
 from .opinion_space import ModelParams, validate_params
 from .topology import build_path, build_ring, build_torus, load_edge_list
 
-__all__ = ["ConfigError", "RunConfig", "parse_config", "load_config",
-           "run_batch", "main"]
+__all__ = ["ConfigError", "parse_config", "load_config", "run_batch", "main"]
 
 WORKERS_ENV = "COMPASSMODEL_WORKERS"
 
@@ -47,92 +45,6 @@ class ConfigError(ValueError):
         super().__init__("; ".join(self.problems))
 
 
-@dataclass
-class RunConfig:
-    """A validated batch description, picklable for worker processes."""
-
-    space: str
-    graph_kind: str
-    n: int | None
-    dims: tuple[int, ...] | None
-    graph_file: str | None
-    mu: float
-    theta: float
-    init_kind: str
-    init_value: float | None
-    init_values: tuple[float, ...] | None
-    seed: int
-    replicates: int
-    stop_max_events: int | None
-    stop_max_time: float | None
-    stop_w_below: float | None
-    stop_w_check_interval: int
-    probes: tuple[float, ...]
-    tol: float
-
-    def build_graph(self):
-        if self.graph_kind == "path":
-            return build_path(self.n)
-        if self.graph_kind == "ring":
-            return build_ring(self.n)
-        if self.graph_kind == "torus":
-            return build_torus(self.dims)
-        return load_edge_list(self.graph_file)
-
-    def make_params(self) -> ModelParams:
-        return ModelParams(mu=self.mu, theta=self.theta)
-
-    def make_stop(self) -> StopRule:
-        return StopRule(max_events=self.stop_max_events,
-                        max_time=self.stop_max_time,
-                        w_below=self.stop_w_below,
-                        w_check_interval=self.stop_w_check_interval)
-
-    def init_spec(self, replicate: int):
-        if self.init_kind == "uniform":
-            return IidUniform(derive_seed(self.seed, "init", replicate))
-        if self.init_kind == "constant":
-            return Constant(self.init_value)
-        return Explicit(self.init_values)
-
-    def stream_seed(self, replicate: int) -> int:
-        return derive_seed(self.seed, "stream", replicate)
-
-    def echo(self) -> dict:
-        graph = {"kind": self.graph_kind}
-        if self.n is not None:
-            graph["n"] = self.n
-        if self.dims is not None:
-            graph["dims"] = list(self.dims)
-        if self.graph_file is not None:
-            graph["path"] = self.graph_file
-        init = {"kind": self.init_kind}
-        if self.init_value is not None:
-            init["value"] = self.init_value
-        if self.init_values is not None:
-            init["values"] = list(self.init_values)
-        stop = {}
-        if self.stop_max_events is not None:
-            stop["max_events"] = self.stop_max_events
-        if self.stop_max_time is not None:
-            stop["max_time"] = self.stop_max_time
-        if self.stop_w_below is not None:
-            stop["w_below"] = self.stop_w_below
-        stop["w_check_interval"] = self.stop_w_check_interval
-        return {
-            "model": "compass" if self.space == "circle" else "deffuant",
-            "graph": graph,
-            "mu": self.mu,
-            "theta": None if math.isinf(self.theta) else self.theta,
-            "init": init,
-            "seed": self.seed,
-            "replicates": self.replicates,
-            "stop": stop,
-            "probes": list(self.probes),
-            "tol": self.tol,
-        }
-
-
 def _is_num(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
@@ -141,8 +53,16 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def parse_config(raw: dict) -> RunConfig:
-    """Validate a raw config mapping, reporting every problem at once."""
+def parse_config(raw: dict) -> dict:
+    """Validate a raw config mapping, reporting every problem at once.
+
+    Returns the normalized config, which aggregate.json echoes as it is: the
+    keys model, graph, mu, theta, init, seed, replicates, stop, probes and
+    tol in that order, with defaults filled in. theta is None for no
+    confidence bound, graph and init keep only the keys of their kind, stop
+    always carries w_check_interval, and mu, theta, tol, the probes and
+    explicit init values are floats.
+    """
     problems: list[str] = []
     if not isinstance(raw, dict):
         raise ConfigError([f"config must be a JSON object, got {type(raw).__name__}"])
@@ -156,10 +76,7 @@ def parse_config(raw: dict) -> RunConfig:
     model = raw.get("model", "compass")
     if model not in ("compass", "deffuant"):
         problems.append(f"model must be 'compass' or 'deffuant', got {model!r}")
-        model = "compass"
-    space = "circle" if model == "compass" else "interval"
 
-    graph_kind, n, dims, graph_file = "path", None, None, None
     graph = raw.get("graph")
     if not isinstance(graph, dict):
         problems.append("graph must be an object like {'kind': 'path', 'n': 50}")
@@ -167,38 +84,35 @@ def parse_config(raw: dict) -> RunConfig:
         for key in graph:
             if key not in ("kind", "n", "dims", "path"):
                 problems.append(f"unknown graph key {key!r}")
-        graph_kind = graph.get("kind")
-        if graph_kind not in ("path", "ring", "torus", "file"):
-            problems.append(
-                f"graph kind must be path, ring, torus, or file, got {graph_kind!r}")
-        elif graph_kind in ("path", "ring"):
+        kind = graph.get("kind")
+        if kind not in ("path", "ring", "torus", "file"):
+            problems.append(f"graph kind must be path, ring, torus, or file, got {kind!r}")
+        elif kind in ("path", "ring"):
             n = graph.get("n")
             if not _is_int(n):
                 problems.append(f"graph.n must be an integer, got {n!r}")
-                n = None
-            elif n < (2 if graph_kind == "path" else 3):
-                problems.append(f"graph.n={n} is too small for a {graph_kind}")
-        elif graph_kind == "torus":
+            elif n < (2 if kind == "path" else 3):
+                problems.append(f"graph.n={n} is too small for a {kind}")
+            graph = {"kind": kind, "n": n}
+        elif kind == "torus":
             dims = graph.get("dims")
             if (not isinstance(dims, list) or not dims
                     or not all(_is_int(d) for d in dims)):
                 problems.append(f"graph.dims must be a list of integers, got {dims!r}")
-                dims = None
             elif any(d < 3 for d in dims):
                 problems.append(f"every torus side must be at least 3, got {dims}")
             else:
-                dims = tuple(dims)
+                graph = {"kind": kind, "dims": list(dims)}
         else:
-            graph_file = graph.get("path")
-            if not isinstance(graph_file, str) or not graph_file:
-                problems.append(f"graph.path must be a file name, got {graph_file!r}")
+            path = graph.get("path")
+            if not isinstance(path, str) or not path:
+                problems.append(f"graph.path must be a file name, got {path!r}")
+            graph = {"kind": kind, "path": path}
 
     mu = raw.get("mu", 0.5)
     theta = raw.get("theta")
-    theta = math.inf if theta is None else theta
-    problems.extend(validate_params(mu, theta))
+    problems.extend(validate_params(mu, math.inf if theta is None else theta))
 
-    init_kind, init_value, init_values = "uniform", None, None
     init = raw.get("init", {"kind": "uniform"})
     if not isinstance(init, dict):
         problems.append("init must be an object like {'kind': 'uniform'}")
@@ -206,34 +120,28 @@ def parse_config(raw: dict) -> RunConfig:
         for key in init:
             if key not in ("kind", "value", "values"):
                 problems.append(f"unknown init key {key!r}")
-        init_kind = init.get("kind", "uniform")
-        if init_kind not in ("uniform", "constant", "explicit"):
-            problems.append(
-                f"init kind must be uniform, constant, or explicit, got {init_kind!r}")
-            init_kind = "uniform"
-        if init_kind == "constant":
-            init_value = init.get("value")
-            if not _is_num(init_value):
-                problems.append(f"init.value must be a number, got {init_value!r}")
-                init_value = None
-        if init_kind == "explicit":
-            vals = init.get("values")
-            if not isinstance(vals, list) or not all(_is_num(v) for v in vals):
+        kind, value, values = init.get("kind", "uniform"), init.get("value"), init.get("values")
+        init = {"kind": kind}
+        if kind not in ("uniform", "constant", "explicit"):
+            problems.append(f"init kind must be uniform, constant, or explicit, got {kind!r}")
+        elif kind == "constant":
+            if not _is_num(value):
+                problems.append(f"init.value must be a number, got {value!r}")
+            init["value"] = value
+        elif kind == "explicit":
+            if not isinstance(values, list) or not all(_is_num(v) for v in values):
                 problems.append("init.values must be a list of numbers")
             else:
-                init_values = tuple(float(v) for v in vals)
+                init["values"] = [float(v) for v in values]
 
     seed = raw.get("seed", 0)
     if not _is_int(seed):
         problems.append(f"seed must be an integer, got {seed!r}")
-        seed = 0
 
     replicates = raw.get("replicates", 1)
     if not _is_int(replicates) or replicates < 1:
         problems.append(f"replicates must be a positive integer, got {replicates!r}")
-        replicates = 1
 
-    stop_me, stop_mt, stop_wb, stop_iv = None, None, None, 100
     stop = raw.get("stop")
     if not isinstance(stop, dict):
         problems.append("stop must be an object with max_events, max_time, or w_below")
@@ -256,52 +164,71 @@ def parse_config(raw: dict) -> RunConfig:
         stop_iv = stop.get("w_check_interval", 100)
         if not _is_int(stop_iv) or stop_iv < 1:
             problems.append(f"stop.w_check_interval must be a positive integer, got {stop_iv!r}")
-            stop_iv = 100
         if stop_me is None and stop_mt is None and stop_wb is None:
             problems.append("stop needs at least one of max_events, max_time, w_below")
+        stop = {key: v for key, v in (("max_events", stop_me), ("max_time", stop_mt),
+                                      ("w_below", stop_wb)) if v is not None}
+        stop["w_check_interval"] = stop_iv
 
     probes = raw.get("probes", [])
     if not isinstance(probes, list) or not all(_is_num(p) for p in probes):
         problems.append("probes must be a list of numbers")
-        probes = []
     elif any(probes[i] >= probes[i + 1] for i in range(len(probes) - 1)):
         problems.append("probes must be strictly increasing")
 
     tol = raw.get("tol", 1e-6)
     if not _is_num(tol) or tol <= 0:
         problems.append(f"tol must be a positive number, got {tol!r}")
-        tol = 1e-6
 
     if problems:
         raise ConfigError(problems)
-    return RunConfig(space=space, graph_kind=graph_kind, n=n, dims=dims,
-                     graph_file=graph_file, mu=float(mu), theta=float(theta),
-                     init_kind=init_kind, init_value=init_value,
-                     init_values=init_values, seed=seed, replicates=replicates,
-                     stop_max_events=stop_me, stop_max_time=stop_mt,
-                     stop_w_below=stop_wb, stop_w_check_interval=stop_iv,
-                     probes=tuple(float(p) for p in probes), tol=float(tol))
+    return {"model": model, "graph": graph, "mu": float(mu),
+            "theta": None if theta is None or math.isinf(theta) else float(theta),
+            "init": init, "seed": seed, "replicates": replicates, "stop": stop,
+            "probes": [float(p) for p in probes], "tol": float(tol)}
 
 
-def load_config(path) -> RunConfig:
+def _read_json(path):
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError([f"cannot read config {path}: {exc}"]) from exc
     try:
-        raw = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError([f"config {path} is not valid JSON: {exc}"]) from exc
-    return parse_config(raw)
+
+
+def load_config(path) -> dict:
+    return parse_config(_read_json(path))
+
+
+def _build_graph(graph: dict):
+    if graph["kind"] == "path":
+        return build_path(graph["n"])
+    if graph["kind"] == "ring":
+        return build_ring(graph["n"])
+    if graph["kind"] == "torus":
+        return build_torus(graph["dims"])
+    return load_edge_list(graph["path"])
 
 
 def _one_replicate(args):
     cfg, i = args
-    g = cfg.build_graph()
-    state = new_simulation(g, cfg.init_spec(i), cfg.make_params(),
-                           space=cfg.space,
-                           stream=PoissonStream(cfg.stream_seed(i)))
-    record = run(state, stop=cfg.make_stop(), probes=cfg.probes, tol=cfg.tol)
+    g = _build_graph(cfg["graph"])
+    init = cfg["init"]
+    if init["kind"] == "uniform":
+        spec = IidUniform(derive_seed(cfg["seed"], "init", i))
+    elif init["kind"] == "constant":
+        spec = Constant(init["value"])
+    else:
+        spec = Explicit(init["values"])
+    params = ModelParams(mu=cfg["mu"], theta=math.inf if cfg["theta"] is None else cfg["theta"])
+    stream_seed = derive_seed(cfg["seed"], "stream", i)
+    state = new_simulation(g, spec, params,
+                           space="circle" if cfg["model"] == "compass" else "interval",
+                           stream=PoissonStream(stream_seed))
+    record = run(state, stop=StopRule(**cfg["stop"]), probes=cfg["probes"], tol=cfg["tol"])
     rows = list(record.samples)
     if not rows or rows[-1].time != record.final_time:
         t = record.terminal
@@ -313,7 +240,7 @@ def _one_replicate(args):
             sign_flip_fraction=t["sign_flip_fraction"]))
     summary = {
         "replicate": i,
-        "stream_seed": cfg.stream_seed(i),
+        "stream_seed": stream_seed,
         "stop_reason": record.stop_reason,
         "events_applied": record.events_applied,
         "final_time": record.final_time,
@@ -323,12 +250,21 @@ def _one_replicate(args):
     return i, summary, rows
 
 
-def run_batch(cfg: RunConfig, output_dir) -> dict:
-    """Run every replicate, writing CSVs as they finish, then the aggregate.
+def run_batch(cfg: dict, output_dir) -> dict:
+    """Run every replicate of a parse_config result, then write the aggregate.
 
-    Raises ConfigError on unwritable output; flushes whatever finished
-    before an error so partial batches leave partial results behind.
+    Each replicate's CSV is written as it finishes. Raises ConfigError on an
+    unwritable output directory, an unbuildable graph or a bad
+    COMPASSMODEL_WORKERS value, before any replicate runs. An exception in a
+    replicate propagates: the CSVs of the replicates before it stay, and no
+    aggregate.json is written.
     """
+    value = os.environ.get(WORKERS_ENV, "1") or "1"
+    try:
+        workers = int(value)
+    except ValueError:
+        raise ConfigError([f"{WORKERS_ENV} must be an integer, got {value!r}"]) from None
+
     out = Path(output_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -339,12 +275,12 @@ def run_batch(cfg: RunConfig, output_dir) -> dict:
         raise ConfigError([f"cannot write to {out}: {exc}"]) from exc
 
     try:
-        cfg.build_graph()
+        _build_graph(cfg["graph"])
     except (ValueError, OSError) as exc:
         raise ConfigError([f"cannot build graph: {exc}"]) from exc
 
-    workers = int(os.environ.get(WORKERS_ENV, "1") or "1")
-    width = max(4, len(str(cfg.replicates - 1)))
+    replicates = cfg["replicates"]
+    width = max(4, len(str(replicates - 1)))
     t0 = perf_counter()
     summaries = {}
     walls = {}
@@ -354,8 +290,8 @@ def run_batch(cfg: RunConfig, output_dir) -> dict:
         walls[i] = summary.pop("wall_seconds")
         summaries[i] = summary
 
-    jobs = [(cfg, i) for i in range(cfg.replicates)]
-    if workers > 1 and cfg.replicates > 1:
+    jobs = [(cfg, i) for i in range(replicates)]
+    if workers > 1 and replicates > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for i, summary, rows in pool.map(_one_replicate, jobs):
                 flush(i, summary, rows)
@@ -366,7 +302,7 @@ def run_batch(cfg: RunConfig, output_dir) -> dict:
     ordered = [summaries[i] for i in sorted(summaries)]
     aggregate = {
         "schema": "compassmodel-aggregate-v1",
-        "config": cfg.echo(),
+        "config": cfg,
         "replicates": ordered,
         "summary": _summarize(cfg, ordered),
         "metadata": {
@@ -381,7 +317,7 @@ def run_batch(cfg: RunConfig, output_dir) -> dict:
     return aggregate
 
 
-def _summarize(cfg: RunConfig, reps: list[dict]) -> dict:
+def _summarize(cfg: dict, reps: list[dict]) -> dict:
     import statistics
 
     counts: dict[str, int] = {}
@@ -405,7 +341,7 @@ def _summarize(cfg: RunConfig, reps: list[dict]) -> dict:
         },
         "limit_uniformity_pvalue": None,
     }
-    if cfg.space == "circle" and len(limits) >= 500:
+    if cfg["model"] == "compass" and len(limits) >= 500:
         out["limit_uniformity_pvalue"] = analysis.marginal_uniformity_test(limits).pvalue
     return out
 
@@ -424,40 +360,40 @@ def _cmd_run(args) -> int:
     cfg = load_config(args.config)
     aggregate = run_batch(cfg, args.output)
     s = aggregate["summary"]
-    print(f"{cfg.replicates} replicate(s) -> {args.output}")
+    print(f"{cfg['replicates']} replicate(s) -> {args.output}")
     print(f"consensus counts: {s['consensus_counts']}")
     print(f"mean terminal W: {s['mean_terminal_W']:.6g}")
     return 0
 
 
+# scenario name -> (runner in scenarios, default arguments, one-line report)
+_SCENARIOS = {
+    "butterfly": ("run_butterfly", {"n": 10}, lambda r: (
+        f"butterfly n={r.n}: terminal distance {r.distance:.6f} "
+        f"(threshold {r.min_distance}), interval twin shift gap {r.deffuant_gap:.3e}")),
+    "signflip": ("run_signflip", {"c": 0.5}, lambda r: (
+        f"signflip c={r.c}: {r.vertex_count} vertices, "
+        f"flip at event {r.first_flip_event} of {r.events_total}, "
+        f"control flipped: {r.control_flipped}")),
+    "deffuant_vs_compass": ("run_comparison", {"n": 20, "seed": 0}, lambda r: (
+        f"deffuant_vs_compass n={r.n}, {r.replicates} replicates: interval limit sd "
+        f"{'n/a' if r.deffuant_sd is None else format(r.deffuant_sd, '.5f')}, "
+        f"circle limit uniformity p {r.compass_ks.pvalue:.4f}, "
+        f"unconverged {r.compass_unconverged}")),
+}
+
+
 def _cmd_scenario(args) -> int:
-    overrides = dict(_parse_override(t) for t in args.set or [])
     name = args.name
+    runner, defaults, report = _SCENARIOS[name]
+    overrides = dict(_parse_override(t) for t in args.set or [])
     try:
-        if name == "butterfly":
-            result = scenarios.run_butterfly(**{"n": 10, **overrides})
-            print(f"butterfly n={result.n}: terminal distance {result.distance:.6f} "
-                  f"(threshold {result.min_distance}), interval twin shift gap "
-                  f"{result.deffuant_gap:.3e}")
-        elif name == "signflip":
-            result = scenarios.run_signflip(**{"c": 0.5, **overrides})
-            print(f"signflip c={result.c}: {result.vertex_count} vertices, "
-                  f"flip at event {result.first_flip_event} of {result.events_total}, "
-                  f"control flipped: {result.control_flipped}")
-        elif name == "deffuant_vs_compass":
-            result = scenarios.run_comparison(**{"n": 20, "seed": 0, **overrides})
-            sd = "n/a" if result.deffuant_sd is None else f"{result.deffuant_sd:.5f}"
-            print(f"deffuant_vs_compass n={result.n}, {result.replicates} replicates: "
-                  f"interval limit sd {sd}, circle limit uniformity p "
-                  f"{result.compass_ks.pvalue:.4f}, unconverged {result.compass_unconverged}")
-            passed = result.compass_ks.pvalue > 0.01 and result.compass_unconverged == 0
-        else:
-            raise ConfigError([f"unknown scenario {name!r}; "
-                               f"choose from {', '.join(scenarios.SCENARIO_NAMES)}"])
-    except TypeError as exc:
+        # looked up per call, so a patched runner is the one that runs
+        result = getattr(scenarios, runner)(**{**defaults, **overrides})
+        line, passed = report(result), result.passed
+    except (TypeError, ValueError) as exc:
         raise ConfigError([f"bad scenario override: {exc}"]) from exc
-    if name in ("butterfly", "signflip"):
-        passed = result.passed
+    print(line)
     if args.output:
         out = Path(args.output)
         try:
@@ -488,11 +424,7 @@ def _set_dotted(raw: dict, dotted: str, value) -> None:
 
 
 def _cmd_sweep(args) -> int:
-    try:
-        text = Path(args.config).read_text(encoding="utf-8")
-        base = json.loads(text)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError([f"cannot load config {args.config}: {exc}"]) from exc
+    base = _read_json(args.config)
     values = []
     for chunk in args.values.split(","):
         chunk = chunk.strip()
@@ -500,15 +432,12 @@ def _cmd_sweep(args) -> int:
             values.append(json.loads(chunk))
         except json.JSONDecodeError:
             values.append(chunk)
-    if not values:
-        raise ConfigError(["sweep needs at least one value"])
     index = []
     for value in values:
         raw = json.loads(json.dumps(base))
         _set_dotted(raw, args.param, value)
-        cfg = parse_config(raw)
         sub = Path(args.output) / f"{args.param}={value}"
-        run_batch(cfg, sub)
+        run_batch(parse_config(raw), sub)
         index.append({"value": value, "dir": sub.name})
         print(f"swept {args.param}={value} -> {sub}")
     out = Path(args.output)
@@ -529,7 +458,7 @@ def main(argv=None) -> int:
     p_run.add_argument("-o", "--output", default="out")
 
     p_sc = sub.add_parser("scenario", help="run a canned scenario")
-    p_sc.add_argument("name", choices=scenarios.SCENARIO_NAMES)
+    p_sc.add_argument("name", choices=_SCENARIOS)
     p_sc.add_argument("--set", action="append", metavar="KEY=VALUE",
                       help="override a scenario argument")
     p_sc.add_argument("-o", "--output", default=None)

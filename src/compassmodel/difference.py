@@ -37,9 +37,6 @@ class DeltaState:
     graph: Graph
     values: list[float]
 
-    def copy(self) -> "DeltaState":
-        return DeltaState(self.graph, list(self.values))
-
 
 @dataclass
 class XiState:
@@ -47,9 +44,6 @@ class XiState:
 
     graph: Graph
     values: list[float]
-
-    def copy(self) -> "XiState":
-        return XiState(self.graph, list(self.values))
 
 
 def delta_from_config(g: Graph, opinions, space: str = "circle") -> DeltaState:

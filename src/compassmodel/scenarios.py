@@ -3,7 +3,7 @@ the sign-flip construction, and the circle-versus-interval comparison.
 
 Each construction has a describing function that builds graphs, initial
 profiles, and event schedules, and a run_* driver that executes it and
-returns a result object with a passed flag for its contract.
+returns a result object whose passed property checks its contract.
 """
 
 from __future__ import annotations
@@ -13,15 +13,13 @@ from dataclasses import dataclass
 from statistics import fmean, stdev
 
 from . import analysis
-from .difference import DeltaState, apply_event_delta, delta_from_config
+from .difference import DeltaState, apply_event_delta
 from .engine import (Event, Explicit, IidUniform, PoissonStream, ScriptedStream,
                      SimState, StopRule, derive_seed, new_simulation, run)
 from .opinion_space import ModelParams, circle_dist, mod_s
 from .topology import Graph, build_path
 
 __all__ = [
-    "Scenario",
-    "run_scenario",
     "FlattenPlan",
     "flatten_schedule",
     "ButterflyResult",
@@ -33,41 +31,7 @@ __all__ = [
     "run_signflip",
     "ComparisonResult",
     "run_comparison",
-    "SCENARIO_NAMES",
 ]
-
-
-@dataclass
-class Scenario:
-    """A fully pinned-down run: graph, profile, parameters, and events.
-
-    events is a scripted schedule; when it is None the scenario runs on a
-    Poisson stream with the given seed instead.
-    """
-
-    name: str
-    graph: Graph
-    space: str
-    params: ModelParams
-    initial: tuple[float, ...]
-    events: tuple[Event, ...] | None = None
-    seed: int | None = None
-    probes: tuple[float, ...] = ()
-    notes: str = ""
-
-
-def run_scenario(sc: Scenario, stop: StopRule | None = None, observers=(),
-                 tol: float = 1e-6) -> analysis.RunRecord:
-    """Execute one scenario and return its record."""
-    if sc.events is not None:
-        stream = ScriptedStream(sc.events)
-    elif sc.seed is not None:
-        stream = PoissonStream(sc.seed)
-    else:
-        raise ValueError(f"scenario {sc.name!r} has neither events nor a seed")
-    state = new_simulation(sc.graph, Explicit(sc.initial), sc.params,
-                           space=sc.space, stream=stream)
-    return run(state, stop=stop, probes=sc.probes, observers=observers, tol=tol)
 
 
 @dataclass
@@ -145,31 +109,9 @@ def flatten_schedule(g: Graph, edge_ids, eps: float, params: ModelParams,
                        sweeps=sweeps, xi_remaining=total)
 
 
-def _butterfly_schedule(n: int, params: ModelParams, alternations: int,
-                        flatten_eps: float, settle_eps: float):
-    g = build_path(2 * n - 1)
-    left = list(range(0, n - 2))
-    right = list(range(n, 2 * n - 2))
-    bridge_lo, bridge_hi = n - 2, n - 1
-    plan_left = flatten_schedule(g, left, flatten_eps, params)
-    t = plan_left.events[-1].time if plan_left.events else 0.0
-    plan_right = flatten_schedule(g, right, flatten_eps, params, start_time=t)
-    t = plan_right.events[-1].time if plan_right.events else t
-    events = list(plan_left.events) + list(plan_right.events)
-    for i in range(alternations):
-        t += 1.0
-        events.append(Event(t, bridge_lo if i % 2 == 0 else bridge_hi, 1))
-    plan_settle = flatten_schedule(g, list(range(g.edge_count)), settle_eps,
-                                   params, start_time=t)
-    events.extend(plan_settle.events)
-    sweeps = {"left": plan_left.sweeps, "right": plan_right.sweeps,
-              "settle": plan_settle.sweeps}
-    return g, tuple(events), sweeps
-
-
 def butterfly_scenario(n: int, params: ModelParams | None = None,
                        alternations: int = 200, flatten_eps: float = 1e-9,
-                       settle_eps: float = 1e-10) -> tuple[Scenario, Scenario]:
+                       settle_eps: float = 1e-10):
     """Two coupled runs differing in one vertex, sharing one event schedule.
 
     On the path with 2n-1 vertices the base profile is the ramp
@@ -180,21 +122,27 @@ def butterfly_scenario(n: int, params: ModelParams | None = None,
     bridge edges, then flattens the whole path so each run settles to its
     consensus value. A one-vertex difference in the input ends up as an
     order-one difference in the output.
+
+    Returns the path, the schedule, and the base and variant profiles.
     """
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
     params = params if params is not None else ModelParams()
-    g, events, sweeps = _butterfly_schedule(n, params, alternations,
-                                            flatten_eps, settle_eps)
+    g = build_path(2 * n - 1)
+    plan_left = flatten_schedule(g, range(0, n - 2), flatten_eps, params)
+    t = plan_left.events[-1].time if plan_left.events else 0.0
+    plan_right = flatten_schedule(g, range(n, 2 * n - 2), flatten_eps, params, start_time=t)
+    t = plan_right.events[-1].time if plan_right.events else t
+    events = list(plan_left.events) + list(plan_right.events)
+    for i in range(alternations):
+        t += 1.0
+        events.append(Event(t, n - 2 if i % 2 == 0 else n - 1, 1))  # the two bridge edges
+    events.extend(flatten_schedule(g, range(g.edge_count), settle_eps, params,
+                                   start_time=t).events)
     base = tuple((v + 1) / n - 1.0 for v in range(2 * n - 1))
     variant = list(base)
     variant[n - 1] = 1.0
-    notes = f"sweeps {sweeps}"
-    return (Scenario(name=f"butterfly-{n}-base", graph=g, space="circle",
-                     params=params, initial=base, events=events, notes=notes),
-            Scenario(name=f"butterfly-{n}-variant", graph=g, space="circle",
-                     params=params, initial=tuple(variant), events=events,
-                     notes=notes))
+    return g, tuple(events), base, tuple(variant)
 
 
 @dataclass
@@ -228,12 +176,11 @@ def run_butterfly(n: int, params: ModelParams | None = None,
     shifts it by exactly (1 - 1/2) / (2n - 1).
     """
     params = params if params is not None else ModelParams()
-    base_sc, var_sc = butterfly_scenario(n, params, alternations,
-                                         flatten_eps, settle_eps)
-    rec_base = run_scenario(base_sc)
-    rec_var = run_scenario(var_sc)
-    lb = rec_base.terminal["L"]
-    lv = rec_var.terminal["L"]
+    g, events, base, variant = butterfly_scenario(n, params, alternations,
+                                                  flatten_eps, settle_eps)
+    lb, lv = (run(new_simulation(g, Explicit(profile), params,
+                                 stream=ScriptedStream(events))).terminal["L"]
+              for profile in (base, variant))
     if lb is None or lv is None:
         raise RuntimeError("butterfly runs failed to settle; lower settle_eps")
     distance = circle_dist(lb, lv)
@@ -254,7 +201,7 @@ def run_butterfly(n: int, params: ModelParams | None = None,
     shift = shifts[1] - shifts[0]
     exact = (1.0 - base_x[n - 1]) / m
     return ButterflyResult(n=n, distance=distance, limit_base=lb,
-                           limit_variant=lv, schedule_events=len(base_sc.events),
+                           limit_variant=lv, schedule_events=len(events),
                            deffuant_shift=shift, deffuant_shift_exact=exact,
                            deffuant_gap=abs(shift - exact),
                            min_distance=min_distance)
@@ -349,6 +296,10 @@ class ComparisonResult:
     compass_ks: analysis.UniformityReport
     compass_unconverged: int
 
+    @property
+    def passed(self) -> bool:
+        return self.compass_ks.pvalue > 0.01 and self.compass_unconverged == 0
+
 
 def run_comparison(n: int, seed: int, replicates: int = 200,
                    params: ModelParams | None = None,
@@ -388,7 +339,7 @@ def run_comparison(n: int, seed: int, replicates: int = 200,
         if rec.stop_reason != "w_below":
             unconverged += 1
             continue
-        c_limits.append(analysis.circle_mean(eta.opinions))
+        c_limits.append(mod_s(analysis._circle_lift(eta.opinions)))
     sd = stdev(d_limits) if len(d_limits) >= 2 else None
     if not c_limits:
         raise RuntimeError("no circle replicate converged; raise compass_max_events")
@@ -400,6 +351,3 @@ def run_comparison(n: int, seed: int, replicates: int = 200,
                             deffuant_conservation_worst=cons_worst,
                             compass_ks=ks,
                             compass_unconverged=unconverged)
-
-
-SCENARIO_NAMES = ("butterfly", "signflip", "deffuant_vs_compass")

@@ -22,7 +22,6 @@ __all__ = [
     "build_torus",
     "graph_from_edges",
     "load_edge_list",
-    "edge_boundary",
 ]
 
 
@@ -228,21 +227,3 @@ def load_edge_list(path) -> Graph:
     n = max(max(a, b) for a, b in pairs)
     return graph_from_edges(n, pairs, kind="custom", one_based=True)
 
-
-def edge_boundary(g: Graph, edge_ids) -> tuple[int, ...]:
-    """Edges outside the given set that share a vertex with it, by id."""
-    inside = set(edge_ids)
-    for e in inside:
-        if not 0 <= e < g.edge_count:
-            raise ValueError(f"edge id {e} out of range")
-    touched = set()
-    for e in inside:
-        a, b = g.edges[e]
-        touched.add(a)
-        touched.add(b)
-    out = set()
-    for v in touched:
-        for e in g.incident_edges[v]:
-            if e not in inside:
-                out.add(e)
-    return tuple(sorted(out))

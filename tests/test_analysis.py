@@ -10,13 +10,13 @@ from hypothesis import strategies as st
 
 from compassmodel import (Explicit, Graph, IidUniform, MetricSample, ModelParams,
                           RunRecord, StopRule, build_path, build_ring, build_torus,
-                          circle_mean, circle_opinion_range, compute_metrics,
+                          circle_opinion_range, compute_metrics,
                           consensus_classify, delta_from_config,
                           extract_limits, initial_opinions, ks_uniform_pvalue,
                           marginal_uniformity_test, mod_s,
                           monotone_mean_delta_check, new_simulation,
-                          read_samples_csv, run, sign_product_rate,
-                          spatial_average, write_samples_csv)
+                          read_samples_csv, run, write_samples_csv)
+from compassmodel.analysis import _circle_lift
 
 circle_values = st.floats(min_value=-1.0, max_value=1.0, exclude_min=True,
                           allow_nan=False)
@@ -315,36 +315,30 @@ class TestExtractLimits:
 
 
 class TestSpatialAverage:
-    def test_all_equal(self):
-        assert spatial_average([0.4, 0.4, 0.4]) == 0.4
-
-    def test_single_entry(self):
-        assert spatial_average([0.7]) == 0.7
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            spatial_average([])
+    """The spatial average of |gap| is compute_metrics' mean_abs_delta."""
 
     def test_uniform_init_gap_mean_near_half(self):
         g = build_ring(4000)
         ops = initial_opinions(IidUniform(5), 4000, "circle")
         d = delta_from_config(g, ops)
-        est = spatial_average([abs(v) for v in d.values])
+        est = compute_metrics(g, ops, delta_values=d.values).mean_abs_delta
         assert est == pytest.approx(0.5, abs=0.03)
 
 
 class TestCircleMean:
+    """The unwrapped mean of a concentrated profile, shared with extract_limits."""
+
     def test_concentrated_across_the_cut(self):
-        m = circle_mean([0.99, -0.99, 0.98])
+        ops = [0.99, -0.99, 0.98]
+        lift = _circle_lift(ops)
+        assert lift == pytest.approx(1.0, abs=0.02)
+        m = mod_s(lift)
         assert m == pytest.approx(1.0, abs=0.02)
         assert -1.0 < m <= 1.0
+        assert extract_limits(make_record("circle", 3, ops), ops).L == m
 
     def test_plain_concentrated_profile(self):
-        assert circle_mean([0.1, 0.2, 0.3]) == pytest.approx(0.2, abs=1e-12)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError, match="no opinions"):
-            circle_mean([])
+        assert _circle_lift([0.1, 0.2, 0.3]) == pytest.approx(0.2, abs=1e-12)
 
 
 class TestMonotoneCheck:
@@ -408,26 +402,26 @@ class TestUniformity:
 
 
 class TestSignProductRate:
+    """The rate of sign-disagreeing adjacent gaps is sign_flip_fraction."""
+
+    @staticmethod
+    def rate(g, delta_values):
+        return compute_metrics(g, [0.0] * g.vertex_count,
+                               delta_values=delta_values).sign_flip_fraction
+
     def test_alternating_signs(self):
-        g = build_path(4)
-        assert sign_product_rate(g, [0.3, -0.2, 0.4]) == 1.0
+        assert self.rate(build_path(4), [0.3, -0.2, 0.4]) == 1.0
 
     def test_constant_profile_rate_zero(self):
         g = build_ring(5)
         d = delta_from_config(g, [0.2] * 5)
-        assert sign_product_rate(g, d.values) == 0.0
+        assert self.rate(g, d.values) == 0.0
 
     def test_uniform_init_near_half(self):
         g = build_ring(2000)
         ops = initial_opinions(IidUniform(7), 2000, "circle")
         d = delta_from_config(g, ops)
-        assert sign_product_rate(g, d.values) == pytest.approx(0.5, abs=0.05)
-
-    def test_errors(self):
-        with pytest.raises(ValueError, match="2 edges"):
-            sign_product_rate(build_path(2), [0.1])
-        with pytest.raises(ValueError, match="expected"):
-            sign_product_rate(build_path(4), [0.1, 0.2])
+        assert self.rate(g, d.values) == pytest.approx(0.5, abs=0.05)
 
 
 class TestCsvRoundTrip:

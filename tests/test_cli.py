@@ -33,20 +33,35 @@ def strip_metadata(path):
 class TestParseConfig:
     def test_defaults_fill_in(self):
         cfg = parse_config(minimal_raw())
-        assert cfg.space == "circle"
-        assert cfg.mu == 0.5
-        assert math.isinf(cfg.theta)
-        assert cfg.init_kind == "uniform"
-        assert cfg.seed == 0
-        assert cfg.replicates == 1
-        assert cfg.probes == ()
-        assert cfg.tol == 1e-6
-        assert cfg.stop_w_check_interval == 100
+        assert cfg == {
+            "model": "compass", "graph": {"kind": "path", "n": 5}, "mu": 0.5,
+            "theta": None, "init": {"kind": "uniform"}, "seed": 0, "replicates": 1,
+            "stop": {"max_events": 10, "w_check_interval": 100}, "probes": [],
+            "tol": 1e-6,
+        }
+        assert list(cfg) == ["model", "graph", "mu", "theta", "init", "seed",
+                             "replicates", "stop", "probes", "tol"]
 
     def test_deffuant_model_selects_interval_space(self):
         cfg = parse_config(minimal_raw(model="deffuant"))
-        assert cfg.space == "interval"
-        assert cfg.echo()["model"] == "deffuant"
+        assert cfg["model"] == "deffuant"
+
+    def test_normalized_config_is_the_aggregate_echo(self, tmp_path):
+        raw = minimal_raw(graph={"kind": "ring", "n": 5, "dims": [3]}, theta=1,
+                          init={"kind": "uniform", "value": 0.5},
+                          stop={"w_below": 1e-3, "max_events": 10, "max_time": None},
+                          probes=[1, 2], tol=1)
+        cfg = parse_config(raw)
+        assert cfg["graph"] == {"kind": "ring", "n": 5}
+        assert cfg["init"] == {"kind": "uniform"}
+        assert list(cfg["stop"].items()) == [("max_events", 10), ("w_below", 1e-3),
+                                             ("w_check_interval", 100)]
+        assert [type(cfg[k]) for k in ("mu", "theta", "tol")] == [float] * 3
+        assert [type(p) for p in cfg["probes"]] == [float, float]
+        assert parse_config(minimal_raw(theta=math.inf))["theta"] is None
+        run_batch(cfg, tmp_path)
+        echo = json.loads((tmp_path / "aggregate.json").read_text())["config"]
+        assert json.dumps(echo) == json.dumps(cfg)
 
     def test_every_problem_reported_at_once(self):
         raw = {
@@ -94,16 +109,17 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="init.value"):
             parse_config(minimal_raw(init={"kind": "constant"}))
         cfg = parse_config(minimal_raw(init={"kind": "constant", "value": 0.25}))
-        assert cfg.init_value == 0.25
+        assert cfg["init"] == {"kind": "constant", "value": 0.25}
 
     def test_explicit_init_roundtrips_values(self):
         cfg = parse_config(minimal_raw(init={"kind": "explicit",
                                              "values": [0.1, -0.2, 1]}))
-        assert cfg.init_values == (0.1, -0.2, 1.0)
+        assert cfg["init"] == {"kind": "explicit", "values": [0.1, -0.2, 1.0]}
+        assert [type(v) for v in cfg["init"]["values"]] == [float] * 3
 
     def test_torus_dims(self):
         cfg = parse_config(minimal_raw(graph={"kind": "torus", "dims": [3, 4]}))
-        assert cfg.dims == (3, 4)
+        assert cfg["graph"] == {"kind": "torus", "dims": [3, 4]}
         with pytest.raises(ConfigError, match="at least 3"):
             parse_config(minimal_raw(graph={"kind": "torus", "dims": [2, 4]}))
 
@@ -223,6 +239,26 @@ class TestMain:
         code = main(["scenario", "signflip", "--set", "wings=3"])
         assert code == 2
         assert "bad scenario override" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name,override,message", [
+        ("signflip", "c=5", "need 0 < c <= 1"),
+        ("butterfly", "n=2", "need n >= 3"),
+    ])
+    def test_out_of_range_scenario_override_exits_two(self, name, override, message,
+                                                      capsys):
+        code = main(["scenario", name, "--set", override])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad scenario override: ")
+        assert message in err
+
+    def test_bad_workers_value_exits_two(self, tmp_path, monkeypatch, capsys):
+        path = write_config(tmp_path, minimal_raw())
+        monkeypatch.setenv(WORKERS_ENV, "two")
+        code = main(["run", str(path), "-o", str(tmp_path / "out")])
+        assert code == 2
+        assert f"error: {WORKERS_ENV} must be an integer, got 'two'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_override_without_equals_exits_two(self, capsys):
         code = main(["scenario", "signflip", "--set", "c0.5"])

@@ -1,19 +1,29 @@
-"""Golden batches: the exact bytes three CLI batches write.
+"""Golden outputs: the exact bytes that CLI batches and scenarios write.
 
 Each batch's replicate CSVs and its aggregate.json (with the `metadata` key
 removed, the only non-deterministic part) are hashed and compared with
-hashes recorded once. Criterion 14 compares two runs of the same build; this
-file pins the output across builds, so a change to the engine, the stop test
-or the metrics that moves any byte fails here.
+hashes recorded once. The aggregate is hashed twice: with sorted keys, and
+in file order, which pins the order of the config echo too. Criterion 14
+compares two runs of the same build; this file pins the output across
+builds, so a change to the engine, the stop test, the metrics or the config
+handling that moves any byte fails here.
 
-The three batches:
+The batches:
 
 - the README example (circle, 50-ring, mu = 1/4, 8 replicates);
 - a 12x12 torus checked every 10 events, with probes: its 288 edges exceed
   2 * max_degree * w_check_interval = 80, so its W test takes the tracked
   path, and five of its six runs stop on w_below between multiples of 100;
 - an interval (deffuant) 20-path checked every 2 events, with probes: the
-  tracked W test on the general loop.
+  tracked W test on the general loop;
+- a 12-ring whose config gives only the graph and the stop rule, so every
+  other key takes its default;
+- a 5-path from explicit opinions, with integers where the config echo
+  writes floats (theta, init values, probes) and a max_time stop.
+
+The scenarios' `-o` JSON reports are pinned the same way, and so are the
+circle limits of a small circle-versus-interval comparison, which the report
+leaves out.
 """
 
 from __future__ import annotations
@@ -23,7 +33,7 @@ import json
 
 import pytest
 
-from compassmodel import cli
+from compassmodel import cli, scenarios
 
 BATCHES = {
     "readme": {
@@ -43,6 +53,14 @@ BATCHES = {
         "theta": None, "init": {"kind": "uniform"}, "seed": 5, "replicates": 4,
         "stop": {"max_events": 60000, "w_below": 1e-6, "w_check_interval": 2},
         "probes": [0.0, 10.0, 100.0], "tol": 1e-6,
+    },
+    "defaults": {
+        "graph": {"kind": "ring", "n": 12}, "stop": {"max_events": 20000, "w_below": 1e-6},
+    },
+    "explicit": {
+        "graph": {"kind": "path", "n": 5}, "mu": 0.25, "theta": 1,
+        "init": {"kind": "explicit", "values": [0, 0.5, -0.75, 1, 0.25]},
+        "stop": {"w_below": 1e-9, "max_time": 50}, "probes": [1, 2.5], "tol": 1e-3,
     },
 }
 
@@ -96,21 +114,80 @@ GOLDEN = {
         "aggregate.json":
             "46122d74713946c2eb03066db6bb1c3e84e70ea214562172f4b527610ff4db45",
     },
+    # recorded before the config became a plain normalized dict
+    "defaults": {
+        "replicate_0000.csv":
+            "3ad4d5b0e2a4d55f385fcd9d1636f282aab7dfe283f2571a270ade4ca207f421",
+        "aggregate.json":
+            "2ae49b2b9b770addd7e62afd28db938ef2d50829865721fbcbc4152ce2839bd5",
+    },
+    "explicit": {
+        "replicate_0000.csv":
+            "449fc7212573c347cb66007b52cf32dc592eefce9d98a5174f9066bcc5228613",
+        "aggregate.json":
+            "f35723ce1a9d0161c1f553d5fe871070aa2613542a00096488bd238e41eadfe8",
+    },
 }
+
+# aggregate.json without metadata, dumped in file order with indent=2;
+# recorded before the config became a plain normalized dict
+GOLDEN_FILE_ORDER = {
+    "readme": "bf1dc7775897ec352c7f501b08099d7eafc1e77a51c8cf801e5220175948e94c",
+    "torus12": "04c900dd731d67b4600eee74a3bed2079e98e61d86d16de32e9b3f6b6aef3f6c",
+    "deffuant20": "f2c2e44cca549b048bc0e5a86b8a634d1f8d540ae93908918412f0cfcd1e6f18",
+    "defaults": "06adb0f8dd092c24981e970a95521b6028771955e223da3fbfcdbf7c38057d4d",
+    "explicit": "d74f5483c7f0d6bd4a49a6ae044a97de41ada6600e6fcf3ebb88f47d4a9d0846",
+}
+
+# `compassmodel scenario NAME ARGS -o DIR` writes DIR/NAME.json
+SCENARIO_REPORTS = {
+    "butterfly": (["--set", "n=6"],
+                  "795b5702c8539448a25b87d23b39de0101b6a0b82e05eb0da37fdef6a1b571a0"),
+    "signflip": (["--set", "c=0.5"],
+                 "0638941242ca6bd792ae1df903a5176cf26f3800e05039745c705258c072554b"),
+    "deffuant_vs_compass": (
+        ["--set", "n=5", "--set", "replicates=20"],
+        "0f890875ca5e46a1fd1d821fe08bbeb826f041a58360fa8b80bdd32973aa46c7"),
+}
+
+# repr of run_comparison(5, seed=0, replicates=20).compass_limits
+GOLDEN_COMPARISON_LIMITS = "3bbab102d34a7f76a706470cbdfced3ad94638eee32278f2e2149c7c47194b7c"
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
 
 
 def batch_hashes(out) -> dict[str, str]:
     """sha256 of every replicate CSV and of aggregate.json without metadata."""
-    hashes = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-              for p in sorted(out.glob("replicate_*.csv"))}
+    hashes = {p.name: sha256(p.read_bytes()) for p in sorted(out.glob("replicate_*.csv"))}
     aggregate = json.loads((out / "aggregate.json").read_text(encoding="utf-8"))
     del aggregate["metadata"]
-    text = json.dumps(aggregate, sort_keys=True)
-    hashes["aggregate.json"] = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    hashes["aggregate.json"] = sha256(json.dumps(aggregate, sort_keys=True).encode("utf-8"))
     return hashes
+
+
+def file_order_hash(out) -> str:
+    """sha256 of aggregate.json without metadata, keys in the order written."""
+    aggregate = json.loads((out / "aggregate.json").read_text(encoding="utf-8"))
+    del aggregate["metadata"]
+    return sha256(json.dumps(aggregate, indent=2).encode("utf-8"))
 
 
 @pytest.mark.parametrize("name", sorted(BATCHES))
 def test_batch_bytes_are_pinned(name, tmp_path):
     cli.run_batch(cli.parse_config(BATCHES[name]), tmp_path)
     assert batch_hashes(tmp_path) == GOLDEN[name]
+    assert file_order_hash(tmp_path) == GOLDEN_FILE_ORDER[name]
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIO_REPORTS))
+def test_scenario_report_bytes_are_pinned(name, tmp_path):
+    args, digest = SCENARIO_REPORTS[name]
+    assert cli.main(["scenario", name, *args, "-o", str(tmp_path)]) == 0
+    assert sha256((tmp_path / f"{name}.json").read_bytes()) == digest
+
+
+def test_comparison_limits_are_pinned():
+    limits = scenarios.run_comparison(5, seed=0, replicates=20).compass_limits
+    assert sha256(repr(limits).encode("utf-8")) == GOLDEN_COMPARISON_LIMITS

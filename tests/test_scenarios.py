@@ -3,12 +3,12 @@ import random
 
 import pytest
 
-from compassmodel import (Event, ModelParams, Scenario, apply_event_delta,
-                          build_path, build_ring, circle_dist,
-                          delta_from_config, flatten_schedule, mod_s,
-                          run_butterfly, run_comparison, run_scenario,
-                          run_signflip, signflip_vertex_count,
-                          butterfly_scenario, xi_from_values, apply_event_xi)
+from compassmodel import (ComparisonResult, Explicit, ModelParams, ScriptedStream,
+                          UniformityReport, apply_event_delta, apply_event_xi,
+                          build_path, build_ring, butterfly_scenario, circle_dist,
+                          delta_from_config, flatten_schedule, new_simulation, run,
+                          run_butterfly, run_comparison, run_signflip,
+                          signflip_vertex_count, xi_from_values)
 
 
 class TestFlattenSchedule:
@@ -87,11 +87,12 @@ class TestButterfly:
             butterfly_scenario(2)
 
     def test_pair_shares_one_schedule(self):
-        base, var = butterfly_scenario(5)
-        assert base.events is var.events
-        assert base.initial != var.initial
-        assert base.initial[4] != 1.0
-        assert var.initial[4] == 1.0
+        g, events, base, var = butterfly_scenario(5)
+        assert g.vertex_count == len(base) == len(var) == 9
+        assert all(0 <= ev.edge_id < g.edge_count for ev in events)
+        assert [v for v in range(9) if base[v] != var[v]] == [4]
+        assert base[4] != 1.0
+        assert var[4] == 1.0
 
     def test_contract_at_n_ten(self):
         res = run_butterfly(10)
@@ -107,28 +108,11 @@ class TestButterfly:
         assert res.deffuant_gap < 1e-9
 
     def test_identical_inits_stay_coupled(self):
-        base, _ = butterfly_scenario(5)
-        rec1 = run_scenario(base)
-        rec2 = run_scenario(base)
+        g, events, base, _ = butterfly_scenario(5)
+        rec1, rec2 = (run(new_simulation(g, Explicit(base), stream=ScriptedStream(events)))
+                      for _ in range(2))
         assert rec1.final_opinions == rec2.final_opinions
         assert circle_dist(rec1.terminal["L"], rec2.terminal["L"]) == 0.0
-
-
-class TestRunScenario:
-    def test_needs_events_or_seed(self):
-        sc = Scenario(name="bare", graph=build_path(3), space="circle",
-                      params=ModelParams(), initial=(0.0, 0.1, 0.2))
-        with pytest.raises(ValueError, match="neither"):
-            run_scenario(sc)
-
-    def test_poisson_scenario_runs(self):
-        from compassmodel import StopRule
-        sc = Scenario(name="tiny", graph=build_path(3), space="circle",
-                      params=ModelParams(mu=0.5), initial=(0.2, 0.6, 0.6),
-                      seed=5)
-        rec = run_scenario(sc, stop=StopRule(max_events=50))
-        assert rec.events_applied == 50
-        assert rec.seed == 5
 
 
 class TestSignFlip:
@@ -167,6 +151,7 @@ class TestSignFlip:
 class TestComparison:
     def test_small_path_limits_uniform(self):
         res = run_comparison(5, seed=2024, replicates=100)
+        assert res.passed
         assert res.compass_unconverged == 0
         assert res.compass_ks.pvalue > 0.01
         assert res.deffuant_conservation_worst < 1e-12
@@ -193,3 +178,13 @@ class TestComparison:
         assert res.deffuant_sd == pytest.approx(expected, rel=0.15)
         assert res.compass_ks.pvalue > 0.01
         assert res.compass_unconverged == 0
+
+    @pytest.mark.parametrize("pvalue,unconverged,passed", [
+        (0.5, 0, True), (0.01, 0, False), (0.5, 1, False)])
+    def test_passed_needs_uniform_limits_and_no_unconverged_run(self, pvalue,
+                                                                unconverged, passed):
+        res = ComparisonResult(n=5, replicates=3, deffuant_limits=(), compass_limits=(),
+                               deffuant_sd=None, deffuant_conservation_worst=0.0,
+                               compass_ks=UniformityReport(0.1, pvalue, 3, "exact"),
+                               compass_unconverged=unconverged)
+        assert res.passed is passed

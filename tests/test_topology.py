@@ -1,9 +1,9 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from compassmodel import (Graph, build_path, build_ring, build_torus,
-                          edge_boundary, graph_from_edges, load_edge_list)
+                          graph_from_edges, load_edge_list)
 
 
 class TestBuildPath:
@@ -182,37 +182,6 @@ class TestOrientedCycle:
         edges[2] = (b, a)
         g = graph_from_edges(5, edges)
         assert not g.is_oriented_cycle
-
-
-class TestEdgeBoundary:
-    def test_ring_segment(self):
-        g = build_ring(5)
-        assert edge_boundary(g, {0, 1, 2, 3}) == (4,)
-
-    def test_whole_path_has_empty_boundary(self):
-        g = build_path(5)
-        assert edge_boundary(g, set(range(g.edge_count))) == ()
-
-    def test_interior_path_segment(self):
-        g = build_path(6)
-        assert edge_boundary(g, {1, 2}) == (0, 3)
-
-    def test_bad_edge_id(self):
-        with pytest.raises(ValueError, match="out of range"):
-            edge_boundary(build_path(4), {7})
-
-    @given(st.integers(min_value=4, max_value=40), st.data())
-    @settings(max_examples=100)
-    def test_boundary_edges_touch_the_segment(self, n, data):
-        g = build_ring(n)
-        lo = data.draw(st.integers(min_value=0, max_value=n - 2))
-        hi = data.draw(st.integers(min_value=lo, max_value=n - 2))
-        seg = set(range(lo, hi + 1))
-        out = edge_boundary(g, seg)
-        seg_vertices = {v for e in seg for v in g.edges[e]}
-        for e in out:
-            assert e not in seg
-            assert set(g.edges[e]) & seg_vertices
 
 
 class TestGraphFromEdges:
