@@ -2,8 +2,9 @@
 
 Configs are JSON. Validation is strict and total: unknown keys are errors
 and every problem in a config is reported in one pass, not just the first.
-Exit codes: 0 on success, 1 when a scenario's contract fails, 2 on config
-or IO problems, a bad scenario override or a bad COMPASSMODEL_WORKERS value.
+Exit codes: 0 on success, 1 when a scenario's contract fails or the scenario
+cannot run, 2 on config or IO problems, a bad scenario override or a bad
+COMPASSMODEL_WORKERS value.
 
 Batch outputs land in the chosen directory: one replicate_NNNN.csv per
 replicate (the probe rows plus a final-state row) and one aggregate.json.
@@ -28,13 +29,14 @@ from time import perf_counter
 
 from . import analysis, scenarios
 from .engine import (Constant, Explicit, IidUniform, PoissonStream, StopRule,
-                     derive_seed, new_simulation, run)
+                     derive_seed, initial_opinions, new_simulation, run)
 from .opinion_space import ModelParams, validate_params
 from .topology import build_path, build_ring, build_torus, load_edge_list
 
 __all__ = ["ConfigError", "parse_config", "load_config", "run_batch", "main"]
 
 WORKERS_ENV = "COMPASSMODEL_WORKERS"
+_SPACES = {"compass": "circle", "deffuant": "interval"}
 
 
 class ConfigError(ValueError):
@@ -74,10 +76,11 @@ def parse_config(raw: dict) -> dict:
             problems.append(f"unknown key {key!r}")
 
     model = raw.get("model", "compass")
-    if model not in ("compass", "deffuant"):
+    if model not in _SPACES:
         problems.append(f"model must be 'compass' or 'deffuant', got {model!r}")
 
     graph = raw.get("graph")
+    vertices = None  # known for a valid path, ring or torus
     if not isinstance(graph, dict):
         problems.append("graph must be an object like {'kind': 'path', 'n': 50}")
     else:
@@ -93,6 +96,8 @@ def parse_config(raw: dict) -> dict:
                 problems.append(f"graph.n must be an integer, got {n!r}")
             elif n < (2 if kind == "path" else 3):
                 problems.append(f"graph.n={n} is too small for a {kind}")
+            else:
+                vertices = n
             graph = {"kind": kind, "n": n}
         elif kind == "torus":
             dims = graph.get("dims")
@@ -103,6 +108,7 @@ def parse_config(raw: dict) -> dict:
                 problems.append(f"every torus side must be at least 3, got {dims}")
             else:
                 graph = {"kind": kind, "dims": list(dims)}
+                vertices = math.prod(dims)
         else:
             path = graph.get("path")
             if not isinstance(path, str) or not path:
@@ -127,12 +133,17 @@ def parse_config(raw: dict) -> dict:
         elif kind == "constant":
             if not _is_num(value):
                 problems.append(f"init.value must be a number, got {value!r}")
+            else:
+                problems.extend(_chart_problems(Constant(value), 1, model))
             init["value"] = value
         elif kind == "explicit":
             if not isinstance(values, list) or not all(_is_num(v) for v in values):
                 problems.append("init.values must be a list of numbers")
             else:
                 init["values"] = [float(v) for v in values]
+                problems.extend(_chart_problems(Explicit(values), len(values), model))
+                if vertices is not None:
+                    problems.extend(_count_problems(init, vertices))
 
     seed = raw.get("seed", 0)
     if not _is_int(seed):
@@ -188,6 +199,23 @@ def parse_config(raw: dict) -> dict:
             "probes": [float(p) for p in probes], "tol": float(tol)}
 
 
+def _chart_problems(spec, n: int, model) -> list[str]:
+    """Init values outside the model's chart, as initial_opinions finds them."""
+    if model not in _SPACES:
+        return []
+    try:
+        initial_opinions(spec, n, _SPACES[model])
+    except ValueError as exc:
+        return [f"init: {exc}"]
+    return []
+
+
+def _count_problems(init: dict, vertices: int) -> list[str]:
+    if init["kind"] == "explicit" and len(init["values"]) != vertices:
+        return [f"init.values has {len(init['values'])} values for {vertices} vertices"]
+    return []
+
+
 def _read_json(path):
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -226,7 +254,7 @@ def _one_replicate(args):
     params = ModelParams(mu=cfg["mu"], theta=math.inf if cfg["theta"] is None else cfg["theta"])
     stream_seed = derive_seed(cfg["seed"], "stream", i)
     state = new_simulation(g, spec, params,
-                           space="circle" if cfg["model"] == "compass" else "interval",
+                           space=_SPACES[cfg["model"]],
                            stream=PoissonStream(stream_seed))
     record = run(state, stop=StopRule(**cfg["stop"]), probes=cfg["probes"], tol=cfg["tol"])
     rows = list(record.samples)
@@ -254,7 +282,8 @@ def run_batch(cfg: dict, output_dir) -> dict:
     """Run every replicate of a parse_config result, then write the aggregate.
 
     Each replicate's CSV is written as it finishes. Raises ConfigError on an
-    unwritable output directory, an unbuildable graph or a bad
+    unwritable output directory, an unbuildable graph, an explicit start
+    whose length is not the graph's vertex count or a bad
     COMPASSMODEL_WORKERS value, before any replicate runs. An exception in a
     replicate propagates: the CSVs of the replicates before it stay, and no
     aggregate.json is written.
@@ -275,9 +304,12 @@ def run_batch(cfg: dict, output_dir) -> dict:
         raise ConfigError([f"cannot write to {out}: {exc}"]) from exc
 
     try:
-        _build_graph(cfg["graph"])
+        vertices = _build_graph(cfg["graph"]).vertex_count
     except (ValueError, OSError) as exc:
         raise ConfigError([f"cannot build graph: {exc}"]) from exc
+    problems = _count_problems(cfg["init"], vertices)
+    if problems:
+        raise ConfigError(problems)
 
     replicates = cfg["replicates"]
     width = max(4, len(str(replicates - 1)))
@@ -393,6 +425,9 @@ def _cmd_scenario(args) -> int:
         line, passed = report(result), result.passed
     except (TypeError, ValueError) as exc:
         raise ConfigError([f"bad scenario override: {exc}"]) from exc
+    except RuntimeError as exc:
+        print(f"error: scenario {name} could not run: {exc}", file=sys.stderr)
+        return 1
     print(line)
     if args.output:
         out = Path(args.output)

@@ -19,11 +19,12 @@ import math
 import random
 import struct
 import time as _time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from hashlib import sha256
 
 from . import analysis
-from .opinion_space import ModelParams, mod_s, update_pair_compass, update_pair_deffuant
+from .opinion_space import (ModelParams, _sgn, _wrap, update_pair_compass,
+                            update_pair_deffuant)
 from .topology import Graph, build_path, build_ring, build_torus
 
 __all__ = [
@@ -277,7 +278,7 @@ class _WTest:
 
     On a graph with more edges than the events between two tests can touch
     (m > 2 * max_degree * w_check_interval) and opinions in [-1, 1] ([0, 1]
-    on the interval), the loops append each event's edge id to `touched`; a
+    on the interval), the loop appends each event's edge id to `touched`; a
     test updates the edge distances d (computed as `_total_w` does) around
     those edges and their running sum `est`, and calls `_total_w` only when
     `est` is within its error bound of w_below.
@@ -376,11 +377,7 @@ def run(state: SimState, stream=None, stop: StopRule | None = None,
 
     samples: list[analysis.MetricSample] = []
     t0 = _time.perf_counter()
-    if (isinstance(stream, PoissonStream) and state.space == "circle"
-            and not observers):
-        reason = _run_fast_circle(state, stream, stop, probes, samples)
-    else:
-        reason = _run_general(state, stream, stop, probes, samples, observers)
+    reason = _run_loop(state, stream, stop, probes, samples, observers)
     wall = _time.perf_counter() - t0
 
     g = state.graph
@@ -424,207 +421,149 @@ def run(state: SimState, stream=None, stop: StopRule | None = None,
     return record
 
 
-def _run_fast_circle(state: SimState, stream: PoissonStream, stop: StopRule,
-                     probes, samples) -> str:
-    """Poisson, circle, no observers: the inlined hot loop.
+def _run_loop(state: SimState, stream, stop: StopRule, probes, samples,
+              observers) -> str:
+    """The event loop: either space, any stream, observers welcome.
 
-    Mirrors update_pair_compass branch for branch so it stays bitwise
-    interchangeable with the general loop (a property the tests pin down).
+    Poisson events are drawn inline, with the three draws of
+    PoissonStream.next_event; other streams are asked for their next event,
+    which gets apply_event's checks. Both rules are inlined and mirror
+    update_pair_compass and update_pair_deffuant branch for branch (the
+    interval rule is the circle rule's linear branch), so a run stays
+    bitwise equal to stepping apply_event (a property the tests pin down).
     """
     g = state.graph
+    space = state.space
+    circle = space == "circle"
     op = state.opinions
     edges = g.edges
     m = len(edges)
     mu = state.params.mu
     theta = state.params.theta
-    gated = theta < 1.0  # circle distances never exceed 1
+    gated = theta < (1.0 if circle else math.inf)  # circle distances never exceed 1
     halfmu = mu == 0.5
-    rnd = stream.rng.random
+    poisson = isinstance(stream, PoissonStream)
+    rnd = stream.rng.random if poisson else None
     log = math.log
     compute = analysis.compute_metrics
 
     clock = state.clock
     count = state.events_applied
-    max_events = stop.max_events
+    max_events = stop.max_events if stop.max_events is not None else math.inf
     max_time = stop.max_time if stop.max_time is not None else math.inf
-    w_tol = stop.w_below
     interval = stop.w_check_interval
-    countdown = interval if w_tol is not None else 0
-    w_test = _WTest(state, stop) if w_tol is not None else None
+    w_test = _WTest(state, stop) if stop.w_below is not None else None
     note = w_test.touched.append if w_test and w_test.tracked else None
+    # the next event count at which the W test or the budget is due
+    check_at = min(count + interval if w_test else math.inf, max_events)
+    # the per-event side work: the tracked W test's edge log, and observers,
+    # which see each event after its update with the clock and count synced
+    if observers:
+        def hook(t, e, k, count):
+            if note:
+                note(e)
+            state.clock = t
+            state.events_applied = count
+            ev = Event(t, e, k)
+            for obs in observers:
+                obs.apply_event(ev)
+    else:
+        hook = (lambda t, e, k, count: note(e)) if note else None
     pi = 0
     next_probe = probes[pi] if probes else math.inf
     pending = state.pending
-    state.pending = None
 
-    while True:
-        budget_hit = max_events is not None and count >= max_events
-        if w_tol is not None and (countdown <= 0 or budget_hit):
-            if w_test.below():
-                reason = "w_below"
+    try:
+        while True:
+            if count >= check_at:
+                if w_test and w_test.below():
+                    reason = "w_below"
+                    break
+                if count >= max_events:
+                    reason = "max_events"
+                    break
+                check_at = min(count + interval, max_events)
+            if pending is None and poisson:
+                t = clock - log(1.0 - rnd()) / m
+                e = int(rnd() * m)
+                k = 1 if rnd() < 0.5 else 2
+            else:
+                if pending is None:
+                    state.clock = clock
+                    state.events_applied = count
+                    try:
+                        pending = stream.next_event(state)
+                    except ScheduleExhausted:
+                        reason = "schedule_exhausted"
+                        break
+                t, e, k = pending.time, pending.edge_id, pending.tie
+                pending = state.pending = None
+                if not 0 <= e < m:
+                    raise ValueError(f"edge id {e} out of range")
+                if t < clock:
+                    raise ValueError(f"event at {t} is earlier than the clock {clock}")
+                if circle and k not in (1, 2):
+                    raise ValueError(f"tie must be 1 or 2, got {k!r}")
+            if t > max_time:
+                state.pending = Event(t, e, k)
+                clock = max_time
+                reason = "max_time"
                 break
-            countdown = interval
-        if budget_hit:
-            reason = "max_events"
-            break
-        if pending is not None:
-            ev_t = pending.time
-            e = pending.edge_id
-            k = pending.tie
-            pending = None
-        else:
-            ev_t = clock - log(1.0 - rnd()) / m
-            e = int(rnd() * m)
-            k = 1 if rnd() < 0.5 else 2
-        if ev_t > max_time:
-            state.pending = Event(ev_t, e, k)
-            clock = max_time
-            reason = "max_time"
-            break
-        while ev_t > next_probe:
-            samples.append(compute(g, op, "circle", at_time=next_probe))
-            pi += 1
-            next_probe = probes[pi] if pi < len(probes) else math.inf
+            while t > next_probe:
+                samples.append(compute(g, op, space, at_time=next_probe))
+                pi += 1
+                next_probe = probes[pi] if pi < len(probes) else math.inf
 
-        if note:
-            note(e)
-        a, b = edges[e]
-        xu = op[a]
-        xv = op[b]
-        diff = xu - xv
-        ad = abs(diff)
-        if gated and (ad if ad <= 1.0 else 2.0 - ad) > theta:
-            pass
-        elif ad < 1.0:
-            if halfmu:
-                mid = 0.5 * (xu + xv)
-                op[a] = mid
-                op[b] = mid
-            else:
-                op[a] = xu - mu * diff
-                op[b] = xv + mu * diff
-        elif ad > 1.0:
-            if halfmu:
-                mid = 0.5 * (xu + xv) + 1.0
-                if mid > 1.0:
-                    mid -= 2.0
-                elif mid <= -1.0:
-                    mid += 2.0
-                op[a] = mid
-                op[b] = mid
-            else:
-                step = mu * (2.0 - ad)
-                yu = xu + step if xu > 0.0 else xu - step
-                if yu > 1.0:
-                    yu -= 2.0
-                elif yu <= -1.0:
-                    yu += 2.0
-                yv = xv + step if xv > 0.0 else xv - step
-                if yv > 1.0:
-                    yv -= 2.0
-                elif yv <= -1.0:
-                    yv += 2.0
-                op[a] = yu
-                op[b] = yv
-        else:
-            su = 1.0 if xu > 0.0 else (-1.0 if xu < 0.0 else 0.0)
-            sv = 1.0 if xv > 0.0 else (-1.0 if xv < 0.0 else 0.0)
-            if su == sv:
-                # same signs mean the gap rounded up to 1 from inside the
-                # chart; treat as the linear pair it really is
+            a, b = edges[e]
+            xu = op[a]
+            xv = op[b]
+            diff = xu - xv
+            ad = abs(diff)
+            if gated and (ad if ad <= 1.0 or not circle else 2.0 - ad) > theta:
+                pass
+            elif ad < 1.0 or not circle:
                 if halfmu:
-                    mid = 0.5 * (xu + xv)
-                    op[a] = mid
-                    op[b] = mid
+                    op[a] = op[b] = 0.5 * (xu + xv)
                 else:
                     op[a] = xu - mu * diff
                     op[b] = xv + mu * diff
+            elif ad > 1.0:
+                if halfmu:
+                    op[a] = op[b] = _wrap(0.5 * (xu + xv) + 1.0)
+                else:
+                    step = mu * (2.0 - ad)
+                    op[a] = _wrap(xu + step * _sgn(xu))
+                    op[b] = _wrap(xv + step * _sgn(xv))
             else:
-                if su == 0.0:
-                    su = -sv
-                elif sv == 0.0:
-                    sv = -su
-                move = -mu if k == 1 else mu
-                yu = xu + move * su
-                if yu > 1.0:
-                    yu -= 2.0
-                elif yu <= -1.0:
-                    yu += 2.0
-                yv = xv + move * sv
-                if yv > 1.0:
-                    yv -= 2.0
-                elif yv <= -1.0:
-                    yv += 2.0
-                op[a] = yu
-                op[b] = yv
+                su = _sgn(xu)
+                sv = _sgn(xv)
+                if su == sv:
+                    # same signs mean the gap rounded up to 1 from inside the
+                    # chart; treat as the linear pair it really is
+                    if halfmu:
+                        op[a] = op[b] = 0.5 * (xu + xv)
+                    else:
+                        op[a] = xu - mu * diff
+                        op[b] = xv + mu * diff
+                else:
+                    if su == 0.0:
+                        su = -sv
+                    elif sv == 0.0:
+                        sv = -su
+                    move = -mu if k == 1 else mu
+                    op[a] = _wrap(xu + move * su)
+                    op[b] = _wrap(xv + move * sv)
 
-        clock = ev_t
-        count += 1
-        countdown -= 1
+            clock = t
+            count += 1
+            if hook:
+                hook(t, e, k, count)
+    finally:
+        state.clock = clock
+        state.events_applied = count
 
-    while next_probe <= clock:
-        samples.append(compute(g, op, "circle", at_time=next_probe))
-        pi += 1
-        next_probe = probes[pi] if pi < len(probes) else math.inf
-    state.clock = clock
-    state.events_applied = count
-    return reason
-
-
-def _run_general(state: SimState, stream, stop: StopRule, probes, samples,
-                 observers) -> str:
-    """The plain loop: any stream, either space, observers welcome."""
-    g = state.graph
-    compute = analysis.compute_metrics
-    max_events = stop.max_events
-    max_time = stop.max_time if stop.max_time is not None else math.inf
-    w_tol = stop.w_below
-    interval = stop.w_check_interval
-    countdown = interval if w_tol is not None else 0
-    w_test = _WTest(state, stop) if w_tol is not None else None
-    note = w_test.touched.append if w_test and w_test.tracked else None
-    pi = 0
-    next_probe = probes[pi] if probes else math.inf
-    exhausted = False
-
-    while True:
-        budget_hit = max_events is not None and state.events_applied >= max_events
-        if w_tol is not None and (countdown <= 0 or budget_hit):
-            if w_test.below():
-                reason = "w_below"
-                break
-            countdown = interval
-        if budget_hit:
-            reason = "max_events"
-            break
-        if state.pending is not None:
-            ev = state.pending
-            state.pending = None
-        else:
-            try:
-                ev = stream.next_event(state)
-            except ScheduleExhausted:
-                reason = "schedule_exhausted"
-                exhausted = True
-                break
-        if ev.time > max_time:
-            state.pending = ev
-            state.clock = max_time
-            reason = "max_time"
-            break
-        while ev.time > next_probe:
-            samples.append(compute(g, state.opinions, state.space, at_time=next_probe))
-            pi += 1
-            next_probe = probes[pi] if pi < len(probes) else math.inf
-        apply_event(state, ev)
-        if note:
-            note(ev.edge_id)
-        for obs in observers:
-            obs.apply_event(ev)
-        countdown -= 1
-
-    while next_probe <= state.clock or (exhausted and pi < len(probes)):
-        samples.append(compute(g, state.opinions, state.space, at_time=next_probe))
+    while next_probe <= clock or (reason == "schedule_exhausted" and pi < len(probes)):
+        samples.append(compute(g, op, space, at_time=next_probe))
         pi += 1
         next_probe = probes[pi] if pi < len(probes) else math.inf
     return reason
@@ -750,6 +689,11 @@ def restore(data: bytes) -> SimState:
         g = Graph("custom", n, edges)
     else:
         raise SnapshotError(f"unknown graph kind code {kind_code}")
+    if pending is not None and not (pending.edge_id < g.edge_count
+                                    and pending.tie in (1, 2) and pending.time >= clock):
+        raise SnapshotError(
+            f"pending event {pending} needs an edge id below {g.edge_count}, "
+            f"tie 1 or 2 and a time not before the clock {clock}")
 
     opinions = list(r.take(f"<{n}d"))
 

@@ -112,7 +112,8 @@ class TestParseConfig:
         assert cfg["init"] == {"kind": "constant", "value": 0.25}
 
     def test_explicit_init_roundtrips_values(self):
-        cfg = parse_config(minimal_raw(init={"kind": "explicit",
+        cfg = parse_config(minimal_raw(graph={"kind": "path", "n": 3},
+                                       init={"kind": "explicit",
                                              "values": [0.1, -0.2, 1]}))
         assert cfg["init"] == {"kind": "explicit", "values": [0.1, -0.2, 1.0]}
         assert [type(v) for v in cfg["init"]["values"]] == [float] * 3
@@ -259,6 +260,54 @@ class TestMain:
         assert code == 2
         assert f"error: {WORKERS_ENV} must be an integer, got 'two'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("model,graph,init,message", [
+        ("compass", {"kind": "path", "n": 3}, {"kind": "explicit", "values": [0.1, -1, 0.2]},
+         "init: explicit value -1.0 outside the circle chart (-1, 1]"),
+        ("compass", {"kind": "path", "n": 3}, {"kind": "constant", "value": 1.5},
+         "init: constant value 1.5 outside the circle chart (-1, 1]"),
+        ("deffuant", {"kind": "path", "n": 3}, {"kind": "explicit", "values": [0.1, 1, -0.2]},
+         "init: explicit value -0.2 outside [0, 1]"),
+        ("deffuant", {"kind": "path", "n": 3}, {"kind": "constant", "value": -1},
+         "init: constant value -1.0 outside [0, 1]"),
+        ("compass", {"kind": "path", "n": 5}, {"kind": "explicit", "values": [0.1, 0.2, 0.3]},
+         "init.values has 3 values for 5 vertices"),
+        ("compass", {"kind": "ring", "n": 3}, {"kind": "explicit", "values": [0.1, 0.2]},
+         "init.values has 2 values for 3 vertices"),
+        ("deffuant", {"kind": "torus", "dims": [3, 4]}, {"kind": "explicit", "values": [0.5] * 9},
+         "init.values has 9 values for 12 vertices"),
+    ])
+    def test_init_outside_the_chart_or_graph_exits_two(self, model, graph, init, message,
+                                                      tmp_path, capsys):
+        path = write_config(tmp_path, minimal_raw(model=model, graph=graph, init=init))
+        code = main(["run", str(path), "-o", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_explicit_init_checked_against_a_file_graph(self, tmp_path, capsys):
+        edges = tmp_path / "tri.edges"
+        edges.write_text("1 2\n2 3\n3 1\n", encoding="utf-8")
+        raw = minimal_raw(graph={"kind": "file", "path": str(edges)},
+                          init={"kind": "explicit", "values": [0.1, 0.2, 0.3, 0.4]})
+        code = main(["run", str(write_config(tmp_path, raw)), "-o", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == "error: init.values has 4 values for 3 vertices\n"
+        assert not (tmp_path / "out" / "replicate_0000.csv").exists()
+        raw["init"]["values"] = [0.1, 0.2, 0.3]
+        code = main(["run", str(write_config(tmp_path, raw)), "-o", str(tmp_path / "out")])
+        assert code == 0
+
+    def test_scenario_that_cannot_run_exits_one_without_a_report(self, tmp_path, capsys):
+        out = tmp_path / "rep"
+        code = main(["scenario", "deffuant_vs_compass", "--set", "n=5",
+                     "--set", "replicates=3", "--set", "compass_max_events=1",
+                     "-o", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: scenario deffuant_vs_compass could not run: "
+            "no circle replicate converged; raise compass_max_events\n")
+        assert not out.exists()
 
     def test_override_without_equals_exits_two(self, capsys):
         code = main(["scenario", "signflip", "--set", "c0.5"])

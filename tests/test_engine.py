@@ -1,5 +1,7 @@
 import math
 import random
+import struct
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -297,6 +299,27 @@ class TestRun:
         run(state, stop=StopRule(max_events=5000))
         assert state.opinions == vals
 
+    @pytest.mark.parametrize("schedules,bad,message", [
+        ([[(1.0, 0), (2.0, 7)]], Event(2.0, 7), "edge id 7 out of range"),
+        ([[(1.0, 0)], [(0.5, 1)]], Event(0.5, 1), "event at 0.5 is earlier than the clock 1.0"),
+    ])
+    @pytest.mark.parametrize("observers", [(), [Noop()]])
+    @pytest.mark.parametrize("space", ["circle", "interval"])
+    def test_bad_scripted_event_fails_like_apply_event(self, schedules, bad, message,
+                                                       observers, space):
+        ref = fresh(build_path(3), [0.2, 0.6, 0.9], space=space)
+        apply_event(ref, Event(1.0, 0))
+        with pytest.raises(ValueError) as expected:
+            apply_event(ref, bad)
+
+        state = fresh(build_path(3), [0.2, 0.6, 0.9], space=space)
+        with pytest.raises(ValueError) as got:
+            for events in schedules:
+                run(state, stream=ScriptedStream(events), observers=observers)
+        assert str(got.value) == str(expected.value) == message
+        assert (state.opinions, state.clock, state.events_applied, state.pending) == \
+            (ref.opinions, ref.clock, ref.events_applied, None)
+
     @given(st.integers(min_value=0, max_value=2**32))
     @settings(max_examples=20, deadline=None)
     def test_event_count_honors_budget(self, seed):
@@ -366,6 +389,162 @@ class TestTrackedWTest:
             (events, opinions, clock)
 
 
+def bits(values):
+    return [v.hex() for v in values]
+
+
+class Recorder:
+    """An observer that logs each event with the state it sees then."""
+
+    def __init__(self, state):
+        self.state = state
+        self.seen = []
+
+    def apply_event(self, ev):
+        s = self.state
+        self.seen.append((ev.time, ev.edge_id, ev.tie, s.clock, s.events_applied,
+                          bits(s.opinions)))
+
+
+def step_reference(state, stream, max_events, max_time, seen):
+    """apply_event over the stream's events, stopping and parking as run() does."""
+    ev, state.pending = state.pending, None
+    while state.events_applied < max_events:
+        if ev is None:
+            try:
+                ev = stream.next_event(state)
+            except ScheduleExhausted:
+                return "schedule_exhausted"
+        if ev.time > max_time:
+            state.pending, state.clock = ev, max_time
+            return "max_time"
+        apply_event(state, ev)
+        seen.append((ev.time, ev.edge_id, ev.tie, state.clock, state.events_applied,
+                     bits(state.opinions)))
+        ev = None
+    state.pending = ev
+    return "max_events"
+
+
+@st.composite
+def loop_cases(draw):
+    """A small graph and start, rates, a stream, and the legs of a run."""
+    space = draw(st.sampled_from(["circle", "interval"]))
+    n = draw(st.integers(3, 7))
+    g = build_ring(n) if draw(st.booleans()) else build_path(n)
+    values = (st.sampled_from([0.0, 1.0, 0.5, -0.5, 0.25, -0.75])
+              | st.floats(-1.0, 1.0, exclude_min=True)
+              if space == "circle" else
+              st.sampled_from([0.0, 1.0, 0.5]) | st.floats(0.0, 1.0))
+    init = draw(st.lists(values, min_size=n, max_size=n))
+    if draw(st.booleans()):
+        # an antipodal pair (or one a rounding away from it) on the first edge
+        pairs = ([(0.0, 1.0), (0.5, -0.5), (-0.75, 0.25), (1.0, 1e-17), (1.0, -1e-17)]
+                 if space == "circle" else [(0.0, 1.0)])
+        x, y = draw(st.sampled_from(pairs))
+        a, b = g.edges[0]
+        init[a], init[b] = (x, y) if draw(st.booleans()) else (y, x)
+    mu = draw(st.sampled_from([0.5, 0.25]) | st.floats(0.05, 0.5))
+    theta = draw(st.sampled_from([math.inf, 0.9, 0.3]))
+    seed = draw(st.integers(0, 2**32))
+    if draw(st.booleans()):
+        stream = partial(PoissonStream, seed)
+    else:
+        rng = random.Random(seed)
+        events = [(0.1 * (i + rng.random()), rng.randrange(g.edge_count), rng.choice([1, 2]))
+                  for i in range(draw(st.integers(0, 100)))]
+        stream = partial(ScriptedStream, events)
+    legs = draw(st.lists(st.tuples(st.integers(0, 150), st.none() | st.floats(0.0, 12.0),
+                                   st.booleans()), min_size=1, max_size=3))
+    return g, space, init, ModelParams(mu=mu, theta=theta), stream, legs
+
+
+class TestOneLoop:
+    """run() against apply_event stepped over a twin stream's events."""
+
+    @given(loop_cases(), st.booleans())
+    @settings(max_examples=500, deadline=None)
+    def test_run_matches_stepping_apply_event(self, case, observed):
+        g, space, init, params, stream, legs = case
+        state = new_simulation(g, Explicit(init), params, space=space, stream=stream())
+        ref = new_simulation(g, Explicit(init), params, space=space)
+        ref_stream = stream()
+        recorder = Recorder(state)
+        seen = []
+        budget = 0
+        for more, max_time, split in legs:
+            budget += more
+            rec = run(state, stop=StopRule(max_events=budget, max_time=max_time),
+                      observers=[recorder] if observed else ())
+            reason = step_reference(ref, ref_stream, budget,
+                                    math.inf if max_time is None else max_time, seen)
+            assert rec.stop_reason == reason
+            assert (bits(state.opinions), state.clock, state.events_applied, state.pending) \
+                == (bits(ref.opinions), ref.clock, ref.events_applied, ref.pending)
+            if split:
+                state = restore(snapshot(state))
+                recorder.state = state
+        assert recorder.seen == (seen if observed else [])
+
+    def test_other_streams_see_a_synced_state(self):
+        class Asking:
+            """A stream type run() does not know, asking a Poisson stream."""
+
+            def __init__(self, seed):
+                self.inner = PoissonStream(seed)
+                self.seen = []
+
+            def next_event(self, state):
+                self.seen.append((state.clock, state.events_applied))
+                return self.inner.next_event(state)
+
+        asked = new_simulation(build_ring(5), IidUniform(3), ModelParams(mu=0.3),
+                               stream=Asking(8))
+        run(asked, stop=StopRule(max_events=50))
+        twin = new_simulation(build_ring(5), IidUniform(3), ModelParams(mu=0.3), stream=8)
+        recorder = Recorder(twin)
+        run(twin, stop=StopRule(max_events=50), observers=[recorder])
+        assert (bits(asked.opinions), asked.clock) == (bits(twin.opinions), twin.clock)
+        assert asked.stream.seen == [(0.0, 0)] + [seen[3:5] for seen in recorder.seen[:-1]]
+
+    @pytest.mark.parametrize("space", ["circle", "interval"])
+    def test_a_bad_tie_fails_like_apply_event(self, space):
+        class BadTie:
+            def next_event(self, state):
+                if state.events_applied:
+                    raise ScheduleExhausted
+                return Event(1.0, 0, 9)
+
+        def outcome(step):
+            state = fresh(build_path(2), [0.2, 0.6], space=space)
+            try:
+                step(state)
+            except ValueError as exc:
+                return str(exc), state.opinions, state.events_applied
+            return None, state.opinions, state.events_applied
+
+        ref = outcome(lambda s: apply_event(s, Event(1.0, 0, 9)))
+        assert ref == (("tie must be 1 or 2, got 9", [0.2, 0.6], 0) if space == "circle"
+                       else (None, [0.4, 0.4], 1))
+        assert outcome(lambda s: run(s, stream=BadTie(), stop=StopRule(max_events=5))) == ref
+
+    @pytest.mark.parametrize("space,pair", [
+        *[("circle", p) for p in [(0.0, 1.0), (0.5, -0.5), (-0.75, 0.25), (1.0, 1e-17),
+                                  (1.0, -1e-17), (0.9, -0.9), (1.0, -0.2), (0.3, 0.1)]],
+        *[("interval", p) for p in [(0.0, 1.0), (0.2, 0.9)]]])
+    @pytest.mark.parametrize("swap", [False, True])
+    @pytest.mark.parametrize("tie", [1, 2])
+    def test_each_branch_matches_apply_event(self, space, pair, swap, tie):
+        pair = pair[::-1] if swap else pair
+        for mu in (0.5, 0.25, 0.3):
+            for theta in (math.inf, 0.9, 0.3):
+                state = fresh(build_path(2), pair, mu=mu, theta=theta, space=space)
+                ref = fresh(build_path(2), pair, mu=mu, theta=theta, space=space)
+                run(state, stream=ScriptedStream([(1.0, 0, tie)]))
+                apply_event(ref, Event(1.0, 0, tie))
+                assert bits(state.opinions) == bits(ref.opinions), (mu, theta)
+
+
 class TestSnapshot:
     def test_round_trip_preserves_everything(self):
         state = new_simulation(build_ring(7), IidUniform(2),
@@ -414,6 +593,36 @@ class TestSnapshot:
         run(s2b, stop=StopRule(max_events=400))
         assert s2b.opinions == s1.opinions
         assert s2b.clock == s1.clock
+
+    @pytest.mark.parametrize("edit", [{"edge_id": 99}, {"edge_id": 5}, {"tie": 9},
+                                      {"tie": 0}, {"time": 5.0}, {"time": math.nan}])
+    def test_bad_pending_event_rejected(self, edit):
+        state = fresh(build_path(6), [0.9, -0.8, 0.3, -0.1, 0.5, 0.0], mu=0.3, stream=2718)
+        run(state, stop=StopRule(max_time=10.0))
+        blob = bytearray(snapshot(state))
+        at = struct.calcsize("<4sHB") + struct.calcsize("<dddQ")
+        p = state.pending
+        assert struct.unpack_from("<BdIB", blob, at) == (1, p.time, p.edge_id, p.tie)
+        fields = {"time": p.time, "edge_id": p.edge_id, "tie": p.tie, **edit}
+        struct.pack_into("<BdIB", blob, at, 1, fields["time"], fields["edge_id"], fields["tie"])
+        with pytest.raises(SnapshotError, match="pending event"):
+            restore(bytes(blob))
+
+    @pytest.mark.parametrize("observers", [(), [Noop()]])
+    def test_parked_event_outlives_a_spent_budget(self, observers):
+        def start():
+            return fresh(build_path(6), [0.9, -0.8, 0.3, -0.1, 0.5, 0.0], mu=0.3,
+                         stream=2718)
+
+        straight = start()
+        run(straight, stop=StopRule(max_events=400))
+        state = start()
+        run(state, stop=StopRule(max_time=10.0))
+        parked = state.pending
+        rec = run(state, stop=StopRule(max_events=state.events_applied), observers=observers)
+        assert (rec.stop_reason, state.pending) == ("max_events", parked)
+        run(state, stop=StopRule(max_events=400), observers=observers)
+        assert (state.opinions, state.clock) == (straight.opinions, straight.clock)
 
     def test_scripted_stream_round_trip(self):
         state = fresh(build_path(3), [0.1, 0.5, -0.5])

@@ -15,7 +15,7 @@ The batches:
   2 * max_degree * w_check_interval = 80, so its W test takes the tracked
   path, and five of its six runs stop on w_below between multiples of 100;
 - an interval (deffuant) 20-path checked every 2 events, with probes: the
-  tracked W test on the general loop;
+  tracked W test under the interval rule;
 - a 12-ring whose config gives only the graph and the stop rule, so every
   other key takes its default;
 - a 5-path from explicit opinions, with integers where the config echo
