@@ -1,0 +1,173 @@
+/* Compiled chunk of the event loop for Poisson runs without observers.
+ *
+ * cm_run applies up to c->limit events of a PoissonStream run and mirrors
+ * engine._run_loop branch for branch: the same three draws per event (wait,
+ * edge, tie bit), the same theta gate and the same circle and interval
+ * updates, so the opinions, the clock and the generator end bit for bit
+ * where the Python loop would leave them.
+ *
+ * The generator is CPython's MT19937 (Modules/_randommodule.c): the state
+ * words and index come from random.Random.getstate() and go back with
+ * setstate(), and random() is the 53-bit double built from two words.
+ * Waiting times use libm's log, which math.log calls. Build without
+ * floating-point contraction (-ffp-contract=off) and without fast-math, so
+ * no product and sum fuse into one rounding the Python loop does not make.
+ */
+
+#include <math.h>
+#include <stdint.h>
+
+#define MT_N 624
+#define MT_M 397
+#define MATRIX_A 0x9908b0dfU
+#define UPPER_MASK 0x80000000U
+#define LOWER_MASK 0x7fffffffU
+
+/* Field for field the ctypes structure in _kernel.py. */
+struct cm_ctx {
+    uint32_t *mt;           /* getstate()'s words: MT_N state words, then the
+                               index of the next one (MT_N: regenerate first) */
+    const int64_t *edges;   /* m rows of (tail, head) */
+    double *op;             /* the opinions */
+    int64_t *edge_log;      /* when not NULL, the edge id of each applied event */
+    int64_t m;
+    double mu, theta;
+    int64_t circle, gated, halfmu;
+    double clock;           /* the time of the last applied event */
+    double next_probe, max_time;
+    int64_t limit;          /* apply at most this many events */
+    int64_t drawn;          /* out: 1 when (t, e, k) was drawn and not applied */
+    double t;
+    int64_t e, k;
+};
+
+static uint32_t genrand_uint32(struct cm_ctx *c)
+{
+    static const uint32_t mag01[2] = {0x0U, MATRIX_A};
+    uint32_t *mt = c->mt;
+    uint32_t y;
+
+    if (mt[MT_N] >= MT_N) {
+        int kk;
+        for (kk = 0; kk < MT_N - MT_M; kk++) {
+            y = (mt[kk] & UPPER_MASK) | (mt[kk + 1] & LOWER_MASK);
+            mt[kk] = mt[kk + MT_M] ^ (y >> 1) ^ mag01[y & 0x1U];
+        }
+        for (; kk < MT_N - 1; kk++) {
+            y = (mt[kk] & UPPER_MASK) | (mt[kk + 1] & LOWER_MASK);
+            mt[kk] = mt[kk + (MT_M - MT_N)] ^ (y >> 1) ^ mag01[y & 0x1U];
+        }
+        y = (mt[MT_N - 1] & UPPER_MASK) | (mt[0] & LOWER_MASK);
+        mt[MT_N - 1] = mt[MT_M - 1] ^ (y >> 1) ^ mag01[y & 0x1U];
+        mt[MT_N] = 0;
+    }
+    y = mt[mt[MT_N]++];
+    y ^= (y >> 11);
+    y ^= (y << 7) & 0x9d2c5680U;
+    y ^= (y << 15) & 0xefc60000U;
+    y ^= (y >> 18);
+    return y;
+}
+
+static double random_random(struct cm_ctx *c)
+{
+    uint32_t a = genrand_uint32(c) >> 5, b = genrand_uint32(c) >> 6;
+    return (a * 67108864.0 + b) * (1.0 / 9007199254740992.0);
+}
+
+static double sgn(double x)
+{
+    if (x > 0.0)
+        return 1.0;
+    if (x < 0.0)
+        return -1.0;
+    return 0.0;
+}
+
+static double wrap(double y)
+{
+    if (y > 1.0)
+        return y - 2.0;
+    if (y <= -1.0)
+        return y + 2.0;
+    return y;
+}
+
+int64_t cm_run(struct cm_ctx *c)
+{
+    const int64_t *edges = c->edges;
+    double *op = c->op;
+    const double m = (double)c->m, mu = c->mu, theta = c->theta;
+    const int circle = c->circle != 0, gated = c->gated != 0, halfmu = c->halfmu != 0;
+    const double next_probe = c->next_probe, max_time = c->max_time;
+    int64_t *edge_log = c->edge_log;
+    const int64_t limit = c->limit;
+    double clock = c->clock;
+    int64_t i;
+
+    c->drawn = 0;
+    for (i = 0; i < limit; i++) {
+        double t = clock - log(1.0 - random_random(c)) / m;
+        int64_t e = (int64_t)(random_random(c) * m);
+        int64_t k = random_random(c) < 0.5 ? 1 : 2;
+        if (t > max_time || t > next_probe) {
+            c->drawn = 1;
+            c->t = t;
+            c->e = e;
+            c->k = k;
+            break;
+        }
+        int64_t a = edges[2 * e], b = edges[2 * e + 1];
+        double xu = op[a], xv = op[b];
+        double diff = xu - xv;
+        double ad = fabs(diff);
+        if (gated && ((ad <= 1.0 || !circle) ? ad : 2.0 - ad) > theta) {
+            /* beyond the confidence bound: the clock moves, the pair does not */
+        } else if (ad < 1.0 || !circle) {
+            if (halfmu) {
+                double mid = 0.5 * (xu + xv);
+                op[a] = mid;
+                op[b] = mid;
+            } else {
+                op[a] = xu - mu * diff;
+                op[b] = xv + mu * diff;
+            }
+        } else if (ad > 1.0) {
+            if (halfmu) {
+                double mid = wrap(0.5 * (xu + xv) + 1.0);
+                op[a] = mid;
+                op[b] = mid;
+            } else {
+                double step = mu * (2.0 - ad);
+                op[a] = wrap(xu + step * sgn(xu));
+                op[b] = wrap(xv + step * sgn(xv));
+            }
+        } else {
+            double su = sgn(xu), sv = sgn(xv);
+            if (su == sv) {
+                /* same signs: the gap rounded up to 1 from inside the chart */
+                if (halfmu) {
+                    double mid = 0.5 * (xu + xv);
+                    op[a] = mid;
+                    op[b] = mid;
+                } else {
+                    op[a] = xu - mu * diff;
+                    op[b] = xv + mu * diff;
+                }
+            } else {
+                if (su == 0.0)
+                    su = -sv;
+                else if (sv == 0.0)
+                    sv = -su;
+                double move = k == 1 ? -mu : mu;
+                op[a] = wrap(xu + move * su);
+                op[b] = wrap(xv + move * sv);
+            }
+        }
+        clock = t;
+        if (edge_log)
+            edge_log[i] = e;
+    }
+    c->clock = clock;
+    return i;
+}

@@ -1,0 +1,169 @@
+"""Build, load and drive the compiled chunk kernel, `_kernel.c`.
+
+The kernel is compiled on the first Poisson run that can use it, not at
+import, with the system gcc into $XDG_CACHE_HOME/compassmodel (default
+~/.cache/compassmodel), under a name that hashes the source and the flags,
+and loaded with ctypes. Without gcc, or when the build or the load fails,
+`load()` returns None and the engine keeps to its Python loop.
+"""
+
+from __future__ import annotations
+
+import array
+import ctypes
+import os
+import shutil
+import subprocess
+import tempfile
+import warnings
+from hashlib import sha256
+from pathlib import Path
+
+import numpy as np
+
+__all__: list[str] = []  # private to the engine
+
+# -ffp-contract=off: no fused multiply-add, which would round differently
+# from the Python loop; no -ffast-math or -march for the same reason.
+FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+_SOURCE = Path(__file__).with_name("_kernel.c")
+
+# The loaded library, False once building or loading failed, None until the
+# first load(). Tests set it to False to run the Python loop instead.
+_lib = None
+
+
+class _Context(ctypes.Structure):
+    # field for field `struct cm_ctx` in _kernel.c
+    _fields_ = [
+        ("mt", ctypes.c_void_p),
+        ("edges", ctypes.c_void_p),
+        ("op", ctypes.c_void_p),
+        ("edge_log", ctypes.c_void_p),
+        ("m", ctypes.c_int64),
+        ("mu", ctypes.c_double),
+        ("theta", ctypes.c_double),
+        ("circle", ctypes.c_int64),
+        ("gated", ctypes.c_int64),
+        ("halfmu", ctypes.c_int64),
+        ("clock", ctypes.c_double),
+        ("next_probe", ctypes.c_double),
+        ("max_time", ctypes.c_double),
+        ("limit", ctypes.c_int64),
+        ("drawn", ctypes.c_int64),
+        ("t", ctypes.c_double),
+        ("e", ctypes.c_int64),
+        ("k", ctypes.c_int64),
+    ]
+
+
+def _build():
+    gcc = shutil.which("gcc")
+    if gcc is None:
+        return False
+    source = _SOURCE.read_bytes()
+    tag = sha256(source + "\0".join(FLAGS).encode()).hexdigest()[:16]
+    cache = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
+    target = Path(cache) / "compassmodel" / f"_kernel-{tag}.so"
+    try:
+        if not target.exists():
+            target.parent.mkdir(parents=True, exist_ok=True)
+            # a private name, then an atomic rename: batch workers may compile at once
+            fd, tmp = tempfile.mkstemp(suffix=".so", dir=target.parent)
+            os.close(fd)
+            try:
+                subprocess.run([gcc, *FLAGS, "-o", tmp, str(_SOURCE), "-lm"],
+                               check=True, capture_output=True, text=True, timeout=120)
+                os.replace(tmp, target)
+            finally:
+                if os.path.exists(tmp):
+                    os.unlink(tmp)
+        lib = ctypes.CDLL(str(target))
+    except (OSError, subprocess.SubprocessError) as exc:
+        detail = getattr(exc, "stderr", None) or exc
+        warnings.warn(f"compiled event kernel unavailable, using the Python loop: {detail}",
+                      RuntimeWarning, stacklevel=3)
+        return False
+    lib.cm_run.argtypes = [ctypes.c_void_p]
+    lib.cm_run.restype = ctypes.c_int64
+    return lib
+
+
+def load():
+    """The kernel library, compiled and loaded on the first call; None if unavailable."""
+    global _lib
+    if _lib is None:
+        _lib = _build()
+    return _lib or None
+
+
+class Chunks:
+    """One run's kernel context: a copy of the opinions and the generator.
+
+    `advance` applies events in C and syncs `opinions` afterwards: only the
+    endpoints of the logged edges when `touched` (the tracked W test's edge
+    log) is given, otherwise the whole list. An event applied in Python must
+    be reported through `applied`, and `close` hands the generator back.
+    """
+
+    def __init__(self, lib, state, rng, gated: bool, max_time: float, touched,
+                 log_size: int):
+        g = state.graph
+        self._run = lib.cm_run
+        self.opinions = state.opinions
+        self.edges = g.edges
+        self.rng = rng
+        self.touched = touched
+        # kept referenced: the kernel holds pointers into these buffers
+        self.buf = array.array("d", state.opinions)
+        self._edge_array = np.ascontiguousarray(g.edge_array, dtype=np.int64)
+        self.log = array.array("q", bytes(8 * log_size)) if touched is not None else None
+        self.version, words, self.gauss = rng.getstate()
+        self.mt = array.array("I", words)
+        ctx = self.ctx = _Context()
+        ctx.mt = self.mt.buffer_info()[0]
+        ctx.edges = self._edge_array.ctypes.data
+        ctx.op = self.buf.buffer_info()[0]
+        ctx.edge_log = self.log.buffer_info()[0] if self.log is not None else None
+        ctx.m = g.edge_count
+        ctx.mu = state.params.mu
+        ctx.theta = state.params.theta
+        ctx.circle = state.space == "circle"
+        ctx.gated = gated
+        ctx.halfmu = state.params.mu == 0.5
+        ctx.clock = state.clock
+        ctx.max_time = max_time
+        self.address = ctypes.addressof(ctx)
+
+    def advance(self, limit: int, next_probe: float):
+        """Apply up to limit events; return how many, the clock, and the event
+        drawn past next_probe or max_time, unapplied, as (t, e, k) or None."""
+        ctx = self.ctx
+        ctx.limit = limit
+        ctx.next_probe = next_probe
+        done = self._run(self.address)
+        op, buf = self.opinions, self.buf
+        if self.touched is None:
+            op[:] = buf.tolist()
+        else:
+            logged = self.log[:done]
+            self.touched.extend(logged)
+            edges = self.edges
+            for e in logged:
+                a, b = edges[e]
+                op[a] = buf[a]
+                op[b] = buf[b]
+        return done, ctx.clock, (ctx.t, ctx.e, ctx.k) if ctx.drawn else None
+
+    def applied(self, t: float, e: int) -> None:
+        """Take in an event that Python applied to the opinions."""
+        a, b = self.edges[e]
+        self.buf[a] = self.opinions[a]
+        self.buf[b] = self.opinions[b]
+        self.ctx.clock = t
+        if self.touched is not None:
+            self.touched.append(e)
+
+    def close(self) -> None:
+        """Hand the generator's state back to the Python generator."""
+        self.rng.setstate((self.version, tuple(self.mt), self.gauss))

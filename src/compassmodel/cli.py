@@ -30,7 +30,7 @@ from time import perf_counter
 from . import analysis, scenarios
 from .engine import (Constant, Explicit, IidUniform, PoissonStream, StopRule,
                      derive_seed, initial_opinions, new_simulation, run)
-from .opinion_space import ModelParams, validate_params
+from .opinion_space import ModelParams, _is_num, validate_params
 from .topology import build_path, build_ring, build_torus, load_edge_list
 
 __all__ = ["ConfigError", "parse_config", "load_config", "run_batch", "main"]
@@ -45,10 +45,6 @@ class ConfigError(ValueError):
     def __init__(self, problems):
         self.problems = list(problems)
         super().__init__("; ".join(self.problems))
-
-
-def _is_num(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
 def _is_int(x) -> bool:
@@ -223,7 +219,7 @@ def _read_json(path):
         raise ConfigError([f"cannot read config {path}: {exc}"]) from exc
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, or an integer of more than 4300 digits
         raise ConfigError([f"config {path} is not valid JSON: {exc}"]) from exc
 
 

@@ -421,6 +421,11 @@ def run(state: SimState, stream=None, stop: StopRule | None = None,
     return record
 
 
+# the most events one kernel call applies: a run between checks stays
+# interruptible, and an untracked run syncs its opinions at least this often
+_CHUNK = 1 << 20
+
+
 def _run_loop(state: SimState, stream, stop: StopRule, probes, samples,
               observers) -> str:
     """The event loop: either space, any stream, observers welcome.
@@ -431,6 +436,14 @@ def _run_loop(state: SimState, stream, stop: StopRule, probes, samples,
     update_pair_compass and update_pair_deffuant branch for branch (the
     interval rule is the circle rule's linear branch), so a run stays
     bitwise equal to stepping apply_event (a property the tests pin down).
+
+    A Poisson run without observers hands the events between two checks to
+    the compiled kernel (`_kernel.c`, the same draws and branches in C) when
+    it loads. A chunk ends where the W test or the budget is due, or at an
+    event drawn past the next probe or max_time, which comes back unapplied
+    and is parked or applied here. So every W test, probe and stop decision
+    stays in this loop, which remains the reference and the path for
+    observers, other streams and machines without gcc.
     """
     g = state.graph
     space = state.space
@@ -472,6 +485,17 @@ def _run_loop(state: SimState, stream, stop: StopRule, probes, samples,
     pi = 0
     next_probe = probes[pi] if probes else math.inf
     pending = state.pending
+    kernel = None
+    if (poisson and not observers and m and len(op) == g.vertex_count
+            and type(stream.rng) is random.Random):
+        # imported here, so ctypes and the compiler stay out of the package import
+        from . import _kernel
+        lib = _kernel.load()
+        if lib:
+            kernel = _kernel.Chunks(lib, state, stream.rng, gated, max_time,
+                                    w_test.touched if note else None, interval)
+            # events applied here rather than in C reach the kernel's copy too
+            hook = lambda t, e, k, count: kernel.applied(t, e)
 
     try:
         while True:
@@ -483,7 +507,14 @@ def _run_loop(state: SimState, stream, stop: StopRule, probes, samples,
                     reason = "max_events"
                     break
                 check_at = min(count + interval, max_events)
-            if pending is None and poisson:
+            if pending is None and kernel:
+                done, clock, drawn = kernel.advance(math.ceil(min(check_at - count, _CHUNK)),
+                                                    next_probe)
+                count += done
+                if drawn is None:
+                    continue
+                t, e, k = drawn
+            elif pending is None and poisson:
                 t = clock - log(1.0 - rnd()) / m
                 e = int(rnd() * m)
                 k = 1 if rnd() < 0.5 else 2
@@ -561,6 +592,8 @@ def _run_loop(state: SimState, stream, stop: StopRule, probes, samples,
     finally:
         state.clock = clock
         state.events_applied = count
+        if kernel:
+            kernel.close()
 
     while next_probe <= clock or (reason == "schedule_exhausted" and pi < len(probes)):
         samples.append(compute(g, op, space, at_time=next_probe))
@@ -637,15 +670,17 @@ class _Reader:
 
     def take(self, fmt: str):
         size = struct.calcsize(fmt)
-        if self.pos + size > len(self.data):
-            raise SnapshotError("snapshot is truncated")
+        self.need(size)
         vals = struct.unpack_from(fmt, self.data, self.pos)
         self.pos += size
         return vals
 
-    def take_bytes(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
+    def need(self, size: int) -> None:
+        if self.pos + size > len(self.data):
             raise SnapshotError("snapshot is truncated")
+
+    def take_bytes(self, n: int) -> bytes:
+        self.need(n)
         chunk = self.data[self.pos:self.pos + n]
         self.pos += n
         return chunk
@@ -656,10 +691,23 @@ class _Reader:
 
 
 def restore(data: bytes) -> SimState:
-    """Rebuild a SimState from snapshot() bytes, bit for bit."""
+    """Rebuild a SimState from snapshot() bytes, bit for bit.
+
+    Bytes that do not decode raise SnapshotError, whatever the fault, and
+    every declared size is checked against the bytes left before anything
+    of that size is built.
+    """
     if not isinstance(data, (bytes, bytearray)):
         raise SnapshotError(f"expected bytes, got {type(data).__name__}")
-    r = _Reader(bytes(data))
+    try:
+        return _restore(_Reader(bytes(data)))
+    except SnapshotError:
+        raise
+    except ValueError as exc:  # a seed, generator state, rate or graph that does not decode
+        raise SnapshotError(f"snapshot does not decode: {exc}") from exc
+
+
+def _restore(r: _Reader) -> SimState:
     magic, version, space_code = r.take("<4sHB")
     if magic != _MAGIC:
         raise SnapshotError("not a simulation snapshot (bad magic)")
@@ -670,6 +718,7 @@ def restore(data: bytes) -> SimState:
     if space_code not in _SPACE_NAMES:
         raise SnapshotError(f"unknown space code {space_code}")
     mu, theta, clock, events_applied = r.take("<dddQ")
+    params = ModelParams(mu=mu, theta=theta)
     (has_pending,) = r.take("<B")
     pending = None
     if has_pending == 1:
@@ -679,12 +728,12 @@ def restore(data: bytes) -> SimState:
         raise SnapshotError(f"bad pending flag {has_pending}")
 
     kind_code, n = r.take("<BI")
-    if kind_code == 0:
-        g = build_path(n)
-    elif kind_code == 1:
-        g = build_ring(n)
+    if kind_code in (0, 1):
+        r.need(8 * n)  # the opinions
+        g = build_path(n) if kind_code == 0 else build_ring(n)
     elif kind_code == 3:
         (m,) = r.take("<I")
+        r.need(8 * m + 8 * n)  # the edges and the opinions
         edges = tuple(r.take("<II") for _ in range(m))
         g = Graph("custom", n, edges)
     else:
@@ -717,9 +766,8 @@ def restore(data: bytes) -> SimState:
         raise SnapshotError(f"unknown stream code {stream_code}")
     r.done()
 
-    return SimState(graph=g, space=_SPACE_NAMES[space_code],
-                    params=ModelParams(mu=mu, theta=theta), opinions=opinions,
-                    clock=clock, events_applied=events_applied,
+    return SimState(graph=g, space=_SPACE_NAMES[space_code], params=params,
+                    opinions=opinions, clock=clock, events_applied=events_applied,
                     pending=pending, stream=stream)
 
 

@@ -9,6 +9,7 @@ side-effect free; the simulation engine composes these into full runs.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 __all__ = [
@@ -21,14 +22,22 @@ __all__ = [
 ]
 
 
+def _is_num(x) -> bool:
+    """An int or float that converts to a float: not a bool, nor an integer
+    beyond the float range (JSON allows those, and float() overflows)."""
+    if isinstance(x, float):
+        return True
+    return isinstance(x, int) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
+
+
 def validate_params(mu, theta) -> list[str]:
     """Return a list of human-readable problems with (mu, theta), empty when valid."""
     problems = []
-    if not isinstance(mu, (int, float)) or isinstance(mu, bool) or not math.isfinite(mu):
+    if not _is_num(mu) or not math.isfinite(mu):
         problems.append(f"mu must be a finite number, got {mu!r}")
     elif not 0.0 < mu <= 0.5:
         problems.append(f"mu must lie in (0, 1/2], got {mu!r}")
-    if not isinstance(theta, (int, float)) or isinstance(theta, bool) or math.isnan(theta):
+    if not _is_num(theta) or math.isnan(theta):
         problems.append(f"theta must be a positive number or math.inf, got {theta!r}")
     elif not theta > 0.0:
         problems.append(f"theta must be positive, got {theta!r}")

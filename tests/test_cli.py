@@ -285,6 +285,35 @@ class TestMain:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("extra,message", [
+        ({"mu": 10**400}, "mu must be a finite number"),
+        ({"mu": -10**400}, "mu must be a finite number"),
+        ({"theta": 10**400}, "theta must be a positive number"),
+        ({"probes": [1.0, 10**400]}, "probes must be a list of numbers"),
+        ({"init": {"kind": "constant", "value": 10**400}}, "init.value must be a number"),
+        ({"init": {"kind": "explicit", "values": [0.1, 0.2, 10**400, 0.3, 0.4]}},
+         "init.values must be a list of numbers"),
+        ({"tol": 10**400}, "tol must be a positive number"),
+        ({"stop": {"max_events": 10, "max_time": 10**400}},
+         "stop.max_time must be a nonnegative number"),
+        ({"stop": {"max_events": 10, "w_below": 10**400}},
+         "stop.w_below must be a positive number"),
+    ])
+    def test_integer_too_large_for_a_float_exits_two(self, extra, message, tmp_path, capsys):
+        code = main(["run", str(write_config(tmp_path, minimal_raw(**extra))),
+                     "-o", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not (tmp_path / "out").exists()
+
+    def test_integer_beyond_the_digit_limit_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(minimal_raw()).replace("10", "1" + "0" * 5000, 1),
+                        encoding="utf-8")
+        code = main(["run", str(path), "-o", str(tmp_path / "out")])
+        assert code == 2
+        assert "is not valid JSON" in capsys.readouterr().err
+
     def test_explicit_init_checked_against_a_file_graph(self, tmp_path, capsys):
         edges = tmp_path / "tri.edges"
         edges.write_text("1 2\n2 3\n3 1\n", encoding="utf-8")

@@ -1,7 +1,10 @@
 import math
 import random
+import shutil
 import struct
+from contextlib import contextmanager
 from functools import partial
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +16,7 @@ from compassmodel import (Constant, Event, Explicit, IidUniform, ModelParams,
                           build_path, build_ring, build_torus, derive_seed,
                           initial_opinions, new_simulation, restore, run,
                           snapshot)
+from compassmodel import _kernel, engine
 from compassmodel.engine import _total_w
 
 
@@ -459,6 +463,20 @@ def loop_cases(draw):
     return g, space, init, ModelParams(mu=mu, theta=theta), stream, legs
 
 
+@contextmanager
+def kernel_calls():
+    """Count the kernel's chunks; each one draws at least one event."""
+    calls = []
+    advance = _kernel.Chunks.advance
+
+    def counted(self, *args):
+        calls.append(args)
+        return advance(self, *args)
+
+    with mock.patch.object(_kernel.Chunks, "advance", counted):
+        yield calls
+
+
 class TestOneLoop:
     """run() against apply_event stepped over a twin stream's events."""
 
@@ -469,18 +487,26 @@ class TestOneLoop:
         state = new_simulation(g, Explicit(init), params, space=space, stream=stream())
         ref = new_simulation(g, Explicit(init), params, space=space)
         ref_stream = stream()
+        poisson = isinstance(ref_stream, PoissonStream)
         recorder = Recorder(state)
         seen = []
         budget = 0
         for more, max_time, split in legs:
             budget += more
-            rec = run(state, stop=StopRule(max_events=budget, max_time=max_time),
-                      observers=[recorder] if observed else ())
+            drawn_before = ref_stream.rng.getstate() if poisson else None
+            with kernel_calls() as calls:
+                rec = run(state, stop=StopRule(max_events=budget, max_time=max_time),
+                          observers=[recorder] if observed else ())
             reason = step_reference(ref, ref_stream, budget,
                                     math.inf if max_time is None else max_time, seen)
             assert rec.stop_reason == reason
             assert (bits(state.opinions), state.clock, state.events_applied, state.pending) \
                 == (bits(ref.opinions), ref.clock, ref.events_applied, ref.pending)
+            if poisson:
+                assert state.stream.rng.getstate() == ref_stream.rng.getstate()
+            # a Poisson leg without observers that draws runs in the kernel
+            drew = poisson and ref_stream.rng.getstate() != drawn_before
+            assert bool(calls) == (drew and not observed and _kernel.load() is not None)
             if split:
                 state = restore(snapshot(state))
                 recorder.state = state
@@ -531,18 +557,96 @@ class TestOneLoop:
     @pytest.mark.parametrize("space,pair", [
         *[("circle", p) for p in [(0.0, 1.0), (0.5, -0.5), (-0.75, 0.25), (1.0, 1e-17),
                                   (1.0, -1e-17), (0.9, -0.9), (1.0, -0.2), (0.3, 0.1)]],
-        *[("interval", p) for p in [(0.0, 1.0), (0.2, 0.9)]]])
+        *[("interval", p) for p in [(0.0, 1.0), (0.2, 0.9)]],
+        ("circle", (0.625, -0.875))])  # the cut step lands on -1, which wraps to +1
     @pytest.mark.parametrize("swap", [False, True])
     @pytest.mark.parametrize("tie", [1, 2])
     def test_each_branch_matches_apply_event(self, space, pair, swap, tie):
         pair = pair[::-1] if swap else pair
+        # a Poisson stream on one edge whose first event has this tie bit: its
+        # run goes through the kernel, the scripted one through the Python loop
+        seed = next(s for s in range(100) if PoissonStream(s).next_event(
+            fresh(build_path(2), pair)).tie == tie)
         for mu in (0.5, 0.25, 0.3):
             for theta in (math.inf, 0.9, 0.3):
-                state = fresh(build_path(2), pair, mu=mu, theta=theta, space=space)
-                ref = fresh(build_path(2), pair, mu=mu, theta=theta, space=space)
-                run(state, stream=ScriptedStream([(1.0, 0, tie)]))
-                apply_event(ref, Event(1.0, 0, tie))
-                assert bits(state.opinions) == bits(ref.opinions), (mu, theta)
+                for stream in (ScriptedStream([(1.0, 0, tie)]), PoissonStream(seed)):
+                    state = fresh(build_path(2), pair, mu=mu, theta=theta, space=space)
+                    ref = fresh(build_path(2), pair, mu=mu, theta=theta, space=space)
+                    ev = PoissonStream(seed).next_event(ref) \
+                        if isinstance(stream, PoissonStream) else Event(1.0, 0, tie)
+                    run(state, stream=stream, stop=StopRule(max_events=1))
+                    apply_event(ref, ev)
+                    assert bits(state.opinions) == bits(ref.opinions), (mu, theta, stream)
+
+
+@st.composite
+def twin_cases(draw):
+    """A run in legs for the kernel and the Python loop: probes, time stops,
+    W stops (tracked on the torus) and snapshots between legs."""
+    space = draw(st.sampled_from(["circle", "interval"]))
+    shape = draw(st.sampled_from(["ring", "path", "torus"]))
+    n = draw(st.integers(3, 9))
+    g = {"ring": build_ring, "path": build_path}[shape](n) if shape != "torus" \
+        else build_torus([6, 6])
+    values = (st.sampled_from([0.0, 1.0, 0.5, -0.5, 0.25, -0.75, math.nextafter(-1.0, 0.0)])
+              | st.floats(-1.0, 1.0, exclude_min=True)
+              if space == "circle" else
+              st.sampled_from([0.0, 1.0, 0.5]) | st.floats(0.0, 1.0))
+    if draw(st.booleans()):
+        # a start inside a short arc, so W can fall below the stop levels
+        values = values.map(lambda v: 0.05 * v)
+    init = draw(st.lists(values, min_size=g.vertex_count, max_size=g.vertex_count))
+    if space == "circle" and draw(st.booleans()):
+        # an antipodal pair on the first edge, so the tie bit decides
+        a, b = g.edges[0]
+        init[a], init[b] = draw(st.sampled_from([(0.0, 1.0), (0.5, -0.5), (1.0, 0.0)]))
+    mu = draw(st.sampled_from([0.5, 0.25]) | st.floats(0.05, 0.5))
+    theta = draw(st.sampled_from([math.inf, 0.9, 0.3]))
+    # up to 8 keeps the torus's 72 edges above 2 * 4 * interval: a tracked W test
+    interval = draw(st.integers(1, 8))
+    probes = sorted(set(draw(st.lists(st.floats(0.0, 15.0), max_size=4))))
+    legs = draw(st.lists(st.tuples(st.integers(0, 400), st.none() | st.floats(0.0, 15.0),
+                                   st.none() | st.sampled_from([1e-3, 1e-2, 0.5]),
+                                   st.booleans()), min_size=1, max_size=3))
+    return (g, space, init, ModelParams(mu=mu, theta=theta), draw(st.integers(0, 2**32)),
+            interval, probes, legs)
+
+
+def run_legs(case):
+    g, space, init, params, seed, interval, probes, legs = case
+    state = new_simulation(g, Explicit(init), params, space=space, stream=seed)
+    out = []
+    budget = 0
+    for more, max_time, w_below, split in legs:
+        budget += more
+        rec = run(state, stop=StopRule(max_events=budget, max_time=max_time, w_below=w_below,
+                                       w_check_interval=interval), probes=probes)
+        out.append((rec.stop_reason, rec.events_applied, rec.final_time, rec.samples,
+                    rec.terminal, bits(state.opinions), state.clock, state.pending,
+                    state.stream.rng.getstate()))
+        if split:
+            state = restore(snapshot(state))
+    return out
+
+
+class TestKernel:
+    """The compiled kernel against the Python loop it mirrors."""
+
+    def test_the_kernel_loads_wherever_gcc_is_found(self):
+        # a kernel that stops compiling must fail here, not fall back silently
+        assert (_kernel.load() is not None) == (shutil.which("gcc") is not None)
+
+    @given(twin_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_kernel_runs_match_the_python_loop_bitwise(self, case):
+        with kernel_calls() as calls:
+            got = run_legs(case)
+        with mock.patch.object(_kernel, "_lib", False), kernel_calls() as off:
+            want = run_legs(case)
+        assert got == want
+        assert off == []
+        drew = got[-1][-1] != random.Random(case[4]).getstate()
+        assert bool(calls) == (drew and _kernel.load() is not None)
 
 
 class TestSnapshot:
@@ -640,6 +744,54 @@ class TestSnapshot:
         assert back.graph.kind == "custom"
         assert back.graph.edges == g.edges
         assert back.graph.vertex_count == g.vertex_count
+
+    @staticmethod
+    def stream_offsets(state):
+        """Where the seed's bytes and the generator's index sit in a snapshot."""
+        blob = snapshot(state)
+        seed_bytes = str(state.stream.seed).encode("ascii")
+        end_of_seed = blob.index(seed_bytes) + len(seed_bytes)
+        index_at = end_of_seed + struct.calcsize("<II") + 624 * 4
+        return bytearray(blob), end_of_seed - len(seed_bytes), index_at
+
+    def test_non_ascii_seed_rejected(self):
+        state = fresh(build_path(3), [0.1, 0.5, -0.5], stream=987654321)
+        blob, seed_at, _ = self.stream_offsets(state)
+        blob[seed_at] = 0xFF
+        with pytest.raises(SnapshotError):
+            restore(bytes(blob))
+
+    def test_bad_generator_index_rejected(self):
+        state = fresh(build_path(3), [0.1, 0.5, -0.5], stream=987654321)
+        blob, _, index_at = self.stream_offsets(state)
+        assert struct.unpack_from("<I", blob, index_at) == (state.stream.rng.getstate()[1][-1],)
+        struct.pack_into("<I", blob, index_at, 9999)
+        with pytest.raises(SnapshotError):
+            restore(bytes(blob))
+
+    @pytest.mark.parametrize("field,value", [(0, 0.9), (0, math.nan), (1, -1.0), (1, math.nan)])
+    def test_bad_rates_rejected(self, field, value):
+        state = fresh(build_path(3), [0.1, 0.5, -0.5], mu=0.3, theta=0.8, stream=1)
+        blob = bytearray(snapshot(state))
+        at = struct.calcsize("<4sHB") + 8 * field
+        assert struct.unpack_from("<d", blob, at) == ((0.3, 0.8)[field],)
+        struct.pack_into("<d", blob, at, value)
+        with pytest.raises(SnapshotError):
+            restore(bytes(blob))
+
+    @pytest.mark.parametrize("graph", [build_ring(6), build_torus([3, 3])])
+    def test_vertex_count_checked_before_the_graph_is_built(self, graph, monkeypatch):
+        state = new_simulation(graph, Constant(0.25), ModelParams(), stream=1)
+        blob = bytearray(snapshot(state))
+        at = struct.calcsize("<4sHB") + struct.calcsize("<dddQ") + 1 + 1
+        assert struct.unpack_from("<I", blob, at) == (graph.vertex_count,)
+        struct.pack_into("<I", blob, at, 20_000_000)
+        built = []
+        monkeypatch.setattr(engine, "build_ring", lambda n: built.append(n))
+        monkeypatch.setattr(engine, "Graph", lambda *args: built.append(args))
+        with pytest.raises(SnapshotError, match="truncated"):
+            restore(bytes(blob))
+        assert built == []
 
     def test_empty_input_rejected(self):
         with pytest.raises(SnapshotError):
