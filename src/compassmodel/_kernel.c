@@ -12,9 +12,15 @@
  * Waiting times use libm's log, which math.log calls. Build without
  * floating-point contraction (-ffp-contract=off) and without fast-math, so
  * no product and sum fuse into one rounding the Python loop does not make.
+ *
+ * cm_recompute is the tracked W test's distance update, engine._WTest's
+ * _recompute in C: it visits the edges around each logged edge in the same
+ * order and rounds the same way, so the test's running sum stays bitwise
+ * the Python loop's.
  */
 
 #include <math.h>
+#include <stddef.h>
 #include <stdint.h>
 
 #define MT_N 624
@@ -29,7 +35,12 @@ struct cm_ctx {
                                index of the next one (MT_N: regenerate first) */
     const int64_t *edges;   /* m rows of (tail, head) */
     double *op;             /* the opinions */
-    int64_t *edge_log;      /* when not NULL, the edge id of each applied event */
+    int64_t *edge_log;      /* when not NULL, the edge id of each applied event
+                               since the last W test, nlog of them */
+    int64_t nlog;
+    const int64_t *inc_start, *inc_ids; /* CSR incidence: the edges of vertex v
+                               are inc_ids[inc_start[v] .. inc_start[v + 1]) */
+    double *d;              /* the tracked W test's edge distances */
     int64_t m;
     double mu, theta;
     int64_t circle, gated, halfmu;
@@ -100,7 +111,7 @@ int64_t cm_run(struct cm_ctx *c)
     const double m = (double)c->m, mu = c->mu, theta = c->theta;
     const int circle = c->circle != 0, gated = c->gated != 0, halfmu = c->halfmu != 0;
     const double next_probe = c->next_probe, max_time = c->max_time;
-    int64_t *edge_log = c->edge_log;
+    int64_t *edge_log = c->edge_log ? c->edge_log + c->nlog : NULL;
     const int64_t limit = c->limit;
     double clock = c->clock;
     int64_t i;
@@ -169,5 +180,34 @@ int64_t cm_run(struct cm_ctx *c)
             edge_log[i] = e;
     }
     c->clock = clock;
+    if (edge_log)
+        c->nlog += i;
     return i;
+}
+
+double cm_recompute(struct cm_ctx *c)
+{
+    const int64_t *edges = c->edges, *start = c->inc_start, *ids = c->inc_ids;
+    const double *op = c->op;
+    double *d = c->d;
+    const int circle = c->circle != 0;
+    double acc = 0.0;
+    int64_t i, j, p;
+
+    for (i = 0; i < c->nlog; i++) {
+        const int64_t e = c->edge_log[i];
+        for (j = 0; j < 2; j++) {
+            const int64_t v = edges[2 * e + j];
+            for (p = start[v]; p < start[v + 1]; p++) {
+                const int64_t f = ids[p];
+                double x = fabs(op[edges[2 * f]] - op[edges[2 * f + 1]]);
+                if (circle && x > 1.0)
+                    x = 2.0 - x;
+                acc += x - d[f];
+                d[f] = x;
+            }
+        }
+    }
+    c->nlog = 0;
+    return acc;
 }

@@ -40,6 +40,10 @@ class _Context(ctypes.Structure):
         ("edges", ctypes.c_void_p),
         ("op", ctypes.c_void_p),
         ("edge_log", ctypes.c_void_p),
+        ("nlog", ctypes.c_int64),
+        ("inc_start", ctypes.c_void_p),
+        ("inc_ids", ctypes.c_void_p),
+        ("d", ctypes.c_void_p),
         ("m", ctypes.c_int64),
         ("mu", ctypes.c_double),
         ("theta", ctypes.c_double),
@@ -86,6 +90,8 @@ def _build():
         return False
     lib.cm_run.argtypes = [ctypes.c_void_p]
     lib.cm_run.restype = ctypes.c_int64
+    lib.cm_recompute.argtypes = [ctypes.c_void_p]
+    lib.cm_recompute.restype = ctypes.c_double
     return lib
 
 
@@ -100,31 +106,42 @@ def load():
 class Chunks:
     """One run's kernel context: a copy of the opinions and the generator.
 
-    `advance` applies events in C and syncs `opinions` afterwards: only the
-    endpoints of the logged edges when `touched` (the tracked W test's edge
-    log) is given, otherwise the whole list. An event applied in Python must
-    be reported through `applied`, and `close` hands the generator back.
+    The copy is the run's current profile: `advance` applies events in C and
+    leaves `state.opinions` behind until `sync`, which the engine calls only
+    where Python reads them (before `_total_w`, before probes and an event
+    applied in Python, and in `close`). An event applied in Python must be
+    reported through `applied`, and `close` hands the generator back.
+
+    Given the tracked W test's distances `d`, the kernel logs the edge of
+    every event since the last test, those applied in Python too, and
+    `recompute` updates `d` around them in C.
     """
 
-    def __init__(self, lib, state, rng, gated: bool, max_time: float, touched,
-                 log_size: int):
+    def __init__(self, lib, state, rng, gated: bool, max_time: float, d, log_size: int):
         g = state.graph
         self._run = lib.cm_run
+        self._recompute = lib.cm_recompute
         self.opinions = state.opinions
         self.edges = g.edges
         self.rng = rng
-        self.touched = touched
+        self.stale = False
         # kept referenced: the kernel holds pointers into these buffers
         self.buf = array.array("d", state.opinions)
         self._edge_array = np.ascontiguousarray(g.edge_array, dtype=np.int64)
-        self.log = array.array("q", bytes(8 * log_size)) if touched is not None else None
+        self.d = d
         self.version, words, self.gauss = rng.getstate()
         self.mt = array.array("I", words)
         ctx = self.ctx = _Context()
         ctx.mt = self.mt.buffer_info()[0]
         ctx.edges = self._edge_array.ctypes.data
         ctx.op = self.buf.buffer_info()[0]
-        ctx.edge_log = self.log.buffer_info()[0] if self.log is not None else None
+        if d is not None:
+            self.log = array.array("q", bytes(8 * log_size))
+            self._incidence = [np.ascontiguousarray(a, dtype=np.int64) for a in g.incidence]
+            ctx.edge_log = self.log.buffer_info()[0]
+            ctx.inc_start = self._incidence[0].ctypes.data
+            ctx.inc_ids = self._incidence[1].ctypes.data
+            ctx.d = d.buffer_info()[0]
         ctx.m = g.edge_count
         ctx.mu = state.params.mu
         ctx.theta = state.params.theta
@@ -139,31 +156,40 @@ class Chunks:
         """Apply up to limit events; return how many, the clock, and the event
         drawn past next_probe or max_time, unapplied, as (t, e, k) or None."""
         ctx = self.ctx
+        if self.d is not None and ctx.nlog + limit > len(self.log):
+            # the engine tests W at least every log_size events; the C log has no more room
+            raise RuntimeError(f"{limit} more events would overrun the edge log")
         ctx.limit = limit
         ctx.next_probe = next_probe
         done = self._run(self.address)
-        op, buf = self.opinions, self.buf
-        if self.touched is None:
-            op[:] = buf.tolist()
-        else:
-            logged = self.log[:done]
-            self.touched.extend(logged)
-            edges = self.edges
-            for e in logged:
-                a, b = edges[e]
-                op[a] = buf[a]
-                op[b] = buf[b]
+        if done:
+            self.stale = True
         return done, ctx.clock, (ctx.t, ctx.e, ctx.k) if ctx.drawn else None
 
+    def sync(self) -> None:
+        """Bring the opinions up to the kernel's copy."""
+        if self.stale:
+            self.opinions[:] = self.buf.tolist()
+            self.stale = False
+
     def applied(self, t: float, e: int) -> None:
-        """Take in an event that Python applied to the opinions."""
+        """Take in an event that Python applied to the synced opinions."""
         a, b = self.edges[e]
         self.buf[a] = self.opinions[a]
         self.buf[b] = self.opinions[b]
-        self.ctx.clock = t
-        if self.touched is not None:
-            self.touched.append(e)
+        ctx = self.ctx
+        ctx.clock = t
+        if self.d is not None:
+            self.log[ctx.nlog] = e
+            ctx.nlog += 1
+
+    def recompute(self) -> tuple[float, int]:
+        """Update d around the logged edges and empty the log; return the sum
+        of the changes and how many edges were logged."""
+        logged = self.ctx.nlog
+        return self._recompute(self.address), logged
 
     def close(self) -> None:
-        """Hand the generator's state back to the Python generator."""
+        """Sync the opinions and hand the generator's state back."""
+        self.sync()
         self.rng.setstate((self.version, tuple(self.mt), self.gauss))

@@ -274,6 +274,18 @@ def _one_replicate(args):
     return i, summary, rows
 
 
+def _write_atomic(dest: Path, write) -> None:
+    """Call write(path) on a temporary name beside dest, then move the file
+    into place, so dest is never left half written."""
+    tmp = dest.with_name(f".{dest.name}.tmp")
+    try:
+        write(tmp)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    os.replace(tmp, dest)
+
+
 def run_batch(cfg: dict, output_dir) -> dict:
     """Run every replicate of a parse_config result, then write the aggregate.
 
@@ -282,7 +294,8 @@ def run_batch(cfg: dict, output_dir) -> dict:
     whose length is not the graph's vertex count or a bad
     COMPASSMODEL_WORKERS value, before any replicate runs. An exception in a
     replicate propagates: the CSVs of the replicates before it stay, and no
-    aggregate.json is written.
+    aggregate.json is written. Every file is written under a temporary name
+    and then renamed, so none is ever left partly written.
     """
     value = os.environ.get(WORKERS_ENV, "1") or "1"
     try:
@@ -314,7 +327,8 @@ def run_batch(cfg: dict, output_dir) -> dict:
     walls = {}
 
     def flush(i, summary, rows):
-        analysis.write_samples_csv(rows, out / f"replicate_{i:0{width}d}.csv")
+        _write_atomic(out / f"replicate_{i:0{width}d}.csv",
+                      lambda path: analysis.write_samples_csv(rows, path))
         walls[i] = summary.pop("wall_seconds")
         summaries[i] = summary
 
@@ -340,8 +354,8 @@ def run_batch(cfg: dict, output_dir) -> dict:
             "workers": workers,
         },
     }
-    (out / "aggregate.json").write_text(json.dumps(aggregate, indent=2) + "\n",
-                                        encoding="utf-8")
+    text = json.dumps(aggregate, indent=2) + "\n"
+    _write_atomic(out / "aggregate.json", lambda path: path.write_text(text, encoding="utf-8"))
     return aggregate
 
 

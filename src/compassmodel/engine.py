@@ -15,12 +15,15 @@ string seeding is process-dependent and is refused.
 
 from __future__ import annotations
 
+import array
 import math
 import random
 import struct
 import time as _time
 from dataclasses import dataclass
 from hashlib import sha256
+
+import numpy as np
 
 from . import analysis
 from .opinion_space import (ModelParams, _sgn, _wrap, update_pair_compass,
@@ -219,7 +222,8 @@ class StopRule:
     it stops exactly when the left-to-right sum of the edge distances is
     below w_below. On a graph with more than 2 * max_degree *
     w_check_interval edges it costs O(degree) per event instead of O(edges)
-    per test.
+    per test, plus an exact re-sum of the edges every m / (2 * max_degree)
+    events; in the compiled kernel the per-event part runs in C.
     """
 
     max_events: int | None = None
@@ -278,10 +282,16 @@ class _WTest:
 
     On a graph with more edges than the events between two tests can touch
     (m > 2 * max_degree * w_check_interval) and opinions in [-1, 1] ([0, 1]
-    on the interval), the loop appends each event's edge id to `touched`; a
-    test updates the edge distances d (computed as `_total_w` does) around
-    those edges and their running sum `est`, and calls `_total_w` only when
-    `est` is within its error bound of w_below.
+    on the interval), the test is tracked: it keeps the edge distances d
+    (computed as `_total_w` does) and their running sum `est`, updates them
+    around the edges of the events since the last test, and calls
+    `_total_w` only when `est` is within its error bound of w_below.
+
+    The loop logs those edges in `touched`, and `_recompute` updates d in
+    Python. When the run goes through the compiled kernel, `_run_loop` sets
+    `kernel`: the kernel logs the edges and updates d in C in the same
+    order, so `est` and every decision are bitwise the same, and the test
+    syncs the opinions from the kernel before it calls `_total_w`.
     """
 
     def __init__(self, state: SimState, stop: StopRule):
@@ -289,27 +299,29 @@ class _WTest:
         self.state = state
         self.w_below = stop.w_below
         self.touched: list[int] = []
-        lo = -1.0 if state.space == "circle" else 0.0
-        self.tracked = (g.edge_count > 2 * g.max_degree * stop.w_check_interval
-                        and all(lo <= x <= 1.0 for x in state.opinions))
-        if self.tracked:
-            op = state.opinions
-            self.d = [abs(op[a] - op[b]) for a, b in g.edges]
-            if state.space == "circle":
-                self.d = [x if x <= 1.0 else 2.0 - x for x in self.d]
-            self._sync()
+        self.kernel = None
+        self.tracked = False
+        if g.edge_count > 2 * g.max_degree * stop.w_check_interval:
+            op = np.array(state.opinions)
+            lo = -1.0 if state.space == "circle" else 0.0
+            self.tracked = bool(((op >= lo) & (op <= 1.0)).all())
+            if self.tracked:
+                d = np.abs(op[g.edge_array[:, 0]] - op[g.edge_array[:, 1]])
+                if state.space == "circle":
+                    d = np.where(d > 1.0, 2.0 - d, d)
+                self.d = array.array("d", d.tobytes())
+                self._sync()
 
     def _sync(self) -> None:
         self.est = self.w_max = math.fsum(self.d)
         self.updates = 0
 
-    def below(self) -> bool:
-        state = self.state
-        if not self.tracked:
-            return _total_w(state) < self.w_below
-        g = state.graph
-        edges, incident, op, d = g.edges, g.incident_edges, state.opinions, self.d
-        circle = state.space == "circle"
+    def _recompute(self) -> tuple[float, int]:
+        """Update d around the touched edges and clear them; return the sum
+        of the changes and how many edges were touched."""
+        g = self.state.graph
+        edges, incident, op, d = g.edges, g.incident_edges, self.state.opinions, self.d
+        circle = self.state.space == "circle"
         acc = 0.0
         for e in self.touched:
             for v in edges[e]:
@@ -320,28 +332,36 @@ class _WTest:
                         x = 2.0 - x
                     acc += x - d[f]
                     d[f] = x
-        self.est += acc
-        self.updates += 2 * g.max_degree * len(self.touched)
+        touched = len(self.touched)
         self.touched.clear()
-        m = g.edge_count
-        if self.updates >= m:
-            self._sync()
-        elif self.est > self.w_max:
-            self.w_max = self.est
-        # Error bound, with u = 2**-53, S the exact sum of d (all d >= 0 on
-        # these opinions), M the largest est since the last fsum re-sync and
-        # k >= the edge updates since then. The re-sync rounds by u*M. Each
-        # update rounds x - d[f] by u*M and acc + (x - d[f]) by 2u*M, since
-        # acc's partial sums are a mix of old and new d minus the old ones.
-        # est + acc rounds by u*M per test, at most one per 2 updates, so
-        # |est - S| <= (4k + 1)u*M. `_total_w` sums the same d left to right
-        # (|T - S| <= (m - 1)u*S) and est - bound rounds by u*M, so the
-        # bound must reach (m + 4k + 1)u*M. The spare u*M and 1.2e-16 > u
-        # cover second-order terms for m < 1e13 and M's error as a bound on S.
-        bound = (m + 4 * self.updates + 2) * 1.2e-16 * self.w_max
-        if self.est - bound > self.w_below:
-            return False
-        return _total_w(state) < self.w_below
+        return acc, touched
+
+    def below(self) -> bool:
+        if self.tracked:
+            acc, touched = self.kernel.recompute() if self.kernel else self._recompute()
+            self.est += acc
+            self.updates += 2 * self.state.graph.max_degree * touched
+            m = self.state.graph.edge_count
+            if self.updates >= m:
+                self._sync()
+            elif self.est > self.w_max:
+                self.w_max = self.est
+            # Error bound, with u = 2**-53, S the exact sum of d (all d >= 0 on
+            # these opinions), M the largest est since the last fsum re-sync and
+            # k >= the edge updates since then. The re-sync rounds by u*M. Each
+            # update rounds x - d[f] by u*M and acc + (x - d[f]) by 2u*M, since
+            # acc's partial sums are a mix of old and new d minus the old ones.
+            # est + acc rounds by u*M per test, at most one per 2 updates, so
+            # |est - S| <= (4k + 1)u*M. `_total_w` sums the same d left to right
+            # (|T - S| <= (m - 1)u*S) and est - bound rounds by u*M, so the
+            # bound must reach (m + 4k + 1)u*M. The spare u*M and 1.2e-16 > u
+            # cover second-order terms for m < 1e13 and M's error as a bound on S.
+            bound = (m + 4 * self.updates + 2) * 1.2e-16 * self.w_max
+            if self.est - bound > self.w_below:
+                return False
+        if self.kernel:
+            self.kernel.sync()
+        return _total_w(self.state) < self.w_below
 
 
 def run(state: SimState, stream=None, stop: StopRule | None = None,
@@ -421,8 +441,8 @@ def run(state: SimState, stream=None, stop: StopRule | None = None,
     return record
 
 
-# the most events one kernel call applies: a run between checks stays
-# interruptible, and an untracked run syncs its opinions at least this often
+# the most events one kernel call applies, so a run between checks stays
+# interruptible
 _CHUNK = 1 << 20
 
 
@@ -443,7 +463,11 @@ def _run_loop(state: SimState, stream, stop: StopRule, probes, samples,
     event drawn past the next probe or max_time, which comes back unapplied
     and is parked or applied here. So every W test, probe and stop decision
     stays in this loop, which remains the reference and the path for
-    observers, other streams and machines without gcc.
+    observers, other streams and machines without gcc. The kernel's copy of
+    the opinions is synced into `state.opinions` only where this loop reads
+    them: before `_total_w`, before the probes and the update of a drawn
+    event, and at the end. A tracked W test's distance updates run in the
+    kernel too (see `_WTest`).
     """
     g = state.graph
     space = state.space
@@ -466,7 +490,8 @@ def _run_loop(state: SimState, stream, stop: StopRule, probes, samples,
     max_time = stop.max_time if stop.max_time is not None else math.inf
     interval = stop.w_check_interval
     w_test = _WTest(state, stop) if stop.w_below is not None else None
-    note = w_test.touched.append if w_test and w_test.tracked else None
+    tracked = w_test is not None and w_test.tracked
+    note = w_test.touched.append if tracked else None
     # the next event count at which the W test or the budget is due
     check_at = min(count + interval if w_test else math.inf, max_events)
     # the per-event side work: the tracked W test's edge log, and observers,
@@ -493,7 +518,9 @@ def _run_loop(state: SimState, stream, stop: StopRule, probes, samples,
         lib = _kernel.load()
         if lib:
             kernel = _kernel.Chunks(lib, state, stream.rng, gated, max_time,
-                                    w_test.touched if note else None, interval)
+                                    w_test.d if tracked else None, interval)
+            if w_test:
+                w_test.kernel = kernel
             # events applied here rather than in C reach the kernel's copy too
             hook = lambda t, e, k, count: kernel.applied(t, e)
 
@@ -513,6 +540,7 @@ def _run_loop(state: SimState, stream, stop: StopRule, probes, samples,
                 count += done
                 if drawn is None:
                     continue
+                kernel.sync()
                 t, e, k = drawn
             elif pending is None and poisson:
                 t = clock - log(1.0 - rnd()) / m

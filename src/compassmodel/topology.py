@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -35,33 +36,54 @@ class Graph:
         n = self.vertex_count
         if n < 1:
             raise ValueError(f"need at least one vertex, got {n}")
-        seen = set()
-        for i, (a, b) in enumerate(self.edges):
-            if not (0 <= a < n and 0 <= b < n):
-                raise ValueError(f"edge {i} endpoints ({a}, {b}) out of range for {n} vertices")
-            if a == b:
-                raise ValueError(f"edge {i} is a self-loop at vertex {a}")
-            key = (a, b) if a < b else (b, a)
-            if key in seen:
-                raise ValueError(f"duplicate edge between vertices {a} and {b}")
-            seen.add(key)
+        edges = self.edges
+        if set(map(len, edges)) - {2}:
+            raise ValueError("every edge must be a (tail, head) pair")
+        try:
+            arr = np.fromiter(chain.from_iterable(edges), dtype=np.intp, count=2 * len(edges))
+        except OverflowError:  # endpoints beyond the index type are out of range anyway
+            arr = np.clip(np.array(edges, dtype=object), -1, n).astype(np.intp)
+        arr = arr.reshape(-1, 2)
+        a, b = arr[:, 0], arr[:, 1]
+        outside = (a < 0) | (a >= n) | (b < 0) | (b >= n)
+        # an edge whose unordered pair an earlier edge already has (the sort
+        # is stable, so that edge sorts first)
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        order = np.lexsort((hi, lo))
+        lo, hi = lo[order], hi[order]
+        repeat = np.zeros(len(order), dtype=bool)
+        repeat[order[1:]] = (lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1])
+        bad = np.flatnonzero(outside | (a == b) | repeat)
+        if bad.size:
+            # the first offending edge, with the message an edge-by-edge scan gives
+            i = int(bad[0])
+            x, y = edges[i]
+            if outside[i]:
+                raise ValueError(f"edge {i} endpoints ({x}, {y}) out of range for {n} vertices")
+            if x == y:
+                raise ValueError(f"edge {i} is a self-loop at vertex {x}")
+            raise ValueError(f"duplicate edge between vertices {x} and {y}")
+        arr.setflags(write=False)
+        object.__setattr__(self, "_edge_array", arr)
         if n > 1 and not self._connected():
             raise ValueError("graph is not connected")
 
     def _connected(self) -> bool:
-        reach = {0}
-        frontier = [0]
-        neighbors = [[] for _ in range(self.vertex_count)]
-        for a, b in self.edges:
-            neighbors[a].append(b)
-            neighbors[b].append(a)
-        while frontier:
-            v = frontier.pop()
-            for w in neighbors[v]:
-                if w not in reach:
-                    reach.add(w)
-                    frontier.append(w)
-        return len(reach) == self.vertex_count
+        # hook each edge's larger root under the smaller, then jump pointers
+        # until every vertex points at its root; repeat until no edge joins
+        # two roots. Then the graph is connected iff every root is vertex 0.
+        a, b = self.edge_array.T
+        parent = np.arange(self.vertex_count)
+        while True:
+            ra, rb = parent[a], parent[b]
+            if np.array_equal(ra, rb):
+                return not parent.any()
+            np.minimum.at(parent, np.maximum(ra, rb), np.minimum(ra, rb))
+            while True:
+                up = parent[parent]
+                if np.array_equal(up, parent):
+                    break
+                parent = up
 
     @cached_property
     def edge_count(self) -> int:
@@ -77,8 +99,22 @@ class Graph:
         return tuple(tuple(x) for x in inc)
 
     @cached_property
+    def incidence(self) -> tuple[np.ndarray, np.ndarray]:
+        """incident_edges as read-only CSR arrays (starts, ids): the edges of
+        vertex v are ids[starts[v]:starts[v + 1]], in id order."""
+        # tail 0, head 0, tail 1, ...: a stable sort keeps each vertex's ids
+        # ascending, since no edge meets one vertex twice
+        ids = np.argsort(self.edge_array.ravel(), kind="stable") // 2
+        starts = np.zeros(self.vertex_count + 1, dtype=np.intp)
+        np.cumsum(np.bincount(self.edge_array.ravel(), minlength=self.vertex_count),
+                  out=starts[1:])
+        ids.setflags(write=False)
+        starts.setflags(write=False)
+        return starts, ids
+
+    @cached_property
     def degrees(self) -> tuple[int, ...]:
-        return tuple(len(x) for x in self.incident_edges)
+        return tuple(np.diff(self.incidence[0]).tolist())
 
     @cached_property
     def max_degree(self) -> int:
@@ -110,24 +146,19 @@ class Graph:
         """edge_pair_array as a sorted tuple of (lower id, higher id) pairs."""
         return tuple(sorted(map(tuple, self.edge_pair_array.tolist())))
 
-    @cached_property
+    @property
     def edge_array(self) -> np.ndarray:
         """The edges as a read-only (m, 2) array of (tail, head) rows, by id."""
-        arr = np.array(self.edges, dtype=np.intp).reshape(-1, 2)
-        arr.setflags(write=False)
-        return arr
+        return self._edge_array
 
     @cached_property
     def edge_pair_array(self) -> np.ndarray:
         """Pairs of distinct edges sharing a vertex, each once, as read-only
         (lower id, higher id) rows grouped by the shared vertex."""
-        ends = self.edge_array.T.ravel()  # every tail, then every head
-        ids = np.tile(np.arange(self.edge_count, dtype=np.intp), 2)
-        order = np.lexsort((ids, ends))
-        ids = ids[order]  # grouped by vertex, ascending id within a group
-        sizes = np.bincount(ends, minlength=self.vertex_count)
+        starts, ids = self.incidence
+        sizes = np.diff(starts)
         pos = np.arange(ids.size)
-        later = np.repeat(np.cumsum(sizes), sizes) - pos - 1  # same-vertex entries after pos
+        later = np.repeat(starts[1:], sizes) - pos - 1  # same-vertex entries after pos
         first = np.repeat(pos, later)
         second = first + 1 + np.arange(first.size) - np.repeat(np.cumsum(later) - later, later)
         arr = np.stack((ids[first], ids[second]), axis=1)
@@ -175,21 +206,15 @@ def build_torus(dims: list[int] | tuple[int, ...]) -> Graph:
     n = 1
     for d in dims:
         n *= d
-    strides = [0] * len(dims)
-    acc = 1
-    for a in range(len(dims) - 1, -1, -1):
-        strides[a] = acc
-        acc *= dims[a]
-    edges = []
-    for idx in range(n):
-        rem = idx
-        coords = []
-        for a in range(len(dims)):
-            coords.append(rem // strides[a])
-            rem %= strides[a]
-        for a in range(len(dims)):
-            nxt = idx + ((coords[a] + 1) % dims[a] - coords[a]) * strides[a]
-            edges.append((idx, nxt))
+    idx = np.arange(n, dtype=np.intp)
+    heads = np.empty((n, len(dims)), dtype=np.intp)
+    stride = n
+    for axis, d in enumerate(dims):
+        stride //= d
+        # +1 along the axis, or back to 0 from the last coordinate
+        last = idx // stride % d == d - 1
+        heads[:, axis] = idx + np.where(last, (1 - d) * stride, stride)
+    edges = zip(np.repeat(idx, len(dims)).tolist(), heads.ravel().tolist())
     return Graph("torus", n, tuple(edges))
 
 

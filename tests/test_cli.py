@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import compassmodel
+from compassmodel import analysis, cli, run
 from compassmodel.analysis import read_samples_csv
 from compassmodel.cli import (ConfigError, WORKERS_ENV, load_config, main,
                               parse_config, run_batch)
@@ -185,6 +186,43 @@ class TestRunBatch:
         blocker.write_text("")
         with pytest.raises(ConfigError, match="cannot write"):
             run_batch(parse_config(minimal_raw()), blocker / "out")
+
+    def test_a_replicate_that_raises_leaves_no_partial_file(self, tmp_path, monkeypatch):
+        cfg = parse_config(minimal_raw(replicates=3, seed=5, stop={"max_events": 200},
+                                       probes=[0.5, 1.0]))
+        run_batch(cfg, tmp_path / "clean")
+        written = analysis.write_samples_csv
+
+        def dies_writing_the_second(rows, path):
+            if "0001" not in path.name:
+                return written(rows, path)
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write("# half a file")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(analysis, "write_samples_csv", dies_writing_the_second)
+        with pytest.raises(OSError, match="disk full"):
+            run_batch(cfg, tmp_path / "writer")
+        monkeypatch.setattr(analysis, "write_samples_csv", written)
+
+        runs = []
+
+        def dies_in_the_third(*args, **kwargs):
+            runs.append(1)
+            if len(runs) == 3:
+                raise RuntimeError("replicate failed")
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "run", dies_in_the_third)
+        with pytest.raises(RuntimeError, match="replicate failed"):
+            run_batch(cfg, tmp_path / "engine")
+
+        for out, done in (("writer", 1), ("engine", 2)):
+            names = sorted(p.name for p in (tmp_path / out).iterdir())
+            assert names == [f"replicate_{i:04d}.csv" for i in range(done)]
+            for name in names:
+                assert (tmp_path / out / name).read_bytes() == \
+                    (tmp_path / "clean" / name).read_bytes()
 
     def test_graph_file_problems_surface_as_config_errors(self, tmp_path):
         raw = minimal_raw(graph={"kind": "file",

@@ -2,6 +2,7 @@ import math
 import random
 import shutil
 import struct
+import time
 from contextlib import contextmanager
 from functools import partial
 from unittest import mock
@@ -579,6 +580,13 @@ class TestOneLoop:
                     assert bits(state.opinions) == bits(ref.opinions), (mu, theta, stream)
 
 
+def opinion_values(space):
+    return (st.sampled_from([0.0, 1.0, 0.5, -0.5, 0.25, -0.75, math.nextafter(-1.0, 0.0)])
+            | st.floats(-1.0, 1.0, exclude_min=True)
+            if space == "circle" else
+            st.sampled_from([0.0, 1.0, 0.5]) | st.floats(0.0, 1.0))
+
+
 @st.composite
 def twin_cases(draw):
     """A run in legs for the kernel and the Python loop: probes, time stops,
@@ -588,10 +596,7 @@ def twin_cases(draw):
     n = draw(st.integers(3, 9))
     g = {"ring": build_ring, "path": build_path}[shape](n) if shape != "torus" \
         else build_torus([6, 6])
-    values = (st.sampled_from([0.0, 1.0, 0.5, -0.5, 0.25, -0.75, math.nextafter(-1.0, 0.0)])
-              | st.floats(-1.0, 1.0, exclude_min=True)
-              if space == "circle" else
-              st.sampled_from([0.0, 1.0, 0.5]) | st.floats(0.0, 1.0))
+    values = opinion_values(space)
     if draw(st.booleans()):
         # a start inside a short arc, so W can fall below the stop levels
         values = values.map(lambda v: 0.05 * v)
@@ -647,6 +652,78 @@ class TestKernel:
         assert off == []
         drew = got[-1][-1] != random.Random(case[4]).getstate()
         assert bool(calls) == (drew and _kernel.load() is not None)
+
+
+@st.composite
+def tracked_twin_cases(draw):
+    """twin_cases on graphs whose W test is tracked: rings, paths and tori
+    with more than 2 * max_degree * w_check_interval edges."""
+    space = draw(st.sampled_from(["circle", "interval"]))
+    shape = draw(st.sampled_from(["ring", "path", "torus"]))
+    if shape == "torus":
+        g = build_torus([draw(st.integers(3, 7)), draw(st.integers(3, 7))])
+    else:
+        g = {"ring": build_ring, "path": build_path}[shape](draw(st.integers(10, 60)))
+    interval = draw(st.integers(1, min(8, (g.edge_count - 1) // (2 * g.max_degree))))
+    values = opinion_values(space)
+    if draw(st.booleans()):
+        # a start inside a short arc, so W can fall below the stop levels
+        values = values.map(lambda v: 0.05 * v)
+    init = draw(st.lists(values, min_size=g.vertex_count, max_size=g.vertex_count))
+    mu = draw(st.sampled_from([0.5, 0.25]) | st.floats(0.05, 0.5))
+    theta = draw(st.sampled_from([math.inf, 0.9, 0.3]))
+    # probes over the time the legs' events take, so most fall between checks
+    probes = sorted(set(draw(st.lists(st.floats(0.0, 600.0 / g.edge_count), max_size=4))))
+    legs = draw(st.lists(st.tuples(st.integers(0, 400),
+                                   st.none() | st.floats(0.0, 600.0 / g.edge_count),
+                                   st.sampled_from([None, 1e-3, 1e-2, 0.1, 0.5]),
+                                   st.booleans()), min_size=1, max_size=3))
+    return (g, space, init, ModelParams(mu=mu, theta=theta), draw(st.integers(0, 2**32)),
+            interval, probes, legs)
+
+
+def traced_legs(case):
+    """run_legs, with every W test's running sum and answer, every
+    `_total_w` result, and the entries into `_WTest._recompute`."""
+    tests, totals, python_loop = [], [], []
+    below, total_w, recompute = engine._WTest.below, engine._total_w, engine._WTest._recompute
+
+    def traced_below(self):
+        answer = below(self)
+        tests.append((self.tracked and (self.est.hex(), self.w_max.hex(), self.updates), answer))
+        return answer
+
+    def traced_total_w(state):
+        totals.append(total_w(state).hex())
+        return float.fromhex(totals[-1])
+
+    def counted_recompute(self):
+        python_loop.append(1)
+        return recompute(self)
+
+    with mock.patch.object(engine._WTest, "below", traced_below), \
+            mock.patch.object(engine, "_total_w", traced_total_w), \
+            mock.patch.object(engine._WTest, "_recompute", counted_recompute):
+        out = run_legs(case)
+    return out, tests, totals, len(python_loop)
+
+
+class TestKernelTrackedWTest:
+    """The tracked W test's distance updates in C against the Python loop."""
+
+    @given(tracked_twin_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_est_and_total_w_calls_match_the_python_loop_bitwise(self, case):
+        got, tests, totals, python_loop = traced_legs(case)
+        with mock.patch.object(_kernel, "_lib", False):
+            want, want_tests, want_totals, want_python_loop = traced_legs(case)
+        assert got == want
+        assert tests == want_tests
+        assert totals == want_totals
+        assert all(tracked for tracked, _ in tests)
+        # without the kernel every test updates d in Python; with it, none does
+        assert want_python_loop == len(want_tests)
+        assert python_loop == (0 if _kernel.load() else len(tests))
 
 
 class TestSnapshot:
@@ -825,6 +902,39 @@ class TestSnapshot:
     def test_non_bytes_rejected(self):
         with pytest.raises(SnapshotError, match="bytes"):
             restore("not bytes")
+
+    @staticmethod
+    def fuzz_sources():
+        ring = new_simulation(build_ring(5), IidUniform(1), ModelParams(mu=0.3), stream=3)
+        run(ring, stop=StopRule(max_events=50, max_time=0.4))  # parks a pending event
+        # a torus is stored as an edge list, so its graph goes through Graph's validator
+        torus = new_simulation(build_torus([4, 5]), IidUniform(2), ModelParams(), stream=4)
+        run(torus, stop=StopRule(max_events=30))
+        return [snapshot(ring), snapshot(torus)]
+
+    @given(st.sampled_from([0, 1]), st.lists(st.tuples(
+        st.sampled_from(["truncate", "extend", "byte", "word"]), st.integers(0, 2**16),
+        st.sampled_from([0, 1, 2, 3, 5, 19, 255, 2**16, 2**31, 2**32 - 1]) | st.integers(0, 2**32 - 1)),
+        min_size=1, max_size=4))
+    @settings(max_examples=400, deadline=None)
+    def test_edited_bytes_restore_or_raise_snapshot_error(self, which, edits):
+        blob = bytearray(self.fuzz_sources()[which])
+        for op, where, value in edits:
+            at = where % (len(blob) + 1)
+            if op == "truncate":
+                del blob[at:]
+            elif op == "extend":
+                blob += value.to_bytes(4, "little")[:1 + where % 4]
+            elif op == "byte" and at < len(blob):
+                blob[at] = value & 0xFF
+            elif op == "word":
+                blob[at:at + 4] = struct.pack("<I", value)
+        start = time.perf_counter()
+        try:
+            restore(bytes(blob))
+        except SnapshotError:
+            pass
+        assert time.perf_counter() - start < 1.0
 
 
 class TestDeriveSeed:

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from compassmodel import (Graph, build_path, build_ring, build_torus,
@@ -78,6 +78,99 @@ class TestBuildTorus:
         with pytest.raises(ValueError, match="at least one"):
             build_torus([])
 
+    @pytest.mark.parametrize("dims", [(3,), (3, 4), (4, 3, 5), (160, 160)])
+    def test_edges_match_the_mixed_radix_loop(self, dims):
+        assert build_torus(dims).edges == torus_edges_by_loop(dims)
+
+
+def torus_edges_by_loop(dims):
+    """The torus edges as a loop over vertices: row-major mixed-radix
+    coordinates, one edge per axis toward the +1 neighbor."""
+    n = 1
+    for d in dims:
+        n *= d
+    strides = [0] * len(dims)
+    acc = 1
+    for a in range(len(dims) - 1, -1, -1):
+        strides[a] = acc
+        acc *= dims[a]
+    edges = []
+    for idx in range(n):
+        rem = idx
+        coords = []
+        for a in range(len(dims)):
+            coords.append(rem // strides[a])
+            rem %= strides[a]
+        for a in range(len(dims)):
+            nxt = idx + ((coords[a] + 1) % dims[a] - coords[a]) * strides[a]
+            edges.append((idx, nxt))
+    return tuple(edges)
+
+
+def first_fault(n, edges):
+    """An edge-by-edge scan: the message for the first offending edge, then
+    for a disconnected graph, or None for a valid graph."""
+    seen = set()
+    for i, (a, b) in enumerate(edges):
+        if not (0 <= a < n and 0 <= b < n):
+            return f"edge {i} endpoints ({a}, {b}) out of range for {n} vertices"
+        if a == b:
+            return f"edge {i} is a self-loop at vertex {a}"
+        key = (a, b) if a < b else (b, a)
+        if key in seen:
+            return f"duplicate edge between vertices {a} and {b}"
+        seen.add(key)
+    neighbors = [[] for _ in range(n)]
+    for a, b in edges:
+        neighbors[a].append(b)
+        neighbors[b].append(a)
+    reach, frontier = {0}, [0]
+    while frontier:
+        for w in neighbors[frontier.pop()]:
+            if w not in reach:
+                reach.add(w)
+                frontier.append(w)
+    return None if len(reach) == n else "graph is not connected"
+
+
+@st.composite
+def edge_lists(draw, faults=True):
+    """A random spanning tree in random orientation and order, plus extra
+    edges; with faults, also out-of-range endpoints, self-loops, duplicates
+    and dropped edges, anywhere in the list."""
+    n = draw(st.integers(1, 9))
+    perm = draw(st.permutations(range(n)))
+    edges = []
+    for k in range(1, n):
+        a, b = perm[draw(st.integers(0, k - 1))], perm[k]
+        edges.append((a, b) if draw(st.booleans()) else (b, a))
+    vertex = st.integers(0, n - 1)
+    kinds = ["extra", "range", "loop", "duplicate", "drop"] if faults else ["extra"]
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "drop":
+            if edges:
+                del edges[draw(st.integers(0, len(edges) - 1))]
+            continue
+        if kind == "extra":
+            edge = draw(st.tuples(vertex, vertex))
+            if first_fault(n, edges + [edge]) not in (None, "graph is not connected"):
+                continue
+        elif kind == "range":
+            outside = st.sampled_from([-1, n, n + 1, -2**70, 2**63, 2**70])
+            edge = draw(st.tuples(outside, vertex | outside))
+            edge = edge if draw(st.booleans()) else edge[::-1]
+        elif kind == "loop":
+            v = draw(vertex | st.sampled_from([-1, n]))
+            edge = (v, v)
+        else:
+            if not edges:
+                continue
+            a, b = draw(st.sampled_from(edges))
+            edge = (a, b) if draw(st.booleans()) else (b, a)
+        edges.insert(draw(st.integers(0, len(edges))), edge)
+    return n, tuple(edges)
+
 
 class TestGraphValidation:
     def test_endpoint_out_of_range(self):
@@ -100,6 +193,23 @@ class TestGraphValidation:
         g = Graph("custom", 1, ())
         assert g.edge_count == 0
 
+    @given(edge_lists())
+    @settings(max_examples=400)
+    def test_faults_name_the_first_offending_edge(self, case):
+        n, edges = case
+        want = first_fault(n, edges)
+        if want is None:
+            assert Graph("custom", n, edges).edges == edges
+        else:
+            with pytest.raises(ValueError) as got:
+                Graph("custom", n, edges)
+            assert str(got.value) == want
+
+    def test_non_pairs_rejected(self):
+        for edges in (((0, 1, 2),), ((0,),), ((0, 1), (1,))):
+            with pytest.raises(ValueError, match="pair"):
+                Graph("custom", 3, edges)
+
 
 class TestAdjacencyIndex:
     def test_incident_edges_agree_with_edge_list(self):
@@ -113,6 +223,22 @@ class TestAdjacencyIndex:
                 for e in inc:
                     counts[e] += 1
             assert counts == [2] * g.edge_count
+
+    @given(edge_lists(faults=False))
+    def test_csr_incidence_matches_incident_edges(self, case):
+        g = Graph("custom", *case)
+        starts, ids = g.incidence
+        assert [tuple(ids[starts[v]:starts[v + 1]].tolist())
+                for v in range(g.vertex_count)] == list(g.incident_edges)
+        assert g.degrees == tuple(map(len, g.incident_edges))
+        assert not starts.flags.writeable and not ids.flags.writeable
+
+    @pytest.mark.parametrize("g", [build_path(5), build_ring(7), build_torus([3, 4]),
+                                   build_torus([4, 3, 5])], ids=lambda g: g.kind)
+    def test_csr_incidence_of_the_builders(self, g):
+        starts, ids = g.incidence
+        assert [tuple(ids[starts[v]:starts[v + 1]].tolist())
+                for v in range(g.vertex_count)] == list(g.incident_edges)
 
     def test_adjacent_edge_pairs_path(self):
         g = build_path(4)
