@@ -1,17 +1,19 @@
-/* Compiled chunk of the event loop for Poisson runs without observers.
+/* Compiled event loop for Poisson runs without observers.
  *
- * cm_run applies up to c->limit events of a PoissonStream run and mirrors
- * engine._run_loop branch for branch: the same three draws per event (wait,
- * edge, tie bit), the same theta gate and the same circle and interval
- * updates, so the opinions, the clock and the generator end bit for bit
- * where the Python loop would leave them.
+ * cm_run applies up to c->limit events of a PoissonStream run with the three
+ * draws of engine._run_loop (wait, edge, tie bit). cm_apply applies one
+ * event the engine hands over: the one a chunk drew past a probe, or a
+ * parked pending event. Both go through apply_rule, which mirrors
+ * opinion_space.update_pair_compass and update_pair_deffuant branch for
+ * branch, so the opinions, the clock and the generator end bit for bit
+ * where stepping engine.apply_event would leave them.
  *
  * The generator is CPython's MT19937 (Modules/_randommodule.c): the state
  * words and index come from random.Random.getstate() and go back with
  * setstate(), and random() is the 53-bit double built from two words.
  * Waiting times use libm's log, which math.log calls. Build without
  * floating-point contraction (-ffp-contract=off) and without fast-math, so
- * no product and sum fuse into one rounding the Python loop does not make.
+ * no product and sum fuse into one rounding that Python does not make.
  *
  * cm_recompute is the tracked W test's distance update, engine._WTest's
  * _recompute in C: it visits the edges around each logged edge in the same
@@ -48,7 +50,7 @@ struct cm_ctx {
     double next_probe, max_time;
     int64_t limit;          /* apply at most this many events */
     int64_t drawn;          /* out: 1 when (t, e, k) was drawn and not applied */
-    double t;
+    double t;               /* cm_run's drawn event out, cm_apply's event in */
     int64_t e, k;
 };
 
@@ -104,6 +106,45 @@ static double wrap(double y)
     return y;
 }
 
+/* The pair update on edge e: update_pair_compass on the circle (tie bit
+ * k), update_pair_deffuant on the interval. */
+static inline void apply_rule(double *op, const int64_t *edges, int64_t e, int64_t k,
+                              double mu, double theta, int circle, int gated, int halfmu)
+{
+    const int64_t a = edges[2 * e], b = edges[2 * e + 1];
+    const double xu = op[a], xv = op[b];
+    const double diff = xu - xv, ad = fabs(diff);
+
+    if (gated && ((ad <= 1.0 || !circle) ? ad : 2.0 - ad) > theta)
+        return; /* beyond the confidence bound: the clock moves, the pair does not */
+    if (ad < 1.0 || !circle || (ad == 1.0 && sgn(xu) == sgn(xv))) {
+        /* same signs at 1: the gap rounded up to 1 from inside the chart */
+        if (halfmu) {
+            op[a] = op[b] = 0.5 * (xu + xv);
+        } else {
+            op[a] = xu - mu * diff;
+            op[b] = xv + mu * diff;
+        }
+    } else if (ad > 1.0) {
+        if (halfmu) {
+            op[a] = op[b] = wrap(0.5 * (xu + xv) + 1.0);
+        } else {
+            const double step = mu * (2.0 - ad);
+            op[a] = wrap(xu + step * sgn(xu));
+            op[b] = wrap(xv + step * sgn(xv));
+        }
+    } else {
+        double su = sgn(xu), sv = sgn(xv);
+        if (su == 0.0)
+            su = -sv;
+        else if (sv == 0.0)
+            sv = -su;
+        const double move = k == 1 ? -mu : mu;
+        op[a] = wrap(xu + move * su);
+        op[b] = wrap(xv + move * sv);
+    }
+}
+
 int64_t cm_run(struct cm_ctx *c)
 {
     const int64_t *edges = c->edges;
@@ -128,53 +169,7 @@ int64_t cm_run(struct cm_ctx *c)
             c->k = k;
             break;
         }
-        int64_t a = edges[2 * e], b = edges[2 * e + 1];
-        double xu = op[a], xv = op[b];
-        double diff = xu - xv;
-        double ad = fabs(diff);
-        if (gated && ((ad <= 1.0 || !circle) ? ad : 2.0 - ad) > theta) {
-            /* beyond the confidence bound: the clock moves, the pair does not */
-        } else if (ad < 1.0 || !circle) {
-            if (halfmu) {
-                double mid = 0.5 * (xu + xv);
-                op[a] = mid;
-                op[b] = mid;
-            } else {
-                op[a] = xu - mu * diff;
-                op[b] = xv + mu * diff;
-            }
-        } else if (ad > 1.0) {
-            if (halfmu) {
-                double mid = wrap(0.5 * (xu + xv) + 1.0);
-                op[a] = mid;
-                op[b] = mid;
-            } else {
-                double step = mu * (2.0 - ad);
-                op[a] = wrap(xu + step * sgn(xu));
-                op[b] = wrap(xv + step * sgn(xv));
-            }
-        } else {
-            double su = sgn(xu), sv = sgn(xv);
-            if (su == sv) {
-                /* same signs: the gap rounded up to 1 from inside the chart */
-                if (halfmu) {
-                    double mid = 0.5 * (xu + xv);
-                    op[a] = mid;
-                    op[b] = mid;
-                } else {
-                    op[a] = xu - mu * diff;
-                    op[b] = xv + mu * diff;
-                }
-            } else {
-                if (su == 0.0)
-                    su = -sv;
-                else if (sv == 0.0)
-                    sv = -su;
-                double move = k == 1 ? -mu : mu;
-                op[a] = wrap(xu + move * su);
-                op[b] = wrap(xv + move * sv);
-            }
-        }
+        apply_rule(op, edges, e, k, mu, theta, circle, gated, halfmu);
         clock = t;
         if (edge_log)
             edge_log[i] = e;
@@ -183,6 +178,15 @@ int64_t cm_run(struct cm_ctx *c)
     if (edge_log)
         c->nlog += i;
     return i;
+}
+
+void cm_apply(struct cm_ctx *c)
+{
+    apply_rule(c->op, c->edges, c->e, c->k, c->mu, c->theta, c->circle != 0,
+               c->gated != 0, c->halfmu != 0);
+    c->clock = c->t;
+    if (c->edge_log)
+        c->edge_log[c->nlog++] = c->e;
 }
 
 double cm_recompute(struct cm_ctx *c)

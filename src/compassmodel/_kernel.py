@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import array
 import ctypes
+import math
 import os
 import shutil
 import subprocess
@@ -24,7 +25,7 @@ import numpy as np
 __all__: list[str] = []  # private to the engine
 
 # -ffp-contract=off: no fused multiply-add, which would round differently
-# from the Python loop; no -ffast-math or -march for the same reason.
+# from the scalar rules; no -ffast-math or -march for the same reason.
 FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 _SOURCE = Path(__file__).with_name("_kernel.c")
 
@@ -90,6 +91,8 @@ def _build():
         return False
     lib.cm_run.argtypes = [ctypes.c_void_p]
     lib.cm_run.restype = ctypes.c_int64
+    lib.cm_apply.argtypes = [ctypes.c_void_p]
+    lib.cm_apply.restype = None
     lib.cm_recompute.argtypes = [ctypes.c_void_p]
     lib.cm_recompute.restype = ctypes.c_double
     return lib
@@ -106,23 +109,23 @@ def load():
 class Chunks:
     """One run's kernel context: a copy of the opinions and the generator.
 
-    The copy is the run's current profile: `advance` applies events in C and
-    leaves `state.opinions` behind until `sync`, which the engine calls only
-    where Python reads them (before `_total_w`, before probes and an event
-    applied in Python, and in `close`). An event applied in Python must be
-    reported through `applied`, and `close` hands the generator back.
+    The copy is the run's current profile: `advance` and `apply` apply
+    events in C and leave `state.opinions` behind until `sync`, which the
+    engine calls only where Python reads them: before probes, before
+    `_total_w`, and in `close`, which also hands the generator back.
 
     Given the tracked W test's distances `d`, the kernel logs the edge of
-    every event since the last test, those applied in Python too, and
-    `recompute` updates `d` around them in C.
+    every event since the last test, and `recompute` updates `d` around
+    them in C.
     """
 
-    def __init__(self, lib, state, rng, gated: bool, max_time: float, d, log_size: int):
-        g = state.graph
+    def __init__(self, lib, state, rng, max_time: float, d, log_size: int):
+        g, params = state.graph, state.params
+        circle = state.space == "circle"
         self._run = lib.cm_run
+        self._apply = lib.cm_apply
         self._recompute = lib.cm_recompute
         self.opinions = state.opinions
-        self.edges = g.edges
         self.rng = rng
         self.stale = False
         # kept referenced: the kernel holds pointers into these buffers
@@ -143,22 +146,25 @@ class Chunks:
             ctx.inc_ids = self._incidence[1].ctypes.data
             ctx.d = d.buffer_info()[0]
         ctx.m = g.edge_count
-        ctx.mu = state.params.mu
-        ctx.theta = state.params.theta
-        ctx.circle = state.space == "circle"
-        ctx.gated = gated
-        ctx.halfmu = state.params.mu == 0.5
+        ctx.mu, ctx.theta = params.mu, params.theta
+        ctx.circle = circle
+        # circle distances never exceed 1, so a theta of 1 or more gates nothing
+        ctx.gated = params.theta < (1.0 if circle else math.inf)
+        ctx.halfmu = params.mu == 0.5
         ctx.clock = state.clock
         ctx.max_time = max_time
         self.address = ctypes.addressof(ctx)
 
+    def _room(self, events: int) -> None:
+        if self.d is not None and self.ctx.nlog + events > len(self.log):
+            # the engine tests W at least every log_size events; the C log has no more room
+            raise RuntimeError(f"{events} more events would overrun the edge log")
+
     def advance(self, limit: int, next_probe: float):
         """Apply up to limit events; return how many, the clock, and the event
         drawn past next_probe or max_time, unapplied, as (t, e, k) or None."""
+        self._room(limit)
         ctx = self.ctx
-        if self.d is not None and ctx.nlog + limit > len(self.log):
-            # the engine tests W at least every log_size events; the C log has no more room
-            raise RuntimeError(f"{limit} more events would overrun the edge log")
         ctx.limit = limit
         ctx.next_probe = next_probe
         done = self._run(self.address)
@@ -166,22 +172,18 @@ class Chunks:
             self.stale = True
         return done, ctx.clock, (ctx.t, ctx.e, ctx.k) if ctx.drawn else None
 
+    def apply(self, t: float, e: int, k: int) -> None:
+        """Apply one event that `advance` did not: a drawn or a parked one."""
+        self._room(1)
+        self.ctx.t, self.ctx.e, self.ctx.k = t, e, k
+        self._apply(self.address)
+        self.stale = True
+
     def sync(self) -> None:
         """Bring the opinions up to the kernel's copy."""
         if self.stale:
             self.opinions[:] = self.buf.tolist()
             self.stale = False
-
-    def applied(self, t: float, e: int) -> None:
-        """Take in an event that Python applied to the synced opinions."""
-        a, b = self.edges[e]
-        self.buf[a] = self.opinions[a]
-        self.buf[b] = self.opinions[b]
-        ctx = self.ctx
-        ctx.clock = t
-        if self.d is not None:
-            self.log[ctx.nlog] = e
-            ctx.nlog += 1
 
     def recompute(self) -> tuple[float, int]:
         """Update d around the logged edges and empty the log; return the sum

@@ -51,6 +51,11 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _is_finite(x) -> bool:
+    # JSON has no NaN or Infinity, though Python's json reads them
+    return _is_num(x) and math.isfinite(x)
+
+
 def parse_config(raw: dict) -> dict:
     """Validate a raw config mapping, reporting every problem at once.
 
@@ -59,7 +64,8 @@ def parse_config(raw: dict) -> dict:
     tol in that order, with defaults filled in. theta is None for no
     confidence bound, graph and init keep only the keys of their kind, stop
     always carries w_check_interval, and mu, theta, tol, the probes and
-    explicit init values are floats.
+    explicit init values are floats. NaN and Infinity are refused wherever
+    a number goes, except that an infinite theta means no bound.
     """
     problems: list[str] = []
     if not isinstance(raw, dict):
@@ -161,11 +167,11 @@ def parse_config(raw: dict) -> dict:
             problems.append(f"stop.max_events must be a nonnegative integer, got {stop_me!r}")
             stop_me = None
         stop_mt = stop.get("max_time")
-        if stop_mt is not None and (not _is_num(stop_mt) or stop_mt < 0):
+        if stop_mt is not None and (not _is_finite(stop_mt) or stop_mt < 0):
             problems.append(f"stop.max_time must be a nonnegative number, got {stop_mt!r}")
             stop_mt = None
         stop_wb = stop.get("w_below")
-        if stop_wb is not None and (not _is_num(stop_wb) or stop_wb <= 0):
+        if stop_wb is not None and (not _is_finite(stop_wb) or stop_wb <= 0):
             problems.append(f"stop.w_below must be a positive number, got {stop_wb!r}")
             stop_wb = None
         stop_iv = stop.get("w_check_interval", 100)
@@ -178,13 +184,13 @@ def parse_config(raw: dict) -> dict:
         stop["w_check_interval"] = stop_iv
 
     probes = raw.get("probes", [])
-    if not isinstance(probes, list) or not all(_is_num(p) for p in probes):
+    if not isinstance(probes, list) or not all(_is_finite(p) for p in probes):
         problems.append("probes must be a list of numbers")
     elif any(probes[i] >= probes[i + 1] for i in range(len(probes) - 1)):
         problems.append("probes must be strictly increasing")
 
     tol = raw.get("tol", 1e-6)
-    if not _is_num(tol) or tol <= 0:
+    if not _is_finite(tol) or tol <= 0:
         problems.append(f"tol must be a positive number, got {tol!r}")
 
     if problems:

@@ -26,8 +26,7 @@ from hashlib import sha256
 import numpy as np
 
 from . import analysis
-from .opinion_space import (ModelParams, _sgn, _wrap, update_pair_compass,
-                            update_pair_deffuant)
+from .opinion_space import ModelParams, update_pair_compass, update_pair_deffuant
 from .topology import Graph, build_path, build_ring, build_torus
 
 __all__ = [
@@ -244,16 +243,24 @@ class StopRule:
             raise ValueError(f"w_check_interval must be >= 1, got {self.w_check_interval}")
 
 
+def _check_event(state: SimState, clock: float, t: float, e: int, k: int) -> None:
+    """Refuse an event the loop did not draw itself: an edge out of range, a
+    time before the clock, or a tie bit other than 1 or 2 on the circle."""
+    if not 0 <= e < state.graph.edge_count:
+        raise ValueError(f"edge id {e} out of range")
+    if t < clock:
+        raise ValueError(f"event at {t} is earlier than the clock {clock}")
+    if state.space == "circle" and k not in (1, 2):
+        raise ValueError(f"tie must be 1 or 2, got {k!r}")
+
+
 def apply_event(state: SimState, ev: Event) -> None:
     """Apply one event to the state: one pair update, clock forward.
 
     Only the event edge's endpoints may change. Gated events (pairs beyond
     the confidence bound) still advance the clock and the event count.
     """
-    if not 0 <= ev.edge_id < state.graph.edge_count:
-        raise ValueError(f"edge id {ev.edge_id} out of range")
-    if ev.time < state.clock:
-        raise ValueError(f"event at {ev.time} is earlier than the clock {state.clock}")
+    _check_event(state, state.clock, ev.time, ev.edge_id, ev.tie)
     a, b = state.graph.edges[ev.edge_id]
     op = state.opinions
     if state.space == "circle":
@@ -289,9 +296,10 @@ class _WTest:
 
     The loop logs those edges in `touched`, and `_recompute` updates d in
     Python. When the run goes through the compiled kernel, `_run_loop` sets
-    `kernel`: the kernel logs the edges and updates d in C in the same
-    order, so `est` and every decision are bitwise the same, and the test
-    syncs the opinions from the kernel before it calls `_total_w`.
+    `kernel`: the kernel applies every event, logs the edges and updates d
+    in C in the same order, so `est` and every decision are bitwise the
+    same. The test syncs the opinions from the kernel only before it calls
+    `_total_w`.
     """
 
     def __init__(self, state: SimState, stop: StopRule):
@@ -386,7 +394,9 @@ def run(state: SimState, stream=None, stop: StopRule | None = None,
     if stop is None:
         if not isinstance(stream, ScriptedStream):
             raise ValueError("a stop rule is required unless the stream is scripted")
-        stop = StopRule(max_events=len(stream.events) + 1)
+        # one more than the events left, so the schedule runs out first
+        left = len(stream.events) - stream.cursor + (state.pending is not None)
+        stop = StopRule(max_events=state.events_applied + left + 1)
     probes = sorted(float(p) for p in probes)
     if initial_opinions_for_limits is not None:
         initial = list(initial_opinions_for_limits)
@@ -452,22 +462,18 @@ def _run_loop(state: SimState, stream, stop: StopRule, probes, samples,
 
     Poisson events are drawn inline, with the three draws of
     PoissonStream.next_event; other streams are asked for their next event,
-    which gets apply_event's checks. Both rules are inlined and mirror
-    update_pair_compass and update_pair_deffuant branch for branch (the
-    interval rule is the circle rule's linear branch), so a run stays
-    bitwise equal to stepping apply_event (a property the tests pin down).
+    which gets apply_event's checks, as a parked pending event does. Each
+    event is applied with the scalar rule that apply_event calls, so a run
+    is stepping apply_event (a property the tests pin down).
 
-    A Poisson run without observers hands the events between two checks to
-    the compiled kernel (`_kernel.c`, the same draws and branches in C) when
-    it loads. A chunk ends where the W test or the budget is due, or at an
-    event drawn past the next probe or max_time, which comes back unapplied
-    and is parked or applied here. So every W test, probe and stop decision
-    stays in this loop, which remains the reference and the path for
-    observers, other streams and machines without gcc. The kernel's copy of
-    the opinions is synced into `state.opinions` only where this loop reads
-    them: before `_total_w`, before the probes and the update of a drawn
-    event, and at the end. A tracked W test's distance updates run in the
-    kernel too (see `_WTest`).
+    A Poisson run without observers hands every event to the compiled
+    kernel (`_kernel.c`) when it loads: in chunks that end where the W test
+    or the budget is due or at an event drawn past the next probe or
+    max_time, and one by one for that drawn event, after its probes, and for
+    a parked one. Every W test, probe and stop decision stays here. The
+    kernel's opinions reach `state.opinions` only before probes, before
+    `_total_w` (see `_WTest`, whose distance updates run in C too) and at
+    the end.
     """
     g = state.graph
     space = state.space
@@ -475,10 +481,9 @@ def _run_loop(state: SimState, stream, stop: StopRule, probes, samples,
     op = state.opinions
     edges = g.edges
     m = len(edges)
-    mu = state.params.mu
-    theta = state.params.theta
-    gated = theta < (1.0 if circle else math.inf)  # circle distances never exceed 1
-    halfmu = mu == 0.5
+    params = state.params
+    # read from the module at each run, so a wrapped rule sees every call
+    compass, deffuant = update_pair_compass, update_pair_deffuant
     poisson = isinstance(stream, PoissonStream)
     rnd = stream.rng.random if poisson else None
     log = math.log
@@ -491,22 +496,10 @@ def _run_loop(state: SimState, stream, stop: StopRule, probes, samples,
     interval = stop.w_check_interval
     w_test = _WTest(state, stop) if stop.w_below is not None else None
     tracked = w_test is not None and w_test.tracked
+    # the tracked W test's log of the edges since its last test
     note = w_test.touched.append if tracked else None
     # the next event count at which the W test or the budget is due
     check_at = min(count + interval if w_test else math.inf, max_events)
-    # the per-event side work: the tracked W test's edge log, and observers,
-    # which see each event after its update with the clock and count synced
-    if observers:
-        def hook(t, e, k, count):
-            if note:
-                note(e)
-            state.clock = t
-            state.events_applied = count
-            ev = Event(t, e, k)
-            for obs in observers:
-                obs.apply_event(ev)
-    else:
-        hook = (lambda t, e, k, count: note(e)) if note else None
     pi = 0
     next_probe = probes[pi] if probes else math.inf
     pending = state.pending
@@ -517,12 +510,10 @@ def _run_loop(state: SimState, stream, stop: StopRule, probes, samples,
         from . import _kernel
         lib = _kernel.load()
         if lib:
-            kernel = _kernel.Chunks(lib, state, stream.rng, gated, max_time,
+            kernel = _kernel.Chunks(lib, state, stream.rng, max_time,
                                     w_test.d if tracked else None, interval)
             if w_test:
                 w_test.kernel = kernel
-            # events applied here rather than in C reach the kernel's copy too
-            hook = lambda t, e, k, count: kernel.applied(t, e)
 
     try:
         while True:
@@ -540,7 +531,6 @@ def _run_loop(state: SimState, stream, stop: StopRule, probes, samples,
                 count += done
                 if drawn is None:
                     continue
-                kernel.sync()
                 t, e, k = drawn
             elif pending is None and poisson:
                 t = clock - log(1.0 - rnd()) / m
@@ -557,66 +547,38 @@ def _run_loop(state: SimState, stream, stop: StopRule, probes, samples,
                         break
                 t, e, k = pending.time, pending.edge_id, pending.tie
                 pending = state.pending = None
-                if not 0 <= e < m:
-                    raise ValueError(f"edge id {e} out of range")
-                if t < clock:
-                    raise ValueError(f"event at {t} is earlier than the clock {clock}")
-                if circle and k not in (1, 2):
-                    raise ValueError(f"tie must be 1 or 2, got {k!r}")
+                _check_event(state, clock, t, e, k)
             if t > max_time:
                 state.pending = Event(t, e, k)
                 clock = max_time
                 reason = "max_time"
                 break
             while t > next_probe:
+                if kernel:
+                    kernel.sync()
                 samples.append(compute(g, op, space, at_time=next_probe))
                 pi += 1
                 next_probe = probes[pi] if pi < len(probes) else math.inf
 
-            a, b = edges[e]
-            xu = op[a]
-            xv = op[b]
-            diff = xu - xv
-            ad = abs(diff)
-            if gated and (ad if ad <= 1.0 or not circle else 2.0 - ad) > theta:
-                pass
-            elif ad < 1.0 or not circle:
-                if halfmu:
-                    op[a] = op[b] = 0.5 * (xu + xv)
-                else:
-                    op[a] = xu - mu * diff
-                    op[b] = xv + mu * diff
-            elif ad > 1.0:
-                if halfmu:
-                    op[a] = op[b] = _wrap(0.5 * (xu + xv) + 1.0)
-                else:
-                    step = mu * (2.0 - ad)
-                    op[a] = _wrap(xu + step * _sgn(xu))
-                    op[b] = _wrap(xv + step * _sgn(xv))
+            if kernel:
+                kernel.apply(t, e, k)
             else:
-                su = _sgn(xu)
-                sv = _sgn(xv)
-                if su == sv:
-                    # same signs mean the gap rounded up to 1 from inside the
-                    # chart; treat as the linear pair it really is
-                    if halfmu:
-                        op[a] = op[b] = 0.5 * (xu + xv)
-                    else:
-                        op[a] = xu - mu * diff
-                        op[b] = xv + mu * diff
+                a, b = edges[e]
+                if circle:
+                    op[a], op[b] = compass(op[a], op[b], params, k)
                 else:
-                    if su == 0.0:
-                        su = -sv
-                    elif sv == 0.0:
-                        sv = -su
-                    move = -mu if k == 1 else mu
-                    op[a] = _wrap(xu + move * su)
-                    op[b] = _wrap(xv + move * sv)
-
+                    op[a], op[b] = deffuant(op[a], op[b], params)
+                if note:
+                    note(e)
             clock = t
             count += 1
-            if hook:
-                hook(t, e, k, count)
+            if observers:
+                # observers see each event after its update, clock and count synced
+                state.clock = t
+                state.events_applied = count
+                ev = Event(t, e, k)
+                for obs in observers:
+                    obs.apply_event(ev)
     finally:
         state.clock = clock
         state.events_applied = count

@@ -129,7 +129,10 @@ def update_pair_compass(x_u: float, x_v: float, params: ModelParams,
     gap = ad if ad <= 1.0 else 2.0 - ad
     if gap > params.theta:
         return x_u, x_v
-    if ad < 1.0:
+    if ad < 1.0 or (ad == 1.0 and _sgn(x_u) == _sgn(x_v)):
+        # a genuinely tied pair has opposite (or one zero) signs; same signs
+        # at 1 mean the difference rounded up to 1 from inside the chart, so
+        # the pair is really a linear-branch pair
         if mu == 0.5:
             mid = 0.5 * (x_u + x_v)
             return mid, mid
@@ -143,14 +146,6 @@ def update_pair_compass(x_u: float, x_v: float, params: ModelParams,
     # antipodal tie: |x_u - x_v| == 1 exactly
     su = _sgn(x_u)
     sv = _sgn(x_v)
-    if su == sv:
-        # a genuinely tied pair has opposite (or one zero) signs; same signs
-        # mean the difference rounded up to 1 from inside the chart, so the
-        # pair is really a linear-branch pair
-        if mu == 0.5:
-            mid = 0.5 * (x_u + x_v)
-            return mid, mid
-        return x_u - mu * diff, x_v + mu * diff
     if su == 0.0:
         su = -sv
     elif sv == 0.0:

@@ -344,6 +344,29 @@ class TestMain:
         assert capsys.readouterr().err.startswith(f"error: {message}")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("extra,message", [
+        ({"stop": {"max_events": 10, "max_time": math.nan}},
+         "stop.max_time must be a nonnegative number, got nan"),
+        ({"stop": {"max_events": 10, "max_time": math.inf}},
+         "stop.max_time must be a nonnegative number, got inf"),
+        ({"stop": {"max_events": 10, "w_below": math.nan}},
+         "stop.w_below must be a positive number, got nan"),
+        ({"stop": {"max_events": 10, "w_below": math.inf}},
+         "stop.w_below must be a positive number, got inf"),
+        ({"tol": math.nan}, "tol must be a positive number, got nan"),
+        ({"tol": math.inf}, "tol must be a positive number, got inf"),
+        ({"probes": [1.0, math.nan]}, "probes must be a list of numbers"),
+        ({"probes": [math.inf]}, "probes must be a list of numbers"),
+        ({"probes": [-math.inf, 1.0]}, "probes must be a list of numbers"),
+    ])
+    def test_non_finite_number_exits_two(self, extra, message, tmp_path, capsys):
+        # json writes and reads these as the bare words NaN and Infinity
+        path = write_config(tmp_path, minimal_raw(**extra))
+        code = main(["run", str(path), "-o", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_integer_beyond_the_digit_limit_exits_two(self, tmp_path, capsys):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(minimal_raw()).replace("10", "1" + "0" * 5000, 1),

@@ -2,9 +2,11 @@ import math
 import random
 import shutil
 import struct
+import subprocess
 import time
 from contextlib import contextmanager
 from functools import partial
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -199,6 +201,24 @@ class TestRun:
         assert rec.stop_reason == "schedule_exhausted"
         assert rec.final_time == 2.0
 
+    def test_scripted_run_counts_its_budget_from_the_state(self):
+        # 10 events already applied: the default budget is the schedule's
+        # events on top of them, not in place of them
+        state = fresh(build_path(3), [0.2, 0.6, 0.9], stream=4)
+        run(state, stop=StopRule(max_events=10))
+        stream = ScriptedStream([(state.clock + 1.0, 0), (state.clock + 2.0, 1)])
+        rec = run(state, stream=stream)
+        assert (rec.stop_reason, rec.events_applied, stream.cursor) == \
+            ("schedule_exhausted", 12, 2)
+        # and a schedule resumed past its cursor with an event parked
+        state = fresh(build_path(3), [0.2, 0.6, 0.9])
+        stream = ScriptedStream([(1.0, 0), (2.0, 1), (3.0, 0)])
+        run(state, stream=stream, stop=StopRule(max_time=1.5))
+        assert (state.events_applied, stream.cursor, state.pending) == (1, 2, Event(2.0, 1))
+        rec = run(state)
+        assert (rec.stop_reason, rec.events_applied, rec.final_time) == \
+            ("schedule_exhausted", 3, 3.0)
+
     def test_probe_semantics_hand_computed(self):
         # events at 1.0 and 2.0 on the only edge; a probe exactly at an
         # event time sees the state after that event
@@ -324,6 +344,29 @@ class TestRun:
         assert str(got.value) == str(expected.value) == message
         assert (state.opinions, state.clock, state.events_applied, state.pending) == \
             (ref.opinions, ref.clock, ref.events_applied, None)
+
+    @pytest.mark.parametrize("bad,message", [
+        (Event(2.0, 7), "edge id 7 out of range"),
+        (Event(0.5, 1), "event at 0.5 is earlier than the clock 1.0"),
+        (Event(2.0, 1, 9), "tie must be 1 or 2, got 9"),
+    ])
+    @pytest.mark.parametrize("observers", [(), [Noop()]])
+    def test_bad_pending_event_fails_like_apply_event(self, bad, message, observers):
+        # a Poisson run without observers takes its pending event in the kernel
+        def start():
+            state = fresh(build_path(3), [0.2, 0.6, 0.9], stream=3)
+            apply_event(state, Event(1.0, 0))
+            return state
+
+        with pytest.raises(ValueError) as expected:
+            apply_event(start(), bad)
+        state = start()
+        state.pending = bad
+        with pytest.raises(ValueError) as got:
+            run(state, stop=StopRule(max_events=5), observers=observers)
+        assert str(got.value) == str(expected.value) == message
+        assert (state.opinions, state.clock, state.events_applied) == \
+            (start().opinions, 1.0, 1)
 
     @given(st.integers(min_value=0, max_value=2**32))
     @settings(max_examples=20, deadline=None)
@@ -476,6 +519,36 @@ def kernel_calls():
 
     with mock.patch.object(_kernel.Chunks, "advance", counted):
         yield calls
+
+
+@contextmanager
+def rule_calls():
+    """Count the scalar rule calls through the engine, the events that
+    kernel chunks apply, and the events the kernel applies one by one."""
+    counts = SimpleNamespace(rules=0, chunked=0, applied=0)
+    advance, apply = _kernel.Chunks.advance, _kernel.Chunks.apply
+
+    def counted(rule):
+        def call(*args):
+            counts.rules += 1
+            return rule(*args)
+        return call
+
+    def counted_advance(self, *args):
+        out = advance(self, *args)
+        counts.chunked += out[0]
+        return out
+
+    def counted_apply(self, *args):
+        counts.applied += 1
+        return apply(self, *args)
+
+    with mock.patch.object(engine, "update_pair_compass", counted(engine.update_pair_compass)), \
+            mock.patch.object(engine, "update_pair_deffuant",
+                              counted(engine.update_pair_deffuant)), \
+            mock.patch.object(_kernel.Chunks, "advance", counted_advance), \
+            mock.patch.object(_kernel.Chunks, "apply", counted_apply):
+        yield counts
 
 
 class TestOneLoop:
@@ -641,17 +714,38 @@ class TestKernel:
         # a kernel that stops compiling must fail here, not fall back silently
         assert (_kernel.load() is not None) == (shutil.which("gcc") is not None)
 
+    def test_the_kernel_compiles_without_warnings(self):
+        # unused variables and shadowed names left behind by an edit fail here
+        gcc = shutil.which("gcc")
+        if gcc is None:
+            pytest.skip("no gcc on PATH")
+        done = subprocess.run([gcc, "-Wall", "-Wextra", "-Wshadow", "-Werror", "-fsyntax-only",
+                               *_kernel.FLAGS, str(_kernel._SOURCE)],
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+
     @given(twin_cases())
     @settings(max_examples=300, deadline=None)
     def test_kernel_runs_match_the_python_loop_bitwise(self, case):
-        with kernel_calls() as calls:
+        with kernel_calls() as calls, rule_calls() as on:
             got = run_legs(case)
-        with mock.patch.object(_kernel, "_lib", False), kernel_calls() as off:
+        with mock.patch.object(_kernel, "_lib", False), kernel_calls() as off, \
+                rule_calls() as python_loop:
             want = run_legs(case)
         assert got == want
         assert off == []
         drew = got[-1][-1] != random.Random(case[4]).getstate()
         assert bool(calls) == (drew and _kernel.load() is not None)
+        # the Python loop applies each event with one scalar rule call; a
+        # kernel run applies every event in C, past probes, at max_time parks
+        # and resumed pending events too
+        events = got[-1][1]
+        assert (python_loop.rules, python_loop.applied) == (events, 0)
+        if _kernel.load():
+            assert on.rules == 0
+            assert on.chunked + on.applied == events
+        else:
+            assert (on.rules, on.applied) == (events, 0)
 
 
 @st.composite
