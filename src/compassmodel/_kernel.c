@@ -1,4 +1,5 @@
-/* Compiled event loop for Poisson runs without observers.
+/* Compiled event loop for Poisson runs without observers, or observed by
+ * one DifferenceTracker of the run's own state.
  *
  * cm_run applies up to c->limit events of a PoissonStream run with the three
  * draws of engine._run_loop (wait, edge, tie bit). cm_apply applies one
@@ -6,7 +7,10 @@
  * parked pending event. Both go through apply_rule, which mirrors
  * opinion_space.update_pair_compass and update_pair_deffuant branch for
  * branch, so the opinions, the clock and the generator end bit for bit
- * where stepping engine.apply_event would leave them.
+ * where stepping engine.apply_event would leave them. When c->delta is set,
+ * both then call track, which mirrors DifferenceTracker.apply_event branch
+ * for branch, so the tracked gaps and bounds end bit for bit where the
+ * observer would leave them.
  *
  * The generator is CPython's MT19937 (Modules/_randommodule.c): the state
  * words and index come from random.Random.getstate() and go back with
@@ -43,6 +47,11 @@ struct cm_ctx {
     const int64_t *inc_start, *inc_ids; /* CSR incidence: the edges of vertex v
                                are inc_ids[inc_start[v] .. inc_start[v + 1]) */
     double *d;              /* the tracked W test's edge distances */
+    double *delta, *xi;     /* when delta is not NULL, a DifferenceTracker's m
+                               gaps and, when xi is not NULL, its m bounds */
+    const int64_t *nb_start, *nb_ids, *nb_sign; /* CSR Graph.edge_neighbors: the
+                               neighbours of edge e and their coupling signs are
+                               at nb_start[e] .. nb_start[e + 1] */
     int64_t m;
     double mu, theta;
     int64_t circle, gated, halfmu;
@@ -145,6 +154,42 @@ static inline void apply_rule(double *op, const int64_t *edges, int64_t e, int64
     }
 }
 
+/* mod_s(op[head] - op[tail]): the gap of edge f, read from the opinions */
+static double opinion_gap(const struct cm_ctx *c, int64_t f)
+{
+    return wrap(fmod(c->op[c->edges[2 * f + 1]] - c->op[c->edges[2 * f]], 2.0));
+}
+
+/* DifferenceTracker.apply_event on edge e, after its pair update. */
+static void track(const struct cm_ctx *c, int64_t e, double mu, double theta)
+{
+    double *delta = c->delta, *xi = c->xi;
+    const int64_t *ids = c->nb_ids, *sign = c->nb_sign;
+    const int64_t lo = c->nb_start[e], hi = c->nb_start[e + 1];
+    const double de = delta[e];
+    int64_t p;
+
+    if (fabs(de) > theta)
+        return; /* gated on the tracked gap: neither delta nor xi moves */
+    if (fabs(de) == 1.0) {
+        /* on the cut the tie bit decided: re-read the gaps from the opinions */
+        for (p = lo; p < hi; p++)
+            delta[ids[p]] = opinion_gap(c, ids[p]);
+        delta[e] = opinion_gap(c, e);
+    } else {
+        const double step = mu * de;
+        for (p = lo; p < hi; p++)
+            delta[ids[p]] = wrap(delta[ids[p]] + (sign[p] > 0 ? step : -step));
+        delta[e] = (1.0 - 2.0 * mu) * de;
+    }
+    if (xi) {
+        const double xe = xi[e], step = mu * xe;
+        for (p = lo; p < hi; p++)
+            xi[ids[p]] += step;
+        xi[e] = (1.0 - 2.0 * mu) * xe;
+    }
+}
+
 int64_t cm_run(struct cm_ctx *c)
 {
     const int64_t *edges = c->edges;
@@ -170,6 +215,8 @@ int64_t cm_run(struct cm_ctx *c)
             break;
         }
         apply_rule(op, edges, e, k, mu, theta, circle, gated, halfmu);
+        if (c->delta)
+            track(c, e, mu, theta);
         clock = t;
         if (edge_log)
             edge_log[i] = e;
@@ -184,6 +231,8 @@ void cm_apply(struct cm_ctx *c)
 {
     apply_rule(c->op, c->edges, c->e, c->k, c->mu, c->theta, c->circle != 0,
                c->gated != 0, c->halfmu != 0);
+    if (c->delta)
+        track(c, c->e, c->mu, c->theta);
     c->clock = c->t;
     if (c->edge_log)
         c->edge_log[c->nlog++] = c->e;

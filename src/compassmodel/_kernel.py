@@ -45,6 +45,11 @@ class _Context(ctypes.Structure):
         ("inc_start", ctypes.c_void_p),
         ("inc_ids", ctypes.c_void_p),
         ("d", ctypes.c_void_p),
+        ("delta", ctypes.c_void_p),
+        ("xi", ctypes.c_void_p),
+        ("nb_start", ctypes.c_void_p),
+        ("nb_ids", ctypes.c_void_p),
+        ("nb_sign", ctypes.c_void_p),
         ("m", ctypes.c_int64),
         ("mu", ctypes.c_double),
         ("theta", ctypes.c_double),
@@ -117,9 +122,14 @@ class Chunks:
     Given the tracked W test's distances `d`, the kernel logs the edge of
     every event since the last test, and `recompute` updates `d` around
     them in C.
+
+    Given a DifferenceTracker of the state, whose gaps (and bounds, if any)
+    the engine has checked to hold one entry per edge, the kernel updates
+    copies of them after every event, as the tracker's `apply_event` would;
+    `close` writes them back into the tracker's lists in place.
     """
 
-    def __init__(self, lib, state, rng, max_time: float, d, log_size: int):
+    def __init__(self, lib, state, rng, max_time: float, d, log_size: int, tracker=None):
         g, params = state.graph, state.params
         circle = state.space == "circle"
         self._run = lib.cm_run
@@ -145,6 +155,16 @@ class Chunks:
             ctx.inc_start = self._incidence[0].ctypes.data
             ctx.inc_ids = self._incidence[1].ctypes.data
             ctx.d = d.buffer_info()[0]
+        self.tracker = tracker
+        if tracker is not None:
+            self.delta = array.array("d", tracker.delta.values)
+            self._neighbors = [np.ascontiguousarray(a, dtype=np.int64)
+                               for a in g.edge_neighbor_csr]
+            ctx.delta = self.delta.buffer_info()[0]
+            ctx.nb_start, ctx.nb_ids, ctx.nb_sign = (a.ctypes.data for a in self._neighbors)
+            if tracker.xi is not None:
+                self.xi = array.array("d", tracker.xi.values)
+                ctx.xi = self.xi.buffer_info()[0]
         ctx.m = g.edge_count
         ctx.mu, ctx.theta = params.mu, params.theta
         ctx.circle = circle
@@ -192,6 +212,11 @@ class Chunks:
         return self._recompute(self.address), logged
 
     def close(self) -> None:
-        """Sync the opinions and hand the generator's state back."""
+        """Sync the opinions, hand the generator's state back, and write the
+        tracker's gaps and bounds back into its lists."""
         self.sync()
         self.rng.setstate((self.version, tuple(self.mt), self.gauss))
+        if self.tracker is not None:
+            self.tracker.delta.values[:] = self.delta.tolist()
+            if self.tracker.xi is not None:
+                self.tracker.xi.values[:] = self.xi.tolist()

@@ -63,6 +63,9 @@ def xi_from_values(g: Graph, values=None) -> XiState:
         vals = [float(v) for v in values]
         if len(vals) != g.edge_count:
             raise ValueError(f"expected {g.edge_count} values, got {len(vals)}")
+        # an infinite bound turns to NaN at mu = 1/2, where (1 - 2 mu) * inf = 0 * inf
+        if not all(map(math.isfinite, vals)):
+            raise ValueError("bounds must be finite")
         if any(v < 0.0 for v in vals):
             raise ValueError("bounds must be nonnegative")
     return XiState(g, vals)
@@ -125,10 +128,13 @@ def check_consistency(g: Graph, opinions, d: DeltaState) -> float:
 
 
 def winding_sum(d: DeltaState) -> float:
-    """Sum of signed gaps around an oriented cycle; an even integer.
+    """Sum of signed gaps around an oriented cycle, as the raw `math.fsum`.
 
     Only defined when every vertex has exactly one incoming and one
-    outgoing edge, so the signed gaps telescope around the loop.
+    outgoing edge, so the signed gaps telescope around the loop to an even
+    integer. The gaps carry rounding, so the value returned is only close
+    to it: a winding of 2 can read 1.9999999999999998. Round it with
+    2 * round(w / 2) for the integer.
     """
     if not d.graph.is_oriented_cycle:
         raise ValueError("winding is defined only on consistently oriented cycles")
@@ -142,11 +148,18 @@ class DifferenceTrackerError(ValueError):
 class DifferenceTracker:
     """Co-evolves gap (and optionally bound) values alongside a simulation.
 
-    Attach as an engine observer; after each applied event the tracked
-    values advance by the same local move the opinions took. Gap maintenance
-    keeps each adjacent edge's shift attributable to the shared vertex, so
-    it is restricted to graphs of maximum degree 2. Antipodal ties are
-    resolved by re-reading the affected entries from the opinions.
+    Attach as an engine observer of `state`, the state it was built from
+    (`run` refuses one whose `.state` is another state; after a restore, set
+    `.state` to the restored state). After each applied event the tracked
+    values advance by the same local move the opinions took. Gap
+    maintenance keeps each adjacent edge's shift attributable to the shared
+    vertex, so it is restricted to graphs of maximum degree 2. Antipodal
+    ties are resolved by re-reading the affected entries from the opinions.
+
+    When it is a Poisson run's only observer, the compiled kernel makes
+    these moves in C, mirroring `apply_event`, which the run then does not
+    call; the values reach `delta.values` and `xi.values`, the same list
+    objects, when the run ends.
 
     With bounded confidence the gate is decided on the tracked gap, which
     agrees with the opinions' own gate up to accumulated rounding; profiles

@@ -26,6 +26,7 @@ from hashlib import sha256
 import numpy as np
 
 from . import analysis
+from .difference import DifferenceTracker
 from .opinion_space import ModelParams, update_pair_compass, update_pair_deffuant
 from .topology import Graph, build_path, build_ring, build_torus
 
@@ -385,7 +386,16 @@ def run(state: SimState, stream=None, stop: StopRule | None = None,
     Limit values in the terminal block need the t=0 profile; a fresh state
     supplies it implicitly, a resumed one only via
     initial_opinions_for_limits.
+
+    A DifferenceTracker observer must track this very state: one of another
+    state (a twin, or the state a snapshot was taken of) would re-read that
+    state's opinions and drift, so it raises ValueError.
     """
+    observers = tuple(observers)
+    for obs in observers:
+        if isinstance(obs, DifferenceTracker) and obs.state is not state:
+            raise ValueError("a DifferenceTracker observer must track the state being run; "
+                             "set its .state to this state")
     if stream is not None:
         state.stream = stream
     stream = state.stream
@@ -466,14 +476,17 @@ def _run_loop(state: SimState, stream, stop: StopRule, probes, samples,
     event is applied with the scalar rule that apply_event calls, so a run
     is stepping apply_event (a property the tests pin down).
 
-    A Poisson run without observers hands every event to the compiled
-    kernel (`_kernel.c`) when it loads: in chunks that end where the W test
-    or the budget is due or at an event drawn past the next probe or
-    max_time, and one by one for that drawn event, after its probes, and for
-    a parked one. Every W test, probe and stop decision stays here. The
-    kernel's opinions reach `state.opinions` only before probes, before
+    A Poisson run without observers, or whose one observer is a
+    DifferenceTracker with one gap (and bound) per edge of this graph,
+    hands every event to the compiled kernel (`_kernel.c`) when it loads:
+    in chunks that end where the W test or the budget is due or at an event
+    drawn past the next probe or max_time, and one by one for that drawn
+    event, after its probes, and for a parked one. The kernel then updates
+    the tracker's gaps and bounds in C after every event, and the loop does
+    not call the tracker. Every W test, probe and stop decision stays here.
+    The kernel's opinions reach `state.opinions` only before probes, before
     `_total_w` (see `_WTest`, whose distance updates run in C too) and at
-    the end.
+    the end; the tracker's values reach its lists at the end.
     """
     g = state.graph
     space = state.space
@@ -504,14 +517,23 @@ def _run_loop(state: SimState, stream, stop: StopRule, probes, samples,
     next_probe = probes[pi] if probes else math.inf
     pending = state.pending
     kernel = None
-    if (poisson and not observers and m and len(op) == g.vertex_count
+    # the kernel writes a tracker's values unchecked: they must hold one
+    # entry per edge, of a graph equal to this one (a resumed run's graph is
+    # rebuilt, so it is equal but not the same object)
+    tracker = observers[0] if len(observers) == 1 else None
+    if not (type(tracker) is DifferenceTracker and tracker.delta.graph == g
+            and len(tracker.delta.values) == m
+            and (tracker.xi is None or (tracker.xi.graph == g and len(tracker.xi.values) == m))):
+        tracker = None
+    if (poisson and (not observers or tracker) and m and len(op) == g.vertex_count
             and type(stream.rng) is random.Random):
         # imported here, so ctypes and the compiler stay out of the package import
         from . import _kernel
         lib = _kernel.load()
         if lib:
             kernel = _kernel.Chunks(lib, state, stream.rng, max_time,
-                                    w_test.d if tracked else None, interval)
+                                    w_test.d if tracked else None, interval, tracker)
+            observers = ()
             if w_test:
                 w_test.kernel = kernel
 

@@ -142,6 +142,21 @@ class Graph:
         return tuple(out)
 
     @cached_property
+    def edge_neighbor_csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """edge_neighbors as read-only CSR arrays (starts, ids, signs): the
+        neighbors of edge e are ids[starts[e]:starts[e + 1]], in
+        edge_neighbors order, with their coupling signs alongside."""
+        nb = self.edge_neighbors
+        starts = np.zeros(self.edge_count + 1, dtype=np.intp)
+        np.cumsum([len(pairs) for pairs in nb], dtype=np.intp, out=starts[1:])
+        flat = np.array([x for pairs in nb for pair in pairs for x in pair],
+                        dtype=np.intp).reshape(-1, 2)
+        ids, signs = flat[:, 0].copy(), flat[:, 1].copy()
+        for a in (starts, ids, signs):
+            a.setflags(write=False)
+        return starts, ids, signs
+
+    @cached_property
     def adjacent_edge_pairs(self) -> tuple[tuple[int, int], ...]:
         """edge_pair_array as a sorted tuple of (lower id, higher id) pairs."""
         return tuple(sorted(map(tuple, self.edge_pair_array.tolist())))

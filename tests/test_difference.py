@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from compassmodel import (DifferenceTracker, Event, Explicit, ModelParams,
-                          StopRule, apply_event, apply_event_delta,
+                          ScriptedStream, StopRule, apply_event, apply_event_delta,
                           apply_event_xi, build_path, build_ring,
                           check_consistency, delta_from_config,
                           graph_from_edges, mod_s, new_simulation, run,
@@ -13,6 +13,11 @@ from compassmodel import (DifferenceTracker, Event, Explicit, ModelParams,
 from compassmodel.difference import DeltaState
 
 APPROX = dict(abs=1e-12)
+
+
+class Noop:
+    def apply_event(self, ev):
+        pass
 
 circle_values = st.floats(min_value=-1.0, max_value=1.0, exclude_min=True,
                           allow_nan=False)
@@ -128,6 +133,15 @@ class TestApplyEventXi:
     def test_negative_start_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
             xi_from_values(build_path(3), [1.0, -0.5])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_start_rejected(self, bad):
+        # an infinite bound turns to NaN after one event at mu = 1/2
+        with pytest.raises(ValueError, match="finite"):
+            xi_from_values(build_path(3), [bad, 1.0])
+        state = new_simulation(build_path(3), Explicit([0.0, 0.1, 0.2]), ModelParams())
+        with pytest.raises(ValueError, match="finite"):
+            DifferenceTracker(state, xi_values=[1.0, bad])
 
     @given(st.integers(min_value=3, max_value=12), mus,
            st.integers(min_value=0, max_value=10_000))
@@ -247,6 +261,22 @@ class TestDifferenceTracker:
         apply_event(state, ev)
         tr.apply_event(ev)
         assert check_consistency(g, state.opinions, tr.delta) == 0.0
+
+    @pytest.mark.parametrize("observers", [lambda tr: [tr], lambda tr: [Noop(), tr]],
+                             ids=["alone", "second"])
+    def test_run_refuses_a_tracker_of_another_state(self, observers):
+        # the tie branch would re-read the other state's opinions and drift
+        g = build_path(3)
+        a, b = (new_simulation(g, Explicit([0.0, 1.0, 0.5]), ModelParams(mu=0.25))
+                for _ in range(2))
+        tr = DifferenceTracker(a)
+        with pytest.raises(ValueError, match="state being run"):
+            run(b, stream=ScriptedStream([(0.1, 0, 2)]), observers=observers(tr))
+        assert (b.opinions, b.events_applied, b.stream) == ([0.0, 1.0, 0.5], 0, None)
+        tr.state = b
+        run(b, stream=ScriptedStream([(0.1, 0, 2)]), observers=observers(tr))
+        assert b.events_applied == 1
+        assert check_consistency(g, b.opinions, tr.delta) == 0.0
 
     def test_gated_event_freezes_delta_and_xi(self):
         g = build_path(3)

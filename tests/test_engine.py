@@ -1,5 +1,7 @@
+import ctypes
 import math
 import random
+import re
 import shutil
 import struct
 import subprocess
@@ -10,15 +12,15 @@ from types import SimpleNamespace
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from compassmodel import (Constant, Event, Explicit, IidUniform, ModelParams,
-                          PoissonStream, ScheduleExhausted, ScriptedStream,
-                          SimState, SnapshotError, StopRule, apply_event,
+from compassmodel import (Constant, DifferenceTracker, Event, Explicit, Graph,
+                          IidUniform, ModelParams, PoissonStream, ScheduleExhausted,
+                          ScriptedStream, SimState, SnapshotError, StopRule, apply_event,
                           build_path, build_ring, build_torus, derive_seed,
                           initial_opinions, new_simulation, restore, run,
-                          snapshot)
+                          snapshot, xi_from_values)
 from compassmodel import _kernel, engine
 from compassmodel.engine import _total_w
 
@@ -724,6 +726,19 @@ class TestKernel:
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
 
+    def test_the_context_matches_struct_cm_ctx(self):
+        # a field out of step with the C struct corrupts memory without an error
+        source = _kernel._SOURCE.read_text()
+        body = re.search(r"^struct cm_ctx \{(.*?)^\};", source, re.S | re.M).group(1)
+        fields = []
+        for decl in re.sub(r"/\*.*?\*/", "", body, flags=re.S).split(";")[:-1]:
+            ctype, names = re.fullmatch(r"\s*(?:const\s+)?(\w+)\s+(.*?)\s*", decl, re.S).groups()
+            for name in names.split(","):
+                pointer = name.strip().startswith("*")
+                fields.append((name.strip(" *"), "pointer" if pointer else ctype))
+        kinds = {ctypes.c_void_p: "pointer", ctypes.c_int64: "int64_t", ctypes.c_double: "double"}
+        assert [(name, kinds[kind]) for name, kind in _kernel._Context._fields_] == fields
+
     @given(twin_cases())
     @settings(max_examples=300, deadline=None)
     def test_kernel_runs_match_the_python_loop_bitwise(self, case):
@@ -818,6 +833,163 @@ class TestKernelTrackedWTest:
         # without the kernel every test updates d in Python; with it, none does
         assert want_python_loop == len(want_tests)
         assert python_loop == (0 if _kernel.load() else len(tests))
+
+
+@st.composite
+def tracker_twin_cases(draw):
+    """Circle runs on rings and paths observed by one DifferenceTracker, in
+    legs: gated events, gaps on the cut, probes, time and W stops, and
+    snapshots between legs. Some graphs reverse edges, so that couplings
+    of sign -1 occur."""
+    n = draw(st.integers(3, 40))
+    g = build_ring(n) if draw(st.booleans()) else build_path(n)
+    if draw(st.booleans()):
+        flips = draw(st.lists(st.booleans(), min_size=g.edge_count, max_size=g.edge_count))
+        g = Graph("custom", n, tuple(e[::-1] if f else e for e, f in zip(g.edges, flips)))
+    values = opinion_values("circle")
+    start = draw(st.sampled_from(["any", "short arc", "constant", "quarters"]))
+    if start == "constant":
+        init = [draw(values)] * n
+    else:
+        if start == "short arc":
+            values = values.map(lambda v: 0.05 * v)
+        elif start == "quarters":
+            # exact gaps of 1 between neighbors, and more of them at mu = 1/2
+            values = st.sampled_from([0.0, 1.0, 0.5, -0.5, 0.25, -0.75])
+        init = draw(st.lists(values, min_size=n, max_size=n))
+    if draw(st.booleans()):
+        # an antipodal pair on the first edge: its gap sits on the cut
+        a, b = g.edges[0]
+        init[a], init[b] = draw(st.sampled_from([(0.0, 1.0), (0.5, -0.5), (1.0, 0.0)]))
+    mu = draw(st.sampled_from([0.5, 0.25]) | st.floats(0.05, 0.5))
+    theta = draw(st.sampled_from([math.inf, 1.0, 0.9, 0.3, 0.05]))
+    with_xi = draw(st.booleans())
+    xi_values = draw(st.none() | st.lists(st.floats(0.0, 2.0), min_size=g.edge_count,
+                                          max_size=g.edge_count))
+    interval = draw(st.integers(1, 8))
+    horizon = 600.0 / g.edge_count
+    probes = sorted(set(draw(st.lists(st.floats(0.0, horizon), max_size=4))))
+    legs = draw(st.lists(st.tuples(st.integers(0, 400), st.none() | st.floats(0.0, horizon),
+                                   st.sampled_from([None, 1e-3, 1e-2, 0.5]), st.booleans()),
+                         min_size=1, max_size=3))
+    return (g, init, ModelParams(mu=mu, theta=theta), with_xi, xi_values,
+            draw(st.integers(0, 2**32)), interval, probes, legs)
+
+
+def tracker_legs(case):
+    """run_legs with a DifferenceTracker, carried over each restore; each
+    leg also reports the tracker's gaps and bounds."""
+    g, init, params, with_xi, xi_values, seed, interval, probes, legs = case
+    state = new_simulation(g, Explicit(init), params, stream=seed)
+    tracker = DifferenceTracker(state, with_xi=with_xi, xi_values=xi_values)
+    lists = tracker.delta.values, tracker.xi and tracker.xi.values
+    out = []
+    budget = 0
+    for more, max_time, w_below, split in legs:
+        budget += more
+        rec = run(state, stop=StopRule(max_events=budget, max_time=max_time, w_below=w_below,
+                                       w_check_interval=interval),
+                  probes=probes, observers=[tracker])
+        out.append((rec.stop_reason, rec.events_applied, rec.final_time, rec.samples,
+                    rec.terminal, bits(state.opinions), state.clock, state.pending,
+                    state.stream.rng.getstate(), bits(tracker.delta.values),
+                    tracker.xi and bits(tracker.xi.values)))
+        if split:
+            state = tracker.state = restore(snapshot(state))
+    # the kernel writes its values back into the tracker's own lists
+    assert all(a is b for a, b in zip(lists, (tracker.delta.values,
+                                              tracker.xi and tracker.xi.values)))
+    return out
+
+
+@contextmanager
+def tracker_calls():
+    """Count the tracker's apply_event calls, and those gated on the tracked
+    gap or taking the re-read at |gap| == 1."""
+    counts = SimpleNamespace(calls=0, gated=0, cut=0)
+    apply = DifferenceTracker.apply_event
+
+    def counted(self, ev):
+        gap = abs(self.delta.values[ev.edge_id])
+        counts.calls += 1
+        counts.gated += gap > self.state.params.theta
+        counts.cut += gap == 1.0 and gap <= self.state.params.theta
+        return apply(self, ev)
+
+    with mock.patch.object(DifferenceTracker, "apply_event", counted):
+        yield counts
+
+
+class TestKernelTracker:
+    """A Poisson run observed by one DifferenceTracker: the gap and bound
+    updates in C against the tracker's apply_event in the Python loop."""
+
+    @given(tracker_twin_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_tracker_runs_match_the_python_loop_bitwise(self, case):
+        with tracker_calls() as on:
+            got = tracker_legs(case)
+        with mock.patch.object(_kernel, "_lib", False), tracker_calls() as off:
+            want = tracker_legs(case)
+        assert got == want
+        events = got[-1][1]
+        assert off.calls == events
+        assert on.calls == (0 if _kernel.load() else events)
+        if off.gated:
+            event("a tracker event gated on its gap")
+        if off.cut:
+            event("a tracker re-read at |gap| == 1")
+
+    @pytest.mark.parametrize("tie", [1, 2])
+    @pytest.mark.parametrize("via", ["parked", "past a probe"])
+    def test_a_gap_on_the_cut_applied_alone(self, via, tie):
+        # the first event, on the antipodal edge 0, is one that cm_apply takes
+        # alone: parked by max_time, or drawn past a probe
+        g, init = build_path(3), [0.0, 1.0, 0.5]
+        seed = next(s for s in range(200)
+                    if PoissonStream(s).next_event(fresh(g, init)).tie == tie
+                    and PoissonStream(s).next_event(fresh(g, init)).edge_id == 0)
+
+        def legs(lib):
+            state = fresh(g, init, mu=0.25, stream=seed)
+            tracker = DifferenceTracker(state, with_xi=True)
+            with mock.patch.object(_kernel, "_lib", lib), tracker_calls() as calls:
+                if via == "parked":
+                    run(state, stop=StopRule(max_events=5, max_time=0.0), observers=[tracker])
+                    run(state, stop=StopRule(max_events=5), observers=[tracker])
+                else:
+                    run(state, stop=StopRule(max_events=5), probes=[0.0], observers=[tracker])
+            return (bits(state.opinions), bits(tracker.delta.values), bits(tracker.xi.values),
+                    calls.cut)
+
+        got, want = legs(_kernel.load()), legs(False)
+        assert got[:3] == want[:3]
+        assert want[3] >= 1
+
+    @pytest.mark.parametrize("misfit", ["two observers", "subclass", "xi of another graph",
+                                        "short delta"])
+    def test_a_tracker_the_kernel_cannot_take_runs_in_python(self, misfit):
+        def observed(lib):
+            state = fresh(build_ring(6), [0.0, 0.3, 0.6, 0.9, -0.8, -0.4], mu=0.25, stream=5)
+            tracker = (type("Sub", (DifferenceTracker,), {}) if misfit == "subclass"
+                       else DifferenceTracker)(state, with_xi=True)
+            observers = [tracker]
+            if misfit == "two observers":
+                observers.append(Noop())
+            elif misfit == "xi of another graph":
+                tracker.xi = xi_from_values(build_path(9))
+            elif misfit == "short delta":
+                tracker.delta.values.pop()
+            with mock.patch.object(_kernel, "_lib", lib), tracker_calls() as calls:
+                try:
+                    run(state, stop=StopRule(max_events=200), observers=observers)
+                except IndexError:
+                    pass  # the Python loop reads past the short gaps
+            return bits(state.opinions), tracker.delta.values, tracker.xi.values, calls.calls
+
+        got = observed(_kernel.load())
+        assert got == observed(False)
+        assert got[-1] == 200 or (misfit == "short delta" and got[-1] > 0)
 
 
 class TestSnapshot:

@@ -232,6 +232,11 @@ class TestAdjacencyIndex:
                 for v in range(g.vertex_count)] == list(g.incident_edges)
         assert g.degrees == tuple(map(len, g.incident_edges))
         assert not starts.flags.writeable and not ids.flags.writeable
+        starts, ids, signs = g.edge_neighbor_csr
+        assert [tuple(zip(ids[starts[e]:starts[e + 1]].tolist(),
+                          signs[starts[e]:starts[e + 1]].tolist()))
+                for e in range(g.edge_count)] == list(g.edge_neighbors)
+        assert not any(a.flags.writeable for a in g.edge_neighbor_csr)
 
     @pytest.mark.parametrize("g", [build_path(5), build_ring(7), build_torus([3, 4]),
                                    build_torus([4, 3, 5])], ids=lambda g: g.kind)
@@ -239,6 +244,10 @@ class TestAdjacencyIndex:
         starts, ids = g.incidence
         assert [tuple(ids[starts[v]:starts[v + 1]].tolist())
                 for v in range(g.vertex_count)] == list(g.incident_edges)
+        starts, ids, signs = g.edge_neighbor_csr
+        assert [tuple(zip(ids[starts[e]:starts[e + 1]].tolist(),
+                          signs[starts[e]:starts[e + 1]].tolist()))
+                for e in range(g.edge_count)] == list(g.edge_neighbors)
 
     def test_adjacent_edge_pairs_path(self):
         g = build_path(4)
