@@ -2,14 +2,14 @@
  * one DifferenceTracker of the run's own state.
  *
  * cm_run applies up to c->limit events of a PoissonStream run with the three
- * draws of engine._run_loop (wait, edge, tie bit). cm_apply applies one
- * event the engine hands over: the one a chunk drew past a probe, or a
- * parked pending event. Both go through apply_rule, which mirrors
- * opinion_space.update_pair_compass and update_pair_deffuant branch for
- * branch, so the opinions, the clock and the generator end bit for bit
- * where stepping engine.apply_event would leave them. When c->delta is set,
- * both then call track, which mirrors DifferenceTracker.apply_event branch
- * for branch, so the tracked gaps and bounds end bit for bit where the
+ * draws of engine._run_loop (wait, edge, tie bit). An event the engine holds
+ * (c->drawn set on entry: one drawn past a probe, or a parked pending event)
+ * is applied first and counted among them. Every event goes through
+ * apply_rule, which mirrors opinion_space.update_pair_compass and
+ * update_pair_deffuant branch for branch, so the opinions, the clock and the
+ * generator end bit for bit where stepping engine.apply_event would leave
+ * them. When c->delta is set, track then mirrors DifferenceTracker.apply_event
+ * branch for branch, so the tracked gaps and bounds end bit for bit where the
  * observer would leave them.
  *
  * The generator is CPython's MT19937 (Modules/_randommodule.c): the state
@@ -39,27 +39,25 @@
 struct cm_ctx {
     uint32_t *mt;           /* getstate()'s words: MT_N state words, then the
                                index of the next one (MT_N: regenerate first) */
-    const int64_t *edges;   /* m rows of (tail, head) */
+    const int64_t *edges;   /* m rows of (tail, head): Graph.edge_array */
     double *op;             /* the opinions */
     int64_t *edge_log;      /* when not NULL, the edge id of each applied event
                                since the last W test, nlog of them */
     int64_t nlog;
-    const int64_t *inc_start, *inc_ids; /* CSR incidence: the edges of vertex v
+    const int64_t *inc_start, *inc_ids; /* Graph.incidence: the edges of vertex v
                                are inc_ids[inc_start[v] .. inc_start[v + 1]) */
     double *d;              /* the tracked W test's edge distances */
     double *delta, *xi;     /* when delta is not NULL, a DifferenceTracker's m
                                gaps and, when xi is not NULL, its m bounds */
-    const int64_t *nb_start, *nb_ids, *nb_sign; /* CSR Graph.edge_neighbors: the
-                               neighbours of edge e and their coupling signs are
-                               at nb_start[e] .. nb_start[e + 1] */
     int64_t m;
     double mu, theta;
-    int64_t circle, gated, halfmu;
+    int64_t circle;
     double clock;           /* the time of the last applied event */
     double next_probe, max_time;
     int64_t limit;          /* apply at most this many events */
-    int64_t drawn;          /* out: 1 when (t, e, k) was drawn and not applied */
-    double t;               /* cm_run's drawn event out, cm_apply's event in */
+    int64_t drawn;          /* 1 when (t, e, k) is drawn and not applied: in, an
+                               event held; out, one past next_probe or max_time */
+    double t;
     int64_t e, k;
 };
 
@@ -118,24 +116,24 @@ static double wrap(double y)
 /* The pair update on edge e: update_pair_compass on the circle (tie bit
  * k), update_pair_deffuant on the interval. */
 static inline void apply_rule(double *op, const int64_t *edges, int64_t e, int64_t k,
-                              double mu, double theta, int circle, int gated, int halfmu)
+                              double mu, double theta, int circle)
 {
     const int64_t a = edges[2 * e], b = edges[2 * e + 1];
     const double xu = op[a], xv = op[b];
     const double diff = xu - xv, ad = fabs(diff);
 
-    if (gated && ((ad <= 1.0 || !circle) ? ad : 2.0 - ad) > theta)
+    if (((ad <= 1.0 || !circle) ? ad : 2.0 - ad) > theta)
         return; /* beyond the confidence bound: the clock moves, the pair does not */
     if (ad < 1.0 || !circle || (ad == 1.0 && sgn(xu) == sgn(xv))) {
         /* same signs at 1: the gap rounded up to 1 from inside the chart */
-        if (halfmu) {
+        if (mu == 0.5) {
             op[a] = op[b] = 0.5 * (xu + xv);
         } else {
             op[a] = xu - mu * diff;
             op[b] = xv + mu * diff;
         }
     } else if (ad > 1.0) {
-        if (halfmu) {
+        if (mu == 0.5) {
             op[a] = op[b] = wrap(0.5 * (xu + xv) + 1.0);
         } else {
             const double step = mu * (2.0 - ad);
@@ -160,34 +158,38 @@ static double opinion_gap(const struct cm_ctx *c, int64_t f)
     return wrap(fmod(c->op[c->edges[2 * f + 1]] - c->op[c->edges[2 * f]], 2.0));
 }
 
-/* DifferenceTracker.apply_event on edge e, after its pair update. */
-static void track(const struct cm_ctx *c, int64_t e, double mu, double theta)
+/* DifferenceTracker.apply_event on edge e, after its pair update. Its
+ * neighbours, the other edges at its tail and then at its head, come in the
+ * order of Graph.edge_neighbors. */
+static void track(const struct cm_ctx *c, int64_t e)
 {
+    const int64_t *edges = c->edges, *start = c->inc_start, *ids = c->inc_ids;
     double *delta = c->delta, *xi = c->xi;
-    const int64_t *ids = c->nb_ids, *sign = c->nb_sign;
-    const int64_t lo = c->nb_start[e], hi = c->nb_start[e + 1];
-    const double de = delta[e];
-    int64_t p;
+    const double mu = c->mu, de = delta[e], step = mu * de;
+    const double xstep = xi ? mu * xi[e] : 0.0;
+    /* on the cut the tie bit decided: re-read the gaps from the opinions */
+    const int reread = fabs(de) == 1.0;
+    int64_t j, p;
 
-    if (fabs(de) > theta)
+    if (fabs(de) > c->theta)
         return; /* gated on the tracked gap: neither delta nor xi moves */
-    if (fabs(de) == 1.0) {
-        /* on the cut the tie bit decided: re-read the gaps from the opinions */
-        for (p = lo; p < hi; p++)
-            delta[ids[p]] = opinion_gap(c, ids[p]);
-        delta[e] = opinion_gap(c, e);
-    } else {
-        const double step = mu * de;
-        for (p = lo; p < hi; p++)
-            delta[ids[p]] = wrap(delta[ids[p]] + (sign[p] > 0 ? step : -step));
-        delta[e] = (1.0 - 2.0 * mu) * de;
+    for (j = 0; j < 2; j++) {
+        const int64_t s = edges[2 * e + j];
+        for (p = start[s]; p < start[s + 1]; p++) {
+            const int64_t f = ids[p];
+            if (f == e)
+                continue;
+            if (reread)
+                delta[f] = opinion_gap(c, f);
+            else /* coupling +1 when exactly one of e and f has s as its head */
+                delta[f] = wrap(delta[f] + ((edges[2 * f + 1] == s) != j ? step : -step));
+            if (xi)
+                xi[f] += xstep;
+        }
     }
-    if (xi) {
-        const double xe = xi[e], step = mu * xe;
-        for (p = lo; p < hi; p++)
-            xi[ids[p]] += step;
-        xi[e] = (1.0 - 2.0 * mu) * xe;
-    }
+    delta[e] = reread ? opinion_gap(c, e) : (1.0 - 2.0 * mu) * de;
+    if (xi)
+        xi[e] = (1.0 - 2.0 * mu) * xi[e];
 }
 
 int64_t cm_run(struct cm_ctx *c)
@@ -195,15 +197,25 @@ int64_t cm_run(struct cm_ctx *c)
     const int64_t *edges = c->edges;
     double *op = c->op;
     const double m = (double)c->m, mu = c->mu, theta = c->theta;
-    const int circle = c->circle != 0, gated = c->gated != 0, halfmu = c->halfmu != 0;
+    const int circle = c->circle != 0;
     const double next_probe = c->next_probe, max_time = c->max_time;
     int64_t *edge_log = c->edge_log ? c->edge_log + c->nlog : NULL;
     const int64_t limit = c->limit;
     double clock = c->clock;
-    int64_t i;
+    int64_t i = 0;
 
-    c->drawn = 0;
-    for (i = 0; i < limit; i++) {
+    if (c->drawn) {
+        /* the event the engine held: apply it ahead of the draws */
+        apply_rule(op, edges, c->e, c->k, mu, theta, circle);
+        if (c->delta)
+            track(c, c->e);
+        clock = c->t;
+        if (edge_log)
+            edge_log[0] = c->e;
+        i = 1;
+        c->drawn = 0;
+    }
+    for (; i < limit; i++) {
         double t = clock - log(1.0 - random_random(c)) / m;
         int64_t e = (int64_t)(random_random(c) * m);
         int64_t k = random_random(c) < 0.5 ? 1 : 2;
@@ -214,9 +226,9 @@ int64_t cm_run(struct cm_ctx *c)
             c->k = k;
             break;
         }
-        apply_rule(op, edges, e, k, mu, theta, circle, gated, halfmu);
+        apply_rule(op, edges, e, k, mu, theta, circle);
         if (c->delta)
-            track(c, e, mu, theta);
+            track(c, e);
         clock = t;
         if (edge_log)
             edge_log[i] = e;
@@ -225,17 +237,6 @@ int64_t cm_run(struct cm_ctx *c)
     if (edge_log)
         c->nlog += i;
     return i;
-}
-
-void cm_apply(struct cm_ctx *c)
-{
-    apply_rule(c->op, c->edges, c->e, c->k, c->mu, c->theta, c->circle != 0,
-               c->gated != 0, c->halfmu != 0);
-    if (c->delta)
-        track(c, c->e, c->mu, c->theta);
-    c->clock = c->t;
-    if (c->edge_log)
-        c->edge_log[c->nlog++] = c->e;
 }
 
 double cm_recompute(struct cm_ctx *c)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import array
 import ctypes
-import math
 import os
 import shutil
 import subprocess
@@ -20,14 +19,15 @@ import warnings
 from hashlib import sha256
 from pathlib import Path
 
-import numpy as np
-
 __all__: list[str] = []  # private to the engine
 
 # -ffp-contract=off: no fused multiply-add, which would round differently
 # from the scalar rules; no -ffast-math or -march for the same reason.
 FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 _SOURCE = Path(__file__).with_name("_kernel.c")
+# the non-static functions of _kernel.c, name -> restype; each takes the
+# context pointer. Calling one without its restype reads its result as int.
+ENTRY_POINTS = {"cm_run": ctypes.c_int64, "cm_recompute": ctypes.c_double}
 
 # The loaded library, False once building or loading failed, None until the
 # first load(). Tests set it to False to run the Python loop instead.
@@ -47,15 +47,10 @@ class _Context(ctypes.Structure):
         ("d", ctypes.c_void_p),
         ("delta", ctypes.c_void_p),
         ("xi", ctypes.c_void_p),
-        ("nb_start", ctypes.c_void_p),
-        ("nb_ids", ctypes.c_void_p),
-        ("nb_sign", ctypes.c_void_p),
         ("m", ctypes.c_int64),
         ("mu", ctypes.c_double),
         ("theta", ctypes.c_double),
         ("circle", ctypes.c_int64),
-        ("gated", ctypes.c_int64),
-        ("halfmu", ctypes.c_int64),
         ("clock", ctypes.c_double),
         ("next_probe", ctypes.c_double),
         ("max_time", ctypes.c_double),
@@ -94,12 +89,9 @@ def _build():
         warnings.warn(f"compiled event kernel unavailable, using the Python loop: {detail}",
                       RuntimeWarning, stacklevel=3)
         return False
-    lib.cm_run.argtypes = [ctypes.c_void_p]
-    lib.cm_run.restype = ctypes.c_int64
-    lib.cm_apply.argtypes = [ctypes.c_void_p]
-    lib.cm_apply.restype = None
-    lib.cm_recompute.argtypes = [ctypes.c_void_p]
-    lib.cm_recompute.restype = ctypes.c_double
+    for name, restype in ENTRY_POINTS.items():
+        getattr(lib, name).argtypes = [ctypes.c_void_p]
+        getattr(lib, name).restype = restype
     return lib
 
 
@@ -114,77 +106,67 @@ def load():
 class Chunks:
     """One run's kernel context: a copy of the opinions and the generator.
 
-    The copy is the run's current profile: `advance` and `apply` apply
-    events in C and leave `state.opinions` behind until `sync`, which the
-    engine calls only where Python reads them: before probes, before
-    `_total_w`, and in `close`, which also hands the generator back.
+    The copy is the run's current profile: `advance` applies events in C and
+    leaves `state.opinions` behind until `sync`, which the engine calls only
+    where Python reads them: before probes, before `_total_w`, and in
+    `close`, which also hands the generator back. The next `advance` first
+    applies, and counts, the event given to `hold`.
 
-    Given the tracked W test's distances `d`, the kernel logs the edge of
+    The kernel reads the graph's int64 `edge_array` and `incidence` in
+    place. Given the tracked W test's distances `d`, it logs the edge of
     every event since the last test, and `recompute` updates `d` around
     them in C.
 
     Given a DifferenceTracker of the state, whose gaps (and bounds, if any)
-    the engine has checked to hold one entry per edge, the kernel updates
-    copies of them after every event, as the tracker's `apply_event` would;
+    `run` has checked to hold one entry per edge, the kernel updates copies
+    of them after every event, as the tracker's `apply_event` would;
     `close` writes them back into the tracker's lists in place.
     """
 
     def __init__(self, lib, state, rng, max_time: float, d, log_size: int, tracker=None):
-        g, params = state.graph, state.params
-        circle = state.space == "circle"
+        g = state.graph
         self._run = lib.cm_run
-        self._apply = lib.cm_apply
         self._recompute = lib.cm_recompute
         self.opinions = state.opinions
         self.rng = rng
         self.stale = False
-        # kept referenced: the kernel holds pointers into these buffers
+        # kept referenced: the kernel holds pointers into these buffers (the
+        # graph, which the run holds, keeps its own tables)
         self.buf = array.array("d", state.opinions)
-        self._edge_array = np.ascontiguousarray(g.edge_array, dtype=np.int64)
         self.d = d
         self.version, words, self.gauss = rng.getstate()
         self.mt = array.array("I", words)
         ctx = self.ctx = _Context()
         ctx.mt = self.mt.buffer_info()[0]
-        ctx.edges = self._edge_array.ctypes.data
+        ctx.edges = g.edge_array.ctypes.data
         ctx.op = self.buf.buffer_info()[0]
+        ctx.inc_start, ctx.inc_ids = (a.ctypes.data for a in g.incidence)
         if d is not None:
             self.log = array.array("q", bytes(8 * log_size))
-            self._incidence = [np.ascontiguousarray(a, dtype=np.int64) for a in g.incidence]
             ctx.edge_log = self.log.buffer_info()[0]
-            ctx.inc_start = self._incidence[0].ctypes.data
-            ctx.inc_ids = self._incidence[1].ctypes.data
             ctx.d = d.buffer_info()[0]
         self.tracker = tracker
         if tracker is not None:
             self.delta = array.array("d", tracker.delta.values)
-            self._neighbors = [np.ascontiguousarray(a, dtype=np.int64)
-                               for a in g.edge_neighbor_csr]
             ctx.delta = self.delta.buffer_info()[0]
-            ctx.nb_start, ctx.nb_ids, ctx.nb_sign = (a.ctypes.data for a in self._neighbors)
             if tracker.xi is not None:
                 self.xi = array.array("d", tracker.xi.values)
                 ctx.xi = self.xi.buffer_info()[0]
         ctx.m = g.edge_count
-        ctx.mu, ctx.theta = params.mu, params.theta
-        ctx.circle = circle
-        # circle distances never exceed 1, so a theta of 1 or more gates nothing
-        ctx.gated = params.theta < (1.0 if circle else math.inf)
-        ctx.halfmu = params.mu == 0.5
+        ctx.mu, ctx.theta = state.params.mu, state.params.theta
+        ctx.circle = state.space == "circle"
         ctx.clock = state.clock
         ctx.max_time = max_time
         self.address = ctypes.addressof(ctx)
 
-    def _room(self, events: int) -> None:
-        if self.d is not None and self.ctx.nlog + events > len(self.log):
-            # the engine tests W at least every log_size events; the C log has no more room
-            raise RuntimeError(f"{events} more events would overrun the edge log")
-
     def advance(self, limit: int, next_probe: float):
-        """Apply up to limit events; return how many, the clock, and the event
-        drawn past next_probe or max_time, unapplied, as (t, e, k) or None."""
-        self._room(limit)
+        """Apply up to limit events, the held one first; return how many, the
+        clock, and the event drawn past next_probe or max_time, unapplied,
+        as (t, e, k) or None."""
         ctx = self.ctx
+        if self.d is not None and ctx.nlog + limit > len(self.log):
+            # the engine tests W at least every log_size events; the C log has no more room
+            raise RuntimeError(f"{limit} more events would overrun the edge log")
         ctx.limit = limit
         ctx.next_probe = next_probe
         done = self._run(self.address)
@@ -192,12 +174,10 @@ class Chunks:
             self.stale = True
         return done, ctx.clock, (ctx.t, ctx.e, ctx.k) if ctx.drawn else None
 
-    def apply(self, t: float, e: int, k: int) -> None:
-        """Apply one event that `advance` did not: a drawn or a parked one."""
-        self._room(1)
-        self.ctx.t, self.ctx.e, self.ctx.k = t, e, k
-        self._apply(self.address)
-        self.stale = True
+    def hold(self, t: float, e: int, k: int) -> None:
+        """Hold one event for the next `advance` to apply first."""
+        ctx = self.ctx
+        ctx.t, ctx.e, ctx.k, ctx.drawn = t, e, k, 1
 
     def sync(self) -> None:
         """Bring the opinions up to the kernel's copy."""

@@ -103,14 +103,16 @@ class ScriptedStream:
         evs = tuple(Event(float(e.time), int(e.edge_id), int(e.tie)) if isinstance(e, Event)
                     else Event(float(e[0]), int(e[1]), int(e[2]) if len(e) > 2 else 1)
                     for e in events)
+        for i, e in enumerate(evs):
+            if not math.isfinite(e.time):
+                raise ValueError(f"event {i} has time {e.time!r}, must be finite")
+            if e.tie not in (1, 2):
+                raise ValueError(f"event {i} has tie {e.tie!r}, must be 1 or 2")
         for i in range(1, len(evs)):
             if evs[i].time <= evs[i - 1].time:
                 raise ValueError(
                     f"scripted times must be strictly increasing, events {i - 1} and {i} "
                     f"have times {evs[i - 1].time} and {evs[i].time}")
-        for i, e in enumerate(evs):
-            if e.tie not in (1, 2):
-                raise ValueError(f"event {i} has tie {e.tie!r}, must be 1 or 2")
         if not 0 <= cursor <= len(evs):
             raise ValueError(f"cursor {cursor} out of range")
         self.events = evs
@@ -389,18 +391,32 @@ def run(state: SimState, stream=None, stop: StopRule | None = None,
 
     A DifferenceTracker observer must track this very state: one of another
     state (a twin, or the state a snapshot was taken of) would re-read that
-    state's opinions and drift, so it raises ValueError.
+    state's opinions and drift. Such a tracker, one whose gaps or bounds are
+    not one per edge of a graph equal to the state's, opinions that are not
+    one per vertex, and a Poisson stream on a graph without edges raise
+    ValueError before the first event, with the state untouched.
     """
     observers = tuple(observers)
+    g = state.graph
+    if len(state.opinions) != g.vertex_count:
+        raise ValueError(f"expected {g.vertex_count} opinions, got {len(state.opinions)}")
     for obs in observers:
-        if isinstance(obs, DifferenceTracker) and obs.state is not state:
+        if not isinstance(obs, DifferenceTracker):
+            continue
+        if obs.state is not state:
             raise ValueError("a DifferenceTracker observer must track the state being run; "
                              "set its .state to this state")
-    if stream is not None:
-        state.stream = stream
-    stream = state.stream
+        for values in (obs.delta, obs.xi):
+            if values is not None and not (values.graph == g
+                                           and len(values.values) == g.edge_count):
+                raise ValueError("a DifferenceTracker's gaps and bounds must hold one entry "
+                                 "per edge of the state's graph")
+    stream = stream if stream is not None else state.stream
     if stream is None:
         raise ValueError("no event stream attached to the state")
+    if isinstance(stream, PoissonStream) and not g.edge_count:
+        raise ValueError("a Poisson stream needs a graph with at least one edge")
+    state.stream = stream
     if stop is None:
         if not isinstance(stream, ScriptedStream):
             raise ValueError("a stop rule is required unless the stream is scripted")
@@ -420,7 +436,6 @@ def run(state: SimState, stream=None, stop: StopRule | None = None,
     reason = _run_loop(state, stream, stop, probes, samples, observers)
     wall = _time.perf_counter() - t0
 
-    g = state.graph
     final = analysis.compute_metrics(g, state.opinions, state.space,
                                      at_time=state.clock)
     cls = analysis.consensus_classify(final, tol)
@@ -477,16 +492,17 @@ def _run_loop(state: SimState, stream, stop: StopRule, probes, samples,
     is stepping apply_event (a property the tests pin down).
 
     A Poisson run without observers, or whose one observer is a
-    DifferenceTracker with one gap (and bound) per edge of this graph,
-    hands every event to the compiled kernel (`_kernel.c`) when it loads:
-    in chunks that end where the W test or the budget is due or at an event
-    drawn past the next probe or max_time, and one by one for that drawn
-    event, after its probes, and for a parked one. The kernel then updates
-    the tracker's gaps and bounds in C after every event, and the loop does
-    not call the tracker. Every W test, probe and stop decision stays here.
-    The kernel's opinions reach `state.opinions` only before probes, before
-    `_total_w` (see `_WTest`, whose distance updates run in C too) and at
-    the end; the tracker's values reach its lists at the end.
+    DifferenceTracker (which `run` has checked), hands every event to the
+    compiled kernel (`_kernel.c`) when it loads, in chunks that end where
+    the W test or the budget is due or at an event drawn past the next
+    probe or max_time. That drawn event, after its probes, and a parked
+    one are held, and the next chunk applies and counts them first. The
+    kernel then updates the tracker's gaps and bounds in C after every
+    event, and the loop does not call the tracker. Every W test, probe and
+    stop decision stays here. The kernel's opinions reach `state.opinions`
+    only before probes, before `_total_w` (see `_WTest`, whose distance
+    updates run in C too) and at the end; the tracker's values reach its
+    lists at the end.
     """
     g = state.graph
     space = state.space
@@ -517,16 +533,10 @@ def _run_loop(state: SimState, stream, stop: StopRule, probes, samples,
     next_probe = probes[pi] if probes else math.inf
     pending = state.pending
     kernel = None
-    # the kernel writes a tracker's values unchecked: they must hold one
-    # entry per edge, of a graph equal to this one (a resumed run's graph is
-    # rebuilt, so it is equal but not the same object)
     tracker = observers[0] if len(observers) == 1 else None
-    if not (type(tracker) is DifferenceTracker and tracker.delta.graph == g
-            and len(tracker.delta.values) == m
-            and (tracker.xi is None or (tracker.xi.graph == g and len(tracker.xi.values) == m))):
+    if type(tracker) is not DifferenceTracker:
         tracker = None
-    if (poisson and (not observers or tracker) and m and len(op) == g.vertex_count
-            and type(stream.rng) is random.Random):
+    if poisson and (not observers or tracker) and type(stream.rng) is random.Random:
         # imported here, so ctypes and the compiler stay out of the package import
         from . import _kernel
         lib = _kernel.load()
@@ -583,15 +593,15 @@ def _run_loop(state: SimState, stream, stop: StopRule, probes, samples,
                 next_probe = probes[pi] if pi < len(probes) else math.inf
 
             if kernel:
-                kernel.apply(t, e, k)
+                kernel.hold(t, e, k)
+                continue
+            a, b = edges[e]
+            if circle:
+                op[a], op[b] = compass(op[a], op[b], params, k)
             else:
-                a, b = edges[e]
-                if circle:
-                    op[a], op[b] = compass(op[a], op[b], params, k)
-                else:
-                    op[a], op[b] = deffuant(op[a], op[b], params)
-                if note:
-                    note(e)
+                op[a], op[b] = deffuant(op[a], op[b], params)
+            if note:
+                note(e)
             clock = t
             count += 1
             if observers:
@@ -607,7 +617,7 @@ def _run_loop(state: SimState, stream, stop: StopRule, probes, samples,
         if kernel:
             kernel.close()
 
-    while next_probe <= clock or (reason == "schedule_exhausted" and pi < len(probes)):
+    while pi < len(probes) and (next_probe <= clock or reason == "schedule_exhausted"):
         samples.append(compute(g, op, space, at_time=next_probe))
         pi += 1
         next_probe = probes[pi] if pi < len(probes) else math.inf
@@ -731,6 +741,8 @@ def _restore(r: _Reader) -> SimState:
         raise SnapshotError(f"unknown space code {space_code}")
     mu, theta, clock, events_applied = r.take("<dddQ")
     params = ModelParams(mu=mu, theta=theta)
+    if not math.isfinite(clock):
+        raise SnapshotError(f"clock {clock} is not finite")
     (has_pending,) = r.take("<B")
     pending = None
     if has_pending == 1:
@@ -750,13 +762,14 @@ def _restore(r: _Reader) -> SimState:
         g = Graph("custom", n, edges)
     else:
         raise SnapshotError(f"unknown graph kind code {kind_code}")
-    if pending is not None and not (pending.edge_id < g.edge_count
-                                    and pending.tie in (1, 2) and pending.time >= clock):
+    if pending is not None and not (pending.edge_id < g.edge_count and pending.tie in (1, 2)
+                                    and clock <= pending.time < math.inf):
         raise SnapshotError(
             f"pending event {pending} needs an edge id below {g.edge_count}, "
-            f"tie 1 or 2 and a time not before the clock {clock}")
+            f"tie 1 or 2 and a finite time not before the clock {clock}")
 
-    opinions = list(r.take(f"<{n}d"))
+    # checked as a start is: in the space's chart
+    opinions = initial_opinions(Explicit(r.take(f"<{n}d")), n, _SPACE_NAMES[space_code])
 
     (stream_code,) = r.take("<B")
     if stream_code == 0:

@@ -40,9 +40,9 @@ class Graph:
         if set(map(len, edges)) - {2}:
             raise ValueError("every edge must be a (tail, head) pair")
         try:
-            arr = np.fromiter(chain.from_iterable(edges), dtype=np.intp, count=2 * len(edges))
+            arr = np.fromiter(chain.from_iterable(edges), dtype=np.int64, count=2 * len(edges))
         except OverflowError:  # endpoints beyond the index type are out of range anyway
-            arr = np.clip(np.array(edges, dtype=object), -1, n).astype(np.intp)
+            arr = np.clip(np.array(edges, dtype=object), -1, n).astype(np.int64)
         arr = arr.reshape(-1, 2)
         a, b = arr[:, 0], arr[:, 1]
         outside = (a < 0) | (a >= n) | (b < 0) | (b >= n)
@@ -100,12 +100,12 @@ class Graph:
 
     @cached_property
     def incidence(self) -> tuple[np.ndarray, np.ndarray]:
-        """incident_edges as read-only CSR arrays (starts, ids): the edges of
-        vertex v are ids[starts[v]:starts[v + 1]], in id order."""
+        """incident_edges as read-only int64 CSR arrays (starts, ids): the
+        edges of vertex v are ids[starts[v]:starts[v + 1]], in id order."""
         # tail 0, head 0, tail 1, ...: a stable sort keeps each vertex's ids
         # ascending, since no edge meets one vertex twice
-        ids = np.argsort(self.edge_array.ravel(), kind="stable") // 2
-        starts = np.zeros(self.vertex_count + 1, dtype=np.intp)
+        ids = np.argsort(self.edge_array.ravel(), kind="stable").astype(np.int64, copy=False) // 2
+        starts = np.zeros(self.vertex_count + 1, dtype=np.int64)
         np.cumsum(np.bincount(self.edge_array.ravel(), minlength=self.vertex_count),
                   out=starts[1:])
         ids.setflags(write=False)
@@ -142,28 +142,13 @@ class Graph:
         return tuple(out)
 
     @cached_property
-    def edge_neighbor_csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """edge_neighbors as read-only CSR arrays (starts, ids, signs): the
-        neighbors of edge e are ids[starts[e]:starts[e + 1]], in
-        edge_neighbors order, with their coupling signs alongside."""
-        nb = self.edge_neighbors
-        starts = np.zeros(self.edge_count + 1, dtype=np.intp)
-        np.cumsum([len(pairs) for pairs in nb], dtype=np.intp, out=starts[1:])
-        flat = np.array([x for pairs in nb for pair in pairs for x in pair],
-                        dtype=np.intp).reshape(-1, 2)
-        ids, signs = flat[:, 0].copy(), flat[:, 1].copy()
-        for a in (starts, ids, signs):
-            a.setflags(write=False)
-        return starts, ids, signs
-
-    @cached_property
     def adjacent_edge_pairs(self) -> tuple[tuple[int, int], ...]:
         """edge_pair_array as a sorted tuple of (lower id, higher id) pairs."""
         return tuple(sorted(map(tuple, self.edge_pair_array.tolist())))
 
     @property
     def edge_array(self) -> np.ndarray:
-        """The edges as a read-only (m, 2) array of (tail, head) rows, by id."""
+        """The edges as a read-only int64 (m, 2) array of (tail, head) rows, by id."""
         return self._edge_array
 
     @cached_property

@@ -3,6 +3,7 @@ import math
 import random
 import re
 import shutil
+import signal
 import struct
 import subprocess
 import time
@@ -11,6 +12,7 @@ from functools import partial
 from types import SimpleNamespace
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
@@ -19,7 +21,7 @@ from compassmodel import (Constant, DifferenceTracker, Event, Explicit, Graph,
                           IidUniform, ModelParams, PoissonStream, ScheduleExhausted,
                           ScriptedStream, SimState, SnapshotError, StopRule, apply_event,
                           build_path, build_ring, build_torus, derive_seed,
-                          initial_opinions, new_simulation, restore, run,
+                          graph_from_edges, initial_opinions, new_simulation, restore, run,
                           snapshot, xi_from_values)
 from compassmodel import _kernel, engine
 from compassmodel.engine import _total_w
@@ -28,6 +30,21 @@ from compassmodel.engine import _total_w
 class Noop:
     def apply_event(self, ev):
         pass
+
+
+@contextmanager
+def deadline(seconds):
+    """Fail the block, instead of hanging, when it runs longer than seconds."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
 
 
 def fresh(graph, values, mu=0.5, theta=math.inf, space="circle", stream=None):
@@ -94,6 +111,13 @@ class TestScriptedStream:
     def test_bad_cursor_rejected(self):
         with pytest.raises(ValueError, match="cursor"):
             ScriptedStream([(0.5, 0)], cursor=2)
+
+    @pytest.mark.parametrize("events", [[(math.inf, 0, 1)], [(math.nan, 0, 1), (1.0, 1, 1)],
+                                        [(0.5, 0, 1), (-math.inf, 1, 1)]])
+    def test_non_finite_times_rejected(self, events):
+        # an event at +inf used to hang the run; one at NaN was applied
+        with deadline(2.0), pytest.raises(ValueError, match="must be finite"):
+            run(new_simulation(build_path(3), Constant(0.1), stream=ScriptedStream(events)))
 
 
 class TestInitialOpinions:
@@ -370,6 +394,39 @@ class TestRun:
         assert (state.opinions, state.clock, state.events_applied) == \
             (start().opinions, 1.0, 1)
 
+    @pytest.mark.parametrize("lib", ["kernel", "python"])
+    @pytest.mark.parametrize("case", ["short opinions", "long opinions", "edgeless graph"])
+    def test_malformed_inputs_are_refused_before_the_first_event(self, case, lib):
+        if case == "edgeless graph":
+            state = new_simulation(graph_from_edges(1, []), Constant(0.5))
+        else:
+            state = fresh(build_ring(5), [0.1, 0.2, 0.3, 0.4, 0.5])
+            if case == "short opinions":
+                state.opinions.pop()
+            else:
+                state.opinions.append(0.6)
+        before = (list(state.opinions), state.clock, state.events_applied, state.stream)
+        stream = PoissonStream(3)
+        with mock.patch.object(_kernel, "_lib", _kernel.load() if lib == "kernel" else False), \
+                pytest.raises(ValueError, match="opinions|at least one edge"):
+            run(state, stream=stream, stop=StopRule(max_events=10))
+        assert (state.opinions, state.clock, state.events_applied, state.stream) == before
+        assert stream.rng.getstate() == PoissonStream(3).rng.getstate()
+
+    @pytest.mark.parametrize("probes", [(), (0.5, 2.0)])
+    @pytest.mark.parametrize("start", ["clock", "pending"])
+    def test_a_clock_at_infinity_returns(self, start, probes):
+        # a state built by hand can still reach +inf; the probes then run out
+        state = fresh(build_path(3), [0.1, 0.5, -0.5], mu=0.25, stream=4)
+        if start == "clock":
+            state.clock = math.inf
+        else:
+            state.pending = Event(math.inf, 0, 1)
+        with deadline(2.0):
+            rec = run(state, stop=StopRule(max_events=10), probes=probes)
+        assert (rec.events_applied, rec.final_time, len(rec.samples)) == \
+            (10, math.inf, len(probes))
+
     @given(st.integers(min_value=0, max_value=2**32))
     @settings(max_examples=20, deadline=None)
     def test_event_count_honors_budget(self, seed):
@@ -526,9 +583,9 @@ def kernel_calls():
 @contextmanager
 def rule_calls():
     """Count the scalar rule calls through the engine, the events that
-    kernel chunks apply, and the events the kernel applies one by one."""
-    counts = SimpleNamespace(rules=0, chunked=0, applied=0)
-    advance, apply = _kernel.Chunks.advance, _kernel.Chunks.apply
+    kernel chunks apply, and the events the engine holds for a chunk."""
+    counts = SimpleNamespace(rules=0, chunked=0, held=0)
+    advance, hold = _kernel.Chunks.advance, _kernel.Chunks.hold
 
     def counted(rule):
         def call(*args):
@@ -541,15 +598,15 @@ def rule_calls():
         counts.chunked += out[0]
         return out
 
-    def counted_apply(self, *args):
-        counts.applied += 1
-        return apply(self, *args)
+    def counted_hold(self, *args):
+        counts.held += 1
+        return hold(self, *args)
 
     with mock.patch.object(engine, "update_pair_compass", counted(engine.update_pair_compass)), \
             mock.patch.object(engine, "update_pair_deffuant",
                               counted(engine.update_pair_deffuant)), \
             mock.patch.object(_kernel.Chunks, "advance", counted_advance), \
-            mock.patch.object(_kernel.Chunks, "apply", counted_apply):
+            mock.patch.object(_kernel.Chunks, "hold", counted_hold):
         yield counts
 
 
@@ -739,6 +796,42 @@ class TestKernel:
         kinds = {ctypes.c_void_p: "pointer", ctypes.c_int64: "int64_t", ctypes.c_double: "double"}
         assert [(name, kinds[kind]) for name, kind in _kernel._Context._fields_] == fields
 
+    def test_the_entry_points_match_the_source(self):
+        # a C function called without its restype returns garbage silently
+        source = re.sub(r"/\*.*?\*/", "", _kernel._SOURCE.read_text(), flags=re.S)
+        defined = re.findall(r"^(?!static\b)(\w+)\s+(\w+)\(([^)]*)\)\s*\{", source, re.M)
+        restypes = {"int64_t": ctypes.c_int64, "double": ctypes.c_double, "void": None}
+        assert {name: restypes[ret] for ret, name, _ in defined} == _kernel.ENTRY_POINTS
+        assert {args for *_, args in defined} == {"struct cm_ctx *c"}
+        lib = _kernel.load()
+        if lib:
+            for name, restype in _kernel.ENTRY_POINTS.items():
+                assert getattr(lib, name).restype is restype
+                assert getattr(lib, name).argtypes == [ctypes.c_void_p]
+
+    @pytest.mark.parametrize("g,tracked", [(build_ring(9), True), (build_torus([6, 6]), False)],
+                             ids=["ring, tracker", "torus, W test"])
+    def test_the_kernel_reads_the_graph_tables_without_copies(self, g, tracked):
+        if _kernel.load() is None:
+            pytest.skip("no compiled kernel")
+        contexts = []
+        advance = _kernel.Chunks.advance
+
+        def seen(self, *args):
+            contexts.append(self.ctx)
+            return advance(self, *args)
+
+        state = new_simulation(g, IidUniform(4), ModelParams(mu=0.25), stream=6)
+        observers = [DifferenceTracker(state, with_xi=True)] if tracked else []
+        with mock.patch.object(_kernel.Chunks, "advance", seen):
+            run(state, stop=StopRule(max_events=500, w_below=1e-9, w_check_interval=2),
+                observers=observers)
+        starts, ids = g.incidence
+        for table in (g.edge_array, starts, ids):
+            assert table.dtype == np.int64 and table.flags.c_contiguous
+        assert contexts and {(c.edges, c.inc_start, c.inc_ids) for c in contexts} == \
+            {(g.edge_array.ctypes.data, starts.ctypes.data, ids.ctypes.data)}
+
     @given(twin_cases())
     @settings(max_examples=300, deadline=None)
     def test_kernel_runs_match_the_python_loop_bitwise(self, case):
@@ -752,15 +845,14 @@ class TestKernel:
         drew = got[-1][-1] != random.Random(case[4]).getstate()
         assert bool(calls) == (drew and _kernel.load() is not None)
         # the Python loop applies each event with one scalar rule call; a
-        # kernel run applies every event in C, past probes, at max_time parks
-        # and resumed pending events too
+        # kernel run applies every event in a chunk, the held ones (drawn
+        # past probes, or parked at max_time and resumed) too
         events = got[-1][1]
-        assert (python_loop.rules, python_loop.applied) == (events, 0)
+        assert (python_loop.rules, python_loop.held) == (events, 0)
         if _kernel.load():
-            assert on.rules == 0
-            assert on.chunked + on.applied == events
+            assert (on.rules, on.chunked) == (0, events)
         else:
-            assert (on.rules, on.applied) == (events, 0)
+            assert (on.rules, on.held) == (events, 0)
 
 
 @st.composite
@@ -943,8 +1035,8 @@ class TestKernelTracker:
     @pytest.mark.parametrize("tie", [1, 2])
     @pytest.mark.parametrize("via", ["parked", "past a probe"])
     def test_a_gap_on_the_cut_applied_alone(self, via, tie):
-        # the first event, on the antipodal edge 0, is one that cm_apply takes
-        # alone: parked by max_time, or drawn past a probe
+        # the first event, on the antipodal edge 0, is one the engine holds
+        # for the next chunk: parked by max_time, or drawn past a probe
         g, init = build_path(3), [0.0, 1.0, 0.5]
         seed = next(s for s in range(200)
                     if PoissonStream(s).next_event(fresh(g, init)).tie == tie
@@ -967,10 +1059,14 @@ class TestKernelTracker:
         assert want[3] >= 1
 
     @pytest.mark.parametrize("misfit", ["two observers", "subclass", "xi of another graph",
-                                        "short delta"])
+                                        "short delta", "xi of another graph as long"])
     def test_a_tracker_the_kernel_cannot_take_runs_in_python(self, misfit):
+        # trackers that do not fit the graph are refused before any event
+        refused = misfit not in ("two observers", "subclass")
+
         def observed(lib):
             state = fresh(build_ring(6), [0.0, 0.3, 0.6, 0.9, -0.8, -0.4], mu=0.25, stream=5)
+            start = bits(state.opinions), state.stream.rng.getstate()
             tracker = (type("Sub", (DifferenceTracker,), {}) if misfit == "subclass"
                        else DifferenceTracker)(state, with_xi=True)
             observers = [tracker]
@@ -978,18 +1074,39 @@ class TestKernelTracker:
                 observers.append(Noop())
             elif misfit == "xi of another graph":
                 tracker.xi = xi_from_values(build_path(9))
+            elif misfit == "xi of another graph as long":
+                tracker.xi = xi_from_values(build_path(7))
             elif misfit == "short delta":
                 tracker.delta.values.pop()
             with mock.patch.object(_kernel, "_lib", lib), tracker_calls() as calls:
-                try:
+                if refused:
+                    with pytest.raises(ValueError, match="one entry per edge"):
+                        run(state, stop=StopRule(max_events=200), observers=observers)
+                    assert (bits(state.opinions), state.stream.rng.getstate()) == start
+                else:
                     run(state, stop=StopRule(max_events=200), observers=observers)
-                except IndexError:
-                    pass  # the Python loop reads past the short gaps
             return bits(state.opinions), tracker.delta.values, tracker.xi.values, calls.calls
 
         got = observed(_kernel.load())
         assert got == observed(False)
-        assert got[-1] == 200 or (misfit == "short delta" and got[-1] > 0)
+        assert got[-1] == (0 if refused else 200)
+
+    def test_a_resumed_tracked_run_needs_no_edge_neighbors(self):
+        # the kernel walks the incidence; edge_neighbors is a Python loop over
+        # the edges, which a restored graph would rebuild for every leg
+        if _kernel.load() is None:
+            pytest.skip("no compiled kernel")
+        state = new_simulation(build_ring(300), IidUniform(5), ModelParams(mu=0.25), stream=7)
+        tracker = DifferenceTracker(state, with_xi=True)
+        graphs = []
+        for leg in range(1, 4):
+            graphs.append(state.graph)
+            with tracker_calls() as calls:
+                run(state, stop=StopRule(max_events=1000 * leg), observers=[tracker])
+            assert calls.calls == 0
+            state = tracker.state = restore(snapshot(state))
+        assert len({id(g) for g in graphs}) == 3
+        assert not any("edge_neighbors" in vars(g) for g in graphs)
 
 
 class TestSnapshot:
@@ -1122,6 +1239,32 @@ class TestSnapshot:
         with pytest.raises(SnapshotError):
             restore(bytes(blob))
 
+    @pytest.mark.parametrize("field", ["clock", "pending time"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_a_non_finite_clock_is_refused(self, field, value):
+        # a restored clock or pending event at +inf used to hang the run
+        state = fresh(build_path(3), [0.1, 0.5, -0.5], mu=0.3, stream=1)
+        if field == "pending time":
+            state.pending = Event(2.0, 0, 1)
+        blob = bytearray(snapshot(state))
+        at = struct.calcsize("<4sHB") + (16 if field == "clock" else 32 + 1)
+        assert struct.unpack_from("<d", blob, at) == ((0.0, 2.0)[field != "clock"],)
+        struct.pack_into("<d", blob, at, value)
+        with deadline(2.0), pytest.raises(SnapshotError, match="clock|pending"):
+            run(restore(bytes(blob)), stop=StopRule(max_events=10))
+
+    @pytest.mark.parametrize("space,value", [("circle", math.nan), ("circle", 5.0),
+                                             ("circle", -1.0), ("circle", math.inf),
+                                             ("interval", 1.5), ("interval", -0.1)])
+    def test_opinions_outside_the_chart_are_refused(self, space, value):
+        state = fresh(build_ring(4), [0.1, 0.5, 0.25, 0.0], space=space, stream=1)
+        blob = bytearray(snapshot(state))
+        at = struct.calcsize("<4sHB") + struct.calcsize("<dddQ") + 1 + struct.calcsize("<BI")
+        assert struct.unpack_from("<4d", blob, at) == tuple(state.opinions)
+        struct.pack_into("<d", blob, at + 16, value)
+        with pytest.raises(SnapshotError, match="outside"):
+            restore(bytes(blob))
+
     @pytest.mark.parametrize("graph", [build_ring(6), build_torus([3, 3])])
     def test_vertex_count_checked_before_the_graph_is_built(self, graph, monkeypatch):
         state = new_simulation(graph, Constant(0.25), ModelParams(), stream=1)
@@ -1195,11 +1338,18 @@ class TestSnapshot:
                 blob[at] = value & 0xFF
             elif op == "word":
                 blob[at:at + 4] = struct.pack("<I", value)
+        _kernel.load()  # a first build of the kernel is not part of the bound
         start = time.perf_counter()
         try:
-            restore(bytes(blob))
+            state = restore(bytes(blob))
         except SnapshotError:
             pass
+        else:
+            # what restores must run, or refuse to, like any state
+            try:
+                run(state, stop=StopRule(max_events=10))
+            except ValueError:
+                pass
         assert time.perf_counter() - start < 1.0
 
 

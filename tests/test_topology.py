@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -211,6 +212,19 @@ class TestGraphValidation:
                 Graph("custom", 3, edges)
 
 
+def incidence_walk(g):
+    """edge_neighbors as the compiled kernel's `track` reads it from the
+    incidence: the other edges at each edge's tail, then at its head, with
+    sign +1 when exactly one of the two edges has the shared vertex as its
+    head."""
+    starts, ids = g.incidence
+    edges = g.edge_array.tolist()
+    return [tuple((f, 1 if (edges[f][1] == s) != j else -1)
+                  for j, s in enumerate(edges[e])
+                  for f in ids[starts[s]:starts[s + 1]].tolist() if f != e)
+            for e in range(g.edge_count)]
+
+
 class TestAdjacencyIndex:
     def test_incident_edges_agree_with_edge_list(self):
         for g in (build_path(7), build_ring(6), build_torus([3, 3])):
@@ -232,11 +246,8 @@ class TestAdjacencyIndex:
                 for v in range(g.vertex_count)] == list(g.incident_edges)
         assert g.degrees == tuple(map(len, g.incident_edges))
         assert not starts.flags.writeable and not ids.flags.writeable
-        starts, ids, signs = g.edge_neighbor_csr
-        assert [tuple(zip(ids[starts[e]:starts[e + 1]].tolist(),
-                          signs[starts[e]:starts[e + 1]].tolist()))
-                for e in range(g.edge_count)] == list(g.edge_neighbors)
-        assert not any(a.flags.writeable for a in g.edge_neighbor_csr)
+        assert incidence_walk(g) == list(g.edge_neighbors)
+        assert starts.dtype == ids.dtype == g.edge_array.dtype == np.int64
 
     @pytest.mark.parametrize("g", [build_path(5), build_ring(7), build_torus([3, 4]),
                                    build_torus([4, 3, 5])], ids=lambda g: g.kind)
@@ -244,10 +255,8 @@ class TestAdjacencyIndex:
         starts, ids = g.incidence
         assert [tuple(ids[starts[v]:starts[v + 1]].tolist())
                 for v in range(g.vertex_count)] == list(g.incident_edges)
-        starts, ids, signs = g.edge_neighbor_csr
-        assert [tuple(zip(ids[starts[e]:starts[e + 1]].tolist(),
-                          signs[starts[e]:starts[e + 1]].tolist()))
-                for e in range(g.edge_count)] == list(g.edge_neighbors)
+        assert incidence_walk(g) == list(g.edge_neighbors)
+        assert starts.dtype == ids.dtype == g.edge_array.dtype == np.int64
 
     def test_adjacent_edge_pairs_path(self):
         g = build_path(4)
