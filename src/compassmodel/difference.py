@@ -14,6 +14,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
+from .analysis import _chart
 from .opinion_space import ModelParams, _wrap, circle_dist, mod_s
 from .topology import Graph
 
@@ -52,7 +55,8 @@ def delta_from_config(g: Graph, opinions, space: str = "circle") -> DeltaState:
         raise ValueError(f"edge differences are defined on the circle, not {space!r}")
     if len(opinions) != g.vertex_count:
         raise ValueError(f"expected {g.vertex_count} opinions, got {len(opinions)}")
-    return DeltaState(g, [mod_s(opinions[b] - opinions[a]) for a, b in g.edges])
+    x = np.asarray(opinions, dtype=float)
+    return DeltaState(g, _chart(x[g.edge_array[:, 1]] - x[g.edge_array[:, 0]]).tolist())
 
 
 def xi_from_values(g: Graph, values=None) -> XiState:
@@ -115,16 +119,11 @@ def apply_event_xi(x: XiState, ev, params: ModelParams) -> XiState:
 
 def check_consistency(g: Graph, opinions, d: DeltaState) -> float:
     """Largest circular distance between tracked gaps and the profile's own."""
-    if len(opinions) != g.vertex_count:
-        raise ValueError(f"expected {g.vertex_count} opinions, got {len(opinions)}")
+    own = delta_from_config(g, opinions).values
     if len(d.values) != g.edge_count:
         raise ValueError(f"expected {g.edge_count} gap entries, got {len(d.values)}")
-    worst = 0.0
-    for i, (a, b) in enumerate(g.edges):
-        err = circle_dist(mod_s(opinions[b] - opinions[a]), d.values[i])
-        if err > worst:
-            worst = err
-    return worst
+    # as a loop keeping the largest from 0.0 up: a NaN distance is skipped
+    return max([0.0, *map(circle_dist, own, d.values)])
 
 
 def winding_sum(d: DeltaState) -> float:

@@ -248,10 +248,10 @@ class StopRule:
 
 def _check_event(state: SimState, clock: float, t: float, e: int, k: int) -> None:
     """Refuse an event the loop did not draw itself: an edge out of range, a
-    time before the clock, or a tie bit other than 1 or 2 on the circle."""
+    time that is NaN or before the clock, or a tie other than 1 or 2 on the circle."""
     if not 0 <= e < state.graph.edge_count:
         raise ValueError(f"edge id {e} out of range")
-    if t < clock:
+    if not t >= clock:
         raise ValueError(f"event at {t} is earlier than the clock {clock}")
     if state.space == "circle" and k not in (1, 2):
         raise ValueError(f"tie must be 1 or 2, got {k!r}")
@@ -508,8 +508,7 @@ def _run_loop(state: SimState, stream, stop: StopRule, probes, samples,
     space = state.space
     circle = space == "circle"
     op = state.opinions
-    edges = g.edges
-    m = len(edges)
+    m = g.edge_count
     params = state.params
     # read from the module at each run, so a wrapped rule sees every call
     compass, deffuant = update_pair_compass, update_pair_deffuant
@@ -546,6 +545,7 @@ def _run_loop(state: SimState, stream, stop: StopRule, probes, samples,
             observers = ()
             if w_test:
                 w_test.kernel = kernel
+    edges = None if kernel else g.edges
 
     try:
         while True:
@@ -578,8 +578,8 @@ def _run_loop(state: SimState, stream, stop: StopRule, probes, samples,
                         reason = "schedule_exhausted"
                         break
                 t, e, k = pending.time, pending.edge_id, pending.tie
-                pending = state.pending = None
                 _check_event(state, clock, t, e, k)
+                pending = state.pending = None
             if t > max_time:
                 state.pending = Event(t, e, k)
                 clock = max_time
@@ -654,10 +654,8 @@ def snapshot(state: SimState) -> bytes:
         out += struct.pack("<BI", _KIND_CODES[g.kind], g.vertex_count)
     else:
         # everything else (tori included) is stored as an explicit edge list
-        out += struct.pack("<BI", 3, g.vertex_count)
-        out += struct.pack("<I", g.edge_count)
-        for a, b in g.edges:
-            out += struct.pack("<II", a, b)
+        out += struct.pack("<BII", 3, g.vertex_count, g.edge_count)
+        out += g.edge_array.astype("<u4").tobytes()
 
     out += struct.pack(f"<{g.vertex_count}d", *state.opinions)
 
@@ -758,8 +756,7 @@ def _restore(r: _Reader) -> SimState:
     elif kind_code == 3:
         (m,) = r.take("<I")
         r.need(8 * m + 8 * n)  # the edges and the opinions
-        edges = tuple(r.take("<II") for _ in range(m))
-        g = Graph("custom", n, edges)
+        g = Graph("custom", n, np.frombuffer(r.take_bytes(8 * m), dtype="<u4").reshape(m, 2))
     else:
         raise SnapshotError(f"unknown graph kind code {kind_code}")
     if pending is not None and not (pending.edge_id < g.edge_count and pending.tie in (1, 2)

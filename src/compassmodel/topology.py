@@ -3,7 +3,7 @@
 Vertices are 0-based internally. Human-facing labels (file formats, log
 lines, the conventional names for path and ring vertices) are 1-based, so
 external label = internal id + 1. Edges are ordered (tail, head) pairs and
-keep a stable 0-based id equal to their position in Graph.edges; builders
+keep a stable 0-based id equal to their row of `Graph.edge_array`; builders
 orient edges from lower label to higher, with the ring's closing edge
 running from the last vertex back to the first.
 """
@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 
 import numpy as np
 
@@ -26,24 +25,36 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
+    """A connected graph whose one stored edge table is `edge_array`, a
+    read-only int64 (m, 2) array of (tail, head) rows; the constructor also
+    takes a sequence of pairs. Every other table is built from it on first
+    use: the arrays the kernel and metrics read (`incidence`,
+    `edge_pair_array`) and the tuple views the Python paths index (`edges`,
+    `incident_edges`, `edge_neighbors`). Graphs are equal when their kind,
+    vertex count and edge array are, and are not hashable.
+    """
+
     kind: str
     vertex_count: int
-    edges: tuple[tuple[int, int], ...]
+    edge_array: np.ndarray
 
     def __post_init__(self):
         n = self.vertex_count
         if n < 1:
             raise ValueError(f"need at least one vertex, got {n}")
-        edges = self.edges
-        if set(map(len, edges)) - {2}:
+        edges = arr = self.edge_array
+        if not isinstance(edges, np.ndarray) and not set(map(len, edges)) - {2}:
+            # a sequence of pairs; endpoints beyond int64 are out of range anyway
+            try:
+                arr = np.array(edges, dtype=np.int64).reshape(-1, 2)
+            except OverflowError:
+                arr = np.clip(np.array(edges, dtype=object), -1, n).astype(np.int64).reshape(-1, 2)
+        if not isinstance(arr, np.ndarray) or arr.shape[1:] != (2,):
             raise ValueError("every edge must be a (tail, head) pair")
-        try:
-            arr = np.fromiter(chain.from_iterable(edges), dtype=np.int64, count=2 * len(edges))
-        except OverflowError:  # endpoints beyond the index type are out of range anyway
-            arr = np.clip(np.array(edges, dtype=object), -1, n).astype(np.int64)
-        arr = arr.reshape(-1, 2)
+        # a copy, so the caller's array stays writable and cannot change the graph
+        arr = arr.astype(np.int64, casting="same_kind")
         a, b = arr[:, 0], arr[:, 1]
         outside = (a < 0) | (a >= n) | (b < 0) | (b >= n)
         # an edge whose unordered pair an earlier edge already has (the sort
@@ -64,9 +75,15 @@ class Graph:
                 raise ValueError(f"edge {i} is a self-loop at vertex {x}")
             raise ValueError(f"duplicate edge between vertices {x} and {y}")
         arr.setflags(write=False)
-        object.__setattr__(self, "_edge_array", arr)
+        object.__setattr__(self, "edge_array", arr)
         if n > 1 and not self._connected():
             raise ValueError("graph is not connected")
+
+    def __eq__(self, other):
+        if not isinstance(other, Graph):
+            return NotImplemented
+        return (self.kind == other.kind and self.vertex_count == other.vertex_count
+                and np.array_equal(self.edge_array, other.edge_array))
 
     def _connected(self) -> bool:
         # hook each edge's larger root under the smaller, then jump pointers
@@ -87,21 +104,23 @@ class Graph:
 
     @cached_property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return len(self.edge_array)
+
+    @cached_property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """edge_array as a tuple of (tail, head) tuples, by id."""
+        return tuple(map(tuple, self.edge_array.tolist()))
 
     @cached_property
     def incident_edges(self) -> tuple[tuple[int, ...], ...]:
-        """For each vertex, the ids of the edges touching it, in id order."""
-        inc = [[] for _ in range(self.vertex_count)]
-        for i, (a, b) in enumerate(self.edges):
-            inc[a].append(i)
-            inc[b].append(i)
-        return tuple(tuple(x) for x in inc)
+        """incidence as a tuple of edge id tuples, one per vertex."""
+        starts, ids = (a.tolist() for a in self.incidence)
+        return tuple(tuple(ids[s:e]) for s, e in zip(starts, starts[1:]))
 
     @cached_property
     def incidence(self) -> tuple[np.ndarray, np.ndarray]:
-        """incident_edges as read-only int64 CSR arrays (starts, ids): the
-        edges of vertex v are ids[starts[v]:starts[v + 1]], in id order."""
+        """Read-only int64 CSR arrays (starts, ids): the ids of the edges at
+        vertex v are ids[starts[v]:starts[v + 1]], in id order."""
         # tail 0, head 0, tail 1, ...: a stable sort keeps each vertex's ids
         # ascending, since no edge meets one vertex twice
         ids = np.argsort(self.edge_array.ravel(), kind="stable").astype(np.int64, copy=False) // 2
@@ -113,12 +132,8 @@ class Graph:
         return starts, ids
 
     @cached_property
-    def degrees(self) -> tuple[int, ...]:
-        return tuple(np.diff(self.incidence[0]).tolist())
-
-    @cached_property
     def max_degree(self) -> int:
-        return max(self.degrees)
+        return int(np.diff(self.incidence[0]).max())
 
     @cached_property
     def edge_neighbors(self) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -146,11 +161,6 @@ class Graph:
         """edge_pair_array as a sorted tuple of (lower id, higher id) pairs."""
         return tuple(sorted(map(tuple, self.edge_pair_array.tolist())))
 
-    @property
-    def edge_array(self) -> np.ndarray:
-        """The edges as a read-only int64 (m, 2) array of (tail, head) rows, by id."""
-        return self._edge_array
-
     @cached_property
     def edge_pair_array(self) -> np.ndarray:
         """Pairs of distinct edges sharing a vertex, each once, as read-only
@@ -168,27 +178,24 @@ class Graph:
     @cached_property
     def is_oriented_cycle(self) -> bool:
         """True when every vertex has exactly one out-edge and one in-edge."""
-        outs = [0] * self.vertex_count
-        ins = [0] * self.vertex_count
-        for a, b in self.edges:
-            outs[a] += 1
-            ins[b] += 1
-        return all(o == 1 for o in outs) and all(i == 1 for i in ins)
+        n = self.vertex_count
+        return all((np.bincount(ends, minlength=n) == 1).all() for ends in self.edge_array.T)
 
 
 def build_path(n: int) -> Graph:
     """Path on n >= 2 vertices; edge i joins vertices i and i+1."""
     if n < 2:
         raise ValueError(f"a path needs at least 2 vertices, got {n}")
-    return Graph("path", n, tuple((i, i + 1) for i in range(n - 1)))
+    tails = np.arange(n - 1)
+    return Graph("path", n, np.stack((tails, tails + 1), axis=1))
 
 
 def build_ring(n: int) -> Graph:
     """Ring on n >= 3 vertices; the last edge closes back to vertex 0."""
     if n < 3:
         raise ValueError(f"a ring needs at least 3 vertices, got {n}")
-    edges = tuple((i, i + 1) for i in range(n - 1)) + ((n - 1, 0),)
-    return Graph("ring", n, edges)
+    tails = np.arange(n)
+    return Graph("ring", n, np.stack((tails, (tails + 1) % n), axis=1))
 
 
 def build_torus(dims: list[int] | tuple[int, ...]) -> Graph:
@@ -203,9 +210,7 @@ def build_torus(dims: list[int] | tuple[int, ...]) -> Graph:
         raise ValueError("need at least one dimension")
     if any(d < 3 for d in dims):
         raise ValueError(f"every side must be at least 3, got {list(dims)}")
-    n = 1
-    for d in dims:
-        n *= d
+    n = int(np.prod(dims))
     idx = np.arange(n, dtype=np.intp)
     heads = np.empty((n, len(dims)), dtype=np.intp)
     stride = n
@@ -214,15 +219,13 @@ def build_torus(dims: list[int] | tuple[int, ...]) -> Graph:
         # +1 along the axis, or back to 0 from the last coordinate
         last = idx // stride % d == d - 1
         heads[:, axis] = idx + np.where(last, (1 - d) * stride, stride)
-    edges = zip(np.repeat(idx, len(dims)).tolist(), heads.ravel().tolist())
-    return Graph("torus", n, tuple(edges))
+    return Graph("torus", n, np.stack((np.repeat(idx, len(dims)), heads.ravel()), axis=1))
 
 
 def graph_from_edges(vertex_count: int, pairs, kind: str = "custom",
                      one_based: bool = False) -> Graph:
     off = 1 if one_based else 0
-    edges = tuple((int(a) - off, int(b) - off) for a, b in pairs)
-    return Graph(kind, vertex_count, edges)
+    return Graph(kind, vertex_count, [(int(a) - off, int(b) - off) for a, b in pairs])
 
 
 def load_edge_list(path) -> Graph:

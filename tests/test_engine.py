@@ -7,6 +7,7 @@ import signal
 import struct
 import subprocess
 import time
+import tracemalloc
 from contextlib import contextmanager
 from functools import partial
 from types import SimpleNamespace
@@ -393,6 +394,26 @@ class TestRun:
         assert str(got.value) == str(expected.value) == message
         assert (state.opinions, state.clock, state.events_applied) == \
             (start().opinions, 1.0, 1)
+
+    def test_a_nan_event_time_is_refused_by_apply_event(self):
+        state = fresh(build_path(3), [0.2, 0.6, 0.9], stream=3)
+        apply_event(state, Event(1.0, 0))
+        before = (list(state.opinions), state.clock, state.events_applied, state.pending)
+        with pytest.raises(ValueError, match="clock"):
+            apply_event(state, Event(math.nan, 0, 1))
+        assert (state.opinions, state.clock, state.events_applied, state.pending) == before
+
+    @pytest.mark.parametrize("observers", [(), [Noop()]])
+    def test_a_parked_nan_event_is_refused_and_stays_parked(self, observers):
+        # a Poisson run without observers takes its pending event in the kernel
+        state = fresh(build_path(3), [0.2, 0.6, 0.9], stream=3)
+        apply_event(state, Event(1.0, 0))
+        parked = state.pending = Event(math.nan, 0, 1)
+        before = (list(state.opinions), state.clock, state.events_applied)
+        with pytest.raises(ValueError, match="clock"):
+            run(state, stop=StopRule(max_events=5), observers=observers)
+        assert (state.opinions, state.clock, state.events_applied) == before
+        assert state.pending is parked
 
     @pytest.mark.parametrize("lib", ["kernel", "python"])
     @pytest.mark.parametrize("case", ["short opinions", "long opinions", "edgeless graph"])
@@ -1012,6 +1033,9 @@ def tracker_calls():
         yield counts
 
 
+TUPLE_TABLES = {"edges", "incident_edges", "edge_neighbors"}
+
+
 class TestKernelTracker:
     """A Poisson run observed by one DifferenceTracker: the gap and bound
     updates in C against the tracker's apply_event in the Python loop."""
@@ -1106,7 +1130,26 @@ class TestKernelTracker:
             assert calls.calls == 0
             state = tracker.state = restore(snapshot(state))
         assert len({id(g) for g in graphs}) == 3
-        assert not any("edge_neighbors" in vars(g) for g in graphs)
+        assert not any(TUPLE_TABLES & set(vars(g)) for g in graphs)
+
+    @pytest.mark.parametrize("case", ["untracked ring", "torus W test and probes"])
+    def test_a_kernel_run_builds_no_tuple_table(self, case):
+        # the kernel reads edge_array and incidence; the tuple views are
+        # Python loops over the edges, built only for the Python paths
+        if _kernel.load() is None:
+            pytest.skip("no compiled kernel")
+        if case == "untracked ring":
+            state = new_simulation(build_ring(300), IidUniform(5), ModelParams(mu=0.25), stream=7)
+            run(state, stop=StopRule(max_events=5000))
+        else:
+            state = new_simulation(build_torus([40, 40]), IidUniform(5), ModelParams(mu=0.25),
+                                   stream=7)
+            stop = StopRule(max_events=20_000, w_below=1e-6)
+            assert engine._WTest(state, stop).tracked
+            record = run(state, stop=stop, probes=[0.5, 1.0, 2.0])
+            assert (record.stop_reason, len(record.samples)) == ("max_events", 3)
+        assert state.events_applied > 0
+        assert not TUPLE_TABLES & set(vars(state.graph))
 
 
 class TestSnapshot:
@@ -1204,6 +1247,50 @@ class TestSnapshot:
         assert back.graph.kind == "custom"
         assert back.graph.edges == g.edges
         assert back.graph.vertex_count == g.vertex_count
+
+    @pytest.mark.parametrize("graph", [
+        build_path(5), build_ring(6), build_torus([3, 4]),
+        graph_from_edges(5, [(0, 1), (2, 1), (2, 3), (3, 0), (1, 3), (4, 3)]),
+    ], ids=lambda g: g.kind)
+    @pytest.mark.parametrize("max_time", [None, 0.3])
+    def test_bytes_match_the_version_1_layout(self, graph, max_time):
+        state = new_simulation(graph, IidUniform(2), ModelParams(mu=0.3, theta=0.9), stream=11)
+        run(state, stop=StopRule(max_events=40, max_time=max_time))
+        assert (state.pending is not None) == (max_time is not None)
+        blob = snapshot(state)
+        assert blob == snapshot_by_struct(state)
+        back = restore(blob)
+        assert back.graph.edges == graph.edges and snapshot(back) == blob
+
+    @staticmethod
+    def custom_blob():
+        """A snapshot of a custom graph and the offset of its first edge."""
+        state = fresh(graph_from_edges(4, [(0, 1), (1, 2), (3, 2)]), [0.1, 0.2, 0.3, 0.4],
+                      stream=1)
+        at = struct.calcsize("<4sHB") + struct.calcsize("<dddQ") + 1 + struct.calcsize("<BI")
+        blob = bytearray(snapshot(state))
+        assert struct.unpack_from("<I4I", blob, at) == (3, 0, 1, 1, 2)
+        return blob, at + 4
+
+    @pytest.mark.parametrize("edge,message", [((0, 4), "out of range"),
+                                              ((1, 0), "duplicate edge")])
+    def test_a_bad_edge_is_refused(self, edge, message):
+        blob, at = self.custom_blob()
+        struct.pack_into("<II", blob, at + 8, *edge)
+        with pytest.raises(SnapshotError, match=message):
+            restore(bytes(blob))
+
+    def test_edge_count_checked_before_the_edges_are_read(self):
+        blob, at = self.custom_blob()
+        struct.pack_into("<I", blob, at - 4, 2**32 - 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(SnapshotError, match="truncated"):
+                restore(bytes(blob))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     @staticmethod
     def stream_offsets(state):
@@ -1351,6 +1438,30 @@ class TestSnapshot:
             except ValueError:
                 pass
         assert time.perf_counter() - start < 1.0
+
+
+def snapshot_by_struct(state):
+    """Version-1 snapshot bytes of a Poisson-stream state, packed field by
+    field, with one struct.pack per edge of a graph stored as an edge list."""
+    out = struct.pack("<4sHB", b"CMSN", 1, {"circle": 0, "interval": 1}[state.space])
+    out += struct.pack("<dddQ", state.params.mu, state.params.theta, state.clock,
+                       state.events_applied)
+    p = state.pending
+    out += struct.pack("<BdIB", 1, p.time, p.edge_id, p.tie) if p else struct.pack("<B", 0)
+    g = state.graph
+    code = {"path": 0, "ring": 1}.get(g.kind, 3)
+    out += struct.pack("<BI", code, g.vertex_count)
+    if code == 3:
+        out += struct.pack("<I", g.edge_count)
+        for a, b in g.edges:
+            out += struct.pack("<II", a, b)
+    out += struct.pack(f"<{g.vertex_count}d", *state.opinions)
+    seed = str(state.stream.seed).encode("ascii")
+    version, words, gauss = state.stream.rng.getstate()
+    assert gauss is None
+    out += struct.pack("<BI", 1, len(seed)) + seed
+    out += struct.pack(f"<II{len(words)}IB", version, len(words), *words, 0)
+    return out
 
 
 class TestDeriveSeed:

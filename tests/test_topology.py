@@ -7,12 +7,16 @@ from compassmodel import (Graph, build_path, build_ring, build_torus,
                           graph_from_edges, load_edge_list)
 
 
+def degrees(g):
+    return np.diff(g.incidence[0]).tolist()
+
+
 class TestBuildPath:
     def test_examples(self):
         assert build_path(2).edge_count == 1
         g = build_path(5)
         assert g.edge_count == 4
-        assert g.degrees == (1, 2, 2, 2, 1)
+        assert degrees(g) == [1, 2, 2, 2, 1]
         assert build_path(50).edge_count == 49
 
     def test_orientation_low_to_high(self):
@@ -53,7 +57,7 @@ class TestBuildRing:
         g = build_ring(n)
         assert g.vertex_count == n
         assert g.edge_count == n
-        assert g.degrees == (2,) * n
+        assert degrees(g) == [2] * n
         assert g.is_oriented_cycle
 
 
@@ -62,13 +66,13 @@ class TestBuildTorus:
         g = build_torus([3, 3])
         assert g.vertex_count == 9
         assert g.edge_count == 18
-        assert g.degrees == (4,) * 9
+        assert degrees(g) == [4] * 9
 
     def test_three_dim_count(self):
         g = build_torus([3, 3, 3])
         assert g.vertex_count == 27
         assert g.edge_count == 81
-        assert g.degrees == (6,) * 27
+        assert degrees(g) == [6] * 27
 
     def test_one_dim_is_a_ring(self):
         assert build_torus([4]).edges == build_ring(4).edges
@@ -210,6 +214,58 @@ class TestGraphValidation:
         for edges in (((0, 1, 2),), ((0,),), ((0, 1), (1,))):
             with pytest.raises(ValueError, match="pair"):
                 Graph("custom", 3, edges)
+        for shape in ((3,), (1, 3), (2, 2, 2)):
+            with pytest.raises(ValueError, match="pair"):
+                Graph("custom", 3, np.zeros(shape, dtype=np.int64))
+
+    @given(edge_lists())
+    @settings(max_examples=200)
+    def test_an_array_validates_as_its_pairs(self, case):
+        n, edges = case
+        if any(not -2**63 <= v < 2**63 for e in edges for v in e):
+            return
+        for dtype in (np.int64, np.int32, np.uint32):
+            if not all(np.can_cast(np.min_scalar_type(v), dtype) for e in edges for v in e):
+                continue
+            arr = np.array(edges, dtype=dtype).reshape(-1, 2)
+            want = first_fault(n, edges)
+            if want is None:
+                assert Graph("custom", n, arr) == Graph("custom", n, edges)
+            else:
+                with pytest.raises(ValueError) as got:
+                    Graph("custom", n, arr)
+                assert str(got.value) == want
+
+    def test_float_arrays_refused(self):
+        with pytest.raises(TypeError):
+            Graph("custom", 2, np.array([[0.0, 1.0]]))
+
+
+class TestOneEdgeTable:
+    def test_the_array_is_the_stored_table(self):
+        g = build_torus([3, 4])
+        assert list(vars(g)) == ["kind", "vertex_count", "edge_array"]
+        assert g.edges == tuple(map(tuple, g.edge_array.tolist()))
+        assert "edges" in vars(g)
+
+    def test_the_caller_array_is_copied_and_left_writable(self):
+        arr = np.array([[0, 1], [1, 2]])
+        g = Graph("custom", 3, arr)
+        arr[0, 0] = 2
+        assert arr.flags.writeable and not g.edge_array.flags.writeable
+        assert g.edges == ((0, 1), (1, 2))
+
+    def test_equality_compares_kind_count_and_edges(self):
+        ring = build_ring(5)
+        assert ring == Graph("ring", 5, ring.edges)
+        assert ring != Graph("custom", 5, ring.edge_array)
+        assert build_path(4) != graph_from_edges(4, [(0, 1), (1, 2), (3, 2)], kind="path")
+        assert build_torus([3]) != build_torus([3, 3])
+        assert ring != ring.edges
+
+    def test_graphs_are_not_hashable(self):
+        with pytest.raises(TypeError):
+            hash(build_ring(3))
 
 
 def incidence_walk(g):
@@ -223,6 +279,16 @@ def incidence_walk(g):
                   for j, s in enumerate(edges[e])
                   for f in ids[starts[s]:starts[s + 1]].tolist() if f != e)
             for e in range(g.edge_count)]
+
+
+def incidence_by_loop(g):
+    """For each vertex, the ids of the edges touching it, from a loop over
+    the edges in id order."""
+    inc = [[] for _ in range(g.vertex_count)]
+    for i, (a, b) in enumerate(g.edges):
+        inc[a].append(i)
+        inc[b].append(i)
+    return [tuple(x) for x in inc]
 
 
 class TestAdjacencyIndex:
@@ -243,8 +309,9 @@ class TestAdjacencyIndex:
         g = Graph("custom", *case)
         starts, ids = g.incidence
         assert [tuple(ids[starts[v]:starts[v + 1]].tolist())
-                for v in range(g.vertex_count)] == list(g.incident_edges)
-        assert g.degrees == tuple(map(len, g.incident_edges))
+                for v in range(g.vertex_count)] == incidence_by_loop(g)
+        assert g.incident_edges == tuple(incidence_by_loop(g))
+        assert degrees(g) == list(map(len, incidence_by_loop(g)))
         assert not starts.flags.writeable and not ids.flags.writeable
         assert incidence_walk(g) == list(g.edge_neighbors)
         assert starts.dtype == ids.dtype == g.edge_array.dtype == np.int64
@@ -254,7 +321,8 @@ class TestAdjacencyIndex:
     def test_csr_incidence_of_the_builders(self, g):
         starts, ids = g.incidence
         assert [tuple(ids[starts[v]:starts[v + 1]].tolist())
-                for v in range(g.vertex_count)] == list(g.incident_edges)
+                for v in range(g.vertex_count)] == incidence_by_loop(g)
+        assert g.incident_edges == tuple(incidence_by_loop(g))
         assert incidence_walk(g) == list(g.edge_neighbors)
         assert starts.dtype == ids.dtype == g.edge_array.dtype == np.int64
 
