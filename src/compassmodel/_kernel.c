@@ -1,5 +1,6 @@
 /* Compiled event loop for Poisson runs without observers, or observed by
- * one DifferenceTracker of the run's own state.
+ * one DifferenceTracker of the run's own state, and the sums of the W stop
+ * test. Three entry points, each taking the context:
  *
  * cm_run applies up to c->limit events of a PoissonStream run with the three
  * draws of engine._run_loop (wait, edge, tie bit). An event the engine holds
@@ -23,6 +24,9 @@
  * _recompute in C: it visits the edges around each logged edge in the same
  * order and rounds the same way, so the test's running sum stays bitwise
  * the Python loop's.
+ *
+ * cm_total_w is engine._total_w in C: the left-to-right sum of the edge
+ * distances in edge-id order, with the same fold, so bitwise the same sum.
  */
 
 #include <math.h>
@@ -264,4 +268,19 @@ double cm_recompute(struct cm_ctx *c)
     }
     c->nlog = 0;
     return acc;
+}
+
+double cm_total_w(struct cm_ctx *c)
+{
+    const int64_t *edges = c->edges;
+    const double *op = c->op;
+    const int circle = c->circle != 0;
+    double total = 0.0;
+    int64_t f;
+
+    for (f = 0; f < c->m; f++) {
+        const double x = fabs(op[edges[2 * f]] - op[edges[2 * f + 1]]);
+        total += (x <= 1.0 || !circle) ? x : 2.0 - x;
+    }
+    return total;
 }

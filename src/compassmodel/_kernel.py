@@ -5,6 +5,10 @@ import, with the system gcc into $XDG_CACHE_HOME/compassmodel (default
 ~/.cache/compassmodel), under a name that hashes the source and the flags,
 and loaded with ctypes. Without gcc, or when the build or the load fails,
 `load()` returns None and the engine keeps to its Python loop.
+
+For the length of a kernel run, the state's opinions are the kernel's own
+buffer (`Opinions`), which the kernel updates in place and `engine._total_w`
+sums in C; the run hands them back in the caller's list when it ends.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ import shutil
 import subprocess
 import tempfile
 import warnings
+from functools import partial
 from hashlib import sha256
 from pathlib import Path
 
@@ -27,7 +32,8 @@ FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 _SOURCE = Path(__file__).with_name("_kernel.c")
 # the non-static functions of _kernel.c, name -> restype; each takes the
 # context pointer. Calling one without its restype reads its result as int.
-ENTRY_POINTS = {"cm_run": ctypes.c_int64, "cm_recompute": ctypes.c_double}
+ENTRY_POINTS = {"cm_run": ctypes.c_int64, "cm_recompute": ctypes.c_double,
+                "cm_total_w": ctypes.c_double}
 
 # The loaded library, False once building or loading failed, None until the
 # first load(). Tests set it to False to run the Python loop instead.
@@ -103,14 +109,21 @@ def load():
     return _lib or None
 
 
-class Chunks:
-    """One run's kernel context: a copy of the opinions and the generator.
+class Opinions(array.array):
+    """A kernel run's opinions: the kernel's own double buffer, which is
+    `state.opinions` for the length of the run. While it is, `total_w()` is
+    `engine._total_w` in C."""
 
-    The copy is the run's current profile: `advance` applies events in C and
-    leaves `state.opinions` behind until `sync`, which the engine calls only
-    where Python reads them: before probes, before `_total_w`, and in
-    `close`, which also hands the generator back. The next `advance` first
-    applies, and counts, the event given to `hold`.
+
+class Chunks:
+    """One run's kernel context: the opinions' buffer and the generator.
+
+    For the length of the run, `state.opinions` is the kernel's buffer
+    (`buf`, an `Opinions`), which `advance` updates in place: probes and
+    `_total_w` read it without a copy. `close` copies it back into the
+    caller's list and puts that same list back on the state; the engine
+    calls `close` also when the run raises. It hands the generator back too.
+    The next `advance` first applies, and counts, the event given to `hold`.
 
     The kernel reads the graph's int64 `edge_array` and `incidence` in
     place. Given the tracked W test's distances `d`, it logs the edge of
@@ -127,12 +140,12 @@ class Chunks:
         g = state.graph
         self._run = lib.cm_run
         self._recompute = lib.cm_recompute
-        self.opinions = state.opinions
+        self.state = state
+        self.caller_opinions = state.opinions
         self.rng = rng
-        self.stale = False
         # kept referenced: the kernel holds pointers into these buffers (the
         # graph, which the run holds, keeps its own tables)
-        self.buf = array.array("d", state.opinions)
+        self.buf = Opinions("d", state.opinions)
         self.d = d
         self.version, words, self.gauss = rng.getstate()
         self.mt = array.array("I", words)
@@ -158,6 +171,8 @@ class Chunks:
         ctx.clock = state.clock
         ctx.max_time = max_time
         self.address = ctypes.addressof(ctx)
+        self.buf.total_w = partial(lib.cm_total_w, self.address)
+        state.opinions = self.buf
 
     def advance(self, limit: int, next_probe: float):
         """Apply up to limit events, the held one first; return how many, the
@@ -170,20 +185,12 @@ class Chunks:
         ctx.limit = limit
         ctx.next_probe = next_probe
         done = self._run(self.address)
-        if done:
-            self.stale = True
         return done, ctx.clock, (ctx.t, ctx.e, ctx.k) if ctx.drawn else None
 
     def hold(self, t: float, e: int, k: int) -> None:
         """Hold one event for the next `advance` to apply first."""
         ctx = self.ctx
         ctx.t, ctx.e, ctx.k, ctx.drawn = t, e, k, 1
-
-    def sync(self) -> None:
-        """Bring the opinions up to the kernel's copy."""
-        if self.stale:
-            self.opinions[:] = self.buf.tolist()
-            self.stale = False
 
     def recompute(self) -> tuple[float, int]:
         """Update d around the logged edges and empty the log; return the sum
@@ -192,9 +199,12 @@ class Chunks:
         return self._recompute(self.address), logged
 
     def close(self) -> None:
-        """Sync the opinions, hand the generator's state back, and write the
-        tracker's gaps and bounds back into its lists."""
-        self.sync()
+        """Put the caller's list back on the state, holding the kernel's
+        opinions; hand the generator's state back, and write the tracker's
+        gaps and bounds back into its lists."""
+        del self.buf.total_w  # a plain array from here on
+        self.state.opinions = self.caller_opinions
+        self.caller_opinions[:] = self.buf.tolist()
         self.rng.setstate((self.version, tuple(self.mt), self.gauss))
         if self.tracker is not None:
             self.tracker.delta.values[:] = self.delta.tolist()

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import array
 import math
+import numbers
 import random
 import struct
 import time as _time
@@ -150,19 +151,19 @@ class Constant:
     value: float
 
 
+def _check_opinion(v: float, what: str, space: str) -> None:
+    if space == "circle":
+        if not -1.0 < v <= 1.0:
+            raise ValueError(f"{what} {v!r} outside the circle chart (-1, 1]")
+    else:
+        if not 0.0 <= v <= 1.0:
+            raise ValueError(f"{what} {v!r} outside [0, 1]")
+
+
 def initial_opinions(init, n: int, space: str = "circle") -> list[float]:
     """Materialize an initial profile of length n for the given space."""
     if space not in ("circle", "interval"):
         raise ValueError(f"unknown space {space!r}")
-
-    def _check(v, what):
-        if space == "circle":
-            if not -1.0 < v <= 1.0:
-                raise ValueError(f"{what} {v!r} outside the circle chart (-1, 1]")
-        else:
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{what} {v!r} outside [0, 1]")
-
     if isinstance(init, IidUniform):
         if not isinstance(init.seed, int) or isinstance(init.seed, bool):
             raise TypeError(f"init seeds must be integers, got {init.seed!r}")
@@ -174,11 +175,11 @@ def initial_opinions(init, n: int, space: str = "circle") -> list[float]:
         if len(init.values) != n:
             raise ValueError(f"expected {n} values, got {len(init.values)}")
         for v in init.values:
-            _check(v, "explicit value")
+            _check_opinion(v, "explicit value", space)
         return list(init.values)
     if isinstance(init, Constant):
         v = float(init.value)
-        _check(v, "constant value")
+        _check_opinion(v, "constant value", space)
         return [v] * n
     raise TypeError(f"unknown init spec {init!r}")
 
@@ -226,6 +227,10 @@ class StopRule:
     w_check_interval edges it costs O(degree) per event instead of O(edges)
     per test, plus an exact re-sum of the edges every m / (2 * max_degree)
     events; in the compiled kernel the per-event part runs in C.
+
+    max_events and w_check_interval are counts: a whole float such as 1e6
+    (as JSON gives it) is taken as its int; bools and other numbers are
+    refused.
     """
 
     max_events: int | None = None
@@ -236,6 +241,16 @@ class StopRule:
     def __post_init__(self):
         if self.max_events is None and self.max_time is None and self.w_below is None:
             raise ValueError("a stop rule needs max_events, max_time, or w_below")
+        for name in ("max_events", "w_check_interval"):
+            v = getattr(self, name)
+            if v is None:
+                continue
+            # a float budget comes from JSON as 1e6; 10.5, NaN, inf or True is no count
+            if isinstance(v, bool) or not (isinstance(v, numbers.Integral)
+                                           or isinstance(v, numbers.Real)
+                                           and float(v).is_integer()):
+                raise ValueError(f"{name} must be a whole number, got {v!r}")
+            object.__setattr__(self, name, int(v))
         if self.max_events is not None and self.max_events < 0:
             raise ValueError(f"max_events must be >= 0, got {self.max_events}")
         if self.max_time is not None and not self.max_time >= 0.0:
@@ -275,7 +290,13 @@ def apply_event(state: SimState, ev: Event) -> None:
 
 
 def _total_w(state: SimState) -> float:
+    """The left-to-right sum of the edge distances, in edge-id order."""
     op = state.opinions
+    # a kernel run's opinions are the kernel's buffer, which sums them in C
+    # the same way (`_kernel.Opinions`)
+    in_c = getattr(op, "total_w", None)
+    if in_c is not None:
+        return in_c()
     total = 0.0
     if state.space == "circle":
         for a, b in state.graph.edges:
@@ -301,8 +322,8 @@ class _WTest:
     Python. When the run goes through the compiled kernel, `_run_loop` sets
     `kernel`: the kernel applies every event, logs the edges and updates d
     in C in the same order, so `est` and every decision are bitwise the
-    same. The test syncs the opinions from the kernel only before it calls
-    `_total_w`.
+    same. `state.opinions` is then the kernel's buffer, and `_total_w` sums
+    it in C, in the same order, without a copy.
     """
 
     def __init__(self, state: SimState, stop: StopRule):
@@ -370,8 +391,6 @@ class _WTest:
             bound = (m + 4 * self.updates + 2) * 1.2e-16 * self.w_max
             if self.est - bound > self.w_below:
                 return False
-        if self.kernel:
-            self.kernel.sync()
         return _total_w(self.state) < self.w_below
 
 
@@ -393,8 +412,9 @@ def run(state: SimState, stream=None, stop: StopRule | None = None,
     state (a twin, or the state a snapshot was taken of) would re-read that
     state's opinions and drift. Such a tracker, one whose gaps or bounds are
     not one per edge of a graph equal to the state's, opinions that are not
-    one per vertex, and a Poisson stream on a graph without edges raise
-    ValueError before the first event, with the state untouched.
+    one per vertex, a NaN probe time, and a Poisson stream on a graph
+    without edges raise ValueError before the first event, with the state
+    untouched.
     """
     observers = tuple(observers)
     g = state.graph
@@ -411,6 +431,10 @@ def run(state: SimState, stream=None, stop: StopRule | None = None,
                                            and len(values.values) == g.edge_count):
                 raise ValueError("a DifferenceTracker's gaps and bounds must hold one entry "
                                  "per edge of the state's graph")
+    probes = sorted(float(p) for p in probes)
+    if any(math.isnan(p) for p in probes):
+        # NaN sorts anywhere, and no time is past it: every later probe would be lost
+        raise ValueError("probe times must not be NaN")
     stream = stream if stream is not None else state.stream
     if stream is None:
         raise ValueError("no event stream attached to the state")
@@ -423,7 +447,6 @@ def run(state: SimState, stream=None, stop: StopRule | None = None,
         # one more than the events left, so the schedule runs out first
         left = len(stream.events) - stream.cursor + (state.pending is not None)
         stop = StopRule(max_events=state.events_applied + left + 1)
-    probes = sorted(float(p) for p in probes)
     if initial_opinions_for_limits is not None:
         initial = list(initial_opinions_for_limits)
     elif state.events_applied == 0:
@@ -499,15 +522,15 @@ def _run_loop(state: SimState, stream, stop: StopRule, probes, samples,
     one are held, and the next chunk applies and counts them first. The
     kernel then updates the tracker's gaps and bounds in C after every
     event, and the loop does not call the tracker. Every W test, probe and
-    stop decision stays here. The kernel's opinions reach `state.opinions`
-    only before probes, before `_total_w` (see `_WTest`, whose distance
-    updates run in C too) and at the end; the tracker's values reach its
-    lists at the end.
+    stop decision stays here. For the length of the run `state.opinions` is
+    the kernel's buffer: probes read it in place, `_total_w` sums it in C
+    (see `_WTest`, whose distance updates run in C too), and at the end,
+    also when the run raises, the caller's list gets the opinions back and
+    goes back on the state; the tracker's values reach its lists then too.
     """
     g = state.graph
     space = state.space
     circle = space == "circle"
-    op = state.opinions
     m = g.edge_count
     params = state.params
     # read from the module at each run, so a wrapped rule sees every call
@@ -546,6 +569,8 @@ def _run_loop(state: SimState, stream, stop: StopRule, probes, samples,
             if w_test:
                 w_test.kernel = kernel
     edges = None if kernel else g.edges
+    # a kernel run's opinions are the kernel's buffer, until it closes
+    op = state.opinions
 
     try:
         while True:
@@ -558,8 +583,7 @@ def _run_loop(state: SimState, stream, stop: StopRule, probes, samples,
                     break
                 check_at = min(count + interval, max_events)
             if pending is None and kernel:
-                done, clock, drawn = kernel.advance(math.ceil(min(check_at - count, _CHUNK)),
-                                                    next_probe)
+                done, clock, drawn = kernel.advance(min(check_at - count, _CHUNK), next_probe)
                 count += done
                 if drawn is None:
                     continue
@@ -586,8 +610,6 @@ def _run_loop(state: SimState, stream, stop: StopRule, probes, samples,
                 reason = "max_time"
                 break
             while t > next_probe:
-                if kernel:
-                    kernel.sync()
                 samples.append(compute(g, op, space, at_time=next_probe))
                 pi += 1
                 next_probe = probes[pi] if pi < len(probes) else math.inf
@@ -618,7 +640,7 @@ def _run_loop(state: SimState, stream, stop: StopRule, probes, samples,
             kernel.close()
 
     while pi < len(probes) and (next_probe <= clock or reason == "schedule_exhausted"):
-        samples.append(compute(g, op, space, at_time=next_probe))
+        samples.append(compute(g, state.opinions, space, at_time=next_probe))
         pi += 1
         next_probe = probes[pi] if pi < len(probes) else math.inf
     return reason
@@ -765,8 +787,15 @@ def _restore(r: _Reader) -> SimState:
             f"pending event {pending} needs an edge id below {g.edge_count}, "
             f"tie 1 or 2 and a finite time not before the clock {clock}")
 
-    # checked as a start is: in the space's chart
-    opinions = initial_opinions(Explicit(r.take(f"<{n}d")), n, _SPACE_NAMES[space_code])
+    # checked as an explicit start is, in the space's chart, in one pass;
+    # the scalar check of the first value outside it words the error
+    space = _SPACE_NAMES[space_code]
+    values = np.frombuffer(r.take_bytes(8 * n), dtype="<f8")
+    low = values > -1.0 if space == "circle" else values >= 0.0
+    outside = ~(low & (values <= 1.0))  # NaN included
+    if outside.any():
+        _check_opinion(float(values[outside.argmax()]), "explicit value", space)
+    opinions = values.tolist()
 
     (stream_code,) = r.take("<B")
     if stream_code == 0:
@@ -788,7 +817,7 @@ def _restore(r: _Reader) -> SimState:
         raise SnapshotError(f"unknown stream code {stream_code}")
     r.done()
 
-    return SimState(graph=g, space=_SPACE_NAMES[space_code], params=params,
+    return SimState(graph=g, space=space, params=params,
                     opinions=opinions, clock=clock, events_applied=events_applied,
                     pending=pending, stream=stream)
 

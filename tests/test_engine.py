@@ -25,6 +25,7 @@ from compassmodel import (Constant, DifferenceTracker, Event, Explicit, Graph,
                           graph_from_edges, initial_opinions, new_simulation, restore, run,
                           snapshot, xi_from_values)
 from compassmodel import _kernel, engine
+from compassmodel.analysis import compute_metrics
 from compassmodel.engine import _total_w
 
 
@@ -210,6 +211,22 @@ class TestStopRule:
             StopRule(w_below=0.0)
         with pytest.raises(ValueError, match="w_check_interval"):
             StopRule(max_events=10, w_check_interval=0)
+
+    @pytest.mark.parametrize("value", [True, False, 10.5, math.nan, math.inf, -math.inf, "10"])
+    @pytest.mark.parametrize("name", ["max_events", "w_check_interval"])
+    def test_counts_must_be_whole_numbers(self, name, value):
+        # 10.5 used to apply 11 events, and True one
+        with pytest.raises(ValueError, match=f"{name} must be a whole number"):
+            StopRule(**{"max_events": 10, name: value})
+
+    def test_a_whole_float_count_is_taken_as_its_int(self):
+        # JSON gives `--set compass_max_events=1e6` as a float
+        stop = StopRule(max_events=1e6, w_check_interval=np.float64(2.0))
+        assert (stop.max_events, stop.w_check_interval) == (1_000_000, 2)
+        assert type(stop.max_events) is type(stop.w_check_interval) is int
+        state = new_simulation(build_path(4), IidUniform(1), ModelParams(mu=0.25), stream=2)
+        rec = run(state, stop=StopRule(max_events=1e6))
+        assert (rec.stop_reason, rec.events_applied) == ("max_events", 1_000_000)
 
 
 class TestRun:
@@ -433,6 +450,32 @@ class TestRun:
             run(state, stream=stream, stop=StopRule(max_events=10))
         assert (state.opinions, state.clock, state.events_applied, state.stream) == before
         assert stream.rng.getstate() == PoissonStream(3).rng.getstate()
+
+    @pytest.mark.parametrize("lib", ["kernel", "python"])
+    @pytest.mark.parametrize("given_stream", [False, True])
+    def test_a_nan_probe_is_refused_before_the_first_event(self, lib, given_stream):
+        # sorted() leaves a NaN anywhere and no time is past it: the probes
+        # after it used to be dropped without a word
+        state = new_simulation(build_ring(10), IidUniform(1), ModelParams(mu=0.5),
+                               stream=None if given_stream else 3)
+        stream = PoissonStream(3) if given_stream else state.stream
+        before = (list(state.opinions), state.clock, state.events_applied, state.stream,
+                  state.pending, stream.rng.getstate())
+        with mock.patch.object(_kernel, "_lib", _kernel.load() if lib == "kernel" else False), \
+                pytest.raises(ValueError, match="NaN"):
+            run(state, stream=stream if given_stream else None,
+                stop=StopRule(max_events=1000), probes=[0.5, math.nan, 1.0, 2.0])
+        assert (state.opinions, state.clock, state.events_applied, state.stream,
+                state.pending, stream.rng.getstate()) == before
+
+    @pytest.mark.parametrize("lib", ["kernel", "python"])
+    def test_a_probe_at_infinity_is_allowed(self, lib):
+        state = new_simulation(build_ring(10), IidUniform(1), ModelParams(mu=0.5), stream=3)
+        with mock.patch.object(_kernel, "_lib", _kernel.load() if lib == "kernel" else False):
+            rec = run(state, stop=StopRule(max_events=1000), probes=[0.5, math.inf, 1.0, 2.0])
+        # beyond the final clock, like any unreached probe
+        assert [s.time for s in rec.samples] == [0.5, 1.0, 2.0]
+        assert rec.final_time > 2.0
 
     @pytest.mark.parametrize("probes", [(), (0.5, 2.0)])
     @pytest.mark.parametrize("start", ["clock", "pending"])
@@ -794,13 +837,15 @@ class TestKernel:
         # a kernel that stops compiling must fail here, not fall back silently
         assert (_kernel.load() is not None) == (shutil.which("gcc") is not None)
 
-    def test_the_kernel_compiles_without_warnings(self):
-        # unused variables and shadowed names left behind by an edit fail here
+    def test_the_kernel_compiles_without_warnings(self, tmp_path):
+        # unused variables and shadowed names left behind by an edit fail here;
+        # a full build with the kernel's flags also runs the warnings that
+        # need the optimiser, such as -Wmaybe-uninitialized
         gcc = shutil.which("gcc")
         if gcc is None:
             pytest.skip("no gcc on PATH")
-        done = subprocess.run([gcc, "-Wall", "-Wextra", "-Wshadow", "-Werror", "-fsyntax-only",
-                               *_kernel.FLAGS, str(_kernel._SOURCE)],
+        done = subprocess.run([gcc, *_kernel.FLAGS, "-Wall", "-Wextra", "-Wshadow", "-Werror",
+                               "-o", str(tmp_path / "_kernel.so"), str(_kernel._SOURCE), "-lm"],
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
 
@@ -874,6 +919,185 @@ class TestKernel:
             assert (on.rules, on.chunked) == (0, events)
         else:
             assert (on.rules, on.held) == (events, 0)
+
+
+needs_kernel = pytest.mark.skipif(_kernel.load() is None, reason="no compiled kernel")
+
+# pairs of opinions whose distance is exactly 1 (antipodal), nextafter(1, +inf),
+# nextafter(1, -inf), +0.0 from signed zeros, and 0
+W_PAIRS = {"circle": [(0.5, -0.5), (0.0, 1.0), (-0.75, 0.25), (1.0, -2.0**-52),
+                      (1.0, 2.0**-53), (0.0, -0.0), (-0.0, 0.0), (0.3, 0.3)],
+           "interval": [(0.0, 1.0), (1.0, 2.0**-53), (0.0, -0.0), (-0.0, 0.0), (0.5, 0.5)]}
+
+
+@st.composite
+def total_w_cases(draw):
+    """A graph (ring, path or custom, edges in any order and orientation),
+    opinions with the distances where the fold and the order of the sum
+    matter, and the length of a run with a W test every `interval` events."""
+    space = draw(st.sampled_from(["circle", "interval"]))
+    shape = draw(st.sampled_from(["ring", "path", "custom"]))
+    n = draw(st.integers(3, 40))
+    if shape == "custom":
+        # a random tree, some chords, reversed and shuffled edges
+        pairs = {frozenset((v, draw(st.integers(0, v - 1)))) for v in range(1, n)}
+        for a, b in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                                  max_size=2 * n)):
+            if a != b:
+                pairs.add(frozenset((a, b)))
+        edges = [tuple(p)[::draw(st.sampled_from([1, -1]))] for p in sorted(pairs, key=sorted)]
+        g = Graph("custom", n, draw(st.permutations(edges)))
+    else:
+        g = {"ring": build_ring, "path": build_path}[shape](n)
+    special = [0.0, -0.0, 1.0, 0.5, 2.0**-53, math.nextafter(1.0, 0.0)]
+    if space == "circle":
+        special += [-0.5, 0.25, -0.75, -2.0**-52, math.nextafter(-1.0, 0.0)]
+    init = draw(st.lists(st.sampled_from(special) | opinion_values(space),
+                         min_size=n, max_size=n))
+    for e in draw(st.lists(st.integers(0, g.edge_count - 1), max_size=4)):
+        a, b = g.edges[e]
+        init[a], init[b] = draw(st.sampled_from(W_PAIRS[space]))
+    mu = draw(st.sampled_from([0.5, 0.25]) | st.floats(0.05, 0.5))
+    # at least m / 2 events between tests: the W test sums every edge
+    interval = draw(st.integers(max(1, g.edge_count // 2), g.edge_count + 5))
+    return g, space, init, mu, interval, draw(st.integers(0, 3 * interval))
+
+
+def traced_total_w():
+    """Wrap `engine._total_w`: each call logs the opinions' type, the sum
+    it returns and the Python loop's sum of a list of the same opinions (on
+    a copy of the graph, whose tuple views the loop builds)."""
+    seen = []
+    total_w = engine._total_w
+
+    def traced(state):
+        got = total_w(state)
+        g = state.graph
+        ref = total_w(SimpleNamespace(graph=Graph(g.kind, g.vertex_count, g.edge_array),
+                                      space=state.space, opinions=list(state.opinions)))
+        seen.append((type(state.opinions), got.hex(), ref.hex()))
+        return got
+
+    return seen, mock.patch.object(engine, "_total_w", traced)
+
+
+class TestKernelOpinions:
+    """A kernel run works on the kernel's own buffer, and gives the caller's
+    list back."""
+
+    @needs_kernel
+    @given(total_w_cases(), st.integers(0, 2**32))
+    @settings(max_examples=300, deadline=None)
+    def test_total_w_on_the_kernel_buffer_matches_the_python_loop(self, case, seed):
+        g, space, init, mu, interval, events = case
+        state = fresh(g, init, mu=mu, space=space, stream=seed)
+        seen, patch = traced_total_w()
+        with patch:
+            # one test of the start as drawn, then tests of the profiles it reaches
+            run(state, stop=StopRule(max_events=0, w_below=1e-300))
+            run(state, stop=StopRule(max_events=events, w_below=1e-300,
+                                     w_check_interval=interval))
+        assert len(seen) >= 2
+        assert {kind for kind, *_ in seen} == {_kernel.Opinions}
+        assert [got for _, got, _ in seen] == [ref for *_, ref in seen]
+
+    @needs_kernel
+    @pytest.mark.parametrize("how", ["max_events", "max_time", "w_below", "w_below tracked",
+                                     "max_time at a probe"])
+    def test_the_caller_list_comes_back(self, how):
+        init = [0.1 * math.sin(i) for i in range(36)]
+        g = build_torus([6, 6]) if how == "w_below tracked" else build_ring(36)
+        stop, probes = {
+            "max_events": (StopRule(max_events=500), (0.5, 3.0)),
+            "max_time": (StopRule(max_time=4.5), (1.0,)),
+            # 36 edges: a test every 100 events sums them all
+            "w_below": (StopRule(max_events=10**6, w_below=1e-4), (0.5,)),
+            # 72 edges > 2 * 4 * 3: the test follows W, its distance updates in C
+            "w_below tracked": (StopRule(max_events=10**6, w_below=1e-4, w_check_interval=3),
+                                (0.5,)),
+            "max_time at a probe": (StopRule(max_time=2.0), (0.5, 1.0, 2.0)),
+        }[how]
+
+        def go(lib):
+            state = fresh(g, init, mu=0.37, stream=99)
+            caller = state.opinions
+            with mock.patch.object(_kernel, "_lib", lib), kernel_calls() as calls:
+                rec = run(state, stop=stop, probes=probes)
+            assert state.opinions is caller and type(caller) is list
+            return rec, calls, bits(caller), state.clock, state.pending
+
+        rec, calls, *got = go(_kernel.load())
+        want_rec, _, *want = go(False)
+        assert calls and rec.stop_reason == how.split()[0]
+        assert got == want
+        assert rec.samples == want_rec.samples and len(rec.samples) == len(probes)
+
+    @needs_kernel
+    @pytest.mark.parametrize("tracked", [False, True])
+    def test_a_probe_that_raises_leaves_its_opinions_in_the_caller_list(self, tracked):
+        class Boom(Exception):
+            pass
+
+        g = build_torus([6, 6]) if tracked else build_ring(12)
+        init = [0.5 * math.cos(3 * i) for i in range(g.vertex_count)]
+
+        def go(lib):
+            state = fresh(g, init, mu=0.3, stream=5)
+            caller = state.opinions
+            seen = []
+
+            def compute(graph, opinions, *args, **kwargs):
+                seen.append((type(opinions), bits(opinions)))
+                if len(seen) == 2:
+                    raise Boom
+                return compute_metrics(graph, opinions, *args, **kwargs)
+
+            with mock.patch.object(_kernel, "_lib", lib), \
+                    mock.patch.object(engine.analysis, "compute_metrics", compute), \
+                    pytest.raises(Boom):
+                run(state, stop=StopRule(max_events=5000, w_below=1e-9, w_check_interval=3),
+                    probes=(0.5, 2.0, 4.0))
+            assert state.opinions is caller and type(caller) is list
+            # the values as of the probe that raised
+            assert bits(caller) == seen[-1][1]
+            return seen, state.clock, state.events_applied, state.stream.rng.getstate()
+
+        got, want = go(_kernel.load()), go(False)
+        assert [kind for kind, _ in got[0]] == [_kernel.Opinions] * 2
+        assert [kind for kind, _ in want[0]] == [list] * 2
+        assert [b for _, b in got[0]] == [b for _, b in want[0]]
+        assert got[1:] == want[1:]
+
+    @needs_kernel
+    @pytest.mark.parametrize("max_events,interval,w_below", [
+        (1_000, 100, 1e-300), (1_050, 100, 1e-300), (0, 100, 1e-300), (5_000, 7, 1e-3)])
+    @pytest.mark.parametrize("space", ["circle", "interval"])
+    def test_one_total_w_call_per_w_test(self, max_events, interval, w_below, space):
+        # a path of 6 has too few edges for a tracked test: every test sums W
+        tests = []
+        below = engine._WTest.below
+
+        def counted_below(self):
+            tests.append(1)
+            return below(self)
+
+        seen, patch = traced_total_w()
+        g = build_path(6)
+        state = new_simulation(g, IidUniform(1), ModelParams(), space=space,
+                               stream=PoissonStream(2))
+        with patch, mock.patch.object(engine._WTest, "below", counted_below), \
+                kernel_calls() as calls:
+            rec = run(state, stop=StopRule(max_events=max_events, w_below=w_below,
+                                           w_check_interval=interval))
+        events = rec.events_applied
+        assert calls or max_events == 0
+        assert len(tests) == events // interval + (events % interval > 0 or events == 0) \
+            if rec.stop_reason == "max_events" else events // interval
+        assert len(seen) == len(tests) > 0
+        assert {kind for kind, *_ in seen} == {_kernel.Opinions}
+        assert [got for _, got, _ in seen] == [ref for *_, ref in seen]
+        # the sum reads edge_array in C, not the Python loop's tuple view
+        assert not TUPLE_TABLES & set(vars(g))
 
 
 @st.composite
@@ -1351,6 +1575,33 @@ class TestSnapshot:
         struct.pack_into("<d", blob, at + 16, value)
         with pytest.raises(SnapshotError, match="outside"):
             restore(bytes(blob))
+
+    @pytest.mark.parametrize("space,first,second", [
+        ("circle", math.nan, 5.0), ("circle", -1.0, math.nan), ("circle", -math.inf, 2.0),
+        ("interval", -0.1, 1.5), ("interval", math.nan, math.nan), ("interval", 1.5, -2.0)])
+    def test_a_refusal_names_the_first_opinion_outside_the_chart(self, space, first, second):
+        # the values are checked at once; the message is the scalar check's
+        state = fresh(build_ring(5), [0.1, 0.5, 0.25, 0.0, 0.75], space=space, stream=1)
+        blob = bytearray(snapshot(state))
+        at = struct.calcsize("<4sHB") + struct.calcsize("<dddQ") + 1 + struct.calcsize("<BI")
+        values = list(state.opinions)
+        values[1], values[3] = first, second
+        struct.pack_into("<5d", blob, at, *values)
+        with pytest.raises(ValueError) as scalar:
+            initial_opinions(Explicit(values), 5, space)
+        with pytest.raises(SnapshotError) as got:
+            restore(bytes(blob))
+        assert str(got.value) == f"snapshot does not decode: {scalar.value}"
+
+    @pytest.mark.parametrize("space", ["circle", "interval"])
+    def test_restored_opinions_keep_their_bits(self, space):
+        values = [-0.0, 0.0, 1.0, 5e-324, math.nextafter(1.0, 0.0), 0.1]
+        if space == "circle":
+            values += [math.nextafter(-1.0, 0.0), -0.5, -5e-324]
+        state = fresh(build_path(len(values)), values, space=space, stream=3)
+        got = restore(snapshot(state)).opinions
+        assert type(got) is list and {type(v) for v in got} == {float}
+        assert bits(got) == bits(values)
 
     @pytest.mark.parametrize("graph", [build_ring(6), build_torus([3, 3])])
     def test_vertex_count_checked_before_the_graph_is_built(self, graph, monkeypatch):
