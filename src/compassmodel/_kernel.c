@@ -1,6 +1,6 @@
 /* Compiled event loop for Poisson runs without observers, or observed by
- * one DifferenceTracker of the run's own state, and the sums of the W stop
- * test. Three entry points, each taking the context:
+ * one DifferenceTracker of the run's own state, and the sums of W. Four
+ * entry points, each taking the context:
  *
  * cm_run applies up to c->limit events of a PoissonStream run with the three
  * draws of engine._run_loop (wait, edge, tie bit). An event the engine holds
@@ -27,6 +27,13 @@
  *
  * cm_total_w is engine._total_w in C: the left-to-right sum of the edge
  * distances in edge-id order, with the same fold, so bitwise the same sum.
+ *
+ * cm_fsum is math.fsum of c->d[0 .. c->m): Shewchuk's partials and the
+ * half-even correction of CPython's Modules/mathmodule.c, step for step. An
+ * exactly rounded sum does not depend on the order of its terms, so it is
+ * bitwise math.fsum's. On a NaN or an infinity among the terms, or on
+ * overflow, it returns a value that is not finite, and _kernel.fsum asks
+ * math.fsum for the value or the exception.
  */
 
 #include <math.h>
@@ -283,4 +290,62 @@ double cm_total_w(struct cm_ctx *c)
         total += (x <= 1.0 || !circle) ? x : 2.0 - x;
     }
     return total;
+}
+
+/* The partials do not overlap, and the bits of finite doubles span 2^-1074
+ * to 2^1023, so there are at most 2098 of them. */
+#define FSUM_PARTIALS 2098
+
+double cm_fsum(struct cm_ctx *c)
+{
+    double p[FSUM_PARTIALS], x, y, t, hi, yr, lo = 0.0;
+    int64_t f, i, j, n = 0;
+
+    for (f = 0; f < c->m; f++) {
+        x = c->d[f];
+        for (i = j = 0; j < n; j++) {
+            y = p[j];
+            if (fabs(x) < fabs(y)) {
+                t = x;
+                x = y;
+                y = t;
+            }
+            hi = x + y;
+            yr = hi - x;
+            lo = y - yr;
+            if (lo != 0.0)
+                p[i++] = lo;
+            x = hi;
+        }
+        n = i;
+        if (x != 0.0) {
+            if (!isfinite(x) || n == FSUM_PARTIALS)
+                return x + INFINITY; /* special terms or overflow: math.fsum decides */
+            p[n++] = x;
+        }
+    }
+    /* sum the partials from the top down until the sum becomes inexact */
+    hi = 0.0;
+    if (n > 0) {
+        hi = p[--n];
+        while (n > 0) {
+            x = hi;
+            y = p[--n];
+            hi = x + y;
+            yr = hi - x;
+            lo = y - yr;
+            if (lo != 0.0)
+                break;
+        }
+        /* half-even rounding across the partials: when the rest below lo has
+         * lo's sign, the exact sum lies beyond the halfway point lo marks */
+        if (n > 0 && ((lo < 0.0 && p[n - 1] < 0.0) || (lo > 0.0 && p[n - 1] > 0.0))) {
+            y = lo * 2.0;
+            x = hi + y;
+            yr = x - hi;
+            if (y == yr)
+                hi = x;
+        }
+    }
+    return hi;
 }

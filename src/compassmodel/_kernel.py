@@ -9,12 +9,17 @@ and loaded with ctypes. Without gcc, or when the build or the load fails,
 For the length of a kernel run, the state's opinions are the kernel's own
 buffer (`Opinions`), which the kernel updates in place and `engine._total_w`
 sums in C; the run hands them back in the caller's list when it ends.
+
+`fsum` is `math.fsum` of a float64 buffer, summed in C: the W of
+`analysis.compute_metrics` and the exact re-syncs of the engine's tracked W
+test. Without the kernel it is `math.fsum` itself.
 """
 
 from __future__ import annotations
 
 import array
 import ctypes
+import math
 import os
 import shutil
 import subprocess
@@ -24,7 +29,9 @@ from functools import partial
 from hashlib import sha256
 from pathlib import Path
 
-__all__: list[str] = []  # private to the engine
+import numpy as np
+
+__all__: list[str] = []  # private to the engine and analysis
 
 # -ffp-contract=off: no fused multiply-add, which would round differently
 # from the scalar rules; no -ffast-math or -march for the same reason.
@@ -33,7 +40,7 @@ _SOURCE = Path(__file__).with_name("_kernel.c")
 # the non-static functions of _kernel.c, name -> restype; each takes the
 # context pointer. Calling one without its restype reads its result as int.
 ENTRY_POINTS = {"cm_run": ctypes.c_int64, "cm_recompute": ctypes.c_double,
-                "cm_total_w": ctypes.c_double}
+                "cm_total_w": ctypes.c_double, "cm_fsum": ctypes.c_double}
 
 # The loaded library, False once building or loading failed, None until the
 # first load(). Tests set it to False to run the Python loop instead.
@@ -109,6 +116,21 @@ def load():
     return _lib or None
 
 
+def fsum(values) -> float:
+    """`math.fsum(values)`, bit for bit, for float64 values in a buffer (an
+    ndarray or an `array('d')`), which the kernel reads in place. Without the
+    kernel, and when the C sum is not finite (a NaN or an infinity among the
+    values, or overflow), `math.fsum` gives the value or raises."""
+    lib = load()
+    if lib:
+        a = np.ascontiguousarray(values, dtype=np.float64)
+        ctx = _Context(d=a.ctypes.data, m=a.size)  # both held through the call
+        total = lib.cm_fsum(ctypes.addressof(ctx))
+        if math.isfinite(total):
+            return total
+    return math.fsum(memoryview(values))
+
+
 class Opinions(array.array):
     """A kernel run's opinions: the kernel's own double buffer, which is
     `state.opinions` for the length of the run. While it is, `total_w()` is
@@ -123,7 +145,8 @@ class Chunks:
     `_total_w` read it without a copy. `close` copies it back into the
     caller's list and puts that same list back on the state; the engine
     calls `close` also when the run raises. It hands the generator back too.
-    The next `advance` first applies, and counts, the event given to `hold`.
+    The next `advance` first applies, and counts, the event given to `hold`;
+    if none does, `close` hands it back.
 
     The kernel reads the graph's int64 `edge_array` and `incidence` in
     place. Given the tracked W test's distances `d`, it logs the edge of
@@ -185,7 +208,10 @@ class Chunks:
         ctx.limit = limit
         ctx.next_probe = next_probe
         done = self._run(self.address)
-        return done, ctx.clock, (ctx.t, ctx.e, ctx.k) if ctx.drawn else None
+        if not ctx.drawn:
+            return done, ctx.clock, None
+        ctx.drawn = 0  # the engine's from here: it holds the event again, or parks it
+        return done, ctx.clock, (ctx.t, ctx.e, ctx.k)
 
     def hold(self, t: float, e: int, k: int) -> None:
         """Hold one event for the next `advance` to apply first."""
@@ -198,10 +224,11 @@ class Chunks:
         logged = self.ctx.nlog
         return self._recompute(self.address), logged
 
-    def close(self) -> None:
+    def close(self) -> tuple[float, int, int] | None:
         """Put the caller's list back on the state, holding the kernel's
         opinions; hand the generator's state back, and write the tracker's
-        gaps and bounds back into its lists."""
+        gaps and bounds back into its lists. Return the held event, which no
+        `advance` applied, as (t, e, k), or None."""
         del self.buf.total_w  # a plain array from here on
         self.state.opinions = self.caller_opinions
         self.caller_opinions[:] = self.buf.tolist()
@@ -210,3 +237,5 @@ class Chunks:
             self.tracker.delta.values[:] = self.delta.tolist()
             if self.tracker.xi is not None:
                 self.tracker.xi.values[:] = self.xi.tolist()
+        ctx = self.ctx
+        return (ctx.t, ctx.e, ctx.k) if ctx.drawn else None

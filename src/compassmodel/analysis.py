@@ -156,7 +156,9 @@ def compute_metrics(g: Graph, opinions, space: str = "circle",
 
     Gap values are recomputed from the opinions unless a tracked list is
     passed in (then that list is used verbatim, drift and all). W is an
-    exactly rounded sum (math.fsum), so it does not depend on edge order.
+    exactly rounded sum, `math.fsum` bit for bit, so it does not depend on
+    edge order; the compiled kernel sums it in C when it loads
+    (`_kernel.fsum`).
     """
     if len(opinions) != g.vertex_count:
         raise ValueError(f"expected {g.vertex_count} opinions, got {len(opinions)}")
@@ -170,7 +172,9 @@ def compute_metrics(g: Graph, opinions, space: str = "circle",
     else:
         delta = np.asarray(delta_values, dtype=float)
     absd = np.abs(delta)
-    w = math.fsum(memoryview(absd))
+    # imported here, so ctypes stays out of the package import
+    from . import _kernel
+    w = _kernel.fsum(absd)
     # as the builtin max over the list: a leading NaN wins, later ones are skipped
     max_nd = float(max(absd[0], np.fmax.reduce(absd))) if absd.size else 0.0
     mean_ad = w / absd.size if absd.size else 0.0

@@ -226,7 +226,8 @@ class StopRule:
     below w_below. On a graph with more than 2 * max_degree *
     w_check_interval edges it costs O(degree) per event instead of O(edges)
     per test, plus an exact re-sum of the edges every m / (2 * max_degree)
-    events; in the compiled kernel the per-event part runs in C.
+    events; in the compiled kernel the per-event part and the exact re-sum
+    run in C.
 
     max_events and w_check_interval are counts: a whole float such as 1e6
     (as JSON gives it) is taken as its int; bools and other numbers are
@@ -316,7 +317,10 @@ class _WTest:
     on the interval), the test is tracked: it keeps the edge distances d
     (computed as `_total_w` does) and their running sum `est`, updates them
     around the edges of the events since the last test, and calls
-    `_total_w` only when `est` is within its error bound of w_below.
+    `_total_w` only when `est` is within its error bound of w_below. `est`
+    starts at, and is re-synced to, the exactly rounded sum of d
+    (`_kernel.fsum`, `math.fsum` summed in C) every m / (2 * max_degree)
+    events.
 
     The loop logs those edges in `touched`, and `_recompute` updates d in
     Python. When the run goes through the compiled kernel, `_run_loop` sets
@@ -345,7 +349,9 @@ class _WTest:
                 self._sync()
 
     def _sync(self) -> None:
-        self.est = self.w_max = math.fsum(self.d)
+        # imported here, so ctypes stays out of the package import
+        from . import _kernel
+        self.est = self.w_max = _kernel.fsum(self.d)
         self.updates = 0
 
     def _recompute(self) -> tuple[float, int]:
@@ -527,6 +533,10 @@ def _run_loop(state: SimState, stream, stop: StopRule, probes, samples,
     (see `_WTest`, whose distance updates run in C too), and at the end,
     also when the run raises, the caller's list gets the opinions back and
     goes back on the state; the tracker's values reach its lists then too.
+
+    A run that raises (a probe's metrics, an observer, a KeyboardInterrupt)
+    after drawing an event and before applying it parks that event in
+    `state.pending`, so a resumed run applies it and keeps the trajectory.
     """
     g = state.graph
     space = state.space
@@ -571,6 +581,9 @@ def _run_loop(state: SimState, stream, stop: StopRule, probes, samples,
     edges = None if kernel else g.edges
     # a kernel run's opinions are the kernel's buffer, until it closes
     op = state.opinions
+    # (t, e, k) is drawn or taken off the stream, and neither applied, parked
+    # nor held: if the run raises, it goes back to state.pending
+    loose = False
 
     try:
         while True:
@@ -604,8 +617,10 @@ def _run_loop(state: SimState, stream, stop: StopRule, probes, samples,
                 t, e, k = pending.time, pending.edge_id, pending.tie
                 _check_event(state, clock, t, e, k)
                 pending = state.pending = None
+            loose = True
             if t > max_time:
                 state.pending = Event(t, e, k)
+                loose = False
                 clock = max_time
                 reason = "max_time"
                 break
@@ -616,12 +631,14 @@ def _run_loop(state: SimState, stream, stop: StopRule, probes, samples,
 
             if kernel:
                 kernel.hold(t, e, k)
+                loose = False
                 continue
             a, b = edges[e]
             if circle:
                 op[a], op[b] = compass(op[a], op[b], params, k)
             else:
                 op[a], op[b] = deffuant(op[a], op[b], params)
+            loose = False
             if note:
                 note(e)
             clock = t
@@ -637,7 +654,11 @@ def _run_loop(state: SimState, stream, stop: StopRule, probes, samples,
         state.clock = clock
         state.events_applied = count
         if kernel:
-            kernel.close()
+            held = kernel.close()
+            if held:
+                loose, (t, e, k) = True, held
+        if loose:
+            state.pending = Event(t, e, k)
 
     while pi < len(probes) and (next_probe <= clock or reason == "schedule_exhausted"):
         samples.append(compute(g, state.opinions, space, at_time=next_probe))

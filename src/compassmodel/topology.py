@@ -42,8 +42,9 @@ class Graph:
 
     def __post_init__(self):
         n = self.vertex_count
-        if n < 1:
-            raise ValueError(f"need at least one vertex, got {n}")
+        if not 1 <= n <= 1 << 32:
+            # beyond 2**32 no edge table that fits in memory connects the graph
+            raise ValueError(f"need 1 to 2**32 vertices, got {n}")
         edges = arr = self.edge_array
         if not isinstance(edges, np.ndarray) and not set(map(len, edges)) - {2}:
             # a sequence of pairs; endpoints beyond int64 are out of range anyway
@@ -58,12 +59,15 @@ class Graph:
         a, b = arr[:, 0], arr[:, 1]
         outside = (a < 0) | (a >= n) | (b < 0) | (b >= n)
         # an edge whose unordered pair an earlier edge already has (the sort
-        # is stable, so that edge sorts first)
+        # is stable, so that edge sorts first). The key lo * n + hi is one per
+        # pair in range, as n <= 2**32; an endpoint out of range wraps, and a
+        # tie it makes marks an edge after it, not the first offender.
         lo, hi = np.minimum(a, b), np.maximum(a, b)
-        order = np.lexsort((hi, lo))
-        lo, hi = lo[order], hi[order]
+        key = lo.astype(np.uint64) * np.uint64(n) + hi.astype(np.uint64)
+        order = np.argsort(key, kind="stable")
+        key = key[order]
         repeat = np.zeros(len(order), dtype=bool)
-        repeat[order[1:]] = (lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1])
+        repeat[order[1:]] = key[1:] == key[:-1]
         bad = np.flatnonzero(outside | (a == b) | repeat)
         if bad.size:
             # the first offending edge, with the message an edge-by-edge scan gives

@@ -1,4 +1,6 @@
+import array
 import ctypes
+import json
 import math
 import random
 import re
@@ -6,6 +8,7 @@ import shutil
 import signal
 import struct
 import subprocess
+import sys
 import time
 import tracemalloc
 from contextlib import contextmanager
@@ -15,7 +18,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from compassmodel import (Constant, DifferenceTracker, Event, Explicit, Graph,
@@ -27,6 +30,9 @@ from compassmodel import (Constant, DifferenceTracker, Event, Explicit, Graph,
 from compassmodel import _kernel, engine
 from compassmodel.analysis import compute_metrics
 from compassmodel.engine import _total_w
+
+
+needs_kernel = pytest.mark.skipif(_kernel.load() is None, reason="no compiled kernel")
 
 
 class Noop:
@@ -491,6 +497,76 @@ class TestRun:
         assert (rec.events_applied, rec.final_time, len(rec.samples)) == \
             (10, math.inf, len(probes))
 
+    @staticmethod
+    def interrupted_then_resumed(lib, raise_at, error):
+        """A 12-ring run to 300 events whose second probe raises after 21
+        events, resumed to 300 events; and the same run straight through.
+        raise_at wraps what raises: the probes' compute_metrics, or the
+        kernel's advance."""
+        g = build_ring(12)
+        init = [0.5 * math.cos(3 * i) for i in range(12)]
+        probes = (0.5, 2.0, 4.0)
+
+        def end(state):
+            return bits(state.opinions), state.clock, state.events_applied, \
+                state.stream.rng.getstate()
+
+        with mock.patch.object(_kernel, "_lib", _kernel.load() if lib == "kernel" else False):
+            whole = fresh(g, init, mu=0.3, stream=5)
+            run(whole, stop=StopRule(max_events=300), probes=probes)
+            state = fresh(g, init, mu=0.3, stream=5)
+            with raise_at(error), pytest.raises(error):
+                run(state, stop=StopRule(max_events=300), probes=probes)
+            raised = (state.events_applied, state.pending)
+            run(state, stop=StopRule(max_events=300))
+        return raised, end(state), end(whole)
+
+    @staticmethod
+    @contextmanager
+    def second_probe_raises(error):
+        calls = []
+
+        def compute(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise error
+            return compute_metrics(*args, **kwargs)
+
+        with mock.patch.object(engine.analysis, "compute_metrics", compute):
+            yield
+
+    @pytest.mark.parametrize("lib", ["kernel", "python"])
+    @pytest.mark.parametrize("error", [ArithmeticError, KeyboardInterrupt])
+    def test_a_run_that_raises_at_a_probe_keeps_the_drawn_event(self, lib, error):
+        # the probe at 2.0 raised with the event past it drawn (three draws)
+        # and not applied: it must be parked, or the resumed run skips it
+        raised, got, want = self.interrupted_then_resumed(lib, self.second_probe_raises, error)
+        events, pending = raised
+        assert events == 21 and pending is not None and pending.time > 2.0
+        assert got == want
+
+    @needs_kernel
+    def test_an_event_the_kernel_holds_comes_back_when_the_run_raises(self):
+        # an interrupt between hold() and the advance that would apply the
+        # held event: close() hands it back, and it is parked
+        advance = _kernel.Chunks.advance
+
+        @contextmanager
+        def held_event_interrupted(error):
+            def interrupted(self, *args):
+                if self.ctx.drawn:
+                    raise error
+                return advance(self, *args)
+
+            with mock.patch.object(_kernel.Chunks, "advance", interrupted):
+                yield
+
+        raised, got, want = self.interrupted_then_resumed("kernel", held_event_interrupted,
+                                                          KeyboardInterrupt)
+        events, pending = raised
+        assert pending is not None and pending.time > 0.5
+        assert got == want
+
     @given(st.integers(min_value=0, max_value=2**32))
     @settings(max_examples=20, deadline=None)
     def test_event_count_honors_budget(self, seed):
@@ -921,8 +997,6 @@ class TestKernel:
             assert (on.rules, on.held) == (events, 0)
 
 
-needs_kernel = pytest.mark.skipif(_kernel.load() is None, reason="no compiled kernel")
-
 # pairs of opinions whose distance is exactly 1 (antipodal), nextafter(1, +inf),
 # nextafter(1, -inf), +0.0 from signed zeros, and 0
 W_PAIRS = {"circle": [(0.5, -0.5), (0.0, 1.0), (-0.75, 0.25), (1.0, -2.0**-52),
@@ -1098,6 +1172,120 @@ class TestKernelOpinions:
         assert [got for _, got, _ in seen] == [ref for *_, ref in seen]
         # the sum reads edge_array in C, not the Python loop's tuple view
         assert not TUPLE_TABLES & set(vars(g))
+
+
+@st.composite
+def fsum_terms(draw):
+    """float64 terms for an exact sum: 0 to 1e4 of them, of mixed signs or
+    one sign, spread over 300 decades, in clusters at 1, 2**-53, 2**-54 and
+    3 * 2**-54 (an ulp either side, where the roundings of a running sum are
+    ties), or signed zeros; or a short list hypothesis can shrink."""
+    if draw(st.booleans()):
+        return draw(st.lists(st.floats(-1e150, 1e150) | st.sampled_from(
+            [1.0, -1.0, 2.0**-53, -2.0**-53, 2.0**-54, 3 * 2.0**-54, 0.0, -0.0]), max_size=30))
+    m = draw(st.sampled_from([0, 1, 2, 3, 51_200 // 8]) | st.integers(0, 10_000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    kinds = {
+        "decades": rng.uniform(-1.0, 1.0, m) * 10.0 ** rng.uniform(-150.0, 150.0, m),
+        "clusters": rng.choice([1.0, 2.0**-53, 2.0**-54, 3 * 2.0**-54], m)
+        * rng.choice([1.0, 1.0 + 2.0**-52, 1.0 - 2.0**-53], m),
+        "zeros": rng.choice([0.0, -0.0], m),
+        "unit": rng.uniform(0.0, 1.0, m),
+    }
+    mix = draw(st.lists(st.sampled_from(sorted(kinds)), min_size=1, unique=True))
+    terms = np.choose(rng.integers(len(mix), size=m), [kinds[k] for k in mix])
+    sign = draw(st.sampled_from(["mixed", "+", "-"]))
+    if sign == "mixed":
+        terms *= rng.choice([1.0, -1.0], m)
+    elif sign == "-":
+        terms = -terms
+    return terms.tolist()
+
+
+def outcome(f, *args):
+    """f's value as its hex, or its exception's type and message."""
+    try:
+        return f(*args).hex()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+MAX = sys.float_info.max
+
+
+class TestFsum:
+    """`_kernel.fsum`, the exact W sum in C, against `math.fsum`."""
+
+    @needs_kernel
+    @given(fsum_terms())
+    @example([1e-16, 1.0, 1e16])  # half-even across partials: 1e16 + 2, not 1e16
+    @example([1.0, 2.0**-53, 2.0**-53])  # left to right, each tie rounds back to 1
+    @example([-0.0, -0.0])
+    @settings(max_examples=500, deadline=None)
+    def test_the_c_sum_is_math_fsum_bit_for_bit(self, terms):
+        want = math.fsum(terms).hex()
+        # finite terms under 1e150 cannot overflow: the C sum answers alone
+        with mock.patch("math.fsum", side_effect=AssertionError("fell back to math.fsum")):
+            assert _kernel.fsum(np.array(terms, dtype=np.float64)).hex() == want
+            assert _kernel.fsum(array.array("d", terms)).hex() == want
+
+    @pytest.mark.parametrize("terms,want", [
+        ([math.nan], "nan"),
+        ([1.0, math.nan, -1.0], "nan"),
+        ([math.inf, 1.0], "inf"),
+        ([1.0, -math.inf, MAX], "-inf"),
+        ([math.inf, math.nan], "nan"),
+        ([math.inf, -math.inf], ValueError),
+        ([-math.inf, 2.0, math.inf], ValueError),
+        ([MAX, MAX], OverflowError),
+        ([-MAX, 1.0, -MAX], OverflowError),
+        ([MAX, -MAX, MAX], "max"),
+    ])
+    def test_special_terms_behave_as_under_math_fsum(self, terms, want):
+        got = outcome(_kernel.fsum, np.array(terms))
+        assert got == outcome(math.fsum, terms)
+        if isinstance(want, type):
+            assert got[0] is want
+        else:
+            assert got == (MAX if want == "max" else float(want)).hex()
+
+    @staticmethod
+    def tracked_torus_run(lib):
+        """A tracked 40x40 torus run with probes: its payload and the modules
+        that called math.fsum."""
+        callers, syncs = [], []
+        fsum, sync = math.fsum, engine._WTest._sync
+
+        def traced_fsum(values):
+            callers.append(sys._getframe(1).f_globals["__name__"])
+            return fsum(values)
+
+        def traced_sync(self):
+            syncs.append(self.tracked)
+            return sync(self)
+
+        # 3,200 edges > 2 * 4 * 10: the W test is tracked, and re-syncs every
+        # 400 events
+        state = new_simulation(build_torus([40, 40]), IidUniform(3), ModelParams(mu=0.25),
+                               stream=3)
+        with mock.patch.object(_kernel, "_lib", lib), \
+                mock.patch("math.fsum", traced_fsum), \
+                mock.patch.object(engine._WTest, "_sync", traced_sync):
+            rec = run(state, stop=StopRule(max_events=8000, w_below=1e-6, w_check_interval=10),
+                      probes=(0.1, 0.5, 1.0))
+        payload = json.loads(rec.to_json(include_opinions=True))
+        del payload["metadata"]
+        assert len(payload["samples"]) == 3 and len(syncs) >= 5 and all(syncs)
+        return json.dumps(payload), callers
+
+    @needs_kernel
+    def test_a_tracked_run_with_probes_sums_w_in_c(self):
+        got, callers = self.tracked_torus_run(_kernel.load())
+        assert callers == []
+        want, callers = self.tracked_torus_run(False)
+        assert got == want
+        # without the kernel the same sums go to math.fsum
+        assert set(callers) == {"compassmodel._kernel"}
 
 
 @st.composite

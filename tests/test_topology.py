@@ -194,6 +194,22 @@ class TestGraphValidation:
         with pytest.raises(ValueError, match="not connected"):
             Graph("custom", 4, ((0, 1), (2, 3)))
 
+    @pytest.mark.parametrize("n", [0, -1, 2**32 + 1, 2**40])
+    def test_vertex_counts_outside_1_to_2_32_refused(self, n):
+        # beyond 2**32 the duplicate scan's key lo * n + hi would wrap
+        with pytest.raises(ValueError, match=r"need 1 to 2\*\*32 vertices"):
+            Graph("custom", n, ((0, 1),))
+
+    @pytest.mark.parametrize("edges", [((0, 1), (-1, 5), (1, 2), (2, 3)),
+                                       ((-1, 5), (0, 1), (1, 2), (2, 3))])
+    def test_a_wrapped_key_tie_names_the_first_offender(self, edges):
+        # (-1, 5) on 4 vertices wraps to the key of (0, 1): the tie marks
+        # the later edge, and the first offender stays the out-of-range edge
+        with pytest.raises(ValueError) as got:
+            Graph("custom", 4, edges)
+        assert str(got.value) == first_fault(4, edges)
+        assert "(-1, 5) out of range" in str(got.value)
+
     def test_single_vertex_ok(self):
         g = Graph("custom", 1, ())
         assert g.edge_count == 0
