@@ -13,9 +13,17 @@
  * branch for branch, so the tracked gaps and bounds end bit for bit where the
  * observer would leave them.
  *
+ * When c->sum_w is set (the run's W test is untracked, so a full sum costs
+ * no more than the events between two tests), a chunk that completes its
+ * limit leaves T, cm_total_w of the opinions it ends with, in c->w for the
+ * W test due there; after any other chunk c->w is NaN.
+ *
  * The generator is CPython's MT19937 (Modules/_randommodule.c): the state
  * words and index come from random.Random.getstate() and go back with
  * setstate(), and random() is the 53-bit double built from two words.
+ * cm_run keeps the index in a local for the whole chunk and writes it back
+ * once at the end; an event takes its six words in one step when the state
+ * has six left, and word by word across a regeneration.
  * Waiting times use libm's log, which math.log calls. Build without
  * floating-point contraction (-ffp-contract=off) and without fast-math, so
  * no product and sum fuse into one rounding that Python does not make.
@@ -26,7 +34,8 @@
  * the Python loop's.
  *
  * cm_total_w is engine._total_w in C: the left-to-right sum of the edge
- * distances in edge-id order, with the same fold, so bitwise the same sum.
+ * distances in edge-id order, with the same fold, so bitwise the same sum;
+ * cm_run calls it for T.
  *
  * cm_fsum is math.fsum of c->d[0 .. c->m): Shewchuk's partials and the
  * half-even correction of CPython's Modules/mathmodule.c, step for step. An
@@ -70,29 +79,32 @@ struct cm_ctx {
                                event held; out, one past next_probe or max_time */
     double t;
     int64_t e, k;
+    int64_t sum_w;          /* 1 when the run's W test is untracked */
+    double w;               /* T, total_w of the opinions, when sum_w is set and
+                               cm_run has just completed its limit; else NaN */
 };
 
-static uint32_t genrand_uint32(struct cm_ctx *c)
+/* CPython's genrand_uint32 regeneration of all MT_N state words */
+static void mt_regenerate(uint32_t *mt)
 {
     static const uint32_t mag01[2] = {0x0U, MATRIX_A};
-    uint32_t *mt = c->mt;
     uint32_t y;
+    int kk;
 
-    if (mt[MT_N] >= MT_N) {
-        int kk;
-        for (kk = 0; kk < MT_N - MT_M; kk++) {
-            y = (mt[kk] & UPPER_MASK) | (mt[kk + 1] & LOWER_MASK);
-            mt[kk] = mt[kk + MT_M] ^ (y >> 1) ^ mag01[y & 0x1U];
-        }
-        for (; kk < MT_N - 1; kk++) {
-            y = (mt[kk] & UPPER_MASK) | (mt[kk + 1] & LOWER_MASK);
-            mt[kk] = mt[kk + (MT_M - MT_N)] ^ (y >> 1) ^ mag01[y & 0x1U];
-        }
-        y = (mt[MT_N - 1] & UPPER_MASK) | (mt[0] & LOWER_MASK);
-        mt[MT_N - 1] = mt[MT_M - 1] ^ (y >> 1) ^ mag01[y & 0x1U];
-        mt[MT_N] = 0;
+    for (kk = 0; kk < MT_N - MT_M; kk++) {
+        y = (mt[kk] & UPPER_MASK) | (mt[kk + 1] & LOWER_MASK);
+        mt[kk] = mt[kk + MT_M] ^ (y >> 1) ^ mag01[y & 0x1U];
     }
-    y = mt[mt[MT_N]++];
+    for (; kk < MT_N - 1; kk++) {
+        y = (mt[kk] & UPPER_MASK) | (mt[kk + 1] & LOWER_MASK);
+        mt[kk] = mt[kk + (MT_M - MT_N)] ^ (y >> 1) ^ mag01[y & 0x1U];
+    }
+    y = (mt[MT_N - 1] & UPPER_MASK) | (mt[0] & LOWER_MASK);
+    mt[MT_N - 1] = mt[MT_M - 1] ^ (y >> 1) ^ mag01[y & 0x1U];
+}
+
+static inline uint32_t temper(uint32_t y)
+{
     y ^= (y >> 11);
     y ^= (y << 7) & 0x9d2c5680U;
     y ^= (y << 15) & 0xefc60000U;
@@ -100,10 +112,20 @@ static uint32_t genrand_uint32(struct cm_ctx *c)
     return y;
 }
 
-static double random_random(struct cm_ctx *c)
+/* the word at *index, regenerating first when the index has run out */
+static inline uint32_t next_word(uint32_t *mt, uint32_t *index)
 {
-    uint32_t a = genrand_uint32(c) >> 5, b = genrand_uint32(c) >> 6;
-    return (a * 67108864.0 + b) * (1.0 / 9007199254740992.0);
+    if (*index >= MT_N) {
+        mt_regenerate(mt);
+        *index = 0;
+    }
+    return temper(mt[(*index)++]);
+}
+
+/* random.random() from two words: the 53-bit double of a >> 5 and b >> 6 */
+static inline double random_double(uint32_t a, uint32_t b)
+{
+    return ((a >> 5) * 67108864.0 + (b >> 6)) * (1.0 / 9007199254740992.0);
 }
 
 static double sgn(double x)
@@ -203,6 +225,21 @@ static void track(const struct cm_ctx *c, int64_t e)
         xi[e] = (1.0 - 2.0 * mu) * xi[e];
 }
 
+double cm_total_w(struct cm_ctx *c)
+{
+    const int64_t *edges = c->edges;
+    const double *op = c->op;
+    const int circle = c->circle != 0;
+    double total = 0.0;
+    int64_t f;
+
+    for (f = 0; f < c->m; f++) {
+        const double x = fabs(op[edges[2 * f]] - op[edges[2 * f + 1]]);
+        total += (x <= 1.0 || !circle) ? x : 2.0 - x;
+    }
+    return total;
+}
+
 int64_t cm_run(struct cm_ctx *c)
 {
     const int64_t *edges = c->edges;
@@ -212,8 +249,10 @@ int64_t cm_run(struct cm_ctx *c)
     const double next_probe = c->next_probe, max_time = c->max_time;
     int64_t *edge_log = c->edge_log ? c->edge_log + c->nlog : NULL;
     const int64_t limit = c->limit;
+    uint32_t *mt = c->mt, index = mt[MT_N], w[6];
     double clock = c->clock;
     int64_t i = 0;
+    int j;
 
     if (c->drawn) {
         /* the event the engine held: apply it ahead of the draws */
@@ -227,9 +266,19 @@ int64_t cm_run(struct cm_ctx *c)
         c->drawn = 0;
     }
     for (; i < limit; i++) {
-        double t = clock - log(1.0 - random_random(c)) / m;
-        int64_t e = (int64_t)(random_random(c) * m);
-        int64_t k = random_random(c) < 0.5 ? 1 : 2;
+        /* the six words of the three draws: at once when the state has
+         * them, word by word across a regeneration */
+        if (index <= MT_N - 6) {
+            for (j = 0; j < 6; j++)
+                w[j] = temper(mt[index + j]);
+            index += 6;
+        } else {
+            for (j = 0; j < 6; j++)
+                w[j] = next_word(mt, &index);
+        }
+        const double t = clock - log(1.0 - random_double(w[0], w[1])) / m;
+        const int64_t e = (int64_t)(random_double(w[2], w[3]) * m);
+        const int64_t k = random_double(w[4], w[5]) < 0.5 ? 1 : 2;
         if (t > max_time || t > next_probe) {
             c->drawn = 1;
             c->t = t;
@@ -244,9 +293,12 @@ int64_t cm_run(struct cm_ctx *c)
         if (edge_log)
             edge_log[i] = e;
     }
+    mt[MT_N] = index;
     c->clock = clock;
     if (edge_log)
         c->nlog += i;
+    /* a chunk that completes its limit ends at the W test, if any is due */
+    c->w = c->sum_w && i == limit ? cm_total_w(c) : NAN;
     return i;
 }
 
@@ -275,21 +327,6 @@ double cm_recompute(struct cm_ctx *c)
     }
     c->nlog = 0;
     return acc;
-}
-
-double cm_total_w(struct cm_ctx *c)
-{
-    const int64_t *edges = c->edges;
-    const double *op = c->op;
-    const int circle = c->circle != 0;
-    double total = 0.0;
-    int64_t f;
-
-    for (f = 0; f < c->m; f++) {
-        const double x = fabs(op[edges[2 * f]] - op[edges[2 * f + 1]]);
-        total += (x <= 1.0 || !circle) ? x : 2.0 - x;
-    }
-    return total;
 }
 
 /* The partials do not overlap, and the bits of finite doubles span 2^-1074

@@ -3,8 +3,9 @@
 The kernel is compiled on the first Poisson run that can use it, not at
 import, with the system gcc into $XDG_CACHE_HOME/compassmodel (default
 ~/.cache/compassmodel), under a name that hashes the source and the flags,
-and loaded with ctypes. Without gcc, or when the build or the load fails,
-`load()` returns None and the engine keeps to its Python loop.
+and loaded with ctypes. Without gcc, or when reading the source, the build
+or the load fails (with a RuntimeWarning), `load()` returns None and the
+engine keeps to its Python loop.
 
 For the length of a kernel run, the state's opinions are the kernel's own
 buffer (`Opinions`), which the kernel updates in place and `engine._total_w`
@@ -25,7 +26,6 @@ import shutil
 import subprocess
 import tempfile
 import warnings
-from functools import partial
 from hashlib import sha256
 from pathlib import Path
 
@@ -72,6 +72,8 @@ class _Context(ctypes.Structure):
         ("t", ctypes.c_double),
         ("e", ctypes.c_int64),
         ("k", ctypes.c_int64),
+        ("sum_w", ctypes.c_int64),
+        ("w", ctypes.c_double),
     ]
 
 
@@ -79,11 +81,10 @@ def _build():
     gcc = shutil.which("gcc")
     if gcc is None:
         return False
-    source = _SOURCE.read_bytes()
-    tag = sha256(source + "\0".join(FLAGS).encode()).hexdigest()[:16]
     cache = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
-    target = Path(cache) / "compassmodel" / f"_kernel-{tag}.so"
     try:
+        tag = sha256(_SOURCE.read_bytes() + "\0".join(FLAGS).encode()).hexdigest()[:16]
+        target = Path(cache) / "compassmodel" / f"_kernel-{tag}.so"
         if not target.exists():
             target.parent.mkdir(parents=True, exist_ok=True)
             # a private name, then an atomic rename: batch workers may compile at once
@@ -96,12 +97,17 @@ def _build():
             finally:
                 if os.path.exists(tmp):
                     os.unlink(tmp)
-        lib = ctypes.CDLL(str(target))
+        return _open(target)
     except (OSError, subprocess.SubprocessError) as exc:
         detail = getattr(exc, "stderr", None) or exc
         warnings.warn(f"compiled event kernel unavailable, using the Python loop: {detail}",
                       RuntimeWarning, stacklevel=3)
         return False
+
+
+def _open(path):
+    """Load a build of `_kernel.c` and declare its entry points."""
+    lib = ctypes.CDLL(str(path))
     for name, restype in ENTRY_POINTS.items():
         getattr(lib, name).argtypes = [ctypes.c_void_p]
         getattr(lib, name).restype = restype
@@ -134,7 +140,7 @@ def fsum(values) -> float:
 class Opinions(array.array):
     """A kernel run's opinions: the kernel's own double buffer, which is
     `state.opinions` for the length of the run. While it is, `total_w()` is
-    `engine._total_w` in C."""
+    `engine._total_w` in C (`Chunks.total_w`)."""
 
 
 class Chunks:
@@ -151,7 +157,13 @@ class Chunks:
     The kernel reads the graph's int64 `edge_array` and `incidence` in
     place. Given the tracked W test's distances `d`, it logs the edge of
     every event since the last test, and `recompute` updates `d` around
-    them in C.
+    them in C. Given `sum_w` (the run's W test is untracked), a chunk that
+    completes its limit also leaves T, the W sum of the opinions it ends
+    with, for the test due there (`total_w`).
+
+    The generator's state words live in `mt` for the length of the run; the
+    kernel keeps their index in a local through each chunk and writes it
+    back at the chunk's end.
 
     Given a DifferenceTracker of the state, whose gaps (and bounds, if any)
     `run` has checked to hold one entry per edge, the kernel updates copies
@@ -159,10 +171,12 @@ class Chunks:
     `close` writes them back into the tracker's lists in place.
     """
 
-    def __init__(self, lib, state, rng, max_time: float, d, log_size: int, tracker=None):
+    def __init__(self, lib, state, rng, max_time: float, d, log_size: int, tracker=None,
+                 sum_w: bool = False):
         g = state.graph
         self._run = lib.cm_run
         self._recompute = lib.cm_recompute
+        self._total_w = lib.cm_total_w
         self.state = state
         self.caller_opinions = state.opinions
         self.rng = rng
@@ -193,30 +207,47 @@ class Chunks:
         ctx.circle = state.space == "circle"
         ctx.clock = state.clock
         ctx.max_time = max_time
-        self.address = ctypes.addressof(ctx)
-        self.buf.total_w = partial(lib.cm_total_w, self.address)
+        # advance writes limit and next_probe only when they change
+        self.limit, self.next_probe = 0, math.inf
+        ctx.limit, ctx.next_probe = self.limit, self.next_probe
+        ctx.sum_w = sum_w
+        ctx.w = math.nan  # no T before the first chunk
+        # a pointer object, which ctypes passes faster than an int
+        self.address = ctypes.c_void_p(ctypes.addressof(ctx))
+        self.buf.total_w = self.total_w
         state.opinions = self.buf
 
     def advance(self, limit: int, next_probe: float):
-        """Apply up to limit events, the held one first; return how many, the
-        clock, and the event drawn past next_probe or max_time, unapplied,
-        as (t, e, k) or None."""
+        """Apply up to limit events, the held one first; return how many, and
+        the event drawn past next_probe or max_time, unapplied, as (t, e, k)
+        or None. A chunk that applies all limit events draws none past them,
+        and costs the one call into the kernel: `limit` and `next_probe` are
+        written to the context only when they change, and the clock stays
+        there until `close`."""
         ctx = self.ctx
         if self.d is not None and ctx.nlog + limit > len(self.log):
             # the engine tests W at least every log_size events; the C log has no more room
             raise RuntimeError(f"{limit} more events would overrun the edge log")
-        ctx.limit = limit
-        ctx.next_probe = next_probe
+        if limit != self.limit:
+            ctx.limit = self.limit = limit
+        if next_probe != self.next_probe:
+            ctx.next_probe = self.next_probe = next_probe
         done = self._run(self.address)
-        if not ctx.drawn:
-            return done, ctx.clock, None
+        if done == limit:
+            return done, None
         ctx.drawn = 0  # the engine's from here: it holds the event again, or parks it
-        return done, ctx.clock, (ctx.t, ctx.e, ctx.k)
+        return done, (ctx.t, ctx.e, ctx.k)
 
     def hold(self, t: float, e: int, k: int) -> None:
         """Hold one event for the next `advance` to apply first."""
         ctx = self.ctx
         ctx.t, ctx.e, ctx.k, ctx.drawn = t, e, k, 1
+
+    def total_w(self) -> float:
+        """`engine._total_w` of the kernel's opinions: T, when the chunk that
+        just ended left it (see `sum_w`), else the sum in C."""
+        t = self.ctx.w
+        return t if t == t else self._total_w(self.address)
 
     def recompute(self) -> tuple[float, int]:
         """Update d around the logged edges and empty the log; return the sum
@@ -224,11 +255,12 @@ class Chunks:
         logged = self.ctx.nlog
         return self._recompute(self.address), logged
 
-    def close(self) -> tuple[float, int, int] | None:
+    def close(self) -> tuple[float, tuple[float, int, int] | None]:
         """Put the caller's list back on the state, holding the kernel's
         opinions; hand the generator's state back, and write the tracker's
-        gaps and bounds back into its lists. Return the held event, which no
-        `advance` applied, as (t, e, k), or None."""
+        gaps and bounds back into its lists. Return the time of the last
+        applied event, and the held event, which no `advance` applied, as
+        (t, e, k) or None."""
         del self.buf.total_w  # a plain array from here on
         self.state.opinions = self.caller_opinions
         self.caller_opinions[:] = self.buf.tolist()
@@ -238,4 +270,4 @@ class Chunks:
             if self.tracker.xi is not None:
                 self.tracker.xi.values[:] = self.xi.tolist()
         ctx = self.ctx
-        return (ctx.t, ctx.e, ctx.k) if ctx.drawn else None
+        return ctx.clock, (ctx.t, ctx.e, ctx.k) if ctx.drawn else None

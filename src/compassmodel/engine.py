@@ -294,7 +294,8 @@ def _total_w(state: SimState) -> float:
     """The left-to-right sum of the edge distances, in edge-id order."""
     op = state.opinions
     # a kernel run's opinions are the kernel's buffer, which sums them in C
-    # the same way (`_kernel.Opinions`)
+    # the same way, or hands back T, the same sum left by the chunk that
+    # ended at this test (`_kernel.Chunks.total_w`)
     in_c = getattr(op, "total_w", None)
     if in_c is not None:
         return in_c()
@@ -530,9 +531,11 @@ def _run_loop(state: SimState, stream, stop: StopRule, probes, samples,
     event, and the loop does not call the tracker. Every W test, probe and
     stop decision stays here. For the length of the run `state.opinions` is
     the kernel's buffer: probes read it in place, `_total_w` sums it in C
-    (see `_WTest`, whose distance updates run in C too), and at the end,
-    also when the run raises, the caller's list gets the opinions back and
-    goes back on the state; the tracker's values reach its lists then too.
+    (see `_WTest`, whose distance updates run in C too; an untracked test
+    reads the sum the chunk that ended at it left), and at the end, also
+    when the run raises, the caller's list gets the opinions back and goes
+    back on the state; the tracker's values reach its lists then too. The
+    clock stays in the kernel's context until then.
 
     A run that raises (a probe's metrics, an observer, a KeyboardInterrupt)
     after drawing an event and before applying it parks that event in
@@ -574,7 +577,8 @@ def _run_loop(state: SimState, stream, stop: StopRule, probes, samples,
         lib = _kernel.load()
         if lib:
             kernel = _kernel.Chunks(lib, state, stream.rng, max_time,
-                                    w_test.d if tracked else None, interval, tracker)
+                                    w_test.d if tracked else None, interval, tracker,
+                                    sum_w=w_test is not None and not tracked)
             observers = ()
             if w_test:
                 w_test.kernel = kernel
@@ -584,6 +588,7 @@ def _run_loop(state: SimState, stream, stop: StopRule, probes, samples,
     # (t, e, k) is drawn or taken off the stream, and neither applied, parked
     # nor held: if the run raises, it goes back to state.pending
     loose = False
+    reason = None
 
     try:
         while True:
@@ -596,7 +601,8 @@ def _run_loop(state: SimState, stream, stop: StopRule, probes, samples,
                     break
                 check_at = min(count + interval, max_events)
             if pending is None and kernel:
-                done, clock, drawn = kernel.advance(min(check_at - count, _CHUNK), next_probe)
+                # the kernel keeps the clock until it closes
+                done, drawn = kernel.advance(min(check_at - count, _CHUNK), next_probe)
                 count += done
                 if drawn is None:
                     continue
@@ -651,12 +657,14 @@ def _run_loop(state: SimState, stream, stop: StopRule, probes, samples,
                 for obs in observers:
                     obs.apply_event(ev)
     finally:
-        state.clock = clock
-        state.events_applied = count
         if kernel:
-            held = kernel.close()
+            last, held = kernel.close()
+            if reason != "max_time":
+                clock = last
             if held:
                 loose, (t, e, k) = True, held
+        state.clock = clock
+        state.events_applied = count
         if loose:
             state.pending = Event(t, e, k)
 

@@ -2,6 +2,7 @@ import array
 import ctypes
 import json
 import math
+import os
 import random
 import re
 import shutil
@@ -13,6 +14,7 @@ import time
 import tracemalloc
 from contextlib import contextmanager
 from functools import partial
+from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
 
@@ -906,6 +908,72 @@ def run_legs(case):
     return out
 
 
+# Run in a subprocess against a build of _kernel.c given as argv[1]: twin
+# runs of the build and the Python loop, and cm_fsum against math.fsum. The
+# build aborts the process on undefined behaviour.
+UBSAN_CHECK = """
+import ctypes, math, sys
+from unittest import mock
+import numpy as np
+from compassmodel import (DifferenceTracker, Explicit, ModelParams, StopRule, _kernel,
+                          build_path, build_ring, build_torus, new_simulation, run)
+
+lib = _kernel._open(sys.argv[1])
+chunks = []
+advance = _kernel.Chunks.advance
+
+def counted(self, *args):
+    chunks.append(1)
+    return advance(self, *args)
+
+def go(g, space, mu, theta, stop, probes, tracked):
+    init = [0.97 * math.sin(2.3 * i + 0.4) for i in range(g.vertex_count)]
+    if space == "interval":
+        init = [abs(v) for v in init]
+    state = new_simulation(g, Explicit(init), ModelParams(mu=mu, theta=theta), space=space,
+                           stream=len(init))
+    observers = [DifferenceTracker(state, with_xi=True)] if tracked else []
+    rec = run(state, stop=stop, probes=probes, observers=observers)
+    gaps = [[v.hex() for v in obs.delta.values + obs.xi.values] for obs in observers]
+    return (rec.stop_reason, rec.events_applied, rec.final_time, rec.samples, rec.terminal,
+            [v.hex() for v in state.opinions], state.clock, state.pending,
+            state.stream.rng.getstate(), gaps)
+
+cases = [
+    # tracked W test, probes
+    (build_torus([20, 20]), "circle", 0.5, math.inf,
+     StopRule(max_events=20_000, w_below=0.5, w_check_interval=10), (0.5, 1.0, 2.0), False),
+    # untracked W test: T at every test point
+    (build_torus([20, 20]), "circle", 0.3, 0.9,
+     StopRule(max_events=20_000, w_below=1e-3), (0.5, 3.0), False),
+    (build_ring(12), "circle", 0.3, 0.9, StopRule(max_events=3_000), (1.0,), True),
+    (build_ring(9), "circle", 0.5, math.inf,
+     StopRule(max_events=3_000, w_below=1e-9, w_check_interval=3), (), False),
+    (build_path(7), "interval", 0.25, math.inf, StopRule(max_time=20.0), (2.0, 5.0), False),
+]
+for case in cases:
+    with mock.patch.object(_kernel, "_lib", lib), \
+            mock.patch.object(_kernel.Chunks, "advance", counted):
+        got = go(*case)
+    with mock.patch.object(_kernel, "_lib", False):
+        want = go(*case)
+    assert got == want, case
+assert chunks
+
+rng = np.random.default_rng(3)
+terms = [rng.uniform(0.0, 1.0, 10_000),
+         rng.uniform(-1.0, 1.0, 5_000) * 10.0 ** rng.uniform(-150.0, 150.0, 5_000),
+         rng.choice([1.0, 2.0**-53, 2.0**-54, 3 * 2.0**-54], 2_000),
+         np.array([1.0, math.inf, -1.0]), np.array([sys.float_info.max] * 2), np.array([])]
+for t in terms:
+    ctx = _kernel._Context(d=t.ctypes.data, m=t.size)
+    got = lib.cm_fsum(ctypes.addressof(ctx))
+    if math.isfinite(got):
+        assert got.hex() == math.fsum(t).hex()
+print("ok", len(cases), len(terms))
+"""
+
+
 class TestKernel:
     """The compiled kernel against the Python loop it mirrors."""
 
@@ -995,6 +1063,86 @@ class TestKernel:
             assert (on.rules, on.chunked) == (0, events)
         else:
             assert (on.rules, on.held) == (events, 0)
+
+    @needs_kernel
+    @pytest.mark.parametrize("held", ["none", "probe", "parked"])
+    @pytest.mark.parametrize("events", range(1, 8))
+    def test_chunks_from_every_generator_index_match_the_python_loop(self, events, held):
+        # a chunk of 1 to 7 events from each index the generator can be at,
+        # fresh (index 624) or moved by 1 to 624 words: the chunks that reach
+        # index 624 regenerate the state between two of their six-word draws
+        g = build_ring(5)
+        init = [0.9 * math.cos(2.0 * i) for i in range(5)]
+
+        def go(lib, words):
+            state = fresh(g, init, mu=0.3, stream=PoissonStream(17))
+            rng = state.stream.rng
+            for _ in range(words):
+                rng.getrandbits(32)
+            start = rng.getstate()[1][-1]
+            with mock.patch.object(_kernel, "_lib", lib), kernel_calls() as calls:
+                if held == "parked":
+                    # the first event drawn is parked, and held by the next run
+                    run(state, stop=StopRule(max_time=1e-9))
+                # the first event drawn is past the probe, and held
+                run(state, stop=StopRule(max_events=events),
+                    probes=(1e-9,) if held == "probe" else ())
+            return (start, len(calls), bits(state.opinions), state.clock, state.pending,
+                    state.events_applied, rng.getstate())
+
+        regenerated = 0
+        for words in range(625):
+            got, want = go(_kernel.load(), words), go(False, words)
+            assert got[2:] == want[2:], words
+            # every draw in the kernel: the held event's in a chunk of its own
+            assert got[1] == (1 if held == "none" else 2)
+            assert got[-2] == events
+            regenerated += got[-1][1][-1] < got[0]
+        # the starts from which the 6 * events words drawn (the held event's
+        # among them) reach past index 624, and the fresh generator's twice
+        assert regenerated == 6 * events + 1
+
+    def test_an_unreadable_source_falls_back_to_the_python_loop(self, tmp_path, monkeypatch):
+        if shutil.which("gcc") is None:
+            pytest.skip("no gcc on PATH: the build is not tried")
+        g = build_ring(10)
+
+        def go():
+            state = new_simulation(g, IidUniform(3), ModelParams(mu=0.3), stream=4)
+            run(state, stop=StopRule(max_events=500), probes=(1.0,))
+            return bits(state.opinions), state.clock, state.stream.rng.getstate()
+
+        monkeypatch.setattr(_kernel, "_lib", False)
+        want = go()
+        monkeypatch.setattr(_kernel, "_SOURCE", tmp_path / "missing" / "_kernel.c")
+        monkeypatch.setattr(_kernel, "_lib", None)
+        with kernel_calls() as calls, \
+                pytest.warns(RuntimeWarning, match="using the Python loop"):
+            got = go()
+        assert _kernel.load() is None and calls == []
+        assert got == want
+
+    def test_the_kernel_runs_clean_under_ubsan(self, tmp_path):
+        # undefined behaviour (an overflow, a shift past the width, an index
+        # out of bounds the sanitizer sees) aborts the subprocess
+        gcc = shutil.which("gcc")
+        if gcc is None:
+            pytest.skip("no gcc on PATH")
+        lib = tmp_path / "_kernel-ubsan.so"
+        built = subprocess.run([gcc, "-O1", "-ffp-contract=off", "-fsanitize=undefined",
+                                "-fno-sanitize-recover=all", "-fPIC", "-shared", "-o", str(lib),
+                                str(_kernel._SOURCE), "-lm"],
+                               capture_output=True, text=True, timeout=120)
+        if built.returncode != 0 and "ubsan" in built.stderr:
+            pytest.skip(f"no libubsan to link: {built.stderr.strip()}")
+        assert built.returncode == 0, built.stderr
+        src = str(Path(engine.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        done = subprocess.run([sys.executable, "-c", UBSAN_CHECK, str(lib)], env=env,
+                              capture_output=True, text=True, timeout=600)
+        assert done.returncode == 0, done.stderr[-3000:]
+        assert done.stdout.split() == ["ok", "5", "6"]
 
 
 # pairs of opinions whose distance is exactly 1 (antipodal), nextafter(1, +inf),
@@ -1172,6 +1320,64 @@ class TestKernelOpinions:
         assert [got for _, got, _ in seen] == [ref for *_, ref in seen]
         # the sum reads edge_array in C, not the Python loop's tuple view
         assert not TUPLE_TABLES & set(vars(g))
+
+    @needs_kernel
+    @pytest.mark.parametrize("case", ["max_events=0", "restored at its budget",
+                                      "max_events below events_applied",
+                                      "after a probe's held event", "capped at _CHUNK"])
+    def test_an_untracked_w_test_reads_t_from_its_chunk(self, case):
+        # 9 edges <= 2 * 2 * 4: every test sums W in full. A test that follows
+        # a chunk reads the T that chunk left; one before any chunk finds NaN
+        # there, and sums in C. A stale T reads as a wrong W, and the run
+        # stops, or goes on, where the Python loop does not.
+        g = build_ring(9)
+        init = [0.8 * math.sin(1.7 * i) for i in range(9)]
+        lib = _kernel.load()
+        # each run starts at 40 events
+        budget = {"max_events=0": 0, "restored at its budget": 40,
+                  "max_events below events_applied": 20}.get(case, 2_040)
+        before_any_chunk = budget <= 40
+        probes = tuple(0.05 * i for i in range(1, 400)) if "probe" in case else ()
+        held_only = []
+        advance = _kernel.Chunks.advance
+
+        def noted(self, limit, next_probe):
+            held_only.append(limit == 1 and self.ctx.drawn == 1)
+            return advance(self, limit, next_probe)
+
+        def go(lib):
+            state = fresh(g, init, mu=0.3, stream=8)
+            with mock.patch.object(_kernel, "_lib", lib):
+                run(state, stop=StopRule(max_events=40))
+                if case == "restored at its budget":
+                    state = restore(snapshot(state))
+                seen, patch = traced_total_w()
+                with patch, mock.patch.object(engine, "_CHUNK", 3 if "_CHUNK" in case else
+                                              engine._CHUNK), \
+                        mock.patch.object(_kernel.Chunks, "advance", noted):
+                    rec = run(state, stop=StopRule(max_events=budget, w_below=1e-9,
+                                                   w_check_interval=4), probes=probes)
+                sums = [got for _, got, _ in seen]
+                assert sums == [ref for *_, ref in seen]
+            return (rec.stop_reason, rec.events_applied, sums, bits(state.opinions),
+                    state.clock, state.pending, state.stream.rng.getstate())
+
+        in_c = []
+        total_w_in_c = lib.cm_total_w
+
+        def counted(address):
+            in_c.append(address)
+            return total_w_in_c(address)
+
+        with mock.patch.object(lib, "cm_total_w", counted):
+            got = go(lib)
+        assert got == go(False)
+        tests = got[2]
+        if before_any_chunk:
+            assert len(in_c) == len(tests) == 1
+        else:
+            assert in_c == [] and len(tests) > 20
+        assert any(held_only) == ("probe" in case)
 
 
 @st.composite
