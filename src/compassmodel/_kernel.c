@@ -20,10 +20,16 @@
  *
  * The generator is CPython's MT19937 (Modules/_randommodule.c): the state
  * words and index come from random.Random.getstate() and go back with
- * setstate(), and random() is the 53-bit double built from two words.
- * cm_run keeps the index in a local for the whole chunk and writes it back
- * once at the end; an event takes its six words in one step when the state
- * has six left, and word by word across a regeneration.
+ * setstate(), and random() is the 53-bit double built from two words. A
+ * block of MT_N words is made at once: next_block twists the state four
+ * words a step with GCC vector extensions, then tempers all of it in one
+ * vector pass into c->tw, which the context keeps across chunks. cm_run
+ * keeps the index in a local for the whole chunk and writes it back once at
+ * the end; an event reads its six tempered words in place when the block
+ * has six left, and word by word across a new block. The tie bit is
+ * random() < 0.5, which holds exactly when the fifth word is below 2^31;
+ * the sixth word is drawn and not read. All of it is integer work, so the
+ * words, and getstate(), are CPython's bit for bit.
  * Waiting times use libm's log, which math.log calls. Build without
  * floating-point contraction (-ffp-contract=off) and without fast-math, so
  * no product and sum fuse into one rounding that Python does not make.
@@ -48,6 +54,7 @@
 #include <math.h>
 #include <stddef.h>
 #include <stdint.h>
+#include <string.h>
 
 #define MT_N 624
 #define MT_M 397
@@ -59,6 +66,9 @@
 struct cm_ctx {
     uint32_t *mt;           /* getstate()'s words: MT_N state words, then the
                                index of the next one (MT_N: regenerate first) */
+    uint32_t *tw;           /* MT_N words: the state words tempered, once
+                               tempered is set */
+    int64_t tempered;       /* 0 until cm_run first tempers the state's block */
     const int64_t *edges;   /* m rows of (tail, head): Graph.edge_array */
     double *op;             /* the opinions */
     int64_t *edge_log;      /* when not NULL, the edge id of each applied event
@@ -84,42 +94,60 @@ struct cm_ctx {
                                cm_run has just completed its limit; else NaN */
 };
 
-/* CPython's genrand_uint32 regeneration of all MT_N state words */
-static void mt_regenerate(uint32_t *mt)
+/* four state words, unaligned loads and stores */
+typedef uint32_t v4u __attribute__((vector_size(16)));
+
+static inline v4u load4(const uint32_t *p)
 {
-    static const uint32_t mag01[2] = {0x0U, MATRIX_A};
-    uint32_t y;
+    v4u v;
+    memcpy(&v, p, sizeof v);
+    return v;
+}
+
+static inline void store4(uint32_t *p, v4u v)
+{
+    memcpy(p, &v, sizeof v);
+}
+
+/* CPython's twist of state word x, whose next word is x1, against word xm,
+ * for one word or four: mag01[y & 1] is -(x1 & 1) & MATRIX_A */
+#define TWIST(x, x1, xm) \
+    ((xm) ^ ((((x) & UPPER_MASK) | ((x1) & LOWER_MASK)) >> 1) ^ (-((x1) & 1U) & MATRIX_A))
+
+/* CPython's tempering of all MT_N state words into tw, four at a time */
+static void temper_block(uint32_t *tw, const uint32_t *mt)
+{
     int kk;
 
-    for (kk = 0; kk < MT_N - MT_M; kk++) {
-        y = (mt[kk] & UPPER_MASK) | (mt[kk + 1] & LOWER_MASK);
-        mt[kk] = mt[kk + MT_M] ^ (y >> 1) ^ mag01[y & 0x1U];
+    for (kk = 0; kk < MT_N; kk += 4) {
+        v4u y = load4(mt + kk);
+        y ^= y >> 11;
+        y ^= (y << 7) & 0x9d2c5680U;
+        y ^= (y << 15) & 0xefc60000U;
+        y ^= y >> 18;
+        store4(tw + kk, y);
     }
-    for (; kk < MT_N - 1; kk++) {
-        y = (mt[kk] & UPPER_MASK) | (mt[kk + 1] & LOWER_MASK);
-        mt[kk] = mt[kk + (MT_M - MT_N)] ^ (y >> 1) ^ mag01[y & 0x1U];
-    }
-    y = (mt[MT_N - 1] & UPPER_MASK) | (mt[0] & LOWER_MASK);
-    mt[MT_N - 1] = mt[MT_M - 1] ^ (y >> 1) ^ mag01[y & 0x1U];
 }
 
-static inline uint32_t temper(uint32_t y)
+/* CPython's genrand_uint32 regeneration of all MT_N state words, then
+ * the new block tempered into tw */
+static void next_block(uint32_t *mt, uint32_t *tw)
 {
-    y ^= (y >> 11);
-    y ^= (y << 7) & 0x9d2c5680U;
-    y ^= (y << 15) & 0xefc60000U;
-    y ^= (y >> 18);
-    return y;
-}
+    int kk = 0;
 
-/* the word at *index, regenerating first when the index has run out */
-static inline uint32_t next_word(uint32_t *mt, uint32_t *index)
-{
-    if (*index >= MT_N) {
-        mt_regenerate(mt);
-        *index = 0;
-    }
-    return temper(mt[(*index)++]);
+    /* against words MT_M ahead, which this block has not twisted yet */
+    for (; kk + 4 <= MT_N - MT_M; kk += 4)
+        store4(mt + kk, TWIST(load4(mt + kk), load4(mt + kk + 1), load4(mt + kk + MT_M)));
+    for (; kk < MT_N - MT_M; kk++)
+        mt[kk] = TWIST(mt[kk], mt[kk + 1], mt[kk + MT_M]);
+    /* against words MT_N - MT_M (more than four) behind, twisted already */
+    for (; kk + 4 <= MT_N - 1; kk += 4)
+        store4(mt + kk, TWIST(load4(mt + kk), load4(mt + kk + 1),
+                              load4(mt + kk + (MT_M - MT_N))));
+    for (; kk < MT_N - 1; kk++)
+        mt[kk] = TWIST(mt[kk], mt[kk + 1], mt[kk + (MT_M - MT_N)]);
+    mt[MT_N - 1] = TWIST(mt[MT_N - 1], mt[0], mt[MT_M - 1]);
+    temper_block(tw, mt);
 }
 
 /* random.random() from two words: the 53-bit double of a >> 5 and b >> 6 */
@@ -249,11 +277,17 @@ int64_t cm_run(struct cm_ctx *c)
     const double next_probe = c->next_probe, max_time = c->max_time;
     int64_t *edge_log = c->edge_log ? c->edge_log + c->nlog : NULL;
     const int64_t limit = c->limit;
-    uint32_t *mt = c->mt, index = mt[MT_N], w[6];
+    uint32_t *mt = c->mt, *tw = c->tw, index = mt[MT_N], across[6];
+    const uint32_t *w;
     double clock = c->clock;
     int64_t i = 0;
     int j;
 
+    if (!c->tempered) {
+        /* the block the state holds, tempered once for the run */
+        temper_block(tw, mt);
+        c->tempered = 1;
+    }
     if (c->drawn) {
         /* the event the engine held: apply it ahead of the draws */
         apply_rule(op, edges, c->e, c->k, mu, theta, circle);
@@ -266,19 +300,24 @@ int64_t cm_run(struct cm_ctx *c)
         c->drawn = 0;
     }
     for (; i < limit; i++) {
-        /* the six words of the three draws: at once when the state has
-         * them, word by word across a regeneration */
+        /* the six tempered words of the three draws: in place when the
+         * block has them, word by word across a new block */
         if (index <= MT_N - 6) {
-            for (j = 0; j < 6; j++)
-                w[j] = temper(mt[index + j]);
+            w = tw + index;
             index += 6;
         } else {
-            for (j = 0; j < 6; j++)
-                w[j] = next_word(mt, &index);
+            for (j = 0; j < 6; j++) {
+                if (index >= MT_N) {
+                    next_block(mt, tw);
+                    index = 0;
+                }
+                across[j] = tw[index++];
+            }
+            w = across;
         }
         const double t = clock - log(1.0 - random_double(w[0], w[1])) / m;
         const int64_t e = (int64_t)(random_double(w[2], w[3]) * m);
-        const int64_t k = random_double(w[4], w[5]) < 0.5 ? 1 : 2;
+        const int64_t k = w[4] >> 31 ? 2 : 1; /* random() < 0.5: k = 1 */
         if (t > max_time || t > next_probe) {
             c->drawn = 1;
             c->t = t;

@@ -51,6 +51,8 @@ class _Context(ctypes.Structure):
     # field for field `struct cm_ctx` in _kernel.c
     _fields_ = [
         ("mt", ctypes.c_void_p),
+        ("tw", ctypes.c_void_p),
+        ("tempered", ctypes.c_int64),
         ("edges", ctypes.c_void_p),
         ("op", ctypes.c_void_p),
         ("edge_log", ctypes.c_void_p),
@@ -163,7 +165,11 @@ class Chunks:
 
     The generator's state words live in `mt` for the length of the run; the
     kernel keeps their index in a local through each chunk and writes it
-    back at the chunk's end.
+    back at the chunk's end. `tw` holds the tempered words of the state's
+    current block: the first chunk tempers the block the state comes with,
+    and the kernel tempers each block it makes, once, so events read their
+    words from `tw` across chunks. `close` hands back `mt` alone, which is
+    all of `getstate()`.
 
     Given a DifferenceTracker of the state, whose gaps (and bounds, if any)
     `run` has checked to hold one entry per edge, the kernel updates copies
@@ -186,8 +192,10 @@ class Chunks:
         self.d = d
         self.version, words, self.gauss = rng.getstate()
         self.mt = array.array("I", words)
+        self.tw = array.array("I", bytes(4 * (len(words) - 1)))
         ctx = self.ctx = _Context()
         ctx.mt = self.mt.buffer_info()[0]
+        ctx.tw = self.tw.buffer_info()[0]
         ctx.edges = g.edge_array.ctypes.data
         ctx.op = self.buf.buffer_info()[0]
         ctx.inc_start, ctx.inc_ids = (a.ctypes.data for a in g.incidence)

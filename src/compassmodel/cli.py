@@ -308,6 +308,8 @@ def run_batch(cfg: dict, output_dir) -> dict:
         workers = int(value)
     except ValueError:
         raise ConfigError([f"{WORKERS_ENV} must be an integer, got {value!r}"]) from None
+    if workers < 1:
+        raise ConfigError([f"{WORKERS_ENV} must be at least 1, got {value!r}"])
 
     out = Path(output_dir)
     try:

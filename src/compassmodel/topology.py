@@ -80,7 +80,9 @@ class Graph:
             raise ValueError(f"duplicate edge between vertices {x} and {y}")
         arr.setflags(write=False)
         object.__setattr__(self, "edge_array", arr)
-        if n > 1 and not self._connected():
+        # fewer than n - 1 edges connect no graph: refused before _connected
+        # allocates its n-entry arrays
+        if n > 1 and (len(arr) < n - 1 or not self._connected()):
             raise ValueError("graph is not connected")
 
     def __eq__(self, other):

@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -180,6 +181,30 @@ class TestRunBatch:
                    (tmp_path / "parallel" / name).read_bytes()
         assert strip_metadata(tmp_path / "serial" / "aggregate.json") == \
                strip_metadata(tmp_path / "parallel" / "aggregate.json")
+
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_workers_below_one_exit_two(self, tmp_path, monkeypatch, capsys, value):
+        path = write_config(tmp_path, minimal_raw())
+        monkeypatch.setenv(WORKERS_ENV, value)
+        code = main(["run", str(path), "-o", str(tmp_path / "out")])
+        assert code == 2
+        assert f"error: {WORKERS_ENV} must be at least 1, got '{value}'" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_a_sparse_edge_list_is_a_config_error_in_bounded_memory(self, tmp_path):
+        edges = tmp_path / "sparse.txt"
+        edges.write_text("1 10000000\n")
+        cfg = parse_config(minimal_raw(graph={"kind": "file", "path": str(edges)}))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match="cannot build graph: graph is not connected"):
+                run_batch(cfg, tmp_path / "out")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert not list((tmp_path / "out").iterdir())
 
     def test_unwritable_output_is_a_config_error(self, tmp_path):
         blocker = tmp_path / "not_a_dir"

@@ -1,5 +1,6 @@
 import array
 import ctypes
+import inspect
 import json
 import math
 import os
@@ -908,11 +909,59 @@ def run_legs(case):
     return out
 
 
+def untemper(y):
+    """The MT19937 state word that tempering turns into the word y."""
+    y ^= y >> 18
+    y ^= (y << 15) & 0xefc60000
+    x = y
+    for _ in range(4):  # 7 more bits of x right on each pass
+        x = y ^ ((x << 7) & 0x9d2c5680)
+    y = x
+    for _ in range(2):  # 11 more bits right on each pass
+        x = y ^ (x >> 11)
+    return x
+
+
+def boundary_cases():
+    """(space, index, words): the next six words of a generator at index,
+    chosen at the bounds of the three draws. The tie words sit on either
+    side of 2**31, where random() < 0.5 turns, each with the least and the
+    greatest partner word; the wait words give u = 0 and u = 1 - 2**-53;
+    the edge words pick the first edge and the last. From index 618 the
+    next event makes a new block."""
+    ties = [(a, b) for a in (0x7fffffff, 0x80000000) for b in (0, 0xffffffff)]
+    ends = [(0, 0), (0xffffffff, 0xffffffff)]
+    return [(space, index, wait + edge + tie)
+            for space in ("circle", "interval") for index in (0, 618)
+            for wait in ends for edge in ends for tie in ties]
+
+
+def boundary_run(space, index, words):
+    """Three events of a 5-ring whose generator draws the given six words
+    next; both chosen edges join an antipodal pair on the circle, where the
+    tie bit decides."""
+    init = [1.0, 0.0, 0.4, -0.3, 0.0] if space == "circle" else [1.0, 0.0, 0.4, 0.7, 0.0]
+    state = new_simulation(build_ring(5), Explicit(init), ModelParams(mu=0.3), space=space,
+                           stream=1)
+    rng = state.stream.rng
+    version, mt, gauss = rng.getstate()
+    mt = list(mt[:-1])
+    mt[index:index + 6] = map(untemper, words)
+    rng.setstate((version, (*mt, index), gauss))
+    check = random.Random()
+    check.setstate(rng.getstate())
+    assert tuple(check.getrandbits(32) for _ in words) == words
+    run(state, stop=StopRule(max_events=3))
+    return ([v.hex() for v in state.opinions], state.clock, state.pending,
+            state.events_applied, rng.getstate())
+
+
 # Run in a subprocess against a build of _kernel.c given as argv[1]: twin
-# runs of the build and the Python loop, and cm_fsum against math.fsum. The
-# build aborts the process on undefined behaviour.
+# runs of the build and the Python loop, at the draw boundaries too, and
+# cm_fsum against math.fsum. The build aborts the process on undefined
+# behaviour.
 UBSAN_CHECK = """
-import ctypes, math, sys
+import ctypes, math, random, sys
 from unittest import mock
 import numpy as np
 from compassmodel import (DifferenceTracker, Explicit, ModelParams, StopRule, _kernel,
@@ -960,6 +1009,16 @@ for case in cases:
     assert got == want, case
 assert chunks
 
+""" + "\n\n".join(map(inspect.getsource, (untemper, boundary_cases, boundary_run))) + """
+
+bounds = boundary_cases()
+for case in bounds:
+    with mock.patch.object(_kernel, "_lib", lib):
+        got = boundary_run(*case)
+    with mock.patch.object(_kernel, "_lib", False):
+        want = boundary_run(*case)
+    assert got == want, case
+
 rng = np.random.default_rng(3)
 terms = [rng.uniform(0.0, 1.0, 10_000),
          rng.uniform(-1.0, 1.0, 5_000) * 10.0 ** rng.uniform(-150.0, 150.0, 5_000),
@@ -970,7 +1029,7 @@ for t in terms:
     got = lib.cm_fsum(ctypes.addressof(ctx))
     if math.isfinite(got):
         assert got.hex() == math.fsum(t).hex()
-print("ok", len(cases), len(terms))
+print("ok", len(cases), len(bounds), len(terms))
 """
 
 
@@ -1102,6 +1161,64 @@ class TestKernel:
         # among them) reach past index 624, and the fresh generator's twice
         assert regenerated == 6 * events + 1
 
+    @pytest.mark.parametrize("space", ["circle", "interval"])
+    @pytest.mark.parametrize("w_test", [False, True], ids=["no W test", "W test"])
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_long_chunks_match_the_python_loop_and_the_generator(self, space, w_test, data):
+        # chunks of up to 3,000 events make several blocks each, and a
+        # generator moved by 0 to 1,247 words starts them inside one
+        n = data.draw(st.integers(3, 12), label="n")
+        g = build_ring(n) if data.draw(st.booleans(), label="ring") else build_path(n)
+        init = data.draw(st.lists(opinion_values(space), min_size=n, max_size=n), label="init")
+        params = ModelParams(mu=data.draw(st.sampled_from([0.5, 0.25]) | st.floats(0.05, 0.5),
+                                          label="mu"),
+                             theta=data.draw(st.sampled_from([math.inf, 0.9, 0.3]),
+                                             label="theta"))
+        seed = data.draw(st.integers(0, 2**64), label="seed")
+        words = data.draw(st.integers(0, 1247), label="words")
+        # 104 events draw one block's 624 words
+        sizes = st.integers(1, 3000) | st.sampled_from([1, 104, 105, 3000])
+        legs = data.draw(st.lists(sizes, min_size=1, max_size=3), label="legs")
+        interval = data.draw(sizes, label="interval")  # of the W test, if any
+
+        def go():
+            state = new_simulation(g, Explicit(init), params, space=space, stream=seed)
+            rng = state.stream.rng
+            for _ in range(words):
+                rng.getrandbits(32)
+            budget = 0
+            for more in legs:
+                budget += more
+                run(state, stop=StopRule(max_events=budget, w_below=1e-300 if w_test else None,
+                                         w_check_interval=interval))
+            return (bits(state.opinions), state.clock, state.pending, state.events_applied,
+                    rng.getstate())
+
+        with kernel_calls() as calls:
+            got = go()
+        with mock.patch.object(_kernel, "_lib", False):
+            want = go()
+        assert got == want
+        # the three draws of each event are six words of the one generator
+        fresh_rng = random.Random(seed)
+        for _ in range(words + 6 * got[3]):
+            fresh_rng.getrandbits(32)
+        assert got[-1] == fresh_rng.getstate()
+        if _kernel.load() and not w_test:
+            assert [limit for limit, _ in calls] == legs  # each leg is one chunk
+
+    @pytest.mark.parametrize("case", boundary_cases(),
+                             ids=lambda c: f"{c[0]}-{c[1]}-" + "-".join(f"{w:x}" for w in c[2]))
+    def test_draw_boundaries_match_the_python_loop(self, case):
+        with kernel_calls() as calls:
+            got = boundary_run(*case)
+        with mock.patch.object(_kernel, "_lib", False):
+            want = boundary_run(*case)
+        assert got == want
+        assert got[3] == 3
+        assert bool(calls) == (_kernel.load() is not None)
+
     def test_an_unreadable_source_falls_back_to_the_python_loop(self, tmp_path, monkeypatch):
         if shutil.which("gcc") is None:
             pytest.skip("no gcc on PATH: the build is not tried")
@@ -1142,7 +1259,7 @@ class TestKernel:
         done = subprocess.run([sys.executable, "-c", UBSAN_CHECK, str(lib)], env=env,
                               capture_output=True, text=True, timeout=600)
         assert done.returncode == 0, done.stderr[-3000:]
-        assert done.stdout.split() == ["ok", "5", "6"]
+        assert done.stdout.split() == ["ok", "5", "64", "6"]
 
 
 # pairs of opinions whose distance is exactly 1 (antipodal), nextafter(1, +inf),

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -454,3 +456,18 @@ class TestLoadEdgeList:
         p.write_text("# nothing here\n")
         with pytest.raises(ValueError, match="no edges"):
             load_edge_list(p)
+
+    @pytest.mark.parametrize("label", [10_000_000, 2**32])
+    def test_too_few_edges_refused_without_vertex_arrays(self, tmp_path, label):
+        # one edge cannot connect `label` vertices; the refusal allocates no
+        # array with an entry per vertex (80 MB at 1e7, 32 GiB at 2**32)
+        p = tmp_path / "sparse.txt"
+        p.write_text(f"1 {label}\n")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="graph is not connected"):
+                load_edge_list(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
