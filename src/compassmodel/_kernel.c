@@ -1,5 +1,5 @@
 /* Compiled event loop for Poisson runs without observers, or observed by
- * one DifferenceTracker of the run's own state, and the sums of W. Four
+ * one DifferenceTracker of the run's own state, and the sums of W. Three
  * entry points, each taking the context:
  *
  * cm_run applies up to c->limit events of a PoissonStream run with the three
@@ -13,10 +13,11 @@
  * branch for branch, so the tracked gaps and bounds end bit for bit where the
  * observer would leave them.
  *
- * When c->sum_w is set (the run's W test is untracked, so a full sum costs
- * no more than the events between two tests), a chunk that completes its
+ * When c->sum_w is set (the run has a W test), a chunk that completes its
  * limit leaves T, cm_total_w of the opinions it ends with, in c->w for the
- * W test due there; after any other chunk c->w is NaN.
+ * W test due there; after any other chunk c->w is NaN. The engine ends
+ * chunks at the budget, at its 2^20-event cap and at each test that sums;
+ * the tests a sum rules out end none (see engine._run_loop).
  *
  * The generator is CPython's MT19937 (Modules/_randommodule.c): the state
  * words and index come from random.Random.getstate() and go back with
@@ -33,11 +34,6 @@
  * Waiting times use libm's log, which math.log calls. Build without
  * floating-point contraction (-ffp-contract=off) and without fast-math, so
  * no product and sum fuse into one rounding that Python does not make.
- *
- * cm_recompute is the tracked W test's distance update, engine._WTest's
- * _recompute in C: it visits the edges around each logged edge in the same
- * order and rounds the same way, so the test's running sum stays bitwise
- * the Python loop's.
  *
  * cm_total_w is engine._total_w in C: the left-to-right sum of the edge
  * distances in edge-id order, with the same fold, so bitwise the same sum;
@@ -71,12 +67,9 @@ struct cm_ctx {
     int64_t tempered;       /* 0 until cm_run first tempers the state's block */
     const int64_t *edges;   /* m rows of (tail, head): Graph.edge_array */
     double *op;             /* the opinions */
-    int64_t *edge_log;      /* when not NULL, the edge id of each applied event
-                               since the last W test, nlog of them */
-    int64_t nlog;
     const int64_t *inc_start, *inc_ids; /* Graph.incidence: the edges of vertex v
                                are inc_ids[inc_start[v] .. inc_start[v + 1]) */
-    double *d;              /* the tracked W test's edge distances */
+    double *d;              /* cm_fsum's m terms */
     double *delta, *xi;     /* when delta is not NULL, a DifferenceTracker's m
                                gaps and, when xi is not NULL, its m bounds */
     int64_t m;
@@ -89,7 +82,7 @@ struct cm_ctx {
                                event held; out, one past next_probe or max_time */
     double t;
     int64_t e, k;
-    int64_t sum_w;          /* 1 when the run's W test is untracked */
+    int64_t sum_w;          /* 1 when the run has a W test */
     double w;               /* T, total_w of the opinions, when sum_w is set and
                                cm_run has just completed its limit; else NaN */
 };
@@ -275,7 +268,6 @@ int64_t cm_run(struct cm_ctx *c)
     const double m = (double)c->m, mu = c->mu, theta = c->theta;
     const int circle = c->circle != 0;
     const double next_probe = c->next_probe, max_time = c->max_time;
-    int64_t *edge_log = c->edge_log ? c->edge_log + c->nlog : NULL;
     const int64_t limit = c->limit;
     uint32_t *mt = c->mt, *tw = c->tw, index = mt[MT_N], across[6];
     const uint32_t *w;
@@ -294,8 +286,6 @@ int64_t cm_run(struct cm_ctx *c)
         if (c->delta)
             track(c, c->e);
         clock = c->t;
-        if (edge_log)
-            edge_log[0] = c->e;
         i = 1;
         c->drawn = 0;
     }
@@ -329,43 +319,12 @@ int64_t cm_run(struct cm_ctx *c)
         if (c->delta)
             track(c, e);
         clock = t;
-        if (edge_log)
-            edge_log[i] = e;
     }
     mt[MT_N] = index;
     c->clock = clock;
-    if (edge_log)
-        c->nlog += i;
     /* a chunk that completes its limit ends at the W test, if any is due */
     c->w = c->sum_w && i == limit ? cm_total_w(c) : NAN;
     return i;
-}
-
-double cm_recompute(struct cm_ctx *c)
-{
-    const int64_t *edges = c->edges, *start = c->inc_start, *ids = c->inc_ids;
-    const double *op = c->op;
-    double *d = c->d;
-    const int circle = c->circle != 0;
-    double acc = 0.0;
-    int64_t i, j, p;
-
-    for (i = 0; i < c->nlog; i++) {
-        const int64_t e = c->edge_log[i];
-        for (j = 0; j < 2; j++) {
-            const int64_t v = edges[2 * e + j];
-            for (p = start[v]; p < start[v + 1]; p++) {
-                const int64_t f = ids[p];
-                double x = fabs(op[edges[2 * f]] - op[edges[2 * f + 1]]);
-                if (circle && x > 1.0)
-                    x = 2.0 - x;
-                acc += x - d[f];
-                d[f] = x;
-            }
-        }
-    }
-    c->nlog = 0;
-    return acc;
 }
 
 /* The partials do not overlap, and the bits of finite doubles span 2^-1074

@@ -12,8 +12,7 @@ buffer (`Opinions`), which the kernel updates in place and `engine._total_w`
 sums in C; the run hands them back in the caller's list when it ends.
 
 `fsum` is `math.fsum` of a float64 buffer, summed in C: the W of
-`analysis.compute_metrics` and the exact re-syncs of the engine's tracked W
-test. Without the kernel it is `math.fsum` itself.
+`analysis.compute_metrics`. Without the kernel it is `math.fsum` itself.
 """
 
 from __future__ import annotations
@@ -39,8 +38,8 @@ FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 _SOURCE = Path(__file__).with_name("_kernel.c")
 # the non-static functions of _kernel.c, name -> restype; each takes the
 # context pointer. Calling one without its restype reads its result as int.
-ENTRY_POINTS = {"cm_run": ctypes.c_int64, "cm_recompute": ctypes.c_double,
-                "cm_total_w": ctypes.c_double, "cm_fsum": ctypes.c_double}
+ENTRY_POINTS = {"cm_run": ctypes.c_int64, "cm_total_w": ctypes.c_double,
+                "cm_fsum": ctypes.c_double}
 
 # The loaded library, False once building or loading failed, None until the
 # first load(). Tests set it to False to run the Python loop instead.
@@ -55,8 +54,6 @@ class _Context(ctypes.Structure):
         ("tempered", ctypes.c_int64),
         ("edges", ctypes.c_void_p),
         ("op", ctypes.c_void_p),
-        ("edge_log", ctypes.c_void_p),
-        ("nlog", ctypes.c_int64),
         ("inc_start", ctypes.c_void_p),
         ("inc_ids", ctypes.c_void_p),
         ("d", ctypes.c_void_p),
@@ -157,11 +154,9 @@ class Chunks:
     if none does, `close` hands it back.
 
     The kernel reads the graph's int64 `edge_array` and `incidence` in
-    place. Given the tracked W test's distances `d`, it logs the edge of
-    every event since the last test, and `recompute` updates `d` around
-    them in C. Given `sum_w` (the run's W test is untracked), a chunk that
-    completes its limit also leaves T, the W sum of the opinions it ends
-    with, for the test due there (`total_w`).
+    place. Given `sum_w` (the run has a W test), a chunk that completes its
+    limit also leaves T, the W sum of the opinions it ends with, for the
+    test due there (`total_w`).
 
     The generator's state words live in `mt` for the length of the run; the
     kernel keeps their index in a local through each chunk and writes it
@@ -177,11 +172,9 @@ class Chunks:
     `close` writes them back into the tracker's lists in place.
     """
 
-    def __init__(self, lib, state, rng, max_time: float, d, log_size: int, tracker=None,
-                 sum_w: bool = False):
+    def __init__(self, lib, state, rng, max_time: float, tracker=None, sum_w: bool = False):
         g = state.graph
         self._run = lib.cm_run
-        self._recompute = lib.cm_recompute
         self._total_w = lib.cm_total_w
         self.state = state
         self.caller_opinions = state.opinions
@@ -189,7 +182,6 @@ class Chunks:
         # kept referenced: the kernel holds pointers into these buffers (the
         # graph, which the run holds, keeps its own tables)
         self.buf = Opinions("d", state.opinions)
-        self.d = d
         self.version, words, self.gauss = rng.getstate()
         self.mt = array.array("I", words)
         self.tw = array.array("I", bytes(4 * (len(words) - 1)))
@@ -199,10 +191,6 @@ class Chunks:
         ctx.edges = g.edge_array.ctypes.data
         ctx.op = self.buf.buffer_info()[0]
         ctx.inc_start, ctx.inc_ids = (a.ctypes.data for a in g.incidence)
-        if d is not None:
-            self.log = array.array("q", bytes(8 * log_size))
-            ctx.edge_log = self.log.buffer_info()[0]
-            ctx.d = d.buffer_info()[0]
         self.tracker = tracker
         if tracker is not None:
             self.delta = array.array("d", tracker.delta.values)
@@ -233,9 +221,6 @@ class Chunks:
         written to the context only when they change, and the clock stays
         there until `close`."""
         ctx = self.ctx
-        if self.d is not None and ctx.nlog + limit > len(self.log):
-            # the engine tests W at least every log_size events; the C log has no more room
-            raise RuntimeError(f"{limit} more events would overrun the edge log")
         if limit != self.limit:
             ctx.limit = self.limit = limit
         if next_probe != self.next_probe:
@@ -256,12 +241,6 @@ class Chunks:
         just ended left it (see `sum_w`), else the sum in C."""
         t = self.ctx.w
         return t if t == t else self._total_w(self.address)
-
-    def recompute(self) -> tuple[float, int]:
-        """Update d around the logged edges and empty the log; return the sum
-        of the changes and how many edges were logged."""
-        logged = self.ctx.nlog
-        return self._recompute(self.address), logged
 
     def close(self) -> tuple[float, tuple[float, int, int] | None]:
         """Put the caller's list back on the state, holding the kernel's

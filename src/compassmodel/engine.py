@@ -15,7 +15,6 @@ string seeding is process-dependent and is refused.
 
 from __future__ import annotations
 
-import array
 import math
 import numbers
 import random
@@ -160,6 +159,16 @@ def _check_opinion(v: float, what: str, space: str) -> None:
             raise ValueError(f"{what} {v!r} outside [0, 1]")
 
 
+def _check_chart(values, what: str, space: str) -> None:
+    """`_check_opinion` of every value, in one vectorised pass; the scalar
+    check of the first value outside the chart (NaN included) words the error."""
+    values = np.asarray(values, dtype=np.float64)
+    low = values > -1.0 if space == "circle" else values >= 0.0
+    outside = ~(low & (values <= 1.0))
+    if outside.any():
+        _check_opinion(float(values[outside.argmax()]), what, space)
+
+
 def initial_opinions(init, n: int, space: str = "circle") -> list[float]:
     """Materialize an initial profile of length n for the given space."""
     if space not in ("circle", "interval"):
@@ -223,11 +232,13 @@ class StopRule:
     events and once more when the event budget lands, so a run that
     converges exactly at the budget still counts as converged. It is exact:
     it stops exactly when the left-to-right sum of the edge distances is
-    below w_below. On a graph with more than 2 * max_degree *
-    w_check_interval edges it costs O(degree) per event instead of O(edges)
-    per test, plus an exact re-sum of the edges every m / (2 * max_degree)
-    events; in the compiled kernel the per-event part and the exact re-sum
-    run in C.
+    below w_below. A test that sums costs O(edges), in C on a kernel run.
+    One event moves at most 2 * max_degree edge distances, each in [0, 1],
+    so a sum T rules out a stop for the next (T - w_below) / (2 *
+    max_degree) events, less a rounding margin: the tests in that window
+    answer "not below" without a sum, which they would have found anyway.
+    While W is large a run sums rarely; within 2 * max_degree *
+    w_check_interval of w_below, at every test.
 
     max_events and w_check_interval are counts: a whole float such as 1e6
     (as JSON gives it) is taken as its int; bools and other numbers are
@@ -310,97 +321,6 @@ def _total_w(state: SimState) -> float:
     return total
 
 
-class _WTest:
-    """The w_below stop test; every answer is `_total_w(state) < w_below`.
-
-    On a graph with more edges than the events between two tests can touch
-    (m > 2 * max_degree * w_check_interval) and opinions in [-1, 1] ([0, 1]
-    on the interval), the test is tracked: it keeps the edge distances d
-    (computed as `_total_w` does) and their running sum `est`, updates them
-    around the edges of the events since the last test, and calls
-    `_total_w` only when `est` is within its error bound of w_below. `est`
-    starts at, and is re-synced to, the exactly rounded sum of d
-    (`_kernel.fsum`, `math.fsum` summed in C) every m / (2 * max_degree)
-    events.
-
-    The loop logs those edges in `touched`, and `_recompute` updates d in
-    Python. When the run goes through the compiled kernel, `_run_loop` sets
-    `kernel`: the kernel applies every event, logs the edges and updates d
-    in C in the same order, so `est` and every decision are bitwise the
-    same. `state.opinions` is then the kernel's buffer, and `_total_w` sums
-    it in C, in the same order, without a copy.
-    """
-
-    def __init__(self, state: SimState, stop: StopRule):
-        g = state.graph
-        self.state = state
-        self.w_below = stop.w_below
-        self.touched: list[int] = []
-        self.kernel = None
-        self.tracked = False
-        if g.edge_count > 2 * g.max_degree * stop.w_check_interval:
-            op = np.array(state.opinions)
-            lo = -1.0 if state.space == "circle" else 0.0
-            self.tracked = bool(((op >= lo) & (op <= 1.0)).all())
-            if self.tracked:
-                d = np.abs(op[g.edge_array[:, 0]] - op[g.edge_array[:, 1]])
-                if state.space == "circle":
-                    d = np.where(d > 1.0, 2.0 - d, d)
-                self.d = array.array("d", d.tobytes())
-                self._sync()
-
-    def _sync(self) -> None:
-        # imported here, so ctypes stays out of the package import
-        from . import _kernel
-        self.est = self.w_max = _kernel.fsum(self.d)
-        self.updates = 0
-
-    def _recompute(self) -> tuple[float, int]:
-        """Update d around the touched edges and clear them; return the sum
-        of the changes and how many edges were touched."""
-        g = self.state.graph
-        edges, incident, op, d = g.edges, g.incident_edges, self.state.opinions, self.d
-        circle = self.state.space == "circle"
-        acc = 0.0
-        for e in self.touched:
-            for v in edges[e]:
-                for f in incident[v]:
-                    a, b = edges[f]
-                    x = abs(op[a] - op[b])
-                    if circle and x > 1.0:
-                        x = 2.0 - x
-                    acc += x - d[f]
-                    d[f] = x
-        touched = len(self.touched)
-        self.touched.clear()
-        return acc, touched
-
-    def below(self) -> bool:
-        if self.tracked:
-            acc, touched = self.kernel.recompute() if self.kernel else self._recompute()
-            self.est += acc
-            self.updates += 2 * self.state.graph.max_degree * touched
-            m = self.state.graph.edge_count
-            if self.updates >= m:
-                self._sync()
-            elif self.est > self.w_max:
-                self.w_max = self.est
-            # Error bound, with u = 2**-53, S the exact sum of d (all d >= 0 on
-            # these opinions), M the largest est since the last fsum re-sync and
-            # k >= the edge updates since then. The re-sync rounds by u*M. Each
-            # update rounds x - d[f] by u*M and acc + (x - d[f]) by 2u*M, since
-            # acc's partial sums are a mix of old and new d minus the old ones.
-            # est + acc rounds by u*M per test, at most one per 2 updates, so
-            # |est - S| <= (4k + 1)u*M. `_total_w` sums the same d left to right
-            # (|T - S| <= (m - 1)u*S) and est - bound rounds by u*M, so the
-            # bound must reach (m + 4k + 1)u*M. The spare u*M and 1.2e-16 > u
-            # cover second-order terms for m < 1e13 and M's error as a bound on S.
-            bound = (m + 4 * self.updates + 2) * 1.2e-16 * self.w_max
-            if self.est - bound > self.w_below:
-                return False
-        return _total_w(self.state) < self.w_below
-
-
 def run(state: SimState, stream=None, stop: StopRule | None = None,
         probes=(), observers=(), tol: float = 1e-6,
         initial_opinions_for_limits=None) -> analysis.RunRecord:
@@ -419,14 +339,16 @@ def run(state: SimState, stream=None, stop: StopRule | None = None,
     state (a twin, or the state a snapshot was taken of) would re-read that
     state's opinions and drift. Such a tracker, one whose gaps or bounds are
     not one per edge of a graph equal to the state's, opinions that are not
-    one per vertex, a NaN probe time, and a Poisson stream on a graph
-    without edges raise ValueError before the first event, with the state
-    untouched.
+    one per vertex or lie outside the space's chart (NaN included), a NaN
+    probe time, and a Poisson stream on a graph without edges raise
+    ValueError before the first event, with the state untouched.
     """
     observers = tuple(observers)
     g = state.graph
     if len(state.opinions) != g.vertex_count:
         raise ValueError(f"expected {g.vertex_count} opinions, got {len(state.opinions)}")
+    # the rules keep opinions in the chart, so every edge distance stays in [0, 1]
+    _check_chart(state.opinions, "opinion", state.space)
     for obs in observers:
         if not isinstance(obs, DifferenceTracker):
             continue
@@ -530,12 +452,22 @@ def _run_loop(state: SimState, stream, stop: StopRule, probes, samples,
     kernel then updates the tracker's gaps and bounds in C after every
     event, and the loop does not call the tracker. Every W test, probe and
     stop decision stays here. For the length of the run `state.opinions` is
-    the kernel's buffer: probes read it in place, `_total_w` sums it in C
-    (see `_WTest`, whose distance updates run in C too; an untracked test
-    reads the sum the chunk that ended at it left), and at the end, also
+    the kernel's buffer: probes read it in place, a W test reads the sum
+    `_total_w` the chunk that ended at it left in C, and at the end, also
     when the run raises, the caller's list gets the opinions back and goes
     back on the state; the tracker's values reach its lists then too. The
     clock stays in the kernel's context until then.
+
+    A W test that sums all m edges, T at count c, answers the tests in a
+    window after it without a sum: one event moves at most step = 2 *
+    max_degree edge distances, each in [0, 1], so no sum at a count up to
+    c + (T - w_below - margin) / step can fall below w_below. `margin`
+    covers the rounding of T at both ends (each term is within 2**-52 of
+    its distance, and a left-to-right sum of m terms in [0, 1] rounds by
+    less than (m * m + m) * 2**-53), and the rounding of the window's own
+    arithmetic. The next check is the first test past the window, so a
+    chunk spans the whole window. A window is worked out only when it skips
+    a test (T >= gate); below that, the price is one float compare.
 
     A run that raises (a probe's metrics, an observer, a KeyboardInterrupt)
     after drawing an event and before applying it parks that event in
@@ -558,12 +490,16 @@ def _run_loop(state: SimState, stream, stop: StopRule, probes, samples,
     max_events = stop.max_events if stop.max_events is not None else math.inf
     max_time = stop.max_time if stop.max_time is not None else math.inf
     interval = stop.w_check_interval
-    w_test = _WTest(state, stop) if stop.w_below is not None else None
-    tracked = w_test is not None and w_test.tracked
-    # the tracked W test's log of the edges since its last test
-    note = w_test.touched.append if tracked else None
-    # the next event count at which the W test or the budget is due
-    check_at = min(count + interval if w_test else math.inf, max_events)
+    w_below = stop.w_below
+    # the next event count at which the W test or the budget is due, and the
+    # count up to which tests answer "not below" without a sum: every one
+    # when the run has no W test, none before its first sum
+    check_at, quiet = max_events, math.inf
+    if w_below is not None:
+        check_at, quiet = min(count + interval, max_events), -1
+        step = 2 * g.max_degree
+        margin = (m + 3) ** 2 * 2.0 ** -52
+        gate = w_below + margin + step * interval
     pi = 0
     next_probe = probes[pi] if probes else math.inf
     pending = state.pending
@@ -576,12 +512,9 @@ def _run_loop(state: SimState, stream, stop: StopRule, probes, samples,
         from . import _kernel
         lib = _kernel.load()
         if lib:
-            kernel = _kernel.Chunks(lib, state, stream.rng, max_time,
-                                    w_test.d if tracked else None, interval, tracker,
-                                    sum_w=w_test is not None and not tracked)
+            kernel = _kernel.Chunks(lib, state, stream.rng, max_time, tracker,
+                                    sum_w=w_below is not None)
             observers = ()
-            if w_test:
-                w_test.kernel = kernel
     edges = None if kernel else g.edges
     # a kernel run's opinions are the kernel's buffer, until it closes
     op = state.opinions
@@ -593,13 +526,20 @@ def _run_loop(state: SimState, stream, stop: StopRule, probes, samples,
     try:
         while True:
             if count >= check_at:
-                if w_test and w_test.below():
-                    reason = "w_below"
-                    break
+                ahead = interval
+                if count > quiet:
+                    w = _total_w(state)
+                    if w < w_below:
+                        reason = "w_below"
+                        break
+                    if w >= gate:
+                        skip = int((w - w_below - margin) // step)
+                        quiet = count + skip
+                        ahead += skip - skip % interval
                 if count >= max_events:
                     reason = "max_events"
                     break
-                check_at = min(count + interval, max_events)
+                check_at = min(count + ahead, max_events)
             if pending is None and kernel:
                 # the kernel keeps the clock until it closes
                 done, drawn = kernel.advance(min(check_at - count, _CHUNK), next_probe)
@@ -645,8 +585,6 @@ def _run_loop(state: SimState, stream, stop: StopRule, probes, samples,
             else:
                 op[a], op[b] = deffuant(op[a], op[b], params)
             loose = False
-            if note:
-                note(e)
             clock = t
             count += 1
             if observers:
@@ -816,14 +754,10 @@ def _restore(r: _Reader) -> SimState:
             f"pending event {pending} needs an edge id below {g.edge_count}, "
             f"tie 1 or 2 and a finite time not before the clock {clock}")
 
-    # checked as an explicit start is, in the space's chart, in one pass;
-    # the scalar check of the first value outside it words the error
+    # checked as an explicit start is
     space = _SPACE_NAMES[space_code]
     values = np.frombuffer(r.take_bytes(8 * n), dtype="<f8")
-    low = values > -1.0 if space == "circle" else values >= 0.0
-    outside = ~(low & (values <= 1.0))  # NaN included
-    if outside.any():
-        _check_opinion(float(values[outside.argmax()]), "explicit value", space)
+    _check_chart(values, "explicit value", space)
     opinions = values.tolist()
 
     (stream_code,) = r.take("<B")
