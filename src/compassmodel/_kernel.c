@@ -1,6 +1,6 @@
 /* Compiled event loop for Poisson runs without observers, or observed by
- * one DifferenceTracker of the run's own state, and the sums of W. Three
- * entry points, each taking the context:
+ * one DifferenceTracker of the run's own state, the sums of W and the
+ * probe metrics. Four entry points, each taking the context:
  *
  * cm_run applies up to c->limit events of a PoissonStream run with the three
  * draws of engine._run_loop (wait, edge, tie bit). An event the engine holds
@@ -45,8 +45,21 @@
  * bitwise math.fsum's. On a NaN or an infinity among the terms, or on
  * overflow, it returns a value that is not finite, and _kernel.fsum asks
  * math.fsum for the value or the exception.
+ *
+ * cm_metrics is one probe of analysis.compute_metrics in one call. A walk
+ * over the edges works out each signed gap into c->d (from the opinions,
+ * with _chart's subtraction and fold; fmod only at |gap| >= 2, below which
+ * it returns the gap unchanged), or reads the tracked gaps given there, and
+ * keeps the largest |gap|. A walk over Graph.incidence counts, at each
+ * vertex, the pairs of its edges and those whose gaps multiply to below
+ * zero: pos * neg, or the products one by one at a vertex with a nonzero
+ * |gap| under 2^-537, where a product of opposite signs can underflow to
+ * -0.0. W is cm_fsum's sum of the |gap|s. At a gap that is not finite it
+ * stops and returns NaN, and _kernel.metrics leaves the probe to the numpy
+ * path, which gives the value or raises.
  */
 
+#include <float.h>
 #include <math.h>
 #include <stddef.h>
 #include <stdint.h>
@@ -69,7 +82,7 @@ struct cm_ctx {
     double *op;             /* the opinions */
     const int64_t *inc_start, *inc_ids; /* Graph.incidence: the edges of vertex v
                                are inc_ids[inc_start[v] .. inc_start[v + 1]) */
-    double *d;              /* cm_fsum's m terms */
+    double *d;              /* cm_fsum's m terms; cm_metrics' m signed gaps */
     double *delta, *xi;     /* when delta is not NULL, a DifferenceTracker's m
                                gaps and, when xi is not NULL, its m bounds */
     int64_t m;
@@ -85,6 +98,10 @@ struct cm_ctx {
     int64_t sum_w;          /* 1 when the run has a W test */
     double w;               /* T, total_w of the opinions, when sum_w is set and
                                cm_run has just completed its limit; else NaN */
+    int64_t n;              /* cm_metrics: the vertex count */
+    double top;             /* cm_metrics' results: the largest |gap|, */
+    int64_t flips, pairs;   /* the pairs of edges at one vertex whose gaps
+                               multiply to below zero, and all such pairs */
 };
 
 /* four state words, unaligned loads and stores */
@@ -168,9 +185,11 @@ static double wrap(double y)
 }
 
 /* The pair update on edge e: update_pair_compass on the circle (tie bit
- * k), update_pair_deffuant on the interval. */
-static inline void apply_rule(double *op, const int64_t *edges, int64_t e, int64_t k,
-                              double mu, double theta, int circle)
+ * k), update_pair_deffuant on the interval. Forced inline: gcc -O2 keeps a
+ * plain static inline out of line in cm_run, a call per event. */
+static inline __attribute__((always_inline)) void
+apply_rule(double *op, const int64_t *edges, int64_t e, int64_t k, double mu, double theta,
+           int circle)
 {
     const int64_t a = edges[2 * e], b = edges[2 * e + 1];
     const double xu = op[a], xv = op[b];
@@ -331,13 +350,14 @@ int64_t cm_run(struct cm_ctx *c)
  * to 2^1023, so there are at most 2098 of them. */
 #define FSUM_PARTIALS 2098
 
-double cm_fsum(struct cm_ctx *c)
+/* math.fsum of d[0 .. m), or of their absolute values */
+static double fsum(const double *d, int64_t m, int absolute)
 {
     double p[FSUM_PARTIALS], x, y, t, hi, yr, lo = 0.0;
     int64_t f, i, j, n = 0;
 
-    for (f = 0; f < c->m; f++) {
-        x = c->d[f];
+    for (f = 0; f < m; f++) {
+        x = absolute ? fabs(d[f]) : d[f];
         for (i = j = 0; j < n; j++) {
             y = p[j];
             if (fabs(x) < fabs(y)) {
@@ -383,4 +403,63 @@ double cm_fsum(struct cm_ctx *c)
         }
     }
     return hi;
+}
+
+double cm_fsum(struct cm_ctx *c)
+{
+    return fsum(c->d, c->m, 0);
+}
+
+/* a nonzero gap below this in magnitude may make a product with another
+ * nonzero gap that rounds to zero; two gaps at or above it cannot, as
+ * 2^-537 * 2^-537 is the least subnormal */
+#define TINY_GAP 0x1p-537
+
+double cm_metrics(struct cm_ctx *c)
+{
+    const int64_t *edges = c->edges, *start = c->inc_start, *ids = c->inc_ids;
+    const double *op = c->op;
+    double *d = c->d, top = 0.0;
+    int64_t f, v, p, q, flips = 0, pairs = 0;
+
+    /* the gaps: from the opinions when op is set, else given in d */
+    for (f = 0; f < c->m; f++) {
+        double g = d[f];
+        if (op) {
+            g = op[edges[2 * f + 1]] - op[edges[2 * f]];
+            /* mod_s: below 2 in magnitude fmod returns the gap as it is */
+            if (c->circle)
+                g = wrap(fabs(g) >= 2.0 ? fmod(g, 2.0) : g);
+            d[f] = g;
+        }
+        const double a = fabs(g);
+        if (!(a <= DBL_MAX))
+            return NAN; /* an infinite or NaN gap: the numpy path decides */
+        if (a > top)
+            top = a;
+    }
+    /* the pairs of edges at each vertex, and those whose gaps multiply to
+     * below zero: pos * neg, unless a tiny gap at the vertex asks for the
+     * products one by one */
+    for (v = 0; v < c->n; v++) {
+        const int64_t s = start[v], e = start[v + 1];
+        int64_t pos = 0, neg = 0, tiny = 0;
+        for (p = s; p < e; p++) {
+            const double g = d[ids[p]];
+            pos += g > 0.0;
+            neg += g < 0.0;
+            tiny |= g != 0.0 && fabs(g) < TINY_GAP;
+        }
+        pairs += (e - s) * (e - s - 1) / 2;
+        if (!tiny)
+            flips += pos * neg;
+        else
+            for (p = s; p < e; p++)
+                for (q = p + 1; q < e; q++)
+                    flips += d[ids[p]] * d[ids[q]] < 0.0;
+    }
+    c->top = top;
+    c->flips = flips;
+    c->pairs = pairs;
+    return fsum(d, c->m, 1);
 }

@@ -11,8 +11,11 @@ For the length of a kernel run, the state's opinions are the kernel's own
 buffer (`Opinions`), which the kernel updates in place and `engine._total_w`
 sums in C; the run hands them back in the caller's list when it ends.
 
-`fsum` is `math.fsum` of a float64 buffer, summed in C: the W of
-`analysis.compute_metrics`. Without the kernel it is `math.fsum` itself.
+`metrics` is a probe of `analysis.compute_metrics` in one call into C: the
+gaps, W (`math.fsum` bit for bit), the largest gap and the sign flips over
+`Graph.incidence`. It returns None without the kernel, and when a gap or W
+is not finite; `compute_metrics` then takes its numpy path, whose W is
+`fsum`: `math.fsum` of a float64 buffer, summed in C when the kernel loads.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ _SOURCE = Path(__file__).with_name("_kernel.c")
 # the non-static functions of _kernel.c, name -> restype; each takes the
 # context pointer. Calling one without its restype reads its result as int.
 ENTRY_POINTS = {"cm_run": ctypes.c_int64, "cm_total_w": ctypes.c_double,
-                "cm_fsum": ctypes.c_double}
+                "cm_fsum": ctypes.c_double, "cm_metrics": ctypes.c_double}
 
 # The loaded library, False once building or loading failed, None until the
 # first load(). Tests set it to False to run the Python loop instead.
@@ -73,6 +76,10 @@ class _Context(ctypes.Structure):
         ("k", ctypes.c_int64),
         ("sum_w", ctypes.c_int64),
         ("w", ctypes.c_double),
+        ("n", ctypes.c_int64),
+        ("top", ctypes.c_double),
+        ("flips", ctypes.c_int64),
+        ("pairs", ctypes.c_int64),
     ]
 
 
@@ -134,6 +141,31 @@ def fsum(values) -> float:
         if math.isfinite(total):
             return total
     return math.fsum(memoryview(values))
+
+
+def metrics(g, opinions: np.ndarray, circle: bool, gaps: np.ndarray | None):
+    """`analysis.compute_metrics`' W, largest |gap|, sign flips and adjacent
+    edge pairs, as (W, largest, flips, pairs), from one call into the kernel.
+    The gaps are worked out from the opinions unless given; both are
+    contiguous float64 arrays, one entry per vertex and per edge. None
+    without the kernel, and when a gap or W is not finite: the numpy path
+    then gives the value or raises."""
+    lib = load()
+    if not lib:
+        return None
+    starts, ids = g.incidence
+    if gaps is None:
+        gaps, op = np.empty(g.edge_count), opinions.ctypes.data
+    else:
+        op = None
+    # gaps and opinions are held through the call, the graph's tables by g
+    ctx = _Context(edges=g.edge_array.ctypes.data, op=op, inc_start=starts.ctypes.data,
+                   inc_ids=ids.ctypes.data, d=gaps.ctypes.data, m=g.edge_count,
+                   n=g.vertex_count, circle=circle)
+    w = lib.cm_metrics(ctypes.addressof(ctx))
+    if not math.isfinite(w):
+        return None
+    return w, ctx.top, ctx.flips, ctx.pairs
 
 
 class Opinions(array.array):

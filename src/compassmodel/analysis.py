@@ -157,36 +157,46 @@ def compute_metrics(g: Graph, opinions, space: str = "circle",
     Gap values are recomputed from the opinions unless a tracked list is
     passed in (then that list is used verbatim, drift and all). W is an
     exactly rounded sum, `math.fsum` bit for bit, so it does not depend on
-    edge order; the compiled kernel sums it in C when it loads
-    (`_kernel.fsum`).
+    edge order. The sign-flip fraction counts the pairs of edges at one
+    vertex whose gaps multiply to below zero, vertex by vertex over
+    `Graph.incidence`. When the compiled kernel loads, the gaps, W, the
+    largest gap and the flips come from one pass in C (`_kernel.metrics`);
+    without it, and when a gap is not finite, numpy passes give the same
+    bits, or the same error.
     """
+    if space not in ("circle", "interval"):
+        raise ValueError(f"unknown space {space!r}")
     if len(opinions) != g.vertex_count:
         raise ValueError(f"expected {g.vertex_count} opinions, got {len(opinions)}")
-    x = np.asarray(opinions, dtype=float)
-    if delta_values is None:
-        delta = x[g.edge_array[:, 1]] - x[g.edge_array[:, 0]]
-        if space == "circle":
-            delta = _chart(delta)
-    elif len(delta_values) != g.edge_count:
-        raise ValueError(f"expected {g.edge_count} gap values, got {len(delta_values)}")
-    else:
-        delta = np.asarray(delta_values, dtype=float)
-    absd = np.abs(delta)
+    x = np.ascontiguousarray(opinions, dtype=float)
+    delta = None
+    if delta_values is not None:
+        if len(delta_values) != g.edge_count:
+            raise ValueError(f"expected {g.edge_count} gap values, got {len(delta_values)}")
+        delta = np.ascontiguousarray(delta_values, dtype=float)
     # imported here, so ctypes stays out of the package import
     from . import _kernel
-    w = _kernel.fsum(absd)
-    # as the builtin max over the list: a leading NaN wins, later ones are skipped
-    max_nd = float(max(absd[0], np.fmax.reduce(absd))) if absd.size else 0.0
-    mean_ad = w / absd.size if absd.size else 0.0
+    found = _kernel.metrics(g, x, space == "circle", delta)
+    if found:
+        w, max_nd, flips, pairs = found
+    else:
+        if delta is None:
+            delta = x[g.edge_array[:, 1]] - x[g.edge_array[:, 0]]
+            if space == "circle":
+                delta = _chart(delta)
+        absd = np.abs(delta)
+        w = _kernel.fsum(absd)
+        # as the builtin max over the list: a leading NaN wins, later ones are skipped
+        max_nd = float(max(absd[0], np.fmax.reduce(absd))) if absd.size else 0.0
+        flips, pairs = _sign_flips(g, delta)
+    mean_ad = w / g.edge_count if g.edge_count else 0.0
     if space == "circle":
         rng = circle_opinion_range(x)
     else:
         rng = max(opinions) - min(opinions) if len(opinions) else 0.0
-    pairs = g.edge_pair_array
-    flip_frac = _flip_fraction(pairs, delta) if pairs.size else 0.0
     return MetricSample(time=at_time, W=w, max_neighbor_dist=max_nd,
                         mean_abs_delta=mean_ad, opinion_range=rng,
-                        sign_flip_fraction=flip_frac)
+                        sign_flip_fraction=flips / pairs if pairs else 0.0)
 
 
 def consensus_classify(record_or_sample, tol: float = 1e-6) -> str:
@@ -348,10 +358,26 @@ def marginal_uniformity_test(samples) -> UniformityReport:
     return ks_uniform_pvalue(vals, -1.0, 1.0)
 
 
-def _flip_fraction(pairs: np.ndarray, delta: np.ndarray) -> float:
-    """Fraction of the edge pairs whose gap values multiply to below zero."""
-    # the sign of each product, not of each gap: products of tiny gaps underflow to 0
-    return int(np.count_nonzero(delta[pairs[:, 0]] * delta[pairs[:, 1]] < 0.0)) / len(pairs)
+def _sign_flips(g: Graph, delta: np.ndarray) -> tuple[int, int]:
+    """The pairs of edges at one vertex whose gaps multiply to below zero,
+    and all such pairs: `_kernel.metrics`' counts in numpy."""
+    starts, ids = g.incidence
+    degree = np.diff(starts)
+    pairs = int(degree @ (degree - 1)) // 2
+    if not pairs:
+        return 0, 0
+    gaps = delta[ids]
+    pos = np.add.reduceat(gaps > 0.0, starts[:-1], dtype=np.int64)
+    neg = np.add.reduceat(gaps < 0.0, starts[:-1], dtype=np.int64)
+    flips = int(pos @ neg)
+    # a product with a gap under 2**-537 may underflow to zero and not count:
+    # at the ends of such an edge, count the products one by one
+    tiny = np.flatnonzero((delta != 0.0) & (np.abs(delta) < 2.0 ** -537))
+    for v in np.unique(g.edge_array[tiny]):
+        row = gaps[starts[v]:starts[v + 1]]
+        flips += sum(int(np.count_nonzero(row[i] * row[i + 1:] < 0.0))
+                     for i in range(row.size)) - int(pos[v] * neg[v])
+    return flips, pairs
 
 
 def write_samples_csv(samples, dest) -> None:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 
 import numpy as np
 
@@ -30,9 +31,9 @@ class Graph:
     """A connected graph whose one stored edge table is `edge_array`, a
     read-only int64 (m, 2) array of (tail, head) rows; the constructor also
     takes a sequence of pairs. Every other table is built from it on first
-    use: the arrays the kernel and metrics read (`incidence`,
-    `edge_pair_array`) and the tuple views the Python paths index (`edges`,
-    `incident_edges`, `edge_neighbors`). Graphs are equal when their kind,
+    use: the CSR `incidence` that the kernel and the metrics read, and the
+    tuple views the Python paths index (`edges`, `incident_edges`,
+    `edge_neighbors`, `adjacent_edge_pairs`). Graphs are equal when their kind,
     vertex count and edge array are, and are not hashable.
     """
 
@@ -164,22 +165,12 @@ class Graph:
 
     @cached_property
     def adjacent_edge_pairs(self) -> tuple[tuple[int, int], ...]:
-        """edge_pair_array as a sorted tuple of (lower id, higher id) pairs."""
-        return tuple(sorted(map(tuple, self.edge_pair_array.tolist())))
-
-    @cached_property
-    def edge_pair_array(self) -> np.ndarray:
-        """Pairs of distinct edges sharing a vertex, each once, as read-only
-        (lower id, higher id) rows grouped by the shared vertex."""
-        starts, ids = self.incidence
-        sizes = np.diff(starts)
-        pos = np.arange(ids.size)
-        later = np.repeat(starts[1:], sizes) - pos - 1  # same-vertex entries after pos
-        first = np.repeat(pos, later)
-        second = first + 1 + np.arange(first.size) - np.repeat(np.cumsum(later) - later, later)
-        arr = np.stack((ids[first], ids[second]), axis=1)
-        arr.setflags(write=False)
-        return arr
+        """Pairs of distinct edges sharing a vertex, each once, as a sorted
+        tuple of (lower id, higher id) pairs."""
+        starts, ids = (a.tolist() for a in self.incidence)
+        # each vertex's ids ascend, and two edges share at most one vertex
+        return tuple(sorted(pair for s, e in zip(starts, starts[1:])
+                            for pair in combinations(ids[s:e], 2)))
 
     @cached_property
     def is_oriented_cycle(self) -> bool:

@@ -1,7 +1,9 @@
+import contextlib
 import io
 import math
 import random
 from dataclasses import astuple
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,7 +18,9 @@ from compassmodel import (Explicit, Graph, IidUniform, MetricSample, ModelParams
                           marginal_uniformity_test, mod_s,
                           monotone_mean_delta_check, new_simulation,
                           read_samples_csv, run, write_samples_csv)
+from compassmodel import _kernel, analysis
 from compassmodel.analysis import _circle_lift
+from compassmodel.topology import graph_from_edges
 
 circle_values = st.floats(min_value=-1.0, max_value=1.0, exclude_min=True,
                           allow_nan=False)
@@ -251,6 +255,92 @@ class TestVectorizedMetrics:
         assert compute_metrics(g, ops, delta_values=gaps).sign_flip_fraction == 0.0
         assert outcome(compute_metrics, g, ops, delta_values=gaps) == \
             outcome(scalar_metrics, g, ops, delta_values=gaps)
+
+
+TINY = 2.0 ** -537
+# zeros of both signs, the cut, gaps either side of the 2**-537 at which a
+# product of two gaps may underflow, products that do, and non-finite gaps
+gap_specials = st.sampled_from(
+    [0.0, -0.0, 1.0, -1.0, 1e-200, -1e-200, math.inf, -math.inf, math.nan]
+    + [sign * nudge(TINY, ulps) for sign in (1.0, -1.0) for ulps in (-1, 0, 1)])
+
+
+@st.composite
+def stars(draw):
+    """A star of degree 1 to 40 from graph_from_edges, each edge either way."""
+    k = draw(st.integers(1, 40))
+    out = draw(st.lists(st.booleans(), min_size=k, max_size=k))
+    return graph_from_edges(k + 1, [(0, v) if o else (v, 0) for v, o in enumerate(out, 1)],
+                            kind="star")
+
+
+@pytest.mark.filterwarnings("ignore:.*encountered in:RuntimeWarning")
+class TestOnePassMetrics:
+    """The kernel's one pass, the numpy path and the list oracle, bit for bit."""
+
+    @given(st.one_of(graphs, stars()), st.sampled_from(["circle", "interval"]),
+           st.booleans(), st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_the_c_pass_the_numpy_path_and_the_oracle_agree(self, g, space, tracked, data):
+        if tracked:
+            ops = data.draw(profile(g, circle_values))
+            gaps = data.draw(st.lists(st.one_of(gap_specials, gaps_like),
+                                      min_size=g.edge_count, max_size=g.edge_count))
+        else:
+            # the specials as opinions: on a star, gaps against the centre's
+            values = chart_like if space == "circle" else unit_like
+            ops, gaps = data.draw(profile(g, st.one_of(gap_specials, values))), None
+        oracle = outcome(scalar_metrics, g, ops, space, delta_values=gaps)
+        with mock.patch.object(_kernel, "_lib", False):
+            numpy = outcome(compute_metrics, g, ops, space, delta_values=gaps)
+        alone = mock.patch.object(analysis, "_sign_flips", side_effect=AssertionError)
+        if _kernel.load() is None or type(oracle) is tuple or oracle[1][1] in ("inf", "nan"):
+            alone = contextlib.nullcontext()
+        with alone:  # a finite W, so finite gaps: the kernel's pass alone
+            kernel = outcome(compute_metrics, g, ops, space, delta_values=gaps)
+        assert kernel == numpy == oracle
+
+    @pytest.mark.skipif(_kernel.load() is None, reason="no compiled kernel")
+    def test_a_probe_is_one_call_into_the_kernel(self):
+        lib, calls = _kernel.load(), []
+
+        class Counted:
+            def __getattr__(self, name):
+                calls.append(name)
+                return getattr(lib, name)
+
+        g = build_torus([20, 20])
+        ops = initial_opinions(IidUniform(2), g.vertex_count)
+        with mock.patch.object(_kernel, "_lib", Counted()):
+            got = outcome(compute_metrics, g, ops, at_time=1.0)
+        assert calls == ["cm_metrics"]
+        assert got == outcome(scalar_metrics, g, ops, at_time=1.0)
+
+    @pytest.mark.parametrize("lib", [None, False], ids=["kernel", "numpy"])
+    @pytest.mark.parametrize("gaps,flips", [
+        ([TINY, -TINY], 1),  # 2**-1074: the least subnormal, below zero
+        ([nudge(TINY, -1), -TINY], 1),  # rounds to the least subnormal
+        ([1e-200, -1e-200, 0.5, -0.5], 3),  # one product underflows
+        ([1e-200, -1e-200, -1e-200], 0),
+        ([-0.0, 0.0, 1.0, -1.0], 1),
+    ])
+    def test_flips_at_a_vertex_with_tiny_gaps(self, lib, gaps, flips, monkeypatch):
+        if lib is False:
+            monkeypatch.setattr(_kernel, "_lib", False)
+        k = len(gaps)
+        g = graph_from_edges(k + 1, [(0, v) for v in range(1, k + 1)], kind="star")
+        got = compute_metrics(g, [0.0] * (k + 1), delta_values=gaps)
+        assert got.sign_flip_fraction == flips / (k * (k - 1) // 2)
+        assert outcome(compute_metrics, g, [0.0] * (k + 1), delta_values=gaps) == \
+            outcome(scalar_metrics, g, [0.0] * (k + 1), delta_values=gaps)
+
+    @pytest.mark.parametrize("lib", [None, False], ids=["kernel", "numpy"])
+    @pytest.mark.parametrize("space", ["circel", "", "Circle", None])
+    def test_an_unknown_space_is_refused(self, lib, space, monkeypatch):
+        if lib is False:
+            monkeypatch.setattr(_kernel, "_lib", False)
+        with pytest.raises(ValueError, match=f"unknown space {space!r}"):
+            compute_metrics(build_ring(5), [0.1, 0.5, -0.9, 0.3, 0.95], space)
 
 
 class TestConsensusClassify:

@@ -1103,15 +1103,16 @@ def boundary_run(space, index, words):
 
 
 # Run in a subprocess against a build of _kernel.c given as argv[1]: twin
-# runs of the build and the Python loop, at the draw boundaries too, and
-# cm_fsum against math.fsum. The build aborts the process on undefined
-# behaviour.
+# runs of the build and the Python loop, at the draw boundaries too,
+# cm_fsum against math.fsum, and probe metrics against the numpy path. The
+# build aborts the process on undefined behaviour.
 UBSAN_CHECK = """
 import ctypes, math, random, sys
 from unittest import mock
 import numpy as np
-from compassmodel import (DifferenceTracker, Explicit, ModelParams, StopRule, _kernel,
-                          build_path, build_ring, build_torus, new_simulation, run)
+from compassmodel import (DifferenceTracker, Explicit, Graph, ModelParams, StopRule, _kernel,
+                          analysis, build_path, build_ring, build_torus, compute_metrics,
+                          graph_from_edges, new_simulation, run)
 
 lib = _kernel._open(sys.argv[1])
 chunks = []
@@ -1176,7 +1177,27 @@ for t in terms:
     got = lib.cm_fsum(ctypes.addressof(ctx))
     if math.isfinite(got):
         assert got.hex() == math.fsum(t).hex()
-print("ok", len(cases), len(bounds), len(terms))
+
+def metrics(g, ops, gaps):
+    m = compute_metrics(g, ops, delta_values=gaps)
+    return [float(v).hex() for v in vars(m).values()]
+
+tiny = 2.0 ** -537
+star = graph_from_edges(7, [(0, v) if v % 2 else (v, 0) for v in range(1, 7)])
+probes = [
+    # opposite gaps under 2**-537 at the centre: the products one by one
+    (star, [0.0, tiny, -tiny, 1e-200, -1e-200, 0.5, -0.25], None),
+    (star, [0.0] * 7, [tiny, -tiny, 1e-200, -1e-200, -0.0, 0.3]),
+    (Graph("custom", 1, ()), [0.4], None),  # no edges
+]
+for case in probes:
+    with mock.patch.object(_kernel, "_lib", lib), \
+            mock.patch.object(analysis, "_sign_flips", side_effect=AssertionError):
+        got = metrics(*case)
+    with mock.patch.object(_kernel, "_lib", False):
+        want = metrics(*case)
+    assert got == want, case
+print("ok", len(cases), len(bounds), len(terms), len(probes))
 """
 
 
@@ -1406,7 +1427,7 @@ class TestKernel:
         done = subprocess.run([sys.executable, "-c", UBSAN_CHECK, str(lib)], env=env,
                               capture_output=True, text=True, timeout=600)
         assert done.returncode == 0, done.stderr[-3000:]
-        assert done.stdout.split() == ["ok", "5", "64", "6"]
+        assert done.stdout.split() == ["ok", "5", "64", "6", "3"]
 
 
 # pairs of opinions whose distance is exactly 1 (antipodal), nextafter(1, +inf),

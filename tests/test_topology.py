@@ -363,9 +363,8 @@ class TestAdjacencyIndex:
         m = g.edge_count
         expected = [(i, j) for i in range(m) for j in range(i + 1, m)
                     if set(g.edges[i]) & set(g.edges[j])]
-        assert sorted(map(tuple, g.edge_pair_array.tolist())) == expected
         assert g.adjacent_edge_pairs == tuple(expected)
-        assert not g.edge_array.flags.writeable and not g.edge_pair_array.flags.writeable
+        assert not g.edge_array.flags.writeable
 
 
 class TestEdgeNeighborSigns:
