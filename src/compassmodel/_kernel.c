@@ -1,17 +1,20 @@
 /* Compiled event loop for Poisson runs without observers, or observed by
  * one DifferenceTracker of the run's own state, the sums of W and the
- * probe metrics. Four entry points, each taking the context:
+ * probe metrics. Three entry points, each taking the context, which is the
+ * one record of a kernel run: the opinions, the generator, the clock, the
+ * count of events applied and the event drawn and not applied.
  *
  * cm_run applies up to c->limit events of a PoissonStream run with the three
- * draws of engine._run_loop (wait, edge, tie bit). An event the engine holds
- * (c->drawn set on entry: one drawn past a probe, or a parked pending event)
- * is applied first and counted among them. Every event goes through
- * apply_rule, which mirrors opinion_space.update_pair_compass and
- * update_pair_deffuant branch for branch, so the opinions, the clock and the
- * generator end bit for bit where stepping engine.apply_event would leave
- * them. When c->delta is set, track then mirrors DifferenceTracker.apply_event
- * branch for branch, so the tracked gaps and bounds end bit for bit where the
- * observer would leave them.
+ * draws of engine._run_loop (wait, edge, tie bit), and adds them to c->count.
+ * The event the context holds (c->drawn: drawn past a probe, or parked) is
+ * applied and counted first, unless it is past c->next_probe or
+ * c->max_time; then the chunk applies nothing and keeps it. Every event
+ * goes through apply_rule, which mirrors opinion_space.update_pair_compass
+ * and update_pair_deffuant branch for branch, so the opinions, the clock and
+ * the generator end bit for bit where stepping engine.apply_event would
+ * leave them. When c->delta is set, track then mirrors
+ * DifferenceTracker.apply_event branch for branch, so the tracked gaps and
+ * bounds end bit for bit where the observer would leave them.
  *
  * When c->sum_w is set (the run has a W test), a chunk that completes its
  * limit leaves T, cm_total_w of the opinions it ends with, in c->w for the
@@ -39,13 +42,6 @@
  * distances in edge-id order, with the same fold, so bitwise the same sum;
  * cm_run calls it for T.
  *
- * cm_fsum is math.fsum of c->d[0 .. c->m): Shewchuk's partials and the
- * half-even correction of CPython's Modules/mathmodule.c, step for step. An
- * exactly rounded sum does not depend on the order of its terms, so it is
- * bitwise math.fsum's. On a NaN or an infinity among the terms, or on
- * overflow, it returns a value that is not finite, and _kernel.fsum asks
- * math.fsum for the value or the exception.
- *
  * cm_metrics is one probe of analysis.compute_metrics in one call. A walk
  * over the edges works out each signed gap into c->d (from the opinions,
  * with _chart's subtraction and fold; fmod only at |gap| >= 2, below which
@@ -54,9 +50,12 @@
  * vertex, the pairs of its edges and those whose gaps multiply to below
  * zero: pos * neg, or the products one by one at a vertex with a nonzero
  * |gap| under 2^-537, where a product of opposite signs can underflow to
- * -0.0. W is cm_fsum's sum of the |gap|s. At a gap that is not finite it
- * stops and returns NaN, and _kernel.metrics leaves the probe to the numpy
- * path, which gives the value or raises.
+ * -0.0. W is math.fsum of the |gap|s: Shewchuk's partials and the
+ * half-even correction of CPython's Modules/mathmodule.c, step for step. An
+ * exactly rounded sum does not depend on the order of its terms, so it is
+ * bitwise math.fsum's. At a gap that is not finite, or when W overflows, it
+ * returns a value that is not finite, and _kernel.metrics leaves the probe
+ * to the numpy path, which gives the value or raises.
  */
 
 #include <float.h>
@@ -82,17 +81,18 @@ struct cm_ctx {
     double *op;             /* the opinions */
     const int64_t *inc_start, *inc_ids; /* Graph.incidence: the edges of vertex v
                                are inc_ids[inc_start[v] .. inc_start[v + 1]) */
-    double *d;              /* cm_fsum's m terms; cm_metrics' m signed gaps */
+    double *d;              /* cm_metrics' m signed gaps */
     double *delta, *xi;     /* when delta is not NULL, a DifferenceTracker's m
                                gaps and, when xi is not NULL, its m bounds */
     int64_t m;
     double mu, theta;
     int64_t circle;
     double clock;           /* the time of the last applied event */
+    int64_t count;          /* the events the run's state has applied */
     double next_probe, max_time;
     int64_t limit;          /* apply at most this many events */
-    int64_t drawn;          /* 1 when (t, e, k) is drawn and not applied: in, an
-                               event held; out, one past next_probe or max_time */
+    int64_t drawn;          /* 1 when (t, e, k) is held: drawn, or parked, and
+                               not applied */
     double t;
     int64_t e, k;
     int64_t sum_w;          /* 1 when the run has a W test */
@@ -300,7 +300,11 @@ int64_t cm_run(struct cm_ctx *c)
         c->tempered = 1;
     }
     if (c->drawn) {
-        /* the event the engine held: apply it ahead of the draws */
+        if (c->t > max_time || c->t > next_probe) {
+            c->w = NAN;
+            return 0; /* still past: the event stays held */
+        }
+        /* the held event, applied ahead of the draws */
         apply_rule(op, edges, c->e, c->k, mu, theta, circle);
         if (c->delta)
             track(c, c->e);
@@ -341,6 +345,7 @@ int64_t cm_run(struct cm_ctx *c)
     }
     mt[MT_N] = index;
     c->clock = clock;
+    c->count += i;
     /* a chunk that completes its limit ends at the W test, if any is due */
     c->w = c->sum_w && i == limit ? cm_total_w(c) : NAN;
     return i;
@@ -350,14 +355,14 @@ int64_t cm_run(struct cm_ctx *c)
  * to 2^1023, so there are at most 2098 of them. */
 #define FSUM_PARTIALS 2098
 
-/* math.fsum of d[0 .. m), or of their absolute values */
-static double fsum(const double *d, int64_t m, int absolute)
+/* math.fsum of |d[0]| .. |d[m - 1]| */
+static double fsum(const double *d, int64_t m)
 {
     double p[FSUM_PARTIALS], x, y, t, hi, yr, lo = 0.0;
     int64_t f, i, j, n = 0;
 
     for (f = 0; f < m; f++) {
-        x = absolute ? fabs(d[f]) : d[f];
+        x = fabs(d[f]);
         for (i = j = 0; j < n; j++) {
             y = p[j];
             if (fabs(x) < fabs(y)) {
@@ -375,7 +380,7 @@ static double fsum(const double *d, int64_t m, int absolute)
         n = i;
         if (x != 0.0) {
             if (!isfinite(x) || n == FSUM_PARTIALS)
-                return x + INFINITY; /* special terms or overflow: math.fsum decides */
+                return x + INFINITY; /* overflow: the numpy path decides */
             p[n++] = x;
         }
     }
@@ -403,11 +408,6 @@ static double fsum(const double *d, int64_t m, int absolute)
         }
     }
     return hi;
-}
-
-double cm_fsum(struct cm_ctx *c)
-{
-    return fsum(c->d, c->m, 0);
 }
 
 /* a nonzero gap below this in magnitude may make a product with another
@@ -461,5 +461,5 @@ double cm_metrics(struct cm_ctx *c)
     c->top = top;
     c->flips = flips;
     c->pairs = pairs;
-    return fsum(d, c->m, 1);
+    return fsum(d, c->m);
 }

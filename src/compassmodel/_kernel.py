@@ -14,8 +14,8 @@ sums in C; the run hands them back in the caller's list when it ends.
 `metrics` is a probe of `analysis.compute_metrics` in one call into C: the
 gaps, W (`math.fsum` bit for bit), the largest gap and the sign flips over
 `Graph.incidence`. It returns None without the kernel, and when a gap or W
-is not finite; `compute_metrics` then takes its numpy path, whose W is
-`fsum`: `math.fsum` of a float64 buffer, summed in C when the kernel loads.
+is not finite; `compute_metrics` then takes its numpy path, which gives the
+same bits or raises.
 """
 
 from __future__ import annotations
@@ -33,6 +33,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .engine import Event
+
 __all__: list[str] = []  # private to the engine and analysis
 
 # -ffp-contract=off: no fused multiply-add, which would round differently
@@ -42,7 +44,7 @@ _SOURCE = Path(__file__).with_name("_kernel.c")
 # the non-static functions of _kernel.c, name -> restype; each takes the
 # context pointer. Calling one without its restype reads its result as int.
 ENTRY_POINTS = {"cm_run": ctypes.c_int64, "cm_total_w": ctypes.c_double,
-                "cm_fsum": ctypes.c_double, "cm_metrics": ctypes.c_double}
+                "cm_metrics": ctypes.c_double}
 
 # The loaded library, False once building or loading failed, None until the
 # first load(). Tests set it to False to run the Python loop instead.
@@ -67,6 +69,7 @@ class _Context(ctypes.Structure):
         ("theta", ctypes.c_double),
         ("circle", ctypes.c_int64),
         ("clock", ctypes.c_double),
+        ("count", ctypes.c_int64),
         ("next_probe", ctypes.c_double),
         ("max_time", ctypes.c_double),
         ("limit", ctypes.c_int64),
@@ -128,21 +131,6 @@ def load():
     return _lib or None
 
 
-def fsum(values) -> float:
-    """`math.fsum(values)`, bit for bit, for float64 values in a buffer (an
-    ndarray or an `array('d')`), which the kernel reads in place. Without the
-    kernel, and when the C sum is not finite (a NaN or an infinity among the
-    values, or overflow), `math.fsum` gives the value or raises."""
-    lib = load()
-    if lib:
-        a = np.ascontiguousarray(values, dtype=np.float64)
-        ctx = _Context(d=a.ctypes.data, m=a.size)  # both held through the call
-        total = lib.cm_fsum(ctypes.addressof(ctx))
-        if math.isfinite(total):
-            return total
-    return math.fsum(memoryview(values))
-
-
 def metrics(g, opinions: np.ndarray, circle: bool, gaps: np.ndarray | None):
     """`analysis.compute_metrics`' W, largest |gap|, sign flips and adjacent
     edge pairs, as (W, largest, flips, pairs), from one call into the kernel.
@@ -175,15 +163,19 @@ class Opinions(array.array):
 
 
 class Chunks:
-    """One run's kernel context: the opinions' buffer and the generator.
+    """One run's kernel context, the one record of the run while it lasts:
+    the opinions' buffer, the generator, the clock, the event count and the
+    held event, which is the state's parked one (checked by `run`) or one a
+    chunk drew past `next_probe` or `max_time`. The next `advance` applies
+    and counts it first, unless it is still past either; `close` hands back
+    the event that no `advance` applied.
 
-    For the length of the run, `state.opinions` is the kernel's buffer
-    (`buf`, an `Opinions`), which `advance` updates in place: probes and
-    `_total_w` read it without a copy. `close` copies it back into the
-    caller's list and puts that same list back on the state; the engine
-    calls `close` also when the run raises. It hands the generator back too.
-    The next `advance` first applies, and counts, the event given to `hold`;
-    if none does, `close` hands it back.
+    Building it changes nothing on the state; the engine then puts the
+    kernel's buffer (`buf`, an `Opinions`) on it as `state.opinions`, which
+    `advance` updates in place: probes and `_total_w` read it without a
+    copy. `close` copies it back into the caller's list and puts that same
+    list back on the state; the engine calls `close` also when the run
+    raises. It hands the generator back too.
 
     The kernel reads the graph's int64 `edge_array` and `incidence` in
     place. Given `sum_w` (the run has a W test), a chunk that completes its
@@ -233,7 +225,7 @@ class Chunks:
         ctx.m = g.edge_count
         ctx.mu, ctx.theta = state.params.mu, state.params.theta
         ctx.circle = state.space == "circle"
-        ctx.clock = state.clock
+        ctx.clock, ctx.count = state.clock, state.events_applied
         ctx.max_time = max_time
         # advance writes limit and next_probe only when they change
         self.limit, self.next_probe = 0, math.inf
@@ -243,14 +235,16 @@ class Chunks:
         # a pointer object, which ctypes passes faster than an int
         self.address = ctypes.c_void_p(ctypes.addressof(ctx))
         self.buf.total_w = self.total_w
-        state.opinions = self.buf
+        pending = state.pending
+        if pending is not None:
+            ctx.t, ctx.e, ctx.k, ctx.drawn = pending.time, pending.edge_id, pending.tie, 1
 
     def advance(self, limit: int, next_probe: float):
         """Apply up to limit events, the held one first; return how many, and
-        the event drawn past next_probe or max_time, unapplied, as (t, e, k)
-        or None. A chunk that applies all limit events draws none past them,
-        and costs the one call into the kernel: `limit` and `next_probe` are
-        written to the context only when they change, and the clock stays
+        the time of the event now held past next_probe or max_time, or None.
+        A chunk that applies all limit events holds none, and costs the one
+        call into the kernel: `limit` and `next_probe` are written to the
+        context only when they change, and the clock and the count stay
         there until `close`."""
         ctx = self.ctx
         if limit != self.limit:
@@ -258,15 +252,7 @@ class Chunks:
         if next_probe != self.next_probe:
             ctx.next_probe = self.next_probe = next_probe
         done = self._run(self.address)
-        if done == limit:
-            return done, None
-        ctx.drawn = 0  # the engine's from here: it holds the event again, or parks it
-        return done, (ctx.t, ctx.e, ctx.k)
-
-    def hold(self, t: float, e: int, k: int) -> None:
-        """Hold one event for the next `advance` to apply first."""
-        ctx = self.ctx
-        ctx.t, ctx.e, ctx.k, ctx.drawn = t, e, k, 1
+        return done, None if done == limit else ctx.t
 
     def total_w(self) -> float:
         """`engine._total_w` of the kernel's opinions: T, when the chunk that
@@ -274,12 +260,12 @@ class Chunks:
         t = self.ctx.w
         return t if t == t else self._total_w(self.address)
 
-    def close(self) -> tuple[float, tuple[float, int, int] | None]:
+    def close(self) -> tuple[float, int, Event | None]:
         """Put the caller's list back on the state, holding the kernel's
         opinions; hand the generator's state back, and write the tracker's
         gaps and bounds back into its lists. Return the time of the last
-        applied event, and the held event, which no `advance` applied, as
-        (t, e, k) or None."""
+        applied event, the count of events applied, and the held event,
+        which no `advance` applied, or None."""
         del self.buf.total_w  # a plain array from here on
         self.state.opinions = self.caller_opinions
         self.caller_opinions[:] = self.buf.tolist()
@@ -289,4 +275,4 @@ class Chunks:
             if self.tracker.xi is not None:
                 self.tracker.xi.values[:] = self.xi.tolist()
         ctx = self.ctx
-        return ctx.clock, (ctx.t, ctx.e, ctx.k) if ctx.drawn else None
+        return ctx.clock, ctx.count, Event(ctx.t, ctx.e, ctx.k) if ctx.drawn else None

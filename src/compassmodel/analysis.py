@@ -161,8 +161,8 @@ def compute_metrics(g: Graph, opinions, space: str = "circle",
     vertex whose gaps multiply to below zero, vertex by vertex over
     `Graph.incidence`. When the compiled kernel loads, the gaps, W, the
     largest gap and the flips come from one pass in C (`_kernel.metrics`);
-    without it, and when a gap is not finite, numpy passes give the same
-    bits, or the same error.
+    without it, and when a gap or W is not finite, numpy passes and
+    `math.fsum` give the same bits, or the same error.
     """
     if space not in ("circle", "interval"):
         raise ValueError(f"unknown space {space!r}")
@@ -185,7 +185,7 @@ def compute_metrics(g: Graph, opinions, space: str = "circle",
             if space == "circle":
                 delta = _chart(delta)
         absd = np.abs(delta)
-        w = _kernel.fsum(absd)
+        w = math.fsum(memoryview(absd))
         # as the builtin max over the list: a leading NaN wins, later ones are skipped
         max_nd = float(max(absd[0], np.fmax.reduce(absd))) if absd.size else 0.0
         flips, pairs = _sign_flips(g, delta)
@@ -367,8 +367,10 @@ def _sign_flips(g: Graph, delta: np.ndarray) -> tuple[int, int]:
     if not pairs:
         return 0, 0
     gaps = delta[ids]
-    pos = np.add.reduceat(gaps > 0.0, starts[:-1], dtype=np.int64)
-    neg = np.add.reduceat(gaps < 0.0, starts[:-1], dtype=np.int64)
+    # the positive and the negative gaps at each vertex in one pass, packed
+    # as pos + neg * 2**32 (a vertex has fewer than 2**32 edges)
+    signs = np.add.reduceat((gaps < 0.0).astype(np.int64) << 32 | (gaps > 0.0), starts[:-1])
+    pos, neg = signs & 0xFFFFFFFF, signs >> 32
     flips = int(pos @ neg)
     # a product with a gap under 2**-537 may underflow to zero and not count:
     # at the ends of such an edge, count the products one by one

@@ -340,8 +340,9 @@ def run(state: SimState, stream=None, stop: StopRule | None = None,
     state's opinions and drift. Such a tracker, one whose gaps or bounds are
     not one per edge of a graph equal to the state's, opinions that are not
     one per vertex or lie outside the space's chart (NaN included), a NaN
-    probe time, and a Poisson stream on a graph without edges raise
-    ValueError before the first event, with the state untouched.
+    probe time, a Poisson stream on a graph without edges, and a parked
+    pending event that apply_event would refuse raise ValueError before the
+    first event, with the state untouched.
     """
     observers = tuple(observers)
     g = state.graph
@@ -369,6 +370,9 @@ def run(state: SimState, stream=None, stop: StopRule | None = None,
         raise ValueError("no event stream attached to the state")
     if isinstance(stream, PoissonStream) and not g.edge_count:
         raise ValueError("a Poisson stream needs a graph with at least one edge")
+    pending = state.pending
+    if pending is not None:
+        _check_event(state, state.clock, pending.time, pending.edge_id, pending.tie)
     state.stream = stream
     if stop is None:
         if not isinstance(stream, ScriptedStream):
@@ -439,24 +443,26 @@ def _run_loop(state: SimState, stream, stop: StopRule, probes, samples,
 
     Poisson events are drawn inline, with the three draws of
     PoissonStream.next_event; other streams are asked for their next event,
-    which gets apply_event's checks, as a parked pending event does. Each
-    event is applied with the scalar rule that apply_event calls, so a run
-    is stepping apply_event (a property the tests pin down).
+    which gets apply_event's checks, as a parked pending event gets them in
+    `run`. Each event is applied with the scalar rule that apply_event
+    calls, so a run is stepping apply_event (a property the tests pin down).
 
     A Poisson run without observers, or whose one observer is a
     DifferenceTracker (which `run` has checked), hands every event to the
     compiled kernel (`_kernel.c`) when it loads, in chunks that end where
     the W test or the budget is due or at an event drawn past the next
-    probe or max_time. That drawn event, after its probes, and a parked
-    one are held, and the next chunk applies and counts them first. The
-    kernel then updates the tracker's gaps and bounds in C after every
-    event, and the loop does not call the tracker. Every W test, probe and
-    stop decision stays here. For the length of the run `state.opinions` is
-    the kernel's buffer: probes read it in place, a W test reads the sum
-    `_total_w` the chunk that ended at it left in C, and at the end, also
-    when the run raises, the caller's list gets the opinions back and goes
-    back on the state; the tracker's values reach its lists then too. The
-    clock stays in the kernel's context until then.
+    probe or max_time. The kernel's context is the one record of such a
+    run: the clock, the event count, and the event drawn past a probe or
+    parked, which a chunk applies first once it is not past the next probe
+    or max_time; the loop sees only its time. The kernel updates the
+    tracker's gaps and bounds after every event; the loop does not call the
+    tracker. Every W test, probe and stop decision stays here. For the
+    length of the run `state.opinions` is the kernel's buffer: probes read
+    it in place, and a W test reads the sum `_total_w` the chunk that ended
+    at it left in C. At the end, also when the run raises, the caller's
+    list gets the opinions back and goes back on the state, the tracker's
+    values reach its lists, and the clock, the count and the held event
+    come back from the context.
 
     A W test that sums all m edges, T at count c, answers the tests in a
     window after it without a sum: one event moves at most step = 2 *
@@ -471,7 +477,8 @@ def _run_loop(state: SimState, stream, stop: StopRule, probes, samples,
 
     A run that raises (a probe's metrics, an observer, a KeyboardInterrupt)
     after drawing an event and before applying it parks that event in
-    `state.pending`, so a resumed run applies it and keeps the trajectory.
+    `state.pending`, and keeps the count of the events it applied, so a
+    resumed run keeps the trajectory.
     """
     g = state.graph
     space = state.space
@@ -502,8 +509,7 @@ def _run_loop(state: SimState, stream, stop: StopRule, probes, samples,
         gate = w_below + margin + step * interval
     pi = 0
     next_probe = probes[pi] if probes else math.inf
-    pending = state.pending
-    kernel = None
+    kernel = lib = None
     tracker = observers[0] if len(observers) == 1 else None
     if type(tracker) is not DifferenceTracker:
         tracker = None
@@ -511,19 +517,22 @@ def _run_loop(state: SimState, stream, stop: StopRule, probes, samples,
         # imported here, so ctypes and the compiler stay out of the package import
         from . import _kernel
         lib = _kernel.load()
-        if lib:
-            kernel = _kernel.Chunks(lib, state, stream.rng, max_time, tracker,
-                                    sum_w=w_below is not None)
-            observers = ()
-    edges = None if kernel else g.edges
-    # a kernel run's opinions are the kernel's buffer, until it closes
-    op = state.opinions
-    # (t, e, k) is drawn or taken off the stream, and neither applied, parked
-    # nor held: if the run raises, it goes back to state.pending
+    # (t, e, k) is drawn or taken off the stream by the Python loop, and not
+    # applied: when the run stops or raises, it goes back to state.pending
     loose = False
     reason = None
 
     try:
+        if lib:
+            kernel = _kernel.Chunks(lib, state, stream.rng, max_time, tracker,
+                                    sum_w=w_below is not None)
+            # the kernel's until it closes; set once `kernel` is, so that an
+            # interrupt as the context is built finds the state untouched
+            state.opinions, state.pending = kernel.buf, None
+            observers = ()
+        edges = None if kernel else g.edges
+        op = state.opinions
+        pending = state.pending
         while True:
             if count >= check_at:
                 ahead = interval
@@ -540,17 +549,18 @@ def _run_loop(state: SimState, stream, stop: StopRule, probes, samples,
                     reason = "max_events"
                     break
                 check_at = min(count + ahead, max_events)
-            if pending is None and kernel:
-                # the kernel keeps the clock until it closes
-                done, drawn = kernel.advance(min(check_at - count, _CHUNK), next_probe)
+            if kernel:
+                # the kernel keeps the clock, the count and the event it holds
+                # past next_probe or max_time until it closes
+                done, t = kernel.advance(min(check_at - count, _CHUNK), next_probe)
                 count += done
-                if drawn is None:
+                if t is None:
                     continue
-                t, e, k = drawn
             elif pending is None and poisson:
                 t = clock - log(1.0 - rnd()) / m
                 e = int(rnd() * m)
                 k = 1 if rnd() < 0.5 else 2
+                loose = True
             else:
                 if pending is None:
                     state.clock = clock
@@ -560,13 +570,11 @@ def _run_loop(state: SimState, stream, stop: StopRule, probes, samples,
                     except ScheduleExhausted:
                         reason = "schedule_exhausted"
                         break
+                    _check_event(state, clock, pending.time, pending.edge_id, pending.tie)
                 t, e, k = pending.time, pending.edge_id, pending.tie
-                _check_event(state, clock, t, e, k)
                 pending = state.pending = None
-            loose = True
+                loose = True
             if t > max_time:
-                state.pending = Event(t, e, k)
-                loose = False
                 clock = max_time
                 reason = "max_time"
                 break
@@ -574,10 +582,7 @@ def _run_loop(state: SimState, stream, stop: StopRule, probes, samples,
                 samples.append(compute(g, op, space, at_time=next_probe))
                 pi += 1
                 next_probe = probes[pi] if pi < len(probes) else math.inf
-
             if kernel:
-                kernel.hold(t, e, k)
-                loose = False
                 continue
             a, b = edges[e]
             if circle:
@@ -596,15 +601,13 @@ def _run_loop(state: SimState, stream, stop: StopRule, probes, samples,
                     obs.apply_event(ev)
     finally:
         if kernel:
-            last, held = kernel.close()
+            last, count, state.pending = kernel.close()
             if reason != "max_time":
                 clock = last
-            if held:
-                loose, (t, e, k) = True, held
+        elif loose:
+            state.pending = Event(t, e, k)
         state.clock = clock
         state.events_applied = count
-        if loose:
-            state.pending = Event(t, e, k)
 
     while pi < len(probes) and (next_probe <= clock or reason == "schedule_exhausted"):
         samples.append(compute(g, state.opinions, space, at_time=next_probe))
