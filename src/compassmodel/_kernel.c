@@ -1,8 +1,12 @@
 /* Compiled event loop for Poisson runs without observers, or observed by
  * one DifferenceTracker of the run's own state, the sums of W and the
- * probe metrics. Three entry points, each taking the context, which is the
- * one record of a kernel run: the opinions, the generator, the clock, the
- * count of events applied and the event drawn and not applied.
+ * probe metrics, built as the CPython extension module
+ * compassmodel._kernel_c. Its three functions, run, total_w and metrics,
+ * each take the address of a context (one argument, METH_O), release the
+ * GIL, and call cm_run, cm_total_w or cm_metrics on it. The context,
+ * described to Python by ctypes (_kernel._Context), is the one record of
+ * a kernel run: the opinions, the generator, the clock, the count of
+ * events applied and the event drawn and not applied.
  *
  * cm_run applies up to c->limit events of a PoissonStream run with the three
  * draws of engine._run_loop (wait, edge, tie bit), and adds them to c->count.
@@ -57,6 +61,8 @@
  * returns a value that is not finite, and _kernel.metrics leaves the probe
  * to the numpy path, which gives the value or raises.
  */
+
+#include <Python.h>
 
 #include <float.h>
 #include <math.h>
@@ -265,7 +271,7 @@ static void track(const struct cm_ctx *c, int64_t e)
         xi[e] = (1.0 - 2.0 * mu) * xi[e];
 }
 
-double cm_total_w(struct cm_ctx *c)
+static double cm_total_w(struct cm_ctx *c)
 {
     const int64_t *edges = c->edges;
     const double *op = c->op;
@@ -280,7 +286,7 @@ double cm_total_w(struct cm_ctx *c)
     return total;
 }
 
-int64_t cm_run(struct cm_ctx *c)
+static int64_t cm_run(struct cm_ctx *c)
 {
     const int64_t *edges = c->edges;
     double *op = c->op;
@@ -415,7 +421,7 @@ static double fsum(const double *d, int64_t m)
  * 2^-537 * 2^-537 is the least subnormal */
 #define TINY_GAP 0x1p-537
 
-double cm_metrics(struct cm_ctx *c)
+static double cm_metrics(struct cm_ctx *c)
 {
     const int64_t *edges = c->edges, *start = c->inc_start, *ids = c->inc_ids;
     const double *op = c->op;
@@ -462,4 +468,76 @@ double cm_metrics(struct cm_ctx *c)
     c->flips = flips;
     c->pairs = pairs;
     return fsum(d, c->m);
+}
+
+/* The context at the address a call passes (ctypes.addressof of the
+ * _Context); NULL, with the error set, if the address is not one. */
+static struct cm_ctx *context(PyObject *address)
+{
+    struct cm_ctx *c = PyLong_AsVoidPtr(address);
+
+    if (c == NULL && !PyErr_Occurred())
+        PyErr_SetString(PyExc_ValueError, "the kernel needs a context, not a null address");
+    return c;
+}
+
+/* The three entry points: each takes the context's address, and releases
+ * the GIL for the length of the C work */
+static PyObject *run(PyObject *Py_UNUSED(module), PyObject *address)
+{
+    struct cm_ctx *c = context(address);
+    int64_t done;
+
+    if (c == NULL)
+        return NULL;
+    Py_BEGIN_ALLOW_THREADS
+    done = cm_run(c);
+    Py_END_ALLOW_THREADS
+    return PyLong_FromLongLong(done);
+}
+
+static PyObject *total_w(PyObject *Py_UNUSED(module), PyObject *address)
+{
+    struct cm_ctx *c = context(address);
+    double w;
+
+    if (c == NULL)
+        return NULL;
+    Py_BEGIN_ALLOW_THREADS
+    w = cm_total_w(c);
+    Py_END_ALLOW_THREADS
+    return PyFloat_FromDouble(w);
+}
+
+static PyObject *metrics(PyObject *Py_UNUSED(module), PyObject *address)
+{
+    struct cm_ctx *c = context(address);
+    double w;
+
+    if (c == NULL)
+        return NULL;
+    Py_BEGIN_ALLOW_THREADS
+    w = cm_metrics(c);
+    Py_END_ALLOW_THREADS
+    return PyFloat_FromDouble(w);
+}
+
+static PyMethodDef methods[] = {
+    {"run", run, METH_O, "cm_run on the context at this address: the events it applied"},
+    {"total_w", total_w, METH_O, "cm_total_w of the context at this address"},
+    {"metrics", metrics, METH_O, "cm_metrics of the context at this address: W"},
+    {NULL, NULL, 0, NULL},
+};
+
+static struct PyModuleDef module = {
+    .m_base = PyModuleDef_HEAD_INIT,
+    .m_name = "compassmodel._kernel_c",
+    .m_doc = "The compiled event kernel of compassmodel._kernel.",
+    .m_size = -1,
+    .m_methods = methods,
+};
+
+PyMODINIT_FUNC PyInit__kernel_c(void)
+{
+    return PyModule_Create(&module);
 }

@@ -1,11 +1,16 @@
 """Build, load and drive the compiled chunk kernel, `_kernel.c`.
 
-The kernel is compiled on the first Poisson run that can use it, not at
-import, with the system gcc into $XDG_CACHE_HOME/compassmodel (default
-~/.cache/compassmodel), under a name that hashes the source and the flags,
-and loaded with ctypes. Without gcc, or when reading the source, the build
-or the load fails (with a RuntimeWarning), `load()` returns None and the
-engine keeps to its Python loop.
+The kernel is a CPython extension module, compiled on the first Poisson
+run (or probe) that can use it, not at import, with the system gcc and the
+interpreter's headers into $XDG_CACHE_HOME/compassmodel (default
+~/.cache/compassmodel), under a name that hashes the source, the flags and
+the interpreter (its extension suffix and include directories), and
+loaded with importlib. Its `run`, `total_w` and `metrics` each take the
+address of a `_Context`, the ctypes description of `struct cm_ctx`; ctypes
+only lays out the context, and no call goes through it. Without gcc or
+without Python.h, or when reading the source, the build or the load fails
+(with a RuntimeWarning), `load()` returns None and the engine keeps to its
+Python loop.
 
 For the length of a kernel run, the state's opinions are the kernel's own
 buffer (`Opinions`), which the kernel updates in place and `engine._total_w`
@@ -22,10 +27,12 @@ from __future__ import annotations
 
 import array
 import ctypes
+import importlib.util
 import math
 import os
 import shutil
 import subprocess
+import sysconfig
 import tempfile
 import warnings
 from hashlib import sha256
@@ -41,12 +48,8 @@ __all__: list[str] = []  # private to the engine and analysis
 # from the scalar rules; no -ffast-math or -march for the same reason.
 FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 _SOURCE = Path(__file__).with_name("_kernel.c")
-# the non-static functions of _kernel.c, name -> restype; each takes the
-# context pointer. Calling one without its restype reads its result as int.
-ENTRY_POINTS = {"cm_run": ctypes.c_int64, "cm_total_w": ctypes.c_double,
-                "cm_metrics": ctypes.c_double}
 
-# The loaded library, False once building or loading failed, None until the
+# The loaded module, False once building or loading failed, None until the
 # first load(). Tests set it to False to run the Python loop instead.
 _lib = None
 
@@ -86,28 +89,42 @@ class _Context(ctypes.Structure):
     ]
 
 
+def _includes() -> list[str]:
+    """-I flags for this interpreter's C headers, Python.h among them."""
+    paths = sysconfig.get_paths()
+    return [f"-I{d}" for d in dict.fromkeys((paths["include"], paths["platinclude"]))]
+
+
+def _target(cache: str) -> Path:
+    """The build of this source with these flags for this interpreter: the
+    name hashes all three, so no interpreter loads another's build."""
+    suffix = sysconfig.get_config_var("EXT_SUFFIX")
+    key = "\0".join([*FLAGS, *_includes(), suffix]).encode()
+    tag = sha256(_SOURCE.read_bytes() + key).hexdigest()[:16]
+    return Path(cache) / "compassmodel" / f"_kernel-{tag}{suffix}"
+
+
 def _build():
     gcc = shutil.which("gcc")
     if gcc is None:
         return False
     cache = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
     try:
-        tag = sha256(_SOURCE.read_bytes() + "\0".join(FLAGS).encode()).hexdigest()[:16]
-        target = Path(cache) / "compassmodel" / f"_kernel-{tag}.so"
+        target = _target(cache)
         if not target.exists():
             target.parent.mkdir(parents=True, exist_ok=True)
             # a private name, then an atomic rename: batch workers may compile at once
-            fd, tmp = tempfile.mkstemp(suffix=".so", dir=target.parent)
+            fd, tmp = tempfile.mkstemp(suffix=target.suffix, dir=target.parent)
             os.close(fd)
             try:
-                subprocess.run([gcc, *FLAGS, "-o", tmp, str(_SOURCE), "-lm"],
+                subprocess.run([gcc, *FLAGS, *_includes(), "-o", tmp, str(_SOURCE), "-lm"],
                                check=True, capture_output=True, text=True, timeout=120)
                 os.replace(tmp, target)
             finally:
                 if os.path.exists(tmp):
                     os.unlink(tmp)
         return _open(target)
-    except (OSError, subprocess.SubprocessError) as exc:
+    except (OSError, ImportError, subprocess.SubprocessError) as exc:
         detail = getattr(exc, "stderr", None) or exc
         warnings.warn(f"compiled event kernel unavailable, using the Python loop: {detail}",
                       RuntimeWarning, stacklevel=3)
@@ -115,16 +132,17 @@ def _build():
 
 
 def _open(path):
-    """Load a build of `_kernel.c` and declare its entry points."""
-    lib = ctypes.CDLL(str(path))
-    for name, restype in ENTRY_POINTS.items():
-        getattr(lib, name).argtypes = [ctypes.c_void_p]
-        getattr(lib, name).restype = restype
-    return lib
+    """Load a build of `_kernel.c`: the extension module whose `run`,
+    `total_w` and `metrics` take a `_Context`'s address."""
+    # the name's last part names PyInit__kernel_c; the .so suffix picks the loader
+    spec = importlib.util.spec_from_file_location("compassmodel._kernel_c", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def load():
-    """The kernel library, compiled and loaded on the first call; None if unavailable."""
+    """The kernel module, compiled and loaded on the first call; None if unavailable."""
     global _lib
     if _lib is None:
         _lib = _build()
@@ -150,7 +168,7 @@ def metrics(g, opinions: np.ndarray, circle: bool, gaps: np.ndarray | None):
     ctx = _Context(edges=g.edge_array.ctypes.data, op=op, inc_start=starts.ctypes.data,
                    inc_ids=ids.ctypes.data, d=gaps.ctypes.data, m=g.edge_count,
                    n=g.vertex_count, circle=circle)
-    w = lib.cm_metrics(ctypes.addressof(ctx))
+    w = lib.metrics(ctypes.addressof(ctx))
     if not math.isfinite(w):
         return None
     return w, ctx.top, ctx.flips, ctx.pairs
@@ -198,8 +216,8 @@ class Chunks:
 
     def __init__(self, lib, state, rng, max_time: float, tracker=None, sum_w: bool = False):
         g = state.graph
-        self._run = lib.cm_run
-        self._total_w = lib.cm_total_w
+        self._run = lib.run
+        self._total_w = lib.total_w
         self.state = state
         self.caller_opinions = state.opinions
         self.rng = rng
@@ -232,27 +250,24 @@ class Chunks:
         ctx.limit, ctx.next_probe = self.limit, self.next_probe
         ctx.sum_w = sum_w
         ctx.w = math.nan  # no T before the first chunk
-        # a pointer object, which ctypes passes faster than an int
-        self.address = ctypes.c_void_p(ctypes.addressof(ctx))
+        self.address = ctypes.addressof(ctx)
         self.buf.total_w = self.total_w
         pending = state.pending
         if pending is not None:
             ctx.t, ctx.e, ctx.k, ctx.drawn = pending.time, pending.edge_id, pending.tie, 1
 
-    def advance(self, limit: int, next_probe: float):
-        """Apply up to limit events, the held one first; return how many, and
-        the time of the event now held past next_probe or max_time, or None.
-        A chunk that applies all limit events holds none, and costs the one
-        call into the kernel: `limit` and `next_probe` are written to the
-        context only when they change, and the clock and the count stay
-        there until `close`."""
-        ctx = self.ctx
+    def advance(self, limit: int, next_probe: float) -> int:
+        """Apply up to limit events, the held one first; return how many. A
+        chunk that applies fewer holds an event past next_probe or
+        max_time, whose time is `ctx.t`. A chunk that applies all limit
+        events holds none, and costs the one call into the kernel: `limit`
+        and `next_probe` are written to the context only when they change,
+        and the clock and the count stay there until `close`."""
         if limit != self.limit:
-            ctx.limit = self.limit = limit
+            self.ctx.limit = self.limit = limit
         if next_probe != self.next_probe:
-            ctx.next_probe = self.next_probe = next_probe
-        done = self._run(self.address)
-        return done, None if done == limit else ctx.t
+            self.ctx.next_probe = self.next_probe = next_probe
+        return self._run(self.address)
 
     def total_w(self) -> float:
         """`engine._total_w` of the kernel's opinions: T, when the chunk that

@@ -174,7 +174,7 @@ def compute_metrics(g: Graph, opinions, space: str = "circle",
         if len(delta_values) != g.edge_count:
             raise ValueError(f"expected {g.edge_count} gap values, got {len(delta_values)}")
         delta = np.ascontiguousarray(delta_values, dtype=float)
-    # imported here, so ctypes stays out of the package import
+    # imported here, so the kernel's build stays out of the package import
     from . import _kernel
     found = _kernel.metrics(g, x, space == "circle", delta)
     if found:

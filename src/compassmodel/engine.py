@@ -233,12 +233,15 @@ class StopRule:
     converges exactly at the budget still counts as converged. It is exact:
     it stops exactly when the left-to-right sum of the edge distances is
     below w_below. A test that sums costs O(edges), in C on a kernel run.
-    One event moves at most 2 * max_degree edge distances, each in [0, 1],
-    so a sum T rules out a stop for the next (T - w_below) / (2 *
-    max_degree) events, less a rounding margin: the tests in that window
-    answer "not below" without a sum, which they would have found anyway.
-    While W is large a run sums rarely; within 2 * max_degree *
-    w_check_interval of w_below, at every test.
+    An event on an edge at distance d moves each of its two ends by mu * d,
+    and so each edge distance at them by at most mu * d; those edges hold
+    at most 2 * max_degree ends, so W moves by at most step = 2 *
+    max_degree * mu per event (with 2**-50 more per end for the rounded
+    moves). A sum T rules out a stop for the next (T - w_below) / step
+    events, less a rounding margin: the tests in that window answer "not
+    below" without a sum, which they would have found anyway. While W is
+    large a run sums rarely; within step * w_check_interval of w_below, at
+    every test.
 
     max_events and w_check_interval are counts: a whole float such as 1e6
     (as JSON gives it) is taken as its int; bools and other numbers are
@@ -275,12 +278,14 @@ class StopRule:
 
 def _check_event(state: SimState, clock: float, t: float, e: int, k: int) -> None:
     """Refuse an event the loop did not draw itself: an edge out of range, a
-    time that is NaN or before the clock, or a tie other than 1 or 2 on the circle."""
+    time that is NaN or before the clock, or a tie other than 1 or 2. The
+    interval ignores the tie, but it too takes only those two, as a drawn,
+    scripted or restored event does."""
     if not 0 <= e < state.graph.edge_count:
         raise ValueError(f"edge id {e} out of range")
     if not t >= clock:
         raise ValueError(f"event at {t} is earlier than the clock {clock}")
-    if state.space == "circle" and k not in (1, 2):
+    if k not in (1, 2):
         raise ValueError(f"tie must be 1 or 2, got {k!r}")
 
 
@@ -454,26 +459,37 @@ def _run_loop(state: SimState, stream, stop: StopRule, probes, samples,
     probe or max_time. The kernel's context is the one record of such a
     run: the clock, the event count, and the event drawn past a probe or
     parked, which a chunk applies first once it is not past the next probe
-    or max_time; the loop sees only its time. The kernel updates the
-    tracker's gaps and bounds after every event; the loop does not call the
-    tracker. Every W test, probe and stop decision stays here. For the
-    length of the run `state.opinions` is the kernel's buffer: probes read
-    it in place, and a W test reads the sum `_total_w` the chunk that ended
-    at it left in C. At the end, also when the run raises, the caller's
-    list gets the opinions back and goes back on the state, the tracker's
-    values reach its lists, and the clock, the count and the held event
-    come back from the context.
+    or max_time; the loop sees only its time, and reads it only after a
+    chunk that stops short of its limit. The kernel updates the tracker's
+    gaps and bounds after every event; the loop does not call the tracker.
+    Every W test, probe and stop decision stays here. For the length of the
+    run `state.opinions` is the kernel's buffer: probes read it in place,
+    and a W test reads the sum `_total_w` the chunk that ended at it left
+    in C. A W test that sums and the chunk after it cost one `_total_w`
+    call, one `advance` and one call into the kernel's extension module,
+    with no `min` and no tuple between them. At the end, also when the run
+    raises, the caller's list gets the opinions back and goes back on the
+    state, the tracker's values reach its lists, and the clock, the count
+    and the held event come back from the context.
 
     A W test that sums all m edges, T at count c, answers the tests in a
-    window after it without a sum: one event moves at most step = 2 *
-    max_degree edge distances, each in [0, 1], so no sum at a count up to
-    c + (T - w_below - margin) / step can fall below w_below. `margin`
-    covers the rounding of T at both ends (each term is within 2**-52 of
-    its distance, and a left-to-right sum of m terms in [0, 1] rounds by
-    less than (m * m + m) * 2**-53), and the rounding of the window's own
-    arithmetic. The next check is the first test past the window, so a
-    chunk spans the whole window. A window is worked out only when it skips
-    a test (T >= gate); below that, the price is one float compare.
+    window after it without a sum. An event on an edge at distance d moves
+    each of its ends by mu * d along the chart (the linear, cut and tie
+    branches alike, and the interval's rule), and an edge distance moves by
+    at most the moves of its two ends. The edges at the event's ends hold
+    at most 2 * max_degree ends (the event's own edge two of them), so W
+    moves by at most 2 * max_degree * mu * d <= 2 * max_degree * mu. A
+    computed move is within 2**-51 of mu * d (a few roundings of values
+    below 2 in magnitude), so step = 2 * max_degree * (mu + 2**-50), even
+    rounded down twice, bounds what one event does to W, and no sum at a
+    count up to c + (T - w_below - margin) / step can fall below w_below.
+    `margin` covers the rounding of T at both ends (each term is within
+    2**-52 of its distance, and a left-to-right sum of m terms in [0, 1]
+    rounds by less than (m * m + m) * 2**-53), and the rounding of the
+    window's own arithmetic. The next check is the first test past the
+    window, so a chunk spans the whole window. A window is worked out only
+    when it skips a test (T >= gate); below that, the price is one float
+    compare.
 
     A run that raises (a probe's metrics, an observer, a KeyboardInterrupt)
     after drawing an event and before applying it parks that event in
@@ -504,7 +520,7 @@ def _run_loop(state: SimState, stream, stop: StopRule, probes, samples,
     check_at, quiet = max_events, math.inf
     if w_below is not None:
         check_at, quiet = min(count + interval, max_events), -1
-        step = 2 * g.max_degree
+        step = 2 * g.max_degree * (params.mu + 2.0 ** -50)
         margin = (m + 3) ** 2 * 2.0 ** -52
         gate = w_below + margin + step * interval
     pi = 0
@@ -514,7 +530,7 @@ def _run_loop(state: SimState, stream, stop: StopRule, probes, samples,
     if type(tracker) is not DifferenceTracker:
         tracker = None
     if poisson and (not observers or tracker) and type(stream.rng) is random.Random:
-        # imported here, so ctypes and the compiler stay out of the package import
+        # imported here, so the build and load of the kernel stay out of the package import
         from . import _kernel
         lib = _kernel.load()
     # (t, e, k) is drawn or taken off the stream by the Python loop, and not
@@ -530,6 +546,7 @@ def _run_loop(state: SimState, stream, stop: StopRule, probes, samples,
             # interrupt as the context is built finds the state untouched
             state.opinions, state.pending = kernel.buf, None
             observers = ()
+            advance, chunk = kernel.advance, _CHUNK
         edges = None if kernel else g.edges
         op = state.opinions
         pending = state.pending
@@ -548,14 +565,21 @@ def _run_loop(state: SimState, stream, stop: StopRule, probes, samples,
                 if count >= max_events:
                     reason = "max_events"
                     break
-                check_at = min(count + ahead, max_events)
+                check_at = count + ahead
+                if check_at > max_events:
+                    check_at = max_events
             if kernel:
                 # the kernel keeps the clock, the count and the event it holds
-                # past next_probe or max_time until it closes
-                done, t = kernel.advance(min(check_at - count, _CHUNK), next_probe)
+                # past next_probe or max_time until it closes; a chunk that
+                # stops short holds one, and the loop reads its time
+                limit = check_at - count
+                if limit > chunk:
+                    limit = chunk
+                done = advance(limit, next_probe)
                 count += done
-                if t is None:
+                if done == limit:
                     continue
+                t = kernel.ctx.t
             elif pending is None and poisson:
                 t = clock - log(1.0 - rnd()) / m
                 e = int(rnd() * m)

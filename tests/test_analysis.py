@@ -313,7 +313,7 @@ class TestOnePassMetrics:
         ops = initial_opinions(IidUniform(2), g.vertex_count)
         with mock.patch.object(_kernel, "_lib", Counted()):
             got = outcome(compute_metrics, g, ops, at_time=1.0)
-        assert calls == ["cm_metrics"]
+        assert calls == ["metrics"]
         assert got == outcome(scalar_metrics, g, ops, at_time=1.0)
 
     @pytest.mark.parametrize("lib", [None, False], ids=["kernel", "numpy"])

@@ -10,6 +10,7 @@ import signal
 import struct
 import subprocess
 import sys
+import sysconfig
 import time
 import tracemalloc
 from contextlib import contextmanager
@@ -462,6 +463,22 @@ class TestRun:
         assert (state.opinions, state.clock, state.events_applied,
                 state.stream.rng.getstate()) == before
 
+    @pytest.mark.parametrize("loop", ["kernel", "python"])
+    @pytest.mark.parametrize("tie", [2**70, -2**63 - 1, 0, 9])
+    def test_a_parked_tie_other_than_1_or_2_is_refused_on_the_interval(self, tie, loop):
+        # the interval ignores the tie; the kernel's context held it in an
+        # int64, and a tie past that came back from a kernel run as another
+        state = fresh(build_path(3), [0.2, 0.6, 0.9], space="interval", stream=3)
+        parked = state.pending = Event(0.1, 0, tie)
+        before = (list(state.opinions), state.clock, state.events_applied,
+                  state.stream.rng.getstate())
+        with mock.patch.object(_kernel, "_lib", loop_lib(loop)), \
+                pytest.raises(ValueError, match=re.escape(f"tie must be 1 or 2, got {tie!r}")):
+            run(state, stop=StopRule(max_time=0.05))
+        assert state.pending is parked and parked == Event(0.1, 0, tie)
+        assert (state.opinions, state.clock, state.events_applied,
+                state.stream.rng.getstate()) == before
+
     @pytest.mark.parametrize("lib", ["kernel", "python"])
     @pytest.mark.parametrize("case", ["short opinions", "long opinions", "edgeless graph"])
     def test_malformed_inputs_are_refused_before_the_first_event(self, case, lib):
@@ -783,6 +800,43 @@ class TestWTestWindow:
                 skipped += len(sums) < len(tests)
         assert skipped
 
+    @pytest.mark.parametrize("shape,interval,stop_at", [("path", 1, 60), ("path", 3, 60),
+                                                        ("torus", 2, 20), ("torus", 1, 21)])
+    def test_a_fall_at_the_bound_stops_at_the_first_test_past_the_window(self, shape, interval,
+                                                                           stop_at):
+        # on a 0/1 alternating start at mu = 1/2, an event on an edge whose
+        # ends have max_degree edges each, all still at distance 1, puts both
+        # ends at 1/2: W falls by 1 + (2 * max_degree - 2) / 2 = max_degree,
+        # which is 2 * max_degree * mu, the most one event can move it. After
+        # the first sum the window ends one event before the count at which
+        # W falls below w_below, so a window one interval longer misses that
+        # test, and one computed without mu sums more often
+        g = build_path(301) if shape == "path" else build_torus([20, 20])
+        degree, incident = g.max_degree, g.incident_edges
+        touched, events = set(), []
+        for e, (a, b) in enumerate(g.edges):
+            # the event's ends and their neighbours, all untouched so far
+            near = {v for f in incident[a] + incident[b] for v in g.edges[f]}
+            if len(incident[a]) == len(incident[b]) == degree and not near & touched:
+                touched |= near
+                events.append((1.0 + len(events), e, 1))
+        assert len(events) > stop_at + 2 * interval
+        side = 301 if shape == "path" else 20
+        init = [float(sum(divmod(v, side)) % 2) for v in range(g.vertex_count)]
+        # W = edge_count - degree * c after c events; below w_below from stop_at on
+        w_below = g.edge_count - degree * stop_at + 0.5
+
+        def fresh_state():
+            return fresh(g, init, space="interval", stream=ScriptedStream(events))
+
+        assert first_below(fresh_state(), interval, w_below) == stop_at
+        rec, sums = summed_run(fresh_state(), StopRule(max_events=len(events), w_below=w_below,
+                                                       w_check_interval=interval))
+        assert (rec.stop_reason, rec.events_applied) == ("w_below", stop_at)
+        # the first test's sum, and the one at stop_at
+        assert [float.fromhex(w) for w in sums] == \
+            [g.edge_count - degree * interval, g.edge_count - degree * stop_at]
+
     @pytest.mark.parametrize("loop", LOOPS)
     @pytest.mark.parametrize("space,bad", [
         ("circle", 7.5), ("circle", -1.0), ("circle", math.nan), ("circle", -math.inf),
@@ -902,9 +956,9 @@ def rule_calls():
         return call
 
     def counted_advance(self, *args):
-        out = advance(self, *args)
-        counts.chunked += out[0]
-        return out
+        done = advance(self, *args)
+        counts.chunked += done
+        return done
 
     with mock.patch.object(engine, "update_pair_compass", counted(engine.update_pair_compass)), \
             mock.patch.object(engine, "update_pair_deffuant",
@@ -991,9 +1045,9 @@ class TestOneLoop:
                 return str(exc), state.opinions, state.events_applied
             return None, state.opinions, state.events_applied
 
+        # the interval ignores the tie, and refuses this one as the circle does
         ref = outcome(lambda s: apply_event(s, Event(1.0, 0, 9)))
-        assert ref == (("tie must be 1 or 2, got 9", [0.2, 0.6], 0) if space == "circle"
-                       else (None, [0.4, 0.4], 1))
+        assert ref == ("tie must be 1 or 2, got 9", [0.2, 0.6], 0)
         assert outcome(lambda s: run(s, stream=BadTie(), stop=StopRule(max_events=5))) == ref
 
     @pytest.mark.parametrize("space,pair", [
@@ -1271,8 +1325,10 @@ class TestKernel:
         gcc = shutil.which("gcc")
         if gcc is None:
             pytest.skip("no gcc on PATH")
-        done = subprocess.run([gcc, *_kernel.FLAGS, "-Wall", "-Wextra", "-Wshadow", "-Werror",
-                               "-o", str(tmp_path / "_kernel.so"), str(_kernel._SOURCE), "-lm"],
+        # Python.h included, with the flags and -I paths the build uses
+        done = subprocess.run([gcc, *_kernel.FLAGS, *_kernel._includes(), "-Wall", "-Wextra",
+                               "-Wshadow", "-Werror", "-o", str(tmp_path / "_kernel.so"),
+                               str(_kernel._SOURCE), "-lm"],
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
 
@@ -1290,17 +1346,23 @@ class TestKernel:
         assert [(name, kinds[kind]) for name, kind in _kernel._Context._fields_] == fields
 
     def test_the_entry_points_match_the_source(self):
-        # a C function called without its restype returns garbage silently
+        # the module's method table names the three wrappers, each a METH_O
+        # call of the cm_ function of its name on a context; the module's
+        # init function is the one function the build exports
         source = re.sub(r"/\*.*?\*/", "", _kernel._SOURCE.read_text(), flags=re.S)
         defined = re.findall(r"^(?!static\b)(\w+)\s+(\w+)\(([^)]*)\)\s*\{", source, re.M)
-        restypes = {"int64_t": ctypes.c_int64, "double": ctypes.c_double, "void": None}
-        assert {name: restypes[ret] for ret, name, _ in defined} == _kernel.ENTRY_POINTS
-        assert {args for *_, args in defined} == {"struct cm_ctx *c"}
+        assert defined == [("PyMODINIT_FUNC", "PyInit__kernel_c", "void")]
+        table = re.findall(r'^\s*\{"(\w+)", (\w+), (\w+), "', source, re.M)
+        names = ["run", "total_w", "metrics"]
+        assert table == [(name, name, "METH_O") for name in names]
+        for name in names:
+            body = re.search(rf"^static PyObject \*{name}\(PyObject \*Py_UNUSED\(module\), "
+                             rf"PyObject \*address\)\n\{{(.*?)^\}}", source, re.S | re.M)
+            assert f"cm_{name}(c)" in body.group(1)
+            assert re.search(rf"^static \w+ cm_{name}\(struct cm_ctx \*c\)$", source, re.M)
         lib = _kernel.load()
         if lib:
-            for name, restype in _kernel.ENTRY_POINTS.items():
-                assert getattr(lib, name).restype is restype
-                assert getattr(lib, name).argtypes == [ctypes.c_void_p]
+            assert sorted(n for n in vars(lib) if not n.startswith("__")) == sorted(names)
 
     @pytest.mark.parametrize("g,tracked", [(build_ring(9), True), (build_torus([6, 6]), False)],
                              ids=["ring, tracker", "torus, W test"])
@@ -1448,8 +1510,10 @@ class TestKernel:
         advance = _kernel.Chunks.advance
 
         def noted(self, *args):
-            chunks.append(advance(self, *args))
-            return chunks[-1]
+            done = advance(self, *args)
+            # a chunk that stops short holds an event, at ctx.t
+            chunks.append((done, self.ctx.t if self.ctx.drawn else None))
+            return done
 
         with mock.patch.object(_kernel.Chunks, "advance", noted):
             got = parked_run(past)
@@ -1483,6 +1547,80 @@ class TestKernel:
         assert _kernel.load() is None and calls == []
         assert got == want
 
+    def test_the_build_name_hashes_the_interpreter(self, tmp_path, monkeypatch):
+        # no interpreter loads a build made against another's headers or ABI
+        suffix = sysconfig.get_config_var("EXT_SUFFIX")
+        built = _kernel._target(str(tmp_path))
+        assert built.parent == tmp_path / "compassmodel" and built.name.endswith(suffix)
+        with monkeypatch.context() as patched:
+            patched.setattr(_kernel, "_includes", lambda: [f"-I{tmp_path}"])
+            other_headers = _kernel._target(str(tmp_path))
+        get = sysconfig.get_config_var
+        monkeypatch.setattr(sysconfig, "get_config_var",
+                            lambda name: ".cpython-399-other.so" if name == "EXT_SUFFIX"
+                            else get(name))
+        other_abi = _kernel._target(str(tmp_path))
+        assert other_abi.name.endswith(".cpython-399-other.so")
+        # "_kernel-<tag>", the name before the suffix
+        tags = {path.name.split(".")[0] for path in (built, other_headers, other_abi)}
+        assert len(tags) == 3
+
+    def test_a_build_without_python_h_falls_back_to_the_python_loop(self, tmp_path,
+                                                                      monkeypatch):
+        if shutil.which("gcc") is None:
+            pytest.skip("no gcc on PATH: the build is not tried")
+        g = build_torus([6, 6])
+
+        def payload():
+            state = new_simulation(g, IidUniform(3), ModelParams(mu=0.3), stream=4)
+            rec = run(state, stop=StopRule(max_events=3000, w_below=1e-3, w_check_interval=7),
+                      probes=(0.5, 2.0))
+            out = json.loads(rec.to_json(include_opinions=True))
+            del out["metadata"]
+            return json.dumps(out), state.stream.rng.getstate()
+
+        with_kernel = payload()
+        monkeypatch.setattr(_kernel, "_lib", False)
+        want = payload()
+        # headers from an empty directory, built into a fresh cache
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+        monkeypatch.setattr(_kernel, "_includes", lambda: [f"-I{tmp_path}"])
+        monkeypatch.setattr(_kernel, "_lib", None)
+        with kernel_calls() as calls, \
+                pytest.warns(RuntimeWarning, match="using the Python loop.*Python.h"):
+            got = payload()
+        assert _kernel.load() is None and calls == []
+        assert got == want == with_kernel
+        assert not list((tmp_path / "cache" / "compassmodel").iterdir())
+
+    @needs_kernel
+    def test_a_w_test_that_sums_costs_one_call_into_the_kernel(self):
+        # a 50-ring keeps W below any window's gate: every test sums, and the
+        # chunk after it is one call of the module's run, with no min() per
+        # test (the run's start calls it once)
+        lib, calls = _kernel.load(), SimpleNamespace(run=0, total_w=0, min=0)
+        run_chunk, total_w = lib.run, engine._total_w
+
+        def counted_run(address):
+            calls.run += 1
+            return run_chunk(address)
+
+        def counted_total_w(state):
+            calls.total_w += 1
+            return total_w(state)
+
+        def counted_min(*args):
+            calls.min += 1
+            return min(*args)
+
+        state = new_simulation(build_ring(50), IidUniform(1), ModelParams(), stream=1)
+        with mock.patch.object(lib, "run", counted_run), \
+                mock.patch.object(engine, "_total_w", counted_total_w), \
+                mock.patch.object(engine, "min", counted_min, create=True):
+            rec = run(state, stop=StopRule(max_events=20_000, w_below=1e-300))
+        assert (rec.stop_reason, rec.events_applied) == ("max_events", 20_000)
+        assert calls == SimpleNamespace(run=200, total_w=200, min=1)
+
     def test_the_kernel_runs_clean_under_ubsan(self, tmp_path):
         # undefined behaviour (an overflow, a shift past the width, an index
         # out of bounds the sanitizer sees) aborts the subprocess
@@ -1491,8 +1629,8 @@ class TestKernel:
             pytest.skip("no gcc on PATH")
         lib = tmp_path / "_kernel-ubsan.so"
         built = subprocess.run([gcc, "-O1", "-ffp-contract=off", "-fsanitize=undefined",
-                                "-fno-sanitize-recover=all", "-fPIC", "-shared", "-o", str(lib),
-                                str(_kernel._SOURCE), "-lm"],
+                                "-fno-sanitize-recover=all", "-fPIC", "-shared",
+                                *_kernel._includes(), "-o", str(lib), str(_kernel._SOURCE), "-lm"],
                                capture_output=True, text=True, timeout=120)
         if built.returncode != 0 and "ubsan" in built.stderr:
             pytest.skip(f"no libubsan to link: {built.stderr.strip()}")
@@ -1717,13 +1855,13 @@ class TestKernelOpinions:
                     state.clock, state.pending, state.stream.rng.getstate())
 
         in_c = []
-        total_w_in_c = lib.cm_total_w
+        total_w_in_c = lib.total_w
 
         def counted(address):
             in_c.append(address)
             return total_w_in_c(address)
 
-        with mock.patch.object(lib, "cm_total_w", counted):
+        with mock.patch.object(lib, "total_w", counted):
             got = go(lib)
         assert got == go(False)
         tests = got[2]
@@ -1747,7 +1885,7 @@ class TestInterruptedChunk:
         state = fresh(build_ring(12), init, mu=0.3, stream=5)
         observers = [DifferenceTracker(state, with_xi=True)] if tracked else []
         calls = []
-        run_chunk = lib.cm_run if lib else None
+        run_chunk = lib.run if lib else None
 
         def interrupted(address):
             done = run_chunk(address)
@@ -1762,7 +1900,7 @@ class TestInterruptedChunk:
                 run(state, stop=StopRule(max_events=budget), probes=probes, observers=observers)
             else:
                 # wrapped before Chunks binds it
-                with mock.patch.object(lib, "cm_run", interrupted), \
+                with mock.patch.object(lib, "run", interrupted), \
                         pytest.raises(KeyboardInterrupt):
                     run(state, stop=StopRule(max_events=budget), probes=probes,
                         observers=observers)
