@@ -1,24 +1,33 @@
-/* Compiled event loop for Poisson runs without observers, or observed by
- * one DifferenceTracker of the run's own state, the sums of W and the
- * probe metrics, built as the CPython extension module
+/* Compiled event loop for Poisson and scripted runs without observers, or
+ * observed by one DifferenceTracker of the run's own state, the sums of W
+ * and the probe metrics, built as the CPython extension module
  * compassmodel._kernel_c. Its three functions, run, total_w and metrics,
  * each take the address of a context (one argument, METH_O), release the
  * GIL, and call cm_run, cm_total_w or cm_metrics on it. The context,
  * described to Python by ctypes (_kernel._Context), is the one record of
- * a kernel run: the opinions, the generator, the clock, the count of
- * events applied and the event drawn and not applied.
+ * a kernel run: the opinions, the generator or the schedule, the clock,
+ * the count of events applied and the event drawn and not applied.
  *
- * cm_run applies up to c->limit events of a PoissonStream run with the three
- * draws of engine._run_loop (wait, edge, tie bit), and adds them to c->count.
- * The event the context holds (c->drawn: drawn past a probe, or parked) is
- * applied and counted first, unless it is past c->next_probe or
- * c->max_time; then the chunk applies nothing and keeps it. Every event
- * goes through apply_rule, which mirrors opinion_space.update_pair_compass
- * and update_pair_deffuant branch for branch, so the opinions, the clock and
- * the generator end bit for bit where stepping engine.apply_event would
- * leave them. When c->delta is set, track then mirrors
- * DifferenceTracker.apply_event branch for branch, so the tracked gaps and
- * bounds end bit for bit where the observer would leave them.
+ * cm_run applies up to c->limit events and adds them to c->count. The
+ * events come from one of two sources, a compile-time parameter of one
+ * always-inline body, run_chunk, so each version compiles without the
+ * other: with a generator (c->mt), the three draws of a PoissonStream in
+ * engine._run_loop (wait, edge, tie bit); without one, a ScriptedStream's
+ * times, edge ids and ties, read in place from c->sched_next up to
+ * c->sched_end. The engine ends that range just before the first event
+ * its Python loop refuses, so every event replayed is one it would apply;
+ * a replay that reaches the end stops short and holds nothing. An event
+ * taken off the schedule counts as taken, held or applied, as
+ * ScriptedStream.next_event takes it. The event the context holds
+ * (c->drawn: drawn or replayed past a probe, or parked) is applied and
+ * counted first, unless it is past c->next_probe or c->max_time; then the
+ * chunk applies nothing and keeps it. Every event goes through
+ * apply_rule, which mirrors opinion_space.update_pair_compass and
+ * update_pair_deffuant branch for branch, so the opinions, the clock and
+ * the generator or the cursor end bit for bit where stepping
+ * engine.apply_event would leave them. When c->delta is set, track then
+ * mirrors DifferenceTracker.apply_event branch for branch, so the tracked
+ * gaps and bounds end bit for bit where the observer would leave them.
  *
  * When c->sum_w is set (the run has a W test), a chunk that completes its
  * limit leaves T, cm_total_w of the opinions it ends with, in c->w for the
@@ -83,6 +92,10 @@ struct cm_ctx {
     uint32_t *tw;           /* MT_N words: the state words tempered, once
                                tempered is set */
     int64_t tempered;       /* 0 until cm_run first tempers the state's block */
+    const double *sched_t;  /* a replay, when mt is NULL: a ScriptedStream's */
+    const int64_t *sched_e, *sched_k; /* times, edge ids and ties */
+    int64_t sched_end;      /* replay the events before this index, */
+    int64_t sched_next;     /* from this one */
     const int64_t *edges;   /* m rows of (tail, head): Graph.edge_array */
     double *op;             /* the opinions */
     const int64_t *inc_start, *inc_ids; /* Graph.incidence: the edges of vertex v
@@ -286,7 +299,11 @@ static double cm_total_w(struct cm_ctx *c)
     return total;
 }
 
-static int64_t cm_run(struct cm_ctx *c)
+/* One chunk of events, drawn from the generator or, given replay, read off
+ * the schedule. Forced inline into its two callers with replay a constant,
+ * so each compiles without the other's source of events. */
+static inline __attribute__((always_inline)) int64_t run_chunk(struct cm_ctx *c,
+                                                               const int replay)
 {
     const int64_t *edges = c->edges;
     double *op = c->op;
@@ -294,13 +311,14 @@ static int64_t cm_run(struct cm_ctx *c)
     const int circle = c->circle != 0;
     const double next_probe = c->next_probe, max_time = c->max_time;
     const int64_t limit = c->limit;
-    uint32_t *mt = c->mt, *tw = c->tw, index = mt[MT_N], across[6];
+    uint32_t *mt = c->mt, *tw = c->tw, index = replay ? 0 : mt[MT_N], across[6];
     const uint32_t *w;
+    int64_t next = c->sched_next;
     double clock = c->clock;
     int64_t i = 0;
     int j;
 
-    if (!c->tempered) {
+    if (!replay && !c->tempered) {
         /* the block the state holds, tempered once for the run */
         temper_block(tw, mt);
         c->tempered = 1;
@@ -319,24 +337,35 @@ static int64_t cm_run(struct cm_ctx *c)
         c->drawn = 0;
     }
     for (; i < limit; i++) {
-        /* the six tempered words of the three draws: in place when the
-         * block has them, word by word across a new block */
-        if (index <= MT_N - 6) {
-            w = tw + index;
-            index += 6;
+        double t;
+        int64_t e, k;
+        if (replay) {
+            if (next >= c->sched_end)
+                break; /* the schedule is out: no event held */
+            t = c->sched_t[next];
+            e = c->sched_e[next];
+            k = c->sched_k[next];
+            next++;
         } else {
-            for (j = 0; j < 6; j++) {
-                if (index >= MT_N) {
-                    next_block(mt, tw);
-                    index = 0;
+            /* the six tempered words of the three draws: in place when the
+             * block has them, word by word across a new block */
+            if (index <= MT_N - 6) {
+                w = tw + index;
+                index += 6;
+            } else {
+                for (j = 0; j < 6; j++) {
+                    if (index >= MT_N) {
+                        next_block(mt, tw);
+                        index = 0;
+                    }
+                    across[j] = tw[index++];
                 }
-                across[j] = tw[index++];
+                w = across;
             }
-            w = across;
+            t = clock - log(1.0 - random_double(w[0], w[1])) / m;
+            e = (int64_t)(random_double(w[2], w[3]) * m);
+            k = w[4] >> 31 ? 2 : 1; /* random() < 0.5: k = 1 */
         }
-        const double t = clock - log(1.0 - random_double(w[0], w[1])) / m;
-        const int64_t e = (int64_t)(random_double(w[2], w[3]) * m);
-        const int64_t k = w[4] >> 31 ? 2 : 1; /* random() < 0.5: k = 1 */
         if (t > max_time || t > next_probe) {
             c->drawn = 1;
             c->t = t;
@@ -349,12 +378,20 @@ static int64_t cm_run(struct cm_ctx *c)
             track(c, e);
         clock = t;
     }
-    mt[MT_N] = index;
+    if (replay)
+        c->sched_next = next;
+    else
+        mt[MT_N] = index;
     c->clock = clock;
     c->count += i;
     /* a chunk that completes its limit ends at the W test, if any is due */
     c->w = c->sum_w && i == limit ? cm_total_w(c) : NAN;
     return i;
+}
+
+static int64_t cm_run(struct cm_ctx *c)
+{
+    return c->mt ? run_chunk(c, 0) : run_chunk(c, 1);
 }
 
 /* The partials do not overlap, and the bits of finite doubles span 2^-1074

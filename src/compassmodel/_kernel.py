@@ -1,11 +1,11 @@
 """Build, load and drive the compiled chunk kernel, `_kernel.c`.
 
 The kernel is a CPython extension module, compiled on the first Poisson
-run (or probe) that can use it, not at import, with the system gcc and the
-interpreter's headers into $XDG_CACHE_HOME/compassmodel (default
-~/.cache/compassmodel), under a name that hashes the source, the flags and
-the interpreter (its extension suffix and include directories), and
-loaded with importlib. Its `run`, `total_w` and `metrics` each take the
+or scripted run (or probe) that can use it, not at import, with the
+system gcc and the interpreter's headers into
+$XDG_CACHE_HOME/compassmodel (default ~/.cache/compassmodel), under a
+name that hashes the source, the flags and the interpreter (its
+extension suffix and include directories), and loaded with importlib. Its `run`, `total_w` and `metrics` each take the
 address of a `_Context`, the ctypes description of `struct cm_ctx`; ctypes
 only lays out the context, and no call goes through it. Without gcc or
 without Python.h, or when reading the source, the build or the load fails
@@ -40,7 +40,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .engine import Event
+from .engine import Event, ScriptedStream
 
 __all__: list[str] = []  # private to the engine and analysis
 
@@ -60,6 +60,11 @@ class _Context(ctypes.Structure):
         ("mt", ctypes.c_void_p),
         ("tw", ctypes.c_void_p),
         ("tempered", ctypes.c_int64),
+        ("sched_t", ctypes.c_void_p),
+        ("sched_e", ctypes.c_void_p),
+        ("sched_k", ctypes.c_void_p),
+        ("sched_end", ctypes.c_int64),
+        ("sched_next", ctypes.c_int64),
         ("edges", ctypes.c_void_p),
         ("op", ctypes.c_void_p),
         ("inc_start", ctypes.c_void_p),
@@ -182,18 +187,19 @@ class Opinions(array.array):
 
 class Chunks:
     """One run's kernel context, the one record of the run while it lasts:
-    the opinions' buffer, the generator, the clock, the event count and the
-    held event, which is the state's parked one (checked by `run`) or one a
-    chunk drew past `next_probe` or `max_time`. The next `advance` applies
-    and counts it first, unless it is still past either; `close` hands back
-    the event that no `advance` applied.
+    the opinions' buffer, the generator or the schedule, the clock, the
+    event count and the held event, which is the state's parked one
+    (checked by `run`) or one a chunk drew or replayed past `next_probe` or
+    `max_time`. The next `advance` applies and counts it first, unless it
+    is still past either; `close` hands back the event that no `advance`
+    applied.
 
     Building it changes nothing on the state; the engine then puts the
     kernel's buffer (`buf`, an `Opinions`) on it as `state.opinions`, which
     `advance` updates in place: probes and `_total_w` read it without a
     copy. `close` copies it back into the caller's list and puts that same
     list back on the state; the engine calls `close` also when the run
-    raises. It hands the generator back too.
+    raises. It hands the generator back too, or the stream's cursor.
 
     The kernel reads the graph's int64 `edge_array` and `incidence` in
     place. Given `sum_w` (the run has a W test), a chunk that completes its
@@ -208,28 +214,48 @@ class Chunks:
     words from `tw` across chunks. `close` hands back `mt` alone, which is
     all of `getstate()`.
 
+    A ScriptedStream is replayed from its own arrays, read in place from
+    its cursor. The replay ends just before the first event the Python loop
+    refuses: an edge id out of range, or a first time before the clock or
+    the held event (`run` has checked the cursor). A chunk that reaches the
+    end stops short holding no event (`ctx.drawn` is 0), and the engine then
+    takes the refused event, if any, and refuses it. `close` writes the
+    cursor back; a held event counts as taken, as `next_event` takes it.
+
     Given a DifferenceTracker of the state, whose gaps (and bounds, if any)
     `run` has checked to hold one entry per edge, the kernel updates copies
     of them after every event, as the tracker's `apply_event` would;
     `close` writes them back into the tracker's lists in place.
     """
 
-    def __init__(self, lib, state, rng, max_time: float, tracker=None, sum_w: bool = False):
+    def __init__(self, lib, state, stream, max_time: float, tracker=None, sum_w: bool = False):
         g = state.graph
         self._run = lib.run
         self._total_w = lib.total_w
         self.state = state
         self.caller_opinions = state.opinions
-        self.rng = rng
+        self.stream = stream
         # kept referenced: the kernel holds pointers into these buffers (the
-        # graph, which the run holds, keeps its own tables)
+        # graph, which the run holds, keeps its own tables, and the stream
+        # its schedule)
         self.buf = Opinions("d", state.opinions)
-        self.version, words, self.gauss = rng.getstate()
-        self.mt = array.array("I", words)
-        self.tw = array.array("I", bytes(4 * (len(words) - 1)))
         ctx = self.ctx = _Context()
-        ctx.mt = self.mt.buffer_info()[0]
-        ctx.tw = self.tw.buffer_info()[0]
+        pending = state.pending
+        if isinstance(stream, ScriptedStream):
+            ctx.sched_t, ctx.sched_e, ctx.sched_k = (
+                a.ctypes.data for a in (stream.times, stream.edge_ids, stream.ties))
+            ctx.sched_next = ctx.sched_end = start = stream.cursor
+            ids = stream.edge_ids[start:]
+            out = (ids < 0) | (ids >= g.edge_count)
+            floor = state.clock if pending is None else pending.time
+            if start < stream.times.size and stream.times[start] >= floor:
+                ctx.sched_end = start + int(out.argmax()) if out.any() else stream.times.size
+        else:
+            self.version, words, self.gauss = stream.rng.getstate()
+            self.mt = array.array("I", words)
+            self.tw = array.array("I", bytes(4 * (len(words) - 1)))
+            ctx.mt = self.mt.buffer_info()[0]
+            ctx.tw = self.tw.buffer_info()[0]
         ctx.edges = g.edge_array.ctypes.data
         ctx.op = self.buf.buffer_info()[0]
         ctx.inc_start, ctx.inc_ids = (a.ctypes.data for a in g.incidence)
@@ -252,7 +278,6 @@ class Chunks:
         ctx.w = math.nan  # no T before the first chunk
         self.address = ctypes.addressof(ctx)
         self.buf.total_w = self.total_w
-        pending = state.pending
         if pending is not None:
             ctx.t, ctx.e, ctx.k, ctx.drawn = pending.time, pending.edge_id, pending.tie, 1
 
@@ -284,10 +309,14 @@ class Chunks:
         del self.buf.total_w  # a plain array from here on
         self.state.opinions = self.caller_opinions
         self.caller_opinions[:] = self.buf.tolist()
-        self.rng.setstate((self.version, tuple(self.mt), self.gauss))
+        ctx = self.ctx
+        if ctx.mt:
+            self.stream.rng.setstate((self.version, tuple(self.mt), self.gauss))
+        else:
+            # the held event counts as taken, as next_event takes it
+            self.stream.cursor = ctx.sched_next
         if self.tracker is not None:
             self.tracker.delta.values[:] = self.delta.tolist()
             if self.tracker.xi is not None:
                 self.tracker.xi.values[:] = self.xi.tolist()
-        ctx = self.ctx
         return ctx.clock, ctx.count, Event(ctx.t, ctx.e, ctx.k) if ctx.drawn else None

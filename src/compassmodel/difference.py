@@ -155,7 +155,7 @@ class DifferenceTracker:
     vertex, so it is restricted to graphs of maximum degree 2. Antipodal
     ties are resolved by re-reading the affected entries from the opinions.
 
-    When it is a Poisson run's only observer, the compiled kernel makes
+    When it is a Poisson or scripted run's only observer, the compiled kernel makes
     these moves in C, mirroring `apply_event`, which the run then does not
     call; the values reach `delta.values` and `xi.values`, the same list
     objects, when the run ends.

@@ -93,37 +93,98 @@ class PoissonStream:
         return Event(t, e, tie)
 
 
+def _whole(v) -> int | None:
+    """v as an int when it is a whole number (3, 3.0, np.int64(3)), else None."""
+    if type(v) is int:
+        return v
+    if isinstance(v, numbers.Integral) or isinstance(v, numbers.Real) and float(v).is_integer():
+        return int(v)
+    return None
+
+
+def _edge_id_array(values) -> np.ndarray:
+    """The edge ids as int64, each a whole number within int64; the first
+    that is not raises ValueError."""
+    a = np.asarray(values)
+    if a.dtype.kind == "i" or a.dtype.kind in "bu" and a.dtype.itemsize < 8:
+        return a.astype(np.int64)
+    # floats, ints past int64 or other objects: one by one, by the scalar rule
+    ids = []
+    for i, v in enumerate(values):
+        e = _whole(v)
+        if e is None or not -2**63 <= e < 2**63:
+            raise ValueError(f"event {i} has edge id {v!r}, must be a whole number in int64")
+        ids.append(e)
+    return np.array(ids, dtype=np.int64)
+
+
 class ScriptedStream:
-    """Replays a fixed schedule of events, in order, then signals the end."""
+    """Replays a fixed schedule of events, in order, then signals the end.
+
+    The schedule is three read-only arrays, one entry per event: `times`
+    (float64, finite and strictly increasing), `edge_ids` and `ties`
+    (int64, each tie 1 or 2). They are its only copy: `events` and
+    `next_event` build Events from them, and a kernel run replays them in
+    place. An edge id or a tie may be given as any whole number (2, 2.0,
+    np.int64(2)); 2.5 is refused. Edge ids are checked against a graph
+    when a run takes them, as `apply_event` checks them.
+    """
 
     kind = "scripted"
     seed = None
 
     def __init__(self, events, cursor: int = 0):
-        evs = tuple(Event(float(e.time), int(e.edge_id), int(e.tie)) if isinstance(e, Event)
-                    else Event(float(e[0]), int(e[1]), int(e[2]) if len(e) > 2 else 1)
-                    for e in events)
-        for i, e in enumerate(evs):
-            if not math.isfinite(e.time):
-                raise ValueError(f"event {i} has time {e.time!r}, must be finite")
-            if e.tie not in (1, 2):
-                raise ValueError(f"event {i} has tie {e.tie!r}, must be 1 or 2")
-        for i in range(1, len(evs)):
-            if evs[i].time <= evs[i - 1].time:
-                raise ValueError(
-                    f"scripted times must be strictly increasing, events {i - 1} and {i} "
-                    f"have times {evs[i - 1].time} and {evs[i].time}")
-        if not 0 <= cursor <= len(evs):
+        evs = [e if isinstance(e, Event) else Event(e[0], e[1], e[2] if len(e) > 2 else 1)
+               for e in events]
+        self._load([e.time for e in evs], [e.edge_id for e in evs], [e.tie for e in evs],
+                   cursor)
+
+    @classmethod
+    def _from_arrays(cls, times, edge_ids, ties, cursor: int = 0) -> "ScriptedStream":
+        """A stream of the schedule given as its three columns, checked as
+        the constructor checks Events."""
+        stream = cls.__new__(cls)
+        stream._load(times, edge_ids, ties, cursor)
+        return stream
+
+    def _load(self, times, edge_ids, ties, cursor: int) -> None:
+        # all at once; the messages name the first fault, as a check event by event would
+        edge_ids = _edge_id_array(edge_ids)
+        times = np.array(times, dtype=np.float64)
+        given_ties = np.asarray(ties)
+        bad_time = ~np.isfinite(times)
+        bad = bad_time | ~((given_ties == 1) | (given_ties == 2))
+        if bad.any():
+            i = int(bad.argmax())
+            if bad_time[i]:
+                raise ValueError(f"event {i} has time {float(times[i])!r}, must be finite")
+            raise ValueError(f"event {i} has tie {given_ties[i:i + 1].tolist()[0]!r}, "
+                             "must be 1 or 2")
+        back = np.flatnonzero(times[1:] <= times[:-1])
+        if back.size:
+            i = int(back[0]) + 1
+            raise ValueError(
+                f"scripted times must be strictly increasing, events {i - 1} and {i} "
+                f"have times {float(times[i - 1])} and {float(times[i])}")
+        if not 0 <= cursor <= times.size:
             raise ValueError(f"cursor {cursor} out of range")
-        self.events = evs
+        self.times, self.edge_ids, self.ties = times, edge_ids, given_ties.astype(np.int64)
+        for a in (self.times, self.edge_ids, self.ties):
+            a.flags.writeable = False
         self.cursor = cursor
 
+    @property
+    def events(self) -> tuple[Event, ...]:
+        """The schedule as Events, built from the arrays at each call."""
+        return tuple(map(Event, self.times.tolist(), self.edge_ids.tolist(),
+                         self.ties.tolist()))
+
     def next_event(self, state: "SimState") -> Event:
-        if self.cursor >= len(self.events):
+        i = self.cursor
+        if i >= self.times.size:
             raise ScheduleExhausted
-        ev = self.events[self.cursor]
-        self.cursor += 1
-        return ev
+        self.cursor = i + 1
+        return Event(self.times.item(i), self.edge_ids.item(i), self.ties.item(i))
 
 
 @dataclass(frozen=True)
@@ -276,17 +337,23 @@ class StopRule:
             raise ValueError(f"w_check_interval must be >= 1, got {self.w_check_interval}")
 
 
-def _check_event(state: SimState, clock: float, t: float, e: int, k: int) -> None:
-    """Refuse an event the loop did not draw itself: an edge out of range, a
-    time that is NaN or before the clock, or a tie other than 1 or 2. The
-    interval ignores the tie, but it too takes only those two, as a drawn,
-    scripted or restored event does."""
-    if not 0 <= e < state.graph.edge_count:
-        raise ValueError(f"edge id {e} out of range")
+def _check_event(state: SimState, clock: float, t: float, e, k) -> tuple[int, int]:
+    """Refuse an event the loop did not draw itself: an edge id that is not
+    a whole number or is out of range, a time that is NaN or before the
+    clock, or a tie other than 1 or 2. The interval ignores the tie, but it
+    too takes only those two, as a drawn, scripted or restored event does.
+    Return the edge id and the tie as ints: 1.0 or np.int64(1) is taken as
+    1, and 1.5 is refused, on every loop."""
+    edge = _whole(e)
+    if edge is None:
+        raise ValueError(f"edge id must be a whole number, got {e!r}")
+    if not 0 <= edge < state.graph.edge_count:
+        raise ValueError(f"edge id {edge} out of range")
     if not t >= clock:
         raise ValueError(f"event at {t} is earlier than the clock {clock}")
     if k not in (1, 2):
         raise ValueError(f"tie must be 1 or 2, got {k!r}")
+    return edge, int(k)
 
 
 def apply_event(state: SimState, ev: Event) -> None:
@@ -295,11 +362,11 @@ def apply_event(state: SimState, ev: Event) -> None:
     Only the event edge's endpoints may change. Gated events (pairs beyond
     the confidence bound) still advance the clock and the event count.
     """
-    _check_event(state, state.clock, ev.time, ev.edge_id, ev.tie)
-    a, b = state.graph.edges[ev.edge_id]
+    e, k = _check_event(state, state.clock, ev.time, ev.edge_id, ev.tie)
+    a, b = state.graph.edges[e]
     op = state.opinions
     if state.space == "circle":
-        op[a], op[b] = update_pair_compass(op[a], op[b], state.params, ev.tie)
+        op[a], op[b] = update_pair_compass(op[a], op[b], state.params, k)
     else:
         op[a], op[b] = update_pair_deffuant(op[a], op[b], state.params)
     state.clock = ev.time
@@ -345,9 +412,12 @@ def run(state: SimState, stream=None, stop: StopRule | None = None,
     state's opinions and drift. Such a tracker, one whose gaps or bounds are
     not one per edge of a graph equal to the state's, opinions that are not
     one per vertex or lie outside the space's chart (NaN included), a NaN
-    probe time, a Poisson stream on a graph without edges, and a parked
-    pending event that apply_event would refuse raise ValueError before the
-    first event, with the state untouched.
+    probe time, a Poisson stream on a graph without edges, a scripted
+    stream whose cursor is not a whole number within its schedule, and a
+    parked pending event that apply_event would refuse raise ValueError
+    before the first event, with the state untouched. A cursor, or a
+    parked event's edge id or tie, that is a whole number of another type
+    (1.0, np.int64(1)) is put back as a plain int.
     """
     observers = tuple(observers)
     g = state.graph
@@ -375,15 +445,23 @@ def run(state: SimState, stream=None, stop: StopRule | None = None,
         raise ValueError("no event stream attached to the state")
     if isinstance(stream, PoissonStream) and not g.edge_count:
         raise ValueError("a Poisson stream needs a graph with at least one edge")
+    if isinstance(stream, ScriptedStream):
+        cursor = _whole(stream.cursor)
+        if cursor is None or not 0 <= cursor <= stream.times.size:
+            raise ValueError(f"cursor {stream.cursor!r} out of range")
+        stream.cursor = cursor
     pending = state.pending
     if pending is not None:
-        _check_event(state, state.clock, pending.time, pending.edge_id, pending.tie)
+        e, k = _check_event(state, state.clock, pending.time, pending.edge_id, pending.tie)
+        if type(pending.edge_id) is not int or type(pending.tie) is not int:
+            # taken as plain ints once, for every loop and for snapshot
+            state.pending = Event(pending.time, e, k)
     state.stream = stream
     if stop is None:
         if not isinstance(stream, ScriptedStream):
             raise ValueError("a stop rule is required unless the stream is scripted")
         # one more than the events left, so the schedule runs out first
-        left = len(stream.events) - stream.cursor + (state.pending is not None)
+        left = stream.times.size - stream.cursor + (state.pending is not None)
         stop = StopRule(max_events=state.events_applied + left + 1)
     if initial_opinions_for_limits is not None:
         initial = list(initial_opinions_for_limits)
@@ -448,19 +526,26 @@ def _run_loop(state: SimState, stream, stop: StopRule, probes, samples,
 
     Poisson events are drawn inline, with the three draws of
     PoissonStream.next_event; other streams are asked for their next event,
-    which gets apply_event's checks, as a parked pending event gets them in
+    which gets apply_event's checks (an edge id or tie that is a whole
+    number is taken as an int), as a parked pending event gets them in
     `run`. Each event is applied with the scalar rule that apply_event
     calls, so a run is stepping apply_event (a property the tests pin down).
 
-    A Poisson run without observers, or whose one observer is a
-    DifferenceTracker (which `run` has checked), hands every event to the
-    compiled kernel (`_kernel.c`) when it loads, in chunks that end where
-    the W test or the budget is due or at an event drawn past the next
-    probe or max_time. The kernel's context is the one record of such a
-    run: the clock, the event count, and the event drawn past a probe or
-    parked, which a chunk applies first once it is not past the next probe
-    or max_time; the loop sees only its time, and reads it only after a
-    chunk that stops short of its limit. The kernel updates the tracker's
+    A Poisson or ScriptedStream run without observers, or whose one
+    observer is a DifferenceTracker (which `run` has checked), hands every
+    event to the compiled kernel (`_kernel.c`) when it loads, in chunks
+    that end where the W test or the budget is due or at an event drawn or
+    replayed past the next probe or max_time. The kernel's context is the
+    one record of such a run: the clock, the event count, the generator or
+    the stream's cursor, and the event drawn past a probe or parked, which
+    a chunk applies first once it is not past the next probe or max_time;
+    the loop sees only its time, and reads it only after a chunk that
+    stops short of its limit. A replay that stops short holding no event
+    has run out of schedule. The kernel's schedule ends just before the
+    first event this loop refuses (an edge id out of range, or a first
+    time before the clock or the parked event); the loop then takes that
+    event off the stream and refuses it, as its Python branch would, with
+    the same count, clock and cursor. The kernel updates the tracker's
     gaps and bounds after every event; the loop does not call the tracker.
     Every W test, probe and stop decision stays here. For the length of the
     run `state.opinions` is the kernel's buffer: probes read it in place,
@@ -504,6 +589,7 @@ def _run_loop(state: SimState, stream, stop: StopRule, probes, samples,
     # read from the module at each run, so a wrapped rule sees every call
     compass, deffuant = update_pair_compass, update_pair_deffuant
     poisson = isinstance(stream, PoissonStream)
+    scripted = type(stream) is ScriptedStream
     rnd = stream.rng.random if poisson else None
     log = math.log
     compute = analysis.compute_metrics
@@ -529,7 +615,8 @@ def _run_loop(state: SimState, stream, stop: StopRule, probes, samples,
     tracker = observers[0] if len(observers) == 1 else None
     if type(tracker) is not DifferenceTracker:
         tracker = None
-    if poisson and (not observers or tracker) and type(stream.rng) is random.Random:
+    if (not observers or tracker) and (
+            scripted or poisson and type(stream.rng) is random.Random):
         # imported here, so the build and load of the kernel stay out of the package import
         from . import _kernel
         lib = _kernel.load()
@@ -540,7 +627,7 @@ def _run_loop(state: SimState, stream, stop: StopRule, probes, samples,
 
     try:
         if lib:
-            kernel = _kernel.Chunks(lib, state, stream.rng, max_time, tracker,
+            kernel = _kernel.Chunks(lib, state, stream, max_time, tracker,
                                     sum_w=w_below is not None)
             # the kernel's until it closes; set once `kernel` is, so that an
             # interrupt as the context is built finds the state untouched
@@ -579,6 +666,10 @@ def _run_loop(state: SimState, stream, stop: StopRule, probes, samples,
                 count += done
                 if done == limit:
                     continue
+                if not kernel.ctx.drawn:
+                    # only a replay stops short without holding an event
+                    reason = "schedule_exhausted"
+                    break
                 t = kernel.ctx.t
             elif pending is None and poisson:
                 t = clock - log(1.0 - rnd()) / m
@@ -594,8 +685,11 @@ def _run_loop(state: SimState, stream, stop: StopRule, probes, samples,
                     except ScheduleExhausted:
                         reason = "schedule_exhausted"
                         break
-                    _check_event(state, clock, pending.time, pending.edge_id, pending.tie)
-                t, e, k = pending.time, pending.edge_id, pending.tie
+                    e, k = _check_event(state, clock, pending.time, pending.edge_id,
+                                        pending.tie)
+                else:
+                    e, k = pending.edge_id, pending.tie  # checked by `run`
+                t = pending.time
                 pending = state.pending = None
                 loose = True
             if t > max_time:
@@ -633,6 +727,11 @@ def _run_loop(state: SimState, stream, stop: StopRule, probes, samples,
         state.clock = clock
         state.events_applied = count
 
+    if kernel and reason == "schedule_exhausted" and stream.cursor < stream.times.size:
+        # the replay ended before an event the Python loop refuses: take it
+        # and refuse it as that loop does, the cursor past it
+        ev = stream.next_event(state)
+        _check_event(state, clock, ev.time, ev.edge_id, ev.tie)
     while pi < len(probes) and (next_probe <= clock or reason == "schedule_exhausted"):
         samples.append(compute(g, state.opinions, space, at_time=next_probe))
         pi += 1
@@ -645,6 +744,8 @@ _SNAPSHOT_VERSION = 1
 _SPACE_CODES = {"circle": 0, "interval": 1}
 _SPACE_NAMES = {v: k for k, v in _SPACE_CODES.items()}
 _KIND_CODES = {"path": 0, "ring": 1}
+# one scripted event, packed as struct "<dIB" packs it: 13 bytes
+_RECORD = np.dtype([("time", "<f8"), ("edge_id", "<u4"), ("tie", "u1")])
 
 
 def snapshot(state: SimState) -> bytes:
@@ -659,9 +760,13 @@ def snapshot(state: SimState) -> bytes:
     out += struct.pack("<4sHB", _MAGIC, _SNAPSHOT_VERSION, _SPACE_CODES[state.space])
     out += struct.pack("<dddQ", state.params.mu, state.params.theta,
                        state.clock, state.events_applied)
-    if state.pending is not None:
-        out += struct.pack("<BdIB", 1, state.pending.time,
-                           state.pending.edge_id, state.pending.tie)
+    p = state.pending
+    if p is not None:
+        e, k = _whole(p.edge_id), _whole(p.tie)
+        if e is None or k is None:
+            raise SnapshotError(f"cannot snapshot pending event {p}: its edge id and tie "
+                                "must be whole numbers")
+        out += struct.pack("<BdIB", 1, p.time, e, k)
     else:
         out += struct.pack("<B", 0)
 
@@ -690,10 +795,12 @@ def snapshot(state: SimState) -> bytes:
         else:
             out += struct.pack("<Bd", 1, gauss)
     elif isinstance(stream, ScriptedStream):
-        out += struct.pack("<B", 2)
-        out += struct.pack("<II", len(stream.events), stream.cursor)
-        for e in stream.events:
-            out += struct.pack("<dIB", e.time, e.edge_id, e.tie)
+        ids = stream.edge_ids
+        if ids.size and not (ids.min() >= 0 and ids.max() < 2**32):
+            raise SnapshotError(f"cannot snapshot edge id {ids[(ids < 0) | (ids >= 2**32)][0]}: "
+                                "a snapshot holds edge ids in [0, 2**32)")
+        out += struct.pack("<BII", 2, ids.size, stream.cursor)
+        out += np.rec.fromarrays((stream.times, ids, stream.ties), dtype=_RECORD).tobytes()
     else:
         raise SnapshotError(f"cannot snapshot stream of type {type(stream).__name__}")
     return bytes(out)
@@ -801,8 +908,9 @@ def _restore(r: _Reader) -> SimState:
         stream.rng.setstate((ver, tuple(words), gauss))
     elif stream_code == 2:
         total, cursor = r.take("<II")
-        events = [Event(*r.take("<dIB")) for _ in range(total)]
-        stream = ScriptedStream(events, cursor=cursor)
+        records = np.frombuffer(r.take_bytes(_RECORD.itemsize * total), dtype=_RECORD)
+        stream = ScriptedStream._from_arrays(records["time"], records["edge_id"],
+                                             records["tie"], cursor)
     else:
         raise SnapshotError(f"unknown stream code {stream_code}")
     r.done()

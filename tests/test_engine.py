@@ -1,5 +1,6 @@
 import ctypes
 import inspect
+import itertools
 import json
 import math
 import os
@@ -32,6 +33,7 @@ from compassmodel import (Constant, DifferenceTracker, Event, Explicit, Graph,
                           snapshot, xi_from_values)
 from compassmodel import _kernel, engine
 from compassmodel.analysis import compute_metrics
+from compassmodel.scenarios import butterfly_scenario
 from compassmodel.engine import _total_w
 
 
@@ -122,6 +124,47 @@ class TestScriptedStream:
     def test_bad_cursor_rejected(self):
         with pytest.raises(ValueError, match="cursor"):
             ScriptedStream([(0.5, 0)], cursor=2)
+
+    def test_the_schedule_is_three_read_only_arrays(self):
+        s = ScriptedStream([Event(0.5, 1), (0.9, 0, 2), (1.5, 7)], cursor=1)
+        assert (s.times.dtype, s.edge_ids.dtype, s.ties.dtype) == \
+            (np.float64, np.int64, np.int64)
+        assert (s.times.tolist(), s.edge_ids.tolist(), s.ties.tolist()) == \
+            ([0.5, 0.9, 1.5], [1, 0, 7], [1, 2, 1])
+        for a in (s.times, s.edge_ids, s.ties):
+            assert not a.flags.writeable and a.flags.c_contiguous
+        assert s.events == (Event(0.5, 1, 1), Event(0.9, 0, 2), Event(1.5, 7, 1))
+        ev = s.next_event(None)
+        assert ev == Event(0.9, 0, 2) and s.cursor == 2
+        assert [type(v) for v in (ev.time, ev.edge_id, ev.tie)] == [float, int, int]
+
+    @pytest.mark.parametrize("edge,tie", [(1.0, 2.0), (np.int64(1), np.int64(2)),
+                                          (np.float64(1.0), np.float64(2.0)), (1, 2)])
+    def test_whole_number_edge_ids_and_ties_are_taken_as_ints(self, edge, tie):
+        s = ScriptedStream([(0.5, edge, tie), Event(np.float64(0.75), edge, tie)])
+        assert s.events == (Event(0.5, 1, 2), Event(0.75, 1, 2))
+        assert {type(v) for ev in s.events for v in (ev.time, ev.edge_id, ev.tie)} == \
+            {float, int}
+
+    @pytest.mark.parametrize("events,message", [
+        ([(0.5, 0, 1.7)], "event 0 has tie 1.7, must be 1 or 2"),  # was truncated to 1
+        ([(0.5, 0), (0.6, 0, 2.5)], "event 1 has tie 2.5, must be 1 or 2"),
+        ([(0.5, 0), (0.6, 1.5)], "event 1 has edge id 1.5, must be a whole number in int64"),
+        ([(0.5, math.nan)], "event 0 has edge id nan, must be a whole number in int64"),
+        ([(0.5, 2**63)], f"event 0 has edge id {2**63}, must be a whole number in int64"),
+        ([(0.5, "1")], "event 0 has edge id '1', must be a whole number in int64"),
+        # the first fault of any kind, time before tie within an event, as
+        # a check event by event finds it
+        ([(0.5, 0), (math.nan, 0, 3), (0.4, 0, 9)], "event 1 has time nan, must be finite"),
+        ([(0.5, 0, 3), (math.inf, 0)], "event 0 has tie 3, must be 1 or 2"),
+        ([(0.5, 0), (0.4, 0), (0.6, 0, 9)], "event 2 has tie 9, must be 1 or 2"),
+        ([(0.5, 0), (0.7, 0), (0.7, 1), (0.6, 0)],
+         "scripted times must be strictly increasing, events 1 and 2 have times 0.7 and 0.7"),
+    ])
+    def test_a_fault_is_named_as_an_event_by_event_check_names_it(self, events, message):
+        with pytest.raises(ValueError) as got:
+            ScriptedStream(events)
+        assert str(got.value) == message
 
     @pytest.mark.parametrize("events", [[(math.inf, 0, 1)], [(math.nan, 0, 1), (1.0, 1, 1)],
                                         [(0.5, 0, 1), (-math.inf, 1, 1)]])
@@ -478,6 +521,66 @@ class TestRun:
         assert state.pending is parked and parked == Event(0.1, 0, tie)
         assert (state.opinions, state.clock, state.events_applied,
                 state.stream.rng.getstate()) == before
+
+    @pytest.mark.parametrize("loop", ["kernel", "python"])
+    @pytest.mark.parametrize("space", ["circle", "interval"])
+    @pytest.mark.parametrize("edge,tie", [(1.0, 2.0), (np.int64(1), np.int64(2)),
+                                          (np.float64(1.0), 2), (1, np.float64(2.0))])
+    def test_a_whole_number_parked_edge_id_or_tie_runs_as_an_int(self, edge, tie, space, loop):
+        # a parked tie of 1.0 ran on the Python loop, raised TypeError in the
+        # kernel's context and struct.error in snapshot
+        def go(parked):
+            state = fresh(build_path(3), [0.2, 0.6, -0.9 if space == "circle" else 0.9],
+                          mu=0.25, space=space, stream=3)
+            state.pending = parked
+            with mock.patch.object(_kernel, "_lib", loop_lib(loop)):
+                rec = run(state, stop=StopRule(max_events=5))
+            return (rec.stop_reason, bits(state.opinions), state.clock, state.events_applied,
+                    state.pending, state.stream.rng.getstate())
+
+        assert go(Event(0.1, edge, tie)) == go(Event(0.1, 1, 2))
+        # parked again past max_time, as plain ints, and snapshot takes it
+        state = fresh(build_path(3), [0.2, 0.6, 0.9], space=space, stream=3)
+        state.pending = Event(0.1, edge, tie)
+        with mock.patch.object(_kernel, "_lib", loop_lib(loop)):
+            run(state, stop=StopRule(max_time=0.05))
+        assert state.pending == Event(0.1, 1, 2)
+        assert (type(state.pending.edge_id), type(state.pending.tie)) == (int, int)
+        assert restore(snapshot(state)).pending == Event(0.1, 1, 2)
+
+    @pytest.mark.parametrize("loop", ["kernel", "python"])
+    @pytest.mark.parametrize("bad,message", [
+        (Event(0.1, 0, 1.7), "tie must be 1 or 2, got 1.7"),
+        (Event(0.1, 0, np.float64(1.5)), "tie must be 1 or 2, got np.float64(1.5)"),
+        (Event(0.1, 0.5, 1), "edge id must be a whole number, got 0.5"),
+        (Event(0.1, math.nan, 1), "edge id must be a whole number, got nan"),
+    ])
+    def test_a_parked_edge_id_or_tie_that_is_not_whole_is_refused(self, bad, message, loop):
+        state = fresh(build_path(3), [0.2, 0.6, 0.9], stream=3)
+        state.pending = bad
+        before = (list(state.opinions), state.clock, state.events_applied,
+                  state.stream.rng.getstate())
+        with mock.patch.object(_kernel, "_lib", loop_lib(loop)), \
+                pytest.raises(ValueError) as got:
+            run(state, stop=StopRule(max_events=5))
+        assert str(got.value) == message
+        assert state.pending is bad
+        assert (state.opinions, state.clock, state.events_applied,
+                state.stream.rng.getstate()) == before
+        with pytest.raises(ValueError) as applied:
+            apply_event(fresh(build_path(3), [0.2, 0.6, 0.9]), bad)
+        assert str(applied.value) == message
+        # snapshot refuses it too, with ValueError (not struct.error)
+        with pytest.raises(ValueError, match="whole numbers"):
+            snapshot(state)
+
+    def test_apply_event_takes_a_whole_number_edge_id_and_tie(self):
+        ref = fresh(build_path(3), [0.5, -0.5, 0.9])
+        apply_event(ref, Event(1.0, 0, 2))
+        for edge, tie in [(0.0, 2.0), (np.int64(0), np.float64(2.0))]:
+            state = fresh(build_path(3), [0.5, -0.5, 0.9])
+            apply_event(state, Event(1.0, edge, tie))
+            assert (bits(state.opinions), state.clock) == (bits(ref.opinions), ref.clock)
 
     @pytest.mark.parametrize("lib", ["kernel", "python"])
     @pytest.mark.parametrize("case", ["short opinions", "long opinions", "edgeless graph"])
@@ -930,7 +1033,8 @@ def loop_cases(draw):
 
 @contextmanager
 def kernel_calls():
-    """Count the kernel's chunks; each one draws at least one event."""
+    """Count the kernel's chunks; each one draws or replays at least one
+    event, unless it finds its schedule out."""
     calls = []
     advance = _kernel.Chunks.advance
 
@@ -987,7 +1091,8 @@ class TestOneLoop:
         for more, max_time, split in legs:
             budget += more
             drawn_before = ref_stream.rng.getstate() if poisson else None
-            parked = state.pending is not None and state.events_applied < budget
+            under = state.events_applied < budget
+            parked = state.pending is not None and under
             with kernel_calls() as calls:
                 rec = run(state, stop=StopRule(max_events=budget, max_time=max_time),
                           observers=[recorder] if observed else ())
@@ -998,11 +1103,14 @@ class TestOneLoop:
                 == (bits(ref.opinions), ref.clock, ref.events_applied, ref.pending)
             if poisson:
                 assert state.stream.rng.getstate() == ref_stream.rng.getstate()
-            # a Poisson leg without observers runs in the kernel when it draws,
-            # or when it starts with a parked event under its budget
+            else:
+                assert state.stream.cursor == ref_stream.cursor
+            # a leg without observers runs in the kernel: a Poisson one when
+            # it draws, or when it starts with a parked event under its
+            # budget; a scripted one whenever it starts under its budget
             drew = poisson and ref_stream.rng.getstate() != drawn_before
-            assert bool(calls) == (poisson and not observed and _kernel.load() is not None
-                                   and (drew or parked))
+            assert bool(calls) == (not observed and _kernel.load() is not None
+                                   and (drew or parked if poisson else under))
             if split:
                 state = restore(snapshot(state))
                 recorder.state = state
@@ -1059,20 +1167,23 @@ class TestOneLoop:
     @pytest.mark.parametrize("tie", [1, 2])
     def test_each_branch_matches_apply_event(self, space, pair, swap, tie):
         pair = pair[::-1] if swap else pair
-        # a Poisson stream on one edge whose first event has this tie bit: its
-        # run goes through the kernel, the scripted one through the Python loop
+        # a scripted event with this tie bit, and a Poisson stream on one edge
+        # whose first event has it: each run on the kernel and on the Python loop
         seed = next(s for s in range(100) if PoissonStream(s).next_event(
             fresh(build_path(2), pair)).tie == tie)
         for mu in (0.5, 0.25, 0.3):
             for theta in (math.inf, 0.9, 0.3):
-                for stream in (ScriptedStream([(1.0, 0, tie)]), PoissonStream(seed)):
+                makers = (lambda: ScriptedStream([(1.0, 0, tie)]), lambda: PoissonStream(seed))
+                for lib, make in itertools.product((_kernel.load(), False), makers):
+                    stream = make()
                     state = fresh(build_path(2), pair, mu=mu, theta=theta, space=space)
                     ref = fresh(build_path(2), pair, mu=mu, theta=theta, space=space)
                     ev = PoissonStream(seed).next_event(ref) \
                         if isinstance(stream, PoissonStream) else Event(1.0, 0, tie)
-                    run(state, stream=stream, stop=StopRule(max_events=1))
+                    with mock.patch.object(_kernel, "_lib", lib):
+                        run(state, stream=stream, stop=StopRule(max_events=1))
                     apply_event(ref, ev)
-                    assert bits(state.opinions) == bits(ref.opinions), (mu, theta, stream)
+                    assert bits(state.opinions) == bits(ref.opinions), (mu, theta, stream, lib)
 
 
 def opinion_values(space):
@@ -1204,14 +1315,17 @@ def parked_run(past):
 # Run in a subprocess against a build of _kernel.c given as argv[1]: twin
 # runs of the build and the Python loop, at the draw boundaries and from
 # parked events too, W in C against math.fsum, and probe metrics against
-# the numpy path. The build aborts the process on undefined behaviour.
+# the numpy path, and scripted replays split by a snapshot, one of them
+# refused at an edge id past the edges. The build aborts the process on
+# undefined behaviour.
 UBSAN_CHECK = """
 import math, random, sys
 from unittest import mock
 import numpy as np
-from compassmodel import (DifferenceTracker, Explicit, Graph, ModelParams, StopRule, _kernel,
-                          analysis, build_path, build_ring, build_torus, compute_metrics,
-                          graph_from_edges, new_simulation, run)
+from compassmodel import (DifferenceTracker, Explicit, Graph, ModelParams, ScriptedStream,
+                          StopRule, _kernel, analysis, build_path, build_ring, build_torus,
+                          compute_metrics, graph_from_edges, new_simulation, restore, run,
+                          scenarios, snapshot)
 
 lib = _kernel._open(sys.argv[1])
 chunks = []
@@ -1307,7 +1421,48 @@ for case in probes:
     with mock.patch.object(_kernel, "_lib", False):
         want = metrics(*case)
     assert got == want, case
-print("ok", len(cases), len(bounds), len(parked), len(terms), len(probes))
+
+# the butterfly's schedule on an 11-path, to the stop, then snapshot,
+# restore and on to the end; an edge id past the edges when bad
+def replay(space, stop, probes, tracked, bad):
+    g, events, base, _ = scenarios.butterfly_scenario(6)
+    if bad:
+        events = events[:40] + ((events[40].time, g.edge_count),) + events[41:]
+    init = base if space == "circle" else [(v + 1.0) / 2.0 for v in base]
+    state = new_simulation(g, Explicit(init), ModelParams(mu=0.3, theta=0.9), space=space,
+                           stream=ScriptedStream(events))
+    tracker = DifferenceTracker(state, with_xi=True) if tracked else None
+    out = []
+    for leg in (stop, None):
+        try:
+            rec = run(state, stop=leg, probes=probes, observers=[tracker] if tracker else [])
+            out.append((rec.stop_reason, rec.events_applied, rec.final_time, rec.samples,
+                        rec.terminal))
+        except ValueError as exc:
+            out.append(str(exc))
+        out.append(([v.hex() for v in state.opinions], state.clock, state.pending,
+                    state.stream.cursor,
+                    tracker and [v.hex() for v in tracker.delta.values + tracker.xi.values]))
+        state = restore(snapshot(state))
+        if tracker:
+            tracker.state = state
+    return out
+
+scripted = [
+    ("circle", StopRule(max_events=500, max_time=300.5), (10.0, 200.0, 2e3), True, False),
+    ("circle", StopRule(max_events=20), (5.0,), False, True),
+    ("interval", StopRule(max_events=5_000, w_below=1e-6, w_check_interval=7), (50.0,), False,
+     False),
+]
+for case in scripted:
+    before = len(chunks)
+    with mock.patch.object(_kernel, "_lib", lib), \
+            mock.patch.object(_kernel.Chunks, "advance", counted):
+        got = replay(*case)
+    with mock.patch.object(_kernel, "_lib", False):
+        want = replay(*case)
+    assert got == want and len(chunks) > before, case
+print("ok", len(cases), len(bounds), len(parked), len(terms), len(probes), len(scripted))
 """
 
 
@@ -1641,7 +1796,7 @@ class TestKernel:
         done = subprocess.run([sys.executable, "-c", UBSAN_CHECK, str(lib)], env=env,
                               capture_output=True, text=True, timeout=600)
         assert done.returncode == 0, done.stderr[-3000:]
-        assert done.stdout.split() == ["ok", "5", "64", "2", "6", "3"]
+        assert done.stdout.split() == ["ok", "5", "64", "2", "6", "3", "3"]
 
 
 # pairs of opinions whose distance is exactly 1 (antipodal), nextafter(1, +inf),
@@ -2367,6 +2522,193 @@ class TestKernelTracker:
         assert not TUPLE_TABLES & set(vars(state.graph))
 
 
+@st.composite
+def scripted_cases(draw):
+    """A scripted run in legs for the kernel and the Python loop: probes,
+    time stops, W stops, a tracker with or without bounds, a parked event,
+    snapshots between legs and a schedule that runs out; at times with an
+    event the loops refuse, an edge id out of range or a first time before
+    the clock or the parked event."""
+    space = draw(st.sampled_from(["circle", "interval"]))
+    shape = draw(st.sampled_from(["ring", "path", "torus"]))
+    n = draw(st.integers(3, 9))
+    g = {"ring": build_ring, "path": build_path}[shape](n) if shape != "torus" \
+        else build_torus([6, 6])
+    m = g.edge_count
+    values = opinion_values(space)
+    if draw(st.booleans()):
+        values = values.map(lambda v: 0.05 * v)
+    init = draw(st.lists(values, min_size=g.vertex_count, max_size=g.vertex_count))
+    if space == "circle" and draw(st.booleans()):
+        # an antipodal pair on the first edge, so the tie bit decides
+        a, b = g.edges[0]
+        init[a], init[b] = draw(st.sampled_from([(0.0, 1.0), (0.5, -0.5), (1.0, 0.0)]))
+    mu = draw(st.sampled_from([0.5, 0.25]) | st.floats(0.05, 0.5))
+    theta = draw(st.sampled_from([math.inf, 0.9, 0.3]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    times = np.cumsum([0.01 + 0.1 * rng.random() for _ in range(draw(st.integers(0, 300)))])
+    events = [(t, rng.choice([0, m - 1]) if rng.random() < 0.2 else rng.randrange(m),
+               rng.choice([1, 2])) for t in times.tolist()]
+    if events and draw(st.booleans()):
+        at = draw(st.integers(0, len(events) - 1))
+        # past the edges (a snapshot holds no negative edge id)
+        events[at] = (events[at][0], draw(st.sampled_from([m, m + 7])), 1)
+    first = events[0][0] if events else 1.0
+    start = draw(st.sampled_from(["fresh", "parked"])
+                 | st.sampled_from(["late clock", "late parked"]))
+    clock = first + 0.05 if start == "late clock" else 0.0
+    parked = None
+    if start in ("parked", "late parked"):
+        t = first + 0.05 if start == "late parked" else first * rng.random()
+        parked = Event(t, rng.randrange(m), rng.choice([1, 2]))
+    # a tracker needs the circle and a graph of degree 2
+    tracked = draw(st.sampled_from([None, "delta", "xi"])) \
+        if space == "circle" and shape != "torus" else None
+    end = times[-1] if events else 1.0
+    interval = draw(st.integers(1, 8))
+    probes = sorted(set(draw(st.lists(st.floats(0.0, 1.2 * end), max_size=4))))
+    legs = draw(st.lists(st.tuples(st.integers(0, 200), st.none() | st.floats(0.0, 1.2 * end),
+                                   st.none() | st.sampled_from([1e-3, 1e-2, 0.5, 2.0]),
+                                   st.booleans()), min_size=1, max_size=3))
+    return (g, space, init, ModelParams(mu=mu, theta=theta), events, clock, parked, tracked,
+            interval, probes, legs)
+
+
+def scripted_legs(case):
+    """Each leg's record, or the message it was refused with, and the state,
+    the stream's cursor and the tracker's values after it."""
+    g, space, init, params, events, clock, parked, tracked, interval, probes, legs = case
+    state = new_simulation(g, Explicit(init), params, space=space,
+                           stream=ScriptedStream(events))
+    state.clock, state.pending = clock, parked
+    tracker = DifferenceTracker(state, with_xi=tracked == "xi") if tracked else None
+    out = []
+    budget = 0
+    for more, max_time, w_below, split in legs:
+        budget += more
+        try:
+            rec = run(state, stop=StopRule(max_events=budget, max_time=max_time,
+                                           w_below=w_below, w_check_interval=interval),
+                      probes=probes, observers=[tracker] if tracker else ())
+            got = (rec.stop_reason, rec.events_applied, rec.final_time, rec.samples,
+                   rec.terminal)
+        except ValueError as exc:
+            got = str(exc)
+        out.append((got, bits(state.opinions), state.clock, state.events_applied,
+                    state.pending, state.stream.cursor,
+                    tracker and bits(tracker.delta.values
+                                     + (tracker.xi or tracker.delta).values)))
+        if isinstance(got, str):
+            break
+        if split:
+            state = restore(snapshot(state))
+            if tracker:
+                tracker.state = state
+    return out
+
+
+class TestScriptedKernel:
+    """Scripted runs replayed in the compiled kernel against the Python loop."""
+
+    @given(scripted_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_scripted_runs_match_the_python_loop_bitwise(self, case):
+        with kernel_calls() as calls, rule_calls() as on:
+            got = scripted_legs(case)
+        with mock.patch.object(_kernel, "_lib", False), kernel_calls() as off, \
+                rule_calls() as python_loop:
+            want = scripted_legs(case)
+        assert got == want
+        assert off == []
+        # every event the kernel run applied went through a chunk; the
+        # Python loop applies each with one scalar rule call
+        events = got[-1][3]
+        assert python_loop.rules == events
+        assert (on.rules, on.chunked) == ((0, events) if _kernel.load() else (events, 0))
+        if _kernel.load() and events:
+            assert calls
+        for leg in got:
+            event(leg[0][0] if not isinstance(leg[0], str)
+                  else "refused: " + " ".join(leg[0].split()[:2]))
+
+    @pytest.mark.parametrize("loop", LOOPS)
+    @pytest.mark.parametrize("bad,message", [
+        ("edge", "edge id 9 out of range"),
+        ("negative edge", "edge id -1 out of range"),
+        ("late clock", "event at 1.0 is earlier than the clock 1.5"),
+        ("late parked", "event at 1.0 is earlier than the clock 1.25"),
+    ])
+    @pytest.mark.parametrize("tracked", [False, True])
+    def test_a_bad_scripted_event_is_taken_and_refused(self, bad, message, tracked, loop):
+        # the kernel's replay ends before the event; the Python loop takes
+        # it off the stream and refuses it, as apply_event would
+        events = [(1.0, 0), (2.0, 1, 2), (3.0, {"edge": 9, "negative edge": -1}.get(bad, 0)),
+                  (4.0, 1)]
+
+        def go(lib):
+            state = fresh(build_path(3), [0.2, 0.6, -0.9], mu=0.25,
+                          stream=ScriptedStream(events))
+            if bad == "late clock":
+                state.clock = 1.5
+            elif bad == "late parked":
+                state.pending = Event(1.25, 1, 2)
+            tracker = DifferenceTracker(state, with_xi=True) if tracked else None
+            with mock.patch.object(_kernel, "_lib", lib), pytest.raises(ValueError) as got:
+                run(state, stop=StopRule(max_events=10), probes=(0.5, 2.5),
+                    observers=[tracker] if tracker else ())
+            return (str(got.value), bits(state.opinions), state.clock, state.events_applied,
+                    state.pending, state.stream.cursor,
+                    tracker and bits(tracker.delta.values + tracker.xi.values))
+
+        got = go(loop_lib(loop))
+        assert got[0] == message
+        # the bad event taken: the third, or the first after the parked one
+        applied = {"late clock": 0, "late parked": 1}.get(bad, 2)
+        assert got[3:6] == (applied, None, applied + (bad != "late parked"))
+        assert go(False) == got
+
+    @needs_kernel
+    def test_a_held_event_counts_as_taken(self):
+        # a replay that stops at a probe or at max_time holds the event past
+        # it with the cursor past it; close writes that cursor back
+        events = [(1.0, 0), (2.0, 1, 2), (3.0, 0), (4.0, 1)]
+        state = fresh(build_path(3), [0.2, 0.6, -0.9], stream=ScriptedStream(events))
+        with kernel_calls() as calls:
+            rec = run(state, stop=StopRule(max_time=2.5), probes=(1.5,))
+        assert len(calls) == 2  # stopped at the probe, then resumed
+        assert (rec.stop_reason, state.events_applied, state.pending, state.stream.cursor) == \
+            ("max_time", 2, Event(3.0, 0, 1), 3)
+        rec = run(state)
+        assert (rec.stop_reason, state.events_applied, state.stream.cursor) == \
+            ("schedule_exhausted", 4, 4)
+
+    @pytest.mark.parametrize("loop", LOOPS)
+    @pytest.mark.parametrize("cursor", [-1, 3, 1.5])
+    def test_a_cursor_outside_the_schedule_is_refused(self, cursor, loop):
+        state = fresh(build_path(3), [0.2, 0.6, -0.9],
+                      stream=ScriptedStream([(1.0, 0), (2.0, 1)]))
+        state.stream.cursor = cursor
+        before = (list(state.opinions), state.clock, state.events_applied)
+        with mock.patch.object(_kernel, "_lib", loop_lib(loop)), \
+                pytest.raises(ValueError, match=re.escape(f"cursor {cursor!r} out of range")):
+            run(state)
+        assert (state.opinions, state.clock, state.events_applied) == before
+
+    @pytest.mark.parametrize("loop", LOOPS)
+    @pytest.mark.parametrize("cursor", [1.0, np.int64(1)])
+    def test_a_whole_number_cursor_runs_as_an_int(self, cursor, loop):
+        def go(at):
+            state = fresh(build_path(3), [0.2, 0.6, -0.9],
+                          stream=ScriptedStream([(1.0, 0), (2.0, 1), (3.0, 0)]))
+            state.stream.cursor = at
+            with mock.patch.object(_kernel, "_lib", loop_lib(loop)):
+                rec = run(state)
+            return rec.events_applied, bits(state.opinions), state.clock, state.stream.cursor
+
+        assert go(cursor) == go(1) == (2, *go(1)[1:3], 3)
+        assert type(go(cursor)[-1]) is int
+
+
 class TestSnapshot:
     def test_round_trip_preserves_everything(self):
         state = new_simulation(build_ring(7), IidUniform(2),
@@ -2454,6 +2796,57 @@ class TestSnapshot:
         assert isinstance(back.stream, ScriptedStream)
         assert back.stream.cursor == state.stream.cursor
         assert back.stream.events == state.stream.events
+
+    def test_a_scripted_stream_packs_as_it_did_event_by_event(self):
+        # the butterfly's 20,030 events, written as one block of 13-byte
+        # records, are the bytes of one struct.pack("<dIB") per event
+        g, events, base, _ = butterfly_scenario(10)
+        assert len(events) == 20_030
+        state = fresh(g, base, stream=ScriptedStream(events, cursor=4321))
+        run(state, stop=StopRule(max_events=1234))
+        blob = snapshot(state)
+        stream = state.stream
+        tail = struct.pack("<B", 2) + struct.pack("<II", len(stream.events), stream.cursor)
+        for e in stream.events:
+            tail += struct.pack("<dIB", e.time, e.edge_id, e.tie)
+        assert blob.endswith(tail) and len(tail) == 9 + 13 * 20_030
+        back = restore(blob)
+        assert (back.stream.events, back.stream.cursor) == (stream.events, 4321 + 1234)
+        assert snapshot(back) == blob
+
+    def test_a_scripted_stream_size_is_checked_before_it_is_read(self):
+        # 2**32 - 1 records would be 56 GB: refused before any is read
+        state = fresh(build_path(3), [0.1, 0.5, -0.5],
+                      stream=ScriptedStream([(1.0, 0), (2.0, 1, 2)]))
+        blob = bytearray(snapshot(state))
+        at = len(blob) - 2 * 13 - 8
+        assert struct.unpack_from("<II", blob, at) == (2, 0)
+        struct.pack_into("<I", blob, at, 2**32 - 1)
+        with pytest.raises(SnapshotError, match="truncated"):
+            restore(bytes(blob))
+
+    @pytest.mark.parametrize("edit,message", [
+        ({"tie": 3}, "event 1 has tie 3, must be 1 or 2"),
+        ({"time": math.nan}, "event 1 has time nan, must be finite"),
+        ({"time": 0.5}, "scripted times must be strictly increasing, events 0 and 1 have "
+                        "times 1.0 and 0.5"),
+    ])
+    def test_a_bad_scripted_record_is_a_snapshot_error(self, edit, message):
+        state = fresh(build_path(3), [0.1, 0.5, -0.5],
+                      stream=ScriptedStream([(1.0, 0), (2.0, 1, 2)]))
+        blob = bytearray(snapshot(state))
+        fields = {"time": 2.0, "edge_id": 1, "tie": 2, **edit}
+        struct.pack_into("<dIB", blob, len(blob) - 13, *fields.values())
+        with pytest.raises(SnapshotError) as got:
+            restore(bytes(blob))
+        assert str(got.value) == f"snapshot does not decode: {message}"
+
+    @pytest.mark.parametrize("edge", [-1, 2**32])
+    def test_an_edge_id_a_snapshot_cannot_hold_is_refused(self, edge):
+        state = fresh(build_path(3), [0.1, 0.5, -0.5],
+                      stream=ScriptedStream([(1.0, 0), (2.0, edge)]))
+        with pytest.raises(SnapshotError, match=f"cannot snapshot edge id {edge}"):
+            snapshot(state)
 
     def test_torus_restores_as_explicit_edges(self):
         g = build_torus([3, 3])
@@ -2648,9 +3041,13 @@ class TestSnapshot:
         # a torus is stored as an edge list, so its graph goes through Graph's validator
         torus = new_simulation(build_torus([4, 5]), IidUniform(2), ModelParams(), stream=4)
         run(torus, stop=StopRule(max_events=30))
-        return [snapshot(ring), snapshot(torus)]
+        # a scripted schedule is read as one block of records
+        path = fresh(build_path(4), [0.1, 0.5, -0.5, 0.9],
+                     stream=ScriptedStream([(0.5 * i, i % 3, 1 + i % 2) for i in range(1, 9)]))
+        run(path, stop=StopRule(max_time=2.2))  # parks a pending event
+        return [snapshot(ring), snapshot(torus), snapshot(path)]
 
-    @given(st.sampled_from([0, 1]), st.lists(st.tuples(
+    @given(st.sampled_from([0, 1, 2]), st.lists(st.tuples(
         st.sampled_from(["truncate", "extend", "byte", "word"]), st.integers(0, 2**16),
         st.sampled_from([0, 1, 2, 3, 5, 19, 255, 2**16, 2**31, 2**32 - 1]) | st.integers(0, 2**32 - 1)),
         min_size=1, max_size=4))
