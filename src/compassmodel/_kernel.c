@@ -1,12 +1,15 @@
 /* Compiled event loop for Poisson and scripted runs without observers, or
- * observed by one DifferenceTracker of the run's own state, the sums of W
- * and the probe metrics, built as the CPython extension module
- * compassmodel._kernel_c. Its three functions, run, total_w and metrics,
- * each take the address of a context (one argument, METH_O), release the
- * GIL, and call cm_run, cm_total_w or cm_metrics on it. The context,
- * described to Python by ctypes (_kernel._Context), is the one record of
- * a kernel run: the opinions, the generator or the schedule, the clock,
- * the count of events applied and the event drawn and not applied.
+ * observed by one DifferenceTracker of the run's own state, the sums of W,
+ * the probe metrics and the graph checks, built as the CPython extension
+ * module compassmodel._kernel_c. Three of its functions, run, total_w and
+ * metrics, each take the address of a context (one argument, METH_O) and
+ * call cm_run, cm_total_w or cm_metrics on it. The context, described to
+ * Python by ctypes (_kernel._Context), is the one record of a kernel run:
+ * the opinions, the generator or the schedule, the clock, the count of
+ * events applied and the event drawn and not applied. The fourth, graph,
+ * takes a graph's edge array and the arrays of its incidence through the
+ * buffer protocol and calls cm_graph on them. Each releases the GIL only
+ * for work long enough to matter (GIL_EVENTS, GIL_EDGES).
  *
  * cm_run applies up to c->limit events and adds them to c->count. The
  * events come from one of two sources, a compile-time parameter of one
@@ -58,17 +61,26 @@
  * cm_metrics is one probe of analysis.compute_metrics in one call. A walk
  * over the edges works out each signed gap into c->d (from the opinions,
  * with _chart's subtraction and fold; fmod only at |gap| >= 2, below which
- * it returns the gap unchanged), or reads the tracked gaps given there, and
- * keeps the largest |gap|. A walk over Graph.incidence counts, at each
- * vertex, the pairs of its edges and those whose gaps multiply to below
- * zero: pos * neg, or the products one by one at a vertex with a nonzero
- * |gap| under 2^-537, where a product of opposite signs can underflow to
- * -0.0. W is math.fsum of the |gap|s: Shewchuk's partials and the
- * half-even correction of CPython's Modules/mathmodule.c, step for step. An
- * exactly rounded sum does not depend on the order of its terms, so it is
- * bitwise math.fsum's. At a gap that is not finite, or when W overflows, it
- * returns a value that is not finite, and _kernel.metrics leaves the probe
- * to the numpy path, which gives the value or raises.
+ * it returns the gap unchanged), or reads the tracked gaps given there,
+ * keeps the largest |gap| and adds each |gap| to W's exact fixed-point
+ * accumulator (acc_add, after Neal 2015). A walk over Graph.incidence
+ * counts, at each vertex, the pairs of its edges and those whose gaps
+ * multiply to below zero: pos * neg, or the pairs one by one at a vertex
+ * with a nonzero |gap| under 2^-537, where a product of opposite signs can
+ * underflow to -0.0; there each product is taken of the gaps scaled by
+ * 2^600, which never underflows (an underflow costs a microcode assist).
+ * W is the accumulated sum rounded half-even once, so it is math.fsum's
+ * correctly rounded sum bit for bit, in time that does not grow with the
+ * spread of the gaps. At a gap that is not
+ * finite, or when W rounds past DBL_MAX, it returns a value that is not
+ * finite, and _kernel.metrics leaves the probe to the numpy path, which
+ * gives the value or raises.
+ *
+ * cm_graph is Graph's checks and its CSR incidence in one O(n + m) pass:
+ * the first edge with an endpoint out of range or a self-loop; a counting
+ * sort of the edges before it into the incidence; a stamp per vertex that
+ * finds the first edge repeating an earlier pair; and a walk from vertex 0.
+ * Its scratch, two n-entry arrays, is its own and freed before it returns.
  */
 
 #include <Python.h>
@@ -394,63 +406,81 @@ static int64_t cm_run(struct cm_ctx *c)
     return c->mt ? run_chunk(c, 0) : run_chunk(c, 1);
 }
 
-/* The partials do not overlap, and the bits of finite doubles span 2^-1074
- * to 2^1023, so there are at most 2098 of them. */
-#define FSUM_PARTIALS 2098
+/* W's exact fixed-point accumulator, after Neal 2015 (arXiv:1505.05571). A
+ * finite double x >= 0 is a whole number of units of 2^-1074 below 2^2098:
+ * its 53-bit significand shifted left by its biased exponent less one (by
+ * none when subnormal). The sum is kept in 32-bit digits, digit k weighing
+ * 2^(32k) units, each in an int64 word. Adding a term adds its three digit
+ * parts, each below 2^32, to three words and carries nothing: a word takes
+ * 2^30 such adds between two carry passes (ACC_TERMS) and stays below 2^63.
+ * Up to 2^63 terms fit: the top bit lies below 2098 + 63, so the rounding's
+ * window reads at most digit 68. */
+#define ACC_DIGITS 70
+#define ACC_TERMS (INT64_C(1) << 30)
+#define DIGIT_MASK INT64_C(0xffffffff)
 
-/* math.fsum of |d[0]| .. |d[m - 1]| */
-static double fsum(const double *d, int64_t m)
+/* add the finite double x >= 0 to the digits d */
+static inline void acc_add(int64_t *d, double x)
 {
-    double p[FSUM_PARTIALS], x, y, t, hi, yr, lo = 0.0;
-    int64_t f, i, j, n = 0;
+    uint64_t bits;
 
-    for (f = 0; f < m; f++) {
-        x = fabs(d[f]);
-        for (i = j = 0; j < n; j++) {
-            y = p[j];
-            if (fabs(x) < fabs(y)) {
-                t = x;
-                x = y;
-                y = t;
-            }
-            hi = x + y;
-            yr = hi - x;
-            lo = y - yr;
-            if (lo != 0.0)
-                p[i++] = lo;
-            x = hi;
-        }
-        n = i;
-        if (x != 0.0) {
-            if (!isfinite(x) || n == FSUM_PARTIALS)
-                return x + INFINITY; /* overflow: the numpy path decides */
-            p[n++] = x;
-        }
+    memcpy(&bits, &x, sizeof bits);
+    const uint64_t biased = bits >> 52, frac = bits & ((UINT64_C(1) << 52) - 1);
+    const uint64_t mant = biased ? frac | UINT64_C(1) << 52 : frac;
+    const uint64_t shift = biased ? biased - 1 : 0, r = shift & 31;
+    const uint64_t up = mant >> (32 - r); /* the parts at and above the next digit */
+    int64_t *p = d + (shift >> 5);
+
+    p[0] += (int64_t)((mant << r) & DIGIT_MASK);
+    p[1] += (int64_t)(up & DIGIT_MASK);
+    p[2] += (int64_t)(up >> 32);
+}
+
+/* move each digit's carry up, leaving every digit but the last below 2^32 */
+static void acc_carry(int64_t *d)
+{
+    int k;
+
+    for (k = 0; k < ACC_DIGITS - 1; k++) {
+        d[k + 1] += d[k] >> 32;
+        d[k] &= DIGIT_MASK;
     }
-    /* sum the partials from the top down until the sum becomes inexact */
-    hi = 0.0;
-    if (n > 0) {
-        hi = p[--n];
-        while (n > 0) {
-            x = hi;
-            y = p[--n];
-            hi = x + y;
-            yr = hi - x;
-            lo = y - yr;
-            if (lo != 0.0)
-                break;
-        }
-        /* half-even rounding across the partials: when the rest below lo has
-         * lo's sign, the exact sum lies beyond the halfway point lo marks */
-        if (n > 0 && ((lo < 0.0 && p[n - 1] < 0.0) || (lo > 0.0 && p[n - 1] > 0.0))) {
-            y = lo * 2.0;
-            x = hi + y;
-            yr = x - hi;
-            if (y == yr)
-                hi = x;
-        }
+}
+
+/* the digits' sum, rounded half-even to the nearest double: math.fsum's
+ * value of the terms added, or +inf when it rounds past DBL_MAX */
+static double acc_round(int64_t *d)
+{
+    uint64_t window, q, rest;
+    int t, top, lo, j, sticky = 0;
+
+    acc_carry(d);
+    for (t = ACC_DIGITS - 1; t >= 0 && d[t] == 0; t--)
+        ;
+    if (t < 0)
+        return 0.0;
+    top = 32 * t + 63 - __builtin_clzll((uint64_t)d[t]); /* the highest bit set */
+    /* the 64 bits from the highest set one down, and whether any bit below
+     * is set; below bit 0 they are zeros, so a sum under 2^53 units (a
+     * subnormal, or below 2^-1021) comes out exact */
+    lo = top - 63;
+    if (lo < 0) {
+        window = ((uint64_t)d[0] | (uint64_t)d[1] << 32) << -lo;
+    } else {
+        const int k = lo >> 5, r = lo & 31;
+        window = (uint64_t)d[k] | (uint64_t)d[k + 1] << 32;
+        if (r)
+            window = window >> r | (uint64_t)d[k + 2] << (64 - r);
+        sticky = (d[k] & ((INT64_C(1) << r) - 1)) != 0;
+        for (j = 0; j < k && !sticky; j++)
+            sticky = d[j] != 0;
     }
-    return hi;
+    /* the top 53 bits, rounded half-even on the 11 below them and the rest */
+    q = window >> 11;
+    rest = window & 0x7ff;
+    if (rest > 0x400 || (rest == 0x400 && (sticky || (q & 1))))
+        q++;
+    return ldexp((double)q, lo + 11 - 1074);
 }
 
 /* a nonzero gap below this in magnitude may make a product with another
@@ -458,14 +488,32 @@ static double fsum(const double *d, int64_t m)
  * 2^-537 * 2^-537 is the least subnormal */
 #define TINY_GAP 0x1p-537
 
+/* a * b < 0.0 for finite a and b, with no product that underflows: one
+ * costs a microcode assist. a * b rounds to below zero, not to -0.0, just
+ * when it is below -2^-1075 (half the least subnormal rounds half-even to
+ * zero). Each factor scaled by 2^600 is exact, or infinite past 2^424,
+ * where a product with any nonzero factor keeps its sign and lies beyond
+ * that bound anyway; the scaled product is never subnormal, and it is below
+ * -2^125 just when a * b is below -2^-1075. Rounded, it can reach -2^125
+ * from below: then fma, rounding once, decides. */
+static inline int product_below_zero(double a, double b)
+{
+    const double x = a * 0x1p600, y = b * 0x1p600, xy = x * y;
+
+    if (xy == -0x1p125)
+        return fma(x, y, 0x1p125) < 0.0;
+    return xy < -0x1p125;
+}
+
 static double cm_metrics(struct cm_ctx *c)
 {
     const int64_t *edges = c->edges, *start = c->inc_start, *ids = c->inc_ids;
     const double *op = c->op;
     double *d = c->d, top = 0.0;
-    int64_t f, v, p, q, flips = 0, pairs = 0;
+    int64_t f, v, p, q, flips = 0, pairs = 0, w[ACC_DIGITS] = {0};
 
-    /* the gaps: from the opinions when op is set, else given in d */
+    /* the gaps, from the opinions when op is set, else given in d; W's
+     * digits, and the largest |gap| */
     for (f = 0; f < c->m; f++) {
         double g = d[f];
         if (op) {
@@ -480,10 +528,13 @@ static double cm_metrics(struct cm_ctx *c)
             return NAN; /* an infinite or NaN gap: the numpy path decides */
         if (a > top)
             top = a;
+        acc_add(w, a);
+        if ((f & (ACC_TERMS - 1)) == ACC_TERMS - 1)
+            acc_carry(w);
     }
     /* the pairs of edges at each vertex, and those whose gaps multiply to
      * below zero: pos * neg, unless a tiny gap at the vertex asks for the
-     * products one by one */
+     * pairs one by one */
     for (v = 0; v < c->n; v++) {
         const int64_t s = start[v], e = start[v + 1];
         int64_t pos = 0, neg = 0, tiny = 0;
@@ -491,7 +542,7 @@ static double cm_metrics(struct cm_ctx *c)
             const double g = d[ids[p]];
             pos += g > 0.0;
             neg += g < 0.0;
-            tiny |= g != 0.0 && fabs(g) < TINY_GAP;
+            tiny |= (g != 0.0) & (fabs(g) < TINY_GAP);
         }
         pairs += (e - s) * (e - s - 1) / 2;
         if (!tiny)
@@ -499,12 +550,93 @@ static double cm_metrics(struct cm_ctx *c)
         else
             for (p = s; p < e; p++)
                 for (q = p + 1; q < e; q++)
-                    flips += d[ids[p]] * d[ids[q]] < 0.0;
+                    flips += product_below_zero(d[ids[p]], d[ids[q]]);
     }
     c->top = top;
     c->flips = flips;
     c->pairs = pairs;
-    return fsum(d, c->m);
+    return acc_round(w);
+}
+
+/* cm_graph's answers other than the id of an offending edge */
+#define CM_SPLIT (-1)     /* not connected */
+#define CM_CONNECTED (-2) /* connected, with its incidence built */
+#define CM_NO_MEMORY (-3) /* the scratch could not be allocated */
+
+/* One pass over the m edges (tail, head) of a graph on n vertices, as
+ * Graph checks them. Returns the id of the first offending edge: the first
+ * with an endpoint out of range or a self-loop, unless an earlier edge
+ * repeats the pair of an edge before it. Else CM_CONNECTED when a walk from
+ * vertex 0 reaches every vertex, CM_SPLIT when it does not. start and ids
+ * receive the CSR incidence of the edges before the first out of range or
+ * self-loop: the edges of vertex v are ids[start[v] .. start[v + 1]), in
+ * ascending id order. */
+static int64_t cm_graph(const int64_t *edges, int64_t m, int64_t n, int64_t *start,
+                        int64_t *ids)
+{
+    int64_t f, v, p, q, end = m, first, reached = 1, *seen, *queue;
+
+    for (f = 0; f < m && end == m; f++) {
+        const int64_t a = edges[2 * f], b = edges[2 * f + 1];
+        if (a < 0 || a >= n || b < 0 || b >= n || a == b)
+            end = f;
+    }
+    /* counting sort of the ends of edges 0 .. end - 1: start[v + 1] counts
+     * v's ends, the prefix sums make start[v] v's first slot, and the
+     * in-order scatter moves each start[v] on to v + 1's first slot, which
+     * one shift puts back */
+    memset(start, 0, (size_t)(n + 1) * sizeof *start);
+    for (f = 0; f < end; f++) {
+        start[edges[2 * f] + 1]++;
+        start[edges[2 * f + 1] + 1]++;
+    }
+    for (v = 0; v < n; v++)
+        start[v + 1] += start[v];
+    for (f = 0; f < end; f++) {
+        ids[start[edges[2 * f]]++] = f;
+        ids[start[edges[2 * f + 1]]++] = f;
+    }
+    memmove(start + 1, start, (size_t)n * sizeof *start);
+    start[0] = 0;
+
+    seen = malloc(2 * (size_t)n * sizeof *seen);
+    if (seen == NULL)
+        return CM_NO_MEMORY;
+    queue = seen + n;
+    /* at each vertex v, a neighbour stamped v already was reached by an
+     * edge of lower id: the later id of the pair is a repeat */
+    memset(seen, 0xff, (size_t)n * sizeof *seen);
+    first = end;
+    for (v = 0; v < n; v++)
+        for (p = start[v]; p < start[v + 1]; p++) {
+            f = ids[p];
+            q = edges[2 * f] ^ edges[2 * f + 1] ^ v; /* the other end */
+            if (seen[q] != v)
+                seen[q] = v;
+            else if (f < first)
+                first = f;
+        }
+    if (first == m) {
+        /* a walk from vertex 0 over the incidence, stamping each vertex it
+         * reaches n; queue[0 .. reached) are the vertices reached */
+        queue[0] = 0;
+        seen[0] = n;
+        for (q = 0; q < reached; q++) {
+            v = queue[q];
+            for (p = start[v]; p < start[v + 1]; p++) {
+                f = ids[p];
+                const int64_t w = edges[2 * f] ^ edges[2 * f + 1] ^ v;
+                if (seen[w] != n) {
+                    seen[w] = n;
+                    queue[reached++] = w;
+                }
+            }
+        }
+    }
+    free(seen);
+    if (first < m)
+        return first;
+    return reached == n ? CM_CONNECTED : CM_SPLIT;
 }
 
 /* The context at the address a call passes (ctypes.addressof of the
@@ -518,8 +650,27 @@ static struct cm_ctx *context(PyObject *address)
     return c;
 }
 
-/* The three entry points: each takes the context's address, and releases
- * the GIL for the length of the C work */
+/* Release the GIL around C work of at least this many events (run) or
+ * edges (total_w, metrics, graph), and only then: shorter work holds it.
+ * Releasing and retaking it costs 110 to 150 ns of thread time a call, an
+ * event about 30 ns and an edge of a W sum about 5 ns, so past these
+ * counts a release costs at most 1% of the call. */
+#define GIL_EVENTS 512
+#define GIL_EDGES 4096
+
+/* stmt, without the GIL when long_work holds */
+#define WITHOUT_GIL_IF(long_work, stmt) \
+    do {                                \
+        if (long_work) {                \
+            Py_BEGIN_ALLOW_THREADS      \
+            stmt;                       \
+            Py_END_ALLOW_THREADS        \
+        } else {                        \
+            stmt;                       \
+        }                               \
+    } while (0)
+
+/* The three context entry points: each takes the context's address */
 static PyObject *run(PyObject *Py_UNUSED(module), PyObject *address)
 {
     struct cm_ctx *c = context(address);
@@ -527,9 +678,9 @@ static PyObject *run(PyObject *Py_UNUSED(module), PyObject *address)
 
     if (c == NULL)
         return NULL;
-    Py_BEGIN_ALLOW_THREADS
-    done = cm_run(c);
-    Py_END_ALLOW_THREADS
+    /* a chunk that completes its limit may sum W too */
+    WITHOUT_GIL_IF(c->limit >= GIL_EVENTS || (c->sum_w && c->m >= GIL_EDGES),
+                   done = cm_run(c));
     return PyLong_FromLongLong(done);
 }
 
@@ -540,9 +691,7 @@ static PyObject *total_w(PyObject *Py_UNUSED(module), PyObject *address)
 
     if (c == NULL)
         return NULL;
-    Py_BEGIN_ALLOW_THREADS
-    w = cm_total_w(c);
-    Py_END_ALLOW_THREADS
+    WITHOUT_GIL_IF(c->m >= GIL_EDGES, w = cm_total_w(c));
     return PyFloat_FromDouble(w);
 }
 
@@ -553,16 +702,50 @@ static PyObject *metrics(PyObject *Py_UNUSED(module), PyObject *address)
 
     if (c == NULL)
         return NULL;
-    Py_BEGIN_ALLOW_THREADS
-    w = cm_metrics(c);
-    Py_END_ALLOW_THREADS
+    WITHOUT_GIL_IF(c->m >= GIL_EDGES, w = cm_metrics(c));
     return PyFloat_FromDouble(w);
+}
+
+/* graph(edges, n, start, ids): cm_graph of the int64 (m, 2) array edges on
+ * n vertices, into the int64 arrays start (n + 1 entries) and ids (2m),
+ * each taken through the buffer protocol. None for a connected graph, whose
+ * incidence start and ids then hold; else the id of the first offending
+ * edge, or -1 when the graph is not connected. */
+static PyObject *graph(PyObject *Py_UNUSED(module), PyObject *args)
+{
+    Py_buffer edges, start, ids;
+    long long n;
+    int64_t m, found = CM_NO_MEMORY;
+    PyObject *result = NULL;
+
+    if (!PyArg_ParseTuple(args, "y*Lw*w*", &edges, &n, &start, &ids))
+        return NULL;
+    m = edges.len / (2 * (Py_ssize_t)sizeof(int64_t));
+    if (n < 1 || n > INT64_C(1) << 32 || edges.len % (2 * sizeof(int64_t))
+            || start.len != (n + 1) * (Py_ssize_t)sizeof(int64_t)
+            || ids.len != 2 * m * (Py_ssize_t)sizeof(int64_t))
+        PyErr_SetString(PyExc_ValueError, "graph needs int64 edges, 1 to 2**32 vertices, "
+                        "and n + 1 starts and 2m ids");
+    else {
+        WITHOUT_GIL_IF(m >= GIL_EDGES, found = cm_graph(edges.buf, m, n, start.buf, ids.buf));
+        if (found == CM_NO_MEMORY)
+            PyErr_NoMemory();
+        else if (found == CM_CONNECTED)
+            result = Py_NewRef(Py_None);
+        else
+            result = PyLong_FromLongLong(found);
+    }
+    PyBuffer_Release(&edges);
+    PyBuffer_Release(&start);
+    PyBuffer_Release(&ids);
+    return result;
 }
 
 static PyMethodDef methods[] = {
     {"run", run, METH_O, "cm_run on the context at this address: the events it applied"},
     {"total_w", total_w, METH_O, "cm_total_w of the context at this address"},
     {"metrics", metrics, METH_O, "cm_metrics of the context at this address: W"},
+    {"graph", graph, METH_VARARGS, "cm_graph: check a graph and build its incidence"},
     {NULL, NULL, 0, NULL},
 };
 

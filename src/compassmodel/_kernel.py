@@ -1,26 +1,31 @@
 """Build, load and drive the compiled chunk kernel, `_kernel.c`.
 
-The kernel is a CPython extension module, compiled on the first Poisson
-or scripted run (or probe) that can use it, not at import, with the
-system gcc and the interpreter's headers into
-$XDG_CACHE_HOME/compassmodel (default ~/.cache/compassmodel), under a
-name that hashes the source, the flags and the interpreter (its
-extension suffix and include directories), and loaded with importlib. Its `run`, `total_w` and `metrics` each take the
-address of a `_Context`, the ctypes description of `struct cm_ctx`; ctypes
-only lays out the context, and no call goes through it. Without gcc or
-without Python.h, or when reading the source, the build or the load fails
-(with a RuntimeWarning), `load()` returns None and the engine keeps to its
-Python loop.
+The kernel is a CPython extension module, compiled on first use (the
+first graph it checks, or the first Poisson or scripted run or probe that
+can use it), not at import, with the system gcc and the interpreter's
+headers into $XDG_CACHE_HOME/compassmodel (default ~/.cache/compassmodel),
+under a name that hashes the source, the flags and the interpreter (its
+extension suffix and include directories), and loaded with importlib. Its
+`run`, `total_w` and `metrics` each take the address of a `_Context`, the
+ctypes description of `struct cm_ctx`; ctypes only lays out the context,
+and no call goes through it. Without gcc or without Python.h, or when
+reading the source, the build or the load fails (with a RuntimeWarning),
+`load()` returns None: the engine keeps to its Python loop, `Graph` to its
+numpy checks.
 
 For the length of a kernel run, the state's opinions are the kernel's own
 buffer (`Opinions`), which the kernel updates in place and `engine._total_w`
 sums in C; the run hands them back in the caller's list when it ends.
 
 `metrics` is a probe of `analysis.compute_metrics` in one call into C: the
-gaps, W (`math.fsum` bit for bit), the largest gap and the sign flips over
-`Graph.incidence`. It returns None without the kernel, and when a gap or W
-is not finite; `compute_metrics` then takes its numpy path, which gives the
-same bits or raises.
+gaps, W (summed exactly in fixed point and rounded once: `math.fsum` bit for
+bit), the largest gap and the sign flips over `Graph.incidence`. It returns
+None without the kernel, and when a gap or W is not finite;
+`compute_metrics` then takes its numpy path, which gives the same bits or
+raises.
+
+`graph` is `Graph`'s checks in one O(n + m) call into C, which also builds
+the graph's CSR `incidence`. It takes the arrays themselves, not a context.
 """
 
 from __future__ import annotations
@@ -177,6 +182,24 @@ def metrics(g, opinions: np.ndarray, circle: bool, gaps: np.ndarray | None):
     if not math.isfinite(w):
         return None
     return w, ctx.top, ctx.flips, ctx.pairs
+
+
+def graph(edges: np.ndarray, n: int):
+    """`Graph`'s checks of the int64 (m, 2) array `edges` on n vertices, in
+    one C pass: the id of the first offending edge (an endpoint out of
+    range, a self-loop or a repeated pair), or -1 when the graph is not
+    connected, or its CSR `incidence` (starts, ids), read-only. None
+    without the kernel."""
+    lib = load()
+    if not lib:
+        return None
+    starts, ids = np.empty(n + 1, dtype=np.int64), np.empty(2 * len(edges), dtype=np.int64)
+    found = lib.graph(edges, n, starts, ids)
+    if found is not None:
+        return found
+    starts.setflags(write=False)
+    ids.setflags(write=False)
+    return starts, ids
 
 
 class Opinions(array.array):

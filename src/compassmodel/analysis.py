@@ -160,8 +160,10 @@ def compute_metrics(g: Graph, opinions, space: str = "circle",
     edge order. The sign-flip fraction counts the pairs of edges at one
     vertex whose gaps multiply to below zero, vertex by vertex over
     `Graph.incidence`. When the compiled kernel loads, the gaps, W, the
-    largest gap and the flips come from one pass in C (`_kernel.metrics`);
-    without it, and when a gap or W is not finite, numpy passes and
+    largest gap and the flips come from one pass in C (`_kernel.metrics`),
+    which sums W exactly in fixed point and rounds it once, in time that
+    does not grow with the spread of the gaps; without it, and when a gap
+    is not finite or W rounds past the largest double, numpy passes and
     `math.fsum` give the same bits, or the same error.
     """
     if space not in ("circle", "interval"):

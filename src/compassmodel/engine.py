@@ -16,7 +16,6 @@ string seeding is process-dependent and is refused.
 from __future__ import annotations
 
 import math
-import numbers
 import random
 import struct
 import time as _time
@@ -28,7 +27,7 @@ import numpy as np
 from . import analysis
 from .difference import DifferenceTracker
 from .opinion_space import ModelParams, update_pair_compass, update_pair_deffuant
-from .topology import Graph, build_path, build_ring, build_torus
+from .topology import Graph, _whole, build_path, build_ring, build_torus
 
 __all__ = [
     "Event",
@@ -91,15 +90,6 @@ class PoissonStream:
         e = int(rng.random() * m)
         tie = 1 if rng.random() < 0.5 else 2
         return Event(t, e, tie)
-
-
-def _whole(v) -> int | None:
-    """v as an int when it is a whole number (3, 3.0, np.int64(3)), else None."""
-    if type(v) is int:
-        return v
-    if isinstance(v, numbers.Integral) or isinstance(v, numbers.Real) and float(v).is_integer():
-        return int(v)
-    return None
 
 
 def _edge_id_array(values) -> np.ndarray:
@@ -322,11 +312,10 @@ class StopRule:
             if v is None:
                 continue
             # a float budget comes from JSON as 1e6; 10.5, NaN, inf or True is no count
-            if isinstance(v, bool) or not (isinstance(v, numbers.Integral)
-                                           or isinstance(v, numbers.Real)
-                                           and float(v).is_integer()):
+            count = None if isinstance(v, bool) else _whole(v)
+            if count is None:
                 raise ValueError(f"{name} must be a whole number, got {v!r}")
-            object.__setattr__(self, name, int(v))
+            object.__setattr__(self, name, count)
         if self.max_events is not None and self.max_events < 0:
             raise ValueError(f"max_events must be >= 0, got {self.max_events}")
         if self.max_time is not None and not self.max_time >= 0.0:

@@ -178,9 +178,11 @@ def run_butterfly(n: int, params: ModelParams | None = None,
     params = params if params is not None else ModelParams()
     g, events, base, variant = butterfly_scenario(n, params, alternations,
                                                   flatten_eps, settle_eps)
-    lb, lv = (run(new_simulation(g, Explicit(profile), params,
-                                 stream=ScriptedStream(events))).terminal["L"]
-              for profile in (base, variant))
+    # one schedule, built once: the variant replays the base stream's arrays
+    stream = ScriptedStream(events)
+    twin = ScriptedStream._from_arrays(stream.times, stream.edge_ids, stream.ties)
+    lb, lv = (run(new_simulation(g, Explicit(profile), params, stream=replay)).terminal["L"]
+              for profile, replay in ((base, stream), (variant, twin)))
     if lb is None or lv is None:
         raise RuntimeError("butterfly runs failed to settle; lower settle_eps")
     distance = circle_dist(lb, lv)

@@ -10,6 +10,7 @@ running from the last vertex back to the first.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -26,15 +27,71 @@ __all__ = [
 ]
 
 
+def _whole(v) -> int | None:
+    """v as an int when it is a whole number (3, 3.0, np.int64(3)), else None."""
+    if type(v) is int:
+        return v
+    if isinstance(v, numbers.Integral) or isinstance(v, numbers.Real) and float(v).is_integer():
+        return int(v)
+    return None
+
+
+def _count(v, what: str) -> int:
+    """v as an int by the whole-number rule; anything else raises ValueError."""
+    k = _whole(v)
+    if k is None:
+        raise ValueError(f"{what} must be a whole number, got {v!r}")
+    return k
+
+
+def _endpoints(arr: np.ndarray, n: int) -> np.ndarray:
+    """arr as a new C-ordered int64 array, the layout the kernel reads: each
+    whole number as itself, or clipped to -1 or n when outside the n
+    vertices; anything else -1, outside too."""
+    if arr.dtype.kind in "biu":
+        # uint64 past int64 wraps to a negative, outside either way
+        return arr.astype(np.int64, order="C")
+    if arr.dtype.kind == "f":
+        whole = np.isfinite(arr) & (arr == np.floor(arr))
+        return np.where(whole, np.clip(arr, -1, n), -1).astype(np.int64, order="C")
+    ends = [_whole(v) for v in arr.ravel().tolist()]
+    return np.array([-1 if e is None else min(max(e, -1), n) for e in ends],
+                    dtype=np.int64).reshape(arr.shape)
+
+
+def _fault(edges, arr: np.ndarray, i: int, n: int) -> ValueError:
+    """The error for edge i, the first offending one, as an edge-by-edge
+    scan words it, with the endpoints as given."""
+    x, y = edges[i]
+    a, b = arr[i].tolist()
+    if _whole(x) is None or _whole(y) is None:
+        return ValueError(f"edge {i} endpoints ({x}, {y}) must be whole numbers")
+    if not (0 <= a < n and 0 <= b < n):
+        return ValueError(f"edge {i} endpoints ({x}, {y}) out of range for {n} vertices")
+    if a == b:
+        return ValueError(f"edge {i} is a self-loop at vertex {x}")
+    return ValueError(f"duplicate edge between vertices {x} and {y}")
+
+
 @dataclass(frozen=True, eq=False)
 class Graph:
-    """A connected graph whose one stored edge table is `edge_array`, a
+    """A connected graph whose one given edge table is `edge_array`, a
     read-only int64 (m, 2) array of (tail, head) rows; the constructor also
-    takes a sequence of pairs. Every other table is built from it on first
-    use: the CSR `incidence` that the kernel and the metrics read, and the
-    tuple views the Python paths index (`edges`, `incident_edges`,
-    `edge_neighbors`, `adjacent_edge_pairs`). Graphs are equal when their kind,
-    vertex count and edge array are, and are not hashable.
+    takes a sequence of pairs. The vertex count and the endpoints are whole
+    numbers: 4.0 is taken as 4, and 4.5 is refused with ValueError.
+
+    The checks (endpoints in range, no self-loops, no repeated pair, a
+    connected graph) name the first offending edge, as an edge-by-edge scan
+    would. When the compiled kernel loads they run in one O(n + m) C pass
+    (`_kernel.graph`) that also builds the CSR `incidence`, which the graph
+    then keeps; without it, and for fewer than n - 1 edges (refused before
+    any array with an entry per vertex exists), numpy passes check them.
+
+    Every other table is built from `edge_array` on first use: `incidence`
+    when no kernel built it, and the tuple views the Python paths index
+    (`edges`, `incident_edges`, `edge_neighbors`, `adjacent_edge_pairs`).
+    Graphs are equal when their kind, vertex count and edge array are, and
+    are not hashable.
     """
 
     kind: str
@@ -42,21 +99,35 @@ class Graph:
     edge_array: np.ndarray
 
     def __post_init__(self):
-        n = self.vertex_count
+        n = _count(self.vertex_count, "the vertex count")
         if not 1 <= n <= 1 << 32:
             # beyond 2**32 no edge table that fits in memory connects the graph
             raise ValueError(f"need 1 to 2**32 vertices, got {n}")
+        object.__setattr__(self, "vertex_count", n)
         edges = arr = self.edge_array
         if not isinstance(edges, np.ndarray) and not set(map(len, edges)) - {2}:
-            # a sequence of pairs; endpoints beyond int64 are out of range anyway
-            try:
-                arr = np.array(edges, dtype=np.int64).reshape(-1, 2)
-            except OverflowError:
-                arr = np.clip(np.array(edges, dtype=object), -1, n).astype(np.int64).reshape(-1, 2)
+            # a sequence of pairs; numbers among other objects are not made strings
+            arr = np.array(edges) if len(edges) else np.empty((0, 2), dtype=np.int64)
+            if arr.dtype.kind not in "biuf":
+                arr = np.array(edges, dtype=object)
         if not isinstance(arr, np.ndarray) or arr.shape[1:] != (2,):
             raise ValueError("every edge must be a (tail, head) pair")
         # a copy, so the caller's array stays writable and cannot change the graph
-        arr = arr.astype(np.int64, casting="same_kind")
+        arr = _endpoints(arr, n)
+        arr.setflags(write=False)
+        object.__setattr__(self, "edge_array", arr)
+        # fewer than n - 1 edges connect no graph: the numpy checks refuse
+        # them before any n-entry array exists
+        if len(arr) >= n - 1:
+            # imported here, so the kernel's build stays out of the package import
+            from . import _kernel
+            found = _kernel.graph(arr, n)
+            if isinstance(found, tuple):
+                object.__setattr__(self, "incidence", found)
+                return
+            if found is not None:
+                raise _fault(edges, arr, found, n) if found >= 0 else \
+                    ValueError("graph is not connected")
         a, b = arr[:, 0], arr[:, 1]
         outside = (a < 0) | (a >= n) | (b < 0) | (b >= n)
         # an edge whose unordered pair an earlier edge already has (the sort
@@ -71,18 +142,7 @@ class Graph:
         repeat[order[1:]] = key[1:] == key[:-1]
         bad = np.flatnonzero(outside | (a == b) | repeat)
         if bad.size:
-            # the first offending edge, with the message an edge-by-edge scan gives
-            i = int(bad[0])
-            x, y = edges[i]
-            if outside[i]:
-                raise ValueError(f"edge {i} endpoints ({x}, {y}) out of range for {n} vertices")
-            if x == y:
-                raise ValueError(f"edge {i} is a self-loop at vertex {x}")
-            raise ValueError(f"duplicate edge between vertices {x} and {y}")
-        arr.setflags(write=False)
-        object.__setattr__(self, "edge_array", arr)
-        # fewer than n - 1 edges connect no graph: refused before _connected
-        # allocates its n-entry arrays
+            raise _fault(edges, arr, int(bad[0]), n)
         if n > 1 and (len(arr) < n - 1 or not self._connected()):
             raise ValueError("graph is not connected")
 
@@ -127,7 +187,8 @@ class Graph:
     @cached_property
     def incidence(self) -> tuple[np.ndarray, np.ndarray]:
         """Read-only int64 CSR arrays (starts, ids): the ids of the edges at
-        vertex v are ids[starts[v]:starts[v + 1]], in id order."""
+        vertex v are ids[starts[v]:starts[v + 1]], in id order. The kernel's
+        check builds them with the graph; without it, this does on first use."""
         # tail 0, head 0, tail 1, ...: a stable sort keeps each vertex's ids
         # ascending, since no edge meets one vertex twice
         ids = np.argsort(self.edge_array.ravel(), kind="stable").astype(np.int64, copy=False) // 2
@@ -181,6 +242,7 @@ class Graph:
 
 def build_path(n: int) -> Graph:
     """Path on n >= 2 vertices; edge i joins vertices i and i+1."""
+    n = _count(n, "a path's vertex count")
     if n < 2:
         raise ValueError(f"a path needs at least 2 vertices, got {n}")
     tails = np.arange(n - 1)
@@ -189,6 +251,7 @@ def build_path(n: int) -> Graph:
 
 def build_ring(n: int) -> Graph:
     """Ring on n >= 3 vertices; the last edge closes back to vertex 0."""
+    n = _count(n, "a ring's vertex count")
     if n < 3:
         raise ValueError(f"a ring needs at least 3 vertices, got {n}")
     tails = np.arange(n)
@@ -202,7 +265,7 @@ def build_torus(dims: list[int] | tuple[int, ...]) -> Graph:
     one outgoing edge per axis, toward the +1 neighbor on that axis. A
     single dimension [k] gives the same edge set as build_ring(k).
     """
-    dims = tuple(int(d) for d in dims)
+    dims = tuple(_count(d, "a torus side") for d in dims)
     if not dims:
         raise ValueError("need at least one dimension")
     if any(d < 3 for d in dims):
@@ -221,8 +284,11 @@ def build_torus(dims: list[int] | tuple[int, ...]) -> Graph:
 
 def graph_from_edges(vertex_count: int, pairs, kind: str = "custom",
                      one_based: bool = False) -> Graph:
-    off = 1 if one_based else 0
-    return Graph(kind, vertex_count, [(int(a) - off, int(b) - off) for a, b in pairs])
+    """A Graph of the (tail, head) pairs, labelled from 1 when one_based;
+    the labels are whole numbers, as Graph takes them."""
+    if not one_based:
+        return Graph(kind, vertex_count, list(pairs))
+    return Graph(kind, vertex_count, [(a - 1, b - 1) for a, b in pairs])
 
 
 def load_edge_list(path) -> Graph:

@@ -261,8 +261,11 @@ TINY = 2.0 ** -537
 # zeros of both signs, the cut, gaps either side of the 2**-537 at which a
 # product of two gaps may underflow, products that do, and non-finite gaps
 gap_specials = st.sampled_from(
-    [0.0, -0.0, 1.0, -1.0, 1e-200, -1e-200, math.inf, -math.inf, math.nan]
-    + [sign * nudge(TINY, ulps) for sign in (1.0, -1.0) for ulps in (-1, 0, 1)])
+    [0.0, -0.0, 1.0, -1.0, 1e-200, -1e-200, math.inf, -math.inf, math.nan, 1e300, -1e300]
+    + [sign * nudge(TINY, ulps) for sign in (1.0, -1.0) for ulps in (-1, 0, 1)]
+    # with +-TINY, products at and either side of -2**-1075, which rounds to -0.0
+    + [sign * nudge(TINY / 2, ulps) for sign in (1.0, -1.0) for ulps in (-1, 0, 1)]
+    + [(1 + 2.0**-52) * TINY / 2, -(1 - 2.0**-53) * TINY])
 
 
 @st.composite
@@ -323,6 +326,11 @@ class TestOnePassMetrics:
         ([1e-200, -1e-200, 0.5, -0.5], 3),  # one product underflows
         ([1e-200, -1e-200, -1e-200], 0),
         ([-0.0, 0.0, 1.0, -1.0], 1),
+        ([TINY / 2, -TINY], 0),  # exactly -2**-1075: a tie, rounded to -0.0
+        ([nudge(TINY / 2, 1), -TINY], 1),  # past the tie: the least subnormal
+        # scaled by 2**1200 the product rounds to -2**125, past which it lies
+        ([(1 + 2.0**-52) * TINY / 2, -(1 - 2.0**-53) * TINY], 1),
+        ([1e300, -5e-324, -0.0, 1e-300], 1),  # 1e300 * -5e-324 only: 1e-300 * -5e-324 underflows
     ])
     def test_flips_at_a_vertex_with_tiny_gaps(self, lib, gaps, flips, monkeypatch):
         if lib is False:

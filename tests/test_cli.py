@@ -4,11 +4,12 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 import compassmodel
-from compassmodel import analysis, cli, run
+from compassmodel import _kernel, analysis, cli, run
 from compassmodel.analysis import read_samples_csv
 from compassmodel.cli import (ConfigError, WORKERS_ENV, load_config, main,
                               parse_config, run_batch)
@@ -192,13 +193,18 @@ class TestRunBatch:
             in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    def test_a_sparse_edge_list_is_a_config_error_in_bounded_memory(self, tmp_path):
+    @pytest.mark.parametrize("checks", ["kernel", "numpy"])
+    def test_a_sparse_edge_list_is_a_config_error_in_bounded_memory(self, tmp_path, checks):
+        lib = _kernel.load() if checks == "kernel" else False
+        if lib is None:
+            pytest.skip("no compiled kernel")
         edges = tmp_path / "sparse.txt"
         edges.write_text("1 10000000\n")
         cfg = parse_config(minimal_raw(graph={"kind": "file", "path": str(edges)}))
         tracemalloc.start()
         try:
-            with pytest.raises(ConfigError, match="cannot build graph: graph is not connected"):
+            with pytest.raises(ConfigError, match="cannot build graph: graph is not connected"), \
+                    mock.patch.object(_kernel, "_lib", lib):
                 run_batch(cfg, tmp_path / "out")
             peak = tracemalloc.get_traced_memory()[1]
         finally:

@@ -1315,9 +1315,10 @@ def parked_run(past):
 # Run in a subprocess against a build of _kernel.c given as argv[1]: twin
 # runs of the build and the Python loop, at the draw boundaries and from
 # parked events too, W in C against math.fsum, and probe metrics against
-# the numpy path, and scripted replays split by a snapshot, one of them
-# refused at an edge id past the edges. The build aborts the process on
-# undefined behaviour.
+# the numpy path, scripted replays split by a snapshot, one of them
+# refused at an edge id past the edges, and the graph pass against the
+# numpy checks, on valid and invalid edge lists. The build checks every
+# graph the script builds, and aborts the process on undefined behaviour.
 UBSAN_CHECK = """
 import math, random, sys
 from unittest import mock
@@ -1328,6 +1329,7 @@ from compassmodel import (DifferenceTracker, Explicit, Graph, ModelParams, Scrip
                           scenarios, snapshot)
 
 lib = _kernel._open(sys.argv[1])
+_kernel._lib = lib  # every graph the check builds, the build checks
 chunks = []
 advance = _kernel.Chunks.advance
 
@@ -1462,7 +1464,32 @@ for case in scripted:
     with mock.patch.object(_kernel, "_lib", False):
         want = replay(*case)
     assert got == want and len(chunks) > before, case
-print("ok", len(cases), len(bounds), len(parked), len(terms), len(probes), len(scripted))
+
+# the graph pass against the numpy checks, on valid and invalid lists
+torus = build_torus([5, 4]).edge_array.tolist()
+graphs = [
+    (20, torus), (20, torus[::-1]), (1, ()), (2, ((1, 0),)),
+    (4, ((0, 1), (-1, 5), (1, 2), (2, 3))),  # out of range, and a wrapped-key tie
+    (4, ((0, 1), (1, 2), (4, 0), (2, 3))),
+    (4, ((0, 1), (1, 2), (2, 1), (2, 3), (3, 3))),  # a duplicate before a self-loop
+    (3, ((0, 1), (1, 1), (1, 0))),
+    (4, ((0, 1), (2, 3), (1, 0))),
+    (5, ((0, 1), (1, 2), (3, 4), (0, 2))),  # not connected
+    (3, ((0, 2**63 - 1), (-2**63, 1), (1, 2))),
+    (20, torus[:-1] + [torus[3]]),
+]
+for n, edges in graphs:
+    outs = []
+    for each in (lib, False):
+        with mock.patch.object(_kernel, "_lib", each):
+            try:
+                g = Graph("custom", n, edges)
+                outs.append((g.edge_array.tolist(), [a.tolist() for a in g.incidence]))
+            except ValueError as exc:
+                outs.append(str(exc))
+    assert outs[0] == outs[1], (n, edges)
+print("ok", len(cases), len(bounds), len(parked), len(terms), len(probes), len(scripted),
+      len(graphs))
 """
 
 
@@ -1501,23 +1528,51 @@ class TestKernel:
         assert [(name, kinds[kind]) for name, kind in _kernel._Context._fields_] == fields
 
     def test_the_entry_points_match_the_source(self):
-        # the module's method table names the three wrappers, each a METH_O
-        # call of the cm_ function of its name on a context; the module's
-        # init function is the one function the build exports
+        # the module's method table names the three context wrappers, each a
+        # METH_O call of the cm_ function of its name on a context, and
+        # graph, a METH_VARARGS call of cm_graph on the buffers it is given;
+        # the module's init function is the one function the build exports
         source = re.sub(r"/\*.*?\*/", "", _kernel._SOURCE.read_text(), flags=re.S)
         defined = re.findall(r"^(?!static\b)(\w+)\s+(\w+)\(([^)]*)\)\s*\{", source, re.M)
         assert defined == [("PyMODINIT_FUNC", "PyInit__kernel_c", "void")]
         table = re.findall(r'^\s*\{"(\w+)", (\w+), (\w+), "', source, re.M)
         names = ["run", "total_w", "metrics"]
-        assert table == [(name, name, "METH_O") for name in names]
+        assert table == [(name, name, "METH_O") for name in names] + [
+            ("graph", "graph", "METH_VARARGS")]
         for name in names:
             body = re.search(rf"^static PyObject \*{name}\(PyObject \*Py_UNUSED\(module\), "
                              rf"PyObject \*address\)\n\{{(.*?)^\}}", source, re.S | re.M)
             assert f"cm_{name}(c)" in body.group(1)
             assert re.search(rf"^static \w+ cm_{name}\(struct cm_ctx \*c\)$", source, re.M)
+        body = re.search(r"^static PyObject \*graph\(PyObject \*Py_UNUSED\(module\), "
+                         r"PyObject \*args\)\n\{(.*?)^\}", source, re.S | re.M)
+        assert "cm_graph(edges.buf, m, n, start.buf, ids.buf)" in body.group(1)
         lib = _kernel.load()
         if lib:
-            assert sorted(n for n in vars(lib) if not n.startswith("__")) == sorted(names)
+            assert sorted(n for n in vars(lib) if not n.startswith("__")) == sorted(
+                names + ["graph"])
+
+    @needs_kernel
+    @pytest.mark.parametrize("n,starts,ids", [(0, 1, 6), (2**32 + 1, 3, 6), (2, 4, 6),
+                                              (2, 3, 5), (2, 3, 7)])
+    def test_the_graph_entry_refuses_tables_of_the_wrong_size(self, n, starts, ids):
+        # the C pass writes n + 1 starts and 2m ids: any other size is refused
+        # before it runs
+        edges = np.array([[0, 1], [1, 0], [0, 1]], dtype=np.int64)
+        with pytest.raises(ValueError, match="graph needs int64 edges"):
+            _kernel.load().graph(edges, n, np.empty(starts, dtype=np.int64),
+                                 np.empty(ids, dtype=np.int64))
+        with pytest.raises(ValueError, match="graph needs int64 edges"):
+            _kernel.load().graph(edges.ravel()[:5], 2, np.empty(3, dtype=np.int64),
+                                 np.empty(5, dtype=np.int64))
+
+    @needs_kernel
+    def test_the_graph_entry_writes_only_writable_tables(self):
+        edges = np.array([[0, 1]], dtype=np.int64)
+        starts, ids = np.empty(3, dtype=np.int64), np.empty(2, dtype=np.int64)
+        ids.setflags(write=False)
+        with pytest.raises((TypeError, BufferError)):
+            _kernel.load().graph(edges, 2, starts, ids)
 
     @pytest.mark.parametrize("g,tracked", [(build_ring(9), True), (build_torus([6, 6]), False)],
                              ids=["ring, tracker", "torus, W test"])
@@ -1796,7 +1851,7 @@ class TestKernel:
         done = subprocess.run([sys.executable, "-c", UBSAN_CHECK, str(lib)], env=env,
                               capture_output=True, text=True, timeout=600)
         assert done.returncode == 0, done.stderr[-3000:]
-        assert done.stdout.split() == ["ok", "5", "64", "2", "6", "3", "3"]
+        assert done.stdout.split() == ["ok", "5", "64", "2", "6", "3", "3", "12"]
 
 
 # pairs of opinions whose distance is exactly 1 (antipodal), nextafter(1, +inf),
@@ -2121,18 +2176,24 @@ class TestInterruptedChunk:
 @st.composite
 def fsum_terms(draw):
     """Signed gaps whose magnitudes W sums exactly: 0 to 1e4 of them,
-    spread over 300 decades, in clusters at 1, 2**-53, 2**-54 and 3 *
-    2**-54 (an ulp either side, where the roundings of a running sum are
-    ties), or zeros of both signs; or a short list hypothesis can shrink."""
+    spread over 300 decades or over the 1,074 binades below 1 (subnormals
+    included), in clusters at 1, 2**-53, 2**-54 and 3 * 2**-54 (an ulp
+    either side, where the roundings of a running sum are ties) or at the
+    subnormal edge 2**-1022, or zeros of both signs; or a short list
+    hypothesis can shrink."""
     if draw(st.booleans()):
         return draw(st.lists(st.floats(-1e150, 1e150) | st.sampled_from(
-            [1.0, -1.0, 2.0**-53, -2.0**-53, 2.0**-54, 3 * 2.0**-54, 0.0, -0.0]), max_size=30))
+            [1.0, -1.0, 2.0**-53, -2.0**-53, 2.0**-54, 3 * 2.0**-54, 0.0, -0.0, 2.0**-1074,
+             2.0**-1022, 2.0**-1022 - 2.0**-1074]), max_size=30))
     m = draw(st.sampled_from([0, 1, 2, 3, 51_200 // 8]) | st.integers(0, 10_000))
     rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    edges = np.array([1.0, 1.0 + 2.0**-52, 1.0 - 2.0**-53])
     kinds = {
         "decades": rng.uniform(0.0, 1.0, m) * 10.0 ** rng.uniform(-150.0, 150.0, m),
-        "clusters": rng.choice([1.0, 2.0**-53, 2.0**-54, 3 * 2.0**-54], m)
-        * rng.choice([1.0, 1.0 + 2.0**-52, 1.0 - 2.0**-53], m),
+        "binades": rng.uniform(1.0, 2.0, m) * 2.0 ** rng.integers(-1075, 0, m).astype(float),
+        "clusters": rng.choice([1.0, 2.0**-53, 2.0**-54, 3 * 2.0**-54], m) * rng.choice(edges, m),
+        "subnormal edge": rng.choice([2.0**-1022, 2.0**-1074, 2.0**-1023], m)
+        * rng.choice(edges, m),
         "zeros": np.zeros(m),
         "unit": rng.uniform(0.0, 1.0, m),
     }
@@ -2172,6 +2233,24 @@ class TestFsum:
         found = _kernel.metrics(gap_path(len(terms)), None, True,
                                 np.array(terms, dtype=np.float64))
         assert found is not None and found[0].hex() == want
+
+    @needs_kernel
+    @given(st.lists(st.sampled_from([MAX, MAX / 2, 2.0**1023, 2.0**970, 2.0**969, 2.0**969
+                                     + 2.0**917, 1.0]) | st.floats(0.0, MAX), max_size=6))
+    @example([MAX, 2.0**970])  # a tie past DBL_MAX rounds to 2**1024: fsum overflows
+    @example([MAX, 2.0**969, 2.0**969])
+    @example([MAX, 2.0**969, 1.0])  # just under the tie: DBL_MAX
+    @settings(max_examples=300, deadline=None)
+    def test_near_dbl_max_the_c_sum_is_math_fsum_or_left_to_numpy(self, terms):
+        # C answers only with math.fsum's value, and never where fsum overflows
+        try:
+            want = math.fsum(terms).hex()
+        except OverflowError:
+            want = None
+        found = _kernel.metrics(gap_path(len(terms)), None, True,
+                                np.array(terms, dtype=np.float64))
+        assert found is None or found[0].hex() == want
+        assert want is not None or found is None
 
     @pytest.mark.parametrize("lib", ["kernel", "numpy"])
     @pytest.mark.parametrize("terms,want", [

@@ -1,12 +1,26 @@
+import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from compassmodel import (Graph, build_path, build_ring, build_torus,
-                          graph_from_edges, load_edge_list)
+from compassmodel import (Explicit, Graph, ModelParams, StopRule, _kernel, build_path,
+                          build_ring, build_torus, graph_from_edges, load_edge_list,
+                          new_simulation, run)
+
+
+@pytest.fixture(params=["kernel", "numpy"])
+def checks(request):
+    """Graphs built in the test are checked by the kernel's C pass, or by
+    the numpy passes."""
+    lib = _kernel.load() if request.param == "kernel" else False
+    if lib is None:
+        pytest.skip("no compiled kernel")
+    with mock.patch.object(_kernel, "_lib", lib):
+        yield request.param
 
 
 def degrees(g):
@@ -29,6 +43,12 @@ class TestBuildPath:
     def test_too_small_rejected(self):
         with pytest.raises(ValueError, match="at least 2"):
             build_path(1)
+
+    def test_a_whole_float_size_is_taken_as_an_int(self):
+        # before, 4.0 raised numpy's TypeError
+        assert build_path(4.0) == build_path(4)
+        with pytest.raises(ValueError, match="a path's vertex count must be a whole number"):
+            build_path(4.5)
 
     @given(st.integers(min_value=2, max_value=80))
     def test_shape(self, n):
@@ -53,6 +73,12 @@ class TestBuildRing:
     def test_too_small_rejected(self):
         with pytest.raises(ValueError, match="at least 3"):
             build_ring(2)
+
+    def test_a_whole_float_size_is_taken_as_an_int(self):
+        # before, 5.0 raised numpy's TypeError
+        assert build_ring(5.0) == build_ring(5)
+        with pytest.raises(ValueError, match="a ring's vertex count must be a whole number"):
+            build_ring(5.5)
 
     @given(st.integers(min_value=3, max_value=80))
     def test_shape(self, n):
@@ -84,6 +110,12 @@ class TestBuildTorus:
             build_torus([3, 2])
         with pytest.raises(ValueError, match="at least one"):
             build_torus([])
+
+    def test_whole_float_sides_are_taken_as_ints(self):
+        # before, [3.5, 4] built a 3 x 4 torus
+        assert build_torus([3.0, np.int32(4)]) == build_torus([3, 4])
+        with pytest.raises(ValueError, match="a torus side must be a whole number, got 3.5"):
+            build_torus([3.5, 4])
 
     @pytest.mark.parametrize("dims", [(3,), (3, 4), (4, 3, 5), (160, 160)])
     def test_edges_match_the_mixed_radix_loop(self, dims):
@@ -119,6 +151,9 @@ def first_fault(n, edges):
     for a disconnected graph, or None for a valid graph."""
     seen = set()
     for i, (a, b) in enumerate(edges):
+        if not all(isinstance(v, int) or isinstance(v, float) and v.is_integer()
+                   for v in (a, b)):
+            return f"edge {i} endpoints ({a}, {b}) must be whole numbers"
         if not (0 <= a < n and 0 <= b < n):
             return f"edge {i} endpoints ({a}, {b}) out of range for {n} vertices"
         if a == b:
@@ -129,8 +164,8 @@ def first_fault(n, edges):
         seen.add(key)
     neighbors = [[] for _ in range(n)]
     for a, b in edges:
-        neighbors[a].append(b)
-        neighbors[b].append(a)
+        neighbors[int(a)].append(int(b))
+        neighbors[int(b)].append(int(a))
     reach, frontier = {0}, [0]
     while frontier:
         for w in neighbors[frontier.pop()]:
@@ -143,8 +178,10 @@ def first_fault(n, edges):
 @st.composite
 def edge_lists(draw, faults=True):
     """A random spanning tree in random orientation and order, plus extra
-    edges; with faults, also out-of-range endpoints, self-loops, duplicates
-    and dropped edges, anywhere in the list."""
+    edges; with faults, also out-of-range endpoints (some whose duplicate
+    key wraps to the key of a pair in the list), self-loops, duplicates,
+    endpoints given as floats, whole or not, and dropped edges, anywhere in
+    the list."""
     n = draw(st.integers(1, 9))
     perm = draw(st.permutations(range(n)))
     edges = []
@@ -152,7 +189,8 @@ def edge_lists(draw, faults=True):
         a, b = perm[draw(st.integers(0, k - 1))], perm[k]
         edges.append((a, b) if draw(st.booleans()) else (b, a))
     vertex = st.integers(0, n - 1)
-    kinds = ["extra", "range", "loop", "duplicate", "drop"] if faults else ["extra"]
+    kinds = (["extra", "range", "wrap", "loop", "duplicate", "float", "drop"] if faults
+             else ["extra"])
     for _ in range(draw(st.integers(0, 4))):
         kind = draw(st.sampled_from(kinds))
         if kind == "drop":
@@ -167,9 +205,21 @@ def edge_lists(draw, faults=True):
             outside = st.sampled_from([-1, n, n + 1, -2**70, 2**63, 2**70])
             edge = draw(st.tuples(outside, vertex | outside))
             edge = edge if draw(st.booleans()) else edge[::-1]
+        elif kind == "wrap":
+            # (-1, (lo + 1) * n + hi): its key lo * n + hi wraps to that of (lo, hi)
+            if not edges:
+                continue
+            lo, hi = sorted(draw(st.sampled_from(edges)))
+            edge = (-1, (lo + 1) * n + hi)
+            edge = edge if draw(st.booleans()) else edge[::-1]
         elif kind == "loop":
             v = draw(vertex | st.sampled_from([-1, n]))
             edge = (v, v)
+        elif kind == "float":
+            a, b = draw(st.tuples(vertex, vertex))
+            odd = st.sampled_from([0.5, -0.5, math.nan, math.inf, -math.inf, 1e300])
+            edge = draw(st.sampled_from([(float(a), b), (a, float(b)), (float(a), float(b))])
+                        | st.tuples(odd, vertex) | st.tuples(vertex, odd))
         else:
             if not edges:
                 continue
@@ -180,6 +230,26 @@ def edge_lists(draw, faults=True):
 
 
 class TestGraphValidation:
+    @given(edge_lists())
+    @settings(max_examples=400, deadline=None)
+    def test_the_kernel_pass_and_the_numpy_checks_agree(self, case):
+        # the same error type and text, or the same tables
+        lib = _kernel.load()
+        if lib is None:
+            pytest.skip("no compiled kernel")
+        n, edges = case
+        got = []
+        for each in (lib, False):
+            with mock.patch.object(_kernel, "_lib", each):
+                try:
+                    g = Graph("custom", n, edges)
+                    got.append((g.edge_array.tolist(), [a.tolist() for a in g.incidence],
+                                g.max_degree))
+                except Exception as exc:
+                    got.append((type(exc), str(exc)))
+        assert got[0] == got[1]
+        assert got[0][0] is not ValueError or got[0][1] == first_fault(n, edges)
+
     def test_endpoint_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
             Graph("custom", 3, ((0, 3),))
@@ -204,7 +274,7 @@ class TestGraphValidation:
 
     @pytest.mark.parametrize("edges", [((0, 1), (-1, 5), (1, 2), (2, 3)),
                                        ((-1, 5), (0, 1), (1, 2), (2, 3))])
-    def test_a_wrapped_key_tie_names_the_first_offender(self, edges):
+    def test_a_wrapped_key_tie_names_the_first_offender(self, edges, checks):
         # (-1, 5) on 4 vertices wraps to the key of (0, 1): the tie marks
         # the later edge, and the first offender stays the out-of-range edge
         with pytest.raises(ValueError) as got:
@@ -254,15 +324,44 @@ class TestGraphValidation:
                     Graph("custom", n, arr)
                 assert str(got.value) == want
 
-    def test_float_arrays_refused(self):
-        with pytest.raises(TypeError):
-            Graph("custom", 2, np.array([[0.0, 1.0]]))
+    def test_float_arrays_follow_the_whole_number_rule(self, checks):
+        assert Graph("custom", 3, np.array([[0.0, 1.0], [2.0, 1.0]])) == \
+            Graph("custom", 3, ((0, 1), (2, 1)))
+        for bad in (1.5, math.nan, math.inf):
+            with pytest.raises(ValueError, match=r"edge 1 endpoints \(2\.0, .*\) must be whole"):
+                Graph("custom", 3, np.array([[0.0, 1.0], [2.0, bad]]))
+
+    @pytest.mark.parametrize("pairs", [[(0, 1.5)], [(0.5, 1)], [(0, 1), (1, "2")],
+                                       [(0, 1), (1, None)]])
+    def test_an_endpoint_that_is_not_whole_is_refused(self, pairs, checks):
+        # before, (0, 1.5) built the edge (0, 1)
+        with pytest.raises(ValueError, match=f"edge {len(pairs) - 1} endpoints .* must be whole"):
+            Graph("custom", 3, pairs)
+
+    def test_whole_float_endpoints_are_taken_as_ints(self, checks):
+        g = Graph("custom", 3, [(0.0, 1), (np.float64(1), 2.0)])
+        assert g.edges == ((0, 1), (1, 2)) and g.edge_array.dtype == np.int64
+
+    @pytest.mark.parametrize("n", [3.0, np.int64(3), np.float32(3)])
+    def test_a_whole_vertex_count_is_taken_as_an_int(self, n, checks):
+        # before, 3.0 raised IndexError
+        g = Graph("custom", n, [(0, 1), (1, 2)])
+        assert type(g.vertex_count) is int and g == Graph("custom", 3, [(0, 1), (1, 2)])
+
+    @pytest.mark.parametrize("n", [2.5, math.nan, math.inf, "3", None])
+    def test_a_vertex_count_that_is_not_whole_is_refused(self, n):
+        # before, 2.5 said "graph is not connected"
+        with pytest.raises(ValueError, match="the vertex count must be a whole number"):
+            Graph("custom", n, [(0, 1)])
 
 
 class TestOneEdgeTable:
-    def test_the_array_is_the_stored_table(self):
+    def test_the_array_is_the_stored_table(self, checks):
+        # the kernel's pass keeps the incidence it built; the numpy checks
+        # build none
         g = build_torus([3, 4])
-        assert list(vars(g)) == ["kind", "vertex_count", "edge_array"]
+        kept = ["incidence"] if checks == "kernel" else []
+        assert list(vars(g)) == ["kind", "vertex_count", "edge_array", *kept]
         assert g.edges == tuple(map(tuple, g.edge_array.tolist()))
         assert "edges" in vars(g)
 
@@ -272,6 +371,26 @@ class TestOneEdgeTable:
         arr[0, 0] = 2
         assert arr.flags.writeable and not g.edge_array.flags.writeable
         assert g.edges == ((0, 1), (1, 2))
+
+    @pytest.mark.parametrize("layout", [np.asfortranarray, lambda a: a[::-1][::-1],
+                                        lambda a: np.repeat(a, 2, axis=0)[::2],
+                                        lambda a: a.astype(float).T.copy().T])
+    def test_any_layout_is_stored_in_c_order(self, layout):
+        # the kernel reads rows of two int64s; before, a Fortran-ordered
+        # array ran other edges on the kernel than on the Python loop
+        ring = np.array([[0, 1], [1, 2], [2, 3], [3, 0]])
+        lib, runs = _kernel.load(), []
+        for each in (lib, False):  # checked by the kernel's pass, or by numpy
+            with mock.patch.object(_kernel, "_lib", each):
+                g = Graph("custom", 4, layout(ring))
+            assert g.edge_array.flags.c_contiguous and g == Graph("custom", 4, ring)
+        for each in (lib, False):  # a kernel run, or the Python loop
+            with mock.patch.object(_kernel, "_lib", each):
+                state = new_simulation(g, Explicit([0.1, 0.5, -0.3, 0.9]),
+                                       ModelParams(mu=0.25), stream=3)
+                run(state, stop=StopRule(max_events=1000))
+            runs.append([v.hex() for v in state.opinions])
+        assert runs[0] == runs[1]
 
     def test_equality_compares_kind_count_and_edges(self):
         ring = build_ring(5)
@@ -422,6 +541,16 @@ class TestGraphFromEdges:
         g = graph_from_edges(2, [(0, 1)], kind="custom")
         assert g.kind == "custom"
 
+    @pytest.mark.parametrize("one_based", [False, True])
+    def test_labels_follow_the_whole_number_rule(self, one_based):
+        # before, (1, 2.5) built the edge (0, 1)
+        off = int(one_based)
+        g = graph_from_edges(3, [(0 + off, 1.0 + off), (np.int64(1 + off), 2 + off)],
+                             one_based=one_based)
+        assert g.edges == ((0, 1), (1, 2))
+        with pytest.raises(ValueError, match="edge 0 endpoints .* must be whole numbers"):
+            graph_from_edges(2, [(off, 1.5 + off)], one_based=one_based)
+
 
 class TestLoadEdgeList:
     def test_round_trip(self, tmp_path):
@@ -457,7 +586,7 @@ class TestLoadEdgeList:
             load_edge_list(p)
 
     @pytest.mark.parametrize("label", [10_000_000, 2**32])
-    def test_too_few_edges_refused_without_vertex_arrays(self, tmp_path, label):
+    def test_too_few_edges_refused_without_vertex_arrays(self, tmp_path, label, checks):
         # one edge cannot connect `label` vertices; the refusal allocates no
         # array with an entry per vertex (80 MB at 1e7, 32 GiB at 2**32)
         p = tmp_path / "sparse.txt"
