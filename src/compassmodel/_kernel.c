@@ -1,15 +1,16 @@
 /* Compiled event loop for Poisson and scripted runs without observers, or
  * observed by one DifferenceTracker of the run's own state, the sums of W,
  * the probe metrics and the graph checks, built as the CPython extension
- * module compassmodel._kernel_c. Three of its functions, run, total_w and
- * metrics, each take the address of a context (one argument, METH_O) and
- * call cm_run, cm_total_w or cm_metrics on it. The context, described to
- * Python by ctypes (_kernel._Context), is the one record of a kernel run:
- * the opinions, the generator or the schedule, the clock, the count of
- * events applied and the event drawn and not applied. The fourth, graph,
- * takes a graph's edge array and the arrays of its incidence through the
- * buffer protocol and calls cm_graph on them. Each releases the GIL only
- * for work long enough to matter (GIL_EVENTS, GIL_EDGES).
+ * module compassmodel._kernel_c. Two of its functions, run and total_w,
+ * each take the address of a context (one argument, METH_O) and call cm_run
+ * or cm_total_w on it. The context, described to Python by ctypes
+ * (_kernel._Context), is the one record of a kernel run: the opinions, the
+ * generator or the schedule, the clock, the count of events applied and the
+ * event drawn and not applied. The other two, metrics and graph, take a
+ * graph's edge array, the arrays of its incidence and, for metrics, the
+ * opinions or the gaps through the buffer protocol, and call cm_metrics or
+ * cm_graph on them. Each releases the GIL only for work long enough to
+ * matter (GIL_EVENTS, GIL_EDGES).
  *
  * cm_run applies up to c->limit events and adds them to c->count. The
  * events come from one of two sources, a compile-time parameter of one
@@ -59,16 +60,17 @@
  * cm_run calls it for T.
  *
  * cm_metrics is one probe of analysis.compute_metrics in one call. A walk
- * over the edges works out each signed gap into c->d (from the opinions,
- * with _chart's subtraction and fold; fmod only at |gap| >= 2, below which
- * it returns the gap unchanged), or reads the tracked gaps given there,
- * keeps the largest |gap| and adds each |gap| to W's exact fixed-point
- * accumulator (acc_add, after Neal 2015). A walk over Graph.incidence
- * counts, at each vertex, the pairs of its edges and those whose gaps
- * multiply to below zero: pos * neg, or the pairs one by one at a vertex
- * with a nonzero |gap| under 2^-537, where a product of opposite signs can
- * underflow to -0.0; there each product is taken of the gaps scaled by
- * 2^600, which never underflows (an underflow costs a microcode assist).
+ * over the edges works out each signed gap into its own scratch (from the
+ * opinions, with _chart's subtraction and fold; fmod only at |gap| >= 2,
+ * below which it returns the gap unchanged), or reads the tracked gaps
+ * given, keeps the largest |gap| and adds each |gap| to W's exact
+ * fixed-point accumulator (acc_add, after Neal 2015). A walk over
+ * Graph.incidence counts, at each vertex, the pairs of its edges and those
+ * whose gaps multiply to below zero: pos * neg, less, at a vertex with a
+ * nonzero |gap| under 2^-537, the pairs of opposite signs with such a gap
+ * whose product underflows to -0.0, found gap by tiny gap in O(degree)
+ * each; there each product is taken of the gaps scaled by 2^600, which
+ * never underflows (an underflow costs a microcode assist).
  * W is the accumulated sum rounded half-even once, so it is math.fsum's
  * correctly rounded sum bit for bit, in time that does not grow with the
  * spread of the gaps. At a gap that is not
@@ -112,7 +114,6 @@ struct cm_ctx {
     double *op;             /* the opinions */
     const int64_t *inc_start, *inc_ids; /* Graph.incidence: the edges of vertex v
                                are inc_ids[inc_start[v] .. inc_start[v + 1]) */
-    double *d;              /* cm_metrics' m signed gaps */
     double *delta, *xi;     /* when delta is not NULL, a DifferenceTracker's m
                                gaps and, when xi is not NULL, its m bounds */
     int64_t m;
@@ -129,10 +130,6 @@ struct cm_ctx {
     int64_t sum_w;          /* 1 when the run has a W test */
     double w;               /* T, total_w of the opinions, when sum_w is set and
                                cm_run has just completed its limit; else NaN */
-    int64_t n;              /* cm_metrics: the vertex count */
-    double top;             /* cm_metrics' results: the largest |gap|, */
-    int64_t flips, pairs;   /* the pairs of edges at one vertex whose gaps
-                               multiply to below zero, and all such pairs */
 };
 
 /* four state words, unaligned loads and stores */
@@ -505,23 +502,42 @@ static inline int product_below_zero(double a, double b)
     return xy < -0x1p125;
 }
 
-static double cm_metrics(struct cm_ctx *c)
+/* a nonzero gap under TINY_GAP in magnitude */
+static inline int tiny_gap(double g)
 {
-    const int64_t *edges = c->edges, *start = c->inc_start, *ids = c->inc_ids;
-    const double *op = c->op;
-    double *d = c->d, top = 0.0;
+    return g != 0.0 && fabs(g) < TINY_GAP;
+}
+
+/* cm_metrics' results besides W */
+struct cm_probe {
+    double top;           /* the largest |gap| */
+    int64_t flips, pairs; /* the pairs of edges at one vertex whose gaps
+                             multiply to below zero, and all such pairs */
+};
+
+/* One probe of the graph of m edges (tail, head) on n vertices, whose
+ * incidence is start and ids: W, with the largest |gap| and the flips in
+ * *out. The gaps are worked out from the opinions op into the m doubles of
+ * d when op is not NULL; else d holds them and is only read. */
+static double cm_metrics(const int64_t *edges, int64_t m, const int64_t *start,
+                         const int64_t *ids, int64_t n, const double *op, double *d,
+                         int circle, struct cm_probe *out)
+{
+    double top = 0.0;
     int64_t f, v, p, q, flips = 0, pairs = 0, w[ACC_DIGITS] = {0};
 
     /* the gaps, from the opinions when op is set, else given in d; W's
      * digits, and the largest |gap| */
-    for (f = 0; f < c->m; f++) {
-        double g = d[f];
+    for (f = 0; f < m; f++) {
+        double g;
         if (op) {
             g = op[edges[2 * f + 1]] - op[edges[2 * f]];
             /* mod_s: below 2 in magnitude fmod returns the gap as it is */
-            if (c->circle)
+            if (circle)
                 g = wrap(fabs(g) >= 2.0 ? fmod(g, 2.0) : g);
             d[f] = g;
+        } else {
+            g = d[f];
         }
         const double a = fabs(g);
         if (!(a <= DBL_MAX))
@@ -533,28 +549,38 @@ static double cm_metrics(struct cm_ctx *c)
             acc_carry(w);
     }
     /* the pairs of edges at each vertex, and those whose gaps multiply to
-     * below zero: pos * neg, unless a tiny gap at the vertex asks for the
-     * pairs one by one */
-    for (v = 0; v < c->n; v++) {
+     * below zero: pos * neg, less the pairs of opposite signs with a tiny
+     * gap whose product rounds to -0.0 */
+    for (v = 0; v < n; v++) {
         const int64_t s = start[v], e = start[v + 1];
         int64_t pos = 0, neg = 0, tiny = 0;
         for (p = s; p < e; p++) {
             const double g = d[ids[p]];
             pos += g > 0.0;
             neg += g < 0.0;
-            tiny |= (g != 0.0) & (fabs(g) < TINY_GAP);
+            tiny |= tiny_gap(g);
         }
         pairs += (e - s) * (e - s - 1) / 2;
+        flips += pos * neg;
         if (!tiny)
-            flips += pos * neg;
-        else
-            for (p = s; p < e; p++)
-                for (q = p + 1; q < e; q++)
-                    flips += product_below_zero(d[ids[p]], d[ids[q]]);
+            continue;
+        /* each tiny gap against every gap of the other sign; a pair of two
+         * tiny gaps once, from its later one */
+        for (p = s; p < e; p++) {
+            const double a = d[ids[p]];
+            if (!tiny_gap(a))
+                continue;
+            for (q = s; q < e; q++) {
+                const double b = d[ids[q]];
+                if ((a > 0.0 ? b < 0.0 : b > 0.0) && !(q > p && tiny_gap(b))
+                        && !product_below_zero(a, b))
+                    flips--;
+            }
+        }
     }
-    c->top = top;
-    c->flips = flips;
-    c->pairs = pairs;
+    out->top = top;
+    out->flips = flips;
+    out->pairs = pairs;
     return acc_round(w);
 }
 
@@ -670,7 +696,7 @@ static struct cm_ctx *context(PyObject *address)
         }                               \
     } while (0)
 
-/* The three context entry points: each takes the context's address */
+/* The two context entry points: each takes the context's address */
 static PyObject *run(PyObject *Py_UNUSED(module), PyObject *address)
 {
     struct cm_ctx *c = context(address);
@@ -695,15 +721,48 @@ static PyObject *total_w(PyObject *Py_UNUSED(module), PyObject *address)
     return PyFloat_FromDouble(w);
 }
 
-static PyObject *metrics(PyObject *Py_UNUSED(module), PyObject *address)
+/* metrics(edges, start, ids, values, circle, opinions): cm_metrics of the
+ * int64 (m, 2) array edges on the n vertices of the n + 1 starts and 2m ids
+ * of its incidence, of values, the n opinions when opinions is true, else
+ * the m gaps, each array taken through the buffer protocol. Returns
+ * (W, largest |gap|, flips, pairs); W is not finite, and the rest 0, when a
+ * gap is not finite, or W when it rounds past DBL_MAX. */
+static PyObject *metrics(PyObject *Py_UNUSED(module), PyObject *args)
 {
-    struct cm_ctx *c = context(address);
-    double w;
+    Py_buffer edges, start, ids, values;
+    int circle, opinions;
+    int64_t m, n;
+    double w = NAN, *d = NULL;
+    struct cm_probe out = {0.0, 0, 0};
+    PyObject *result = NULL;
 
-    if (c == NULL)
+    if (!PyArg_ParseTuple(args, "y*y*y*y*pp", &edges, &start, &ids, &values, &circle,
+                          &opinions))
         return NULL;
-    WITHOUT_GIL_IF(c->m >= GIL_EDGES, w = cm_metrics(c));
-    return PyFloat_FromDouble(w);
+    m = edges.len / (2 * (Py_ssize_t)sizeof(int64_t));
+    n = start.len / (Py_ssize_t)sizeof(int64_t) - 1;
+    if (n < 0 || edges.len % (2 * sizeof(int64_t)) || start.len % sizeof(int64_t)
+            || ids.len != 2 * m * (Py_ssize_t)sizeof(int64_t)
+            || values.len != (opinions ? n : m) * (Py_ssize_t)sizeof(double))
+        PyErr_SetString(PyExc_ValueError, "metrics needs int64 edges, n + 1 starts, 2m ids, "
+                        "and n opinions or m gaps");
+    else if (opinions && (d = malloc((size_t)(m ? m : 1) * sizeof *d)) == NULL)
+        PyErr_NoMemory();
+    else {
+        /* given the gaps, d is values, which cm_metrics only reads */
+        WITHOUT_GIL_IF(m >= GIL_EDGES,
+                       w = cm_metrics(edges.buf, m, start.buf, ids.buf, n,
+                                      opinions ? values.buf : NULL,
+                                      opinions ? d : values.buf, circle, &out));
+        result = Py_BuildValue("ddLL", w, out.top, (long long)out.flips,
+                               (long long)out.pairs);
+    }
+    free(d);
+    PyBuffer_Release(&edges);
+    PyBuffer_Release(&start);
+    PyBuffer_Release(&ids);
+    PyBuffer_Release(&values);
+    return result;
 }
 
 /* graph(edges, n, start, ids): cm_graph of the int64 (m, 2) array edges on
@@ -744,7 +803,7 @@ static PyObject *graph(PyObject *Py_UNUSED(module), PyObject *args)
 static PyMethodDef methods[] = {
     {"run", run, METH_O, "cm_run on the context at this address: the events it applied"},
     {"total_w", total_w, METH_O, "cm_total_w of the context at this address"},
-    {"metrics", metrics, METH_O, "cm_metrics of the context at this address: W"},
+    {"metrics", metrics, METH_VARARGS, "cm_metrics: one probe's W, top, flips and pairs"},
     {"graph", graph, METH_VARARGS, "cm_graph: check a graph and build its incidence"},
     {NULL, NULL, 0, NULL},
 };

@@ -6,9 +6,9 @@ can use it), not at import, with the system gcc and the interpreter's
 headers into $XDG_CACHE_HOME/compassmodel (default ~/.cache/compassmodel),
 under a name that hashes the source, the flags and the interpreter (its
 extension suffix and include directories), and loaded with importlib. Its
-`run`, `total_w` and `metrics` each take the address of a `_Context`, the
-ctypes description of `struct cm_ctx`; ctypes only lays out the context,
-and no call goes through it. Without gcc or without Python.h, or when
+`run` and `total_w` each take the address of a `_Context`, the ctypes
+description of `struct cm_ctx`; ctypes only lays out the context, and no
+call goes through it. Without gcc or without Python.h, or when
 reading the source, the build or the load fails (with a RuntimeWarning),
 `load()` returns None: the engine keeps to its Python loop, `Graph` to its
 numpy checks.
@@ -25,7 +25,8 @@ None without the kernel, and when a gap or W is not finite;
 raises.
 
 `graph` is `Graph`'s checks in one O(n + m) call into C, which also builds
-the graph's CSR `incidence`. It takes the arrays themselves, not a context.
+the graph's CSR `incidence`. It and `metrics` take the arrays themselves,
+through the buffer protocol, not a context.
 """
 
 from __future__ import annotations
@@ -74,7 +75,6 @@ class _Context(ctypes.Structure):
         ("op", ctypes.c_void_p),
         ("inc_start", ctypes.c_void_p),
         ("inc_ids", ctypes.c_void_p),
-        ("d", ctypes.c_void_p),
         ("delta", ctypes.c_void_p),
         ("xi", ctypes.c_void_p),
         ("m", ctypes.c_int64),
@@ -92,10 +92,6 @@ class _Context(ctypes.Structure):
         ("k", ctypes.c_int64),
         ("sum_w", ctypes.c_int64),
         ("w", ctypes.c_double),
-        ("n", ctypes.c_int64),
-        ("top", ctypes.c_double),
-        ("flips", ctypes.c_int64),
-        ("pairs", ctypes.c_int64),
     ]
 
 
@@ -142,8 +138,8 @@ def _build():
 
 
 def _open(path):
-    """Load a build of `_kernel.c`: the extension module whose `run`,
-    `total_w` and `metrics` take a `_Context`'s address."""
+    """Load a build of `_kernel.c`: the extension module whose `run` and
+    `total_w` take a `_Context`'s address."""
     # the name's last part names PyInit__kernel_c; the .so suffix picks the loader
     spec = importlib.util.spec_from_file_location("compassmodel._kernel_c", path)
     module = importlib.util.module_from_spec(spec)
@@ -159,29 +155,21 @@ def load():
     return _lib or None
 
 
-def metrics(g, opinions: np.ndarray, circle: bool, gaps: np.ndarray | None):
+def metrics(g, opinions, circle: bool, gaps):
     """`analysis.compute_metrics`' W, largest |gap|, sign flips and adjacent
     edge pairs, as (W, largest, flips, pairs), from one call into the kernel.
-    The gaps are worked out from the opinions unless given; both are
-    contiguous float64 arrays, one entry per vertex and per edge. None
+    The gaps are worked out from the opinions unless given; either is a
+    contiguous float64 buffer, one entry per vertex or per edge. None
     without the kernel, and when a gap or W is not finite: the numpy path
     then gives the value or raises."""
     lib = load()
     if not lib:
         return None
     starts, ids = g.incidence
-    if gaps is None:
-        gaps, op = np.empty(g.edge_count), opinions.ctypes.data
-    else:
-        op = None
-    # gaps and opinions are held through the call, the graph's tables by g
-    ctx = _Context(edges=g.edge_array.ctypes.data, op=op, inc_start=starts.ctypes.data,
-                   inc_ids=ids.ctypes.data, d=gaps.ctypes.data, m=g.edge_count,
-                   n=g.vertex_count, circle=circle)
-    w = lib.metrics(ctypes.addressof(ctx))
-    if not math.isfinite(w):
-        return None
-    return w, ctx.top, ctx.flips, ctx.pairs
+    given = gaps is not None
+    found = lib.metrics(g.edge_array, starts, ids, gaps if given else opinions, circle,
+                        not given)
+    return found if math.isfinite(found[0]) else None
 
 
 def graph(edges: np.ndarray, n: int):
@@ -217,12 +205,15 @@ class Chunks:
     is still past either; `close` hands back the event that no `advance`
     applied.
 
-    Building it changes nothing on the state; the engine then puts the
-    kernel's buffer (`buf`, an `Opinions`) on it as `state.opinions`, which
-    `advance` updates in place: probes and `_total_w` read it without a
-    copy. `close` copies it back into the caller's list and puts that same
-    list back on the state; the engine calls `close` also when the run
-    raises. It hands the generator back too, or the stream's cursor.
+    Building it changes nothing on the state. The kernel's buffer (`buf`, an
+    `Opinions`) is a copy of `values`, the double array of the state's
+    opinions that `run` has checked; the engine puts it on the state as
+    `state.opinions`, which `advance` updates in place: probes and
+    `_total_w` read it without a copy. `close` copies it back into the
+    caller's list and puts that same list back on the state, and the buffer
+    keeps the same doubles for the run's terminal probe; the engine calls
+    `close` also when the run raises. It hands the generator back too, or
+    the stream's cursor.
 
     The kernel reads the graph's int64 `edge_array` and `incidence` in
     place. Given `sum_w` (the run has a W test), a chunk that completes its
@@ -251,7 +242,8 @@ class Chunks:
     `close` writes them back into the tracker's lists in place.
     """
 
-    def __init__(self, lib, state, stream, max_time: float, tracker=None, sum_w: bool = False):
+    def __init__(self, lib, state, stream, max_time: float, values: array.array, tracker=None,
+                 sum_w: bool = False):
         g = state.graph
         self._run = lib.run
         self._total_w = lib.total_w
@@ -261,7 +253,7 @@ class Chunks:
         # kept referenced: the kernel holds pointers into these buffers (the
         # graph, which the run holds, keeps its own tables, and the stream
         # its schedule)
-        self.buf = Opinions("d", state.opinions)
+        self.buf = Opinions("d", values)  # one copy of the bytes
         ctx = self.ctx = _Context()
         pending = state.pending
         if isinstance(stream, ScriptedStream):

@@ -127,7 +127,11 @@ class RunRecord:
 
 
 def _chart(x: np.ndarray) -> np.ndarray:
-    """mod_s on an array: the same exact fmod and +-2 fold, the same error."""
+    """mod_s on an array: the same exact fmod and +-2 fold, the same error.
+    An array already in the chart (-1, 1], which both leave as it is (-0.0
+    too), comes back unchanged; NaN is never in it."""
+    if not x.size or x.min() > -1.0 and x.max() <= 1.0:
+        return x
     bad = ~np.isfinite(x)
     if bad.any():
         raise ValueError(f"opinion values must be finite, got {float(x[bad][0])!r}")
@@ -374,13 +378,17 @@ def _sign_flips(g: Graph, delta: np.ndarray) -> tuple[int, int]:
     signs = np.add.reduceat((gaps < 0.0).astype(np.int64) << 32 | (gaps > 0.0), starts[:-1])
     pos, neg = signs & 0xFFFFFFFF, signs >> 32
     flips = int(pos @ neg)
-    # a product with a gap under 2**-537 may underflow to zero and not count:
-    # at the ends of such an edge, count the products one by one
+    # a product with a gap under 2**-537 may underflow to -0.0 and not count:
+    # at the ends of such an edge, take back each tiny gap's products of the
+    # other sign that do, a pair of two tiny gaps once
     tiny = np.flatnonzero((delta != 0.0) & (np.abs(delta) < 2.0 ** -537))
     for v in np.unique(g.edge_array[tiny]):
         row = gaps[starts[v]:starts[v + 1]]
-        flips += sum(int(np.count_nonzero(row[i] * row[i + 1:] < 0.0))
-                     for i in range(row.size)) - int(pos[v] * neg[v])
+        small = (row != 0.0) & (np.abs(row) < 2.0 ** -537)
+        for i in np.flatnonzero(small):
+            lost = ((row > 0.0) if row[i] < 0.0 else (row < 0.0)) & ~(row[i] * row < 0.0)
+            lost[i + 1:] &= ~small[i + 1:]
+            flips -= int(np.count_nonzero(lost))
     return flips, pairs
 
 

@@ -15,6 +15,7 @@ string seeding is process-dependent and is refused.
 
 from __future__ import annotations
 
+import array
 import math
 import random
 import struct
@@ -220,6 +221,24 @@ def _check_chart(values, what: str, space: str) -> None:
         _check_opinion(float(values[outside.argmax()]), what, space)
 
 
+_BLOCK = 1 << 16  # the most draws a block takes: a bounded transient integer at 1e6
+
+
+def _uniform(rng: random.Random, n: int, circle: bool) -> list[float]:
+    """n draws of rng.random(), or of 1.0 - 2.0 * rng.random(), bit for bit:
+    getrandbits(64 * k) holds the next 2k words from its low end, so its i-th
+    64 bits hold the a (low) and b of ((a >> 5) * 2**26 + (b >> 6)) * 2**-53."""
+    r = np.empty(n)
+    for done in range(0, n, _BLOCK):
+        k = min(n - done, _BLOCK)
+        u = np.frombuffer(rng.getrandbits(64 * k).to_bytes(8 * k, "little"), dtype="<u8")
+        r[done:done + k] = (u & 0xFFFFFFFF) >> 5 << 26 | u >> 38  # below 2**53: exact
+    r *= (-2.0 if circle else 1.0) * 2.0 ** -53
+    if circle:
+        r += 1.0
+    return r.tolist()
+
+
 def initial_opinions(init, n: int, space: str = "circle") -> list[float]:
     """Materialize an initial profile of length n for the given space."""
     if space not in ("circle", "interval"):
@@ -227,10 +246,7 @@ def initial_opinions(init, n: int, space: str = "circle") -> list[float]:
     if isinstance(init, IidUniform):
         if not isinstance(init.seed, int) or isinstance(init.seed, bool):
             raise TypeError(f"init seeds must be integers, got {init.seed!r}")
-        rng = random.Random(init.seed)
-        if space == "circle":
-            return [1.0 - 2.0 * rng.random() for _ in range(n)]
-        return [rng.random() for _ in range(n)]
+        return _uniform(random.Random(init.seed), n, space == "circle")
     if isinstance(init, Explicit):
         if len(init.values) != n:
             raise ValueError(f"expected {n} values, got {len(init.values)}")
@@ -412,8 +428,11 @@ def run(state: SimState, stream=None, stop: StopRule | None = None,
     g = state.graph
     if len(state.opinions) != g.vertex_count:
         raise ValueError(f"expected {g.vertex_count} opinions, got {len(state.opinions)}")
-    # the rules keep opinions in the chart, so every edge distance stays in [0, 1]
-    _check_chart(state.opinions, "opinion", state.space)
+    # one copy as doubles, which a kernel run starts from; a value that is not
+    # a real number (a string, None) raises TypeError. The rules keep
+    # opinions in the chart, so every edge distance stays in [0, 1]
+    x = array.array("d", state.opinions)
+    _check_chart(x, "opinion", state.space)
     for obs in observers:
         if not isinstance(obs, DifferenceTracker):
             continue
@@ -461,11 +480,10 @@ def run(state: SimState, stream=None, stop: StopRule | None = None,
 
     samples: list[analysis.MetricSample] = []
     t0 = _time.perf_counter()
-    reason = _run_loop(state, stream, stop, probes, samples, observers)
+    reason, last = _run_loop(state, stream, stop, probes, samples, observers, x)
     wall = _time.perf_counter() - t0
 
-    final = analysis.compute_metrics(g, state.opinions, state.space,
-                                     at_time=state.clock)
+    final = analysis.compute_metrics(g, last, state.space, at_time=state.clock)
     cls = analysis.consensus_classify(final, tol)
     terminal = {
         "consensus": cls,
@@ -510,8 +528,10 @@ _CHUNK = 1 << 20
 
 
 def _run_loop(state: SimState, stream, stop: StopRule, probes, samples,
-              observers) -> str:
-    """The event loop: either space, any stream, observers welcome.
+              observers, values: array.array):
+    """The event loop: either space, any stream, observers welcome. Return
+    the stop reason and the final opinions: the caller's list, or on a
+    kernel run the kernel's buffer, which holds the same doubles.
 
     Poisson events are drawn inline, with the three draws of
     PoissonStream.next_event; other streams are asked for their next event,
@@ -524,7 +544,8 @@ def _run_loop(state: SimState, stream, stop: StopRule, probes, samples,
     observer is a DifferenceTracker (which `run` has checked), hands every
     event to the compiled kernel (`_kernel.c`) when it loads, in chunks
     that end where the W test or the budget is due or at an event drawn or
-    replayed past the next probe or max_time. The kernel's context is the
+    replayed past the next probe or max_time. Its buffer starts as a copy
+    of `values`, the opinions `run` has checked. The kernel's context is the
     one record of such a run: the clock, the event count, the generator or
     the stream's cursor, and the event drawn past a probe or parked, which
     a chunk applies first once it is not past the next probe or max_time;
@@ -616,7 +637,7 @@ def _run_loop(state: SimState, stream, stop: StopRule, probes, samples,
 
     try:
         if lib:
-            kernel = _kernel.Chunks(lib, state, stream, max_time, tracker,
+            kernel = _kernel.Chunks(lib, state, stream, max_time, values, tracker,
                                     sum_w=w_below is not None)
             # the kernel's until it closes; set once `kernel` is, so that an
             # interrupt as the context is built finds the state untouched
@@ -721,11 +742,12 @@ def _run_loop(state: SimState, stream, stop: StopRule, probes, samples,
         # and refuse it as that loop does, the cursor past it
         ev = stream.next_event(state)
         _check_event(state, clock, ev.time, ev.edge_id, ev.tie)
+    op = kernel.buf if kernel else state.opinions
     while pi < len(probes) and (next_probe <= clock or reason == "schedule_exhausted"):
-        samples.append(compute(g, state.opinions, space, at_time=next_probe))
+        samples.append(compute(g, op, space, at_time=next_probe))
         pi += 1
         next_probe = probes[pi] if pi < len(probes) else math.inf
-    return reason
+    return reason, op
 
 
 _MAGIC = b"CMSN"

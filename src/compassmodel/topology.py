@@ -10,6 +10,7 @@ running from the last vertex back to the first.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from functools import cached_property
@@ -42,6 +43,15 @@ def _count(v, what: str) -> int:
     if k is None:
         raise ValueError(f"{what} must be a whole number, got {v!r}")
     return k
+
+
+def _vertex_count(v) -> int:
+    """v as a vertex count: a whole number from 1 to 2**32, else ValueError."""
+    n = _count(v, "the vertex count")
+    if not 1 <= n <= 1 << 32:
+        # beyond 2**32 no edge table that fits in memory connects the graph
+        raise ValueError(f"need 1 to 2**32 vertices, got {n}")
+    return n
 
 
 def _endpoints(arr: np.ndarray, n: int) -> np.ndarray:
@@ -99,10 +109,7 @@ class Graph:
     edge_array: np.ndarray
 
     def __post_init__(self):
-        n = _count(self.vertex_count, "the vertex count")
-        if not 1 <= n <= 1 << 32:
-            # beyond 2**32 no edge table that fits in memory connects the graph
-            raise ValueError(f"need 1 to 2**32 vertices, got {n}")
+        n = _vertex_count(self.vertex_count)
         object.__setattr__(self, "vertex_count", n)
         edges = arr = self.edge_array
         if not isinstance(edges, np.ndarray) and not set(map(len, edges)) - {2}:
@@ -270,16 +277,15 @@ def build_torus(dims: list[int] | tuple[int, ...]) -> Graph:
         raise ValueError("need at least one dimension")
     if any(d < 3 for d in dims):
         raise ValueError(f"every side must be at least 3, got {list(dims)}")
-    n = int(np.prod(dims))
-    idx = np.arange(n, dtype=np.intp)
-    heads = np.empty((n, len(dims)), dtype=np.intp)
-    stride = n
-    for axis, d in enumerate(dims):
-        stride //= d
-        # +1 along the axis, or back to 0 from the last coordinate
-        last = idx // stride % d == d - 1
-        heads[:, axis] = idx + np.where(last, (1 - d) * stride, stride)
-    return Graph("torus", n, np.stack((np.repeat(idx, len(dims)), heads.ravel()), axis=1))
+    # the exact count, refused past 2**32 before any array exists
+    n = _vertex_count(math.prod(dims))
+    grid = np.arange(n).reshape(dims)
+    edges = np.empty((n, len(dims), 2), dtype=np.int64)
+    edges[:, :, 0] = grid.reshape(n, 1)
+    for axis in range(len(dims)):
+        # the next vertex along the axis, the last coordinate's back to 0
+        edges[:, axis, 1] = np.roll(grid, -1, axis).ravel()
+    return Graph("torus", n, edges.reshape(-1, 2))
 
 
 def graph_from_edges(vertex_count: int, pairs, kind: str = "custom",

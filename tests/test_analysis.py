@@ -277,6 +277,38 @@ def stars(draw):
                             kind="star")
 
 
+def chart_by_fmod(x):
+    """`analysis._chart` without its in-chart shortcut: fmod and the fold."""
+    bad = ~np.isfinite(x)
+    if bad.any():
+        raise ValueError(f"opinion values must be finite, got {float(x[bad][0])!r}")
+    y = np.fmod(x, 2.0)
+    return np.where(y > 1.0, y - 2.0, np.where(y <= -1.0, y + 2.0, y))
+
+
+class TestChart:
+    @pytest.mark.parametrize("special", [
+        -1.0, nudge(-1.0, 1), -0.0, 0.0, 1.0, nudge(1.0, 1), 2.0, -2.0, 1e300, -1e300,
+        math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("around", [[], [0.5], [-0.25, 0.75]])
+    def test_the_in_chart_shortcut_is_the_fmod_fold(self, special, around):
+        def charted(fold, x):
+            try:
+                return [v.hex() for v in fold(x).tolist()]
+            except ValueError as exc:
+                return str(exc)
+
+        for values in ([special, *around], [*around, special]):
+            x = np.array(values)
+            assert charted(analysis._chart, x) == charted(chart_by_fmod, x)
+            assert [v.hex() for v in x.tolist()] == [v.hex() for v in values]  # left as given
+
+    def test_an_array_in_the_chart_comes_back_as_itself(self):
+        x = np.array([-0.0, 1.0, nudge(-1.0, 1), 0.3])
+        assert analysis._chart(x) is x
+        assert analysis._chart(np.array([])).size == 0
+
+
 @pytest.mark.filterwarnings("ignore:.*encountered in:RuntimeWarning")
 class TestOnePassMetrics:
     """The kernel's one pass, the numpy path and the list oracle, bit for bit."""

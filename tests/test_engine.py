@@ -208,6 +208,22 @@ class TestInitialOpinions:
         with pytest.raises(ValueError, match="unknown space"):
             initial_opinions(Constant(0.5), 3, "sphere")
 
+    @given(st.one_of(st.integers(0, 2**200), st.integers(-2**200, -1)),
+           st.one_of(st.integers(1, 1_000), st.integers(1, 2 * engine._BLOCK + 1_000)),
+           st.sampled_from(["circle", "interval"]))
+    @example(0, 312, "circle")  # the generator's first block of words, to the draw
+    @example(1, 2 * engine._BLOCK + 1, "interval")  # one draw past two blocks
+    @settings(max_examples=60, deadline=None)
+    def test_the_block_draw_is_the_draw_by_draw_comprehension(self, seed, n, space):
+        rng = random.Random(seed)
+        if space == "circle":
+            want = [1.0 - 2.0 * rng.random() for _ in range(n)]
+        else:
+            want = [rng.random() for _ in range(n)]
+        got = initial_opinions(IidUniform(seed), n, space)
+        assert type(got) is list and {type(v) for v in got} == {float}
+        assert bits(got) == bits(want)
+
 
 class TestApplyEvent:
     def test_midpoint_example(self):
@@ -960,6 +976,21 @@ class TestWTestWindow:
             run(state, stop=StopRule(max_events=100, w_below=1e-6))
         assert seen() == before
 
+    @pytest.mark.parametrize("loop", LOOPS)
+    @pytest.mark.parametrize("bad", ["0.5", None, b"0"])
+    def test_an_opinion_that_is_not_a_number_is_refused(self, bad, loop):
+        # refused before the first event, on both loops; the Python loop used
+        # to raise at the first event on that vertex, after the events before
+        # it, and None was refused as NaN, with ValueError
+        state = new_simulation(build_ring(12), Constant(0.25), ModelParams(), stream=5)
+        state.opinions[7] = bad
+        before = (list(state.opinions), state.stream.rng.getstate())
+        with mock.patch.object(_kernel, "_lib", loop_lib(loop)), \
+                pytest.raises(TypeError, match="must be real number"):
+            run(state, stop=StopRule(max_events=100, w_below=1e-6))
+        assert (list(state.opinions), state.stream.rng.getstate()) == before
+        assert (state.clock, state.events_applied, state.pending) == (0.0, 0, None)
+
 
 def bits(values):
     return [v.hex() for v in values]
@@ -1528,29 +1559,33 @@ class TestKernel:
         assert [(name, kinds[kind]) for name, kind in _kernel._Context._fields_] == fields
 
     def test_the_entry_points_match_the_source(self):
-        # the module's method table names the three context wrappers, each a
+        # the module's method table names the two context wrappers, each a
         # METH_O call of the cm_ function of its name on a context, and
-        # graph, a METH_VARARGS call of cm_graph on the buffers it is given;
-        # the module's init function is the one function the build exports
+        # metrics and graph, METH_VARARGS calls of cm_metrics and cm_graph on
+        # the buffers they are given; the module's init function is the one
+        # function the build exports
         source = re.sub(r"/\*.*?\*/", "", _kernel._SOURCE.read_text(), flags=re.S)
         defined = re.findall(r"^(?!static\b)(\w+)\s+(\w+)\(([^)]*)\)\s*\{", source, re.M)
         assert defined == [("PyMODINIT_FUNC", "PyInit__kernel_c", "void")]
         table = re.findall(r'^\s*\{"(\w+)", (\w+), (\w+), "', source, re.M)
-        names = ["run", "total_w", "metrics"]
+        names = ["run", "total_w"]
         assert table == [(name, name, "METH_O") for name in names] + [
-            ("graph", "graph", "METH_VARARGS")]
+            ("metrics", "metrics", "METH_VARARGS"), ("graph", "graph", "METH_VARARGS")]
         for name in names:
             body = re.search(rf"^static PyObject \*{name}\(PyObject \*Py_UNUSED\(module\), "
                              rf"PyObject \*address\)\n\{{(.*?)^\}}", source, re.S | re.M)
             assert f"cm_{name}(c)" in body.group(1)
             assert re.search(rf"^static \w+ cm_{name}\(struct cm_ctx \*c\)$", source, re.M)
-        body = re.search(r"^static PyObject \*graph\(PyObject \*Py_UNUSED\(module\), "
-                         r"PyObject \*args\)\n\{(.*?)^\}", source, re.S | re.M)
-        assert "cm_graph(edges.buf, m, n, start.buf, ids.buf)" in body.group(1)
+        calls = {"metrics": "cm_metrics(edges.buf, m, start.buf, ids.buf, n,",
+                 "graph": "cm_graph(edges.buf, m, n, start.buf, ids.buf)"}
+        for name, call in calls.items():
+            body = re.search(rf"^static PyObject \*{name}\(PyObject \*Py_UNUSED\(module\), "
+                             rf"PyObject \*args\)\n\{{(.*?)^\}}", source, re.S | re.M)
+            assert call in body.group(1)
         lib = _kernel.load()
         if lib:
             assert sorted(n for n in vars(lib) if not n.startswith("__")) == sorted(
-                names + ["graph"])
+                names + list(calls))
 
     @needs_kernel
     @pytest.mark.parametrize("n,starts,ids", [(0, 1, 6), (2**32 + 1, 3, 6), (2, 4, 6),
@@ -1565,6 +1600,23 @@ class TestKernel:
         with pytest.raises(ValueError, match="graph needs int64 edges"):
             _kernel.load().graph(edges.ravel()[:5], 2, np.empty(3, dtype=np.int64),
                                  np.empty(5, dtype=np.int64))
+
+    @needs_kernel
+    @pytest.mark.parametrize("values,opinions", [(3, True), (5, True), (4, False), (2, False)])
+    def test_the_metrics_entry_refuses_buffers_of_the_wrong_size(self, values, opinions):
+        # a 4-path: 4 opinions or 3 gaps, 5 starts, 6 ids; any other size is
+        # refused before the pass reads past a buffer
+        g = build_path(4)
+        starts, ids = g.incidence
+        lib = _kernel.load()
+        assert lib.metrics(g.edge_array, starts, ids, np.zeros(4 if opinions else 3), True,
+                           opinions) == (0.0, 0.0, 0, 2)
+        with pytest.raises(ValueError, match="metrics needs int64 edges"):
+            lib.metrics(g.edge_array, starts, ids, np.zeros(values), True, opinions)
+        for bad in [(g.edge_array.ravel()[:5], starts, ids), (g.edge_array, starts[:0], ids),
+                    (g.edge_array, starts, ids[:5])]:
+            with pytest.raises(ValueError, match="metrics needs int64 edges"):
+                lib.metrics(*bad, np.zeros(4), True, True)
 
     @needs_kernel
     def test_the_graph_entry_writes_only_writable_tables(self):
@@ -1962,6 +2014,50 @@ class TestKernelOpinions:
         assert calls and rec.stop_reason == how.split()[0]
         assert got == want
         assert rec.samples == want_rec.samples and len(rec.samples) == len(probes)
+
+    @needs_kernel
+    @pytest.mark.parametrize("case", ["torus probes", "ring to consensus", "interval path"])
+    def test_the_terminal_record_is_the_python_loops(self, case):
+        # the terminal probe reads the kernel's final buffer, the probes read
+        # it in place; the record, the caller's list and, on the ring, the
+        # tracker's gaps and bounds are the Python loop's, bit for bit
+        g, space, stop, probes = {
+            "torus probes": (build_torus([6, 5]), "circle",
+                             StopRule(max_events=4_000, w_below=1e-9), (0.5, 2.0, 30.0)),
+            "ring to consensus": (build_ring(8), "circle",
+                                  StopRule(max_events=10**6, w_below=1e-7), (0.0, 1.0)),
+            "interval path": (build_path(7), "interval",
+                              StopRule(max_events=10**6, w_below=1e-7), (0.25, 3.0)),
+        }[case]
+
+        def go(lib):
+            state = new_simulation(g, IidUniform(17), ModelParams(mu=0.3), space=space,
+                                   stream=PoissonStream(23))
+            tracker = DifferenceTracker(state, with_xi=True) if g.kind == "ring" else None
+            seen = []
+
+            def compute(graph, opinions, *args, **kwargs):
+                seen.append(type(opinions))
+                return compute_metrics(graph, opinions, *args, **kwargs)
+
+            with mock.patch.object(_kernel, "_lib", lib), kernel_calls() as calls, \
+                    mock.patch.object(engine.analysis, "compute_metrics", compute):
+                rec = run(state, probes=probes, stop=stop, observers=[tracker] if tracker else [])
+            assert type(state.opinions) is list
+            out = json.loads(rec.to_json(include_opinions=True))
+            del out["metadata"]
+            gaps = [bits(tracker.delta.values), bits(tracker.xi.values)] if tracker else []
+            return (out, bits(rec.final_opinions), bits(state.opinions), gaps), calls, seen
+
+        got, calls, kinds = go(_kernel.load())
+        want, _, python = go(False)
+        assert calls and got == want
+        assert kinds == [_kernel.Opinions] * len(kinds) and python == [list] * len(kinds)
+        # every probe that fell due, and the terminal one
+        assert len(kinds) == len(got[0]["samples"]) + 1 >= 2
+        if case != "torus probes":
+            assert got[0]["terminal"]["consensus"] == "strong-like"
+            assert got[0]["terminal"]["L"] is not None
 
     @needs_kernel
     @pytest.mark.parametrize("tracked", [False, True])

@@ -121,6 +121,41 @@ class TestBuildTorus:
     def test_edges_match_the_mixed_radix_loop(self, dims):
         assert build_torus(dims).edges == torus_edges_by_loop(dims)
 
+    @given(st.lists(st.integers(3, 9), min_size=1, max_size=4))
+    @settings(max_examples=150, deadline=None)
+    def test_the_reshaped_build_is_the_strided_one(self, dims):
+        got = build_torus(dims).edge_array
+        assert got.dtype == np.int64 and got.flags.c_contiguous
+        assert np.array_equal(got, torus_edges_by_strides(dims))
+
+    @pytest.mark.parametrize("dims", [[2**32, 2**32], [2**31, 2**31], [3, 2**62]])
+    def test_a_count_past_2_32_is_refused_before_any_array(self, dims):
+        # in int64 the product wrapped: the first said "got 0", the others
+        # raised numpy's "array is too big" and "negative dimensions"
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError,
+                               match=rf"^need 1 to 2\*\*32 vertices, got {math.prod(dims)}$"):
+                build_torus(dims)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
+
+
+def torus_edges_by_strides(dims):
+    """The torus edge array as built before the reshape: per axis, the
+    coordinate of each vertex from its stride, +1 or back to 0."""
+    n = int(np.prod(dims))
+    idx = np.arange(n, dtype=np.intp)
+    heads = np.empty((n, len(dims)), dtype=np.intp)
+    stride = n
+    for axis, d in enumerate(dims):
+        stride //= d
+        last = idx // stride % d == d - 1
+        heads[:, axis] = idx + np.where(last, (1 - d) * stride, stride)
+    return np.stack((np.repeat(idx, len(dims)), heads.ravel()), axis=1)
+
 
 def torus_edges_by_loop(dims):
     """The torus edges as a loop over vertices: row-major mixed-radix
