@@ -1,16 +1,14 @@
 /* Compiled event loop for Poisson and scripted runs without observers, or
  * observed by one DifferenceTracker of the run's own state, the sums of W,
  * the probe metrics and the graph checks, built as the CPython extension
- * module compassmodel._kernel_c. Two of its functions, run and total_w,
- * each take the address of a context (one argument, METH_O) and call cm_run
- * or cm_total_w on it. The context, described to Python by ctypes
- * (_kernel._Context), is the one record of a kernel run: the opinions, the
- * generator or the schedule, the clock, the count of events applied and the
- * event drawn and not applied. The other two, metrics and graph, take a
- * graph's edge array, the arrays of its incidence and, for metrics, the
- * opinions or the gaps through the buffer protocol, and call cm_metrics or
- * cm_graph on them. Each releases the GIL only for work long enough to
- * matter (GIL_EVENTS, GIL_EDGES).
+ * module compassmodel._kernel_c. Its type Context is the one record of a
+ * kernel run (the opinions, the generator or the schedule, the clock, the
+ * count of events applied and the event drawn and not applied): a struct
+ * cm_ctx, with the buffers of the run's arrays, held until it is freed so
+ * that none can be resized under the kernel. Its run and total_w, and the
+ * functions metrics and graph, which take a graph's arrays the same way,
+ * call cm_run, cm_total_w, cm_metrics and cm_graph. Each call releases the
+ * GIL only for work long enough to matter (GIL_EVENTS, GIL_EDGES).
  *
  * cm_run applies up to c->limit events and adds them to c->count. The
  * events come from one of two sources, a compile-time parameter of one
@@ -59,33 +57,20 @@
  * distances in edge-id order, with the same fold, so bitwise the same sum;
  * cm_run calls it for T.
  *
- * cm_metrics is one probe of analysis.compute_metrics in one call. A walk
- * over the edges works out each signed gap into its own scratch (from the
- * opinions, with _chart's subtraction and fold; fmod only at |gap| >= 2,
- * below which it returns the gap unchanged), or reads the tracked gaps
- * given, keeps the largest |gap| and adds each |gap| to W's exact
- * fixed-point accumulator (acc_add, after Neal 2015). A walk over
- * Graph.incidence counts, at each vertex, the pairs of its edges and those
- * whose gaps multiply to below zero: pos * neg, less, at a vertex with a
- * nonzero |gap| under 2^-537, the pairs of opposite signs with such a gap
- * whose product underflows to -0.0, found gap by tiny gap in O(degree)
- * each; there each product is taken of the gaps scaled by 2^600, which
- * never underflows (an underflow costs a microcode assist).
- * W is the accumulated sum rounded half-even once, so it is math.fsum's
- * correctly rounded sum bit for bit, in time that does not grow with the
- * spread of the gaps. At a gap that is not
- * finite, or when W rounds past DBL_MAX, it returns a value that is not
- * finite, and _kernel.metrics leaves the probe to the numpy path, which
- * gives the value or raises.
+ * cm_metrics is one probe of analysis.compute_metrics in one call: the
+ * gaps (with _chart's subtraction and fold) or the tracked gaps given, the
+ * largest |gap|, W in an exact fixed-point accumulator (acc_add, after Neal
+ * 2015) rounded half-even once, so math.fsum's sum bit for bit in time that
+ * does not grow with the spread of the gaps, and the sign flips over
+ * Graph.incidence. At a gap that is not finite, or when W rounds past
+ * DBL_MAX, it returns a value that is not finite, and _kernel.metrics
+ * leaves the probe to the numpy path, which gives the value or raises.
  *
- * cm_graph is Graph's checks and its CSR incidence in one O(n + m) pass:
- * the first edge with an endpoint out of range or a self-loop; a counting
- * sort of the edges before it into the incidence; a stamp per vertex that
- * finds the first edge repeating an earlier pair; and a walk from vertex 0.
- * Its scratch, two n-entry arrays, is its own and freed before it returns.
+ * cm_graph is Graph's checks and its CSR incidence in one O(n + m) pass.
  */
 
 #include <Python.h>
+#include <structmember.h>
 
 #include <float.h>
 #include <math.h>
@@ -99,7 +84,8 @@
 #define UPPER_MASK 0x80000000U
 #define LOWER_MASK 0x7fffffffU
 
-/* Field for field the ctypes structure in _kernel.py. */
+/* The kernel's state of one run, embedded in a Context; its pointers are
+ * into the buffers the Context holds. */
 struct cm_ctx {
     uint32_t *mt;           /* getstate()'s words: MT_N state words, then the
                                index of the next one (MT_N: regenerate first) */
@@ -665,17 +651,6 @@ static int64_t cm_graph(const int64_t *edges, int64_t m, int64_t n, int64_t *sta
     return reached == n ? CM_CONNECTED : CM_SPLIT;
 }
 
-/* The context at the address a call passes (ctypes.addressof of the
- * _Context); NULL, with the error set, if the address is not one. */
-static struct cm_ctx *context(PyObject *address)
-{
-    struct cm_ctx *c = PyLong_AsVoidPtr(address);
-
-    if (c == NULL && !PyErr_Occurred())
-        PyErr_SetString(PyExc_ValueError, "the kernel needs a context, not a null address");
-    return c;
-}
-
 /* Release the GIL around C work of at least this many events (run) or
  * edges (total_w, metrics, graph), and only then: shorter work holds it.
  * Releasing and retaking it costs 110 to 150 ns of thread time a call, an
@@ -696,13 +671,117 @@ static struct cm_ctx *context(PyObject *address)
         }                               \
     } while (0)
 
-/* The two context entry points: each takes the context's address */
-static PyObject *run(PyObject *Py_UNUSED(module), PyObject *address)
+/* A Context: its struct cm_ctx, and the buffers its pointers are into, held
+ * until it is freed (obj NULL where no array is given), in the order of the
+ * constructor's arguments; the kernel writes those in WRITTEN */
+enum { V_EDGES, V_STARTS, V_IDS, V_OP, V_MT, V_TW, V_TIMES, V_EDGE_IDS, V_TIES, V_DELTA, V_XI,
+       N_VIEWS };
+#define WRITTEN (1 << V_OP | 1 << V_MT | 1 << V_TW | 1 << V_DELTA | 1 << V_XI)
+
+struct context {
+    PyObject_HEAD
+    struct cm_ctx c;
+    Py_buffer views[N_VIEWS];
+};
+
+/* Context(edges, starts, ids, opinions, mu, theta, circle, clock, count,
+ * max_time, sum_w, **names): each array taken through the buffer protocol,
+ * and its size checked once against m and n. The graph's tables are taken
+ * as Graph checked them, and the edge ids before end as the engine did. */
+static PyObject *context_new(PyTypeObject *type, PyObject *args, PyObject *kwargs)
 {
-    struct cm_ctx *c = context(address);
+    static char *names[] = {"edges", "starts", "ids", "opinions", "mu", "theta", "circle",
+                            "clock", "count", "max_time", "sum_w", "mt", "tw", "times",
+                            "edge_ids", "ties", "cursor", "end", "delta", "xi", "drawn", "t",
+                            "e", "k", NULL};
+    struct context *self = (struct context *)type->tp_alloc(type, 0);
+    PyObject *arrays[N_VIEWS] = {NULL};
+    Py_buffer *v;
+    double mu, theta, clock, max_time, t = 0.0;
+    int circle, sum_w, drawn = 0, j;
+    long long count, cursor = 0, end = 0, e = 0, k = 0;
+    Py_ssize_t m, n, events;
+
+    if (self == NULL)
+        return NULL;
+    v = self->views;
+    if (!PyArg_ParseTupleAndKeywords(
+            args, kwargs, "OOOOddpdLdp|OOOOOLLOOpdLL:Context", names, &arrays[V_EDGES],
+            &arrays[V_STARTS], &arrays[V_IDS], &arrays[V_OP], &mu, &theta, &circle, &clock,
+            &count, &max_time, &sum_w, &arrays[V_MT], &arrays[V_TW], &arrays[V_TIMES],
+            &arrays[V_EDGE_IDS], &arrays[V_TIES], &cursor, &end, &arrays[V_DELTA],
+            &arrays[V_XI], &drawn, &t, &e, &k))
+        goto fail;
+    for (j = 0; j < N_VIEWS; j++)
+        if (arrays[j] != NULL && arrays[j] != Py_None
+                && PyObject_GetBuffer(arrays[j], &v[j],
+                                      WRITTEN >> j & 1 ? PyBUF_WRITABLE : PyBUF_SIMPLE) < 0)
+            goto fail;
+    /* in bytes: 8 an int64 or a double, 4 a state word */
+    m = v[V_EDGES].len / 16;
+    n = v[V_OP].len / 8;
+    events = v[V_TIMES].len / 8;
+    /* one source: the generator on a graph with edges, or a schedule */
+    if (v[V_EDGES].len % 16 || v[V_OP].len % 8 || v[V_STARTS].len != 8 * (n + 1)
+            || v[V_IDS].len != 16 * m
+            || (v[V_MT].obj ? m == 0 || v[V_TIMES].obj || v[V_MT].len != 4 * (MT_N + 1)
+                                  || v[V_TW].len != 4 * MT_N
+                            : !v[V_TIMES].obj || v[V_TIMES].len % 8 || cursor < 0
+                                  || cursor > end || end > events
+                                  || v[V_EDGE_IDS].len != 8 * events || v[V_TIES].len != 8 * events)
+            || (v[V_DELTA].obj && v[V_DELTA].len != 8 * m) || (v[V_XI].obj && v[V_XI].len != 8 * m)
+            || (drawn && (e < 0 || e >= m))) {
+        PyErr_SetString(PyExc_ValueError, "Context needs int64 edges, n + 1 starts, 2m ids, n "
+                        "opinions, one source (625 and 624 words on a graph with edges, or a "
+                        "schedule with 0 <= cursor <= end <= its length), m gaps and m bounds, "
+                        "and a held edge below m");
+        goto fail;
+    }
+    self->c = (struct cm_ctx){
+        .mt = v[V_MT].buf, .tw = v[V_TW].buf, .sched_t = v[V_TIMES].buf,
+        .sched_e = v[V_EDGE_IDS].buf, .sched_k = v[V_TIES].buf, .sched_end = end,
+        .sched_next = cursor, .edges = v[V_EDGES].buf, .op = v[V_OP].buf,
+        .inc_start = v[V_STARTS].buf, .inc_ids = v[V_IDS].buf, .delta = v[V_DELTA].buf,
+        .xi = v[V_XI].buf, .m = m, .mu = mu, .theta = theta, .circle = circle, .clock = clock,
+        .count = count, .max_time = max_time, .drawn = drawn, .t = t, .e = e, .k = k,
+        .sum_w = sum_w, .w = NAN}; /* no T before the first chunk */
+    return (PyObject *)self;
+fail:
+    Py_DECREF(self);
+    return NULL;
+}
+
+static void context_dealloc(PyObject *self)
+{
+    int j;
+
+    PyObject_GC_UnTrack(self);
+    for (j = 0; j < N_VIEWS; j++)
+        PyBuffer_Release(&((struct context *)self)->views[j]);
+    Py_TYPE(self)->tp_free(self);
+}
+
+/* the arrays whose buffers a context holds: a cycle through one of them (an
+ * Opinions whose total_w is the context's) is the collector's to find */
+static int context_traverse(PyObject *self, visitproc visit, void *arg)
+{
+    int j;
+
+    for (j = 0; j < N_VIEWS; j++)
+        Py_VISIT(((struct context *)self)->views[j].obj);
+    return 0;
+}
+
+static PyObject *context_run(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    struct cm_ctx *c = &((struct context *)self)->c;
     int64_t done;
 
-    if (c == NULL)
+    if (nargs != 2)
+        return PyErr_Format(PyExc_TypeError, "run takes limit and next_probe");
+    if ((c->limit = PyLong_AsLongLong(args[0])) == -1 && PyErr_Occurred())
+        return NULL;
+    if ((c->next_probe = PyFloat_AsDouble(args[1])) == -1.0 && PyErr_Occurred())
         return NULL;
     /* a chunk that completes its limit may sum W too */
     WITHOUT_GIL_IF(c->limit >= GIL_EVENTS || (c->sum_w && c->m >= GIL_EDGES),
@@ -710,16 +789,49 @@ static PyObject *run(PyObject *Py_UNUSED(module), PyObject *address)
     return PyLong_FromLongLong(done);
 }
 
-static PyObject *total_w(PyObject *Py_UNUSED(module), PyObject *address)
+static PyObject *context_total_w(PyObject *self, PyObject *Py_UNUSED(unused))
 {
-    struct cm_ctx *c = context(address);
-    double w;
+    struct cm_ctx *c = &((struct context *)self)->c;
+    double w = c->w;
 
-    if (c == NULL)
-        return NULL;
-    WITHOUT_GIL_IF(c->m >= GIL_EDGES, w = cm_total_w(c));
+    if (w != w)
+        WITHOUT_GIL_IF(c->m >= GIL_EDGES, w = cm_total_w(c));
     return PyFloat_FromDouble(w);
 }
+
+static PyMethodDef context_methods[] = {
+    {"run", (PyCFunction)(void (*)(void))context_run, METH_FASTCALL, "cm_run: the events applied"},
+    {"total_w", context_total_w, METH_NOARGS, "T, when the last chunk left it; else cm_total_w"},
+    {NULL, NULL, 0, NULL},
+};
+
+/* read-only fields of struct cm_ctx */
+#define MEMBER(name, type) {#name, type, offsetof(struct context, c.name), READONLY, NULL}
+
+static PyMemberDef context_members[] = {
+    MEMBER(clock, T_DOUBLE),
+    MEMBER(count, T_LONGLONG),
+    MEMBER(drawn, T_LONGLONG),
+    MEMBER(t, T_DOUBLE),
+    MEMBER(e, T_LONGLONG),
+    MEMBER(k, T_LONGLONG),
+    MEMBER(sched_next, T_LONGLONG),
+    MEMBER(w, T_DOUBLE),
+    {NULL, 0, 0, 0, NULL},
+};
+
+static PyTypeObject ContextType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "compassmodel._kernel_c.Context",
+    .tp_doc = "A kernel run's context: the run's struct cm_ctx, and its arrays' buffers",
+    .tp_basicsize = sizeof(struct context),
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_BASETYPE | Py_TPFLAGS_HAVE_GC,
+    .tp_new = context_new,
+    .tp_dealloc = context_dealloc,
+    .tp_traverse = context_traverse,
+    .tp_methods = context_methods,
+    .tp_members = context_members,
+};
 
 /* metrics(edges, start, ids, values, circle, opinions): cm_metrics of the
  * int64 (m, 2) array edges on the n vertices of the n + 1 starts and 2m ids
@@ -801,8 +913,6 @@ static PyObject *graph(PyObject *Py_UNUSED(module), PyObject *args)
 }
 
 static PyMethodDef methods[] = {
-    {"run", run, METH_O, "cm_run on the context at this address: the events it applied"},
-    {"total_w", total_w, METH_O, "cm_total_w of the context at this address"},
     {"metrics", metrics, METH_VARARGS, "cm_metrics: one probe's W, top, flips and pairs"},
     {"graph", graph, METH_VARARGS, "cm_graph: check a graph and build its incidence"},
     {NULL, NULL, 0, NULL},
@@ -818,5 +928,9 @@ static struct PyModuleDef module = {
 
 PyMODINIT_FUNC PyInit__kernel_c(void)
 {
-    return PyModule_Create(&module);
+    PyObject *m = PyModule_Create(&module);
+
+    if (m != NULL && PyModule_AddType(m, &ContextType) < 0)
+        Py_CLEAR(m);
+    return m;
 }

@@ -6,33 +6,25 @@ can use it), not at import, with the system gcc and the interpreter's
 headers into $XDG_CACHE_HOME/compassmodel (default ~/.cache/compassmodel),
 under a name that hashes the source, the flags and the interpreter (its
 extension suffix and include directories), and loaded with importlib. Its
-`run` and `total_w` each take the address of a `_Context`, the ctypes
-description of `struct cm_ctx`; ctypes only lays out the context, and no
-call goes through it. Without gcc or without Python.h, or when
-reading the source, the build or the load fails (with a RuntimeWarning),
-`load()` returns None: the engine keeps to its Python loop, `Graph` to its
-numpy checks.
+type `Context` is a kernel run's context: built from the run's arrays
+through the buffer protocol, it holds them until it is freed, and its
+`run` and `total_w` call into C on it. Without gcc or without Python.h, or
+when reading the source, the build or the load fails (with a
+RuntimeWarning), `load()` returns None: the engine keeps to its Python
+loop, `Graph` to its numpy checks.
 
 For the length of a kernel run, the state's opinions are the kernel's own
 buffer (`Opinions`), which the kernel updates in place and `engine._total_w`
-sums in C; the run hands them back in the caller's list when it ends.
+sums in C (`Context.total_w`); the run hands them back in the caller's list
+when it ends.
 
-`metrics` is a probe of `analysis.compute_metrics` in one call into C: the
-gaps, W (summed exactly in fixed point and rounded once: `math.fsum` bit for
-bit), the largest gap and the sign flips over `Graph.incidence`. It returns
-None without the kernel, and when a gap or W is not finite;
-`compute_metrics` then takes its numpy path, which gives the same bits or
-raises.
-
-`graph` is `Graph`'s checks in one O(n + m) call into C, which also builds
-the graph's CSR `incidence`. It and `metrics` take the arrays themselves,
-through the buffer protocol, not a context.
+`metrics` (a probe) and `graph` (`Graph`'s checks) are one call into C
+each, on the arrays themselves, taken as `Context` takes them.
 """
 
 from __future__ import annotations
 
 import array
-import ctypes
 import importlib.util
 import math
 import os
@@ -58,41 +50,6 @@ _SOURCE = Path(__file__).with_name("_kernel.c")
 # The loaded module, False once building or loading failed, None until the
 # first load(). Tests set it to False to run the Python loop instead.
 _lib = None
-
-
-class _Context(ctypes.Structure):
-    # field for field `struct cm_ctx` in _kernel.c
-    _fields_ = [
-        ("mt", ctypes.c_void_p),
-        ("tw", ctypes.c_void_p),
-        ("tempered", ctypes.c_int64),
-        ("sched_t", ctypes.c_void_p),
-        ("sched_e", ctypes.c_void_p),
-        ("sched_k", ctypes.c_void_p),
-        ("sched_end", ctypes.c_int64),
-        ("sched_next", ctypes.c_int64),
-        ("edges", ctypes.c_void_p),
-        ("op", ctypes.c_void_p),
-        ("inc_start", ctypes.c_void_p),
-        ("inc_ids", ctypes.c_void_p),
-        ("delta", ctypes.c_void_p),
-        ("xi", ctypes.c_void_p),
-        ("m", ctypes.c_int64),
-        ("mu", ctypes.c_double),
-        ("theta", ctypes.c_double),
-        ("circle", ctypes.c_int64),
-        ("clock", ctypes.c_double),
-        ("count", ctypes.c_int64),
-        ("next_probe", ctypes.c_double),
-        ("max_time", ctypes.c_double),
-        ("limit", ctypes.c_int64),
-        ("drawn", ctypes.c_int64),
-        ("t", ctypes.c_double),
-        ("e", ctypes.c_int64),
-        ("k", ctypes.c_int64),
-        ("sum_w", ctypes.c_int64),
-        ("w", ctypes.c_double),
-    ]
 
 
 def _includes() -> list[str]:
@@ -138,8 +95,8 @@ def _build():
 
 
 def _open(path):
-    """Load a build of `_kernel.c`: the extension module whose `run` and
-    `total_w` take a `_Context`'s address."""
+    """Load a build of `_kernel.c`: the extension module of `Context`,
+    `metrics` and `graph`."""
     # the name's last part names PyInit__kernel_c; the .so suffix picks the loader
     spec = importlib.util.spec_from_file_location("compassmodel._kernel_c", path)
     module = importlib.util.module_from_spec(spec)
@@ -192,144 +149,74 @@ def graph(edges: np.ndarray, n: int):
 
 class Opinions(array.array):
     """A kernel run's opinions: the kernel's own double buffer, which is
-    `state.opinions` for the length of the run. While it is, `total_w()` is
-    `engine._total_w` in C (`Chunks.total_w`)."""
+    `state.opinions` for the length of the run, with the context's `total_w`."""
 
 
 class Chunks:
-    """One run's kernel context, the one record of the run while it lasts:
-    the opinions' buffer, the generator or the schedule, the clock, the
-    event count and the held event, which is the state's parked one
-    (checked by `run`) or one a chunk drew or replayed past `next_probe` or
-    `max_time`. The next `advance` applies and counts it first, unless it
-    is still past either; `close` hands back the event that no `advance`
-    applied.
+    """One kernel run's set-up and close; `ctx` is the run's `Context`.
 
     Building it changes nothing on the state. The kernel's buffer (`buf`, an
-    `Opinions`) is a copy of `values`, the double array of the state's
-    opinions that `run` has checked; the engine puts it on the state as
-    `state.opinions`, which `advance` updates in place: probes and
-    `_total_w` read it without a copy. `close` copies it back into the
-    caller's list and puts that same list back on the state, and the buffer
-    keeps the same doubles for the run's terminal probe; the engine calls
-    `close` also when the run raises. It hands the generator back too, or
-    the stream's cursor.
-
-    The kernel reads the graph's int64 `edge_array` and `incidence` in
-    place. Given `sum_w` (the run has a W test), a chunk that completes its
-    limit also leaves T, the W sum of the opinions it ends with, for the
-    test due there (`total_w`).
-
-    The generator's state words live in `mt` for the length of the run; the
-    kernel keeps their index in a local through each chunk and writes it
-    back at the chunk's end. `tw` holds the tempered words of the state's
-    current block: the first chunk tempers the block the state comes with,
-    and the kernel tempers each block it makes, once, so events read their
-    words from `tw` across chunks. `close` hands back `mt` alone, which is
-    all of `getstate()`.
-
-    A ScriptedStream is replayed from its own arrays, read in place from
-    its cursor. The replay ends just before the first event the Python loop
-    refuses: an edge id out of range, or a first time before the clock or
-    the held event (`run` has checked the cursor). A chunk that reaches the
-    end stops short holding no event (`ctx.drawn` is 0), and the engine then
-    takes the refused event, if any, and refuses it. `close` writes the
-    cursor back; a held event counts as taken, as `next_event` takes it.
-
-    Given a DifferenceTracker of the state, whose gaps (and bounds, if any)
-    `run` has checked to hold one entry per edge, the kernel updates copies
-    of them after every event, as the tracker's `apply_event` would;
-    `close` writes them back into the tracker's lists in place.
+    `Opinions` whose `total_w` is the context's) is a copy of `values`, the
+    state's opinions as doubles, checked by `run`, and the parked event, if
+    any, is the context's held event. The kernel reads the graph's int64
+    `edge_array` and `incidence` and a ScriptedStream's arrays in place, the
+    replay up to just before the first event the Python loop refuses (an
+    edge id out of range, or a first time before the clock or the held
+    event). The generator's words and a DifferenceTracker's gaps and bounds
+    are copies the kernel updates.
     """
 
     def __init__(self, lib, state, stream, max_time: float, values: array.array, tracker=None,
                  sum_w: bool = False):
         g = state.graph
-        self._run = lib.run
-        self._total_w = lib.total_w
         self.state = state
         self.caller_opinions = state.opinions
         self.stream = stream
-        # kept referenced: the kernel holds pointers into these buffers (the
-        # graph, which the run holds, keeps its own tables, and the stream
-        # its schedule)
+        self.tracker = tracker
         self.buf = Opinions("d", values)  # one copy of the bytes
-        ctx = self.ctx = _Context()
         pending = state.pending
         if isinstance(stream, ScriptedStream):
-            ctx.sched_t, ctx.sched_e, ctx.sched_k = (
-                a.ctypes.data for a in (stream.times, stream.edge_ids, stream.ties))
-            ctx.sched_next = ctx.sched_end = start = stream.cursor
+            end = start = stream.cursor
             ids = stream.edge_ids[start:]
             out = (ids < 0) | (ids >= g.edge_count)
             floor = state.clock if pending is None else pending.time
             if start < stream.times.size and stream.times[start] >= floor:
-                ctx.sched_end = start + int(out.argmax()) if out.any() else stream.times.size
+                end = start + int(out.argmax()) if out.any() else stream.times.size
+            given = dict(times=stream.times, edge_ids=stream.edge_ids, ties=stream.ties,
+                         cursor=start, end=end)
         else:
             self.version, words, self.gauss = stream.rng.getstate()
             self.mt = array.array("I", words)
-            self.tw = array.array("I", bytes(4 * (len(words) - 1)))
-            ctx.mt = self.mt.buffer_info()[0]
-            ctx.tw = self.tw.buffer_info()[0]
-        ctx.edges = g.edge_array.ctypes.data
-        ctx.op = self.buf.buffer_info()[0]
-        ctx.inc_start, ctx.inc_ids = (a.ctypes.data for a in g.incidence)
-        self.tracker = tracker
+            given = dict(mt=self.mt, tw=array.array("I", bytes(4 * (len(words) - 1))))
         if tracker is not None:
-            self.delta = array.array("d", tracker.delta.values)
-            ctx.delta = self.delta.buffer_info()[0]
+            self.delta = given["delta"] = array.array("d", tracker.delta.values)
             if tracker.xi is not None:
-                self.xi = array.array("d", tracker.xi.values)
-                ctx.xi = self.xi.buffer_info()[0]
-        ctx.m = g.edge_count
-        ctx.mu, ctx.theta = state.params.mu, state.params.theta
-        ctx.circle = state.space == "circle"
-        ctx.clock, ctx.count = state.clock, state.events_applied
-        ctx.max_time = max_time
-        # advance writes limit and next_probe only when they change
-        self.limit, self.next_probe = 0, math.inf
-        ctx.limit, ctx.next_probe = self.limit, self.next_probe
-        ctx.sum_w = sum_w
-        ctx.w = math.nan  # no T before the first chunk
-        self.address = ctypes.addressof(ctx)
-        self.buf.total_w = self.total_w
+                self.xi = given["xi"] = array.array("d", tracker.xi.values)
         if pending is not None:
-            ctx.t, ctx.e, ctx.k, ctx.drawn = pending.time, pending.edge_id, pending.tie, 1
-
-    def advance(self, limit: int, next_probe: float) -> int:
-        """Apply up to limit events, the held one first; return how many. A
-        chunk that applies fewer holds an event past next_probe or
-        max_time, whose time is `ctx.t`. A chunk that applies all limit
-        events holds none, and costs the one call into the kernel: `limit`
-        and `next_probe` are written to the context only when they change,
-        and the clock and the count stay there until `close`."""
-        if limit != self.limit:
-            self.ctx.limit = self.limit = limit
-        if next_probe != self.next_probe:
-            self.ctx.next_probe = self.next_probe = next_probe
-        return self._run(self.address)
-
-    def total_w(self) -> float:
-        """`engine._total_w` of the kernel's opinions: T, when the chunk that
-        just ended left it (see `sum_w`), else the sum in C."""
-        t = self.ctx.w
-        return t if t == t else self._total_w(self.address)
+            given.update(drawn=True, t=pending.time, e=pending.edge_id, k=pending.tie)
+        # the context holds every buffer it reads or writes until it is freed
+        self.ctx = lib.Context(
+            g.edge_array, *g.incidence, self.buf, state.params.mu, state.params.theta,
+            state.space == "circle", state.clock, state.events_applied, max_time, sum_w, **given)
+        self.buf.total_w = self.ctx.total_w
 
     def close(self) -> tuple[float, int, Event | None]:
-        """Put the caller's list back on the state, holding the kernel's
-        opinions; hand the generator's state back, and write the tracker's
-        gaps and bounds back into its lists. Return the time of the last
+        """Copy the buffer back into the caller's list and put that list back
+        on the state (the buffer keeps the same doubles, for the terminal
+        probe); hand back the generator's state (`mt` alone is all of
+        `getstate()`) or the cursor, and the tracker's copies. The engine
+        calls it also when the run raises. Return the time of the last
         applied event, the count of events applied, and the held event,
-        which no `advance` applied, or None."""
+        which no chunk applied, or None."""
         del self.buf.total_w  # a plain array from here on
         self.state.opinions = self.caller_opinions
         self.caller_opinions[:] = self.buf.tolist()
         ctx = self.ctx
-        if ctx.mt:
-            self.stream.rng.setstate((self.version, tuple(self.mt), self.gauss))
-        else:
+        if isinstance(self.stream, ScriptedStream):
             # the held event counts as taken, as next_event takes it
             self.stream.cursor = ctx.sched_next
+        else:
+            self.stream.rng.setstate((self.version, tuple(self.mt), self.gauss))
         if self.tracker is not None:
             self.tracker.delta.values[:] = self.delta.tolist()
             if self.tracker.xi is not None:

@@ -381,9 +381,9 @@ def apply_event(state: SimState, ev: Event) -> None:
 def _total_w(state: SimState) -> float:
     """The left-to-right sum of the edge distances, in edge-id order."""
     op = state.opinions
-    # a kernel run's opinions are the kernel's buffer, which sums them in C
-    # the same way, or hands back T, the same sum left by the chunk that
-    # ended at this test (`_kernel.Chunks.total_w`)
+    # a kernel run's opinions are the kernel's buffer, whose total_w (the
+    # context's) sums them in C the same way, or hands back T, the same sum
+    # left by the chunk that ended at this test
     in_c = getattr(op, "total_w", None)
     if in_c is not None:
         return in_c()
@@ -544,28 +544,24 @@ def _run_loop(state: SimState, stream, stop: StopRule, probes, samples,
     observer is a DifferenceTracker (which `run` has checked), hands every
     event to the compiled kernel (`_kernel.c`) when it loads, in chunks
     that end where the W test or the budget is due or at an event drawn or
-    replayed past the next probe or max_time. Its buffer starts as a copy
-    of `values`, the opinions `run` has checked. The kernel's context is the
+    replayed past the next probe or max_time. The kernel's context is the
     one record of such a run: the clock, the event count, the generator or
     the stream's cursor, and the event drawn past a probe or parked, which
     a chunk applies first once it is not past the next probe or max_time;
     the loop sees only its time, and reads it only after a chunk that
     stops short of its limit. A replay that stops short holding no event
-    has run out of schedule. The kernel's schedule ends just before the
-    first event this loop refuses (an edge id out of range, or a first
-    time before the clock or the parked event); the loop then takes that
-    event off the stream and refuses it, as its Python branch would, with
-    the same count, clock and cursor. The kernel updates the tracker's
-    gaps and bounds after every event; the loop does not call the tracker.
-    Every W test, probe and stop decision stays here. For the length of the
-    run `state.opinions` is the kernel's buffer: probes read it in place,
-    and a W test reads the sum `_total_w` the chunk that ended at it left
-    in C. A W test that sums and the chunk after it cost one `_total_w`
-    call, one `advance` and one call into the kernel's extension module,
-    with no `min` and no tuple between them. At the end, also when the run
-    raises, the caller's list gets the opinions back and goes back on the
-    state, the tracker's values reach its lists, and the clock, the count
-    and the held event come back from the context.
+    has run out of schedule: the kernel's schedule ends just before the
+    first event this loop refuses, which the loop then takes off the stream
+    and refuses, as its Python branch would, with the same count, clock and
+    cursor. The kernel updates the tracker's gaps and bounds after every
+    event; the loop does not call the tracker. Every W test, probe and stop
+    decision stays here. For the length of the run `state.opinions` is the
+    kernel's buffer: probes read it in place, and a W test reads the sum
+    `_total_w` the chunk that ended at it left in C. A W test that sums and
+    the chunk after it cost one `_total_w` call and one call of the
+    context's `run`, a method of the kernel's `Context` type, with no `min`
+    and no tuple between them. At the end, also when the run raises,
+    `Chunks.close` hands all of it back to the state and the stream.
 
     A W test that sums all m edges, T at count c, answers the tests in a
     window after it without a sum. An event on an edge at distance d moves
@@ -643,7 +639,7 @@ def _run_loop(state: SimState, stream, stop: StopRule, probes, samples,
             # interrupt as the context is built finds the state untouched
             state.opinions, state.pending = kernel.buf, None
             observers = ()
-            advance, chunk = kernel.advance, _CHUNK
+            advance, chunk = kernel.ctx.run, _CHUNK
         edges = None if kernel else g.edges
         op = state.opinions
         pending = state.pending

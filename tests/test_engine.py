@@ -1,4 +1,5 @@
-import ctypes
+import array
+import gc
 import inspect
 import itertools
 import json
@@ -14,10 +15,11 @@ import sys
 import sysconfig
 import time
 import tracemalloc
+import weakref
 from contextlib import contextmanager
 from functools import partial
 from pathlib import Path
-from types import SimpleNamespace
+from types import MemberDescriptorType, SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -707,18 +709,16 @@ class TestRun:
 
     @needs_kernel
     def test_an_event_the_kernel_holds_comes_back_when_the_run_raises(self):
-        # an interrupt at the advance that would apply the event the kernel
+        # an interrupt at the chunk that would apply the event the kernel
         # holds from the chunk before: close() hands it back, and it is parked
-        advance = _kernel.Chunks.advance
-
         @contextmanager
         def held_event_interrupted(error):
-            def interrupted(self, *args):
-                if self.ctx.drawn:
+            def interrupted(own, ctx, *args):
+                if ctx.drawn:
                     raise error
-                return advance(self, *args)
+                return own(ctx, *args)
 
-            with mock.patch.object(_kernel.Chunks, "advance", interrupted):
+            with wrapped_context(run=interrupted):
                 yield
 
         raised, got, want = self.interrupted_then_resumed("kernel", held_event_interrupted,
@@ -1063,17 +1063,36 @@ def loop_cases(draw):
 
 
 @contextmanager
+def wrapped_context(**wrappers):
+    """Build every kernel run's context as a Python subclass of the kernel's
+    `Context` whose methods named here are wrapped: each wrapper is called
+    with the type's own method, then the context (or, for `__new__`, the
+    class) and the call's arguments. Without the kernel nothing is wrapped."""
+    lib = _kernel.load()
+    if not lib:
+        yield
+        return
+
+    def method(wrap, own):
+        return lambda self, *args, **kwargs: wrap(own, self, *args, **kwargs)
+
+    base = lib.Context
+    body = {name: method(wrap, getattr(base, name)) for name, wrap in wrappers.items()}
+    with mock.patch.object(lib, "Context", type("Wrapped", (base,), body)):
+        yield
+
+
+@contextmanager
 def kernel_calls():
-    """Count the kernel's chunks; each one draws or replays at least one
-    event, unless it finds its schedule out."""
+    """Count the kernel's chunks, each with its (limit, next_probe); each one
+    draws or replays at least one event, unless it finds its schedule out."""
     calls = []
-    advance = _kernel.Chunks.advance
 
-    def counted(self, *args):
+    def counted(own, ctx, *args):
         calls.append(args)
-        return advance(self, *args)
+        return own(ctx, *args)
 
-    with mock.patch.object(_kernel.Chunks, "advance", counted):
+    with wrapped_context(run=counted):
         yield calls
 
 
@@ -1082,7 +1101,6 @@ def rule_calls():
     """Count the scalar rule calls through the engine, and the events that
     kernel chunks apply."""
     counts = SimpleNamespace(rules=0, chunked=0)
-    advance = _kernel.Chunks.advance
 
     def counted(rule):
         def call(*args):
@@ -1090,15 +1108,15 @@ def rule_calls():
             return rule(*args)
         return call
 
-    def counted_advance(self, *args):
-        done = advance(self, *args)
+    def counted_run(own, ctx, *args):
+        done = own(ctx, *args)
         counts.chunked += done
         return done
 
     with mock.patch.object(engine, "update_pair_compass", counted(engine.update_pair_compass)), \
             mock.patch.object(engine, "update_pair_deffuant",
                               counted(engine.update_pair_deffuant)), \
-            mock.patch.object(_kernel.Chunks, "advance", counted_advance):
+            wrapped_context(run=counted_run):
         yield counts
 
 
@@ -1343,15 +1361,92 @@ def parked_run(past):
     return t, out
 
 
+def context_cases():
+    """`Context` arguments on a 4-path (m = 3, n = 4), all by keyword and
+    fresh at each call, as (name, good, kwargs). The good ones draw from a
+    generator or replay a schedule, with or without a tracker and a held
+    event. Each of the others has one array of the wrong size, strided, or
+    read-only where the kernel writes; or two sources or none, or a
+    generator on a graph without edges; or a cursor, end or held event out
+    of range."""
+    g = build_path(4)
+    starts, ids = g.incidence
+
+    def given(source, **change):
+        kwargs = dict(edges=g.edge_array, starts=starts, ids=ids,
+                      opinions=array.array("d", [0.5, -0.25, 0.75, 0.0]), mu=0.25,
+                      theta=math.inf, circle=True, clock=0.0, count=0, max_time=math.inf,
+                      sum_w=True, **source)
+        kwargs.update(change)
+        return kwargs
+
+    def generator(**change):
+        return given(dict(mt=array.array("I", random.Random(1).getstate()[1]),
+                          tw=array.array("I", bytes(4 * 624))), **change)
+
+    def schedule(**change):
+        return given(dict(times=np.array([0.1, 0.2, 0.3]), edge_ids=np.array([0, 2, 1]),
+                          ties=np.array([1, 2, 1]), cursor=0, end=3), **change)
+
+    def gaps(k):
+        return array.array("d", [0.25] * k)
+
+    def readonly(a):
+        return memoryview(a).toreadonly()
+
+    tracked = dict(delta=gaps(3), xi=gaps(3), drawn=True, t=0.05, e=1, k=2)
+    return [
+        ("generator", True, generator()),
+        ("generator, tracked, held", True, generator(**tracked)),
+        ("schedule", True, schedule()),
+        ("schedule from its cursor, tracked, held", True,
+         schedule(cursor=1, delta=gaps(3), drawn=True, t=0.05, e=2)),
+        ("2 edges", False, generator(edges=g.edge_array[:2])),
+        ("5 edge ends", False, generator(edges=g.edge_array.ravel()[:5])),
+        ("4 starts", False, generator(starts=starts[:4])),
+        ("5 ids", False, generator(ids=ids[:5])),
+        ("6 ids with a stride", False, generator(ids=np.repeat(ids, 2)[::2])),
+        ("3 opinions", False, generator(opinions=array.array("d", [0.0] * 3))),
+        ("5 opinions", False, generator(opinions=array.array("d", [0.0] * 5))),
+        ("read-only opinions", False,
+         generator(opinions=readonly(array.array("d", [0.0] * 4)))),
+        ("624 state words", False, generator(mt=array.array("I", bytes(4 * 624)))),
+        ("625 tempered words", False, generator(tw=array.array("I", bytes(4 * 625)))),
+        ("read-only state words", False,
+         generator(mt=readonly(array.array("I", random.Random(1).getstate()[1])))),
+        ("read-only tempered words", False,
+         generator(tw=readonly(array.array("I", bytes(4 * 624))))),
+        ("a generator and a schedule", False,
+         generator(times=np.zeros(1), edge_ids=np.zeros(1, np.int64),
+                   ties=np.ones(1, np.int64))),
+        ("no source", False, given({})),
+        ("a generator without edges", False,
+         generator(edges=g.edge_array[:0], ids=ids[:0])),
+        ("2 edge ids", False, schedule(edge_ids=np.array([0, 2]))),
+        ("4 ties", False, schedule(ties=np.array([1, 2, 1, 1]))),
+        ("2 times", False, schedule(times=np.array([0.1, 0.2]))),
+        ("cursor -1", False, schedule(cursor=-1)),
+        ("cursor past the end", False, schedule(cursor=2, end=1)),
+        ("end past the schedule", False, schedule(end=4)),
+        ("2 gaps", False, generator(delta=gaps(2))),
+        ("4 bounds", False, generator(delta=gaps(3), xi=gaps(4))),
+        ("read-only gaps", False, generator(delta=readonly(gaps(3)))),
+        ("read-only bounds", False, schedule(delta=gaps(3), xi=readonly(gaps(3)))),
+        ("a held event on edge 3", False, generator(drawn=True, t=0.05, e=3)),
+        ("a held event on edge -1", False, schedule(drawn=True, t=0.05, e=-1)),
+    ]
+
+
 # Run in a subprocess against a build of _kernel.c given as argv[1]: twin
 # runs of the build and the Python loop, at the draw boundaries and from
 # parked events too, W in C against math.fsum, and probe metrics against
 # the numpy path, scripted replays split by a snapshot, one of them
-# refused at an edge id past the edges, and the graph pass against the
-# numpy checks, on valid and invalid edge lists. The build checks every
-# graph the script builds, and aborts the process on undefined behaviour.
+# refused at an edge id past the edges, the graph pass against the numpy
+# checks, on valid and invalid edge lists, and contexts built, run and
+# dropped, or refused. The build checks every graph the script builds, and
+# aborts the process on undefined behaviour.
 UBSAN_CHECK = """
-import math, random, sys
+import array, math, random, sys
 from unittest import mock
 import numpy as np
 from compassmodel import (DifferenceTracker, Explicit, Graph, ModelParams, ScriptedStream,
@@ -1362,11 +1457,11 @@ from compassmodel import (DifferenceTracker, Explicit, Graph, ModelParams, Scrip
 lib = _kernel._open(sys.argv[1])
 _kernel._lib = lib  # every graph the check builds, the build checks
 chunks = []
-advance = _kernel.Chunks.advance
 
-def counted(self, *args):
-    chunks.append(1)
-    return advance(self, *args)
+class Counted(lib.Context):
+    def run(self, *args):
+        chunks.append(1)
+        return super().run(*args)
 
 def go(g, space, mu, theta, stop, probes, tracked):
     init = [0.97 * math.sin(2.3 * i + 0.4) for i in range(g.vertex_count)]
@@ -1395,8 +1490,7 @@ cases = [
     (build_path(7), "interval", 0.25, math.inf, StopRule(max_time=20.0), (2.0, 5.0), False),
 ]
 for case in cases:
-    with mock.patch.object(_kernel, "_lib", lib), \
-            mock.patch.object(_kernel.Chunks, "advance", counted):
+    with mock.patch.object(_kernel, "_lib", lib), mock.patch.object(lib, "Context", Counted):
         got = go(*case)
     with mock.patch.object(_kernel, "_lib", False):
         want = go(*case)
@@ -1404,7 +1498,7 @@ for case in cases:
 assert chunks
 
 """ + "\n\n".join(map(inspect.getsource, (untemper, boundary_cases, boundary_run,
-                                            parked_run))) + """
+                                            parked_run, context_cases))) + """
 
 bounds = boundary_cases()
 for case in bounds:
@@ -1489,8 +1583,7 @@ scripted = [
 ]
 for case in scripted:
     before = len(chunks)
-    with mock.patch.object(_kernel, "_lib", lib), \
-            mock.patch.object(_kernel.Chunks, "advance", counted):
+    with mock.patch.object(_kernel, "_lib", lib), mock.patch.object(lib, "Context", Counted):
         got = replay(*case)
     with mock.patch.object(_kernel, "_lib", False):
         want = replay(*case)
@@ -1519,8 +1612,22 @@ for n, edges in graphs:
             except ValueError as exc:
                 outs.append(str(exc))
     assert outs[0] == outs[1], (n, edges)
+
+# contexts built, run and dropped, and refused: each releases every buffer
+contexts = context_cases()
+for name, good, kwargs in contexts:
+    opinions = kwargs["opinions"]
+    try:
+        ctx = lib.Context(**kwargs)
+    except (ValueError, TypeError, BufferError):
+        assert not good, name
+    else:
+        assert good and ctx.run(5, math.inf) > 0 and ctx.total_w() > 0.0, name
+        del ctx
+    if isinstance(opinions, array.array):
+        opinions.append(0.0)
 print("ok", len(cases), len(bounds), len(parked), len(terms), len(probes), len(scripted),
-      len(graphs))
+      len(graphs), len(contexts))
 """
 
 
@@ -1546,34 +1653,52 @@ class TestKernel:
         assert done.returncode == 0, done.stderr
 
     def test_the_context_matches_struct_cm_ctx(self):
-        # a field out of step with the C struct corrupts memory without an error
+        # the type's members are the C member table's, each a field of
+        # struct cm_ctx read as that field's C type, and none can be set: a
+        # member read as the wrong type reads garbage
         source = _kernel._SOURCE.read_text()
         body = re.search(r"^struct cm_ctx \{(.*?)^\};", source, re.S | re.M).group(1)
-        fields = []
+        fields = {}
         for decl in re.sub(r"/\*.*?\*/", "", body, flags=re.S).split(";")[:-1]:
             ctype, names = re.fullmatch(r"\s*(?:const\s+)?(\w+)\s+(.*?)\s*", decl, re.S).groups()
             for name in names.split(","):
                 pointer = name.strip().startswith("*")
-                fields.append((name.strip(" *"), "pointer" if pointer else ctype))
-        kinds = {ctypes.c_void_p: "pointer", ctypes.c_int64: "int64_t", ctypes.c_double: "double"}
-        assert [(name, kinds[kind]) for name, kind in _kernel._Context._fields_] == fields
+                fields[name.strip(" *")] = "pointer" if pointer else ctype
+        table = re.findall(r"^\s*MEMBER\((\w+), (\w+)\),$", source, re.M)
+        kinds = {"T_DOUBLE": "double", "T_LONGLONG": "int64_t"}
+        assert [name for name, _ in table] == [
+            "clock", "count", "drawn", "t", "e", "k", "sched_next", "w"]
+        assert all(fields[name] == kinds[kind] for name, kind in table)
+        lib = _kernel.load()
+        if lib:
+            members = {name for name, v in vars(lib.Context).items()
+                       if isinstance(v, MemberDescriptorType)}
+            assert members == {name for name, _ in table}
+            ctx = lib.Context(**context_cases()[0][2])
+            for name in members:
+                with pytest.raises(AttributeError, match="readonly"):
+                    setattr(ctx, name, getattr(ctx, name))
 
     def test_the_entry_points_match_the_source(self):
-        # the module's method table names the two context wrappers, each a
-        # METH_O call of the cm_ function of its name on a context, and
-        # metrics and graph, METH_VARARGS calls of cm_metrics and cm_graph on
-        # the buffers they are given; the module's init function is the one
-        # function the build exports
+        # the Context type's method table names run, a METH_FASTCALL call of
+        # cm_run on the context, and total_w, a METH_NOARGS call of
+        # cm_total_w; the module's names metrics and graph, METH_VARARGS
+        # calls of cm_metrics and cm_graph on the buffers they are given; the
+        # module's init function is the one function the build exports, and
+        # the module holds Context, metrics and graph
         source = re.sub(r"/\*.*?\*/", "", _kernel._SOURCE.read_text(), flags=re.S)
         defined = re.findall(r"^(?!static\b)(\w+)\s+(\w+)\(([^)]*)\)\s*\{", source, re.M)
         assert defined == [("PyMODINIT_FUNC", "PyInit__kernel_c", "void")]
-        table = re.findall(r'^\s*\{"(\w+)", (\w+), (\w+), "', source, re.M)
+        table = re.findall(r'^\s*\{"(\w+)", (?:\(PyCFunction\)\(void \(\*\)\(void\)\))?'
+                           r'(\w+), (\w+),', source, re.M)
         names = ["run", "total_w"]
-        assert table == [(name, name, "METH_O") for name in names] + [
-            ("metrics", "metrics", "METH_VARARGS"), ("graph", "graph", "METH_VARARGS")]
+        assert table == [("run", "context_run", "METH_FASTCALL"),
+                         ("total_w", "context_total_w", "METH_NOARGS"),
+                         ("metrics", "metrics", "METH_VARARGS"), ("graph", "graph", "METH_VARARGS")]
+        assert "PyModule_AddType(m, &ContextType)" in source
         for name in names:
-            body = re.search(rf"^static PyObject \*{name}\(PyObject \*Py_UNUSED\(module\), "
-                             rf"PyObject \*address\)\n\{{(.*?)^\}}", source, re.S | re.M)
+            body = re.search(rf"^static PyObject \*context_{name}\(PyObject \*self, [^\n]*\)\n"
+                             rf"\{{(.*?)^\}}", source, re.S | re.M)
             assert f"cm_{name}(c)" in body.group(1)
             assert re.search(rf"^static \w+ cm_{name}\(struct cm_ctx \*c\)$", source, re.M)
         calls = {"metrics": "cm_metrics(edges.buf, m, start.buf, ids.buf, n,",
@@ -1584,8 +1709,8 @@ class TestKernel:
             assert call in body.group(1)
         lib = _kernel.load()
         if lib:
-            assert sorted(n for n in vars(lib) if not n.startswith("__")) == sorted(
-                names + list(calls))
+            assert sorted(n for n in vars(lib) if not n.startswith("__")) == [
+                "Context", "graph", "metrics"]
 
     @needs_kernel
     @pytest.mark.parametrize("n,starts,ids", [(0, 1, 6), (2**32 + 1, 3, 6), (2, 4, 6),
@@ -1626,28 +1751,65 @@ class TestKernel:
         with pytest.raises((TypeError, BufferError)):
             _kernel.load().graph(edges, 2, starts, ids)
 
+    @needs_kernel
+    def test_the_context_refuses_buffers_of_the_wrong_size(self):
+        # the kernel reads and writes every array the context takes for as
+        # long as it lives: any other size, a read-only array where it
+        # writes, or a cursor, end or held edge out of range is refused
+        # before an event runs, with every buffer taken released; a context
+        # holds its buffers, so the opinions cannot be resized under it
+        lib = _kernel.load()
+        for name, good, kwargs in context_cases():
+            opinions = kwargs["opinions"]
+            try:
+                ctx = lib.Context(**kwargs)
+            except (ValueError, TypeError, BufferError):
+                assert not good, name
+            else:
+                assert good, name
+                with pytest.raises(BufferError):
+                    opinions.append(0.0)
+                # the schedule holds 3 events; from its cursor, 2 and the held one
+                assert ctx.run(5, math.inf) == (5 if "generator" in name else 3), name
+                del ctx
+            if isinstance(opinions, array.array):
+                opinions.append(0.0)  # no buffer of it is held any more
+
+    @needs_kernel
+    def test_a_context_in_a_cycle_with_its_opinions_is_collected(self):
+        # a run's opinions hold the context's total_w while the context holds
+        # their buffer; a run that never closes (an interrupt as the context
+        # is built) leaves that cycle to the collector
+        kwargs = context_cases()[0][2]
+        buf = kwargs["opinions"] = _kernel.Opinions("d", kwargs["opinions"])
+        buf.total_w = _kernel.load().Context(**kwargs).total_w
+        gone = weakref.ref(buf)
+        del buf, kwargs
+        gc.collect()
+        assert gone() is None
+
     @pytest.mark.parametrize("g,tracked", [(build_ring(9), True), (build_torus([6, 6]), False)],
                              ids=["ring, tracker", "torus, W test"])
     def test_the_kernel_reads_the_graph_tables_without_copies(self, g, tracked):
+        # the context takes the buffers of the graph's own int64 tables
         if _kernel.load() is None:
             pytest.skip("no compiled kernel")
-        contexts = []
-        advance = _kernel.Chunks.advance
+        handed = []
 
-        def seen(self, *args):
-            contexts.append(self.ctx)
-            return advance(self, *args)
+        def seen(own, cls, *args, **kwargs):
+            handed.append(args[:3])
+            return own(cls, *args, **kwargs)
 
         state = new_simulation(g, IidUniform(4), ModelParams(mu=0.25), stream=6)
         observers = [DifferenceTracker(state, with_xi=True)] if tracked else []
-        with mock.patch.object(_kernel.Chunks, "advance", seen):
+        with wrapped_context(__new__=seen):
             run(state, stop=StopRule(max_events=500, w_below=1e-9, w_check_interval=2),
                 observers=observers)
         starts, ids = g.incidence
         for table in (g.edge_array, starts, ids):
             assert table.dtype == np.int64 and table.flags.c_contiguous
-        assert contexts and {(c.edges, c.inc_start, c.inc_ids) for c in contexts} == \
-            {(g.edge_array.ctypes.data, starts.ctypes.data, ids.ctypes.data)}
+        assert len(handed) == 1
+        assert all(a is b for a, b in zip(handed[0], (g.edge_array, starts, ids), strict=True))
 
     @given(twin_cases())
     @settings(max_examples=300, deadline=None)
@@ -1769,15 +1931,14 @@ class TestKernel:
         # at kernel entry the parked event is past the first probe, or past
         # max_time: the chunk applies nothing and keeps it held
         chunks = []
-        advance = _kernel.Chunks.advance
 
-        def noted(self, *args):
-            done = advance(self, *args)
+        def noted(own, ctx, *args):
+            done = own(ctx, *args)
             # a chunk that stops short holds an event, at ctx.t
-            chunks.append((done, self.ctx.t if self.ctx.drawn else None))
+            chunks.append((done, ctx.t if ctx.drawn else None))
             return done
 
-        with mock.patch.object(_kernel.Chunks, "advance", noted):
+        with wrapped_context(run=noted):
             got = parked_run(past)
         with mock.patch.object(_kernel, "_lib", False):
             want = parked_run(past)
@@ -1803,8 +1964,9 @@ class TestKernel:
         want = go()
         monkeypatch.setattr(_kernel, "_SOURCE", tmp_path / "missing" / "_kernel.c")
         monkeypatch.setattr(_kernel, "_lib", None)
-        with kernel_calls() as calls, \
-                pytest.warns(RuntimeWarning, match="using the Python loop"):
+        # kernel_calls tries the build first, inside the check for its warning
+        with pytest.warns(RuntimeWarning, match="using the Python loop"), \
+                kernel_calls() as calls:
             got = go()
         assert _kernel.load() is None and calls == []
         assert got == want
@@ -1848,8 +2010,9 @@ class TestKernel:
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
         monkeypatch.setattr(_kernel, "_includes", lambda: [f"-I{tmp_path}"])
         monkeypatch.setattr(_kernel, "_lib", None)
-        with kernel_calls() as calls, \
-                pytest.warns(RuntimeWarning, match="using the Python loop.*Python.h"):
+        # kernel_calls tries the build first, inside the check for its warning
+        with pytest.warns(RuntimeWarning, match="using the Python loop.*Python.h"), \
+                kernel_calls() as calls:
             got = payload()
         assert _kernel.load() is None and calls == []
         assert got == want == with_kernel
@@ -1858,14 +2021,14 @@ class TestKernel:
     @needs_kernel
     def test_a_w_test_that_sums_costs_one_call_into_the_kernel(self):
         # a 50-ring keeps W below any window's gate: every test sums, and the
-        # chunk after it is one call of the module's run, with no min() per
+        # chunk after it is one call of the context's run, with no min() per
         # test (the run's start calls it once)
-        lib, calls = _kernel.load(), SimpleNamespace(run=0, total_w=0, min=0)
-        run_chunk, total_w = lib.run, engine._total_w
+        calls = SimpleNamespace(run=0, total_w=0, min=0)
+        total_w = engine._total_w
 
-        def counted_run(address):
+        def counted_run(own, ctx, *args):
             calls.run += 1
-            return run_chunk(address)
+            return own(ctx, *args)
 
         def counted_total_w(state):
             calls.total_w += 1
@@ -1876,7 +2039,7 @@ class TestKernel:
             return min(*args)
 
         state = new_simulation(build_ring(50), IidUniform(1), ModelParams(), stream=1)
-        with mock.patch.object(lib, "run", counted_run), \
+        with wrapped_context(run=counted_run), \
                 mock.patch.object(engine, "_total_w", counted_total_w), \
                 mock.patch.object(engine, "min", counted_min, create=True):
             rec = run(state, stop=StopRule(max_events=20_000, w_below=1e-300))
@@ -1903,7 +2066,7 @@ class TestKernel:
         done = subprocess.run([sys.executable, "-c", UBSAN_CHECK, str(lib)], env=env,
                               capture_output=True, text=True, timeout=600)
         assert done.returncode == 0, done.stderr[-3000:]
-        assert done.stdout.split() == ["ok", "5", "64", "2", "6", "3", "3", "12"]
+        assert done.stdout.split() == ["ok", "5", "64", "2", "6", "3", "3", "12", "31"]
 
 
 # pairs of opinions whose distance is exactly 1 (antipodal), nextafter(1, +inf),
@@ -2136,12 +2299,17 @@ class TestKernelOpinions:
                   "max_events below events_applied": 20}.get(case, 2_040)
         before_any_chunk = budget <= 40
         probes = tuple(0.05 * i for i in range(1, 400)) if "probe" in case else ()
-        held_only = []
-        advance = _kernel.Chunks.advance
+        held_only, in_c = [], []
 
-        def noted(self, limit, next_probe):
-            held_only.append(limit == 1 and self.ctx.drawn == 1)
-            return advance(self, limit, next_probe)
+        def noted(own, ctx, limit, next_probe):
+            held_only.append(limit == 1 and ctx.drawn == 1)
+            return own(ctx, limit, next_probe)
+
+        def counted(own, ctx):
+            # no T from a chunk: the sum in C
+            if math.isnan(ctx.w):
+                in_c.append(ctx)
+            return own(ctx)
 
         def go(lib):
             state = fresh(g, init, mu=0.3, stream=8)
@@ -2152,7 +2320,7 @@ class TestKernelOpinions:
                 seen, patch = traced_total_w()
                 with patch, mock.patch.object(engine, "_CHUNK", 3 if "_CHUNK" in case else
                                               engine._CHUNK), \
-                        mock.patch.object(_kernel.Chunks, "advance", noted):
+                        wrapped_context(run=noted, total_w=counted):
                     rec = run(state, stop=StopRule(max_events=budget, w_below=1e-9,
                                                    w_check_interval=4), probes=probes)
                 sums = [got for _, got, _ in seen]
@@ -2160,15 +2328,7 @@ class TestKernelOpinions:
             return (rec.stop_reason, rec.events_applied, sums, bits(state.opinions),
                     state.clock, state.pending, state.stream.rng.getstate())
 
-        in_c = []
-        total_w_in_c = lib.total_w
-
-        def counted(address):
-            in_c.append(address)
-            return total_w_in_c(address)
-
-        with mock.patch.object(lib, "total_w", counted):
-            got = go(lib)
+        got = go(lib)
         assert got == go(False)
         tests = got[2]
         if before_any_chunk:
@@ -2191,10 +2351,9 @@ class TestInterruptedChunk:
         state = fresh(build_ring(12), init, mu=0.3, stream=5)
         observers = [DifferenceTracker(state, with_xi=True)] if tracked else []
         calls = []
-        run_chunk = lib.run if lib else None
 
-        def interrupted(address):
-            done = run_chunk(address)
+        def interrupted(own, ctx, *args):
+            done = own(ctx, *args)
             calls.append(done)
             if len(calls) == interrupt_at:
                 raise KeyboardInterrupt
@@ -2205,9 +2364,7 @@ class TestInterruptedChunk:
             if interrupt_at is None:
                 run(state, stop=StopRule(max_events=budget), probes=probes, observers=observers)
             else:
-                # wrapped before Chunks binds it
-                with mock.patch.object(lib, "run", interrupted), \
-                        pytest.raises(KeyboardInterrupt):
+                with wrapped_context(run=interrupted), pytest.raises(KeyboardInterrupt):
                     run(state, stop=StopRule(max_events=budget), probes=probes,
                         observers=observers)
                 assert len(calls) == interrupt_at
