@@ -12,12 +12,14 @@ import math
 from dataclasses import dataclass
 from statistics import fmean, stdev
 
+import numpy as np
+
 from . import analysis
 from .difference import DeltaState, apply_event_delta
 from .engine import (Event, Explicit, IidUniform, PoissonStream, ScriptedStream,
                      SimState, StopRule, derive_seed, new_simulation, run)
 from .opinion_space import ModelParams, circle_dist, mod_s
-from .topology import Graph, build_path
+from .topology import Graph, _count, build_path
 
 __all__ = [
     "FlattenPlan",
@@ -34,14 +36,32 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(eq=False)
 class FlattenPlan:
-    """A scripted schedule that drains the bound mass off an edge segment."""
+    """A scripted schedule that drains the bound mass off an edge segment.
 
-    events: tuple[Event, ...]
+    The schedule is two columns, one entry per event: `times` (float64)
+    and `event_edges` (int64); every tie is 1. `edge_ids` is the segment,
+    in sweep order. `events` builds the schedule as Events at each call.
+    """
+
+    times: np.ndarray
+    event_edges: np.ndarray
     edge_ids: tuple[int, ...]
     sweeps: int
     xi_remaining: float
+
+    @property
+    def events(self) -> tuple[Event, ...]:
+        return tuple(map(Event, self.times.tolist(), self.event_edges.tolist()))
+
+
+def _clock(start_time: float, time_step: float, k: int) -> np.ndarray:
+    """The k times start_time + time_step, + time_step, ...: a sequential
+    accumulate, so each is the float that `t += time_step` gives."""
+    steps = np.full(k + 1, time_step, dtype=np.float64)
+    steps[0] = start_time
+    return np.add.accumulate(steps)[1:]
 
 
 def flatten_schedule(g: Graph, edge_ids, eps: float, params: ModelParams,
@@ -50,19 +70,27 @@ def flatten_schedule(g: Graph, edge_ids, eps: float, params: ModelParams,
     """Sweep a chain of edges until its total bound mass is at most eps.
 
     Starts every edge of the segment at bound 1 and replays the unsigned
-    update edge by edge, sweep after sweep, recording each application as a
-    scripted event. Mass leaks out through the segment's ends (or into
-    frozen neighboring edges), so the total decays geometrically and the
-    sweep count depends only on the segment length, mu, and eps. Any gap
+    update edge by edge, sweep after sweep; each application is a scripted
+    event, the first at start_time + time_step, each next one time_step
+    later. Mass leaks out through the segment's ends (or into frozen
+    neighboring edges), so the total decays geometrically and the sweep
+    count depends only on the segment length, mu, and eps. Any gap
     profile dominated by the all-ones bound, which is every profile, ends
-    with total gap mass at most eps after this schedule.
+    with total gap mass at most eps after this schedule. The schedule is
+    built as columns (see FlattenPlan), not event by event.
 
-    eps must be positive; an eps at or above the initial mass yields an
-    empty plan. The segment must be a simple chain: flattening a full ring
-    has nowhere to leak and is refused.
+    eps must be positive (not NaN); an eps at or above the initial mass
+    yields an empty plan. start_time must be finite and time_step finite
+    and positive; anything else raises ValueError. The segment must be a
+    simple chain: flattening a full ring has nowhere to leak and is
+    refused.
     """
-    if eps <= 0.0:
+    if not eps > 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
+    if not math.isfinite(start_time):
+        raise ValueError(f"start_time must be finite, got {start_time}")
+    if not 0.0 < time_step < math.inf:
+        raise ValueError(f"time_step must be finite and positive, got {time_step}")
     ids = [int(e) for e in edge_ids]
     if not ids:
         raise ValueError("empty segment")
@@ -85,28 +113,60 @@ def flatten_schedule(g: Graph, edge_ids, eps: float, params: ModelParams,
 
     mu = params.mu
     keep = 1.0 - 2.0 * mu
-    xi = [1.0] * len(ids)
-    total = float(len(ids))
-    events: list[Event] = []
-    t = start_time
+    k = len(ids)
+    # one sweep, each event's slot and its two neighbours' slots: a missing
+    # neighbour is slot k, emptied after each sweep
+    sweep = [(i, *inside, k, k)[:3] for i, inside in enumerate(nbrs)]
+    xi = [1.0] * k + [0.0]
+    total = float(k)
     sweeps = 0
     while total > eps:
-        if len(events) + len(ids) > max_total_events:
+        if (sweeps + 1) * k > max_total_events:
             raise RuntimeError(
                 f"flattening to {eps} needs more than {max_total_events} events; "
                 "raise the cap or the target")
         sweeps += 1
-        for i, e in enumerate(ids):
+        for i, a, b in sweep:
             c = xi[i]
             step = mu * c
-            for j in nbrs[i]:
-                xi[j] += step
+            xi[a] += step
+            xi[b] += step
             xi[i] = keep * c
-            t += time_step
-            events.append(Event(t, e, 1))
+        xi[k] = 0.0
         total = math.fsum(xi)
-    return FlattenPlan(events=tuple(events), edge_ids=tuple(ids),
-                       sweeps=sweeps, xi_remaining=total)
+    return FlattenPlan(times=_clock(start_time, time_step, sweeps * k),
+                       event_edges=np.tile(np.array(ids, dtype=np.int64), sweeps),
+                       edge_ids=tuple(ids), sweeps=sweeps, xi_remaining=total)
+
+
+def _butterfly(n, params: ModelParams, alternations, flatten_eps: float,
+               settle_eps: float):
+    """The butterfly's path, its shared schedule as a ScriptedStream built
+    from the plans' columns, and the base and variant profiles."""
+    n = _count(n, "n")
+    if n < 3:
+        raise ValueError(f"need n >= 3, got {n}")
+    alternations = _count(alternations, "alternations")
+    if alternations < 0:
+        raise ValueError(f"need alternations >= 0, got {alternations}")
+    g = build_path(2 * n - 1)
+    plan_left = flatten_schedule(g, range(0, n - 2), flatten_eps, params)
+    t = float(plan_left.times[-1]) if plan_left.sweeps else 0.0
+    plan_right = flatten_schedule(g, range(n, 2 * n - 2), flatten_eps, params, start_time=t)
+    t = float(plan_right.times[-1]) if plan_right.sweeps else t
+    bridge = _clock(t, 1.0, alternations)
+    t = float(bridge[-1]) if alternations else t
+    settle = flatten_schedule(g, range(g.edge_count), settle_eps, params, start_time=t)
+    times = np.concatenate((plan_left.times, plan_right.times, bridge, settle.times))
+    edges = np.concatenate((plan_left.event_edges, plan_right.event_edges,
+                            # the two bridge edges, in turn
+                            np.resize(np.array([n - 2, n - 1], dtype=np.int64), alternations),
+                            settle.event_edges))
+    stream = ScriptedStream._from_arrays(times, edges, np.ones(times.size, dtype=np.int64))
+    base = tuple((v + 1) / n - 1.0 for v in range(2 * n - 1))
+    variant = list(base)
+    variant[n - 1] = 1.0
+    return g, stream, base, tuple(variant)
 
 
 def butterfly_scenario(n: int, params: ModelParams | None = None,
@@ -123,26 +183,17 @@ def butterfly_scenario(n: int, params: ModelParams | None = None,
     consensus value. A one-vertex difference in the input ends up as an
     order-one difference in the output.
 
+    n and alternations are counts by the whole-number rule (4 and 4.0 are
+    both 4); n below 3, a negative alternations, or anything
+    flatten_schedule refuses raises ValueError. The schedule is built as
+    columns, the three plans' and the bridge events', and converted to
+    Events once.
+
     Returns the path, the schedule, and the base and variant profiles.
     """
-    if n < 3:
-        raise ValueError(f"need n >= 3, got {n}")
     params = params if params is not None else ModelParams()
-    g = build_path(2 * n - 1)
-    plan_left = flatten_schedule(g, range(0, n - 2), flatten_eps, params)
-    t = plan_left.events[-1].time if plan_left.events else 0.0
-    plan_right = flatten_schedule(g, range(n, 2 * n - 2), flatten_eps, params, start_time=t)
-    t = plan_right.events[-1].time if plan_right.events else t
-    events = list(plan_left.events) + list(plan_right.events)
-    for i in range(alternations):
-        t += 1.0
-        events.append(Event(t, n - 2 if i % 2 == 0 else n - 1, 1))  # the two bridge edges
-    events.extend(flatten_schedule(g, range(g.edge_count), settle_eps, params,
-                                   start_time=t).events)
-    base = tuple((v + 1) / n - 1.0 for v in range(2 * n - 1))
-    variant = list(base)
-    variant[n - 1] = 1.0
-    return g, tuple(events), base, tuple(variant)
+    g, stream, base, variant = _butterfly(n, params, alternations, flatten_eps, settle_eps)
+    return g, stream.events, base, variant
 
 
 @dataclass
@@ -176,10 +227,9 @@ def run_butterfly(n: int, params: ModelParams | None = None,
     shifts it by exactly (1 - 1/2) / (2n - 1).
     """
     params = params if params is not None else ModelParams()
-    g, events, base, variant = butterfly_scenario(n, params, alternations,
-                                                  flatten_eps, settle_eps)
+    g, stream, base, variant = _butterfly(n, params, alternations, flatten_eps, settle_eps)
+    n = (g.vertex_count + 1) // 2  # the whole number _butterfly took n as
     # one schedule, built once: the variant replays the base stream's arrays
-    stream = ScriptedStream(events)
     twin = ScriptedStream._from_arrays(stream.times, stream.edge_ids, stream.ties)
     lb, lv = (run(new_simulation(g, Explicit(profile), params, stream=replay)).terminal["L"]
               for profile, replay in ((base, stream), (variant, twin)))
@@ -203,7 +253,7 @@ def run_butterfly(n: int, params: ModelParams | None = None,
     shift = shifts[1] - shifts[0]
     exact = (1.0 - base_x[n - 1]) / m
     return ButterflyResult(n=n, distance=distance, limit_base=lb,
-                           limit_variant=lv, schedule_events=len(events),
+                           limit_variant=lv, schedule_events=stream.times.size,
                            deffuant_shift=shift, deffuant_shift_exact=exact,
                            deffuant_gap=abs(shift - exact),
                            min_distance=min_distance)
@@ -263,24 +313,32 @@ def run_signflip(c: float, params: ModelParams | None = None) -> SignFlipResult:
 
     The same schedule applied to the all-zero profile is the control: zero
     gaps stay zero, so no flip can appear there.
+
+    Both starts have no negative product, and an event changes only its
+    own edge's gap and its neighbours', so after each event only the pairs
+    touching those edges are checked: a first flip can appear nowhere else.
     """
     params = params if params is not None else ModelParams()
     g, delta, block, plan = signflip_scenario(c, params)
     control = DeltaState(g, [0.0] * g.edge_count)
-    pairs = g.adjacent_edge_pairs
+    nbrs = g.edge_neighbors
+    near = {e: {(min(f, h), max(f, h)) for f in (e, *(x for x, _ in nbrs[e]))
+                for h, _ in nbrs[f]}
+            for e in plan.edge_ids}
+    vals, control_vals = delta.values, control.values
     first_flip = None
     control_flipped = False
     for idx, ev in enumerate(plan.events):
         apply_event_delta(delta, ev, params)
         apply_event_delta(control, ev, params)
-        if first_flip is None:
-            vals = delta.values
-            if any(vals[i] * vals[j] < 0.0 for i, j in pairs):
-                first_flip = idx
-        if any(control.values[i] * control.values[j] < 0.0 for i, j in pairs):
+        pairs = near[ev.edge_id]
+        if first_flip is None and any(vals[i] * vals[j] < 0.0 for i, j in pairs):
+            first_flip = idx
+        if not control_flipped and any(control_vals[i] * control_vals[j] < 0.0
+                                       for i, j in pairs):
             control_flipped = True
     return SignFlipResult(c=c, vertex_count=g.vertex_count, block_edges=block,
-                          events_total=len(plan.events),
+                          events_total=plan.times.size,
                           first_flip_event=first_flip,
                           flipped=first_flip is not None,
                           control_flipped=control_flipped,

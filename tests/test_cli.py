@@ -313,6 +313,9 @@ class TestMain:
     @pytest.mark.parametrize("name,override,message", [
         ("signflip", "c=5", "need 0 < c <= 1"),
         ("butterfly", "n=2", "need n >= 3"),
+        ("butterfly", "n=4.5", "n must be a whole number, got 4.5"),
+        ("butterfly", "alternations=-4", "need alternations >= 0, got -4"),
+        ("butterfly", "flatten_eps=NaN", "eps must be positive, got nan"),
     ])
     def test_out_of_range_scenario_override_exits_two(self, name, override, message,
                                                       capsys):
