@@ -1,72 +1,30 @@
-/* Compiled event loop for Poisson and scripted runs without observers, or
- * observed by one DifferenceTracker of the run's own state, the sums of W,
- * the probe metrics and the graph checks, built as the CPython extension
- * module compassmodel._kernel_c. Its type Context is the one record of a
- * kernel run (the opinions, the generator or the schedule, the clock, the
- * count of events applied and the event drawn and not applied): a struct
- * cm_ctx, with the buffers of the run's arrays, held until it is freed so
- * that none can be resized under the kernel. Its run and total_w, and the
- * functions metrics and graph, which take a graph's arrays the same way,
- * call cm_run, cm_total_w, cm_metrics and cm_graph. Each call releases the
- * GIL only for work long enough to matter (GIL_EVENTS, GIL_EDGES).
- *
- * cm_run applies up to c->limit events and adds them to c->count. The
- * events come from one of two sources, a compile-time parameter of one
- * always-inline body, run_chunk, so each version compiles without the
- * other: with a generator (c->mt), the three draws of a PoissonStream in
- * engine._run_loop (wait, edge, tie bit); without one, a ScriptedStream's
- * times, edge ids and ties, read in place from c->sched_next up to
- * c->sched_end. The engine ends that range just before the first event
- * its Python loop refuses, so every event replayed is one it would apply;
- * a replay that reaches the end stops short and holds nothing. An event
- * taken off the schedule counts as taken, held or applied, as
- * ScriptedStream.next_event takes it. The event the context holds
- * (c->drawn: drawn or replayed past a probe, or parked) is applied and
- * counted first, unless it is past c->next_probe or c->max_time; then the
- * chunk applies nothing and keeps it. Every event goes through
- * apply_rule, which mirrors opinion_space.update_pair_compass and
- * update_pair_deffuant branch for branch, so the opinions, the clock and
- * the generator or the cursor end bit for bit where stepping
- * engine.apply_event would leave them. When c->delta is set, track then
- * mirrors DifferenceTracker.apply_event branch for branch, so the tracked
- * gaps and bounds end bit for bit where the observer would leave them.
- *
- * When c->sum_w is set (the run has a W test), a chunk that completes its
- * limit leaves T, cm_total_w of the opinions it ends with, in c->w for the
- * W test due there; after any other chunk c->w is NaN. The engine ends
- * chunks at the budget, at its 2^20-event cap and at each test that sums;
- * the tests a sum rules out end none (see engine._run_loop).
+/* The compiled kernel of compassmodel._kernel, built as the CPython extension
+ * module compassmodel._kernel_c: the type Context, one kernel run's struct
+ * cm_ctx with the buffers of its arrays, whose run and total_w call cm_run
+ * and cm_total_w, and the functions metrics and graph, which call cm_metrics
+ * and cm_graph. How a run uses it is told in _kernel.py; each function's
+ * comment says what it mirrors.
  *
  * The generator is CPython's MT19937 (Modules/_randommodule.c): the state
  * words and index come from random.Random.getstate() and go back with
- * setstate(), and random() is the 53-bit double built from two words. A
- * block of MT_N words is made at once: next_block twists the state four
- * words a step with GCC vector extensions, then tempers all of it in one
- * vector pass into c->tw, which the context keeps across chunks. cm_run
- * keeps the index in a local for the whole chunk and writes it back once at
- * the end; an event reads its six tempered words in place when the block
- * has six left, and word by word across a new block. The tie bit is
- * random() < 0.5, which holds exactly when the fifth word is below 2^31;
- * the sixth word is drawn and not read. All of it is integer work, so the
- * words, and getstate(), are CPython's bit for bit.
+ * setstate(), and random() is the 53-bit double built from two words. The
+ * constructor tempers the block the state holds into c->tw; next_block
+ * twists the state four words a step with GCC vector extensions, then
+ * tempers all of it in one vector pass. run_chunk keeps the index in a
+ * local for the whole chunk and writes it back once at the end; an event
+ * reads its six tempered words in place when the block has six left, and
+ * word by word across a new block. The tie bit is random() < 0.5, which
+ * holds exactly when the fifth word is below 2^31; the sixth word is drawn
+ * and not read. All of it is integer work, so the words, and getstate(),
+ * are CPython's bit for bit.
+ *
  * Waiting times use libm's log, which math.log calls. Build without
  * floating-point contraction (-ffp-contract=off) and without fast-math, so
  * no product and sum fuse into one rounding that Python does not make.
  *
- * cm_total_w is engine._total_w in C: the left-to-right sum of the edge
- * distances in edge-id order, with the same fold, so bitwise the same sum;
- * cm_run calls it for T.
- *
- * cm_metrics is one probe of analysis.compute_metrics in one call: the
- * gaps (with _chart's subtraction and fold) or the tracked gaps given, the
- * largest |gap|, W in an exact fixed-point accumulator (acc_add, after Neal
- * 2015) rounded half-even once, so math.fsum's sum bit for bit in time that
- * does not grow with the spread of the gaps, and the sign flips over
- * Graph.incidence. At a gap that is not finite, or when W rounds past
- * DBL_MAX, it returns a value that is not finite, and _kernel.metrics
- * leaves the probe to the numpy path, which gives the value or raises.
- *
- * cm_graph is Graph's checks and its CSR incidence in one O(n + m) pass.
+ * A probe's W is summed exactly, in a fixed-point accumulator (acc_add,
+ * after Neal 2015) rounded half-even once: math.fsum's sum bit for bit, in
+ * time that does not grow with the spread of the gaps.
  */
 
 #include <Python.h>
@@ -84,14 +42,12 @@
 #define UPPER_MASK 0x80000000U
 #define LOWER_MASK 0x7fffffffU
 
-/* The kernel's state of one run, embedded in a Context; its pointers are
- * into the buffers the Context holds. */
+/* The state a kernel run carries from one chunk to the next, embedded in a
+ * Context; its pointers are into the buffers the Context holds. */
 struct cm_ctx {
     uint32_t *mt;           /* getstate()'s words: MT_N state words, then the
                                index of the next one (MT_N: regenerate first) */
-    uint32_t *tw;           /* MT_N words: the state words tempered, once
-                               tempered is set */
-    int64_t tempered;       /* 0 until cm_run first tempers the state's block */
+    uint32_t tw[MT_N];      /* the state words, tempered */
     const double *sched_t;  /* a replay, when mt is NULL: a ScriptedStream's */
     const int64_t *sched_e, *sched_k; /* times, edge ids and ties */
     int64_t sched_end;      /* replay the events before this index, */
@@ -107,15 +63,11 @@ struct cm_ctx {
     int64_t circle;
     double clock;           /* the time of the last applied event */
     int64_t count;          /* the events the run's state has applied */
-    double next_probe, max_time;
-    int64_t limit;          /* apply at most this many events */
+    double max_time;
     int64_t drawn;          /* 1 when (t, e, k) is held: drawn, or parked, and
                                not applied */
     double t;
     int64_t e, k;
-    int64_t sum_w;          /* 1 when the run has a W test */
-    double w;               /* T, total_w of the opinions, when sum_w is set and
-                               cm_run has just completed its limit; else NaN */
 };
 
 /* four state words, unaligned loads and stores */
@@ -199,8 +151,9 @@ static double wrap(double y)
 }
 
 /* The pair update on edge e: update_pair_compass on the circle (tie bit
- * k), update_pair_deffuant on the interval. Forced inline: gcc -O2 keeps a
- * plain static inline out of line in cm_run, a call per event. */
+ * k), update_pair_deffuant on the interval, branch for branch. Forced
+ * inline: gcc -O2 keeps a plain static inline out of line, a call per
+ * event. */
 static inline __attribute__((always_inline)) void
 apply_rule(double *op, const int64_t *edges, int64_t e, int64_t k, double mu, double theta,
            int circle)
@@ -279,6 +232,8 @@ static void track(const struct cm_ctx *c, int64_t e)
         xi[e] = (1.0 - 2.0 * mu) * xi[e];
 }
 
+/* engine._total_w in C: the left-to-right sum of the edge distances in
+ * edge-id order, with the same fold, so bitwise the same sum */
 static double cm_total_w(struct cm_ctx *c)
 {
     const int64_t *edges = c->edges;
@@ -294,18 +249,22 @@ static double cm_total_w(struct cm_ctx *c)
     return total;
 }
 
-/* One chunk of events, drawn from the generator or, given replay, read off
- * the schedule. Forced inline into its two callers with replay a constant,
- * so each compiles without the other's source of events. */
-static inline __attribute__((always_inline)) int64_t run_chunk(struct cm_ctx *c,
-                                                               const int replay)
+/* One chunk of up to limit events, drawn from the generator or, given
+ * replay, read off the schedule up to sched_end: the held event first, and
+ * then each event up to the first past next_probe or max_time, which it
+ * holds. A held event still past them is kept and nothing applied. Each
+ * event is applied, and tracked when delta is set, as stepping
+ * engine.apply_event and DifferenceTracker.apply_event would. Returns the
+ * events applied. Forced inline into its two callers with replay a
+ * constant, so each compiles without the other's source of events. */
+static inline __attribute__((always_inline)) int64_t
+run_chunk(struct cm_ctx *c, const int replay, const int64_t limit, const double next_probe)
 {
     const int64_t *edges = c->edges;
     double *op = c->op;
     const double m = (double)c->m, mu = c->mu, theta = c->theta;
     const int circle = c->circle != 0;
-    const double next_probe = c->next_probe, max_time = c->max_time;
-    const int64_t limit = c->limit;
+    const double max_time = c->max_time;
     uint32_t *mt = c->mt, *tw = c->tw, index = replay ? 0 : mt[MT_N], across[6];
     const uint32_t *w;
     int64_t next = c->sched_next;
@@ -313,16 +272,9 @@ static inline __attribute__((always_inline)) int64_t run_chunk(struct cm_ctx *c,
     int64_t i = 0;
     int j;
 
-    if (!replay && !c->tempered) {
-        /* the block the state holds, tempered once for the run */
-        temper_block(tw, mt);
-        c->tempered = 1;
-    }
     if (c->drawn) {
-        if (c->t > max_time || c->t > next_probe) {
-            c->w = NAN;
+        if (c->t > max_time || c->t > next_probe)
             return 0; /* still past: the event stays held */
-        }
         /* the held event, applied ahead of the draws */
         apply_rule(op, edges, c->e, c->k, mu, theta, circle);
         if (c->delta)
@@ -379,14 +331,12 @@ static inline __attribute__((always_inline)) int64_t run_chunk(struct cm_ctx *c,
         mt[MT_N] = index;
     c->clock = clock;
     c->count += i;
-    /* a chunk that completes its limit ends at the W test, if any is due */
-    c->w = c->sum_w && i == limit ? cm_total_w(c) : NAN;
     return i;
 }
 
-static int64_t cm_run(struct cm_ctx *c)
+static int64_t cm_run(struct cm_ctx *c, int64_t limit, double next_probe)
 {
-    return c->mt ? run_chunk(c, 0) : run_chunk(c, 1);
+    return c->mt ? run_chunk(c, 0, limit, next_probe) : run_chunk(c, 1, limit, next_probe);
 }
 
 /* W's exact fixed-point accumulator, after Neal 2015 (arXiv:1505.05571). A
@@ -674,9 +624,8 @@ static int64_t cm_graph(const int64_t *edges, int64_t m, int64_t n, int64_t *sta
 /* A Context: its struct cm_ctx, and the buffers its pointers are into, held
  * until it is freed (obj NULL where no array is given), in the order of the
  * constructor's arguments; the kernel writes those in WRITTEN */
-enum { V_EDGES, V_STARTS, V_IDS, V_OP, V_MT, V_TW, V_TIMES, V_EDGE_IDS, V_TIES, V_DELTA, V_XI,
-       N_VIEWS };
-#define WRITTEN (1 << V_OP | 1 << V_MT | 1 << V_TW | 1 << V_DELTA | 1 << V_XI)
+enum { V_EDGES, V_STARTS, V_IDS, V_OP, V_MT, V_TIMES, V_EDGE_IDS, V_TIES, V_DELTA, V_XI, N_VIEWS };
+#define WRITTEN (1 << V_OP | 1 << V_MT | 1 << V_DELTA | 1 << V_XI)
 
 struct context {
     PyObject_HEAD
@@ -685,20 +634,19 @@ struct context {
 };
 
 /* Context(edges, starts, ids, opinions, mu, theta, circle, clock, count,
- * max_time, sum_w, **names): each array taken through the buffer protocol,
+ * max_time, **names): each array taken through the buffer protocol,
  * and its size checked once against m and n. The graph's tables are taken
  * as Graph checked them, and the edge ids before end as the engine did. */
 static PyObject *context_new(PyTypeObject *type, PyObject *args, PyObject *kwargs)
 {
     static char *names[] = {"edges", "starts", "ids", "opinions", "mu", "theta", "circle",
-                            "clock", "count", "max_time", "sum_w", "mt", "tw", "times",
-                            "edge_ids", "ties", "cursor", "end", "delta", "xi", "drawn", "t",
-                            "e", "k", NULL};
+                            "clock", "count", "max_time", "mt", "times", "edge_ids", "ties",
+                            "cursor", "end", "delta", "xi", "drawn", "t", "e", "k", NULL};
     struct context *self = (struct context *)type->tp_alloc(type, 0);
     PyObject *arrays[N_VIEWS] = {NULL};
     Py_buffer *v;
     double mu, theta, clock, max_time, t = 0.0;
-    int circle, sum_w, drawn = 0, j;
+    int circle, drawn = 0, j;
     long long count, cursor = 0, end = 0, e = 0, k = 0;
     Py_ssize_t m, n, events;
 
@@ -706,11 +654,11 @@ static PyObject *context_new(PyTypeObject *type, PyObject *args, PyObject *kwarg
         return NULL;
     v = self->views;
     if (!PyArg_ParseTupleAndKeywords(
-            args, kwargs, "OOOOddpdLdp|OOOOOLLOOpdLL:Context", names, &arrays[V_EDGES],
+            args, kwargs, "OOOOddpdLd|OOOOLLOOpdLL:Context", names, &arrays[V_EDGES],
             &arrays[V_STARTS], &arrays[V_IDS], &arrays[V_OP], &mu, &theta, &circle, &clock,
-            &count, &max_time, &sum_w, &arrays[V_MT], &arrays[V_TW], &arrays[V_TIMES],
-            &arrays[V_EDGE_IDS], &arrays[V_TIES], &cursor, &end, &arrays[V_DELTA],
-            &arrays[V_XI], &drawn, &t, &e, &k))
+            &count, &max_time, &arrays[V_MT], &arrays[V_TIMES], &arrays[V_EDGE_IDS],
+            &arrays[V_TIES], &cursor, &end, &arrays[V_DELTA], &arrays[V_XI], &drawn, &t, &e,
+            &k))
         goto fail;
     for (j = 0; j < N_VIEWS; j++)
         if (arrays[j] != NULL && arrays[j] != Py_None
@@ -725,26 +673,26 @@ static PyObject *context_new(PyTypeObject *type, PyObject *args, PyObject *kwarg
     if (v[V_EDGES].len % 16 || v[V_OP].len % 8 || v[V_STARTS].len != 8 * (n + 1)
             || v[V_IDS].len != 16 * m
             || (v[V_MT].obj ? m == 0 || v[V_TIMES].obj || v[V_MT].len != 4 * (MT_N + 1)
-                                  || v[V_TW].len != 4 * MT_N
                             : !v[V_TIMES].obj || v[V_TIMES].len % 8 || cursor < 0
                                   || cursor > end || end > events
                                   || v[V_EDGE_IDS].len != 8 * events || v[V_TIES].len != 8 * events)
             || (v[V_DELTA].obj && v[V_DELTA].len != 8 * m) || (v[V_XI].obj && v[V_XI].len != 8 * m)
             || (drawn && (e < 0 || e >= m))) {
         PyErr_SetString(PyExc_ValueError, "Context needs int64 edges, n + 1 starts, 2m ids, n "
-                        "opinions, one source (625 and 624 words on a graph with edges, or a "
+                        "opinions, one source (625 state words on a graph with edges, or a "
                         "schedule with 0 <= cursor <= end <= its length), m gaps and m bounds, "
                         "and a held edge below m");
         goto fail;
     }
     self->c = (struct cm_ctx){
-        .mt = v[V_MT].buf, .tw = v[V_TW].buf, .sched_t = v[V_TIMES].buf,
+        .mt = v[V_MT].buf, .sched_t = v[V_TIMES].buf,
         .sched_e = v[V_EDGE_IDS].buf, .sched_k = v[V_TIES].buf, .sched_end = end,
         .sched_next = cursor, .edges = v[V_EDGES].buf, .op = v[V_OP].buf,
         .inc_start = v[V_STARTS].buf, .inc_ids = v[V_IDS].buf, .delta = v[V_DELTA].buf,
         .xi = v[V_XI].buf, .m = m, .mu = mu, .theta = theta, .circle = circle, .clock = clock,
-        .count = count, .max_time = max_time, .drawn = drawn, .t = t, .e = e, .k = k,
-        .sum_w = sum_w, .w = NAN}; /* no T before the first chunk */
+        .count = count, .max_time = max_time, .drawn = drawn, .t = t, .e = e, .k = k};
+    if (self->c.mt)
+        temper_block(self->c.tw, self->c.mt); /* the block the state holds */
     return (PyObject *)self;
 fail:
     Py_DECREF(self);
@@ -775,33 +723,32 @@ static int context_traverse(PyObject *self, visitproc visit, void *arg)
 static PyObject *context_run(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     struct cm_ctx *c = &((struct context *)self)->c;
+    long long limit;
+    double next_probe;
     int64_t done;
 
     if (nargs != 2)
         return PyErr_Format(PyExc_TypeError, "run takes limit and next_probe");
-    if ((c->limit = PyLong_AsLongLong(args[0])) == -1 && PyErr_Occurred())
+    if ((limit = PyLong_AsLongLong(args[0])) == -1 && PyErr_Occurred())
         return NULL;
-    if ((c->next_probe = PyFloat_AsDouble(args[1])) == -1.0 && PyErr_Occurred())
+    if ((next_probe = PyFloat_AsDouble(args[1])) == -1.0 && PyErr_Occurred())
         return NULL;
-    /* a chunk that completes its limit may sum W too */
-    WITHOUT_GIL_IF(c->limit >= GIL_EVENTS || (c->sum_w && c->m >= GIL_EDGES),
-                   done = cm_run(c));
+    WITHOUT_GIL_IF(limit >= GIL_EVENTS, done = cm_run(c, limit, next_probe));
     return PyLong_FromLongLong(done);
 }
 
 static PyObject *context_total_w(PyObject *self, PyObject *Py_UNUSED(unused))
 {
     struct cm_ctx *c = &((struct context *)self)->c;
-    double w = c->w;
+    double w;
 
-    if (w != w)
-        WITHOUT_GIL_IF(c->m >= GIL_EDGES, w = cm_total_w(c));
+    WITHOUT_GIL_IF(c->m >= GIL_EDGES, w = cm_total_w(c));
     return PyFloat_FromDouble(w);
 }
 
 static PyMethodDef context_methods[] = {
     {"run", (PyCFunction)(void (*)(void))context_run, METH_FASTCALL, "cm_run: the events applied"},
-    {"total_w", context_total_w, METH_NOARGS, "T, when the last chunk left it; else cm_total_w"},
+    {"total_w", context_total_w, METH_NOARGS, "cm_total_w: T, the stop test's W"},
     {NULL, NULL, 0, NULL},
 };
 
@@ -816,7 +763,6 @@ static PyMemberDef context_members[] = {
     MEMBER(e, T_LONGLONG),
     MEMBER(k, T_LONGLONG),
     MEMBER(sched_next, T_LONGLONG),
-    MEMBER(w, T_DOUBLE),
     {NULL, 0, 0, 0, NULL},
 };
 

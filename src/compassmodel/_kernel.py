@@ -1,25 +1,39 @@
 """Build, load and drive the compiled chunk kernel, `_kernel.c`.
 
-The kernel is a CPython extension module, compiled on first use (the
-first graph it checks, or the first Poisson or scripted run or probe that
-can use it), not at import, with the system gcc and the interpreter's
-headers into $XDG_CACHE_HOME/compassmodel (default ~/.cache/compassmodel),
-under a name that hashes the source, the flags and the interpreter (its
-extension suffix and include directories), and loaded with importlib. Its
-type `Context` is a kernel run's context: built from the run's arrays
-through the buffer protocol, it holds them until it is freed, and its
-`run` and `total_w` call into C on it. Without gcc or without Python.h, or
-when reading the source, the build or the load fails (with a
-RuntimeWarning), `load()` returns None: the engine keeps to its Python
-loop, `Graph` to its numpy checks.
+The kernel is a CPython extension module, compiled with the system gcc and
+the interpreter's headers on first use (not at import) into
+$XDG_CACHE_HOME/compassmodel (default ~/.cache/compassmodel), under a name
+that hashes the source, the flags and the interpreter, and loaded with
+importlib. Without gcc or Python.h, or when reading the source, the build
+or the load fails (with a RuntimeWarning), `load()` returns None: the
+engine keeps to its Python loop, `Graph` to its numpy checks. `metrics` (a
+probe) and `graph` (`Graph`'s checks) are one call into C each.
 
-For the length of a kernel run, the state's opinions are the kernel's own
-buffer (`Opinions`), which the kernel updates in place and `engine._total_w`
-sums in C (`Context.total_w`); the run hands them back in the caller's list
-when it ends.
-
-`metrics` (a probe) and `graph` (`Graph`'s checks) are one call into C
-each, on the arrays themselves, taken as `Context` takes them.
+The life of a kernel run. `engine._run_loop` hands a Poisson or scripted
+run, without observers or with one DifferenceTracker of the run's own
+state, to a `Chunks`. Its `ctx`, an object of the kernel's `Context` type,
+is the one record of the run until it closes: the opinions (`Opinions`,
+which is `state.opinions` meanwhile, so probes read it in place and
+`engine._total_w` sums it in C through `Context.total_w`), the clock, the
+count, the generator's words or the schedule's cursor, the tracker's gaps
+and bounds, and the held event. The context holds the buffer of every
+array it reads or writes, so none can be resized under it.
+- `ctx.run(limit, next_probe)` is one chunk: it applies up to `limit`
+  events, each as stepping `engine.apply_event` and the tracker's
+  `apply_event` would, bit for bit, and returns the count.
+- An event drawn or replayed past `next_probe` or `max_time`, or parked in
+  `state.pending` before the run, is held, not applied. A later chunk
+  applies it first once it is no longer past them; the loop reads only its
+  time (`ctx.t`), after a chunk that stops short.
+- A replay reads the ScriptedStream's arrays in place, up to just before
+  the first event the Python loop refuses (an edge id out of range, or a
+  first time before the clock or the held event). A replay that stops short
+  holding nothing has run out there; the loop then takes that event off the
+  stream and refuses it, with the Python loop's count, clock and cursor.
+- `Chunks.close`, also when the run raises, writes it all back: the
+  opinions into the caller's list, the generator's state or the cursor (a
+  held replayed event counts as taken, as `next_event` takes it), the
+  tracker's lists, and the clock, count and held event for the state.
 """
 
 from __future__ import annotations
@@ -148,26 +162,17 @@ def graph(edges: np.ndarray, n: int):
 
 
 class Opinions(array.array):
-    """A kernel run's opinions: the kernel's own double buffer, which is
-    `state.opinions` for the length of the run, with the context's `total_w`."""
+    """A kernel run's opinions, with the context's `total_w`."""
 
 
 class Chunks:
-    """One kernel run's set-up and close; `ctx` is the run's `Context`.
-
-    Building it changes nothing on the state. The kernel's buffer (`buf`, an
-    `Opinions` whose `total_w` is the context's) is a copy of `values`, the
-    state's opinions as doubles, checked by `run`, and the parked event, if
-    any, is the context's held event. The kernel reads the graph's int64
-    `edge_array` and `incidence` and a ScriptedStream's arrays in place, the
-    replay up to just before the first event the Python loop refuses (an
-    edge id out of range, or a first time before the clock or the held
-    event). The generator's words and a DifferenceTracker's gaps and bounds
-    are copies the kernel updates.
+    """One kernel run's set-up and close (see the module docstring); `ctx`
+    is the run's `Context`. Building it changes nothing on the state: `buf`
+    is a copy of `values`, the state's opinions as doubles, checked by
+    `run`, and the generator's words and the tracker's lists are copies too.
     """
 
-    def __init__(self, lib, state, stream, max_time: float, values: array.array, tracker=None,
-                 sum_w: bool = False):
+    def __init__(self, lib, state, stream, max_time: float, values: array.array, tracker=None):
         g = state.graph
         self.state = state
         self.caller_opinions = state.opinions
@@ -187,35 +192,30 @@ class Chunks:
         else:
             self.version, words, self.gauss = stream.rng.getstate()
             self.mt = array.array("I", words)
-            given = dict(mt=self.mt, tw=array.array("I", bytes(4 * (len(words) - 1))))
+            given = dict(mt=self.mt)
         if tracker is not None:
             self.delta = given["delta"] = array.array("d", tracker.delta.values)
             if tracker.xi is not None:
                 self.xi = given["xi"] = array.array("d", tracker.xi.values)
         if pending is not None:
             given.update(drawn=True, t=pending.time, e=pending.edge_id, k=pending.tie)
-        # the context holds every buffer it reads or writes until it is freed
         self.ctx = lib.Context(
             g.edge_array, *g.incidence, self.buf, state.params.mu, state.params.theta,
-            state.space == "circle", state.clock, state.events_applied, max_time, sum_w, **given)
+            state.space == "circle", state.clock, state.events_applied, max_time, **given)
         self.buf.total_w = self.ctx.total_w
 
     def close(self) -> tuple[float, int, Event | None]:
-        """Copy the buffer back into the caller's list and put that list back
-        on the state (the buffer keeps the same doubles, for the terminal
-        probe); hand back the generator's state (`mt` alone is all of
-        `getstate()`) or the cursor, and the tracker's copies. The engine
-        calls it also when the run raises. Return the time of the last
-        applied event, the count of events applied, and the held event,
-        which no chunk applied, or None."""
+        """Write the run back (see the module docstring); `buf` keeps the
+        same doubles, for the terminal probe. Return the clock, the count
+        and the held event, or None."""
         del self.buf.total_w  # a plain array from here on
         self.state.opinions = self.caller_opinions
         self.caller_opinions[:] = self.buf.tolist()
         ctx = self.ctx
         if isinstance(self.stream, ScriptedStream):
-            # the held event counts as taken, as next_event takes it
             self.stream.cursor = ctx.sched_next
         else:
+            # `mt` alone is all of getstate()
             self.stream.rng.setstate((self.version, tuple(self.mt), self.gauss))
         if self.tracker is not None:
             self.tracker.delta.values[:] = self.delta.tolist()

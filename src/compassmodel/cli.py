@@ -31,7 +31,7 @@ from . import analysis, scenarios
 from .engine import (Constant, Explicit, IidUniform, PoissonStream, StopRule,
                      derive_seed, initial_opinions, new_simulation, run)
 from .opinion_space import ModelParams, _is_num, validate_params
-from .topology import build_path, build_ring, build_torus, load_edge_list
+from .topology import _whole, build_path, build_ring, build_torus, load_edge_list
 
 __all__ = ["ConfigError", "parse_config", "load_config", "run_batch", "main"]
 
@@ -47,8 +47,10 @@ class ConfigError(ValueError):
         super().__init__("; ".join(self.problems))
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
+def _int(x) -> int | None:
+    """x as an int by the library's whole-number rule (50, 50.0); a bool, a
+    fraction or anything else is None."""
+    return None if isinstance(x, bool) else _whole(x)
 
 
 def _is_finite(x) -> bool:
@@ -65,7 +67,9 @@ def parse_config(raw: dict) -> dict:
     confidence bound, graph and init keep only the keys of their kind, stop
     always carries w_check_interval, and mu, theta, tol, the probes and
     explicit init values are floats. NaN and Infinity are refused wherever
-    a number goes, except that an infinite theta means no bound.
+    a number goes, except that an infinite theta means no bound. Counts
+    (graph.n and dims, seed, replicates, max_events, w_check_interval) take
+    a whole float such as 1e6 as its int, as the library does.
     """
     problems: list[str] = []
     if not isinstance(raw, dict):
@@ -94,23 +98,23 @@ def parse_config(raw: dict) -> dict:
             problems.append(f"graph kind must be path, ring, torus, or file, got {kind!r}")
         elif kind in ("path", "ring"):
             n = graph.get("n")
-            if not _is_int(n):
+            if _int(n) is None:
                 problems.append(f"graph.n must be an integer, got {n!r}")
             elif n < (2 if kind == "path" else 3):
                 problems.append(f"graph.n={n} is too small for a {kind}")
             else:
-                vertices = n
-            graph = {"kind": kind, "n": n}
+                vertices = _int(n)
+            graph = {"kind": kind, "n": _int(n)}
         elif kind == "torus":
             dims = graph.get("dims")
-            if (not isinstance(dims, list) or not dims
-                    or not all(_is_int(d) for d in dims)):
+            sides = [_int(d) for d in dims] if isinstance(dims, list) else []
+            if not sides or None in sides:
                 problems.append(f"graph.dims must be a list of integers, got {dims!r}")
-            elif any(d < 3 for d in dims):
-                problems.append(f"every torus side must be at least 3, got {dims}")
+            elif any(d < 3 for d in sides):
+                problems.append(f"every torus side must be at least 3, got {sides}")
             else:
-                graph = {"kind": kind, "dims": list(dims)}
-                vertices = math.prod(dims)
+                graph = {"kind": kind, "dims": sides}
+                vertices = math.prod(sides)
         else:
             path = graph.get("path")
             if not isinstance(path, str) or not path:
@@ -148,11 +152,11 @@ def parse_config(raw: dict) -> dict:
                     problems.extend(_count_problems(init, vertices))
 
     seed = raw.get("seed", 0)
-    if not _is_int(seed):
+    if _int(seed) is None:
         problems.append(f"seed must be an integer, got {seed!r}")
 
     replicates = raw.get("replicates", 1)
-    if not _is_int(replicates) or replicates < 1:
+    if _int(replicates) is None or replicates < 1:
         problems.append(f"replicates must be a positive integer, got {replicates!r}")
 
     stop = raw.get("stop")
@@ -163,25 +167,22 @@ def parse_config(raw: dict) -> dict:
             if key not in ("max_events", "max_time", "w_below", "w_check_interval"):
                 problems.append(f"unknown stop key {key!r}")
         stop_me = stop.get("max_events")
-        if stop_me is not None and (not _is_int(stop_me) or stop_me < 0):
+        if stop_me is not None and (_int(stop_me) is None or stop_me < 0):
             problems.append(f"stop.max_events must be a nonnegative integer, got {stop_me!r}")
-            stop_me = None
         stop_mt = stop.get("max_time")
         if stop_mt is not None and (not _is_finite(stop_mt) or stop_mt < 0):
             problems.append(f"stop.max_time must be a nonnegative number, got {stop_mt!r}")
-            stop_mt = None
         stop_wb = stop.get("w_below")
         if stop_wb is not None and (not _is_finite(stop_wb) or stop_wb <= 0):
             problems.append(f"stop.w_below must be a positive number, got {stop_wb!r}")
-            stop_wb = None
         stop_iv = stop.get("w_check_interval", 100)
-        if not _is_int(stop_iv) or stop_iv < 1:
+        if _int(stop_iv) is None or stop_iv < 1:
             problems.append(f"stop.w_check_interval must be a positive integer, got {stop_iv!r}")
         if stop_me is None and stop_mt is None and stop_wb is None:
             problems.append("stop needs at least one of max_events, max_time, w_below")
-        stop = {key: v for key, v in (("max_events", stop_me), ("max_time", stop_mt),
+        stop = {key: v for key, v in (("max_events", _int(stop_me)), ("max_time", stop_mt),
                                       ("w_below", stop_wb)) if v is not None}
-        stop["w_check_interval"] = stop_iv
+        stop["w_check_interval"] = _int(stop_iv)
 
     probes = raw.get("probes", [])
     if not isinstance(probes, list) or not all(_is_finite(p) for p in probes):
@@ -197,7 +198,7 @@ def parse_config(raw: dict) -> dict:
         raise ConfigError(problems)
     return {"model": model, "graph": graph, "mu": float(mu),
             "theta": None if theta is None or math.isinf(theta) else float(theta),
-            "init": init, "seed": seed, "replicates": replicates, "stop": stop,
+            "init": init, "seed": _int(seed), "replicates": _int(replicates), "stop": stop,
             "probes": [float(p) for p in probes], "tol": float(tol)}
 
 

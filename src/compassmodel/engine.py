@@ -297,18 +297,9 @@ class StopRule:
     Several bounds may be set at once; whichever trips first ends the run
     and names the stop reason. The W test runs every w_check_interval
     events and once more when the event budget lands, so a run that
-    converges exactly at the budget still counts as converged. It is exact:
-    it stops exactly when the left-to-right sum of the edge distances is
-    below w_below. A test that sums costs O(edges), in C on a kernel run.
-    An event on an edge at distance d moves each of its two ends by mu * d,
-    and so each edge distance at them by at most mu * d; those edges hold
-    at most 2 * max_degree ends, so W moves by at most step = 2 *
-    max_degree * mu per event (with 2**-50 more per end for the rounded
-    moves). A sum T rules out a stop for the next (T - w_below) / step
-    events, less a rounding margin: the tests in that window answer "not
-    below" without a sum, which they would have found anyway. While W is
-    large a run sums rarely; within step * w_check_interval of w_below, at
-    every test.
+    converges exactly at the budget still counts as converged. It stops
+    exactly when the left-to-right sum of the edge distances is below
+    w_below, but sums them only where a stop is possible (see `_run_loop`).
 
     max_events and w_check_interval are counts: a whole float such as 1e6
     (as JSON gives it) is taken as its int; bools and other numbers are
@@ -342,20 +333,23 @@ class StopRule:
             raise ValueError(f"w_check_interval must be >= 1, got {self.w_check_interval}")
 
 
-def _check_event(state: SimState, clock: float, t: float, e, k) -> tuple[int, int]:
+def _check_event(edge_count: int, clock: float, t: float, e, k) -> tuple[int, int]:
     """Refuse an event the loop did not draw itself: an edge id that is not
-    a whole number or is out of range, a time that is NaN or before the
-    clock, or a tie other than 1 or 2. The interval ignores the tie, but it
-    too takes only those two, as a drawn, scripted or restored event does.
+    a whole number or is out of range, a time that is NaN, before the clock
+    or not finite, or a tie other than 1 or 2. The interval ignores the
+    tie, but it too takes only those two, as a drawn, scripted or restored
+    event does.
     Return the edge id and the tie as ints: 1.0 or np.int64(1) is taken as
     1, and 1.5 is refused, on every loop."""
     edge = _whole(e)
     if edge is None:
         raise ValueError(f"edge id must be a whole number, got {e!r}")
-    if not 0 <= edge < state.graph.edge_count:
+    if not 0 <= edge < edge_count:
         raise ValueError(f"edge id {edge} out of range")
     if not t >= clock:
         raise ValueError(f"event at {t} is earlier than the clock {clock}")
+    if not -math.inf < t < math.inf:
+        raise ValueError(f"event at {t} is not finite")
     if k not in (1, 2):
         raise ValueError(f"tie must be 1 or 2, got {k!r}")
     return edge, int(k)
@@ -367,7 +361,7 @@ def apply_event(state: SimState, ev: Event) -> None:
     Only the event edge's endpoints may change. Gated events (pairs beyond
     the confidence bound) still advance the clock and the event count.
     """
-    e, k = _check_event(state, state.clock, ev.time, ev.edge_id, ev.tie)
+    e, k = _check_event(state.graph.edge_count, state.clock, ev.time, ev.edge_id, ev.tie)
     a, b = state.graph.edges[e]
     op = state.opinions
     if state.space == "circle":
@@ -382,8 +376,7 @@ def _total_w(state: SimState) -> float:
     """The left-to-right sum of the edge distances, in edge-id order."""
     op = state.opinions
     # a kernel run's opinions are the kernel's buffer, whose total_w (the
-    # context's) sums them in C the same way, or hands back T, the same sum
-    # left by the chunk that ended at this test
+    # context's) sums them in C the same way
     in_c = getattr(op, "total_w", None)
     if in_c is not None:
         return in_c()
@@ -460,7 +453,8 @@ def run(state: SimState, stream=None, stop: StopRule | None = None,
         stream.cursor = cursor
     pending = state.pending
     if pending is not None:
-        e, k = _check_event(state, state.clock, pending.time, pending.edge_id, pending.tie)
+        e, k = _check_event(g.edge_count, state.clock, pending.time, pending.edge_id,
+                            pending.tie)
         if type(pending.edge_id) is not int or type(pending.tie) is not int:
             # taken as plain ints once, for every loop and for snapshot
             state.pending = Event(pending.time, e, k)
@@ -533,59 +527,29 @@ def _run_loop(state: SimState, stream, stop: StopRule, probes, samples,
     the stop reason and the final opinions: the caller's list, or on a
     kernel run the kernel's buffer, which holds the same doubles.
 
-    Poisson events are drawn inline, with the three draws of
-    PoissonStream.next_event; other streams are asked for their next event,
-    which gets apply_event's checks (an edge id or tie that is a whole
-    number is taken as an int), as a parked pending event gets them in
-    `run`. Each event is applied with the scalar rule that apply_event
-    calls, so a run is stepping apply_event (a property the tests pin down).
+    Poisson events are drawn inline, with PoissonStream.next_event's three
+    draws; other streams' events get apply_event's checks, as a parked event
+    gets them in `run`. Each event is applied with the scalar rule that
+    apply_event calls, so a run is stepping apply_event. A run the kernel
+    takes (see `_kernel`) goes to it in chunks that end at the next W test
+    or the budget, after _CHUNK events, or at an event past the next probe
+    or max_time. Every W test, probe and stop decision stays here.
 
-    A Poisson or ScriptedStream run without observers, or whose one
-    observer is a DifferenceTracker (which `run` has checked), hands every
-    event to the compiled kernel (`_kernel.c`) when it loads, in chunks
-    that end where the W test or the budget is due or at an event drawn or
-    replayed past the next probe or max_time. The kernel's context is the
-    one record of such a run: the clock, the event count, the generator or
-    the stream's cursor, and the event drawn past a probe or parked, which
-    a chunk applies first once it is not past the next probe or max_time;
-    the loop sees only its time, and reads it only after a chunk that
-    stops short of its limit. A replay that stops short holding no event
-    has run out of schedule: the kernel's schedule ends just before the
-    first event this loop refuses, which the loop then takes off the stream
-    and refuses, as its Python branch would, with the same count, clock and
-    cursor. The kernel updates the tracker's gaps and bounds after every
-    event; the loop does not call the tracker. Every W test, probe and stop
-    decision stays here. For the length of the run `state.opinions` is the
-    kernel's buffer: probes read it in place, and a W test reads the sum
-    `_total_w` the chunk that ended at it left in C. A W test that sums and
-    the chunk after it cost one `_total_w` call and one call of the
-    context's `run`, a method of the kernel's `Context` type, with no `min`
-    and no tuple between them. At the end, also when the run raises,
-    `Chunks.close` hands all of it back to the state and the stream.
-
-    A W test that sums all m edges, T at count c, answers the tests in a
-    window after it without a sum. An event on an edge at distance d moves
-    each of its ends by mu * d along the chart (the linear, cut and tie
-    branches alike, and the interval's rule), and an edge distance moves by
-    at most the moves of its two ends. The edges at the event's ends hold
-    at most 2 * max_degree ends (the event's own edge two of them), so W
-    moves by at most 2 * max_degree * mu * d <= 2 * max_degree * mu. A
-    computed move is within 2**-51 of mu * d (a few roundings of values
-    below 2 in magnitude), so step = 2 * max_degree * (mu + 2**-50), even
-    rounded down twice, bounds what one event does to W, and no sum at a
-    count up to c + (T - w_below - margin) / step can fall below w_below.
-    `margin` covers the rounding of T at both ends (each term is within
-    2**-52 of its distance, and a left-to-right sum of m terms in [0, 1]
-    rounds by less than (m * m + m) * 2**-53), and the rounding of the
-    window's own arithmetic. The next check is the first test past the
-    window, so a chunk spans the whole window. A window is worked out only
-    when it skips a test (T >= gate); below that, the price is one float
-    compare.
-
-    A run that raises (a probe's metrics, an observer, a KeyboardInterrupt)
-    after drawing an event and before applying it parks that event in
-    `state.pending`, and keeps the count of the events it applied, so a
-    resumed run keeps the trajectory.
+    A W test that sums all m edges, T at count c, rules out a stop for a
+    window after it. An event on an edge at distance d moves each of its
+    ends by mu * d (every branch of both rules), and an edge distance by at
+    most the moves of its two ends. The edges at the event's ends hold at
+    most 2 * max_degree ends, and a computed move is within 2**-51 of
+    mu * d, so step = 2 * max_degree * (mu + 2**-50), even rounded down
+    twice, bounds what one event does to W. No sum at a count up to
+    c + (T - w_below - margin) / step can fall below w_below: margin covers
+    the rounding of T at both ends (m terms in [0, 1], each within 2**-52
+    of its distance, summed left to right round by less than
+    (m * m + m) * 2**-53) and of the window's own arithmetic. The next test
+    that sums is the first past the window. The window is worked out only
+    when T >= gate, where it skips a test; below, it costs one compare.
+    A run that raises after drawing an event and before applying it parks
+    the event in `state.pending` and keeps its count of applied events.
     """
     g = state.graph
     space = state.space
@@ -633,8 +597,7 @@ def _run_loop(state: SimState, stream, stop: StopRule, probes, samples,
 
     try:
         if lib:
-            kernel = _kernel.Chunks(lib, state, stream, max_time, values, tracker,
-                                    sum_w=w_below is not None)
+            kernel = _kernel.Chunks(lib, state, stream, max_time, values, tracker)
             # the kernel's until it closes; set once `kernel` is, so that an
             # interrupt as the context is built finds the state untouched
             state.opinions, state.pending = kernel.buf, None
@@ -662,9 +625,6 @@ def _run_loop(state: SimState, stream, stop: StopRule, probes, samples,
                 if check_at > max_events:
                     check_at = max_events
             if kernel:
-                # the kernel keeps the clock, the count and the event it holds
-                # past next_probe or max_time until it closes; a chunk that
-                # stops short holds one, and the loop reads its time
                 limit = check_at - count
                 if limit > chunk:
                     limit = chunk
@@ -691,8 +651,7 @@ def _run_loop(state: SimState, stream, stop: StopRule, probes, samples,
                     except ScheduleExhausted:
                         reason = "schedule_exhausted"
                         break
-                    e, k = _check_event(state, clock, pending.time, pending.edge_id,
-                                        pending.tie)
+                    e, k = _check_event(m, clock, pending.time, pending.edge_id, pending.tie)
                 else:
                     e, k = pending.edge_id, pending.tie  # checked by `run`
                 t = pending.time
@@ -737,7 +696,7 @@ def _run_loop(state: SimState, stream, stop: StopRule, probes, samples,
         # the replay ended before an event the Python loop refuses: take it
         # and refuse it as that loop does, the cursor past it
         ev = stream.next_event(state)
-        _check_event(state, clock, ev.time, ev.edge_id, ev.tie)
+        _check_event(m, clock, ev.time, ev.edge_id, ev.tie)
     op = kernel.buf if kernel else state.opinions
     while pi < len(probes) and (next_probe <= clock or reason == "schedule_exhausted"):
         samples.append(compute(g, op, space, at_time=next_probe))
@@ -889,11 +848,11 @@ def _restore(r: _Reader) -> SimState:
         g = Graph("custom", n, np.frombuffer(r.take_bytes(8 * m), dtype="<u4").reshape(m, 2))
     else:
         raise SnapshotError(f"unknown graph kind code {kind_code}")
-    if pending is not None and not (pending.edge_id < g.edge_count and pending.tie in (1, 2)
-                                    and clock <= pending.time < math.inf):
-        raise SnapshotError(
-            f"pending event {pending} needs an edge id below {g.edge_count}, "
-            f"tie 1 or 2 and a finite time not before the clock {clock}")
+    if pending is not None:
+        try:
+            _check_event(g.edge_count, clock, pending.time, pending.edge_id, pending.tie)
+        except ValueError as exc:
+            raise SnapshotError(f"pending event {pending}: {exc}") from None
 
     # checked as an explicit start is
     space = _SPACE_NAMES[space_code]

@@ -58,10 +58,16 @@ class FlattenPlan:
 
 def _clock(start_time: float, time_step: float, k: int) -> np.ndarray:
     """The k times start_time + time_step, + time_step, ...: a sequential
-    accumulate, so each is the float that `t += time_step` gives."""
+    accumulate, so each is the float that `t += time_step` gives. A step
+    that leaves the clock where it was raises ValueError."""
     steps = np.full(k + 1, time_step, dtype=np.float64)
     steps[0] = start_time
-    return np.add.accumulate(steps)[1:]
+    times = np.add.accumulate(steps)
+    stuck = np.flatnonzero(times[1:] <= times[:-1])
+    if stuck.size:
+        raise ValueError(f"time_step {time_step} does not advance the clock from "
+                         f"{float(times[stuck[0]])}")
+    return times[1:]
 
 
 def flatten_schedule(g: Graph, edge_ids, eps: float, params: ModelParams,
@@ -81,7 +87,8 @@ def flatten_schedule(g: Graph, edge_ids, eps: float, params: ModelParams,
 
     eps must be positive (not NaN); an eps at or above the initial mass
     yields an empty plan. start_time must be finite and time_step finite
-    and positive; anything else raises ValueError. The segment must be a
+    and positive, large enough that every time is later than the one
+    before; anything else raises ValueError. The segment must be a
     simple chain: flattening a full ring has nowhere to leak and is
     refused.
     """

@@ -131,6 +131,47 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="seed"):
             parse_config(minimal_raw(seed=True))
 
+    @pytest.mark.parametrize("graph,whole", [
+        ({"kind": "ring", "n": 6}, {"kind": "ring", "n": 6.0}),
+        ({"kind": "torus", "dims": [3, 4]}, {"kind": "torus", "dims": [3.0, 4]}),
+    ])
+    def test_whole_float_counts_run_as_their_ints(self, graph, whole, tmp_path):
+        # a JSON writer may give a count as 6.0 or a budget as 2e2, as the
+        # library takes them: the same bytes, and the int echoed
+        stop = {"max_events": 200, "w_below": 1e-9, "w_check_interval": 10}
+        ints = minimal_raw(graph=graph, seed=3, replicates=2, stop=stop, probes=[0.5])
+        floats = minimal_raw(graph=whole, seed=3.0, replicates=2.0, probes=[0.5],
+                             stop={"max_events": 2e2, "w_below": 1e-9, "w_check_interval": 10.0})
+        outs = []
+        for name, raw in [("ints", ints), ("floats", floats)]:
+            out = tmp_path / name
+            assert main(["run", str(write_config(tmp_path, raw, f"{name}.json")), "-o",
+                         str(out)]) == 0
+            outs.append([strip_metadata(out / "aggregate.json"),
+                         *[(out / f"replicate_{i:04d}.csv").read_bytes() for i in range(2)]])
+        assert outs[0] == outs[1]
+        assert json.dumps(outs[1][0]["config"]) == json.dumps(parse_config(ints))
+
+    @pytest.mark.parametrize("extra,message", [
+        ({"stop": {"max_events": -1}}, "stop.max_events must be a nonnegative integer, got -1"),
+        ({"stop": {"max_events": 1.5}}, "stop.max_events must be a nonnegative integer, got 1.5"),
+        ({"stop": {"max_events": True}},
+         "stop.max_events must be a nonnegative integer, got True"),
+        ({"stop": {"max_time": 1.0, "w_check_interval": 2.5}},
+         "stop.w_check_interval must be a positive integer, got 2.5"),
+        ({"graph": {"kind": "ring", "n": True}}, "graph.n must be an integer, got True"),
+        ({"graph": {"kind": "path", "n": 5.5}}, "graph.n must be an integer, got 5.5"),
+        ({"graph": {"kind": "torus", "dims": [3, True]}},
+         "graph.dims must be a list of integers, got [3, True]"),
+        ({"replicates": 2.5}, "replicates must be a positive integer, got 2.5"),
+        ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+    ])
+    def test_a_count_that_is_not_whole_is_one_problem(self, extra, message):
+        # a budget that is given but bad is not also reported missing
+        with pytest.raises(ConfigError) as exc:
+            parse_config(minimal_raw(**extra))
+        assert exc.value.problems == [message]
+
     def test_missing_file_reports_path(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read config"):
             load_config(tmp_path / "nope.json")

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -121,6 +122,16 @@ class TestFlattenSchedule:
         args = {"eps": 1e-3, **kwargs}
         with pytest.raises(ValueError, match=message):
             flatten_schedule(build_path(6), [1, 2, 3], params=ModelParams(), **args)
+
+    @pytest.mark.parametrize("start_time,time_step,stuck", [
+        (1e17, 1.0, 1e17), (1.0, 1e-17, 1.0), (2.0**53 - 2, 1.0, 2.0**53)])
+    def test_times_that_do_not_increase_are_refused(self, start_time, time_step, stuck):
+        # a step too small to move the clock, from the start or once the
+        # clock has grown: the plan gave times a ScriptedStream refuses
+        message = f"time_step {time_step} does not advance the clock from {stuck}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            flatten_schedule(build_path(6), [1, 2, 3], 1e-3, ModelParams(),
+                             start_time=start_time, time_step=time_step)
 
     @given(st.integers(min_value=2, max_value=12), st.data(),
            st.floats(min_value=0.0, max_value=0.5, exclude_min=True),
