@@ -233,7 +233,9 @@ static void track(const struct cm_ctx *c, int64_t e)
 }
 
 /* engine._total_w in C: the left-to-right sum of the edge distances in
- * edge-id order, with the same fold, so bitwise the same sum */
+ * edge-id order, with the same fold, so bitwise the same sum. On the circle
+ * a distance x is folded to 2 - x just when that is below x, that is when
+ * x > 1 (there 2 - x is exact; at 1 both are 1): one select, no branch. */
 static double cm_total_w(struct cm_ctx *c)
 {
     const int64_t *edges = c->edges;
@@ -244,7 +246,8 @@ static double cm_total_w(struct cm_ctx *c)
 
     for (f = 0; f < c->m; f++) {
         const double x = fabs(op[edges[2 * f]] - op[edges[2 * f + 1]]);
-        total += (x <= 1.0 || !circle) ? x : 2.0 - x;
+        const double y = circle ? 2.0 - x : x;
+        total += y < x ? y : x;
     }
     return total;
 }
@@ -358,9 +361,9 @@ static inline void acc_add(int64_t *d, double x)
     uint64_t bits;
 
     memcpy(&bits, &x, sizeof bits);
-    const uint64_t biased = bits >> 52, frac = bits & ((UINT64_C(1) << 52) - 1);
-    const uint64_t mant = biased ? frac | UINT64_C(1) << 52 : frac;
-    const uint64_t shift = biased ? biased - 1 : 0, r = shift & 31;
+    const uint64_t biased = bits >> 52, normal = biased != 0;
+    const uint64_t mant = (bits & ((UINT64_C(1) << 52) - 1)) | normal << 52;
+    const uint64_t shift = biased - normal, r = shift & 31;
     const uint64_t up = mant >> (32 - r); /* the parts at and above the next digit */
     int64_t *p = d + (shift >> 5);
 
@@ -438,10 +441,17 @@ static inline int product_below_zero(double a, double b)
     return xy < -0x1p125;
 }
 
-/* a nonzero gap under TINY_GAP in magnitude */
+/* a nonzero gap under TINY_GAP in magnitude: the bits of |g| and of
+ * TINY_GAP, each less one, compared unsigned, so that zero's wrap past all
+ * others, with no branch */
 static inline int tiny_gap(double g)
 {
-    return g != 0.0 && fabs(g) < TINY_GAP;
+    const double a = fabs(g), tiny = TINY_GAP;
+    uint64_t bits, below;
+
+    memcpy(&bits, &a, sizeof bits);
+    memcpy(&below, &tiny, sizeof below);
+    return bits - 1 < below - 1;
 }
 
 /* cm_metrics' results besides W */
@@ -451,73 +461,96 @@ struct cm_probe {
                              multiply to below zero, and all such pairs */
 };
 
-/* One probe of the graph of m edges (tail, head) on n vertices, whose
- * incidence is start and ids: W, with the largest |gap| and the flips in
- * *out. The gaps are worked out from the opinions op into the m doubles of
- * d when op is not NULL; else d holds them and is only read. */
-static double cm_metrics(const int64_t *edges, int64_t m, const int64_t *start,
-                         const int64_t *ids, int64_t n, const double *op, double *d,
-                         int circle, struct cm_probe *out)
+/* The gap of edge f: given in d when op is NULL, else worked out from the
+ * opinions op, mod_s(op[head] - op[tail]) on the circle. Below 2 in
+ * magnitude fmod returns the gap as it is. The fold into (-1, 1] is wrap's,
+ * bit for bit (g - 2 * 0 is g, -0.0 too), from two compares and no branch:
+ * from a uniform start one gap in four folds, at random, where wrap's
+ * branches would miss. */
+static inline double probe_gap(const int64_t *edges, const double *op, const double *d,
+                               int circle, int64_t f)
+{
+    double g;
+
+    if (!op)
+        return d[f];
+    g = op[edges[2 * f + 1]] - op[edges[2 * f]];
+    if (!circle)
+        return g;
+    if (fabs(g) >= 2.0)
+        g = fmod(g, 2.0);
+    return g - 2.0 * ((g > 1.0) - (g <= -1.0));
+}
+
+/* cm_metrics for one source of gaps (given, or from the opinions on the
+ * circle or the interval): forced inline into cm_metrics with op and circle
+ * constants, so each pass compiles without the others' branches */
+static inline __attribute__((always_inline)) double
+probe_pass(const int64_t *edges, int64_t m, const int64_t *start, const int64_t *ids,
+           int64_t n, const double *op, const double *d, const int circle, uint64_t *signs,
+           struct cm_probe *out)
 {
     double top = 0.0;
     int64_t f, v, p, q, flips = 0, pairs = 0, w[ACC_DIGITS] = {0};
+    int tiny = 0;
 
-    /* the gaps, from the opinions when op is set, else given in d; W's
-     * digits, and the largest |gap| */
     for (f = 0; f < m; f++) {
-        double g;
-        if (op) {
-            g = op[edges[2 * f + 1]] - op[edges[2 * f]];
-            /* mod_s: below 2 in magnitude fmod returns the gap as it is */
-            if (circle)
-                g = wrap(fabs(g) >= 2.0 ? fmod(g, 2.0) : g);
-            d[f] = g;
-        } else {
-            g = d[f];
-        }
-        const double a = fabs(g);
+        const double g = probe_gap(edges, op, d, circle, f), a = fabs(g);
+        const uint64_t sign = (uint64_t)(g > 0.0) | (uint64_t)(g < 0.0) << 32;
         if (!(a <= DBL_MAX))
             return NAN; /* an infinite or NaN gap: the numpy path decides */
-        if (a > top)
-            top = a;
+        top = a > top ? a : top;
         acc_add(w, a);
         if ((f & (ACC_TERMS - 1)) == ACC_TERMS - 1)
             acc_carry(w);
+        signs[edges[2 * f]] += sign;
+        signs[edges[2 * f + 1]] += sign;
+        tiny |= tiny_gap(g);
     }
-    /* the pairs of edges at each vertex, and those whose gaps multiply to
-     * below zero: pos * neg, less the pairs of opposite signs with a tiny
-     * gap whose product rounds to -0.0 */
     for (v = 0; v < n; v++) {
-        const int64_t s = start[v], e = start[v + 1];
-        int64_t pos = 0, neg = 0, tiny = 0;
-        for (p = s; p < e; p++) {
-            const double g = d[ids[p]];
-            pos += g > 0.0;
-            neg += g < 0.0;
-            tiny |= tiny_gap(g);
-        }
-        pairs += (e - s) * (e - s - 1) / 2;
-        flips += pos * neg;
-        if (!tiny)
-            continue;
-        /* each tiny gap against every gap of the other sign; a pair of two
-         * tiny gaps once, from its later one */
-        for (p = s; p < e; p++) {
-            const double a = d[ids[p]];
+        const int64_t degree = start[v + 1] - start[v];
+        pairs += degree * (degree - 1) / 2;
+        flips += (int64_t)((uint32_t)signs[v] * (signs[v] >> 32));
+    }
+    /* each tiny gap against every gap of the other sign at the same vertex;
+     * a pair of two tiny gaps once, from its later one */
+    for (v = 0; v < n && tiny; v++)
+        for (p = start[v]; p < start[v + 1]; p++) {
+            const double a = probe_gap(edges, op, d, circle, ids[p]);
             if (!tiny_gap(a))
                 continue;
-            for (q = s; q < e; q++) {
-                const double b = d[ids[q]];
+            for (q = start[v]; q < start[v + 1]; q++) {
+                const double b = probe_gap(edges, op, d, circle, ids[q]);
                 if ((a > 0.0 ? b < 0.0 : b > 0.0) && !(q > p && tiny_gap(b))
                         && !product_below_zero(a, b))
                     flips--;
             }
         }
-    }
     out->top = top;
     out->flips = flips;
     out->pairs = pairs;
     return acc_round(w);
+}
+
+/* One probe of the graph of m edges (tail, head) on n vertices, whose
+ * incidence is start and ids: W, with the largest |gap| and the flips in
+ * *out, of the gaps given in d when op is NULL, else of the opinions op.
+ * One pass over the edges reads each gap once. It adds |gap| to W's
+ * digits, and counts the gap's sign at both of its ends in signs: the n
+ * counts pos + neg * 2^32 of a vertex's positive and negative gaps (a
+ * vertex has fewer than 2^32 edges), zeroed by the caller. A vertex's flips
+ * are its pos * neg, less the pairs of opposite signs with a tiny gap whose
+ * product rounds to -0.0: only when the pass met a gap under TINY_GAP, a
+ * second pass over the incidence works the gaps out again to find those. */
+static double cm_metrics(const int64_t *edges, int64_t m, const int64_t *start,
+                         const int64_t *ids, int64_t n, const double *op, const double *d,
+                         int circle, uint64_t *signs, struct cm_probe *out)
+{
+    if (!op)
+        return probe_pass(edges, m, start, ids, n, NULL, d, 0, signs, out);
+    if (circle)
+        return probe_pass(edges, m, start, ids, n, op, NULL, 1, signs, out);
+    return probe_pass(edges, m, start, ids, n, op, NULL, 0, signs, out);
 }
 
 /* cm_graph's answers other than the id of an offending edge */
@@ -790,7 +823,8 @@ static PyObject *metrics(PyObject *Py_UNUSED(module), PyObject *args)
     Py_buffer edges, start, ids, values;
     int circle, opinions;
     int64_t m, n;
-    double w = NAN, *d = NULL;
+    double w = NAN;
+    uint64_t *signs = NULL;
     struct cm_probe out = {0.0, 0, 0};
     PyObject *result = NULL;
 
@@ -804,18 +838,17 @@ static PyObject *metrics(PyObject *Py_UNUSED(module), PyObject *args)
             || values.len != (opinions ? n : m) * (Py_ssize_t)sizeof(double))
         PyErr_SetString(PyExc_ValueError, "metrics needs int64 edges, n + 1 starts, 2m ids, "
                         "and n opinions or m gaps");
-    else if (opinions && (d = malloc((size_t)(m ? m : 1) * sizeof *d)) == NULL)
+    else if ((signs = calloc((size_t)(n ? n : 1), sizeof *signs)) == NULL)
         PyErr_NoMemory();
     else {
-        /* given the gaps, d is values, which cm_metrics only reads */
         WITHOUT_GIL_IF(m >= GIL_EDGES,
                        w = cm_metrics(edges.buf, m, start.buf, ids.buf, n,
                                       opinions ? values.buf : NULL,
-                                      opinions ? d : values.buf, circle, &out));
+                                      opinions ? NULL : values.buf, circle, signs, &out));
         result = Py_BuildValue("ddLL", w, out.top, (long long)out.flips,
                                (long long)out.pairs);
     }
-    free(d);
+    free(signs);
     PyBuffer_Release(&edges);
     PyBuffer_Release(&start);
     PyBuffer_Release(&ids);

@@ -162,13 +162,14 @@ def compute_metrics(g: Graph, opinions, space: str = "circle",
     passed in (then that list is used verbatim, drift and all). W is an
     exactly rounded sum, `math.fsum` bit for bit, so it does not depend on
     edge order. The sign-flip fraction counts the pairs of edges at one
-    vertex whose gaps multiply to below zero, vertex by vertex over
-    `Graph.incidence`. When the compiled kernel loads, the gaps, W, the
-    largest gap and the flips come from one pass in C (`_kernel.metrics`),
-    which sums W exactly in fixed point and rounds it once, in time that
-    does not grow with the spread of the gaps; without it, and when a gap
-    is not finite or W rounds past the largest double, numpy passes and
-    `math.fsum` give the same bits, or the same error.
+    vertex whose gaps multiply to below zero. When the compiled kernel
+    loads, the gaps, W, the largest gap and the flips come from one
+    streaming pass over the edges in C (`_kernel.metrics`), which sums W
+    exactly in fixed point and rounds it once, in time that does not grow
+    with the spread of the gaps, and counts each gap's sign at both of its
+    ends; without it, and when a gap is not finite or W rounds past the
+    largest double, numpy passes and `math.fsum` give the same bits, or the
+    same error.
     """
     if space not in ("circle", "interval"):
         raise ValueError(f"unknown space {space!r}")

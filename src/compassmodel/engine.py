@@ -409,18 +409,21 @@ def run(state: SimState, stream=None, stop: StopRule | None = None,
     state (a twin, or the state a snapshot was taken of) would re-read that
     state's opinions and drift. Such a tracker, one whose gaps or bounds are
     not one per edge of a graph equal to the state's, opinions that are not
-    one per vertex or lie outside the space's chart (NaN included), a NaN
-    probe time, a Poisson stream on a graph without edges, a scripted
-    stream whose cursor is not a whole number within its schedule, and a
-    parked pending event that apply_event would refuse raise ValueError
-    before the first event, with the state untouched. A cursor, or a
-    parked event's edge id or tie, that is a whole number of another type
-    (1.0, np.int64(1)) is put back as a plain int.
+    one per vertex or lie outside the space's chart (NaN included), a clock
+    that is not finite (as `restore` refuses it), a NaN probe time, a
+    Poisson stream on a graph without edges, a scripted stream whose cursor
+    is not a whole number within its schedule, and a parked pending event
+    that apply_event would refuse raise ValueError before the first event,
+    with the state untouched. A cursor, or a parked event's edge id or tie,
+    that is a whole number of another type (1.0, np.int64(1)) is put back as
+    a plain int.
     """
     observers = tuple(observers)
     g = state.graph
     if len(state.opinions) != g.vertex_count:
         raise ValueError(f"expected {g.vertex_count} opinions, got {len(state.opinions)}")
+    if not math.isfinite(state.clock):
+        raise ValueError(f"clock {state.clock} is not finite")
     # one copy as doubles, which a kernel run starts from; a value that is not
     # a real number (a string, None) raises TypeError. The rules keep
     # opinions in the chart, so every edge distance stays in [0, 1]

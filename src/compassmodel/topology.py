@@ -69,6 +69,14 @@ def _endpoints(arr: np.ndarray, n: int) -> np.ndarray:
                     dtype=np.int64).reshape(arr.shape)
 
 
+@dataclass(frozen=True)
+class _Built:
+    """A builder's own edge table, a fresh C-ordered int64 (m, 2) array that
+    no caller holds: Graph keeps it as it is, without a second copy."""
+
+    array: np.ndarray
+
+
 def _fault(edges, arr: np.ndarray, i: int, n: int) -> ValueError:
     """The error for edge i, the first offending one, as an edge-by-edge
     scan words it, with the endpoints as given."""
@@ -87,8 +95,10 @@ def _fault(edges, arr: np.ndarray, i: int, n: int) -> ValueError:
 class Graph:
     """A connected graph whose one given edge table is `edge_array`, a
     read-only int64 (m, 2) array of (tail, head) rows; the constructor also
-    takes a sequence of pairs. The vertex count and the endpoints are whole
-    numbers: 4.0 is taken as 4, and 4.5 is refused with ValueError.
+    takes a sequence of pairs. An array the caller passes is copied, so it
+    stays the caller's; the builders hand over a table of their own, which
+    is kept as it is. The vertex count and the endpoints are whole numbers:
+    4.0 is taken as 4, and 4.5 is refused with ValueError.
 
     The checks (endpoints in range, no self-loops, no repeated pair, a
     connected graph) name the first offending edge, as an edge-by-edge scan
@@ -112,15 +122,18 @@ class Graph:
         n = _vertex_count(self.vertex_count)
         object.__setattr__(self, "vertex_count", n)
         edges = arr = self.edge_array
-        if not isinstance(edges, np.ndarray) and not set(map(len, edges)) - {2}:
-            # a sequence of pairs; numbers among other objects are not made strings
-            arr = np.array(edges) if len(edges) else np.empty((0, 2), dtype=np.int64)
-            if arr.dtype.kind not in "biuf":
-                arr = np.array(edges, dtype=object)
-        if not isinstance(arr, np.ndarray) or arr.shape[1:] != (2,):
-            raise ValueError("every edge must be a (tail, head) pair")
-        # a copy, so the caller's array stays writable and cannot change the graph
-        arr = _endpoints(arr, n)
+        if isinstance(edges, _Built):
+            edges = arr = edges.array
+        else:
+            if not isinstance(edges, np.ndarray) and not set(map(len, edges)) - {2}:
+                # a sequence of pairs; numbers among other objects are not made strings
+                arr = np.array(edges) if len(edges) else np.empty((0, 2), dtype=np.int64)
+                if arr.dtype.kind not in "biuf":
+                    arr = np.array(edges, dtype=object)
+            if not isinstance(arr, np.ndarray) or arr.shape[1:] != (2,):
+                raise ValueError("every edge must be a (tail, head) pair")
+            # a copy, so the caller's array stays writable and cannot change the graph
+            arr = _endpoints(arr, n)
         arr.setflags(write=False)
         object.__setattr__(self, "edge_array", arr)
         # fewer than n - 1 edges connect no graph: the numpy checks refuse
@@ -252,8 +265,8 @@ def build_path(n: int) -> Graph:
     n = _count(n, "a path's vertex count")
     if n < 2:
         raise ValueError(f"a path needs at least 2 vertices, got {n}")
-    tails = np.arange(n - 1)
-    return Graph("path", n, np.stack((tails, tails + 1), axis=1))
+    tails = np.arange(n - 1, dtype=np.int64)
+    return Graph("path", n, _Built(np.stack((tails, tails + 1), axis=1)))
 
 
 def build_ring(n: int) -> Graph:
@@ -261,8 +274,8 @@ def build_ring(n: int) -> Graph:
     n = _count(n, "a ring's vertex count")
     if n < 3:
         raise ValueError(f"a ring needs at least 3 vertices, got {n}")
-    tails = np.arange(n)
-    return Graph("ring", n, np.stack((tails, (tails + 1) % n), axis=1))
+    tails = np.arange(n, dtype=np.int64)
+    return Graph("ring", n, _Built(np.stack((tails, (tails + 1) % n), axis=1)))
 
 
 def build_torus(dims: list[int] | tuple[int, ...]) -> Graph:
@@ -285,7 +298,7 @@ def build_torus(dims: list[int] | tuple[int, ...]) -> Graph:
     for axis in range(len(dims)):
         # the next vertex along the axis, the last coordinate's back to 0
         edges[:, axis, 1] = np.roll(grid, -1, axis).ravel()
-    return Graph("torus", n, edges.reshape(-1, 2))
+    return Graph("torus", n, _Built(edges.reshape(-1, 2)))
 
 
 def graph_from_edges(vertex_count: int, pairs, kind: str = "custom",

@@ -2,6 +2,7 @@ import contextlib
 import io
 import math
 import random
+import re
 from dataclasses import astuple
 from unittest import mock
 
@@ -373,6 +374,41 @@ class TestOnePassMetrics:
         assert got.sign_flip_fraction == flips / (k * (k - 1) // 2)
         assert outcome(compute_metrics, g, [0.0] * (k + 1), delta_values=gaps) == \
             outcome(scalar_metrics, g, [0.0] * (k + 1), delta_values=gaps)
+
+    @pytest.mark.skipif(_kernel.load() is None, reason="no compiled kernel")
+    @pytest.mark.parametrize("start", ["uniform", "after a run", "tiny gaps"])
+    @pytest.mark.parametrize("space", ["circle", "interval"])
+    def test_a_probe_above_gil_edges_is_the_numpy_paths(self, start, space):
+        # 8,192 edges: the kernel's pass runs without the GIL
+        g = build_torus([64, 64])
+        gil_edges = int(re.search(r"#define GIL_EDGES (\d+)", _kernel._SOURCE.read_text())[1])
+        assert g.edge_count >= gil_edges
+        ops = initial_opinions(IidUniform(5), g.vertex_count)
+        if space == "interval":
+            ops = [abs(v) for v in ops]
+        if start == "after a run":
+            state = new_simulation(g, Explicit(ops), ModelParams(mu=0.3), space=space, stream=5)
+            run(state, stop=StopRule(max_events=40_000))
+            ops = state.opinions
+        elif start == "tiny gaps":
+            # gaps under 2**-537 of either sign on edges at several vertices,
+            # whose products with most of the gaps around them underflow
+            for v, x in [(0, 5e-324), (130, -1e-310), (2049, 2.0**-540), (4095, -5e-324)]:
+                ops[v] = 0.0
+                ops[g.edges[2 * v][1]] = abs(x) if space == "interval" else x
+        with mock.patch.object(analysis, "_sign_flips", side_effect=AssertionError):
+            kernel = outcome(compute_metrics, g, ops, space)
+        with mock.patch.object(_kernel, "_lib", False):
+            numpy = outcome(compute_metrics, g, ops, space)
+        assert kernel == numpy == outcome(scalar_metrics, g, ops, space)
+        if start == "tiny gaps" and space == "circle":
+            # the products that underflow are taken back: pos * neg overcounts
+            delta = np.array([mod_s(ops[b] - ops[a]) for a, b in g.edges])
+            starts, ids = g.incidence
+            pos, neg = (np.add.reduceat(delta[ids] * sign > 0.0, starts[:-1])
+                        for sign in (1.0, -1.0))
+            flips, pairs = analysis._sign_flips(g, delta)
+            assert flips < int(pos @ neg) and kernel[-1][1] == (flips / pairs).hex()
 
     @pytest.mark.parametrize("lib", [None, False], ids=["kernel", "numpy"])
     @pytest.mark.parametrize("space", ["circel", "", "Circle", None])

@@ -656,25 +656,25 @@ class TestRun:
         assert [s.time for s in rec.samples] == [0.5, 1.0, 2.0]
         assert rec.final_time > 2.0
 
+    @pytest.mark.parametrize("lib", ["kernel", "python"])
     @pytest.mark.parametrize("probes", [(), (0.5, 2.0)])
-    @pytest.mark.parametrize("start", ["clock", "pending"])
-    def test_a_clock_at_infinity_returns(self, start, probes):
-        # a state built by hand can still reach +inf; the probes then run out
+    @pytest.mark.parametrize("start", ["clock", "nan clock", "pending"])
+    def test_a_clock_or_event_that_is_not_finite_is_refused(self, start, probes, lib):
+        # a state built by hand with a clock restore refuses, or a parked
+        # event at +inf, is refused before the first event, on either loop
         state = fresh(build_path(3), [0.1, 0.5, -0.5], mu=0.25, stream=4)
-        if start == "clock":
-            state.clock = math.inf
-        else:
-            # a parked event at +inf is refused before the first event, as
-            # apply_event refuses it
+        if start == "pending":
             state.pending = Event(math.inf, 0, 1)
-            with deadline(2.0), pytest.raises(ValueError, match="not finite"):
-                run(state, stop=StopRule(max_events=10), probes=probes)
-            assert (state.clock, state.events_applied) == (0.0, 0)
-            return
-        with deadline(2.0):
-            rec = run(state, stop=StopRule(max_events=10), probes=probes)
-        assert (rec.events_applied, rec.final_time, len(rec.samples)) == \
-            (10, math.inf, len(probes))
+            clock = 0.0
+        else:
+            state.clock = clock = math.inf if start == "clock" else math.nan
+        words = state.stream.rng.getstate()
+        with mock.patch.object(_kernel, "_lib", _kernel.load() if lib == "kernel" else False), \
+                deadline(2.0), pytest.raises(ValueError, match="not finite"):
+            run(state, stop=StopRule(max_events=10), probes=probes)
+        assert state.clock == clock or math.isnan(clock) and math.isnan(state.clock)
+        assert (state.opinions, state.events_applied, state.stream.rng.getstate()) == \
+            ([0.1, 0.5, -0.5], 0, words)
 
     @staticmethod
     def interrupted_then_resumed(lib, raise_at, error):
@@ -1453,7 +1453,8 @@ def context_cases():
 # Run in a subprocess against a build of _kernel.c given as argv[1]: twin
 # runs of the build and the Python loop, at the draw boundaries and from
 # parked events too, W in C against math.fsum, and probe metrics against
-# the numpy path, scripted replays split by a snapshot, one of them
+# the numpy path (tiny gaps at one vertex and at several, and a graph
+# above GIL_EDGES), scripted replays split by a snapshot, one of them
 # refused at an edge id past the edges, the graph pass against the numpy
 # checks, on valid and invalid edge lists, and contexts built, run and
 # dropped, or refused. The build checks every graph the script builds, and
@@ -1548,11 +1549,19 @@ def metrics(g, ops, gaps):
 
 tiny = 2.0 ** -537
 star = graph_from_edges(7, [(0, v) if v % 2 else (v, 0) for v in range(1, 7)])
+# 8,192 edges, probed without the GIL; then tiny gaps at several of its vertices
+big = build_torus([64, 64])
+spread = [0.97 * math.sin(2.3 * i + 0.4) for i in range(big.vertex_count)]
+planted = list(spread)
+for v, x in [(0, 5e-324), (130, -1e-310), (2049, 2.0**-540)]:
+    planted[v], planted[big.edges[2 * v][1]] = 0.0, x
 probes = [
     # opposite gaps under 2**-537 at the centre: the products one by one
     (star, [0.0, tiny, -tiny, 1e-200, -1e-200, 0.5, -0.25], None),
     (star, [0.0] * 7, [tiny, -tiny, 1e-200, -1e-200, -0.0, 0.3]),
     (Graph("custom", 1, ()), [0.4], None),  # no edges
+    (big, spread, None),
+    (big, planted, None),
 ]
 for case in probes:
     with mock.patch.object(_kernel, "_lib", lib), \
@@ -2083,7 +2092,7 @@ class TestKernel:
         done = subprocess.run([sys.executable, "-c", UBSAN_CHECK, str(lib)], env=env,
                               capture_output=True, text=True, timeout=600)
         assert done.returncode == 0, done.stderr[-3000:]
-        assert done.stdout.split() == ["ok", "5", "64", "2", "6", "3", "3", "12", "29"]
+        assert done.stdout.split() == ["ok", "5", "64", "2", "6", "5", "3", "12", "29"]
 
 
 # pairs of opinions whose distance is exactly 1 (antipodal), nextafter(1, +inf),
@@ -2163,6 +2172,36 @@ class TestKernelOpinions:
         assert len(seen) >= 2
         assert {kind for kind, *_ in seen} == {_kernel.Opinions}
         assert [got for _, got, _ in seen] == [ref for *_, ref in seen]
+
+    @needs_kernel
+    @pytest.mark.parametrize("start", ["uniform", "after a run", "around 1"])
+    @pytest.mark.parametrize("space", ["circle", "interval"])
+    def test_total_w_above_gil_edges_is_the_python_loops(self, start, space):
+        # 8,192 edges: the context sums them without the GIL
+        g = build_torus([64, 64])
+        gil_edges = int(re.search(r"#define GIL_EDGES (\d+)", _kernel._SOURCE.read_text())[1])
+        assert g.edge_count >= gil_edges
+        ops = initial_opinions(IidUniform(7), g.vertex_count)
+        if space == "interval":
+            ops = [abs(v) for v in ops]
+        if start == "after a run":
+            state = fresh(g, ops, mu=0.3, space=space, stream=7)
+            run(state, stop=StopRule(max_events=40_000))
+            ops = state.opinions
+        elif start == "around 1":
+            # distances of exactly 1, and a rounding either side of it, on
+            # the row edge of every other vertex: edges with no end in common
+            for v in range(0, g.vertex_count, 2):
+                a, b = g.edges[2 * v + 1]
+                ops[a], ops[b] = W_PAIRS[space][v // 2 % len(W_PAIRS[space])]
+        words = array.array("I", random.Random(1).getstate()[1])
+        ctx = _kernel.load().Context(g.edge_array, *g.incidence, array.array("d", ops), 0.5,
+                                     math.inf, space == "circle", 0.0, 0, math.inf, mt=words)
+        distances = [abs(ops[a] - ops[b]) for a, b in g.edges]
+        assert space == "interval" or min(distances) < 1.0 < max(distances)
+        assert start != "around 1" or 1.0 in distances
+        want = engine._total_w(SimpleNamespace(graph=g, space=space, opinions=list(ops)))
+        assert ctx.total_w().hex() == want.hex()
 
     @needs_kernel
     @pytest.mark.parametrize("how", ["max_events", "max_time", "w_below", "w_below tracked",

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from compassmodel import (Explicit, Graph, ModelParams, StopRule, _kernel, build_path,
                           build_ring, build_torus, graph_from_edges, load_edge_list,
-                          new_simulation, run)
+                          new_simulation, run, topology)
 
 
 @pytest.fixture(params=["kernel", "numpy"])
@@ -406,6 +406,17 @@ class TestOneEdgeTable:
         arr[0, 0] = 2
         assert arr.flags.writeable and not g.edge_array.flags.writeable
         assert g.edges == ((0, 1), (1, 2))
+
+    @pytest.mark.parametrize("build", [lambda: build_path(5), lambda: build_ring(5),
+                                       lambda: build_torus([3, 4]), lambda: build_torus([4])],
+                             ids=["path", "ring", "torus", "torus of one side"])
+    def test_a_builder_table_is_kept_without_a_copy(self, build):
+        # a builder's fresh table is the graph's own, with no second int64 copy
+        with mock.patch.object(topology, "_endpoints", side_effect=AssertionError):
+            g = build()
+        arr = g.edge_array
+        assert arr.dtype == np.int64 and arr.flags.c_contiguous and not arr.flags.writeable
+        assert g == Graph(g.kind, g.vertex_count, arr.tolist())
 
     @pytest.mark.parametrize("layout", [np.asfortranarray, lambda a: a[::-1][::-1],
                                         lambda a: np.repeat(a, 2, axis=0)[::2],
