@@ -9,8 +9,10 @@
  * words and index come from random.Random.getstate() and go back with
  * setstate(), and random() is the 53-bit double built from two words. The
  * constructor tempers the block the state holds into c->tw; next_block
- * twists the state four words a step with GCC vector extensions, then
- * tempers all of it in one vector pass. run_chunk keeps the index in a
+ * twists the state sixteen words a step with GCC vector extensions, then
+ * tempers all of it in one vector pass. Both are built once per CPU target
+ * (target_clones: AVX-512, AVX2 and the default SSE2), and the loader picks
+ * the widest the CPU runs. run_chunk keeps the index in a
  * local for the whole chunk and writes it back once at the end; an event
  * reads its six tempered words in place when the block has six left, and
  * word by word across a new block. The tie bit is random() < 0.5, which
@@ -19,8 +21,11 @@
  * are CPython's bit for bit.
  *
  * Waiting times use libm's log, which math.log calls. Build without
- * floating-point contraction (-ffp-contract=off) and without fast-math, so
- * no product and sum fuse into one rounding that Python does not make.
+ * floating-point contraction (-ffp-contract=off), without fast-math and
+ * without -march, so no product and sum fuse into one rounding that Python
+ * does not make. The clones keep to that: they hold integer work only,
+ * which gives the same bits on every target, and no floating-point code
+ * is built for a target wider than the default.
  *
  * A probe's W is summed exactly, in a fixed-point accumulator (acc_add,
  * after Neal 2015) rounded half-even once: math.fsum's sum bit for bit, in
@@ -70,56 +75,87 @@ struct cm_ctx {
     int64_t e, k;
 };
 
-/* four state words, unaligned loads and stores */
-typedef uint32_t v4u __attribute__((vector_size(16)));
+/* The block work below is compiled once per CPU target from one body in
+ * 16-word vectors, and the loader's ifunc picks the widest clone the CPU
+ * runs: one AVX-512 vector, two AVX2 halves or four SSE2 quarters a step.
+ * Where ifunc is missing (not x86-64 ELF with glibc, or not gcc), the same
+ * body is built for the default target alone. */
+#if defined(__x86_64__) && defined(__ELF__) && defined(__GLIBC__) && defined(__GNUC__) \
+    && !defined(__clang__)
+#define WIDEST __attribute__((target_clones("avx512f", "avx2", "default")))
+#else
+#define WIDEST
+#endif
 
-static inline v4u load4(const uint32_t *p)
-{
-    v4u v;
-    memcpy(&v, p, sizeof v);
-    return v;
-}
+/* sixteen state words, and their two halves. Loads and stores go through
+ * memcpy, unaligned, and no function takes or returns a vector, which
+ * would pass it by a wider ABI than the default target's. */
+typedef uint32_t v16u __attribute__((vector_size(64)));
+typedef uint32_t v8u __attribute__((vector_size(32)));
+union v16h {
+    v16u v;
+    v8u half[2];
+};
 
-static inline void store4(uint32_t *p, v4u v)
-{
-    memcpy(p, &v, sizeof v);
-}
+/* store the sixteen words x at p, a half at a time: gcc 12 stores a whole
+ * one that it has split into AVX2 halves through the stack, 16 bytes a
+ * move, which makes the AVX2 clone about 1.5 times slower */
+#define STORE16(p, x)                                  \
+    do {                                               \
+        const union v16h u_ = {.v = (x)};              \
+        const v8u lo_ = u_.half[0], hi_ = u_.half[1];  \
+        memcpy((p), &lo_, sizeof lo_);                 \
+        memcpy((p) + 8, &hi_, sizeof hi_);             \
+    } while (0)
 
 /* CPython's twist of state word x, whose next word is x1, against word xm,
- * for one word or four: mag01[y & 1] is -(x1 & 1) & MATRIX_A */
+ * for one word or sixteen: mag01[y & 1] is -(x1 & 1) & MATRIX_A */
 #define TWIST(x, x1, xm) \
     ((xm) ^ ((((x) & UPPER_MASK) | ((x1) & LOWER_MASK)) >> 1) ^ (-((x1) & 1U) & MATRIX_A))
 
-/* CPython's tempering of all MT_N state words into tw, four at a time */
-static void temper_block(uint32_t *tw, const uint32_t *mt)
+/* the sixteen state words from p twisted in place, against those at p + off */
+static inline __attribute__((always_inline)) void twist16(uint32_t *p, ptrdiff_t off)
+{
+    v16u x, x1, xm;
+
+    memcpy(&x, p, sizeof x);
+    memcpy(&x1, p + 1, sizeof x1);
+    memcpy(&xm, p + off, sizeof xm);
+    STORE16(p, TWIST(x, x1, xm));
+}
+
+/* CPython's tempering of all MT_N = 39 * 16 state words into tw */
+WIDEST static void temper_block(uint32_t *tw, const uint32_t *mt)
 {
     int kk;
 
-    for (kk = 0; kk < MT_N; kk += 4) {
-        v4u y = load4(mt + kk);
+    for (kk = 0; kk < MT_N; kk += 16) {
+        v16u y;
+        memcpy(&y, mt + kk, sizeof y);
         y ^= y >> 11;
         y ^= (y << 7) & 0x9d2c5680U;
         y ^= (y << 15) & 0xefc60000U;
         y ^= y >> 18;
-        store4(tw + kk, y);
+        STORE16(tw + kk, y);
     }
 }
 
 /* CPython's genrand_uint32 regeneration of all MT_N state words, then
  * the new block tempered into tw */
-static void next_block(uint32_t *mt, uint32_t *tw)
+WIDEST static void next_block(uint32_t *mt, uint32_t *tw)
 {
     int kk = 0;
 
-    /* against words MT_M ahead, which this block has not twisted yet */
-    for (; kk + 4 <= MT_N - MT_M; kk += 4)
-        store4(mt + kk, TWIST(load4(mt + kk), load4(mt + kk + 1), load4(mt + kk + MT_M)));
+    /* MT_N - MT_M = 227 = 14 * 16 + 3 words, against words MT_M ahead,
+     * which this block has not twisted yet */
+    for (; kk + 16 <= MT_N - MT_M; kk += 16)
+        twist16(mt + kk, MT_M);
     for (; kk < MT_N - MT_M; kk++)
         mt[kk] = TWIST(mt[kk], mt[kk + 1], mt[kk + MT_M]);
-    /* against words MT_N - MT_M (more than four) behind, twisted already */
-    for (; kk + 4 <= MT_N - 1; kk += 4)
-        store4(mt + kk, TWIST(load4(mt + kk), load4(mt + kk + 1),
-                              load4(mt + kk + (MT_M - MT_N))));
+    /* then 396 = 24 * 16 + 12 words, against words MT_N - MT_M behind, more
+     * than a vector, so twisted already */
+    for (; kk + 16 <= MT_N - 1; kk += 16)
+        twist16(mt + kk, MT_M - MT_N);
     for (; kk < MT_N - 1; kk++)
         mt[kk] = TWIST(mt[kk], mt[kk + 1], mt[kk + (MT_M - MT_N)]);
     mt[MT_N - 1] = TWIST(mt[MT_N - 1], mt[0], mt[MT_M - 1]);
@@ -255,10 +291,10 @@ static double cm_total_w(struct cm_ctx *c)
 /* One chunk of up to limit events, drawn from the generator or, given
  * replay, read off the schedule up to sched_end: the held event first, and
  * then each event up to the first past next_probe or max_time, which it
- * holds. A held event still past them is kept and nothing applied. Each
- * event is applied, and tracked when delta is set, as stepping
- * engine.apply_event and DifferenceTracker.apply_event would. Returns the
- * events applied. Forced inline into its two callers with replay a
+ * holds. A limit below 1, or a held event still past them, applies
+ * nothing and keeps the event held. Each event is applied, and tracked
+ * when delta is set, as stepping engine.apply_event and
+ * DifferenceTracker.apply_event would. Returns the events applied. Forced inline into its two callers with replay a
  * constant, so each compiles without the other's source of events. */
 static inline __attribute__((always_inline)) int64_t
 run_chunk(struct cm_ctx *c, const int replay, const int64_t limit, const double next_probe)
@@ -275,6 +311,8 @@ run_chunk(struct cm_ctx *c, const int replay, const int64_t limit, const double 
     int64_t i = 0;
     int j;
 
+    if (limit < 1)
+        return 0; /* nothing to apply: a held event stays held */
     if (c->drawn) {
         if (c->t > max_time || c->t > next_probe)
             return 0; /* still past: the event stays held */
@@ -636,9 +674,10 @@ static int64_t cm_graph(const int64_t *edges, int64_t m, int64_t n, int64_t *sta
 
 /* Release the GIL around C work of at least this many events (run) or
  * edges (total_w, metrics, graph), and only then: shorter work holds it.
- * Releasing and retaking it costs 110 to 150 ns of thread time a call, an
- * event about 30 ns and an edge of a W sum about 5 ns, so past these
- * counts a release costs at most 1% of the call. */
+ * Releasing and retaking it costs 50 to 150 ns of thread time a call, an
+ * event 16 to 21 ns (a 50-ring, on a 2.1 GHz x86-64 with AVX-512) and an
+ * edge of a W sum about 5 ns, so past these counts a release costs 1 to 2%
+ * of the call at most. */
 #define GIL_EVENTS 512
 #define GIL_EDGES 4096
 

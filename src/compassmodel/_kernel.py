@@ -57,7 +57,9 @@ from .engine import Event, ScriptedStream
 __all__: list[str] = []  # private to the engine and analysis
 
 # -ffp-contract=off: no fused multiply-add, which would round differently
-# from the scalar rules; no -ffast-math or -march for the same reason.
+# from the scalar rules; no -ffast-math or -march for the same reason. The
+# generator's block work picks its vector width at load time instead, from
+# clones in the source that hold integer work only (see _kernel.c).
 FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 _SOURCE = Path(__file__).with_name("_kernel.c")
 

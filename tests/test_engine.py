@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import os
+import platform
 import random
 import re
 import shutil
@@ -17,7 +18,7 @@ import time
 import tracemalloc
 import weakref
 from contextlib import contextmanager
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 from types import MemberDescriptorType, SimpleNamespace
 from unittest import mock
@@ -1355,6 +1356,38 @@ def boundary_run(space, index, words):
             state.events_applied, rng.getstate())
 
 
+def block_run(index):
+    """A 7-ring run of 330 events from a generator at index (0 to 624, 624
+    making a new block first), which crosses at least three of its blocks
+    of 104 events, then a run to a time that holds the event past it. The
+    generator's state, the opinions, the clock and the held event."""
+    state = new_simulation(build_ring(7), IidUniform(index), ModelParams(mu=0.3),
+                           stream=index)
+    rng = state.stream.rng
+    version, mt, gauss = rng.getstate()
+    rng.setstate((version, (*mt[:-1], index), gauss))
+    run(state, stop=StopRule(max_events=330))
+    run(state, stop=StopRule(max_time=state.clock + 1.0))
+    return rng.getstate(), bits(state.opinions), state.clock.hex(), state.pending
+
+
+@cache
+def python_block_runs():
+    """`block_run` from every generator index on the Python loop."""
+    with mock.patch.object(_kernel, "_lib", False):
+        return [block_run(index) for index in range(625)]
+
+
+def cpu_flags():
+    """The CPU's feature flags as Linux lists them; none where it does not."""
+    try:
+        info = Path("/proc/cpuinfo").read_text()
+    except OSError:
+        return set()
+    return {flag for line in info.splitlines() if line.startswith("flags")
+            for flag in line.partition(":")[2].split()}
+
+
 def parked_run(past):
     """A 9-ring run that parks its first event past max_time 0.5, then a
     run whose first probe (past == "probe") or whose max_time (past ==
@@ -1675,6 +1708,42 @@ class TestKernel:
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
 
+    @pytest.mark.parametrize("clone", ["avx512f", "avx2", None],
+                             ids=["avx512f", "avx2", "no clones"])
+    def test_each_clone_draws_the_python_loops_words(self, clone, tmp_path):
+        # the shipped build runs only the clone this CPU picks: build a copy
+        # of the source for one clone each, by its attribute line alone, and
+        # run it from every generator index against the Python loop
+        gcc = shutil.which("gcc")
+        if gcc is None:
+            pytest.skip("no gcc on PATH")
+        source = _kernel._SOURCE.read_text()
+        line = '#define WIDEST __attribute__((target_clones("avx512f", "avx2", "default")))'
+        assert source.count(line) == 1
+        warn = []
+        if clone is None:
+            # the default target's body alone, as where ifunc is missing
+            attribute = "#define WIDEST"
+            warn = ["-Wall", "-Wextra", "-Wshadow", "-Wunused-macros", "-Werror"]
+        elif platform.machine() not in ("x86_64", "AMD64"):
+            pytest.skip(f"{clone} is an x86-64 target, and this is {platform.machine()}")
+        elif clone not in cpu_flags():
+            pytest.skip(f"this CPU lacks {clone}, so it cannot run that clone")
+        else:
+            attribute = f'#define WIDEST __attribute__((target("{clone}")))'
+        copy = tmp_path / "_kernel.c"
+        copy.write_text(source.replace(line, attribute))
+        build = tmp_path / f"_kernel{sysconfig.get_config_var('EXT_SUFFIX')}"
+        done = subprocess.run([gcc, *_kernel.FLAGS, *_kernel._includes(), *warn, "-o",
+                               str(build), str(copy), "-lm"],
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        lib = _kernel._open(build)
+        with mock.patch.object(_kernel, "_lib", lib), kernel_calls() as calls:
+            got = [block_run(index) for index in range(625)]
+        assert len(calls) >= 2 * 625
+        assert got == python_block_runs()
+
     def test_the_context_matches_struct_cm_ctx(self):
         # the type's members are the C member table's, each a field of
         # struct cm_ctx read as that field's C type, and none can be set: a
@@ -1800,6 +1869,25 @@ class TestKernel:
                 del ctx
             if isinstance(opinions, array.array):
                 opinions.append(0.0)  # no buffer of it is held any more
+
+    @needs_kernel
+    @pytest.mark.parametrize("source", ["generator", "schedule"])
+    def test_a_limit_below_one_applies_nothing(self, source):
+        # a chunk applies at most limit events: below 1 none, not even a held
+        # one, which stays held, with the clock, count, opinions and source
+        # as they were, until a chunk with room applies it
+        kwargs = next(kw for name, _, kw in context_cases() if name == source)
+        ctx = _kernel.load().Context(**kwargs)
+        assert ctx.run(1, 0.0) == 0 and ctx.drawn  # the first event is past 0.0
+        held = (ctx.t, ctx.e, ctx.k)
+        before = (bits(kwargs["opinions"]), bytes(kwargs.get("mt", b"")), ctx.sched_next)
+        for limit in (0, -1, -2**63):
+            assert ctx.run(limit, math.inf) == 0, limit
+            assert (ctx.drawn, (ctx.t, ctx.e, ctx.k), ctx.clock, ctx.count) == (1, held, 0.0, 0)
+            assert (bits(kwargs["opinions"]), bytes(kwargs.get("mt", b"")),
+                    ctx.sched_next) == before
+        assert ctx.run(1, math.inf) == 1
+        assert (ctx.drawn, ctx.clock, ctx.count) == (0, held[0], 1)
 
     @needs_kernel
     def test_a_context_in_a_cycle_with_its_opinions_is_collected(self):
