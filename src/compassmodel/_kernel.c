@@ -672,27 +672,6 @@ static int64_t cm_graph(const int64_t *edges, int64_t m, int64_t n, int64_t *sta
     return reached == n ? CM_CONNECTED : CM_SPLIT;
 }
 
-/* Release the GIL around C work of at least this many events (run) or
- * edges (total_w, metrics, graph), and only then: shorter work holds it.
- * Releasing and retaking it costs 50 to 150 ns of thread time a call, an
- * event 16 to 21 ns (a 50-ring, on a 2.1 GHz x86-64 with AVX-512) and an
- * edge of a W sum about 5 ns, so past these counts a release costs 1 to 2%
- * of the call at most. */
-#define GIL_EVENTS 512
-#define GIL_EDGES 4096
-
-/* stmt, without the GIL when long_work holds */
-#define WITHOUT_GIL_IF(long_work, stmt) \
-    do {                                \
-        if (long_work) {                \
-            Py_BEGIN_ALLOW_THREADS      \
-            stmt;                       \
-            Py_END_ALLOW_THREADS        \
-        } else {                        \
-            stmt;                       \
-        }                               \
-    } while (0)
-
 /* A Context: its struct cm_ctx, and the buffers its pointers are into, held
  * until it is freed (obj NULL where no array is given), in the order of the
  * constructor's arguments; the kernel writes those in WRITTEN */
@@ -782,7 +761,7 @@ static void context_dealloc(PyObject *self)
 }
 
 /* the arrays whose buffers a context holds: a cycle through one of them (an
- * Opinions whose total_w is the context's) is the collector's to find */
+ * array that holds the context's total_w) is the collector's to find */
 static int context_traverse(PyObject *self, visitproc visit, void *arg)
 {
     int j;
@@ -797,7 +776,6 @@ static PyObject *context_run(PyObject *self, PyObject *const *args, Py_ssize_t n
     struct cm_ctx *c = &((struct context *)self)->c;
     long long limit;
     double next_probe;
-    int64_t done;
 
     if (nargs != 2)
         return PyErr_Format(PyExc_TypeError, "run takes limit and next_probe");
@@ -805,17 +783,14 @@ static PyObject *context_run(PyObject *self, PyObject *const *args, Py_ssize_t n
         return NULL;
     if ((next_probe = PyFloat_AsDouble(args[1])) == -1.0 && PyErr_Occurred())
         return NULL;
-    WITHOUT_GIL_IF(limit >= GIL_EVENTS, done = cm_run(c, limit, next_probe));
-    return PyLong_FromLongLong(done);
+    return PyLong_FromLongLong(cm_run(c, limit, next_probe));
 }
 
 static PyObject *context_total_w(PyObject *self, PyObject *Py_UNUSED(unused))
 {
     struct cm_ctx *c = &((struct context *)self)->c;
-    double w;
 
-    WITHOUT_GIL_IF(c->m >= GIL_EDGES, w = cm_total_w(c));
-    return PyFloat_FromDouble(w);
+    return PyFloat_FromDouble(cm_total_w(c));
 }
 
 static PyMethodDef context_methods[] = {
@@ -880,10 +855,8 @@ static PyObject *metrics(PyObject *Py_UNUSED(module), PyObject *args)
     else if ((signs = calloc((size_t)(n ? n : 1), sizeof *signs)) == NULL)
         PyErr_NoMemory();
     else {
-        WITHOUT_GIL_IF(m >= GIL_EDGES,
-                       w = cm_metrics(edges.buf, m, start.buf, ids.buf, n,
-                                      opinions ? values.buf : NULL,
-                                      opinions ? NULL : values.buf, circle, signs, &out));
+        w = cm_metrics(edges.buf, m, start.buf, ids.buf, n, opinions ? values.buf : NULL,
+                       opinions ? NULL : values.buf, circle, signs, &out);
         result = Py_BuildValue("ddLL", w, out.top, (long long)out.flips,
                                (long long)out.pairs);
     }
@@ -916,7 +889,7 @@ static PyObject *graph(PyObject *Py_UNUSED(module), PyObject *args)
         PyErr_SetString(PyExc_ValueError, "graph needs int64 edges, 1 to 2**32 vertices, "
                         "and n + 1 starts and 2m ids");
     else {
-        WITHOUT_GIL_IF(m >= GIL_EDGES, found = cm_graph(edges.buf, m, n, start.buf, ids.buf));
+        found = cm_graph(edges.buf, m, n, start.buf, ids.buf);
         if (found == CM_NO_MEMORY)
             PyErr_NoMemory();
         else if (found == CM_CONNECTED)

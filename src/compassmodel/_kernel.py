@@ -12,11 +12,11 @@ probe) and `graph` (`Graph`'s checks) are one call into C each.
 The life of a kernel run. `engine._run_loop` hands a Poisson or scripted
 run, without observers or with one DifferenceTracker of the run's own
 state, to a `Chunks`. Its `ctx`, an object of the kernel's `Context` type,
-is the one record of the run until it closes: the opinions (`Opinions`,
-which is `state.opinions` meanwhile, so probes read it in place and
-`engine._total_w` sums it in C through `Context.total_w`), the clock, the
-count, the generator's words or the schedule's cursor, the tracker's gaps
-and bounds, and the held event. The context holds the buffer of every
+is the one record of the run until it closes: the opinions (`buf`, which
+probes read in place and `engine._total_w` sums in C through
+`Context.total_w`; `state.opinions` stays the caller's list), the clock,
+the count, the generator's words or the schedule's cursor, the tracker's
+gaps and bounds, and the held event. The context holds the buffer of every
 array it reads or writes, so none can be resized under it.
 - `ctx.run(limit, next_probe)` is one chunk: it applies up to `limit`
   events, each as stepping `engine.apply_event` and the tracker's
@@ -163,24 +163,19 @@ def graph(edges: np.ndarray, n: int):
     return starts, ids
 
 
-class Opinions(array.array):
-    """A kernel run's opinions, with the context's `total_w`."""
-
-
 class Chunks:
     """One kernel run's set-up and close (see the module docstring); `ctx`
     is the run's `Context`. Building it changes nothing on the state: `buf`
-    is a copy of `values`, the state's opinions as doubles, checked by
-    `run`, and the generator's words and the tracker's lists are copies too.
+    is `values`, `run`'s checked copy of the state's opinions as doubles,
+    and the generator's words and the tracker's lists are copies too.
     """
 
     def __init__(self, lib, state, stream, max_time: float, values: array.array, tracker=None):
         g = state.graph
         self.state = state
-        self.caller_opinions = state.opinions
         self.stream = stream
         self.tracker = tracker
-        self.buf = Opinions("d", values)  # one copy of the bytes
+        self.buf = values
         pending = state.pending
         if isinstance(stream, ScriptedStream):
             end = start = stream.cursor
@@ -204,15 +199,12 @@ class Chunks:
         self.ctx = lib.Context(
             g.edge_array, *g.incidence, self.buf, state.params.mu, state.params.theta,
             state.space == "circle", state.clock, state.events_applied, max_time, **given)
-        self.buf.total_w = self.ctx.total_w
 
     def close(self) -> tuple[float, int, Event | None]:
         """Write the run back (see the module docstring); `buf` keeps the
         same doubles, for the terminal probe. Return the clock, the count
         and the held event, or None."""
-        del self.buf.total_w  # a plain array from here on
-        self.state.opinions = self.caller_opinions
-        self.caller_opinions[:] = self.buf.tolist()
+        self.state.opinions[:] = self.buf.tolist()
         ctx = self.ctx
         if isinstance(self.stream, ScriptedStream):
             self.stream.cursor = ctx.sched_next

@@ -250,8 +250,7 @@ def initial_opinions(init, n: int, space: str = "circle") -> list[float]:
     if isinstance(init, Explicit):
         if len(init.values) != n:
             raise ValueError(f"expected {n} values, got {len(init.values)}")
-        for v in init.values:
-            _check_opinion(v, "explicit value", space)
+        _check_chart(init.values, "explicit value", space)
         return list(init.values)
     if isinstance(init, Constant):
         v = float(init.value)
@@ -372,14 +371,13 @@ def apply_event(state: SimState, ev: Event) -> None:
     state.events_applied += 1
 
 
-def _total_w(state: SimState) -> float:
-    """The left-to-right sum of the edge distances, in edge-id order."""
+def _total_w(state) -> float:
+    """The left-to-right sum of the edge distances, in edge-id order, of a
+    SimState; or of a kernel run's `Context`, which sums its opinions in C
+    the same way."""
+    if not isinstance(state, SimState):
+        return state.total_w()
     op = state.opinions
-    # a kernel run's opinions are the kernel's buffer, whose total_w (the
-    # context's) sums them in C the same way
-    in_c = getattr(op, "total_w", None)
-    if in_c is not None:
-        return in_c()
     total = 0.0
     if state.space == "circle":
         for a, b in state.graph.edges:
@@ -528,7 +526,7 @@ def _run_loop(state: SimState, stream, stop: StopRule, probes, samples,
               observers, values: array.array):
     """The event loop: either space, any stream, observers welcome. Return
     the stop reason and the final opinions: the caller's list, or on a
-    kernel run the kernel's buffer, which holds the same doubles.
+    kernel run its buffer, which holds the same doubles.
 
     Poisson events are drawn inline, with PoissonStream.next_event's three
     draws; other streams' events get apply_event's checks, as a parked event
@@ -601,19 +599,17 @@ def _run_loop(state: SimState, stream, stop: StopRule, probes, samples,
     try:
         if lib:
             kernel = _kernel.Chunks(lib, state, stream, max_time, values, tracker)
-            # the kernel's until it closes; set once `kernel` is, so that an
-            # interrupt as the context is built finds the state untouched
-            state.opinions, state.pending = kernel.buf, None
             observers = ()
             advance, chunk = kernel.ctx.run, _CHUNK
         edges = None if kernel else g.edges
-        op = state.opinions
+        op = kernel.buf if kernel else state.opinions
+        summed = kernel.ctx if kernel else state
         pending = state.pending
         while True:
             if count >= check_at:
                 ahead = interval
                 if count > quiet:
-                    w = _total_w(state)
+                    w = _total_w(summed)
                     if w < w_below:
                         reason = "w_below"
                         break
@@ -700,7 +696,6 @@ def _run_loop(state: SimState, stream, stop: StopRule, probes, samples,
         # and refuse it as that loop does, the cursor past it
         ev = stream.next_event(state)
         _check_event(m, clock, ev.time, ev.edge_id, ev.tie)
-    op = kernel.buf if kernel else state.opinions
     while pi < len(probes) and (next_probe <= clock or reason == "schedule_exhausted"):
         samples.append(compute(g, op, space, at_time=next_probe))
         pi += 1
@@ -893,7 +888,10 @@ def derive_seed(master: int, *parts) -> int:
     """Stable 64-bit child seed from a master seed and a label path.
 
     Hash-based so replicate i's streams never overlap replicate j's, and
-    adding parts never perturbs sibling derivations.
+    adding parts never perturbs sibling derivations. A master that is not
+    an int (a bool included) raises TypeError, as stream seeds do.
     """
+    if not isinstance(master, int) or isinstance(master, bool):
+        raise TypeError(f"master seeds must be integers, got {master!r}")
     text = ":".join([str(int(master))] + [str(p) for p in parts])
     return int.from_bytes(sha256(text.encode("ascii")).digest()[:8], "big")

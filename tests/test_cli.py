@@ -357,6 +357,8 @@ class TestMain:
         ("butterfly", "n=4.5", "n must be a whole number, got 4.5"),
         ("butterfly", "alternations=-4", "need alternations >= 0, got -4"),
         ("butterfly", "flatten_eps=NaN", "eps must be positive, got nan"),
+        # it ran as seed 1
+        ("deffuant_vs_compass", "seed=1.5", "master seeds must be integers, got 1.5"),
     ])
     def test_out_of_range_scenario_override_exits_two(self, name, override, message,
                                                       capsys):

@@ -18,14 +18,14 @@ import time
 import tracemalloc
 import weakref
 from contextlib import contextmanager
-from functools import cache, partial
+from functools import cache
 from pathlib import Path
 from types import MemberDescriptorType, SimpleNamespace
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import event, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from compassmodel import (Constant, DifferenceTracker, Event, Explicit, Graph,
@@ -397,42 +397,6 @@ class TestRun:
         assert [(s.time, s.W, s.opinion_range) for s in a.samples] == \
                [(s.time, s.W, s.opinion_range) for s in b.samples]
 
-    def test_fast_and_general_loops_agree_bitwise(self):
-        def go(observers):
-            state = new_simulation(build_ring(15), IidUniform(21),
-                                   ModelParams(mu=0.37), stream=99)
-            rec = run(state, stop=StopRule(max_events=10_000),
-                      probes=(2.0, 20.0, 200.0), observers=observers)
-            return state, rec
-
-        s1, r1 = go(())
-        s2, r2 = go([Noop()])
-        assert s1.opinions == s2.opinions
-        assert s1.clock == s2.clock
-        assert [(s.time, s.W) for s in r1.samples] == \
-               [(s.time, s.W) for s in r2.samples]
-
-    def test_fast_and_general_loops_agree_on_a_tracked_w_stop(self):
-        # 72 edges > 2 * 4 * 3: a sum of W can rule out the tests after it
-        rng = random.Random(8)
-        init = [0.2 * rng.random() - 0.1 for _ in range(36)]
-
-        def go(observers):
-            state = new_simulation(build_torus([6, 6]), Explicit(init),
-                                   ModelParams(mu=0.37), stream=99)
-            rec = run(state, stop=StopRule(max_events=100_000, w_below=1e-4,
-                                           w_check_interval=3),
-                      probes=(2.0, 20.0), observers=observers)
-            return state, rec
-
-        (s1, r1), (s2, r2) = go(()), go([Noop()])
-        assert r1.stop_reason == r2.stop_reason == "w_below"
-        assert r1.events_applied == r2.events_applied < 100_000
-        assert r1.events_applied % 3 == 0
-        assert (s1.opinions, s1.clock) == (s2.opinions, s2.clock)
-        assert r1.samples == r2.samples
-        assert _total_w(s1) < 1e-4
-
     def test_constant_profile_bitwise_invariant(self):
         vals = [0.7071067811865476] * 8
         state = fresh(build_ring(8), list(vals), mu=0.29, stream=5)
@@ -754,66 +718,6 @@ class TestRun:
         assert rec.events_applied == 137
 
 
-@st.composite
-def tracked_w_cases(draw):
-    """A graph whose W test is tracked, a start, rates, and a check interval."""
-    if draw(st.booleans()):
-        g = build_ring(draw(st.integers(9, 40)))
-    else:
-        g = build_torus([draw(st.integers(3, 6)), draw(st.integers(3, 6))])
-    interval = draw(st.integers(1, min(6, (g.edge_count - 1) // (2 * g.max_degree))))
-    space = draw(st.sampled_from(["circle", "interval"]))
-    values = (st.one_of(st.sampled_from([0.0, 1.0, 0.5, -0.5]),
-                        st.floats(-1.0, 1.0, exclude_min=True))
-              if space == "circle" else
-              st.one_of(st.sampled_from([0.0, 1.0, 0.5]), st.floats(0.0, 1.0)))
-    if draw(st.booleans()):
-        # a start inside a short arc, so W can fall all the way to zero
-        values = values.map(lambda v: 0.05 * v)
-    init = draw(st.lists(values, min_size=g.vertex_count, max_size=g.vertex_count))
-    mu = draw(st.sampled_from([0.5, 0.25]) | st.floats(0.05, 0.5))
-    theta = draw(st.sampled_from([math.inf, 0.9, 0.3]))
-    return g, space, init, ModelParams(mu=mu, theta=theta), interval
-
-
-class TestTrackedWTest:
-    """The tracked W test against `_total_w` checked after every interval."""
-
-    @given(tracked_w_cases(), st.integers(0, 2**32), st.integers(0, 600),
-           st.booleans(), st.data())
-    @settings(max_examples=120, deadline=None)
-    def test_stops_where_total_w_first_falls_below(self, case, seed, budget,
-                                                   observed, data):
-        g, space, init, params, interval = case
-
-        def fresh_state():
-            return new_simulation(g, Explicit(init), params, space=space,
-                                  stream=PoissonStream(seed))
-
-        # the oracle: step the same trajectory one interval at a time
-        state = fresh_state()
-        points = []
-        while state.events_applied < budget or not points:
-            run(state, stop=StopRule(max_events=min(state.events_applied + interval,
-                                                    budget)))
-            points.append((state.events_applied, _total_w(state),
-                           list(state.opinions), state.clock))
-        # w_below at, just above or just below a W the tests will see
-        w_seen = data.draw(st.sampled_from([w for _, w, _, _ in points if w > 0.0] or [1.0]))
-        w_below = data.draw(st.sampled_from(
-            [w_seen, math.nextafter(w_seen, math.inf), math.nextafter(w_seen, 0.0)]))
-        hit = next((p for p in points if p[1] < w_below), None)
-        events, _, opinions, clock = hit or points[-1]
-
-        state = fresh_state()
-        rec = run(state, stop=StopRule(max_events=budget, w_below=w_below,
-                                       w_check_interval=interval),
-                  observers=[Noop()] if observed else ())
-        assert rec.stop_reason == ("w_below" if hit else "max_events")
-        assert (state.events_applied, state.opinions, state.clock) == \
-            (events, opinions, clock)
-
-
 LOOPS = ["kernel", "python"]
 
 
@@ -833,7 +737,7 @@ def summed_run(state, stop, probes=()):
     seen, patch = traced_total_w()
     with patch:
         rec = run(state, stop=stop, probes=probes)
-    return rec, [got for _, got, _ in seen]
+    return rec, [got for _, got in seen]
 
 
 def first_below(state, interval, w_below):
@@ -1027,59 +931,6 @@ class Recorder:
                           bits(s.opinions)))
 
 
-def step_reference(state, stream, max_events, max_time, seen):
-    """apply_event over the stream's events, stopping and parking as run() does."""
-    ev, state.pending = state.pending, None
-    while state.events_applied < max_events:
-        if ev is None:
-            try:
-                ev = stream.next_event(state)
-            except ScheduleExhausted:
-                return "schedule_exhausted"
-        if ev.time > max_time:
-            state.pending, state.clock = ev, max_time
-            return "max_time"
-        apply_event(state, ev)
-        seen.append((ev.time, ev.edge_id, ev.tie, state.clock, state.events_applied,
-                     bits(state.opinions)))
-        ev = None
-    state.pending = ev
-    return "max_events"
-
-
-@st.composite
-def loop_cases(draw):
-    """A small graph and start, rates, a stream, and the legs of a run."""
-    space = draw(st.sampled_from(["circle", "interval"]))
-    n = draw(st.integers(3, 7))
-    g = build_ring(n) if draw(st.booleans()) else build_path(n)
-    values = (st.sampled_from([0.0, 1.0, 0.5, -0.5, 0.25, -0.75])
-              | st.floats(-1.0, 1.0, exclude_min=True)
-              if space == "circle" else
-              st.sampled_from([0.0, 1.0, 0.5]) | st.floats(0.0, 1.0))
-    init = draw(st.lists(values, min_size=n, max_size=n))
-    if draw(st.booleans()):
-        # an antipodal pair (or one a rounding away from it) on the first edge
-        pairs = ([(0.0, 1.0), (0.5, -0.5), (-0.75, 0.25), (1.0, 1e-17), (1.0, -1e-17)]
-                 if space == "circle" else [(0.0, 1.0)])
-        x, y = draw(st.sampled_from(pairs))
-        a, b = g.edges[0]
-        init[a], init[b] = (x, y) if draw(st.booleans()) else (y, x)
-    mu = draw(st.sampled_from([0.5, 0.25]) | st.floats(0.05, 0.5))
-    theta = draw(st.sampled_from([math.inf, 0.9, 0.3]))
-    seed = draw(st.integers(0, 2**32))
-    if draw(st.booleans()):
-        stream = partial(PoissonStream, seed)
-    else:
-        rng = random.Random(seed)
-        events = [(0.1 * (i + rng.random()), rng.randrange(g.edge_count), rng.choice([1, 2]))
-                  for i in range(draw(st.integers(0, 100)))]
-        stream = partial(ScriptedStream, events)
-    legs = draw(st.lists(st.tuples(st.integers(0, 150), st.none() | st.floats(0.0, 12.0),
-                                   st.booleans()), min_size=1, max_size=3))
-    return g, space, init, ModelParams(mu=mu, theta=theta), stream, legs
-
-
 @contextmanager
 def wrapped_context(**wrappers):
     """Build every kernel run's context as a Python subclass of the kernel's
@@ -1114,74 +965,8 @@ def kernel_calls():
         yield calls
 
 
-@contextmanager
-def rule_calls():
-    """Count the scalar rule calls through the engine, and the events that
-    kernel chunks apply."""
-    counts = SimpleNamespace(rules=0, chunked=0)
-
-    def counted(rule):
-        def call(*args):
-            counts.rules += 1
-            return rule(*args)
-        return call
-
-    def counted_run(own, ctx, *args):
-        done = own(ctx, *args)
-        counts.chunked += done
-        return done
-
-    with mock.patch.object(engine, "update_pair_compass", counted(engine.update_pair_compass)), \
-            mock.patch.object(engine, "update_pair_deffuant",
-                              counted(engine.update_pair_deffuant)), \
-            wrapped_context(run=counted_run):
-        yield counts
-
-
 class TestOneLoop:
     """run() against apply_event stepped over a twin stream's events."""
-
-    @given(loop_cases(), st.booleans())
-    # the second leg applies the event the first parked, and draws nothing
-    @example((build_path(3), "circle", [0.0, 0.0, 0.0], ModelParams(mu=0.5),
-              partial(PoissonStream, 0), [(1, 0.0, False), (0, None, False)]), False)
-    @settings(max_examples=500, deadline=None)
-    def test_run_matches_stepping_apply_event(self, case, observed):
-        g, space, init, params, stream, legs = case
-        state = new_simulation(g, Explicit(init), params, space=space, stream=stream())
-        ref = new_simulation(g, Explicit(init), params, space=space)
-        ref_stream = stream()
-        poisson = isinstance(ref_stream, PoissonStream)
-        recorder = Recorder(state)
-        seen = []
-        budget = 0
-        for more, max_time, split in legs:
-            budget += more
-            drawn_before = ref_stream.rng.getstate() if poisson else None
-            under = state.events_applied < budget
-            parked = state.pending is not None and under
-            with kernel_calls() as calls:
-                rec = run(state, stop=StopRule(max_events=budget, max_time=max_time),
-                          observers=[recorder] if observed else ())
-            reason = step_reference(ref, ref_stream, budget,
-                                    math.inf if max_time is None else max_time, seen)
-            assert rec.stop_reason == reason
-            assert (bits(state.opinions), state.clock, state.events_applied, state.pending) \
-                == (bits(ref.opinions), ref.clock, ref.events_applied, ref.pending)
-            if poisson:
-                assert state.stream.rng.getstate() == ref_stream.rng.getstate()
-            else:
-                assert state.stream.cursor == ref_stream.cursor
-            # a leg without observers runs in the kernel: a Poisson one when
-            # it draws, or when it starts with a parked event under its
-            # budget; a scripted one whenever it starts under its budget
-            drew = poisson and ref_stream.rng.getstate() != drawn_before
-            assert bool(calls) == (not observed and _kernel.load() is not None
-                                   and (drew or parked if poisson else under))
-            if split:
-                state = restore(snapshot(state))
-                recorder.state = state
-        assert recorder.seen == (seen if observed else [])
 
     def test_other_streams_see_a_synced_state(self):
         class Asking:
@@ -1251,62 +1036,6 @@ class TestOneLoop:
                         run(state, stream=stream, stop=StopRule(max_events=1))
                     apply_event(ref, ev)
                     assert bits(state.opinions) == bits(ref.opinions), (mu, theta, stream, lib)
-
-
-def opinion_values(space):
-    return (st.sampled_from([0.0, 1.0, 0.5, -0.5, 0.25, -0.75, math.nextafter(-1.0, 0.0)])
-            | st.floats(-1.0, 1.0, exclude_min=True)
-            if space == "circle" else
-            st.sampled_from([0.0, 1.0, 0.5]) | st.floats(0.0, 1.0))
-
-
-@st.composite
-def twin_cases(draw):
-    """A run in legs for the kernel and the Python loop: probes, time stops,
-    W stops (whose sums can rule out later tests on the torus) and snapshots
-    between legs."""
-    space = draw(st.sampled_from(["circle", "interval"]))
-    shape = draw(st.sampled_from(["ring", "path", "torus"]))
-    n = draw(st.integers(3, 9))
-    g = {"ring": build_ring, "path": build_path}[shape](n) if shape != "torus" \
-        else build_torus([6, 6])
-    values = opinion_values(space)
-    if draw(st.booleans()):
-        # a start inside a short arc, so W can fall below the stop levels
-        values = values.map(lambda v: 0.05 * v)
-    init = draw(st.lists(values, min_size=g.vertex_count, max_size=g.vertex_count))
-    if space == "circle" and draw(st.booleans()):
-        # an antipodal pair on the first edge, so the tie bit decides
-        a, b = g.edges[0]
-        init[a], init[b] = draw(st.sampled_from([(0.0, 1.0), (0.5, -0.5), (1.0, 0.0)]))
-    mu = draw(st.sampled_from([0.5, 0.25]) | st.floats(0.05, 0.5))
-    theta = draw(st.sampled_from([math.inf, 0.9, 0.3]))
-    # up to 8 keeps the torus's 72 edges above 2 * 4 * interval, so a sum of
-    # W can rule out the tests after it
-    interval = draw(st.integers(1, 8))
-    probes = sorted(set(draw(st.lists(st.floats(0.0, 15.0), max_size=4))))
-    legs = draw(st.lists(st.tuples(st.integers(0, 400), st.none() | st.floats(0.0, 15.0),
-                                   st.none() | st.sampled_from([1e-3, 1e-2, 0.5]),
-                                   st.booleans()), min_size=1, max_size=3))
-    return (g, space, init, ModelParams(mu=mu, theta=theta), draw(st.integers(0, 2**32)),
-            interval, probes, legs)
-
-
-def run_legs(case):
-    g, space, init, params, seed, interval, probes, legs = case
-    state = new_simulation(g, Explicit(init), params, space=space, stream=seed)
-    out = []
-    budget = 0
-    for more, max_time, w_below, split in legs:
-        budget += more
-        rec = run(state, stop=StopRule(max_events=budget, max_time=max_time, w_below=w_below,
-                                       w_check_interval=interval), probes=probes)
-        out.append((rec.stop_reason, rec.events_applied, rec.final_time, rec.samples,
-                    rec.terminal, bits(state.opinions), state.clock, state.pending,
-                    state.stream.rng.getstate()))
-        if split:
-            state = restore(snapshot(state))
-    return out
 
 
 def untemper(y):
@@ -1388,29 +1117,6 @@ def cpu_flags():
             for flag in line.partition(":")[2].split()}
 
 
-def parked_run(past):
-    """A 9-ring run that parks its first event past max_time 0.5, then a
-    run whose first probe (past == "probe") or whose max_time (past ==
-    "max_time") comes before that event, so that at kernel entry the parked
-    event is past it, then a run to a budget. Each leg's samples and end."""
-    init = [0.9 * math.cos(2.0 * i) for i in range(9)]
-    state = new_simulation(build_ring(9), Explicit(init), ModelParams(mu=0.3), stream=9)
-    run(state, stop=StopRule(max_time=0.5))
-    t = state.pending.time
-    if past == "probe":
-        legs = [(StopRule(max_events=200), (0.5, 0.5 * (0.5 + t), t, 3.0))]
-    else:
-        legs = [(StopRule(max_events=200, max_time=0.5 * (0.5 + t)), (0.5, t)),
-                (StopRule(max_events=200), (t, 3.0))]
-    out = []
-    for stop, probes in legs:
-        rec = run(state, stop=stop, probes=probes)
-        out.append((rec.stop_reason, rec.samples, [v.hex() for v in state.opinions],
-                    state.clock, state.pending, state.events_applied,
-                    state.stream.rng.getstate()))
-    return t, out
-
-
 def context_cases():
     """`Context` arguments on a 4-path (m = 3, n = 4), all by keyword and
     fresh at each call, as (name, good, kwargs). The good ones draw from a
@@ -1483,69 +1189,33 @@ def context_cases():
     ]
 
 
-# Run in a subprocess against a build of _kernel.c given as argv[1]: twin
-# runs of the build and the Python loop, at the draw boundaries and from
-# parked events too, W in C against math.fsum, and probe metrics against
-# the numpy path (tiny gaps at one vertex and at several, and a graph
-# above GIL_EDGES), scripted replays split by a snapshot, one of them
-# refused at an edge id past the edges, the graph pass against the numpy
-# checks, on valid and invalid edge lists, and contexts built, run and
-# dropped, or refused. The build checks every graph the script builds, and
-# aborts the process on undefined behaviour.
+# Run in a subprocess against a build of _kernel.c given as argv[1], with
+# the tests on the path: the twin machine of test_twins.py (the build's
+# runs against the Python loop's), twin runs at the draw boundaries, W in
+# C against math.fsum, and probe metrics against the numpy path (tiny gaps
+# at one vertex and at several, and a 64x64 torus), the graph pass against
+# the numpy checks, on valid and invalid edge lists, and contexts built, run
+# and dropped, or refused. The build checks every graph the script builds,
+# and aborts the process on undefined behaviour.
 UBSAN_CHECK = """
 import array, math, random, sys
 from unittest import mock
 import numpy as np
-from compassmodel import (DifferenceTracker, Explicit, Graph, ModelParams, ScriptedStream,
-                          StopRule, _kernel, analysis, build_path, build_ring, build_torus,
-                          compute_metrics, graph_from_edges, new_simulation, restore, run,
-                          scenarios, snapshot)
+import conftest
+from hypothesis import settings
+from hypothesis.stateful import run_state_machine_as_test
+from compassmodel import (Explicit, Graph, ModelParams, StopRule, _kernel, analysis,
+                          build_path, build_ring, build_torus, compute_metrics, graph_from_edges,
+                          new_simulation, run)
+from test_twins import Twins
 
 lib = _kernel._open(sys.argv[1])
 _kernel._lib = lib  # every graph the check builds, the build checks
-chunks = []
-
-class Counted(lib.Context):
-    def run(self, *args):
-        chunks.append(1)
-        return super().run(*args)
-
-def go(g, space, mu, theta, stop, probes, tracked):
-    init = [0.97 * math.sin(2.3 * i + 0.4) for i in range(g.vertex_count)]
-    if space == "interval":
-        init = [abs(v) for v in init]
-    state = new_simulation(g, Explicit(init), ModelParams(mu=mu, theta=theta), space=space,
-                           stream=len(init))
-    observers = [DifferenceTracker(state, with_xi=True)] if tracked else []
-    rec = run(state, stop=stop, probes=probes, observers=observers)
-    gaps = [[v.hex() for v in obs.delta.values + obs.xi.values] for obs in observers]
-    return (rec.stop_reason, rec.events_applied, rec.final_time, rec.samples, rec.terminal,
-            [v.hex() for v in state.opinions], state.clock, state.pending,
-            state.stream.rng.getstate(), gaps)
-
-cases = [
-    # W test, probes: W starts far above 2 * 4 * 10, so each sum rules out
-    # a window of the tests after it, and a chunk spans the window
-    (build_torus([20, 20]), "circle", 0.5, math.inf,
-     StopRule(max_events=20_000, w_below=0.5, w_check_interval=10), (0.5, 1.0, 2.0), False),
-    # W below 2 * 4 * 100 from the start: T at every test point
-    (build_torus([20, 20]), "circle", 0.3, 0.9,
-     StopRule(max_events=20_000, w_below=1e-3), (0.5, 3.0), False),
-    (build_ring(12), "circle", 0.3, 0.9, StopRule(max_events=3_000), (1.0,), True),
-    (build_ring(9), "circle", 0.5, math.inf,
-     StopRule(max_events=3_000, w_below=1e-9, w_check_interval=3), (), False),
-    (build_path(7), "interval", 0.25, math.inf, StopRule(max_time=20.0), (2.0, 5.0), False),
-]
-for case in cases:
-    with mock.patch.object(_kernel, "_lib", lib), mock.patch.object(lib, "Context", Counted):
-        got = go(*case)
-    with mock.patch.object(_kernel, "_lib", False):
-        want = go(*case)
-    assert got == want, case
-assert chunks
+run_state_machine_as_test(Twins, settings=settings(max_examples=40, stateful_step_count=12,
+                                                   deadline=None))
 
 """ + "\n\n".join(map(inspect.getsource, (untemper, boundary_cases, boundary_run,
-                                            parked_run, context_cases))) + """
+                                            context_cases))) + """
 
 bounds = boundary_cases()
 for case in bounds:
@@ -1554,14 +1224,6 @@ for case in bounds:
     with mock.patch.object(_kernel, "_lib", False):
         want = boundary_run(*case)
     assert got == want, case
-
-parked = ["probe", "max_time"]
-for past in parked:
-    with mock.patch.object(_kernel, "_lib", lib):
-        got = parked_run(past)
-    with mock.patch.object(_kernel, "_lib", False):
-        want = parked_run(past)
-    assert got == want, past
 
 rng = np.random.default_rng(3)
 terms = [rng.uniform(0.0, 1.0, 10_000),
@@ -1582,7 +1244,7 @@ def metrics(g, ops, gaps):
 
 tiny = 2.0 ** -537
 star = graph_from_edges(7, [(0, v) if v % 2 else (v, 0) for v in range(1, 7)])
-# 8,192 edges, probed without the GIL; then tiny gaps at several of its vertices
+# 8,192 edges; then tiny gaps at several of its vertices
 big = build_torus([64, 64])
 spread = [0.97 * math.sin(2.3 * i + 0.4) for i in range(big.vertex_count)]
 planted = list(spread)
@@ -1603,46 +1265,6 @@ for case in probes:
     with mock.patch.object(_kernel, "_lib", False):
         want = metrics(*case)
     assert got == want, case
-
-# the butterfly's schedule on an 11-path, to the stop, then snapshot,
-# restore and on to the end; an edge id past the edges when bad
-def replay(space, stop, probes, tracked, bad):
-    g, events, base, _ = scenarios.butterfly_scenario(6)
-    if bad:
-        events = events[:40] + ((events[40].time, g.edge_count),) + events[41:]
-    init = base if space == "circle" else [(v + 1.0) / 2.0 for v in base]
-    state = new_simulation(g, Explicit(init), ModelParams(mu=0.3, theta=0.9), space=space,
-                           stream=ScriptedStream(events))
-    tracker = DifferenceTracker(state, with_xi=True) if tracked else None
-    out = []
-    for leg in (stop, None):
-        try:
-            rec = run(state, stop=leg, probes=probes, observers=[tracker] if tracker else [])
-            out.append((rec.stop_reason, rec.events_applied, rec.final_time, rec.samples,
-                        rec.terminal))
-        except ValueError as exc:
-            out.append(str(exc))
-        out.append(([v.hex() for v in state.opinions], state.clock, state.pending,
-                    state.stream.cursor,
-                    tracker and [v.hex() for v in tracker.delta.values + tracker.xi.values]))
-        state = restore(snapshot(state))
-        if tracker:
-            tracker.state = state
-    return out
-
-scripted = [
-    ("circle", StopRule(max_events=500, max_time=300.5), (10.0, 200.0, 2e3), True, False),
-    ("circle", StopRule(max_events=20), (5.0,), False, True),
-    ("interval", StopRule(max_events=5_000, w_below=1e-6, w_check_interval=7), (50.0,), False,
-     False),
-]
-for case in scripted:
-    before = len(chunks)
-    with mock.patch.object(_kernel, "_lib", lib), mock.patch.object(lib, "Context", Counted):
-        got = replay(*case)
-    with mock.patch.object(_kernel, "_lib", False):
-        want = replay(*case)
-    assert got == want and len(chunks) > before, case
 
 # the graph pass against the numpy checks, on valid and invalid lists
 torus = build_torus([5, 4]).edge_array.tolist()
@@ -1681,8 +1303,7 @@ for name, good, kwargs in contexts:
         del ctx
     if isinstance(opinions, array.array):
         opinions.append(0.0)
-print("ok", len(cases), len(bounds), len(parked), len(terms), len(probes), len(scripted),
-      len(graphs), len(contexts))
+print("ok", len(bounds), len(terms), len(probes), len(graphs), len(contexts))
 """
 
 
@@ -1891,11 +1512,10 @@ class TestKernel:
 
     @needs_kernel
     def test_a_context_in_a_cycle_with_its_opinions_is_collected(self):
-        # a run's opinions hold the context's total_w while the context holds
-        # their buffer; a run that never closes (an interrupt as the context
-        # is built) leaves that cycle to the collector
+        # an array that holds the context's total_w while the context holds
+        # its buffer is a cycle, which the collector finds
         kwargs = context_cases()[0][2]
-        buf = kwargs["opinions"] = _kernel.Opinions("d", kwargs["opinions"])
+        buf = kwargs["opinions"] = type("Held", (array.array,), {})("d", kwargs["opinions"])
         buf.total_w = _kernel.load().Context(**kwargs).total_w
         gone = weakref.ref(buf)
         del buf, kwargs
@@ -1924,25 +1544,6 @@ class TestKernel:
             assert table.dtype == np.int64 and table.flags.c_contiguous
         assert len(handed) == 1
         assert all(a is b for a, b in zip(handed[0], (g.edge_array, starts, ids), strict=True))
-
-    @given(twin_cases())
-    @settings(max_examples=300, deadline=None)
-    def test_kernel_runs_match_the_python_loop_bitwise(self, case):
-        with kernel_calls() as calls, rule_calls() as on:
-            got = run_legs(case)
-        with mock.patch.object(_kernel, "_lib", False), kernel_calls() as off, \
-                rule_calls() as python_loop:
-            want = run_legs(case)
-        assert got == want
-        assert off == []
-        drew = got[-1][-1] != random.Random(case[4]).getstate()
-        assert bool(calls) == (drew and _kernel.load() is not None)
-        # the Python loop applies each event with one scalar rule call; a
-        # kernel run applies every event in a chunk, the held ones (drawn
-        # past probes, or parked at max_time and resumed) too
-        events = got[-1][1]
-        assert python_loop.rules == events
-        assert (on.rules, on.chunked) == ((0, events) if _kernel.load() else (events, 0))
 
     @needs_kernel
     @pytest.mark.parametrize("held", ["none", "probe", "parked"])
@@ -1982,53 +1583,6 @@ class TestKernel:
         # among them) reach past index 624, and the fresh generator's twice
         assert regenerated == 6 * events + 1
 
-    @pytest.mark.parametrize("space", ["circle", "interval"])
-    @pytest.mark.parametrize("w_test", [False, True], ids=["no W test", "W test"])
-    @given(data=st.data())
-    @settings(max_examples=60, deadline=None)
-    def test_long_chunks_match_the_python_loop_and_the_generator(self, space, w_test, data):
-        # chunks of up to 3,000 events make several blocks each, and a
-        # generator moved by 0 to 1,247 words starts them inside one
-        n = data.draw(st.integers(3, 12), label="n")
-        g = build_ring(n) if data.draw(st.booleans(), label="ring") else build_path(n)
-        init = data.draw(st.lists(opinion_values(space), min_size=n, max_size=n), label="init")
-        params = ModelParams(mu=data.draw(st.sampled_from([0.5, 0.25]) | st.floats(0.05, 0.5),
-                                          label="mu"),
-                             theta=data.draw(st.sampled_from([math.inf, 0.9, 0.3]),
-                                             label="theta"))
-        seed = data.draw(st.integers(0, 2**64), label="seed")
-        words = data.draw(st.integers(0, 1247), label="words")
-        # 104 events draw one block's 624 words
-        sizes = st.integers(1, 3000) | st.sampled_from([1, 104, 105, 3000])
-        legs = data.draw(st.lists(sizes, min_size=1, max_size=3), label="legs")
-        interval = data.draw(sizes, label="interval")  # of the W test, if any
-
-        def go():
-            state = new_simulation(g, Explicit(init), params, space=space, stream=seed)
-            rng = state.stream.rng
-            for _ in range(words):
-                rng.getrandbits(32)
-            budget = 0
-            for more in legs:
-                budget += more
-                run(state, stop=StopRule(max_events=budget, w_below=1e-300 if w_test else None,
-                                         w_check_interval=interval))
-            return (bits(state.opinions), state.clock, state.pending, state.events_applied,
-                    rng.getstate())
-
-        with kernel_calls() as calls:
-            got = go()
-        with mock.patch.object(_kernel, "_lib", False):
-            want = go()
-        assert got == want
-        # the three draws of each event are six words of the one generator
-        fresh_rng = random.Random(seed)
-        for _ in range(words + 6 * got[3]):
-            fresh_rng.getrandbits(32)
-        assert got[-1] == fresh_rng.getstate()
-        if _kernel.load() and not w_test:
-            assert [limit for limit, _ in calls] == legs  # each leg is one chunk
-
     @pytest.mark.parametrize("case", boundary_cases(),
                              ids=lambda c: f"{c[0]}-{c[1]}-" + "-".join(f"{w:x}" for w in c[2]))
     def test_draw_boundaries_match_the_python_loop(self, case):
@@ -2039,30 +1593,6 @@ class TestKernel:
         assert got == want
         assert got[3] == 3
         assert bool(calls) == (_kernel.load() is not None)
-
-    @pytest.mark.parametrize("past", ["probe", "max_time"])
-    def test_a_parked_event_past_the_first_probe_or_max_time_waits(self, past):
-        # at kernel entry the parked event is past the first probe, or past
-        # max_time: the chunk applies nothing and keeps it held
-        chunks = []
-
-        def noted(own, ctx, *args):
-            done = own(ctx, *args)
-            # a chunk that stops short holds an event, at ctx.t
-            chunks.append((done, ctx.t if ctx.drawn else None))
-            return done
-
-        with wrapped_context(run=noted):
-            got = parked_run(past)
-        with mock.patch.object(_kernel, "_lib", False):
-            want = parked_run(past)
-        assert got == want
-        t, legs = got
-        if past == "max_time":
-            assert legs[0][0] == "max_time" and legs[0][4].time == t
-        else:
-            assert [s.time for s in legs[0][1]][:3] == [0.5, 0.5 * (0.5 + t), t]
-        assert ((0, t) in chunks) == (_kernel.load() is not None)
 
     def test_an_unreadable_source_falls_back_to_the_python_loop(self, tmp_path, monkeypatch):
         if shutil.which("gcc") is None:
@@ -2176,11 +1706,11 @@ class TestKernel:
         assert built.returncode == 0, built.stderr
         src = str(Path(engine.__file__).parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+            [src, str(Path(__file__).parent), *filter(None, [os.environ.get("PYTHONPATH")])])}
         done = subprocess.run([sys.executable, "-c", UBSAN_CHECK, str(lib)], env=env,
                               capture_output=True, text=True, timeout=600)
         assert done.returncode == 0, done.stderr[-3000:]
-        assert done.stdout.split() == ["ok", "5", "64", "2", "6", "5", "3", "12", "29"]
+        assert done.stdout.split() == ["ok", "64", "6", "5", "12", "29"]
 
 
 # pairs of opinions whose distance is exactly 1 (antipodal), nextafter(1, +inf),
@@ -2190,85 +1720,29 @@ W_PAIRS = {"circle": [(0.5, -0.5), (0.0, 1.0), (-0.75, 0.25), (1.0, -2.0**-52),
            "interval": [(0.0, 1.0), (1.0, 2.0**-53), (0.0, -0.0), (-0.0, 0.0), (0.5, 0.5)]}
 
 
-@st.composite
-def total_w_cases(draw):
-    """A graph (ring, path or custom, edges in any order and orientation),
-    opinions with the distances where the fold and the order of the sum
-    matter, and the length of a run with a W test every `interval` events."""
-    space = draw(st.sampled_from(["circle", "interval"]))
-    shape = draw(st.sampled_from(["ring", "path", "custom"]))
-    n = draw(st.integers(3, 40))
-    if shape == "custom":
-        # a random tree, some chords, reversed and shuffled edges
-        pairs = {frozenset((v, draw(st.integers(0, v - 1)))) for v in range(1, n)}
-        for a, b in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
-                                  max_size=2 * n)):
-            if a != b:
-                pairs.add(frozenset((a, b)))
-        edges = [tuple(p)[::draw(st.sampled_from([1, -1]))] for p in sorted(pairs, key=sorted)]
-        g = Graph("custom", n, draw(st.permutations(edges)))
-    else:
-        g = {"ring": build_ring, "path": build_path}[shape](n)
-    special = [0.0, -0.0, 1.0, 0.5, 2.0**-53, math.nextafter(1.0, 0.0)]
-    if space == "circle":
-        special += [-0.5, 0.25, -0.75, -2.0**-52, math.nextafter(-1.0, 0.0)]
-    init = draw(st.lists(st.sampled_from(special) | opinion_values(space),
-                         min_size=n, max_size=n))
-    for e in draw(st.lists(st.integers(0, g.edge_count - 1), max_size=4)):
-        a, b = g.edges[e]
-        init[a], init[b] = draw(st.sampled_from(W_PAIRS[space]))
-    mu = draw(st.sampled_from([0.5, 0.25]) | st.floats(0.05, 0.5))
-    # at least m / 2 events between tests: the W test sums every edge
-    interval = draw(st.integers(max(1, g.edge_count // 2), g.edge_count + 5))
-    return g, space, init, mu, interval, draw(st.integers(0, 3 * interval))
-
-
 def traced_total_w():
-    """Wrap `engine._total_w`: each call logs the opinions' type, the sum
-    it returns and the Python loop's sum of a list of the same opinions (on
-    a copy of the graph, whose tuple views the loop builds)."""
+    """Wrap `engine._total_w`: each call logs what it summed (a state, or a
+    kernel run's context) and the hex of the sum."""
     seen = []
     total_w = engine._total_w
 
-    def traced(state):
-        got = total_w(state)
-        g = state.graph
-        ref = total_w(SimpleNamespace(graph=Graph(g.kind, g.vertex_count, g.edge_array),
-                                      space=state.space, opinions=list(state.opinions)))
-        seen.append((type(state.opinions), got.hex(), ref.hex()))
+    def traced(source):
+        got = total_w(source)
+        seen.append((source, got.hex()))
         return got
 
     return seen, mock.patch.object(engine, "_total_w", traced)
 
 
-class TestKernelOpinions:
-    """A kernel run works on the kernel's own buffer, and gives the caller's
-    list back."""
-
-    @needs_kernel
-    @given(total_w_cases(), st.integers(0, 2**32))
-    @settings(max_examples=300, deadline=None)
-    def test_total_w_on_the_kernel_buffer_matches_the_python_loop(self, case, seed):
-        g, space, init, mu, interval, events = case
-        state = fresh(g, init, mu=mu, space=space, stream=seed)
-        seen, patch = traced_total_w()
-        with patch:
-            # one test of the start as drawn, then tests of the profiles it reaches
-            run(state, stop=StopRule(max_events=0, w_below=1e-300))
-            run(state, stop=StopRule(max_events=events, w_below=1e-300,
-                                     w_check_interval=interval))
-        assert len(seen) >= 2
-        assert {kind for kind, *_ in seen} == {_kernel.Opinions}
-        assert [got for _, got, _ in seen] == [ref for *_, ref in seen]
+class TestKernelW:
+    """A kernel run's W test sums its context's opinions in C, as the Python
+    loop sums the state's."""
 
     @needs_kernel
     @pytest.mark.parametrize("start", ["uniform", "after a run", "around 1"])
     @pytest.mark.parametrize("space", ["circle", "interval"])
-    def test_total_w_above_gil_edges_is_the_python_loops(self, start, space):
-        # 8,192 edges: the context sums them without the GIL
-        g = build_torus([64, 64])
-        gil_edges = int(re.search(r"#define GIL_EDGES (\d+)", _kernel._SOURCE.read_text())[1])
-        assert g.edge_count >= gil_edges
+    def test_total_w_on_a_64x64_torus_is_the_python_loops(self, start, space):
+        g = build_torus([64, 64])  # 8,192 edges
         ops = initial_opinions(IidUniform(7), g.vertex_count)
         if space == "interval":
             ops = [abs(v) for v in ops]
@@ -2288,119 +1762,8 @@ class TestKernelOpinions:
         distances = [abs(ops[a] - ops[b]) for a, b in g.edges]
         assert space == "interval" or min(distances) < 1.0 < max(distances)
         assert start != "around 1" or 1.0 in distances
-        want = engine._total_w(SimpleNamespace(graph=g, space=space, opinions=list(ops)))
+        want = engine._total_w(SimState(g, space, ModelParams(), list(ops)))
         assert ctx.total_w().hex() == want.hex()
-
-    @needs_kernel
-    @pytest.mark.parametrize("how", ["max_events", "max_time", "w_below", "w_below tracked",
-                                     "max_time at a probe"])
-    def test_the_caller_list_comes_back(self, how):
-        init = [0.1 * math.sin(i) for i in range(36)]
-        g = build_torus([6, 6]) if how == "w_below tracked" else build_ring(36)
-        stop, probes = {
-            "max_events": (StopRule(max_events=500), (0.5, 3.0)),
-            "max_time": (StopRule(max_time=4.5), (1.0,)),
-            # 36 edges: a test every 100 events sums them all
-            "w_below": (StopRule(max_events=10**6, w_below=1e-4), (0.5,)),
-            # 72 edges > 2 * 4 * 3: a sum can rule out the tests after it
-            "w_below tracked": (StopRule(max_events=10**6, w_below=1e-4, w_check_interval=3),
-                                (0.5,)),
-            "max_time at a probe": (StopRule(max_time=2.0), (0.5, 1.0, 2.0)),
-        }[how]
-
-        def go(lib):
-            state = fresh(g, init, mu=0.37, stream=99)
-            caller = state.opinions
-            with mock.patch.object(_kernel, "_lib", lib), kernel_calls() as calls:
-                rec = run(state, stop=stop, probes=probes)
-            assert state.opinions is caller and type(caller) is list
-            return rec, calls, bits(caller), state.clock, state.pending
-
-        rec, calls, *got = go(_kernel.load())
-        want_rec, _, *want = go(False)
-        assert calls and rec.stop_reason == how.split()[0]
-        assert got == want
-        assert rec.samples == want_rec.samples and len(rec.samples) == len(probes)
-
-    @needs_kernel
-    @pytest.mark.parametrize("case", ["torus probes", "ring to consensus", "interval path"])
-    def test_the_terminal_record_is_the_python_loops(self, case):
-        # the terminal probe reads the kernel's final buffer, the probes read
-        # it in place; the record, the caller's list and, on the ring, the
-        # tracker's gaps and bounds are the Python loop's, bit for bit
-        g, space, stop, probes = {
-            "torus probes": (build_torus([6, 5]), "circle",
-                             StopRule(max_events=4_000, w_below=1e-9), (0.5, 2.0, 30.0)),
-            "ring to consensus": (build_ring(8), "circle",
-                                  StopRule(max_events=10**6, w_below=1e-7), (0.0, 1.0)),
-            "interval path": (build_path(7), "interval",
-                              StopRule(max_events=10**6, w_below=1e-7), (0.25, 3.0)),
-        }[case]
-
-        def go(lib):
-            state = new_simulation(g, IidUniform(17), ModelParams(mu=0.3), space=space,
-                                   stream=PoissonStream(23))
-            tracker = DifferenceTracker(state, with_xi=True) if g.kind == "ring" else None
-            seen = []
-
-            def compute(graph, opinions, *args, **kwargs):
-                seen.append(type(opinions))
-                return compute_metrics(graph, opinions, *args, **kwargs)
-
-            with mock.patch.object(_kernel, "_lib", lib), kernel_calls() as calls, \
-                    mock.patch.object(engine.analysis, "compute_metrics", compute):
-                rec = run(state, probes=probes, stop=stop, observers=[tracker] if tracker else [])
-            assert type(state.opinions) is list
-            out = json.loads(rec.to_json(include_opinions=True))
-            del out["metadata"]
-            gaps = [bits(tracker.delta.values), bits(tracker.xi.values)] if tracker else []
-            return (out, bits(rec.final_opinions), bits(state.opinions), gaps), calls, seen
-
-        got, calls, kinds = go(_kernel.load())
-        want, _, python = go(False)
-        assert calls and got == want
-        assert kinds == [_kernel.Opinions] * len(kinds) and python == [list] * len(kinds)
-        # every probe that fell due, and the terminal one
-        assert len(kinds) == len(got[0]["samples"]) + 1 >= 2
-        if case != "torus probes":
-            assert got[0]["terminal"]["consensus"] == "strong-like"
-            assert got[0]["terminal"]["L"] is not None
-
-    @needs_kernel
-    @pytest.mark.parametrize("tracked", [False, True])
-    def test_a_probe_that_raises_leaves_its_opinions_in_the_caller_list(self, tracked):
-        class Boom(Exception):
-            pass
-
-        g = build_torus([6, 6]) if tracked else build_ring(12)
-        init = [0.5 * math.cos(3 * i) for i in range(g.vertex_count)]
-
-        def go(lib):
-            state = fresh(g, init, mu=0.3, stream=5)
-            caller = state.opinions
-            seen = []
-
-            def compute(graph, opinions, *args, **kwargs):
-                seen.append((type(opinions), bits(opinions)))
-                if len(seen) == 2:
-                    raise Boom
-                return compute_metrics(graph, opinions, *args, **kwargs)
-
-            with mock.patch.object(_kernel, "_lib", lib), \
-                    mock.patch.object(engine.analysis, "compute_metrics", compute), \
-                    pytest.raises(Boom):
-                run(state, stop=StopRule(max_events=5000, w_below=1e-9, w_check_interval=3),
-                    probes=(0.5, 2.0, 4.0))
-            assert state.opinions is caller and type(caller) is list
-            # the values as of the probe that raised
-            assert bits(caller) == seen[-1][1]
-            return seen, state.clock, state.events_applied, state.stream.rng.getstate()
-
-        got, want = go(_kernel.load()), go(False)
-        assert [kind for kind, _ in got[0]] == [_kernel.Opinions] * 2
-        assert [kind for kind, _ in want[0]] == [list] * 2
-        assert [b for _, b in got[0]] == [b for _, b in want[0]]
-        assert got[1:] == want[1:]
 
     @needs_kernel
     @pytest.mark.parametrize("max_events,interval,w_below", [
@@ -2421,59 +1784,10 @@ class TestKernelOpinions:
         tests = events // interval + (events % interval > 0 or events == 0) \
             if rec.stop_reason == "max_events" else events // interval
         assert len(seen) == tests > 0
-        assert {kind for kind, *_ in seen} == {_kernel.Opinions}
-        assert [got for _, got, _ in seen] == [ref for *_, ref in seen]
+        # each sum is the run's context's, in C
+        assert all(isinstance(source, _kernel.load().Context) for source, _ in seen)
         # the sum reads edge_array in C, not the Python loop's tuple view
         assert not TUPLE_TABLES & set(vars(g))
-
-    @needs_kernel
-    @pytest.mark.parametrize("case", ["max_events=0", "restored at its budget",
-                                      "max_events below events_applied",
-                                      "after a probe's held event", "capped at _CHUNK"])
-    def test_an_untracked_w_test_reads_t_from_its_chunk(self, case):
-        # W <= 9 edges < 2 * 2 * 4: every test sums W in full, in C, on the
-        # opinions the last chunk left, or before any chunk. A sum taken
-        # before that chunk reads as a wrong W, and the run stops, or goes
-        # on, where the Python loop does not.
-        g = build_ring(9)
-        init = [0.8 * math.sin(1.7 * i) for i in range(9)]
-        lib = _kernel.load()
-        # each run starts at 40 events
-        budget = {"max_events=0": 0, "restored at its budget": 40,
-                  "max_events below events_applied": 20}.get(case, 2_040)
-        before_any_chunk = budget <= 40
-        probes = tuple(0.05 * i for i in range(1, 400)) if "probe" in case else ()
-        held_only = []
-
-        def noted(own, ctx, limit, next_probe):
-            held_only.append(limit == 1 and ctx.drawn == 1)
-            return own(ctx, limit, next_probe)
-
-        def go(lib):
-            state = fresh(g, init, mu=0.3, stream=8)
-            with mock.patch.object(_kernel, "_lib", lib):
-                run(state, stop=StopRule(max_events=40))
-                if case == "restored at its budget":
-                    state = restore(snapshot(state))
-                seen, patch = traced_total_w()
-                with patch, mock.patch.object(engine, "_CHUNK", 3 if "_CHUNK" in case else
-                                              engine._CHUNK), \
-                        wrapped_context(run=noted):
-                    rec = run(state, stop=StopRule(max_events=budget, w_below=1e-9,
-                                                   w_check_interval=4), probes=probes)
-                sums = [got for _, got, _ in seen]
-                assert sums == [ref for *_, ref in seen]
-            return (rec.stop_reason, rec.events_applied, sums, bits(state.opinions),
-                    state.clock, state.pending, state.stream.rng.getstate())
-
-        got = go(lib)
-        assert got == go(False)
-        tests = got[2]
-        if before_any_chunk:
-            assert len(tests) == 1
-        else:
-            assert len(tests) > 20
-        assert any(held_only) == ("probe" in case)
 
 
 class TestInterruptedChunk:
@@ -2699,159 +2013,6 @@ class TestFsum:
         assert set(callers) == {"compassmodel.analysis"}
 
 
-@st.composite
-def window_twin_cases(draw):
-    """twin_cases on graphs with more than 2 * max_degree * w_check_interval
-    edges, so a sum of W can rule out the tests after it: rings, paths and
-    tori, some from alternating starts whose W is near the edge count."""
-    space = draw(st.sampled_from(["circle", "interval"]))
-    shape = draw(st.sampled_from(["ring", "path", "torus"]))
-    if shape == "torus":
-        g = build_torus([draw(st.integers(3, 7)), draw(st.integers(3, 7))])
-    else:
-        g = {"ring": build_ring, "path": build_path}[shape](draw(st.integers(10, 60)))
-    interval = draw(st.integers(1, min(8, (g.edge_count - 1) // (2 * g.max_degree))))
-    values = opinion_values(space)
-    start = draw(st.sampled_from(["any", "short arc", "alternating"]))
-    if start == "short arc":
-        # W can fall below the stop levels
-        values = values.map(lambda v: 0.05 * v)
-    init = draw(st.lists(values, min_size=g.vertex_count, max_size=g.vertex_count))
-    if start == "alternating":
-        # far-apart values at odd and even vertices, every fifth one as
-        # drawn: W starts near m
-        a, b = draw(st.sampled_from([(0.0, 1.0), (0.5, -0.5), (0.9, -0.05)]
-                                    if space == "circle" else [(0.0, 1.0), (0.95, 0.02)]))
-        init = [x if v % 5 == 4 else a if v % 2 else b for v, x in enumerate(init)]
-    mu = draw(st.sampled_from([0.5, 0.25]) | st.floats(0.05, 0.5))
-    theta = draw(st.sampled_from([math.inf, 0.9, 0.3]))
-    # probes over the time the legs' events take, so most fall between checks
-    probes = sorted(set(draw(st.lists(st.floats(0.0, 600.0 / g.edge_count), max_size=4))))
-    legs = draw(st.lists(st.tuples(st.integers(0, 400),
-                                   st.none() | st.floats(0.0, 600.0 / g.edge_count),
-                                   st.sampled_from([None, 1e-3, 1e-2, 0.1, 0.5, 5.0]),
-                                   st.booleans()), min_size=1, max_size=3))
-    return (g, space, init, ModelParams(mu=mu, theta=theta), draw(st.integers(0, 2**32)),
-            interval, probes, legs)
-
-
-def traced_legs(case):
-    """run_legs, with the event count and the hex of every full W sum."""
-    sums = []
-    total_w = engine._total_w
-
-    def traced_total_w(state):
-        got = total_w(state)
-        # the loop keeps its count in a local until the run ends
-        sums.append((sys._getframe(1).f_locals["count"], got.hex()))
-        return got
-
-    with mock.patch.object(engine, "_total_w", traced_total_w):
-        out = run_legs(case)
-    return out, sums
-
-
-def scheduled_tests(case, out):
-    """The W tests the legs of run_legs schedule: every w_check_interval
-    events of a leg with a W stop, and at a budget that lands off that grid."""
-    interval, legs = case[5], case[7]
-    tests, start, budget = 0, 0, 0
-    for (more, _, w_below, _), (_, events, *_) in zip(legs, out):
-        budget += more
-        if w_below is not None:
-            done = events - start
-            tests += done // interval
-            if events >= budget and (done % interval or done == 0):
-                tests += 1
-        start = events
-    return tests
-
-
-class TestKernelWTest:
-    """The W test's sums, and the windows they rule out, on the kernel and
-    on the Python loop."""
-
-    @given(window_twin_cases())
-    @settings(max_examples=200, deadline=None)
-    def test_full_sums_match_the_python_loop_bitwise(self, case):
-        got, sums = traced_legs(case)
-        with mock.patch.object(_kernel, "_lib", False):
-            want, want_sums = traced_legs(case)
-        assert got == want
-        assert sums == want_sums
-        scheduled = scheduled_tests(case, got)
-        assert len(sums) <= scheduled
-        if len(sums) < scheduled:
-            event("a window skipped a test")
-
-
-@st.composite
-def tracker_twin_cases(draw):
-    """Circle runs on rings and paths observed by one DifferenceTracker, in
-    legs: gated events, gaps on the cut, probes, time and W stops, and
-    snapshots between legs. Some graphs reverse edges, so that couplings
-    of sign -1 occur."""
-    n = draw(st.integers(3, 40))
-    g = build_ring(n) if draw(st.booleans()) else build_path(n)
-    if draw(st.booleans()):
-        flips = draw(st.lists(st.booleans(), min_size=g.edge_count, max_size=g.edge_count))
-        g = Graph("custom", n, tuple(e[::-1] if f else e for e, f in zip(g.edges, flips)))
-    values = opinion_values("circle")
-    start = draw(st.sampled_from(["any", "short arc", "constant", "quarters"]))
-    if start == "constant":
-        init = [draw(values)] * n
-    else:
-        if start == "short arc":
-            values = values.map(lambda v: 0.05 * v)
-        elif start == "quarters":
-            # exact gaps of 1 between neighbors, and more of them at mu = 1/2
-            values = st.sampled_from([0.0, 1.0, 0.5, -0.5, 0.25, -0.75])
-        init = draw(st.lists(values, min_size=n, max_size=n))
-    if draw(st.booleans()):
-        # an antipodal pair on the first edge: its gap sits on the cut
-        a, b = g.edges[0]
-        init[a], init[b] = draw(st.sampled_from([(0.0, 1.0), (0.5, -0.5), (1.0, 0.0)]))
-    mu = draw(st.sampled_from([0.5, 0.25]) | st.floats(0.05, 0.5))
-    theta = draw(st.sampled_from([math.inf, 1.0, 0.9, 0.3, 0.05]))
-    with_xi = draw(st.booleans())
-    xi_values = draw(st.none() | st.lists(st.floats(0.0, 2.0), min_size=g.edge_count,
-                                          max_size=g.edge_count))
-    interval = draw(st.integers(1, 8))
-    horizon = 600.0 / g.edge_count
-    probes = sorted(set(draw(st.lists(st.floats(0.0, horizon), max_size=4))))
-    legs = draw(st.lists(st.tuples(st.integers(0, 400), st.none() | st.floats(0.0, horizon),
-                                   st.sampled_from([None, 1e-3, 1e-2, 0.5]), st.booleans()),
-                         min_size=1, max_size=3))
-    return (g, init, ModelParams(mu=mu, theta=theta), with_xi, xi_values,
-            draw(st.integers(0, 2**32)), interval, probes, legs)
-
-
-def tracker_legs(case):
-    """run_legs with a DifferenceTracker, carried over each restore; each
-    leg also reports the tracker's gaps and bounds."""
-    g, init, params, with_xi, xi_values, seed, interval, probes, legs = case
-    state = new_simulation(g, Explicit(init), params, stream=seed)
-    tracker = DifferenceTracker(state, with_xi=with_xi, xi_values=xi_values)
-    lists = tracker.delta.values, tracker.xi and tracker.xi.values
-    out = []
-    budget = 0
-    for more, max_time, w_below, split in legs:
-        budget += more
-        rec = run(state, stop=StopRule(max_events=budget, max_time=max_time, w_below=w_below,
-                                       w_check_interval=interval),
-                  probes=probes, observers=[tracker])
-        out.append((rec.stop_reason, rec.events_applied, rec.final_time, rec.samples,
-                    rec.terminal, bits(state.opinions), state.clock, state.pending,
-                    state.stream.rng.getstate(), bits(tracker.delta.values),
-                    tracker.xi and bits(tracker.xi.values)))
-        if split:
-            state = tracker.state = restore(snapshot(state))
-    # the kernel writes its values back into the tracker's own lists
-    assert all(a is b for a, b in zip(lists, (tracker.delta.values,
-                                              tracker.xi and tracker.xi.values)))
-    return out
-
-
 @contextmanager
 def tracker_calls():
     """Count the tracker's apply_event calls, and those gated on the tracked
@@ -2876,22 +2037,6 @@ TUPLE_TABLES = {"edges", "incident_edges", "edge_neighbors"}
 class TestKernelTracker:
     """A Poisson run observed by one DifferenceTracker: the gap and bound
     updates in C against the tracker's apply_event in the Python loop."""
-
-    @given(tracker_twin_cases())
-    @settings(max_examples=300, deadline=None)
-    def test_tracker_runs_match_the_python_loop_bitwise(self, case):
-        with tracker_calls() as on:
-            got = tracker_legs(case)
-        with mock.patch.object(_kernel, "_lib", False), tracker_calls() as off:
-            want = tracker_legs(case)
-        assert got == want
-        events = got[-1][1]
-        assert off.calls == events
-        assert on.calls == (0 if _kernel.load() else events)
-        if off.gated:
-            event("a tracker event gated on its gap")
-        if off.cut:
-            event("a tracker re-read at |gap| == 1")
 
     @pytest.mark.parametrize("tie", [1, 2])
     @pytest.mark.parametrize("via", ["parked", "past a probe"])
@@ -2992,165 +2137,8 @@ class TestKernelTracker:
         assert not TUPLE_TABLES & set(vars(state.graph))
 
 
-@st.composite
-def scripted_cases(draw):
-    """A scripted run in legs for the kernel and the Python loop: probes,
-    time stops, W stops, a tracker with or without bounds, a parked event,
-    snapshots between legs and a schedule that runs out; at times with an
-    event the loops refuse, an edge id out of range or a first time before
-    the clock or the parked event."""
-    space = draw(st.sampled_from(["circle", "interval"]))
-    shape = draw(st.sampled_from(["ring", "path", "torus"]))
-    n = draw(st.integers(3, 9))
-    g = {"ring": build_ring, "path": build_path}[shape](n) if shape != "torus" \
-        else build_torus([6, 6])
-    m = g.edge_count
-    values = opinion_values(space)
-    if draw(st.booleans()):
-        values = values.map(lambda v: 0.05 * v)
-    init = draw(st.lists(values, min_size=g.vertex_count, max_size=g.vertex_count))
-    if space == "circle" and draw(st.booleans()):
-        # an antipodal pair on the first edge, so the tie bit decides
-        a, b = g.edges[0]
-        init[a], init[b] = draw(st.sampled_from([(0.0, 1.0), (0.5, -0.5), (1.0, 0.0)]))
-    mu = draw(st.sampled_from([0.5, 0.25]) | st.floats(0.05, 0.5))
-    theta = draw(st.sampled_from([math.inf, 0.9, 0.3]))
-    rng = random.Random(draw(st.integers(0, 2**32)))
-    times = np.cumsum([0.01 + 0.1 * rng.random() for _ in range(draw(st.integers(0, 300)))])
-    events = [(t, rng.choice([0, m - 1]) if rng.random() < 0.2 else rng.randrange(m),
-               rng.choice([1, 2])) for t in times.tolist()]
-    if events and draw(st.booleans()):
-        at = draw(st.integers(0, len(events) - 1))
-        # past the edges (a snapshot holds no negative edge id)
-        events[at] = (events[at][0], draw(st.sampled_from([m, m + 7])), 1)
-    first = events[0][0] if events else 1.0
-    start = draw(st.sampled_from(["fresh", "parked"])
-                 | st.sampled_from(["late clock", "late parked"]))
-    clock = first + 0.05 if start == "late clock" else 0.0
-    parked = None
-    if start in ("parked", "late parked"):
-        t = first + 0.05 if start == "late parked" else first * rng.random()
-        parked = Event(t, rng.randrange(m), rng.choice([1, 2]))
-    # a tracker needs the circle and a graph of degree 2
-    tracked = draw(st.sampled_from([None, "delta", "xi"])) \
-        if space == "circle" and shape != "torus" else None
-    end = times[-1] if events else 1.0
-    interval = draw(st.integers(1, 8))
-    probes = sorted(set(draw(st.lists(st.floats(0.0, 1.2 * end), max_size=4))))
-    legs = draw(st.lists(st.tuples(st.integers(0, 200), st.none() | st.floats(0.0, 1.2 * end),
-                                   st.none() | st.sampled_from([1e-3, 1e-2, 0.5, 2.0]),
-                                   st.booleans()), min_size=1, max_size=3))
-    return (g, space, init, ModelParams(mu=mu, theta=theta), events, clock, parked, tracked,
-            interval, probes, legs)
-
-
-def scripted_legs(case):
-    """Each leg's record, or the message it was refused with, and the state,
-    the stream's cursor and the tracker's values after it."""
-    g, space, init, params, events, clock, parked, tracked, interval, probes, legs = case
-    state = new_simulation(g, Explicit(init), params, space=space,
-                           stream=ScriptedStream(events))
-    state.clock, state.pending = clock, parked
-    tracker = DifferenceTracker(state, with_xi=tracked == "xi") if tracked else None
-    out = []
-    budget = 0
-    for more, max_time, w_below, split in legs:
-        budget += more
-        try:
-            rec = run(state, stop=StopRule(max_events=budget, max_time=max_time,
-                                           w_below=w_below, w_check_interval=interval),
-                      probes=probes, observers=[tracker] if tracker else ())
-            got = (rec.stop_reason, rec.events_applied, rec.final_time, rec.samples,
-                   rec.terminal)
-        except ValueError as exc:
-            got = str(exc)
-        out.append((got, bits(state.opinions), state.clock, state.events_applied,
-                    state.pending, state.stream.cursor,
-                    tracker and bits(tracker.delta.values
-                                     + (tracker.xi or tracker.delta).values)))
-        if isinstance(got, str):
-            break
-        if split:
-            state = restore(snapshot(state))
-            if tracker:
-                tracker.state = state
-    return out
-
-
 class TestScriptedKernel:
     """Scripted runs replayed in the compiled kernel against the Python loop."""
-
-    @given(scripted_cases())
-    @settings(max_examples=300, deadline=None)
-    def test_scripted_runs_match_the_python_loop_bitwise(self, case):
-        with kernel_calls() as calls, rule_calls() as on:
-            got = scripted_legs(case)
-        with mock.patch.object(_kernel, "_lib", False), kernel_calls() as off, \
-                rule_calls() as python_loop:
-            want = scripted_legs(case)
-        assert got == want
-        assert off == []
-        # every event the kernel run applied went through a chunk; the
-        # Python loop applies each with one scalar rule call
-        events = got[-1][3]
-        assert python_loop.rules == events
-        assert (on.rules, on.chunked) == ((0, events) if _kernel.load() else (events, 0))
-        if _kernel.load() and events:
-            assert calls
-        for leg in got:
-            event(leg[0][0] if not isinstance(leg[0], str)
-                  else "refused: " + " ".join(leg[0].split()[:2]))
-
-    @pytest.mark.parametrize("loop", LOOPS)
-    @pytest.mark.parametrize("bad,message", [
-        ("edge", "edge id 9 out of range"),
-        ("negative edge", "edge id -1 out of range"),
-        ("late clock", "event at 1.0 is earlier than the clock 1.5"),
-        ("late parked", "event at 1.0 is earlier than the clock 1.25"),
-    ])
-    @pytest.mark.parametrize("tracked", [False, True])
-    def test_a_bad_scripted_event_is_taken_and_refused(self, bad, message, tracked, loop):
-        # the kernel's replay ends before the event; the Python loop takes
-        # it off the stream and refuses it, as apply_event would
-        events = [(1.0, 0), (2.0, 1, 2), (3.0, {"edge": 9, "negative edge": -1}.get(bad, 0)),
-                  (4.0, 1)]
-
-        def go(lib):
-            state = fresh(build_path(3), [0.2, 0.6, -0.9], mu=0.25,
-                          stream=ScriptedStream(events))
-            if bad == "late clock":
-                state.clock = 1.5
-            elif bad == "late parked":
-                state.pending = Event(1.25, 1, 2)
-            tracker = DifferenceTracker(state, with_xi=True) if tracked else None
-            with mock.patch.object(_kernel, "_lib", lib), pytest.raises(ValueError) as got:
-                run(state, stop=StopRule(max_events=10), probes=(0.5, 2.5),
-                    observers=[tracker] if tracker else ())
-            return (str(got.value), bits(state.opinions), state.clock, state.events_applied,
-                    state.pending, state.stream.cursor,
-                    tracker and bits(tracker.delta.values + tracker.xi.values))
-
-        got = go(loop_lib(loop))
-        assert got[0] == message
-        # the bad event taken: the third, or the first after the parked one
-        applied = {"late clock": 0, "late parked": 1}.get(bad, 2)
-        assert got[3:6] == (applied, None, applied + (bad != "late parked"))
-        assert go(False) == got
-
-    @needs_kernel
-    def test_a_held_event_counts_as_taken(self):
-        # a replay that stops at a probe or at max_time holds the event past
-        # it with the cursor past it; close writes that cursor back
-        events = [(1.0, 0), (2.0, 1, 2), (3.0, 0), (4.0, 1)]
-        state = fresh(build_path(3), [0.2, 0.6, -0.9], stream=ScriptedStream(events))
-        with kernel_calls() as calls:
-            rec = run(state, stop=StopRule(max_time=2.5), probes=(1.5,))
-        assert len(calls) == 2  # stopped at the probe, then resumed
-        assert (rec.stop_reason, state.events_applied, state.pending, state.stream.cursor) == \
-            ("max_time", 2, Event(3.0, 0, 1), 3)
-        rec = run(state)
-        assert (rec.stop_reason, state.events_applied, state.stream.cursor) == \
-            ("schedule_exhausted", 4, 4)
 
     @pytest.mark.parametrize("loop", LOOPS)
     @pytest.mark.parametrize("cursor", [-1, 3, 1.5])
@@ -3588,6 +2576,12 @@ class TestDeriveSeed:
         seen = {derive_seed(7, "init", i) for i in range(50)}
         seen |= {derive_seed(7, "compass", i) for i in range(50)}
         assert len(seen) == 100
+
+    @pytest.mark.parametrize("master", [1.5, True, "1", None])
+    def test_a_master_that_is_not_an_int_is_refused(self, master):
+        # 1.5, True and "1" used to be taken as 1
+        with pytest.raises(TypeError, match="master seeds must be integers"):
+            derive_seed(master, "x")
 
     def test_fits_in_64_bits(self):
         for i in range(20):
