@@ -28,6 +28,7 @@ from contextlib import ExitStack
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
@@ -391,3 +392,114 @@ class Twins(RuleBasedStateMachine):
 
 TestTwins = Twins.TestCase
 TestTwins.settings = settings(max_examples=150, stateful_step_count=12, deadline=None)
+
+
+# Pinned sequences: the machine's steps on fixed starts, for the cases a
+# search need not draw on every run (a refused event after a parked one,
+# a W test before any chunk, a parked event past the first probe, a leg
+# run to consensus, a snapshot resumed on the other loop). `begin` makes a
+# start as `starts` draws one; `go` makes a step, whose leg names what it
+# changes in LEG, in the units of `legs`.
+LEG = dict(source="same", seed=0, schedule=[], more=None, max_time=None, w_below=None,
+           interval=1, probes=[], observer=None, chunk=engine._CHUNK)
+XI = dict(with_xi=True, xi_values=None)
+TORUS = Graph("custom", 36, build_torus([6, 6]).edge_array)
+SCRIPT = [(2.0, 0, 1), (2.0, 1, 2), (2.0, 0, 1), (2.0, 1, 1)]  # at 1, 2, 3, 4 on a 3-path
+
+
+def begin(g, f, space="circle", mu=0.3, seed=9, tracker=None):
+    init = [f(i) for i in range(g.vertex_count)]
+    return g, space, [abs(v) for v in init] if space == "interval" else init, \
+        ModelParams(mu=mu), seed, tracker
+
+
+def go(rule="run_leg", leg=None, **kw):
+    return rule, dict(kw, **({} if leg is None else {"leg": dict(LEG, **leg)}))
+
+
+def L(**leg):
+    return go(leg=leg)
+
+
+def small(i):
+    return 0.1 * math.sin(i)
+
+
+def wide(i):
+    return 0.9 * math.cos(2.0 * i)
+
+
+RING9 = begin(build_ring(9), lambda i: 0.8 * math.sin(1.7 * i), seed=8)
+PARK = L(max_time=4.5)
+PINNED = {
+    "budget": (begin(build_ring(36), small), [L(more=500, probes=[18.0, 108.0])]),
+    "max_time": (begin(build_ring(36), small), [L(max_time=162.0, probes=[36.0])]),
+    "w_below": (begin(build_ring(36), small), [L(more=10**6, w_below=1e-4, probes=[18.0])]),
+    "w_below windowed": (begin(TORUS, small), [L(more=10**6, w_below=1e-4, interval=3)]),
+    "max_time at a probe": (begin(build_ring(36), small),
+                            [L(max_time=72.0, probes=[18.0, 36.0, 72.0])]),
+    "terminal, torus": (begin(TORUS, wide, seed=23),
+                        [L(more=4000, w_below=1e-9, probes=[36.0, 144.0, 2160.0])]),
+    "terminal, ring to consensus": (begin(build_ring(8), small, seed=23, tracker=XI),
+                                    [L(more=10**6, w_below=1e-7, probes=[0.0, 8.0],
+                                       observer="tracker")]),
+    "terminal, interval path": (begin(build_path(7), wide, "interval", seed=23),
+                                [L(more=10**6, w_below=1e-7, probes=[1.5, 18.0])]),
+    "W test at max_events=0": (RING9, [L(more=40), L(more=-40, w_below=1e-9, interval=4)]),
+    "W test restored at its budget": (RING9, [L(more=40), go("resume_across", source=0),
+                                              L(more=0, w_below=1e-9, interval=4)]),
+    "W test below the count": (RING9, [L(more=40), L(more=-20, w_below=1e-9, interval=4)]),
+    "W test after a held event": (RING9, [L(more=40), L(
+        more=2000, w_below=1e-9, interval=4, probes=[0.45 * i for i in range(1, 400)])]),
+    "W test in chunks of 3": (RING9, [L(more=40), L(more=2000, w_below=1e-9, interval=4,
+                                                     chunk=3)]),
+    "parked past a probe": (begin(build_ring(9), wide), [PARK, L(more=200,
+                                                                 probes=[0.0, 1e-6, 27.0])]),
+    "parked past max_time": (begin(build_ring(9), wide), [PARK, L(more=200, max_time=1e-6),
+                                                          L(more=200, probes=[27.0])]),
+    "a probe raises": (begin(build_ring(12), wide, seed=5), [go(
+        "interrupt_leg", dict(more=5000, w_below=1e-9, interval=3, probes=[6.0, 24.0, 48.0]),
+        at=2)]),
+    "a probe raises, windowed": (begin(TORUS, wide, seed=5), [go(
+        "interrupt_leg", dict(more=5000, w_below=1e-9, interval=3, probes=[36.0, 144.0]),
+        at=2)]),
+    "held scripted event taken": (begin(build_path(3), [0.2, 0.6, -0.9].__getitem__), [
+        L(source="scripted", schedule=SCRIPT, max_time=5.0, probes=[3.0]), L()]),
+    "W stop where W first falls below": (begin(build_ring(12), small), [
+        L(more=5000, w_below=1e-3, observer="plain")]),
+    "W stop at a window of 3": (begin(build_ring(12), small), [
+        L(more=5000, w_below=1e-3, interval=3, observer="plain")]),
+    "parked Poisson, then scripted": (begin(build_ring(9), wide), [
+        PARK, L(source="scripted", schedule=SCRIPT * 3, probes=[1.0])]),
+    "kernel snapshot on the Python loop": (begin(build_ring(9), wide), [
+        PARK, go("resume_across", source=0), L(more=300, probes=[2.0])]),
+    "Python snapshot on the kernel": (begin(build_path(9), wide), [
+        PARK, go("resume_across", source=1), L(more=300, max_time=20.0)]),
+    "ties at distance 1": (begin(build_ring(8), lambda i: 0.5 - i % 2), [L(more=50)]),
+}
+for space in ("circle", "interval"):
+    for w in (None, 1e-300):
+        PINNED[f"long chunks, {space}, W test {w}"] = (
+            begin(build_ring(12), wide, space), [go("move_generator", words=1247), L(more=104),
+                                                 L(more=105), L(more=3000, w_below=w,
+                                                                interval=105)])
+for fault in ("edge m", "edge -1", "early", "tie 1.5"):
+    for parked in (False, True):
+        for observer in (None, "tracker"):
+            PINNED[f"refused {fault}, parked {parked}, {observer}"] = (
+                begin(build_path(3), [0.2, 0.6, -0.9].__getitem__, tracker=XI),
+                [PARK] * parked + [go("refuse_a_scripted_event", dict(
+                    schedule=SCRIPT, observer=observer, probes=[0.5, 5.0]), at=5, fault=fault)])
+for fault in (None, "edge 1.5", "nan", "inf", "tie 0", "tie 1.5"):
+    PINNED[f"parked {fault}"] = (begin(build_ring(9), wide), [go(
+        "park_an_event", dict(more=50), wait=1.0, edge=4, tie=2, fault=fault)])
+
+
+@pytest.mark.parametrize("name", PINNED)
+def test_a_pinned_sequence(name):
+    machine = Twins()
+    machine.start(case=PINNED[name][0])
+    machine.agree()
+    for rule, kw in PINNED[name][1]:
+        getattr(machine, rule)(**kw)
+        machine.agree()
