@@ -268,8 +268,10 @@ static void track(const struct cm_ctx *c, int64_t e)
         xi[e] = (1.0 - 2.0 * mu) * xi[e];
 }
 
-/* engine._total_w in C: the left-to-right sum of the edge distances in
- * edge-id order, with the same fold, so bitwise the same sum. On the circle
+/* engine._total_w in C, T: the edge distances summed left to right in
+ * edge-id order, with the same fold, so bitwise the same T. T is not W, the
+ * exact sum (cm_metrics'), but a bound on it that the engine uses only to
+ * rule a stop out. On the circle
  * a distance x is folded to 2 - x just when that is below x, that is when
  * x > 1 (there 2 - x is exact; at 1 both are 1): one select, no branch. */
 static double cm_total_w(struct cm_ctx *c)
@@ -795,7 +797,7 @@ static PyObject *context_total_w(PyObject *self, PyObject *Py_UNUSED(unused))
 
 static PyMethodDef context_methods[] = {
     {"run", (PyCFunction)(void (*)(void))context_run, METH_FASTCALL, "cm_run: the events applied"},
-    {"total_w", context_total_w, METH_NOARGS, "cm_total_w: T, the stop test's W"},
+    {"total_w", context_total_w, METH_NOARGS, "cm_total_w: T, the bound that rules a W stop out"},
     {NULL, NULL, 0, NULL},
 };
 

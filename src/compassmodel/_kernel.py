@@ -12,9 +12,10 @@ probe) and `graph` (`Graph`'s checks) are one call into C each.
 The life of a kernel run. `engine._run_loop` hands a Poisson or scripted
 run, without observers or with one DifferenceTracker of the run's own
 state, to a `Chunks`. Its `ctx`, an object of the kernel's `Context` type,
-is the one record of the run until it closes: the opinions (`buf`, which
-probes read in place and `engine._total_w` sums in C through
-`Context.total_w`; `state.opinions` stays the caller's list), the clock,
+is the one record of the run until it closes: the opinions (`buf`, whose
+W probes and the stop decision read in place, and whose left-to-right sum
+T, which only rules a stop out, `Context.total_w` takes in C;
+`state.opinions` stays the caller's list), the clock,
 the count, the generator's words or the schedule's cursor, the tracker's
 gaps and bounds, and the held event. The context holds the buffer of every
 array it reads or writes, so none can be resized under it.

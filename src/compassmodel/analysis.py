@@ -181,21 +181,7 @@ def compute_metrics(g: Graph, opinions, space: str = "circle",
         if len(delta_values) != g.edge_count:
             raise ValueError(f"expected {g.edge_count} gap values, got {len(delta_values)}")
         delta = np.ascontiguousarray(delta_values, dtype=float)
-    # imported here, so the kernel's build stays out of the package import
-    from . import _kernel
-    found = _kernel.metrics(g, x, space == "circle", delta)
-    if found:
-        w, max_nd, flips, pairs = found
-    else:
-        if delta is None:
-            delta = x[g.edge_array[:, 1]] - x[g.edge_array[:, 0]]
-            if space == "circle":
-                delta = _chart(delta)
-        absd = np.abs(delta)
-        w = math.fsum(memoryview(absd))
-        # as the builtin max over the list: a leading NaN wins, later ones are skipped
-        max_nd = float(max(absd[0], np.fmax.reduce(absd))) if absd.size else 0.0
-        flips, pairs = _sign_flips(g, delta)
+    w, max_nd, flips, pairs = _gap_pass(g, x, space == "circle", delta)
     mean_ad = w / g.edge_count if g.edge_count else 0.0
     if space == "circle":
         rng = circle_opinion_range(x)
@@ -204,6 +190,27 @@ def compute_metrics(g: Graph, opinions, space: str = "circle",
     return MetricSample(time=at_time, W=w, max_neighbor_dist=max_nd,
                         mean_abs_delta=mean_ad, opinion_range=rng,
                         sign_flip_fraction=flips / pairs if pairs else 0.0)
+
+
+def _gap_pass(g: Graph, x: np.ndarray, circle: bool, delta: np.ndarray | None = None):
+    """compute_metrics' pass over the edges: (W, the largest |gap|, the sign
+    flips, the adjacent edge pairs) of the gaps `delta` if given, else of
+    the opinions `x`, each a contiguous float64 array of the right length.
+    A W stop in the engine decides on this W, so a run stops on the W its
+    record reports."""
+    # imported here, so the kernel's build stays out of the package import
+    from . import _kernel
+    found = _kernel.metrics(g, x, circle, delta)
+    if found:
+        return found
+    if delta is None:
+        delta = x[g.edge_array[:, 1]] - x[g.edge_array[:, 0]]
+        if circle:
+            delta = _chart(delta)
+    absd = np.abs(delta)
+    # as the builtin max over the list: a leading NaN wins, later ones are skipped
+    max_nd = float(max(absd[0], np.fmax.reduce(absd))) if absd.size else 0.0
+    return (math.fsum(memoryview(absd)), max_nd, *_sign_flips(g, delta))
 
 
 def consensus_classify(record_or_sample, tol: float = 1e-6) -> str:

@@ -297,8 +297,13 @@ class StopRule:
     and names the stop reason. The W test runs every w_check_interval
     events and once more when the event budget lands, so a run that
     converges exactly at the budget still counts as converged. It stops
-    exactly when the left-to-right sum of the edge distances is below
-    w_below, but sums them only where a stop is possible (see `_run_loop`).
+    exactly when W, the exactly rounded sum of the edge distances that the
+    record reports, is below w_below (see `_run_loop`).
+
+    A rule whose only bound is w_below may never return. A ring wound k
+    times keeps W >= 2|k|, and under a finite theta gated clusters can
+    freeze with W above w_below; until the engine stops at a winding floor
+    or on fixed clusters, a max_events bound is what ends such a run.
 
     max_events and w_check_interval are counts: a whole float such as 1e6
     (as JSON gives it) is taken as its int; bools and other numbers are
@@ -372,9 +377,10 @@ def apply_event(state: SimState, ev: Event) -> None:
 
 
 def _total_w(state) -> float:
-    """The left-to-right sum of the edge distances, in edge-id order, of a
-    SimState; or of a kernel run's `Context`, which sums its opinions in C
-    the same way."""
+    """T: the edge distances of a SimState summed left to right, in edge-id
+    order; or of a kernel run's `Context`, which sums its opinions in C the
+    same way. T is not W but a cheap bound on it, which a W test uses only
+    to rule a stop out (see `_run_loop`)."""
     if not isinstance(state, SimState):
         return state.total_w()
     op = state.opinions
@@ -522,6 +528,16 @@ def run(state: SimState, stream=None, stop: StopRule | None = None,
 _CHUNK = 1 << 20
 
 
+def _least_t(lo: float, shrink: float, fold: float) -> float:
+    """A T at and above which T * shrink - fold, as computed, is at least lo.
+    That expression never falls as T grows, so the first T that passes will
+    do."""
+    t = (lo + fold) / shrink
+    while t * shrink - fold < lo:
+        t = math.nextafter(t, math.inf)
+    return t
+
+
 def _run_loop(state: SimState, stream, stop: StopRule, probes, samples,
               observers, values: array.array):
     """The event loop: either space, any stream, observers welcome. Return
@@ -536,19 +552,30 @@ def _run_loop(state: SimState, stream, stop: StopRule, probes, samples,
     or the budget, after _CHUNK events, or at an event past the next probe
     or max_time. Every W test, probe and stop decision stays here.
 
-    A W test that sums all m edges, T at count c, rules out a stop for a
-    window after it. An event on an edge at distance d moves each of its
-    ends by mu * d (every branch of both rules), and an edge distance by at
-    most the moves of its two ends. The edges at the event's ends hold at
-    most 2 * max_degree ends, and a computed move is within 2**-51 of
-    mu * d, so step = 2 * max_degree * (mu + 2**-50), even rounded down
-    twice, bounds what one event does to W. No sum at a count up to
-    c + (T - w_below - margin) / step can fall below w_below: margin covers
-    the rounding of T at both ends (m terms in [0, 1], each within 2**-52
-    of its distance, summed left to right round by less than
-    (m * m + m) * 2**-53) and of the window's own arithmetic. The next test
-    that sums is the first past the window. The window is worked out only
-    when T >= gate, where it skips a test; below, it costs one compare.
+    A W test at count c sums the m edge distances left to right, T
+    (`_total_w`), and T only rules a stop out: the run stops on W, the
+    exactly rounded sum that the record reports (`analysis._gap_pass`, as
+    compute_metrics takes it). T lies within (m - 1) * 2**-53 * T of the
+    exact sum of its terms (recursive summation of nonnegative terms,
+    Higham 2002, ch. 4), and each term within 2**-53 of its distance. So
+    lo = T * (1 - (m + 4) * 2**-53) - m * 2**-52, as computed, lies below
+    that exact sum by at least 2**-52 per term and 2**-52 * T. No stop is
+    possible at lo >= w_below; below it, the exact W decides. lo also rules
+    out a stop for a window after the test. An event on an edge at
+    distance d moves each of its ends by mu * d (every branch of both
+    rules), and an edge distance by at most the moves of its two ends. The
+    edges at the event's ends hold at most 2 * max_degree ends, and a
+    computed move is within 2**-51 of mu * d, so
+    step = 2 * max_degree * (mu + 2**-50), even rounded down twice, bounds
+    what one event does to the sum of the distances. No test at a count up
+    to c + (lo - w_below) / step can find W below w_below: the room under
+    the exact sum covers each term's rounding at both ends of the window,
+    and the window's own arithmetic. The next test that sums is the first
+    past the window. The window is worked out only when lo reaches
+    w_below + step * interval, where it skips a test. lo never falls as T
+    grows, so a test compares T itself with `low` and `gate`, the T at
+    which lo reaches w_below and w_below + step * interval (`_least_t`): a
+    test that rules a stop out costs one sum and two compares.
     A run that raises after drawing an event and before applying it parks
     the event in `state.pending` and keeps its count of applied events.
     """
@@ -563,7 +590,7 @@ def _run_loop(state: SimState, stream, stop: StopRule, probes, samples,
     scripted = type(stream) is ScriptedStream
     rnd = stream.rng.random if poisson else None
     log = math.log
-    compute = analysis.compute_metrics
+    compute, exact = analysis.compute_metrics, analysis._gap_pass
 
     clock = state.clock
     count = state.events_applied
@@ -578,8 +605,9 @@ def _run_loop(state: SimState, stream, stop: StopRule, probes, samples,
     if w_below is not None:
         check_at, quiet = min(count + interval, max_events), -1
         step = 2 * g.max_degree * (params.mu + 2.0 ** -50)
-        margin = (m + 3) ** 2 * 2.0 ** -52
-        gate = w_below + margin + step * interval
+        shrink, fold = 1.0 - (m + 4) * 2.0 ** -53, m * 2.0 ** -52
+        low = _least_t(w_below, shrink, fold)
+        gate = _least_t(w_below + step * interval, shrink, fold)
     pi = 0
     next_probe = probes[pi] if probes else math.inf
     kernel = lib = None
@@ -610,11 +638,11 @@ def _run_loop(state: SimState, stream, stop: StopRule, probes, samples,
                 ahead = interval
                 if count > quiet:
                     w = _total_w(summed)
-                    if w < w_below:
+                    if w < low and exact(g, np.asarray(op, dtype=float), circle)[0] < w_below:
                         reason = "w_below"
                         break
                     if w >= gate:
-                        skip = int((w - w_below - margin) // step)
+                        skip = int((w * shrink - fold - w_below) // step)
                         quiet = count + skip
                         ahead += skip - skip % interval
                 if count >= max_events:

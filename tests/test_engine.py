@@ -34,10 +34,11 @@ from compassmodel import (Constant, DifferenceTracker, Event, Explicit, Graph,
                           build_path, build_ring, build_torus, derive_seed,
                           graph_from_edges, initial_opinions, new_simulation, restore, run,
                           snapshot, xi_from_values)
-from compassmodel import _kernel, engine
+from compassmodel import _kernel, analysis, engine
 from compassmodel.analysis import compute_metrics
 from compassmodel.scenarios import butterfly_scenario
 from compassmodel.engine import _total_w
+from test_twins import near
 
 
 needs_kernel = pytest.mark.skipif(_kernel.load() is None, reason="no compiled kernel")
@@ -740,12 +741,17 @@ def summed_run(state, stop, probes=()):
     return rec, [got for _, got in seen]
 
 
+def exact_w(state):
+    """W as a record reports it: compute_metrics' exactly rounded sum."""
+    return compute_metrics(state.graph, state.opinions, state.space).W
+
+
 def first_below(state, interval, w_below):
     """Step the state one interval at a time, without a W stop, to the
-    first count whose sum of W is below w_below."""
+    first count whose W is below w_below."""
     while True:
         run(state, stop=StopRule(max_events=state.events_applied + interval))
-        if _total_w(state) < w_below:
+        if exact_w(state) < w_below:
             return state.events_applied
 
 
@@ -756,9 +762,9 @@ def outcome_of(rec, state):
 
 
 class TestWTestWindow:
-    """After a full W sum T, the tests of the next (T - w_below - margin) /
-    (2 * max_degree) events answer "not below" without a sum. None of them
-    could have found a sum below w_below."""
+    """After a full sum T, less its rounding bound, the tests of the next
+    (T - w_below) / (2 * max_degree * mu) events answer "not below" without
+    a sum. None of them could have found W below w_below."""
 
     @pytest.mark.parametrize("loop", LOOPS)
     def test_a_torus_run_sums_less_and_stops_where_every_test_would(self, loop):
@@ -778,7 +784,7 @@ class TestWTestWindow:
                                                    w_check_interval=interval), probes)
         assert rec.stop_reason == "w_below" and len(rec.samples) == 3
         assert outcome_of(rec, state) == want
-        assert float.fromhex(sums[-1]) < w_below
+        assert rec.terminal["W"] < w_below
         # W starts near 1,600 and falls by about 0.1 an event: a sum rules
         # out the tests of the next (W - 900) / 8 events
         assert len(sums) < stop_at // interval / 2
@@ -829,7 +835,7 @@ class TestWTestWindow:
             state, below = fresh_state(), [False]
             while not any(below[interval::interval]):
                 run(state, stop=StopRule(max_events=state.events_applied + 1))
-                below.append(_total_w(state) < w_below)
+                below.append(exact_w(state) < w_below)
             for budget in range(len(below) + interval):
                 tests = sorted({*range(interval, budget + 1, interval), budget})
                 hit = next((c for c in tests if c < len(below) and below[c]), None)
@@ -912,6 +918,135 @@ class TestWTestWindow:
             run(state, stop=StopRule(max_events=100, w_below=1e-6))
         assert (list(state.opinions), state.stream.rng.getstate()) == before
         assert (state.clock, state.events_applied, state.pending) == (0.0, 0, None)
+
+
+@contextmanager
+def decisions():
+    """Count the stop decision's exact W: the calls of `analysis._gap_pass`
+    that no compute_metrics call (a probe, the terminal record) made."""
+    calls = SimpleNamespace(gap_pass=0, metrics=0)
+    gap_pass, metrics = analysis._gap_pass, analysis.compute_metrics
+
+    def counted_gap_pass(*args):
+        calls.gap_pass += 1
+        return gap_pass(*args)
+
+    def counted_metrics(*args, **kwargs):
+        calls.metrics += 1
+        return metrics(*args, **kwargs)
+
+    taken = []
+    with mock.patch.object(analysis, "_gap_pass", counted_gap_pass), \
+            mock.patch.object(analysis, "compute_metrics", counted_metrics):
+        yield taken
+    taken.append(calls.gap_pass - calls.metrics)
+
+
+# interval starts whose left-to-right sum T is not W, the exactly rounded
+# sum, with a w_below between them: T = 1.0 < w_below = W, and
+# W < w_below = T
+NEAR_STARTS = {"T below W": ([0.0, 1.0, 1.0 - 2.0**-53, 1.0 - 2.0**-52], math.nextafter(1.0, 2.0),
+                             ("max_events", 1.0000000000000002)),
+               "W below T": ([3 * 2.0**-53, 1.0, 0.75 + 2.0**-52, 1.0], 1.4999999999999993,
+                             ("w_below", 1.4999999999999991))}
+NEAR_VALUES = [0.0, 1.0, 0.5, 0.75, 0.75 + 2.0**-52, 1.0 - 2.0**-53, 1.0 - 2.0**-52,
+               2.0**-53, 3 * 2.0**-53, 2.0**-1074]
+
+
+class TestOneW:
+    """A run stops on w_below exactly when the W its record reports is
+    below it; the left-to-right sum T only rules a stop out."""
+
+    @pytest.mark.parametrize("loop", LOOPS)
+    @pytest.mark.parametrize("name", NEAR_STARTS)
+    def test_a_stop_on_the_w_the_record_reports(self, name, loop):
+        init, w_below, want = NEAR_STARTS[name]
+        state = fresh(build_path(4), init, space="interval", stream=1)
+        assert (_total_w(state) < w_below) != (name == "W below T")
+        with mock.patch.object(_kernel, "_lib", loop_lib(loop)), decisions() as taken:
+            rec = run(state, stop=StopRule(max_events=0, w_below=w_below))
+        assert (rec.stop_reason, rec.terminal["W"]) == want
+        assert taken == [1]
+
+    @pytest.mark.parametrize("loop", LOOPS)
+    @given(shape=st.sampled_from(["path", "ring"]), n=st.integers(2, 9),
+           space=st.sampled_from(["circle", "interval"]),
+           values=st.lists(st.sampled_from(NEAR_VALUES) | st.floats(0.0, 1.0), min_size=9,
+                           max_size=9),
+           signs=st.lists(st.booleans(), min_size=9, max_size=9),
+           theta=st.sampled_from([math.inf, 0.3, 1e-3]), seed=st.integers(0, 2**32),
+           events=st.sampled_from([0, 1, 2]) | st.integers(0, 40), ulps=st.integers(-4, 4))
+    @settings(max_examples=60, deadline=None)
+    def test_w_below_holds_just_when_the_reported_w_is_below(
+            self, loop, shape, n, space, values, signs, theta, seed, events, ulps):
+        # w_below within a few ulps of W at the run's one test, at its budget
+        g = build_path(n) if shape == "path" else build_ring(max(n, 3))
+        init = values[:g.vertex_count]
+        if space == "circle":
+            init = [-v if sign and v < 1.0 else v for v, sign in zip(init, signs)]
+
+        def start():
+            return fresh(g, init, mu=0.25, theta=theta, space=space, stream=seed)
+
+        with mock.patch.object(_kernel, "_lib", loop_lib(loop)):
+            state = start()
+            run(state, stop=StopRule(max_events=events))
+            w, t = exact_w(state), _total_w(state)
+            w_below = near(w, ulps)
+            seen, patch = traced_total_w()
+            with patch, decisions() as taken:
+                rec = run(start(), stop=StopRule(max_events=events, w_below=w_below,
+                                                 w_check_interval=events + 1))
+        assert rec.stop_reason in ("max_events", "w_below")
+        assert (rec.events_applied, rec.terminal["W"]) == (events, w)
+        assert (rec.stop_reason == "w_below") == (w < w_below)
+        assert [got for _, got in seen] == [t.hex()]
+        # the exact W is taken once where T is below w_below, and never where
+        # T lies above it by more than a bound looser than the loop's
+        m = g.edge_count
+        assert taken[0] <= 1
+        assert taken[0] == 1 or t >= w_below
+        assert taken[0] == 0 or t - w_below <= t * (m + 8) * 2.0**-52 + m * 2.0**-51
+
+    @needs_kernel
+    def test_a_ring_of_1e5_near_w_below_takes_the_exact_w_once(self):
+        # W starts near 2e-6, inside the (m + 3)**2 * 2**-52 = 2.2e-6 margin
+        # an absolute bound on T would need: every test would take the exact W
+        rnd = random.Random(1)
+        g = build_ring(10**5)
+        state = fresh(g, [6e-11 * rnd.random() for _ in range(g.vertex_count)], mu=0.25,
+                      stream=3)
+        assert 1e-6 < exact_w(state) < (g.edge_count + 3) ** 2 * 2.0**-52
+        seen, patch = traced_total_w()
+        with patch, decisions() as taken, kernel_calls() as calls:
+            rec = run(state, stop=StopRule(max_events=10**6, w_below=1e-6))
+        assert calls
+        assert (rec.stop_reason, rec.events_applied, len(seen)) == ("w_below", 114_800, 1_148)
+        assert rec.terminal["W"] < 1e-6
+        assert taken == [1]
+
+
+class TestConfidenceGate:
+    """apply_rule's gate, as the scalar rules': one scripted event on a pair
+    at distance exactly theta moves it, and on one at nextafter(theta, 2)
+    does not, on both loops."""
+
+    @pytest.mark.parametrize("loop", LOOPS)
+    @pytest.mark.parametrize("past", [False, True])
+    @pytest.mark.parametrize("space,pair", [("circle", (0.5, 0.25)), ("circle", (1.0, -0.75)),
+                                            ("interval", (0.75, 0.5))])
+    def test_one_event_at_the_gate(self, space, pair, past, loop):
+        theta = math.nextafter(0.25, 0.0) if past else 0.25
+        state = fresh(build_path(2), list(pair), mu=0.25, theta=theta, space=space,
+                      stream=ScriptedStream([(1.0, 0, 1)]))
+        with mock.patch.object(_kernel, "_lib", loop_lib(loop)), kernel_calls() as calls:
+            rec = run(state)
+        assert (rec.stop_reason, rec.events_applied) == ("schedule_exhausted", 1)
+        assert bool(calls) == (loop == "kernel")
+        rule = engine.update_pair_compass if space == "circle" else engine.update_pair_deffuant
+        want = rule(*pair, state.params)
+        assert bits(state.opinions) == bits(want)
+        assert (tuple(state.opinions) == pair) == past
 
 
 def bits(values):
@@ -1691,22 +1826,31 @@ class TestKernel:
         assert calls == SimpleNamespace(run=200, total_w=200, min=1)
 
     def test_the_kernel_runs_clean_under_ubsan(self, tmp_path):
-        # undefined behaviour (an overflow, a shift past the width, an index
-        # out of bounds the sanitizer sees) aborts the subprocess
+        # under AddressSanitizer and UBSan together: a read or write past a
+        # buffer, a use after free, or undefined behaviour (an overflow, a
+        # shift past the width) aborts the subprocess, naming the line. The
+        # interpreter does not link ASan's runtime, so it is preloaded
         gcc = shutil.which("gcc")
         if gcc is None:
             pytest.skip("no gcc on PATH")
-        lib = tmp_path / "_kernel-ubsan.so"
-        built = subprocess.run([gcc, "-O1", "-ffp-contract=off", "-fsanitize=undefined",
-                                "-fno-sanitize-recover=all", "-fPIC", "-shared",
-                                *_kernel._includes(), "-o", str(lib), str(_kernel._SOURCE), "-lm"],
+        runtime = subprocess.run([gcc, "-print-file-name=libasan.so"], capture_output=True,
+                                 text=True, timeout=60).stdout.strip()
+        if not os.path.isabs(runtime):
+            pytest.skip("no libasan runtime")
+        lib = tmp_path / "_kernel-asan.so"
+        built = subprocess.run([gcc, "-O1", "-g", "-fno-omit-frame-pointer", "-ffp-contract=off",
+                                "-fsanitize=address,undefined", "-fno-sanitize-recover=all",
+                                "-fPIC", "-shared", *_kernel._includes(), "-o", str(lib),
+                                str(_kernel._SOURCE), "-lm"],
                                capture_output=True, text=True, timeout=120)
         if built.returncode != 0 and "ubsan" in built.stderr:
             pytest.skip(f"no libubsan to link: {built.stderr.strip()}")
         assert built.returncode == 0, built.stderr
         src = str(Path(engine.__file__).parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            [src, str(Path(__file__).parent), *filter(None, [os.environ.get("PYTHONPATH")])])}
+        env = {**os.environ, "LD_PRELOAD": runtime, "ASAN_OPTIONS": "detect_leaks=0",
+               "PYTHONPATH": os.pathsep.join(
+                   [src, str(Path(__file__).parent),
+                    *filter(None, [os.environ.get("PYTHONPATH")])])}
         done = subprocess.run([sys.executable, "-c", UBSAN_CHECK, str(lib)], env=env,
                               capture_output=True, text=True, timeout=600)
         assert done.returncode == 0, done.stderr[-3000:]

@@ -209,6 +209,26 @@ class TestDeffuantUpdate:
         assert (u, v) == (u2, v2)
 
 
+# pairs at distance 1/4: on the circle's linear branch, through its cut
+# (chart difference 1.75), and on the interval
+GATE_PAIRS = [("circle", 0.5, 0.25), ("circle", 1.0, -0.75), ("interval", 0.75, 0.5)]
+
+
+class TestConfidenceGate:
+    """Nothing moves only when the distance exceeds theta: a pair at
+    distance exactly theta moves, and one at nextafter(theta, 2) does not."""
+
+    @pytest.mark.parametrize("space,x,y", GATE_PAIRS)
+    def test_a_pair_at_theta_moves_and_one_an_ulp_past_it_does_not(self, space, x, y):
+        rule = update_pair_compass if space == "circle" else update_pair_deffuant
+        d = circle_dist(x, y) if space == "circle" else abs(x - y)
+        assert d == 0.25
+        theta = math.nextafter(d, 0.0)  # so that d is nextafter(theta, 2)
+        assert math.nextafter(theta, 2.0) == d
+        assert rule(x, y, ModelParams(mu=0.25, theta=d)) != (x, y)
+        assert rule(x, y, ModelParams(mu=0.25, theta=theta)) == (x, y)
+
+
 class TestParams:
     def test_defaults(self):
         p = ModelParams()

@@ -9,9 +9,13 @@ bytes, and each leg's record (its JSON without `metadata`) or its error.
 A step is a leg of a run: a Poisson or a scripted stream, with any of a
 budget, `max_time` and a W stop, probes, and no observer, one
 `DifferenceTracker`, or on the Python loop's side a plain observer that
-steps its own copy by `apply_event` and sums W at each test (so the kernel's
-leg, unobserved, is checked against stepping `apply_event`, and a W stop
-against the first test below `w_below`); or a leg that a raising probe
+steps its own copy by `apply_event` and takes the exact W at each test (so
+the kernel's leg, unobserved, is checked against stepping `apply_event`,
+and a W stop against the first test where W is below `w_below`). A W
+stop's `w_below` may lie within a few ulps of the state's W, with the test
+at the budget, now; a leg that ends on its budget or its W stop must have
+stopped on W just when the W its record reports is below `w_below`. A
+step may also be a leg that a raising probe
 interrupts; or a snapshot of one side restored into the other; or a bad
 scripted or parked event, which both sides must refuse alike. Hypothesis
 searches sequences of these and shrinks a failure to the shortest. Run it
@@ -46,6 +50,21 @@ total_w = engine._total_w
 
 class Interrupt(Exception):
     """What a probe raises to interrupt a leg."""
+
+
+def exact_w(state):
+    """The model's W: `math.fsum` of the edge distances, as a record reports
+    it; on the circle the shorter way round."""
+    op, circle = state.opinions, state.space == "circle"
+    distances = (abs(op[a] - op[b]) for a, b in state.graph.edges)
+    return math.fsum(d if d <= 1.0 or not circle else 2.0 - d for d in distances)
+
+
+def near(w, ulps):
+    """w moved by ulps units in the last place, kept above zero."""
+    for _ in range(abs(ulps)):
+        w = math.nextafter(w, math.inf if ulps > 0 else 0.0)
+    return max(w, 5e-324)
 
 
 def bits(values):
@@ -114,7 +133,8 @@ def legs(draw):
                                          st.sampled_from([1, 2])), max_size=40)),
         more=draw(st.integers(-5, 300) | st.sampled_from([None, 104, 105, 3000])),
         max_time=draw(st.none() | st.floats(0.0, 40.0)),
-        w_below=draw(st.none() | st.sampled_from([1e-3, 1e-2, 0.5, 5.0])),
+        w_below=draw(st.none() | st.sampled_from([1e-3, 1e-2, 0.5, 5.0, "near"])),
+        ulps=draw(st.integers(-3, 3)),
         interval=draw(st.integers(1, 8)),
         probes=draw(st.lists(st.floats(-2.0, 40.0) | st.just(math.inf), max_size=4)),
         observer=draw(st.sampled_from([None, "tracker", "plain"])),
@@ -126,8 +146,9 @@ class Stepper:
     """A plain observer, which keeps a run off the kernel. It steps its own
     copy of the state and of the stream by `apply_event`, and checks that
     the run shows it the same events, each after the same update. Where
-    the stop has a W test it sums W at every count a test is due, as if no
-    sum ruled out the tests after it, and notes the counts below w_below."""
+    the stop has a W test it takes the exact W at every count a test is
+    due, as if no sum ruled out the tests after it, and notes the counts
+    where W is below w_below."""
 
     def __init__(self, state, stream, stop):
         self.state, self.stop, self.start, self.below = state, stop, state.events_applied, []
@@ -156,7 +177,7 @@ class Stepper:
         end = math.inf if stop.max_events is None else stop.max_events
         due = count == start if end <= start else \
             count == end or (count - start) % stop.w_check_interval == 0 < count - start
-        if due and total_w(self.copy) < stop.w_below:
+        if due and exact_w(self.copy) < stop.w_below:
             self.below.append(count)
 
 
@@ -221,6 +242,9 @@ class Side:
             except Exception as exc:
                 out = type(exc).__name__, str(exc)
             else:
+                if stop and stop.w_below and rec.stop_reason in ("max_events", "w_below"):
+                    # one W: the stop's and the record's
+                    assert (rec.stop_reason == "w_below") == (rec.terminal["W"] < stop.w_below)
                 out = json.loads(rec.to_json(include_opinions=True))
                 del out["metadata"]
                 out = json.dumps(out)
@@ -285,14 +309,17 @@ class Twins(RuleBasedStateMachine):
         else:
             def make_stream():
                 return None
-        more, stop = leg["more"], None
-        if more is None and leg["max_time"] is None and leg["w_below"] is not None:
+        more, stop, w_below = leg["more"], None, leg["w_below"]
+        if w_below == "near":
+            # within a few ulps of W, tested at the budget, before any event
+            more, w_below = min(more or 0, 0), near(exact_w(s), leg["ulps"])
+        if more is None and leg["max_time"] is None and w_below is not None:
             more = 300  # W may rest above w_below: at a winding floor, or gated
-        if (more, leg["max_time"], leg["w_below"]) != (None, None, None):
+        if (more, leg["max_time"], w_below) != (None, None, None):
             stop = StopRule(
                 max_events=None if more is None else max(0, s.events_applied + more),
                 max_time=None if leg["max_time"] is None else s.clock + leg["max_time"] / m,
-                w_below=leg["w_below"], w_check_interval=leg["interval"])
+                w_below=w_below, w_check_interval=leg["interval"])
         probes = [s.clock + x / m for x in leg["probes"]]
         observer = leg["observer"]
         if observer == "tracker" and self.sides[0].tracker is None:
@@ -401,7 +428,7 @@ TestTwins.settings = settings(max_examples=150, stateful_step_count=12, deadline
 # start as `starts` draws one; `go` makes a step, whose leg names what it
 # changes in LEG, in the units of `legs`.
 LEG = dict(source="same", seed=0, schedule=[], more=None, max_time=None, w_below=None,
-           interval=1, probes=[], observer=None, chunk=engine._CHUNK)
+           ulps=0, interval=1, probes=[], observer=None, chunk=engine._CHUNK)
 XI = dict(with_xi=True, xi_values=None)
 TORUS = Graph("custom", 36, build_torus([6, 6]).edge_array)
 SCRIPT = [(2.0, 0, 1), (2.0, 1, 2), (2.0, 0, 1), (2.0, 1, 1)]  # at 1, 2, 3, 4 on a 3-path
@@ -476,6 +503,14 @@ PINNED = {
     "Python snapshot on the kernel": (begin(build_path(9), wide), [
         PARK, go("resume_across", source=1), L(more=300, max_time=20.0)]),
     "ties at distance 1": (begin(build_ring(8), lambda i: 0.5 - i % 2), [L(more=50)]),
+    # left-to-right sums 1.0 and 1.4999999999999993 of W = 1.0000000000000002
+    # and 1.4999999999999991: w_below at W and an ulp above it
+    "near W, T below it": (begin(build_path(4), [0.0, 1.0, 1.0 - 2.0**-53,
+                                                 1.0 - 2.0**-52].__getitem__, "interval"),
+                           [L(w_below="near"), L(w_below="near", ulps=1)]),
+    "near W, T above it": (begin(build_path(4), [3 * 2.0**-53, 1.0, 0.75 + 2.0**-52,
+                                                 1.0].__getitem__, "interval"),
+                           [L(w_below="near", ulps=1), L(w_below="near")]),
 }
 for space in ("circle", "interval"):
     for w in (None, 1e-300):
