@@ -268,10 +268,10 @@ static void track(const struct cm_ctx *c, int64_t e)
         xi[e] = (1.0 - 2.0 * mu) * xi[e];
 }
 
-/* engine._total_w in C, T: the edge distances summed left to right in
- * edge-id order, with the same fold, so bitwise the same T. T is not W, the
- * exact sum (cm_metrics'), but a bound on it that the engine uses only to
- * rule a stop out. On the circle
+/* engine._total_w in C: the edge distances summed left to right in edge-id
+ * order into T, with the same fold, so bitwise the same T, and the same
+ * lower bound on W, T * (1 - (m + 4) * 2^-53) - m * 2^-52, with the same
+ * two roundings (-ffp-contract=off keeps them two). On the circle
  * a distance x is folded to 2 - x just when that is below x, that is when
  * x > 1 (there 2 - x is exact; at 1 both are 1): one select, no branch. */
 static double cm_total_w(struct cm_ctx *c)
@@ -287,7 +287,7 @@ static double cm_total_w(struct cm_ctx *c)
         const double y = circle ? 2.0 - x : x;
         total += y < x ? y : x;
     }
-    return total;
+    return total * (1.0 - (double)(c->m + 4) * 0x1p-53) - (double)c->m * 0x1p-52;
 }
 
 /* One chunk of up to limit events, drawn from the generator or, given
@@ -797,7 +797,7 @@ static PyObject *context_total_w(PyObject *self, PyObject *Py_UNUSED(unused))
 
 static PyMethodDef context_methods[] = {
     {"run", (PyCFunction)(void (*)(void))context_run, METH_FASTCALL, "cm_run: the events applied"},
-    {"total_w", context_total_w, METH_NOARGS, "cm_total_w: T, the bound that rules a W stop out"},
+    {"total_w", context_total_w, METH_NOARGS, "cm_total_w: a lower bound on W"},
     {NULL, NULL, 0, NULL},
 };
 

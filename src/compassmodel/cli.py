@@ -159,7 +159,7 @@ def parse_config(raw: dict) -> dict:
     if _int(replicates) is None or replicates < 1:
         problems.append(f"replicates must be a positive integer, got {replicates!r}")
 
-    stop = raw.get("stop")
+    stop, known = raw.get("stop"), len(problems)
     if not isinstance(stop, dict):
         problems.append("stop must be an object with max_events, max_time, or w_below")
     else:
@@ -183,6 +183,11 @@ def parse_config(raw: dict) -> dict:
         stop = {key: v for key, v in (("max_events", _int(stop_me)), ("max_time", stop_mt),
                                       ("w_below", stop_wb)) if v is not None}
         stop["w_check_interval"] = _int(stop_iv)
+        if len(problems) == known:
+            try:
+                StopRule(**stop)  # the library's own limits, such as a count past int64
+            except ValueError as exc:
+                problems.append(f"stop: {exc}")
 
     probes = raw.get("probes", [])
     if not isinstance(probes, list) or not all(_is_finite(p) for p in probes):

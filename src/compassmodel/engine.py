@@ -215,8 +215,8 @@ def _check_chart(values, what: str, space: str) -> None:
     """`_check_opinion` of every value, in one vectorised pass; the scalar
     check of the first value outside the chart (NaN included) words the error."""
     values = np.asarray(values, dtype=np.float64)
-    low = values > -1.0 if space == "circle" else values >= 0.0
-    outside = ~(low & (values <= 1.0))
+    above = values > -1.0 if space == "circle" else values >= 0.0
+    outside = ~(above & (values <= 1.0))
     if outside.any():
         _check_opinion(float(values[outside.argmax()]), what, space)
 
@@ -305,9 +305,9 @@ class StopRule:
     freeze with W above w_below; until the engine stops at a winding floor
     or on fixed clusters, a max_events bound is what ends such a run.
 
-    max_events and w_check_interval are counts: a whole float such as 1e6
-    (as JSON gives it) is taken as its int; bools and other numbers are
-    refused.
+    max_events and w_check_interval are counts below 2**63, as the kernel
+    keeps its count in an int64: a whole float such as 1e6 (as JSON gives
+    it) is taken as its int; bools and other numbers are refused.
     """
 
     max_events: int | None = None
@@ -326,6 +326,8 @@ class StopRule:
             count = None if isinstance(v, bool) else _whole(v)
             if count is None:
                 raise ValueError(f"{name} must be a whole number, got {v!r}")
+            if count >= 2**63:
+                raise ValueError(f"{name} must be below 2**63, got {count}")
             object.__setattr__(self, name, count)
         if self.max_events is not None and self.max_events < 0:
             raise ValueError(f"max_events must be >= 0, got {self.max_events}")
@@ -377,10 +379,16 @@ def apply_event(state: SimState, ev: Event) -> None:
 
 
 def _total_w(state) -> float:
-    """T: the edge distances of a SimState summed left to right, in edge-id
-    order; or of a kernel run's `Context`, which sums its opinions in C the
-    same way. T is not W but a cheap bound on it, which a W test uses only
-    to rule a stop out (see `_run_loop`)."""
+    """lo, a lower bound on W: the edge distances of a SimState summed left
+    to right, in edge-id order, into T, and lo = T * (1 - (m + 4) * 2**-53)
+    - m * 2**-52, as computed; or the same of a kernel run's `Context`,
+    which sums its opinions in C in the same order, with the same two
+    roundings. T lies within (m - 1) * 2**-53 * T of the exact sum of its
+    terms (recursive summation of nonnegative terms, Higham 2002, ch. 4),
+    and each term within 2**-53 of its distance. So lo lies below that
+    exact sum by at least 2**-52 per term and 2**-52 * T, and below W, the
+    exactly rounded sum that the record reports. A W test uses lo only to
+    rule a stop out (see `_run_loop`)."""
     if not isinstance(state, SimState):
         return state.total_w()
     op = state.opinions
@@ -392,7 +400,8 @@ def _total_w(state) -> float:
     else:
         for a, b in state.graph.edges:
             total += abs(op[a] - op[b])
-    return total
+    m = state.graph.edge_count
+    return total * (1.0 - (m + 4) * 2.0 ** -53) - m * 2.0 ** -52
 
 
 def run(state: SimState, stream=None, stop: StopRule | None = None,
@@ -528,16 +537,6 @@ def run(state: SimState, stream=None, stop: StopRule | None = None,
 _CHUNK = 1 << 20
 
 
-def _least_t(lo: float, shrink: float, fold: float) -> float:
-    """A T at and above which T * shrink - fold, as computed, is at least lo.
-    That expression never falls as T grows, so the first T that passes will
-    do."""
-    t = (lo + fold) / shrink
-    while t * shrink - fold < lo:
-        t = math.nextafter(t, math.inf)
-    return t
-
-
 def _run_loop(state: SimState, stream, stop: StopRule, probes, samples,
               observers, values: array.array):
     """The event loop: either space, any stream, observers welcome. Return
@@ -552,30 +551,23 @@ def _run_loop(state: SimState, stream, stop: StopRule, probes, samples,
     or the budget, after _CHUNK events, or at an event past the next probe
     or max_time. Every W test, probe and stop decision stays here.
 
-    A W test at count c sums the m edge distances left to right, T
-    (`_total_w`), and T only rules a stop out: the run stops on W, the
-    exactly rounded sum that the record reports (`analysis._gap_pass`, as
-    compute_metrics takes it). T lies within (m - 1) * 2**-53 * T of the
-    exact sum of its terms (recursive summation of nonnegative terms,
-    Higham 2002, ch. 4), and each term within 2**-53 of its distance. So
-    lo = T * (1 - (m + 4) * 2**-53) - m * 2**-52, as computed, lies below
-    that exact sum by at least 2**-52 per term and 2**-52 * T. No stop is
-    possible at lo >= w_below; below it, the exact W decides. lo also rules
-    out a stop for a window after the test. An event on an edge at
-    distance d moves each of its ends by mu * d (every branch of both
-    rules), and an edge distance by at most the moves of its two ends. The
-    edges at the event's ends hold at most 2 * max_degree ends, and a
-    computed move is within 2**-51 of mu * d, so
+    A W test at count c takes lo, a lower bound on W (`_total_w`), and lo
+    only rules a stop out: the run stops on W, the exactly rounded sum that
+    the record reports (`analysis._gap_pass`, as compute_metrics takes
+    it). No stop is possible at lo >= w_below; below it, the exact W
+    decides. lo also rules out a stop for a window after the test. An
+    event on an edge at distance d moves each of its ends by mu * d (every
+    branch of both rules), and an edge distance by at most the moves of
+    its two ends. The edges at the event's ends hold at most
+    2 * max_degree ends, and a computed move is within 2**-51 of mu * d, so
     step = 2 * max_degree * (mu + 2**-50), even rounded down twice, bounds
     what one event does to the sum of the distances. No test at a count up
     to c + (lo - w_below) / step can find W below w_below: the room under
     the exact sum covers each term's rounding at both ends of the window,
     and the window's own arithmetic. The next test that sums is the first
-    past the window. The window is worked out only when lo reaches
-    w_below + step * interval, where it skips a test. lo never falls as T
-    grows, so a test compares T itself with `low` and `gate`, the T at
-    which lo reaches w_below and w_below + step * interval (`_least_t`): a
-    test that rules a stop out costs one sum and two compares.
+    past the window. The window is worked out only when lo reaches the
+    gate, w_below + step * interval, where it skips a test: a test that
+    rules a stop out costs one sum and two compares.
     A run that raises after drawing an event and before applying it parks
     the event in `state.pending` and keeps its count of applied events.
     """
@@ -605,9 +597,7 @@ def _run_loop(state: SimState, stream, stop: StopRule, probes, samples,
     if w_below is not None:
         check_at, quiet = min(count + interval, max_events), -1
         step = 2 * g.max_degree * (params.mu + 2.0 ** -50)
-        shrink, fold = 1.0 - (m + 4) * 2.0 ** -53, m * 2.0 ** -52
-        low = _least_t(w_below, shrink, fold)
-        gate = _least_t(w_below + step * interval, shrink, fold)
+        gate = w_below + step * interval
     pi = 0
     next_probe = probes[pi] if probes else math.inf
     kernel = lib = None
@@ -637,12 +627,12 @@ def _run_loop(state: SimState, stream, stop: StopRule, probes, samples,
             if count >= check_at:
                 ahead = interval
                 if count > quiet:
-                    w = _total_w(summed)
-                    if w < low and exact(g, np.asarray(op, dtype=float), circle)[0] < w_below:
+                    lo = _total_w(summed)
+                    if lo < w_below and exact(g, np.asarray(op, dtype=float), circle)[0] < w_below:
                         reason = "w_below"
                         break
-                    if w >= gate:
-                        skip = int((w * shrink - fold - w_below) // step)
+                    if lo >= gate:
+                        skip = int((lo - w_below) // step)
                         quiet = count + skip
                         ahead += skip - skip % interval
                 if count >= max_events:

@@ -265,7 +265,7 @@ def build_path(n: int) -> Graph:
     n = _count(n, "a path's vertex count")
     if n < 2:
         raise ValueError(f"a path needs at least 2 vertices, got {n}")
-    tails = np.arange(n - 1, dtype=np.int64)
+    tails = np.arange(_vertex_count(n) - 1, dtype=np.int64)  # refused past 2**32 first
     return Graph("path", n, _Built(np.stack((tails, tails + 1), axis=1)))
 
 
@@ -274,7 +274,7 @@ def build_ring(n: int) -> Graph:
     n = _count(n, "a ring's vertex count")
     if n < 3:
         raise ValueError(f"a ring needs at least 3 vertices, got {n}")
-    tails = np.arange(n, dtype=np.int64)
+    tails = np.arange(_vertex_count(n), dtype=np.int64)  # refused past 2**32 first
     return Graph("ring", n, _Built(np.stack((tails, (tails + 1) % n), axis=1)))
 
 

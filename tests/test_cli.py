@@ -321,6 +321,30 @@ class TestMain:
         assert "at least one of" in err
         assert "tol" in err
 
+    @pytest.mark.parametrize("stop,problem", [
+        ({"max_events": 2**63}, "max_events must be below 2**63, got 9223372036854775808"),
+        ({"max_events": 10, "w_below": 1e-3, "w_check_interval": 10**400},
+         f"w_check_interval must be below 2**63, got {10**400}")],
+        ids=["max_events", "w_check_interval"])
+    def test_a_count_past_int64_exits_two(self, tmp_path, capsys, stop, problem):
+        # a w_check_interval of 10**400 exited 1, with run's OverflowError
+        with pytest.raises(ConfigError) as exc:
+            parse_config(minimal_raw(stop=stop))
+        assert exc.value.problems == [f"stop: {problem}"]
+        path = write_config(tmp_path, minimal_raw(stop=stop))
+        assert main(["run", str(path), "-o", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: stop: {problem}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("kind", ["path", "ring"])
+    @pytest.mark.parametrize("n", [2**40, 10**400], ids=["2**40", "10**400"])
+    def test_a_path_or_ring_past_2_32_exits_two(self, tmp_path, capsys, kind, n):
+        # 2**40 exited 1 with a MemoryError, and 10**400 named numpy's limit
+        path = write_config(tmp_path, minimal_raw(graph={"kind": kind, "n": n}))
+        assert main(["run", str(path), "-o", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == \
+            f"error: cannot build graph: need 1 to 2**32 vertices, got {n}\n"
+
     def test_unwritable_output_exits_two(self, tmp_path, capsys):
         path = write_config(tmp_path, minimal_raw())
         blocker = tmp_path / "file_in_the_way"

@@ -38,10 +38,24 @@ from compassmodel import _kernel, analysis, engine
 from compassmodel.analysis import compute_metrics
 from compassmodel.scenarios import butterfly_scenario
 from compassmodel.engine import _total_w
-from test_twins import near
+from test_twins import near, starts
 
 
 needs_kernel = pytest.mark.skipif(_kernel.load() is None, reason="no compiled kernel")
+
+
+LOOPS = ["kernel", "python"]
+
+
+def loop_lib(loop):
+    """The kernel library for the kernel loop (skipping when it does not
+    load), False for the Python loop."""
+    if loop == "python":
+        return False
+    lib = _kernel.load()
+    if lib is None:
+        pytest.skip("no compiled kernel")
+    return lib
 
 
 class Noop:
@@ -290,6 +304,28 @@ class TestStopRule:
         # 10.5 used to apply 11 events, and True one
         with pytest.raises(ValueError, match=f"{name} must be a whole number"):
             StopRule(**{"max_events": 10, name: value})
+
+    @pytest.mark.parametrize("value", [2**63, 1e19, 10**400], ids=["2**63", "1e19", "10**400"])
+    @pytest.mark.parametrize("name", ["max_events", "w_check_interval"])
+    def test_a_count_past_int64_is_refused(self, name, value):
+        # the kernel counts in an int64, and a w_check_interval of 10**400
+        # made run raise OverflowError from the window's float arithmetic
+        with pytest.raises(ValueError, match=rf"^{name} must be below 2\*\*63, got {int(value)}$"):
+            StopRule(**{"max_events": 1000, "w_below": 1e-3, name: value})
+
+    @pytest.mark.parametrize("loop", LOOPS)
+    def test_counts_just_below_2_63_run(self, loop):
+        big = 2**63 - 1
+
+        def ring():
+            return new_simulation(build_ring(20), IidUniform(1), ModelParams(), stream=2)
+
+        with mock.patch.object(_kernel, "_lib", loop_lib(loop)):
+            rec = run(ring(), stop=StopRule(max_events=1000, w_below=1e-9, w_check_interval=big))
+            assert (rec.stop_reason, rec.events_applied) == ("max_events", 1000)
+            rec = run(ring(), stop=StopRule(max_events=big, max_time=2.0, w_below=1e-9,
+                                            w_check_interval=big))
+            assert rec.stop_reason == "max_time"
 
     def test_a_whole_float_count_is_taken_as_its_int(self):
         # JSON gives `--set compass_max_events=1e6` as a float
@@ -719,22 +755,8 @@ class TestRun:
         assert rec.events_applied == 137
 
 
-LOOPS = ["kernel", "python"]
-
-
-def loop_lib(loop):
-    """The kernel library for the kernel loop (skipping when it does not
-    load), False for the Python loop."""
-    if loop == "python":
-        return False
-    lib = _kernel.load()
-    if lib is None:
-        pytest.skip("no compiled kernel")
-    return lib
-
-
 def summed_run(state, stop, probes=()):
-    """run(), with the hex of every full W sum."""
+    """run(), with the hex of every lower bound on W that a test took."""
     seen, patch = traced_total_w()
     with patch:
         rec = run(state, stop=stop, probes=probes)
@@ -762,8 +784,8 @@ def outcome_of(rec, state):
 
 
 class TestWTestWindow:
-    """After a full sum T, less its rounding bound, the tests of the next
-    (T - w_below) / (2 * max_degree * mu) events answer "not below" without
+    """After a lower bound lo on W, the tests of the next
+    (lo - w_below) / (2 * max_degree * mu) events answer "not below" without
     a sum. None of them could have found W below w_below."""
 
     @pytest.mark.parametrize("loop", LOOPS)
@@ -880,9 +902,12 @@ class TestWTestWindow:
         rec, sums = summed_run(fresh_state(), StopRule(max_events=len(events), w_below=w_below,
                                                        w_check_interval=interval))
         assert (rec.stop_reason, rec.events_applied) == ("w_below", stop_at)
-        # the first test's sum, and the one at stop_at
-        assert [float.fromhex(w) for w in sums] == \
-            [g.edge_count - degree * interval, g.edge_count - degree * stop_at]
+        # the bounds at the first test and at stop_at: lo of the whole-number
+        # sums, just below them
+        m = g.edge_count
+        whole = [m - degree * interval, m - degree * stop_at]
+        assert sums == [(t * (1.0 - (m + 4) * 2.0**-53) - m * 2.0**-52).hex() for t in whole]
+        assert all(float.fromhex(lo) <= t for lo, t in zip(sums, whole))
 
     @pytest.mark.parametrize("loop", LOOPS)
     @pytest.mark.parametrize("space,bad", [
@@ -942,27 +967,32 @@ def decisions():
     taken.append(calls.gap_pass - calls.metrics)
 
 
-# interval starts whose left-to-right sum T is not W, the exactly rounded
-# sum, with a w_below between them: T = 1.0 < w_below = W, and
-# W < w_below = T
-NEAR_STARTS = {"T below W": ([0.0, 1.0, 1.0 - 2.0**-53, 1.0 - 2.0**-52], math.nextafter(1.0, 2.0),
-                             ("max_events", 1.0000000000000002)),
-               "W below T": ([3 * 2.0**-53, 1.0, 0.75 + 2.0**-52, 1.0], 1.4999999999999993,
-                             ("w_below", 1.4999999999999991))}
+# interval starts whose left-to-right sum is not W, the exactly rounded
+# sum, with a w_below between them: the sum 1.0 < w_below = W, and
+# W < w_below = the sum 1.4999999999999993
+NEAR_STARTS = {"W at w_below": ([0.0, 1.0, 1.0 - 2.0**-53, 1.0 - 2.0**-52],
+                                math.nextafter(1.0, 2.0), ("max_events", 1.0000000000000002)),
+               "W an ulp below": ([3 * 2.0**-53, 1.0, 0.75 + 2.0**-52, 1.0], 1.4999999999999993,
+                                  ("w_below", 1.4999999999999991))}
 NEAR_VALUES = [0.0, 1.0, 0.5, 0.75, 0.75 + 2.0**-52, 1.0 - 2.0**-53, 1.0 - 2.0**-52,
                2.0**-53, 3 * 2.0**-53, 2.0**-1074]
 
 
 class TestOneW:
     """A run stops on w_below exactly when the W its record reports is
-    below it; the left-to-right sum T only rules a stop out."""
+    below it; a lower bound on W only rules a stop out."""
 
     @pytest.mark.parametrize("loop", LOOPS)
     @pytest.mark.parametrize("name", NEAR_STARTS)
     def test_a_stop_on_the_w_the_record_reports(self, name, loop):
         init, w_below, want = NEAR_STARTS[name]
         state = fresh(build_path(4), init, space="interval", stream=1)
-        assert (_total_w(state) < w_below) != (name == "W below T")
+        op = state.opinions
+        # the left-to-right sum lies on the other side of w_below from W,
+        # and lo below both
+        t = sum(abs(op[a] - op[b]) for a, b in state.graph.edges)
+        assert (t < w_below) != (name == "W an ulp below")
+        assert _total_w(state) < min(t, exact_w(state), w_below)
         with mock.patch.object(_kernel, "_lib", loop_lib(loop)), decisions() as taken:
             rec = run(state, stop=StopRule(max_events=0, w_below=w_below))
         assert (rec.stop_reason, rec.terminal["W"]) == want
@@ -991,7 +1021,7 @@ class TestOneW:
         with mock.patch.object(_kernel, "_lib", loop_lib(loop)):
             state = start()
             run(state, stop=StopRule(max_events=events))
-            w, t = exact_w(state), _total_w(state)
+            w, lo = exact_w(state), _total_w(state)
             w_below = near(w, ulps)
             seen, patch = traced_total_w()
             with patch, decisions() as taken:
@@ -1000,18 +1030,17 @@ class TestOneW:
         assert rec.stop_reason in ("max_events", "w_below")
         assert (rec.events_applied, rec.terminal["W"]) == (events, w)
         assert (rec.stop_reason == "w_below") == (w < w_below)
-        assert [got for _, got in seen] == [t.hex()]
-        # the exact W is taken once where T is below w_below, and never where
-        # T lies above it by more than a bound looser than the loop's
+        assert [got for _, got in seen] == [lo.hex()]
+        # the exact W is taken just where lo is below w_below, and lo lies
+        # below W by no more than a bound looser than the loop's
         m = g.edge_count
-        assert taken[0] <= 1
-        assert taken[0] == 1 or t >= w_below
-        assert taken[0] == 0 or t - w_below <= t * (m + 8) * 2.0**-52 + m * 2.0**-51
+        assert taken == [int(lo < w_below)]
+        assert 0.0 <= w - lo <= w * (m + 8) * 2.0**-52 + m * 2.0**-51
 
     @needs_kernel
     def test_a_ring_of_1e5_near_w_below_takes_the_exact_w_once(self):
         # W starts near 2e-6, inside the (m + 3)**2 * 2**-52 = 2.2e-6 margin
-        # an absolute bound on T would need: every test would take the exact W
+        # an absolute bound on the sum would need: every test would take the exact W
         rnd = random.Random(1)
         g = build_ring(10**5)
         state = fresh(g, [6e-11 * rnd.random() for _ in range(g.vertex_count)], mu=0.25,
@@ -1878,9 +1907,16 @@ def traced_total_w():
     return seen, mock.patch.object(engine, "_total_w", traced)
 
 
+def context_of(lib, g, ops, space):
+    """A kernel Context over the opinions ops of the graph g."""
+    words = array.array("I", random.Random(1).getstate()[1])
+    return lib.Context(g.edge_array, *g.incidence, array.array("d", ops), 0.5, math.inf,
+                       space == "circle", 0.0, 0, math.inf, mt=words)
+
+
 class TestKernelW:
-    """A kernel run's W test sums its context's opinions in C, as the Python
-    loop sums the state's."""
+    """A kernel run's W test takes a lower bound on W from its context's
+    opinions in C, as the Python loop takes it from the state's."""
 
     @needs_kernel
     @pytest.mark.parametrize("start", ["uniform", "after a run", "around 1"])
@@ -1900,14 +1936,35 @@ class TestKernelW:
             for v in range(0, g.vertex_count, 2):
                 a, b = g.edges[2 * v + 1]
                 ops[a], ops[b] = W_PAIRS[space][v // 2 % len(W_PAIRS[space])]
-        words = array.array("I", random.Random(1).getstate()[1])
-        ctx = _kernel.load().Context(g.edge_array, *g.incidence, array.array("d", ops), 0.5,
-                                     math.inf, space == "circle", 0.0, 0, math.inf, mt=words)
+        ctx = context_of(_kernel.load(), g, ops, space)
         distances = [abs(ops[a] - ops[b]) for a, b in g.edges]
         assert space == "interval" or min(distances) < 1.0 < max(distances)
         assert start != "around 1" or 1.0 in distances
         want = engine._total_w(SimState(g, space, ModelParams(), list(ops)))
         assert ctx.total_w().hex() == want.hex()
+
+    @pytest.mark.parametrize("loop", LOOPS)
+    @given(case=starts(), tiny=st.lists(st.tuples(st.integers(0, 2**16), st.sampled_from(
+        [(2.0**-1074, 0.0), (2.0**-1022, 3 * 2.0**-1074)])), max_size=3))
+    @settings(max_examples=100, deadline=None)
+    def test_total_w_is_a_close_lower_bound_on_w(self, loop, case, tiny):
+        # the twin machine's starts (edges at distance 0, 1 and an ulp off
+        # it), with subnormal distances planted; lo is below W by at most
+        # about twice the rounding it allows for
+        lib = loop_lib(loop)
+        g, space, ops = case[:3]
+        m = g.edge_count
+        for e, pair in tiny:
+            a, b = g.edges[e % m]
+            ops[a], ops[b] = pair
+        lo = engine._total_w(SimState(g, space, ModelParams(), list(ops)))
+        if lib:
+            got = context_of(lib, g, ops, space).total_w()
+            assert got.hex() == lo.hex()
+            lo = got
+        w = compute_metrics(g, ops, space).W
+        assert lo <= w
+        assert w - lo <= (m + 8) * 2.0**-52 * w + m * 2.0**-51
 
     @needs_kernel
     @pytest.mark.parametrize("max_events,interval,w_below", [

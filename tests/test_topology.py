@@ -89,6 +89,21 @@ class TestBuildRing:
         assert g.is_oriented_cycle
 
 
+@pytest.mark.parametrize("n", [2**40, 10**400], ids=["2**40", "10**400"])
+@pytest.mark.parametrize("build", [build_path, build_ring])
+def test_a_path_or_ring_past_2_32_is_refused_before_any_array(build, n):
+    # the edge table came first: 2**40 raised MemoryError (8 TiB), and
+    # 10**400 numpy's "Maximum allowed size exceeded"
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=rf"^need 1 to 2\*\*32 vertices, got {n}$"):
+            build(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
+
+
 class TestBuildTorus:
     def test_two_dim_count(self):
         g = build_torus([3, 3])

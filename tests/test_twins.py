@@ -9,9 +9,10 @@ bytes, and each leg's record (its JSON without `metadata`) or its error.
 A step is a leg of a run: a Poisson or a scripted stream, with any of a
 budget, `max_time` and a W stop, probes, and no observer, one
 `DifferenceTracker`, or on the Python loop's side a plain observer that
-steps its own copy by `apply_event` and takes the exact W at each test (so
-the kernel's leg, unobserved, is checked against stepping `apply_event`,
-and a W stop against the first test where W is below `w_below`). A W
+steps its own copy by `apply_event`, checks each event against the model's
+promises and takes the exact W at each test (so the kernel's leg,
+unobserved, is checked against stepping `apply_event`, and a W stop
+against the first test where W is below `w_below`). A W
 stop's `w_below` may lie within a few ulps of the state's W, with the test
 at the budget, now; a leg that ends on its budget or its W stop must have
 stopped on W just when the W its record reports is below `w_below`. A
@@ -28,6 +29,7 @@ import json
 import math
 import random
 import shutil
+import sys
 from contextlib import ExitStack
 from unittest import mock
 
@@ -52,12 +54,17 @@ class Interrupt(Exception):
     """What a probe raises to interrupt a leg."""
 
 
+def distance(x, y, circle):
+    """The distance of a pair: on the circle the shorter way round."""
+    d = abs(x - y)
+    return 2.0 - d if circle and d > 1.0 else d
+
+
 def exact_w(state):
     """The model's W: `math.fsum` of the edge distances, as a record reports
-    it; on the circle the shorter way round."""
+    it."""
     op, circle = state.opinions, state.space == "circle"
-    distances = (abs(op[a] - op[b]) for a, b in state.graph.edges)
-    return math.fsum(d if d <= 1.0 or not circle else 2.0 - d for d in distances)
+    return math.fsum(distance(op[a], op[b], circle) for a, b in state.graph.edges)
 
 
 def near(w, ulps):
@@ -84,7 +91,8 @@ def starts(draw):
     """A ring or path of 3 to 9 vertices, some of its edges reversed, or a
     6x6 torus (a custom graph, as it restores); a space and a start, with
     edges at distance 1, a rounding off it, or 0 from signed zeros; rates;
-    a seed; and a tracker's bounds, on the circle at degree 2."""
+    a seed; and a tracker's bounds, on the circle at degree 2. theta is at
+    times the distance of one of the start's edges."""
     shape, space = draw(st.sampled_from([(shape, space) for space in ("circle", "interval")
                                          for shape in ("ring", "path", "torus")]))
     circle = space == "circle"
@@ -111,8 +119,12 @@ def starts(draw):
     for e in draw(st.lists(st.integers(0, g.edge_count - 1), max_size=3)):
         a, b = g.edges[e]
         init[a], init[b] = draw(st.sampled_from(pairs))
+    theta = draw(st.sampled_from([math.inf, 1.0, 0.9, 0.3, 0.05]))
+    gaps = [d for d in (distance(init[a], init[b], circle) for a, b in g.edges) if d > 0.0]
+    if gaps and draw(st.booleans()):
+        theta = draw(st.sampled_from(gaps))  # an edge at the gate's boundary
     params = ModelParams(mu=draw(st.sampled_from([0.5, 0.25]) | st.floats(0.05, 0.5)),
-                         theta=draw(st.sampled_from([math.inf, 1.0, 0.9, 0.3, 0.05])))
+                         theta=theta)
     tracker = None
     if circle and g.max_degree <= 2:
         tracker = dict(with_xi=draw(st.booleans()), xi_values=draw(
@@ -145,10 +157,11 @@ def legs(draw):
 class Stepper:
     """A plain observer, which keeps a run off the kernel. It steps its own
     copy of the state and of the stream by `apply_event`, and checks that
-    the run shows it the same events, each after the same update. Where
-    the stop has a W test it takes the exact W at every count a test is
-    due, as if no sum ruled out the tests after it, and notes the counts
-    where W is below w_below."""
+    the run shows it the same events, each after the same update, and that
+    each update keeps the model's promises (`promise`). Where the stop has
+    a W test it takes the exact W at every count a test is due, as if no
+    bound ruled out the tests after it, and notes the counts where W is
+    below w_below."""
 
     def __init__(self, state, stream, stop):
         self.state, self.stop, self.start, self.below = state, stop, state.events_applied, []
@@ -164,11 +177,42 @@ class Stepper:
     def apply_event(self, ev):
         copy = self.copy
         want, copy.pending = copy.pending or self.stream.next_event(copy), None
+        before = list(copy.opinions)
         apply_event(copy, want)
         s = self.state
         assert (ev, bits(s.opinions), s.clock, s.events_applied) == \
             (want, bits(copy.opinions), copy.clock, copy.events_applied)
+        self.promise(before, *copy.graph.edges[int(want.edge_id)])
         self.test()
+
+    def promise(self, before, a, b):
+        """What the docstrings and the paper promise of an event on the edge
+        (a, b), checked against the opinions before it, not a rule call:
+        - only a and b changed;
+        - a gated event (the pair's distance d above theta) changed nothing,
+          bit for bit;
+        - an ungated one took the distance to (1 - 2 mu) * d, within 2**-48.
+          An end's new value carries at most three roundings and a distance
+          one, each within 2**-52 on values below 2 in magnitude;
+        - on the interval it kept the pair sum: exactly at mu = 1/2 above
+          `update_pair_deffuant`'s underflow bound, and otherwise within the
+          half ulp that each end's last rounding may move it."""
+        after, circle, params = self.copy.opinions, self.copy.space == "circle", self.copy.params
+        x, y, x2, y2 = before[a], before[b], after[a], after[b]
+        others = list(after)
+        others[a], others[b] = x, y
+        assert bits(others) == bits(before)
+        d = distance(x, y, circle)
+        if d > params.theta:
+            assert bits([x2, y2]) == bits([x, y])
+            return
+        assert abs(distance(x2, y2, circle) - (1.0 - 2.0 * params.mu) * d) <= 2.0**-48
+        if circle:
+            return
+        if params.mu == 0.5 and (x + y == 0.0 or x + y >= 2.0 * sys.float_info.min):
+            assert x2 + y2 == x + y
+        else:
+            assert abs(math.fsum([x2, y2, -x, -y])) <= 2.0**-53 * (x2 + y2) + 2.0**-1074
 
     def test(self):
         stop, count, start = self.stop, self.copy.events_applied, self.start
@@ -434,10 +478,10 @@ TORUS = Graph("custom", 36, build_torus([6, 6]).edge_array)
 SCRIPT = [(2.0, 0, 1), (2.0, 1, 2), (2.0, 0, 1), (2.0, 1, 1)]  # at 1, 2, 3, 4 on a 3-path
 
 
-def begin(g, f, space="circle", mu=0.3, seed=9, tracker=None):
+def begin(g, f, space="circle", mu=0.3, seed=9, tracker=None, theta=math.inf):
     init = [f(i) for i in range(g.vertex_count)]
     return g, space, [abs(v) for v in init] if space == "interval" else init, \
-        ModelParams(mu=mu), seed, tracker
+        ModelParams(mu=mu, theta=theta), seed, tracker
 
 
 def go(rule="run_leg", leg=None, **kw):
@@ -505,12 +549,17 @@ PINNED = {
     "ties at distance 1": (begin(build_ring(8), lambda i: 0.5 - i % 2), [L(more=50)]),
     # left-to-right sums 1.0 and 1.4999999999999993 of W = 1.0000000000000002
     # and 1.4999999999999991: w_below at W and an ulp above it
-    "near W, T below it": (begin(build_path(4), [0.0, 1.0, 1.0 - 2.0**-53,
-                                                 1.0 - 2.0**-52].__getitem__, "interval"),
-                           [L(w_below="near"), L(w_below="near", ulps=1)]),
-    "near W, T above it": (begin(build_path(4), [3 * 2.0**-53, 1.0, 0.75 + 2.0**-52,
-                                                 1.0].__getitem__, "interval"),
-                           [L(w_below="near", ulps=1), L(w_below="near")]),
+    "near W, its sum rounded down": (begin(build_path(4), [0.0, 1.0, 1.0 - 2.0**-53,
+                                                           1.0 - 2.0**-52].__getitem__,
+                                           "interval"),
+                                     [L(w_below="near"), L(w_below="near", ulps=1)]),
+    "near W, its sum rounded up": (begin(build_path(4), [3 * 2.0**-53, 1.0, 0.75 + 2.0**-52,
+                                                         1.0].__getitem__, "interval"),
+                                   [L(w_below="near", ulps=1), L(w_below="near")]),
+    # on a 3-path at theta = 1/4: edge 0 through the cut at exactly theta,
+    # which moves, and edge 1 at 5/8 and further, gated throughout
+    "a gate at theta": (begin(build_path(3), [0.875, -0.875, -0.25].__getitem__, theta=0.25), [
+        L(source="scripted", schedule=SCRIPT * 3, observer="plain")]),
 }
 for space in ("circle", "interval"):
     for w in (None, 1e-300):
