@@ -27,9 +27,10 @@
  * which gives the same bits on every target, and no floating-point code
  * is built for a target wider than the default.
  *
- * A probe's W is summed exactly, in a fixed-point accumulator (acc_add,
- * after Neal 2015) rounded half-even once: math.fsum's sum bit for bit, in
- * time that does not grow with the spread of the gaps.
+ * A probe works its gaps out from the opinions (probe_gap), and sums W
+ * exactly, in a fixed-point accumulator (acc_add, after Neal 2015) rounded
+ * half-even once: math.fsum's sum bit for bit, in time that does not grow
+ * with the spread of the gaps.
  */
 
 #include <Python.h>
@@ -228,10 +229,20 @@ apply_rule(double *op, const int64_t *edges, int64_t e, int64_t k, double mu, do
     }
 }
 
-/* mod_s(op[head] - op[tail]): the gap of edge f, read from the opinions */
-static double opinion_gap(const struct cm_ctx *c, int64_t f)
+/* The gap of edge f, op[head] - op[tail], on the circle its mod_s: a
+ * probe's gap, and the tracker's re-read on the cut. Below 2 in magnitude
+ * fmod returns the gap as it is. The fold into (-1, 1] is wrap's, bit for
+ * bit (g - 2 * 0 is g, -0.0 too), with no branch: from a uniform start one
+ * gap in four folds, at random, where wrap's branches would miss. */
+static inline double probe_gap(const int64_t *edges, const double *op, int circle, int64_t f)
 {
-    return wrap(fmod(c->op[c->edges[2 * f + 1]] - c->op[c->edges[2 * f]], 2.0));
+    double g = op[edges[2 * f + 1]] - op[edges[2 * f]];
+
+    if (!circle)
+        return g;
+    if (fabs(g) >= 2.0)
+        g = fmod(g, 2.0);
+    return g - 2.0 * ((g > 1.0) - (g <= -1.0));
 }
 
 /* DifferenceTracker.apply_event on edge e, after its pair update. Its
@@ -243,7 +254,7 @@ static void track(const struct cm_ctx *c, int64_t e)
     double *delta = c->delta, *xi = c->xi;
     const double mu = c->mu, de = delta[e], step = mu * de;
     const double xstep = xi ? mu * xi[e] : 0.0;
-    /* on the cut the tie bit decided: re-read the gaps from the opinions */
+    /* on the cut the tie bit decided: re-read the gaps as a probe does */
     const int reread = fabs(de) == 1.0;
     int64_t j, p;
 
@@ -256,14 +267,14 @@ static void track(const struct cm_ctx *c, int64_t e)
             if (f == e)
                 continue;
             if (reread)
-                delta[f] = opinion_gap(c, f);
+                delta[f] = probe_gap(edges, c->op, 1, f);
             else /* coupling +1 when exactly one of e and f has s as its head */
                 delta[f] = wrap(delta[f] + ((edges[2 * f + 1] == s) != j ? step : -step));
             if (xi)
                 xi[f] += xstep;
         }
     }
-    delta[e] = reread ? opinion_gap(c, e) : (1.0 - 2.0 * mu) * de;
+    delta[e] = reread ? probe_gap(edges, c->op, 1, e) : (1.0 - 2.0 * mu) * de;
     if (xi)
         xi[e] = (1.0 - 2.0 * mu) * xi[e];
 }
@@ -501,33 +512,11 @@ struct cm_probe {
                              multiply to below zero, and all such pairs */
 };
 
-/* The gap of edge f: given in d when op is NULL, else worked out from the
- * opinions op, mod_s(op[head] - op[tail]) on the circle. Below 2 in
- * magnitude fmod returns the gap as it is. The fold into (-1, 1] is wrap's,
- * bit for bit (g - 2 * 0 is g, -0.0 too), from two compares and no branch:
- * from a uniform start one gap in four folds, at random, where wrap's
- * branches would miss. */
-static inline double probe_gap(const int64_t *edges, const double *op, const double *d,
-                               int circle, int64_t f)
-{
-    double g;
-
-    if (!op)
-        return d[f];
-    g = op[edges[2 * f + 1]] - op[edges[2 * f]];
-    if (!circle)
-        return g;
-    if (fabs(g) >= 2.0)
-        g = fmod(g, 2.0);
-    return g - 2.0 * ((g > 1.0) - (g <= -1.0));
-}
-
-/* cm_metrics for one source of gaps (given, or from the opinions on the
- * circle or the interval): forced inline into cm_metrics with op and circle
- * constants, so each pass compiles without the others' branches */
+/* cm_metrics on the circle or the interval: forced inline into cm_metrics
+ * with circle a constant, so each pass compiles without the other's fold */
 static inline __attribute__((always_inline)) double
 probe_pass(const int64_t *edges, int64_t m, const int64_t *start, const int64_t *ids,
-           int64_t n, const double *op, const double *d, const int circle, uint64_t *signs,
+           int64_t n, const double *op, const int circle, uint64_t *signs,
            struct cm_probe *out)
 {
     double top = 0.0;
@@ -535,7 +524,7 @@ probe_pass(const int64_t *edges, int64_t m, const int64_t *start, const int64_t 
     int tiny = 0;
 
     for (f = 0; f < m; f++) {
-        const double g = probe_gap(edges, op, d, circle, f), a = fabs(g);
+        const double g = probe_gap(edges, op, circle, f), a = fabs(g);
         const uint64_t sign = (uint64_t)(g > 0.0) | (uint64_t)(g < 0.0) << 32;
         if (!(a <= DBL_MAX))
             return NAN; /* an infinite or NaN gap: the numpy path decides */
@@ -556,11 +545,11 @@ probe_pass(const int64_t *edges, int64_t m, const int64_t *start, const int64_t 
      * a pair of two tiny gaps once, from its later one */
     for (v = 0; v < n && tiny; v++)
         for (p = start[v]; p < start[v + 1]; p++) {
-            const double a = probe_gap(edges, op, d, circle, ids[p]);
+            const double a = probe_gap(edges, op, circle, ids[p]);
             if (!tiny_gap(a))
                 continue;
             for (q = start[v]; q < start[v + 1]; q++) {
-                const double b = probe_gap(edges, op, d, circle, ids[q]);
+                const double b = probe_gap(edges, op, circle, ids[q]);
                 if ((a > 0.0 ? b < 0.0 : b > 0.0) && !(q > p && tiny_gap(b))
                         && !product_below_zero(a, b))
                     flips--;
@@ -572,25 +561,23 @@ probe_pass(const int64_t *edges, int64_t m, const int64_t *start, const int64_t 
     return acc_round(w);
 }
 
-/* One probe of the graph of m edges (tail, head) on n vertices, whose
- * incidence is start and ids: W, with the largest |gap| and the flips in
- * *out, of the gaps given in d when op is NULL, else of the opinions op.
- * One pass over the edges reads each gap once. It adds |gap| to W's
- * digits, and counts the gap's sign at both of its ends in signs: the n
- * counts pos + neg * 2^32 of a vertex's positive and negative gaps (a
- * vertex has fewer than 2^32 edges), zeroed by the caller. A vertex's flips
- * are its pos * neg, less the pairs of opposite signs with a tiny gap whose
- * product rounds to -0.0: only when the pass met a gap under TINY_GAP, a
- * second pass over the incidence works the gaps out again to find those. */
+/* One probe of the opinions op on the graph of m edges (tail, head) on n
+ * vertices, whose incidence is start and ids: W, with the largest |gap| and
+ * the flips in *out, of the gaps probe_gap works out from op. One pass over
+ * the edges reads each gap once. It adds |gap| to W's digits, and counts
+ * the gap's sign at both of its ends in signs: the n counts pos + neg * 2^32
+ * of a vertex's positive and negative gaps (a vertex has fewer than 2^32
+ * edges), zeroed by the caller. A vertex's flips are its pos * neg, less
+ * the pairs of opposite signs with a tiny gap whose product rounds to -0.0:
+ * only when the pass met a gap under TINY_GAP, a second pass over the
+ * incidence works the gaps out again to find those. */
 static double cm_metrics(const int64_t *edges, int64_t m, const int64_t *start,
-                         const int64_t *ids, int64_t n, const double *op, const double *d,
-                         int circle, uint64_t *signs, struct cm_probe *out)
+                         const int64_t *ids, int64_t n, const double *op, int circle,
+                         uint64_t *signs, struct cm_probe *out)
 {
-    if (!op)
-        return probe_pass(edges, m, start, ids, n, NULL, d, 0, signs, out);
     if (circle)
-        return probe_pass(edges, m, start, ids, n, op, NULL, 1, signs, out);
-    return probe_pass(edges, m, start, ids, n, op, NULL, 0, signs, out);
+        return probe_pass(edges, m, start, ids, n, op, 1, signs, out);
+    return probe_pass(edges, m, start, ids, n, op, 0, signs, out);
 }
 
 /* cm_graph's answers other than the id of an offending edge */
@@ -828,37 +815,35 @@ static PyTypeObject ContextType = {
     .tp_members = context_members,
 };
 
-/* metrics(edges, start, ids, values, circle, opinions): cm_metrics of the
- * int64 (m, 2) array edges on the n vertices of the n + 1 starts and 2m ids
- * of its incidence, of values, the n opinions when opinions is true, else
- * the m gaps, each array taken through the buffer protocol. Returns
- * (W, largest |gap|, flips, pairs); W is not finite, and the rest 0, when a
- * gap is not finite, or W when it rounds past DBL_MAX. */
+/* metrics(edges, start, ids, opinions, circle): cm_metrics of the n
+ * opinions on the int64 (m, 2) array edges, on the n vertices of the n + 1
+ * starts and 2m ids of its incidence, each array taken through the buffer
+ * protocol, its size checked, and the tables' entries as Graph checked them.
+ * Returns (W, largest |gap|, flips, pairs); W is not finite, and the rest
+ * 0, when a gap is not finite, or W when it rounds past DBL_MAX. */
 static PyObject *metrics(PyObject *Py_UNUSED(module), PyObject *args)
 {
-    Py_buffer edges, start, ids, values;
-    int circle, opinions;
+    Py_buffer edges, start, ids, opinions;
+    int circle;
     int64_t m, n;
     double w = NAN;
     uint64_t *signs = NULL;
     struct cm_probe out = {0.0, 0, 0};
     PyObject *result = NULL;
 
-    if (!PyArg_ParseTuple(args, "y*y*y*y*pp", &edges, &start, &ids, &values, &circle,
-                          &opinions))
+    if (!PyArg_ParseTuple(args, "y*y*y*y*p", &edges, &start, &ids, &opinions, &circle))
         return NULL;
     m = edges.len / (2 * (Py_ssize_t)sizeof(int64_t));
     n = start.len / (Py_ssize_t)sizeof(int64_t) - 1;
     if (n < 0 || edges.len % (2 * sizeof(int64_t)) || start.len % sizeof(int64_t)
             || ids.len != 2 * m * (Py_ssize_t)sizeof(int64_t)
-            || values.len != (opinions ? n : m) * (Py_ssize_t)sizeof(double))
+            || opinions.len != n * (Py_ssize_t)sizeof(double))
         PyErr_SetString(PyExc_ValueError, "metrics needs int64 edges, n + 1 starts, 2m ids, "
-                        "and n opinions or m gaps");
+                        "and n opinions");
     else if ((signs = calloc((size_t)(n ? n : 1), sizeof *signs)) == NULL)
         PyErr_NoMemory();
     else {
-        w = cm_metrics(edges.buf, m, start.buf, ids.buf, n, opinions ? values.buf : NULL,
-                       opinions ? NULL : values.buf, circle, signs, &out);
+        w = cm_metrics(edges.buf, m, start.buf, ids.buf, n, opinions.buf, circle, signs, &out);
         result = Py_BuildValue("ddLL", w, out.top, (long long)out.flips,
                                (long long)out.pairs);
     }
@@ -866,7 +851,7 @@ static PyObject *metrics(PyObject *Py_UNUSED(module), PyObject *args)
     PyBuffer_Release(&edges);
     PyBuffer_Release(&start);
     PyBuffer_Release(&ids);
-    PyBuffer_Release(&values);
+    PyBuffer_Release(&opinions);
     return result;
 }
 

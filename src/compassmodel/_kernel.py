@@ -129,20 +129,16 @@ def load():
     return _lib or None
 
 
-def metrics(g, opinions, circle: bool, gaps):
+def metrics(g, opinions, circle: bool):
     """`analysis.compute_metrics`' W, largest |gap|, sign flips and adjacent
-    edge pairs, as (W, largest, flips, pairs), from one call into the kernel.
-    The gaps are worked out from the opinions unless given; either is a
-    contiguous float64 buffer, one entry per vertex or per edge. None
-    without the kernel, and when a gap or W is not finite: the numpy path
-    then gives the value or raises."""
+    edge pairs, as (W, largest, flips, pairs), of the gaps of `opinions`, a
+    contiguous float64 buffer of one entry per vertex, from one call into
+    the kernel. None without the kernel, and when a gap or W is not finite:
+    the numpy path then gives the value or raises."""
     lib = load()
     if not lib:
         return None
-    starts, ids = g.incidence
-    given = gaps is not None
-    found = lib.metrics(g.edge_array, starts, ids, gaps if given else opinions, circle,
-                        not given)
+    found = lib.metrics(g.edge_array, *g.incidence, opinions, circle)
     return found if math.isfinite(found[0]) else None
 
 

@@ -1,9 +1,9 @@
 """Metrics, convergence classification, limit extraction, and statistics.
 
-This module never runs dynamics. It consumes opinion profiles, gap values,
-and run records, and produces numbers: per-probe metric rows, consensus
-classes, limit values with their conserved-quantity checks, and the
-statistical tests used by the calibration suite.
+This module never runs dynamics. It consumes opinion profiles and run
+records, and produces numbers: per-probe metric rows of the opinions' gaps,
+consensus classes, limit values with their conserved-quantity checks, and
+the statistical tests used by the calibration suite.
 """
 
 from __future__ import annotations
@@ -139,6 +139,13 @@ def _chart(x: np.ndarray) -> np.ndarray:
     return np.where(y > 1.0, y - 2.0, np.where(y <= -1.0, y + 2.0, y))
 
 
+def _gaps(g: Graph, x: np.ndarray, circle: bool) -> np.ndarray:
+    """The signed gap of each edge, x[head] - x[tail], in `_chart` on the
+    circle: what a probe measures, and `difference.delta_from_config`'s gaps."""
+    delta = x[g.edge_array[:, 1]] - x[g.edge_array[:, 0]]
+    return _chart(delta) if circle else delta
+
+
 def circle_opinion_range(opinions) -> float:
     """Length of the smallest closed arc containing all the opinions.
 
@@ -155,11 +162,10 @@ def circle_opinion_range(opinions) -> float:
 
 
 def compute_metrics(g: Graph, opinions, space: str = "circle",
-                    at_time: float = 0.0, delta_values=None) -> MetricSample:
+                    at_time: float = 0.0) -> MetricSample:
     """Evaluate all per-probe metrics for one opinion profile.
 
-    Gap values are recomputed from the opinions unless a tracked list is
-    passed in (then that list is used verbatim, drift and all). W is an
+    Every metric measures the opinions, whose gaps `_gaps` gives. W is an
     exactly rounded sum, `math.fsum` bit for bit, so it does not depend on
     edge order. The sign-flip fraction counts the pairs of edges at one
     vertex whose gaps multiply to below zero. When the compiled kernel
@@ -176,12 +182,7 @@ def compute_metrics(g: Graph, opinions, space: str = "circle",
     if len(opinions) != g.vertex_count:
         raise ValueError(f"expected {g.vertex_count} opinions, got {len(opinions)}")
     x = np.ascontiguousarray(opinions, dtype=float)
-    delta = None
-    if delta_values is not None:
-        if len(delta_values) != g.edge_count:
-            raise ValueError(f"expected {g.edge_count} gap values, got {len(delta_values)}")
-        delta = np.ascontiguousarray(delta_values, dtype=float)
-    w, max_nd, flips, pairs = _gap_pass(g, x, space == "circle", delta)
+    w, max_nd, flips, pairs = _gap_pass(g, x, space == "circle")
     mean_ad = w / g.edge_count if g.edge_count else 0.0
     if space == "circle":
         rng = circle_opinion_range(x)
@@ -192,21 +193,17 @@ def compute_metrics(g: Graph, opinions, space: str = "circle",
                         sign_flip_fraction=flips / pairs if pairs else 0.0)
 
 
-def _gap_pass(g: Graph, x: np.ndarray, circle: bool, delta: np.ndarray | None = None):
+def _gap_pass(g: Graph, x: np.ndarray, circle: bool):
     """compute_metrics' pass over the edges: (W, the largest |gap|, the sign
-    flips, the adjacent edge pairs) of the gaps `delta` if given, else of
-    the opinions `x`, each a contiguous float64 array of the right length.
-    A W stop in the engine decides on this W, so a run stops on the W its
-    record reports."""
+    flips, the adjacent edge pairs) of the gaps of the opinions `x`, a
+    contiguous float64 array of one entry per vertex. A W stop in the engine
+    decides on this W, so a run stops on the W its record reports."""
     # imported here, so the kernel's build stays out of the package import
     from . import _kernel
-    found = _kernel.metrics(g, x, circle, delta)
+    found = _kernel.metrics(g, x, circle)
     if found:
         return found
-    if delta is None:
-        delta = x[g.edge_array[:, 1]] - x[g.edge_array[:, 0]]
-        if circle:
-            delta = _chart(delta)
+    delta = _gaps(g, x, circle)
     absd = np.abs(delta)
     # as the builtin max over the list: a leading NaN wins, later ones are skipped
     max_nd = float(max(absd[0], np.fmax.reduce(absd))) if absd.size else 0.0

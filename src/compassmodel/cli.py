@@ -31,7 +31,7 @@ from . import analysis, scenarios
 from .engine import (Constant, Explicit, IidUniform, PoissonStream, StopRule,
                      derive_seed, initial_opinions, new_simulation, run)
 from .opinion_space import ModelParams, _is_num, validate_params
-from .topology import _whole, build_path, build_ring, build_torus, load_edge_list
+from .topology import _counted as _int, build_path, build_ring, build_torus, load_edge_list
 
 __all__ = ["ConfigError", "parse_config", "load_config", "run_batch", "main"]
 
@@ -45,12 +45,6 @@ class ConfigError(ValueError):
     def __init__(self, problems):
         self.problems = list(problems)
         super().__init__("; ".join(self.problems))
-
-
-def _int(x) -> int | None:
-    """x as an int by the library's whole-number rule (50, 50.0); a bool, a
-    fraction or anything else is None."""
-    return None if isinstance(x, bool) else _whole(x)
 
 
 def _is_finite(x) -> bool:
@@ -397,7 +391,7 @@ def _summarize(cfg: dict, reps: list[dict]) -> dict:
         },
         "limit_uniformity_pvalue": None,
     }
-    if cfg["model"] == "compass" and len(limits) >= 500:
+    if cfg["model"] == "compass" and len(limits) >= 500 and max(limits) > min(limits):
         out["limit_uniformity_pvalue"] = analysis.marginal_uniformity_test(limits).pvalue
     return out
 
@@ -482,6 +476,15 @@ def _set_dotted(raw: dict, dotted: str, value) -> None:
     node[keys[-1]] = value
 
 
+def _point_dir(param: str, value) -> str:
+    """A sweep point's directory, param=value as one path component: '%'
+    and the separators written %25 and %2F (or %5C), one name a value."""
+    name = f"{param}={value}"
+    for sep in filter(None, ("%", os.sep, os.altsep)):
+        name = name.replace(sep, f"%{ord(sep):02X}")
+    return name
+
+
 def _cmd_sweep(args) -> int:
     base = _read_json(args.config)
     values = []
@@ -495,7 +498,7 @@ def _cmd_sweep(args) -> int:
     for value in values:
         raw = json.loads(json.dumps(base))
         _set_dotted(raw, args.param, value)
-        sub = Path(args.output) / f"{args.param}={value}"
+        sub = Path(args.output) / _point_dir(args.param, value)
         run_batch(parse_config(raw), sub)
         index.append({"value": value, "dir": sub.name})
         print(f"swept {args.param}={value} -> {sub}")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import _chart
+from .analysis import _gaps
 from .opinion_space import ModelParams, _wrap, circle_dist, mod_s
 from .topology import Graph
 
@@ -55,8 +55,7 @@ def delta_from_config(g: Graph, opinions, space: str = "circle") -> DeltaState:
         raise ValueError(f"edge differences are defined on the circle, not {space!r}")
     if len(opinions) != g.vertex_count:
         raise ValueError(f"expected {g.vertex_count} opinions, got {len(opinions)}")
-    x = np.asarray(opinions, dtype=float)
-    return DeltaState(g, _chart(x[g.edge_array[:, 1]] - x[g.edge_array[:, 0]]).tolist())
+    return DeltaState(g, _gaps(g, np.asarray(opinions, dtype=float), True).tolist())
 
 
 def xi_from_values(g: Graph, values=None) -> XiState:

@@ -28,7 +28,7 @@ import numpy as np
 from . import analysis
 from .difference import DifferenceTracker
 from .opinion_space import ModelParams, update_pair_compass, update_pair_deffuant
-from .topology import Graph, _whole, build_path, build_ring, build_torus
+from .topology import Graph, _count, _counted, _whole, build_path, build_ring, build_torus
 
 __all__ = [
     "Event",
@@ -157,6 +157,7 @@ class ScriptedStream:
             raise ValueError(
                 f"scripted times must be strictly increasing, events {i - 1} and {i} "
                 f"have times {float(times[i - 1])} and {float(times[i])}")
+        cursor = _count(cursor, "cursor")
         if not 0 <= cursor <= times.size:
             raise ValueError(f"cursor {cursor} out of range")
         self.times, self.edge_ids, self.ties = times, edge_ids, given_ties.astype(np.int64)
@@ -307,7 +308,8 @@ class StopRule:
 
     max_events and w_check_interval are counts below 2**63, as the kernel
     keeps its count in an int64: a whole float such as 1e6 (as JSON gives
-    it) is taken as its int; bools and other numbers are refused.
+    it) is taken as its int; bools and other numbers are refused. Without
+    max_events, either loop stops with "max_events" at 2**63 - 1 events.
     """
 
     max_events: int | None = None
@@ -323,7 +325,7 @@ class StopRule:
             if v is None:
                 continue
             # a float budget comes from JSON as 1e6; 10.5, NaN, inf or True is no count
-            count = None if isinstance(v, bool) else _whole(v)
+            count = _counted(v)
             if count is None:
                 raise ValueError(f"{name} must be a whole number, got {v!r}")
             if count >= 2**63:
@@ -423,13 +425,13 @@ def run(state: SimState, stream=None, stop: StopRule | None = None,
     state's opinions and drift. Such a tracker, one whose gaps or bounds are
     not one per edge of a graph equal to the state's, opinions that are not
     one per vertex or lie outside the space's chart (NaN included), a clock
-    that is not finite (as `restore` refuses it), a NaN probe time, a
-    Poisson stream on a graph without edges, a scripted stream whose cursor
-    is not a whole number within its schedule, and a parked pending event
-    that apply_event would refuse raise ValueError before the first event,
-    with the state untouched. A cursor, or a parked event's edge id or tie,
-    that is a whole number of another type (1.0, np.int64(1)) is put back as
-    a plain int.
+    that is not finite (as `restore` refuses it), an event count outside
+    [0, 2**63), a NaN probe time, a Poisson stream on a graph without
+    edges, a scripted stream whose cursor is not a whole number within its
+    schedule, and a parked pending event that apply_event would refuse
+    raise ValueError before the first event, with the state untouched. A
+    count, a cursor, or a parked event's edge id or tie, that is a whole
+    number of another type (1.0, np.int64(1)) is put back as a plain int.
     """
     observers = tuple(observers)
     g = state.graph
@@ -437,6 +439,7 @@ def run(state: SimState, stream=None, stop: StopRule | None = None,
         raise ValueError(f"expected {g.vertex_count} opinions, got {len(state.opinions)}")
     if not math.isfinite(state.clock):
         raise ValueError(f"clock {state.clock} is not finite")
+    count = _event_count(state.events_applied)
     # one copy as doubles, which a kernel run starts from; a value that is not
     # a real number (a string, None) raises TypeError. The rules keep
     # opinions in the chart, so every edge distance stays in [0, 1]
@@ -463,7 +466,7 @@ def run(state: SimState, stream=None, stop: StopRule | None = None,
     if isinstance(stream, PoissonStream) and not g.edge_count:
         raise ValueError("a Poisson stream needs a graph with at least one edge")
     if isinstance(stream, ScriptedStream):
-        cursor = _whole(stream.cursor)
+        cursor = _counted(stream.cursor)
         if cursor is None or not 0 <= cursor <= stream.times.size:
             raise ValueError(f"cursor {stream.cursor!r} out of range")
         stream.cursor = cursor
@@ -474,16 +477,17 @@ def run(state: SimState, stream=None, stop: StopRule | None = None,
         if type(pending.edge_id) is not int or type(pending.tie) is not int:
             # taken as plain ints once, for every loop and for snapshot
             state.pending = Event(pending.time, e, k)
+    state.events_applied = count
     state.stream = stream
     if stop is None:
         if not isinstance(stream, ScriptedStream):
             raise ValueError("a stop rule is required unless the stream is scripted")
         # one more than the events left, so the schedule runs out first
         left = stream.times.size - stream.cursor + (state.pending is not None)
-        stop = StopRule(max_events=state.events_applied + left + 1)
+        stop = StopRule(max_events=min(count + left + 1, _NO_BUDGET))
     if initial_opinions_for_limits is not None:
         initial = list(initial_opinions_for_limits)
-    elif state.events_applied == 0:
+    elif count == 0:
         initial = list(state.opinions)
     else:
         initial = None
@@ -535,6 +539,15 @@ def run(state: SimState, stream=None, stop: StopRule | None = None,
 # the most events one kernel call applies, so a run between checks stays
 # interruptible
 _CHUNK = 1 << 20
+_NO_BUDGET = 2**63 - 1  # a run's budget without max_events: the most an int64 count holds
+
+
+def _event_count(v, error=ValueError) -> int:
+    """v as an event count, a whole number in [0, 2**63) (5.0 is 5); else raise error."""
+    count = _counted(v)
+    if count is None or not 0 <= count <= _NO_BUDGET:
+        raise error(f"event count {v!r} is not a whole number in [0, 2**63)")
+    return count
 
 
 def _run_loop(state: SimState, stream, stop: StopRule, probes, samples,
@@ -586,7 +599,7 @@ def _run_loop(state: SimState, stream, stop: StopRule, probes, samples,
 
     clock = state.clock
     count = state.events_applied
-    max_events = stop.max_events if stop.max_events is not None else math.inf
+    max_events = stop.max_events if stop.max_events is not None else _NO_BUDGET
     max_time = stop.max_time if stop.max_time is not None else math.inf
     interval = stop.w_check_interval
     w_below = stop.w_below
@@ -738,10 +751,10 @@ def snapshot(state: SimState) -> bytes:
     Graphs of a non-builder kind are stored as explicit edge lists and come
     back with kind 'custom'.
     """
+    count = _event_count(state.events_applied, SnapshotError)
     out = bytearray()
     out += struct.pack("<4sHB", _MAGIC, _SNAPSHOT_VERSION, _SPACE_CODES[state.space])
-    out += struct.pack("<dddQ", state.params.mu, state.params.theta,
-                       state.clock, state.events_applied)
+    out += struct.pack("<dddQ", state.params.mu, state.params.theta, state.clock, count)
     p = state.pending
     if p is not None:
         e, k = _whole(p.edge_id), _whole(p.tie)
@@ -846,6 +859,7 @@ def _restore(r: _Reader) -> SimState:
     params = ModelParams(mu=mu, theta=theta)
     if not math.isfinite(clock):
         raise SnapshotError(f"clock {clock} is not finite")
+    _event_count(events_applied, SnapshotError)
     (has_pending,) = r.take("<B")
     pending = None
     if has_pending == 1:

@@ -37,9 +37,14 @@ def _whole(v) -> int | None:
     return None
 
 
+def _counted(v) -> int | None:
+    """v as an int by the count rule: a whole number, not a bool; else None."""
+    return None if isinstance(v, bool) else _whole(v)
+
+
 def _count(v, what: str) -> int:
-    """v as an int by the whole-number rule; anything else raises ValueError."""
-    k = _whole(v)
+    """v as an int by the count rule (`_counted`); anything else raises ValueError."""
+    k = _counted(v)
     if k is None:
         raise ValueError(f"{what} must be a whole number, got {v!r}")
     return k

@@ -21,6 +21,7 @@ from compassmodel import (Explicit, Graph, IidUniform, MetricSample, ModelParams
 from compassmodel import _kernel, analysis
 from compassmodel.analysis import _circle_lift
 from compassmodel.topology import graph_from_edges
+from conftest import comb, star
 
 circle_values = st.floats(min_value=-1.0, max_value=1.0, exclude_min=True,
                           allow_nan=False)
@@ -104,9 +105,9 @@ class TestComputeMetrics:
         assert m.W == pytest.approx(0.8 + 0.5, abs=1e-12)
         assert m.opinion_range == pytest.approx(0.8, abs=1e-12)
 
-    def test_tracked_deltas_used_verbatim(self):
+    def test_the_gaps_are_the_opinions_differences(self):
         g = build_path(3)
-        m = compute_metrics(g, [0.0, 0.0, 0.0], delta_values=[0.25, -0.5])
+        m = compute_metrics(g, [0.0, 0.25, -0.25])  # gaps 0.25 and -0.5
         assert m.W == 0.75
         assert m.max_neighbor_dist == 0.5
         assert m.sign_flip_fraction == 1.0
@@ -115,8 +116,8 @@ class TestComputeMetrics:
         g = build_path(3)
         with pytest.raises(ValueError, match="opinions"):
             compute_metrics(g, [0.0, 0.1])
-        with pytest.raises(ValueError, match="gap values"):
-            compute_metrics(g, [0.0, 0.1, 0.2], delta_values=[0.1])
+        with pytest.raises(ValueError, match="opinions"):
+            compute_metrics(g, [0.0, 0.1, 0.2, 0.3])
 
     @given(st.integers(min_value=2, max_value=12), st.data())
     @settings(max_examples=150)
@@ -148,14 +149,13 @@ def scalar_opinion_range(opinions):
     return 2.0 - largest
 
 
-def scalar_metrics(g, opinions, space="circle", at_time=0.0, delta_values=None):
+def scalar_metrics(g, opinions, space="circle", at_time=0.0):
     """compute_metrics as list arithmetic over adjacent_edge_pairs: the oracle."""
-    if delta_values is None:
-        if space == "circle":
-            delta_values = [mod_s(opinions[b] - opinions[a]) for a, b in g.edges]
-        else:
-            delta_values = [opinions[b] - opinions[a] for a, b in g.edges]
-    absd = [abs(v) for v in delta_values]
+    if space == "circle":
+        gaps = [mod_s(opinions[b] - opinions[a]) for a, b in g.edges]
+    else:
+        gaps = [opinions[b] - opinions[a] for a, b in g.edges]
+    absd = [abs(v) for v in gaps]
     w = math.fsum(absd)
     max_nd = max(absd) if absd else 0.0
     mean_ad = w / len(absd) if absd else 0.0
@@ -165,7 +165,7 @@ def scalar_metrics(g, opinions, space="circle", at_time=0.0, delta_values=None):
         rng = max(opinions) - min(opinions) if opinions else 0.0
     pairs = g.adjacent_edge_pairs
     if pairs:
-        flips = sum(1 for i, j in pairs if delta_values[i] * delta_values[j] < 0.0)
+        flips = sum(1 for i, j in pairs if gaps[i] * gaps[j] < 0.0)
         flip_frac = flips / len(pairs)
     else:
         flip_frac = 0.0
@@ -233,13 +233,14 @@ class TestVectorizedMetrics:
         assert outcome(compute_metrics, g, ops, "interval") == \
             outcome(scalar_metrics, g, ops, "interval")
 
-    @given(graphs, st.sampled_from(["circle", "interval"]), st.data())
+    @given(st.sampled_from([comb, star]), st.sampled_from(["circle", "interval"]),
+           st.lists(gaps_like, max_size=32))
     @settings(max_examples=200)
-    def test_tracked_gap_values(self, g, space, data):
-        ops = data.draw(profile(g, circle_values if space == "circle" else unit_like))
-        gaps = data.draw(st.lists(gaps_like, min_size=g.edge_count, max_size=g.edge_count))
-        assert outcome(compute_metrics, g, ops, space, delta_values=gaps) == \
-            outcome(scalar_metrics, g, ops, space, delta_values=gaps)
+    def test_given_gap_values(self, carrier, space, gaps):
+        # opinions that carry the gaps: exactly on the interval, in the
+        # chart on the circle
+        g, ops = carrier(gaps)
+        assert outcome(compute_metrics, g, ops, space) == outcome(scalar_metrics, g, ops, space)
 
     @given(graphs, st.sampled_from([math.nan, math.inf, -math.inf]), st.data())
     @settings(max_examples=100)
@@ -251,10 +252,10 @@ class TestVectorizedMetrics:
         assert outcome(circle_opinion_range, ops) == outcome(scalar_opinion_range, ops)
 
     def test_tiny_gap_products_underflow_to_no_flip(self):
-        g, ops, gaps = build_path(3), [0.0] * 3, [1e-200, -1e-200]
-        assert compute_metrics(g, ops, delta_values=gaps).sign_flip_fraction == 0.0
-        assert outcome(compute_metrics, g, ops, delta_values=gaps) == \
-            outcome(scalar_metrics, g, ops, delta_values=gaps)
+        g, ops = build_path(3), [0.0, 1e-200, 0.0]  # gaps 1e-200 and -1e-200
+        assert compute_metrics(g, ops, "interval").sign_flip_fraction == 0.0
+        assert outcome(compute_metrics, g, ops, "interval") == \
+            outcome(scalar_metrics, g, ops, "interval")
 
 
 TINY = 2.0 ** -537
@@ -316,23 +317,24 @@ class TestOnePassMetrics:
     @given(st.one_of(graphs, stars()), st.sampled_from(["circle", "interval"]),
            st.booleans(), st.data())
     @settings(max_examples=400, deadline=None)
-    def test_the_c_pass_the_numpy_path_and_the_oracle_agree(self, g, space, tracked, data):
-        if tracked:
-            ops = data.draw(profile(g, circle_values))
+    def test_the_c_pass_the_numpy_path_and_the_oracle_agree(self, g, space, given_gaps, data):
+        if given_gaps:
+            # the gaps, of the drawn graph's edge count, carried by opinions
             gaps = data.draw(st.lists(st.one_of(gap_specials, gaps_like),
                                       min_size=g.edge_count, max_size=g.edge_count))
+            g, ops = data.draw(st.sampled_from([comb, star]))(gaps)
         else:
             # the specials as opinions: on a star, gaps against the centre's
             values = chart_like if space == "circle" else unit_like
-            ops, gaps = data.draw(profile(g, st.one_of(gap_specials, values))), None
-        oracle = outcome(scalar_metrics, g, ops, space, delta_values=gaps)
+            ops = data.draw(profile(g, st.one_of(gap_specials, values)))
+        oracle = outcome(scalar_metrics, g, ops, space)
         with mock.patch.object(_kernel, "_lib", False):
-            numpy = outcome(compute_metrics, g, ops, space, delta_values=gaps)
+            numpy = outcome(compute_metrics, g, ops, space)
         alone = mock.patch.object(analysis, "_sign_flips", side_effect=AssertionError)
         if _kernel.load() is None or type(oracle) is tuple or oracle[1][1] in ("inf", "nan"):
             alone = contextlib.nullcontext()
         with alone:  # a finite W, so finite gaps: the kernel's pass alone
-            kernel = outcome(compute_metrics, g, ops, space, delta_values=gaps)
+            kernel = outcome(compute_metrics, g, ops, space)
         assert kernel == numpy == oracle
 
     @pytest.mark.skipif(_kernel.load() is None, reason="no compiled kernel")
@@ -368,11 +370,11 @@ class TestOnePassMetrics:
         if lib is False:
             monkeypatch.setattr(_kernel, "_lib", False)
         k = len(gaps)
-        g = graph_from_edges(k + 1, [(0, v) for v in range(1, k + 1)], kind="star")
-        got = compute_metrics(g, [0.0] * (k + 1), delta_values=gaps)
+        g, ops = star(gaps)
+        got = compute_metrics(g, ops, "interval")
         assert got.sign_flip_fraction == flips / (k * (k - 1) // 2)
-        assert outcome(compute_metrics, g, [0.0] * (k + 1), delta_values=gaps) == \
-            outcome(scalar_metrics, g, [0.0] * (k + 1), delta_values=gaps)
+        assert outcome(compute_metrics, g, ops, "interval") == \
+            outcome(scalar_metrics, g, ops, "interval")
 
     @pytest.mark.skipif(_kernel.load() is None, reason="no compiled kernel")
     @pytest.mark.parametrize("start", ["uniform", "after a run", "tiny gaps"])
@@ -482,8 +484,8 @@ class TestSpatialAverage:
     def test_uniform_init_gap_mean_near_half(self):
         g = build_ring(4000)
         ops = initial_opinions(IidUniform(5), 4000, "circle")
-        d = delta_from_config(g, ops)
-        est = compute_metrics(g, ops, delta_values=d.values).mean_abs_delta
+        est = compute_metrics(g, ops).mean_abs_delta
+        assert est == math.fsum(map(abs, delta_from_config(g, ops).values)) / 4000
         assert est == pytest.approx(0.5, abs=0.03)
 
 
@@ -567,23 +569,18 @@ class TestSignProductRate:
     """The rate of sign-disagreeing adjacent gaps is sign_flip_fraction."""
 
     @staticmethod
-    def rate(g, delta_values):
-        return compute_metrics(g, [0.0] * g.vertex_count,
-                               delta_values=delta_values).sign_flip_fraction
+    def rate(g, opinions):
+        return compute_metrics(g, opinions).sign_flip_fraction
 
     def test_alternating_signs(self):
-        assert self.rate(build_path(4), [0.3, -0.2, 0.4]) == 1.0
+        assert self.rate(build_path(4), [0.0, 0.3, 0.1, 0.5]) == 1.0  # gaps 0.3, -0.2, 0.4
 
     def test_constant_profile_rate_zero(self):
-        g = build_ring(5)
-        d = delta_from_config(g, [0.2] * 5)
-        assert self.rate(g, d.values) == 0.0
+        assert self.rate(build_ring(5), [0.2] * 5) == 0.0
 
     def test_uniform_init_near_half(self):
-        g = build_ring(2000)
         ops = initial_opinions(IidUniform(7), 2000, "circle")
-        d = delta_from_config(g, ops)
-        assert self.rate(g, d.values) == pytest.approx(0.5, abs=0.05)
+        assert self.rate(build_ring(2000), ops) == pytest.approx(0.5, abs=0.05)
 
 
 class TestCsvRoundTrip:

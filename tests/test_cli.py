@@ -310,6 +310,17 @@ class TestMain:
         assert code == 0
         assert "1 replicate(s)" in capsys.readouterr().out
 
+    def test_a_batch_of_equal_limits_reports_no_uniformity_pvalue(self, tmp_path, capsys):
+        # 500 equal limits made the KS test raise after the last replicate,
+        # and no aggregate.json was written
+        raw = minimal_raw(graph={"kind": "ring", "n": 3}, replicates=500,
+                          init={"kind": "constant", "value": 0.3}, stop={"max_events": 5})
+        out = tmp_path / "out"
+        assert main(["run", str(write_config(tmp_path, raw)), "-o", str(out)]) == 0
+        summary = json.loads((out / "aggregate.json").read_text())["summary"]
+        assert summary["limits"]["count"] == 500 and summary["limits"]["sd"] == 0.0
+        assert summary["limit_uniformity_pvalue"] is None
+
     def test_bad_config_exits_two_listing_every_problem(self, tmp_path, capsys):
         path = write_config(tmp_path, {"graph": {"kind": "blob"},
                                        "stop": {}, "tol": 0})
@@ -379,6 +390,8 @@ class TestMain:
         ("signflip", "c=5", "need 0 < c <= 1"),
         ("butterfly", "n=2", "need n >= 3"),
         ("butterfly", "n=4.5", "n must be a whole number, got 4.5"),
+        # it ran one alternation
+        ("butterfly", "alternations=true", "alternations must be a whole number, got True"),
         ("butterfly", "alternations=-4", "need alternations >= 0, got -4"),
         ("butterfly", "flatten_eps=NaN", "eps must be positive, got nan"),
         # it ran as seed 1
@@ -525,6 +538,30 @@ class TestMain:
         for sub in ("mu=0.25", "mu=0.5"):
             echo = json.loads((out / sub / "aggregate.json").read_text())
             assert echo["config"]["mu"] == float(sub.split("=")[1])
+
+    def test_sweep_dirs_are_one_component_under_the_output(self, tmp_path, monkeypatch,
+                                                           capsys):
+        # graphs/tri.txt went to the nested sweep/graph.path=graphs/tri.txt,
+        # recorded as "tri.txt", and ../tri.txt to a batch beside sweep/
+        (tmp_path / "work" / "graphs").mkdir(parents=True)
+        ring, tri = "1 2\n2 3\n3 4\n4 1\n", "1 2\n2 3\n3 1\n"
+        for name, edges in [("work/sq.txt", ring), ("work/graphs/tri.txt", tri),
+                            ("tri.txt", tri)]:
+            (tmp_path / name).write_text(edges, encoding="utf-8")
+        monkeypatch.chdir(tmp_path / "work")
+        path = write_config(tmp_path, minimal_raw(stop={"max_events": 20}))
+        code = main(["sweep", str(path), "--param", "graph.path",
+                     "--values", "sq.txt,graphs/tri.txt,../tri.txt", "-o", "sweep"])
+        assert code == 0
+        dirs = ["graph.path=sq.txt", "graph.path=graphs%2Ftri.txt", "graph.path=..%2Ftri.txt"]
+        index = json.loads(Path("sweep", "sweep.json").read_text())
+        assert [p["dir"] for p in index["points"]] == dirs
+        assert sorted(p.name for p in Path("sweep").iterdir()) == sorted([*dirs, "sweep.json"])
+        for name in dirs:
+            assert (Path("sweep") / name / "aggregate.json").exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "tri.txt", "work"]
+        # '%' is escaped too, so the names stay one per value
+        assert cli._point_dir("p", "a%2Fb") == "p=a%252Fb" != cli._point_dir("p", "a/b")
 
     def test_sweep_rejects_bad_value(self, tmp_path, capsys):
         path = write_config(tmp_path, minimal_raw())

@@ -38,6 +38,8 @@ from compassmodel import _kernel, analysis, engine
 from compassmodel.analysis import compute_metrics
 from compassmodel.scenarios import butterfly_scenario
 from compassmodel.engine import _total_w
+from compassmodel.topology import _fault
+from conftest import comb
 from test_twins import near, starts
 
 
@@ -142,6 +144,16 @@ class TestScriptedStream:
     def test_bad_cursor_rejected(self):
         with pytest.raises(ValueError, match="cursor"):
             ScriptedStream([(0.5, 0)], cursor=2)
+
+    @pytest.mark.parametrize("cursor", [True, 1.5])
+    def test_a_cursor_that_is_no_count_is_refused(self, cursor):
+        # True was taken, and next_event then raised TypeError
+        with pytest.raises(ValueError, match=f"cursor must be a whole number, got {cursor}"):
+            ScriptedStream([(0.5, 0), (0.9, 1)], cursor=cursor)
+
+    def test_a_whole_float_cursor_is_taken_as_its_int(self):
+        s = ScriptedStream([(0.5, 0), (0.9, 1)], cursor=1.0)
+        assert type(s.cursor) is int and s.next_event(None) == Event(0.9, 1, 1)
 
     def test_the_schedule_is_three_read_only_arrays(self):
         s = ScriptedStream([Event(0.5, 1), (0.9, 0, 2), (1.5, 7)], cursor=1)
@@ -326,6 +338,37 @@ class TestStopRule:
             rec = run(ring(), stop=StopRule(max_events=big, max_time=2.0, w_below=1e-9,
                                             w_check_interval=big))
             assert rec.stop_reason == "max_time"
+
+    @pytest.mark.parametrize("loop", LOOPS)
+    def test_a_run_without_a_budget_stops_at_2_63_less_one(self, loop):
+        # the kernel's count overflowed to -2**63 + 4, the Python loop's
+        # went on to 2**63 + 4
+        state = new_simulation(build_ring(5), IidUniform(1), ModelParams(), stream=3)
+        state.events_applied = 2**63 - 5
+        with mock.patch.object(_kernel, "_lib", loop_lib(loop)):
+            rec = run(state, stop=StopRule(max_time=100.0))
+        assert (rec.stop_reason, rec.events_applied) == ("max_events", 2**63 - 1)
+        assert state.clock < 100.0
+
+    @pytest.mark.parametrize("loop", LOOPS)
+    @pytest.mark.parametrize("count", [-3, 2**63, 1.5, True, "1"])
+    def test_an_event_count_out_of_range_is_refused(self, count, loop):
+        state = new_simulation(build_ring(5), IidUniform(1), ModelParams(), stream=3)
+        state.events_applied = count
+        before = (list(state.opinions), state.clock, state.stream.rng.getstate())
+        with mock.patch.object(_kernel, "_lib", loop_lib(loop)), \
+                pytest.raises(ValueError, match=re.escape(
+                    f"event count {count!r} is not a whole number in [0, 2**63)")):
+            run(state, stop=StopRule(max_events=10))
+        assert (state.opinions, state.clock, state.stream.rng.getstate(),
+                state.events_applied) == (*before, count)
+
+    def test_a_whole_float_event_count_runs_as_its_int(self):
+        state = new_simulation(build_ring(5), IidUniform(1), ModelParams(), stream=3)
+        state.events_applied = 5.0
+        rec = run(state, stop=StopRule(max_events=10))
+        assert rec.events_applied == state.events_applied == 10
+        assert type(state.events_applied) is int
 
     def test_a_whole_float_count_is_taken_as_its_int(self):
         # JSON gives `--set compass_max_events=1e6` as a float
@@ -1353,24 +1396,156 @@ def context_cases():
     ]
 
 
+def hexes(values):
+    return [float(v).hex() for v in values]
+
+
+def fuzz_metrics_entry(lib, examples):
+    """Fuzz the build's `metrics(edges, start, ids, opinions, circle)`: a
+    graph's tables and opinions (or none, n = 0), with one buffer changed:
+    a length one off, a stride, int32 edges, or float32 opinions, as many
+    as n or as 2n. The entry takes the tables' contents as Graph checked
+    them, so only their buffers are drawn. Each call refuses with
+    ValueError, TypeError or BufferError, or runs clean and answers as the
+    numpy path does for the bytes it read. Returns the calls that ran and
+    those refused."""
+    counts = [0, 0]
+    graphs = st.one_of(st.just(Graph("custom", 1, ())), st.integers(2, 6).map(build_path),
+                       st.integers(3, 6).map(build_ring),
+                       st.integers(1, 5).map(lambda k: graph_from_edges(
+                           k + 1, [(0, v) for v in range(1, k + 1)])))
+    values = st.floats() | st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0**-537, 5e-324])
+    changes = ["none", "no vertices", "one off", "strided", "int32 edges", "float32 opinions"]
+
+    @settings(max_examples=examples, deadline=None)
+    @given(graphs, st.booleans(), st.sampled_from(changes), st.data())
+    def check(g, circle, change, data):
+        ops = np.array(data.draw(st.lists(values, min_size=g.vertex_count,
+                                          max_size=g.vertex_count)))
+        bufs = [g.edge_array, *g.incidence, ops]
+        which = data.draw(st.integers(0, 3))
+        if change == "no vertices":
+            bufs = [np.empty((0, 2), np.int64), np.zeros(1, np.int64), np.empty(0, np.int64),
+                    np.empty(0)]
+        elif change == "one off":
+            flat = bufs[which].ravel()
+            bufs[which] = flat[:-1] if flat.size and data.draw(st.booleans()) else \
+                np.append(flat, flat[:1] if flat.size else 0).astype(flat.dtype)
+        elif change == "strided":
+            bufs[which] = np.repeat(bufs[which].ravel(), 2)[::2]
+        elif change == "int32 edges":
+            bufs[0] = bufs[0].astype(np.int32)
+        elif change == "float32 opinions":
+            size = data.draw(st.sampled_from([1, 2])) * ops.size
+            bufs[3] = np.resize(ops.astype(np.float32), size)
+        try:
+            found = lib.metrics(*bufs, circle)
+        except (ValueError, TypeError, BufferError):
+            assert change != "none"
+            counts[1] += 1
+            return
+        counts[0] += 1
+        if change == "no vertices":
+            assert found == (0.0, 0.0, 0, 0)
+            return
+        tables = [np.frombuffer(memoryview(b).tobytes(), np.int64) for b in bufs[:3]]
+        assert all(map(np.array_equal, tables, [g.edge_array.ravel(), *g.incidence]))
+        x = np.frombuffer(memoryview(bufs[3]).tobytes(), np.float64)
+        with mock.patch.object(_kernel, "_lib", False):
+            try:
+                want = analysis._gap_pass(g, x, circle)
+            except (ValueError, OverflowError):
+                want = None
+        if math.isfinite(found[0]):
+            assert hexes(found) == hexes(want)
+        else:
+            assert want is None or not math.isfinite(want[0])
+
+    check()
+    return counts
+
+
+def fuzz_graph_entry(lib, examples):
+    """Fuzz the build's `graph(edges, n, start, ids)`: n at 0, 1, 2**32 and
+    2**32 + 1 or small, and m at 0, 1 or small, with a graph's edges or any
+    pairs, and one buffer changed: a length one off, a stride, int32 edges,
+    or a read-only output table. Each call refuses with ValueError,
+    TypeError or BufferError, or runs clean and answers as Graph's numpy
+    checks do for the edges it read. Returns the calls that ran and those
+    refused."""
+    counts = [0, 0]
+    built = st.one_of(st.integers(2, 6).map(build_path), st.integers(3, 6).map(build_ring),
+                      st.just(build_torus([3, 3])))
+    pairs = st.lists(st.tuples(st.integers(-1, 8), st.integers(-1, 8)), max_size=9)
+    changes = ["none", "one off", "strided", "int32 edges", "read-only"]
+
+    @settings(max_examples=examples, deadline=None)
+    @given(st.booleans(), st.sampled_from(changes), st.data())
+    def check(whole_graph, change, data):
+        if whole_graph:
+            g = data.draw(built)
+            n, edges = g.vertex_count, g.edge_array.copy()
+        else:
+            n = data.draw(st.sampled_from([0, 1, 2**32, 2**32 + 1]) | st.integers(1, 8))
+            edges = np.array(data.draw(pairs), dtype=np.int64).reshape(-1, 2)
+        bufs = [edges, np.zeros(min(n, 9) + 1, np.int64), np.zeros(2 * len(edges), np.int64)]
+        which = data.draw(st.integers(0, 2))
+        if change == "one off":
+            flat = bufs[which].ravel()
+            bufs[which] = flat[:-1] if flat.size and data.draw(st.booleans()) else \
+                np.append(flat, 0).astype(np.int64)
+        elif change == "strided":
+            bufs[which] = np.repeat(bufs[which].ravel(), 2)[::2]
+        elif change == "int32 edges":
+            bufs[0] = bufs[0].astype(np.int32)
+        elif change == "read-only":
+            bufs[1 + which % 2].setflags(write=False)
+        try:
+            found = lib.graph(bufs[0], n, bufs[1], bufs[2])
+        except (ValueError, TypeError, BufferError):
+            assert change != "none" or not 1 <= n <= 9
+            counts[1] += 1
+            return
+        counts[0] += 1
+        read = np.frombuffer(memoryview(bufs[0]).tobytes(), np.int64).reshape(-1, 2)
+        with mock.patch.object(_kernel, "_lib", False):
+            try:
+                want = Graph("custom", n, read)
+            except ValueError as exc:
+                want = str(exc)
+        if found is None:
+            assert [a.tolist() for a in want.incidence] == [bufs[1].tolist(), bufs[2].tolist()]
+        else:
+            fault = str(_fault(read, read, found, n)) if found >= 0 else \
+                "graph is not connected"
+            assert want == fault
+
+    check()
+    return counts
+
+
 # Run in a subprocess against a build of _kernel.c given as argv[1], with
 # the tests on the path: the twin machine of test_twins.py (the build's
 # runs against the Python loop's), twin runs at the draw boundaries, W in
 # C against math.fsum, and probe metrics against the numpy path (tiny gaps
 # at one vertex and at several, and a 64x64 torus), the graph pass against
-# the numpy checks, on valid and invalid edge lists, and contexts built, run
-# and dropped, or refused. The build checks every graph the script builds,
-# and aborts the process on undefined behaviour.
+# the numpy checks, on valid and invalid edge lists, contexts built, run and
+# dropped, or refused, and a fuzz of the module's metrics and graph. The
+# build checks every graph the script builds, and aborts the process on
+# undefined behaviour.
 UBSAN_CHECK = """
 import array, math, random, sys
 from unittest import mock
 import numpy as np
 import conftest
-from hypothesis import settings
+from conftest import comb
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from hypothesis.stateful import run_state_machine_as_test
 from compassmodel import (Explicit, Graph, ModelParams, StopRule, _kernel, analysis,
                           build_path, build_ring, build_torus, compute_metrics, graph_from_edges,
                           new_simulation, run)
+from compassmodel.topology import _fault
 from test_twins import Twins
 
 lib = _kernel._open(sys.argv[1])
@@ -1379,7 +1554,8 @@ run_state_machine_as_test(Twins, settings=settings(max_examples=40, stateful_ste
                                                    deadline=None))
 
 """ + "\n\n".join(map(inspect.getsource, (untemper, boundary_cases, boundary_run,
-                                            context_cases))) + """
+                                            context_cases, hexes, fuzz_metrics_entry,
+                                            fuzz_graph_entry))) + """
 
 bounds = boundary_cases()
 for case in bounds:
@@ -1395,15 +1571,16 @@ terms = [rng.uniform(0.0, 1.0, 10_000),
          rng.choice([1.0, 2.0**-53, 2.0**-54, 3 * 2.0**-54], 2_000),
          np.array([1.0, math.inf, -1.0]), np.array([sys.float_info.max] * 2), np.array([])]
 for t in terms:
-    # W of the gaps t, in cm_metrics; None when a gap or W is not finite
-    g = build_path(t.size + 1) if t.size else Graph("custom", 1, ())
+    # W of the gaps t, carried by a comb, in cm_metrics; None when a gap or
+    # W is not finite
+    g, ops = comb(t)
     with mock.patch.object(_kernel, "_lib", lib):
-        found = _kernel.metrics(g, None, True, t)
+        found = _kernel.metrics(g, np.array(ops), False)
     if found is not None:
         assert found[0].hex() == math.fsum(np.abs(t)).hex()
 
-def metrics(g, ops, gaps):
-    m = compute_metrics(g, ops, delta_values=gaps)
+def metrics(g, ops):
+    m = compute_metrics(g, ops)
     return [float(v).hex() for v in vars(m).values()]
 
 tiny = 2.0 ** -537
@@ -1416,11 +1593,12 @@ for v, x in [(0, 5e-324), (130, -1e-310), (2049, 2.0**-540)]:
     planted[v], planted[big.edges[2 * v][1]] = 0.0, x
 probes = [
     # opposite gaps under 2**-537 at the centre: the products one by one
-    (star, [0.0, tiny, -tiny, 1e-200, -1e-200, 0.5, -0.25], None),
-    (star, [0.0] * 7, [tiny, -tiny, 1e-200, -1e-200, -0.0, 0.3]),
-    (Graph("custom", 1, ()), [0.4], None),  # no edges
-    (big, spread, None),
-    (big, planted, None),
+    (star, [0.0, tiny, -tiny, 1e-200, -1e-200, 0.5, -0.25]),
+    # edges (v, 0) at even v: the gaps tiny, -tiny, 1e-200, -1e-200, -0.0, 0.3
+    (star, [0.0, tiny, tiny, 1e-200, 1e-200, -0.0, -0.3]),
+    (Graph("custom", 1, ()), [0.4]),  # no edges
+    (big, spread),
+    (big, planted),
 ]
 for case in probes:
     with mock.patch.object(_kernel, "_lib", lib), \
@@ -1467,7 +1645,11 @@ for name, good, kwargs in contexts:
         del ctx
     if isinstance(opinions, array.array):
         opinions.append(0.0)
-print("ok", len(bounds), len(terms), len(probes), len(graphs), len(contexts))
+
+# the two module functions fuzzed: each call that runs and each refused
+fuzzed = [fuzz_metrics_entry(lib, 200), fuzz_graph_entry(lib, 200)]
+assert all(ran and refused for ran, refused in fuzzed), fuzzed
+print("ok", len(bounds), len(terms), len(probes), len(graphs), len(contexts), len(fuzzed))
 """
 
 
@@ -1587,6 +1769,10 @@ class TestKernel:
             body = re.search(rf"^static PyObject \*{name}\(PyObject \*Py_UNUSED\(module\), "
                              rf"PyObject \*args\)\n\{{(.*?)^\}}", source, re.S | re.M)
             assert call in body.group(1)
+            if name == "metrics":
+                # one buffer kind, the opinions, and one pass per space
+                assert 'PyArg_ParseTuple(args, "y*y*y*y*p",' in body.group(1)
+                assert source.count("return probe_pass(") == 2
         lib = _kernel.load()
         if lib:
             assert sorted(n for n in vars(lib) if not n.startswith("__")) == [
@@ -1607,21 +1793,20 @@ class TestKernel:
                                  np.empty(5, dtype=np.int64))
 
     @needs_kernel
-    @pytest.mark.parametrize("values,opinions", [(3, True), (5, True), (4, False), (2, False)])
-    def test_the_metrics_entry_refuses_buffers_of_the_wrong_size(self, values, opinions):
-        # a 4-path: 4 opinions or 3 gaps, 5 starts, 6 ids; any other size is
-        # refused before the pass reads past a buffer
+    @pytest.mark.parametrize("values", [0, 3, 5, 8])
+    def test_the_metrics_entry_refuses_buffers_of_the_wrong_size(self, values):
+        # a 4-path: 4 opinions, 5 starts, 6 ids; any other size is refused
+        # before the pass reads past a buffer
         g = build_path(4)
         starts, ids = g.incidence
         lib = _kernel.load()
-        assert lib.metrics(g.edge_array, starts, ids, np.zeros(4 if opinions else 3), True,
-                           opinions) == (0.0, 0.0, 0, 2)
+        assert lib.metrics(g.edge_array, starts, ids, np.zeros(4), True) == (0.0, 0.0, 0, 2)
         with pytest.raises(ValueError, match="metrics needs int64 edges"):
-            lib.metrics(g.edge_array, starts, ids, np.zeros(values), True, opinions)
+            lib.metrics(g.edge_array, starts, ids, np.zeros(values), True)
         for bad in [(g.edge_array.ravel()[:5], starts, ids), (g.edge_array, starts[:0], ids),
                     (g.edge_array, starts, ids[:5])]:
             with pytest.raises(ValueError, match="metrics needs int64 edges"):
-                lib.metrics(*bad, np.zeros(4), True, True)
+                lib.metrics(*bad, np.zeros(4), True)
 
     @needs_kernel
     def test_the_graph_entry_writes_only_writable_tables(self):
@@ -1883,7 +2068,7 @@ class TestKernel:
         done = subprocess.run([sys.executable, "-c", UBSAN_CHECK, str(lib)], env=env,
                               capture_output=True, text=True, timeout=600)
         assert done.returncode == 0, done.stderr[-3000:]
-        assert done.stdout.split() == ["ok", "64", "6", "5", "12", "29"]
+        assert done.stdout.split() == ["ok", "64", "6", "5", "12", "29", "2"]
 
 
 # pairs of opinions whose distance is exactly 1 (antipodal), nextafter(1, +inf),
@@ -2108,11 +2293,6 @@ def fsum_terms(draw):
     return (terms * rng.choice([1.0, -1.0], m)).tolist()
 
 
-def gap_path(m):
-    """A graph of m edges, to carry m given gaps."""
-    return build_path(m + 1) if m else Graph("custom", 1, ())
-
-
 def outcome(f, *args):
     """f's value as its hex, or its exception's type and message."""
     try:
@@ -2136,8 +2316,8 @@ class TestFsum:
     def test_the_c_sum_is_math_fsum_bit_for_bit(self, terms):
         want = math.fsum(abs(t) for t in terms).hex()
         # finite gaps under 1e150 cannot overflow: C answers alone
-        found = _kernel.metrics(gap_path(len(terms)), None, True,
-                                np.array(terms, dtype=np.float64))
+        g, ops = comb(terms)
+        found = _kernel.metrics(g, np.array(ops), False)
         assert found is not None and found[0].hex() == want
 
     @needs_kernel
@@ -2153,8 +2333,8 @@ class TestFsum:
             want = math.fsum(terms).hex()
         except OverflowError:
             want = None
-        found = _kernel.metrics(gap_path(len(terms)), None, True,
-                                np.array(terms, dtype=np.float64))
+        g, ops = comb(terms)
+        found = _kernel.metrics(g, np.array(ops), False)
         assert found is None or found[0].hex() == want
         assert want is not None or found is None
 
@@ -2170,10 +2350,8 @@ class TestFsum:
         ([MAX, 0.5], "max"),
     ])
     def test_special_terms_behave_as_under_math_fsum(self, terms, want, lib):
-        g = gap_path(len(terms))
-
-        def w(gaps):
-            return compute_metrics(g, [0.0] * g.vertex_count, delta_values=gaps).W
+        def w(terms):
+            return compute_metrics(*comb(terms), "interval").W
 
         with mock.patch.object(_kernel, "_lib", _kernel.load() if lib == "kernel" else False):
             got = outcome(w, terms)
@@ -2613,6 +2791,28 @@ class TestSnapshot:
         struct.pack_into("<d", blob, at, value)
         with deadline(2.0), pytest.raises(SnapshotError, match="clock|pending"):
             run(restore(bytes(blob)), stop=StopRule(max_events=10))
+
+    @pytest.mark.parametrize("count", [-1, 2**63, 2**64, 1.5, True])
+    def test_an_event_count_out_of_range_is_a_snapshot_error(self, count):
+        # -1 and 2**64 raised struct.error
+        state = fresh(build_path(3), [0.1, 0.5, -0.5], mu=0.3, stream=1)
+        state.events_applied = count
+        with pytest.raises(SnapshotError, match=re.escape(
+                f"event count {count!r} is not a whole number in [0, 2**63)")):
+            snapshot(state)
+
+    def test_a_restored_event_count_past_int64_is_refused(self):
+        # restore took 2**63, and run then raised OverflowError
+        state = fresh(build_path(3), [0.1, 0.5, -0.5], mu=0.3, stream=1)
+        state.events_applied = 5.0
+        blob = bytearray(snapshot(state))
+        at = struct.calcsize("<4sHBddd")
+        assert struct.unpack_from("<Q", blob, at) == (5,)
+        assert restore(bytes(blob)).events_applied == 5
+        struct.pack_into("<Q", blob, at, 2**63)
+        with pytest.raises(SnapshotError, match=re.escape(
+                f"event count {2**63} is not a whole number in [0, 2**63)")):
+            restore(bytes(blob))
 
     @pytest.mark.parametrize("space,value", [("circle", math.nan), ("circle", 5.0),
                                              ("circle", -1.0), ("circle", math.inf),

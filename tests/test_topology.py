@@ -398,9 +398,9 @@ class TestGraphValidation:
         g = Graph("custom", n, [(0, 1), (1, 2)])
         assert type(g.vertex_count) is int and g == Graph("custom", 3, [(0, 1), (1, 2)])
 
-    @pytest.mark.parametrize("n", [2.5, math.nan, math.inf, "3", None])
+    @pytest.mark.parametrize("n", [2.5, math.nan, math.inf, "3", None, True])
     def test_a_vertex_count_that_is_not_whole_is_refused(self, n):
-        # before, 2.5 said "graph is not connected"
+        # before, 2.5 said "graph is not connected", and True built one vertex
         with pytest.raises(ValueError, match="the vertex count must be a whole number"):
             Graph("custom", n, [(0, 1)])
 
