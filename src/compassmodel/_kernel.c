@@ -1,9 +1,12 @@
 /* The compiled kernel of compassmodel._kernel, built as the CPython extension
  * module compassmodel._kernel_c: the type Context, one kernel run's struct
  * cm_ctx with the buffers of its arrays, whose run and total_w call cm_run
- * and cm_total_w, and the functions metrics and graph, which call cm_metrics
- * and cm_graph. How a run uses it is told in _kernel.py; each function's
- * comment says what it mirrors.
+ * and cm_total_w, and the functions metrics, graph and uniform, which call
+ * cm_metrics, cm_graph and cm_uniform. Every array comes through the buffer
+ * protocol, C-contiguous, and is refused unless its format names the kind
+ * of entry the kernel reads there (take): int64 tables, float64 values,
+ * uint32 state words. How a run uses it is told in _kernel.py; each
+ * function's comment says what it mirrors.
  *
  * The generator is CPython's MT19937 (Modules/_randommodule.c): the state
  * words and index come from random.Random.getstate() and go back with
@@ -18,7 +21,8 @@
  * word by word across a new block. The tie bit is random() < 0.5, which
  * holds exactly when the fifth word is below 2^31; the sixth word is drawn
  * and not read. All of it is integer work, so the words, and getstate(),
- * are CPython's bit for bit.
+ * are CPython's bit for bit. A uniform start (cm_uniform) draws its
+ * random() values from the same words.
  *
  * Waiting times use libm's log, which math.log calls. Build without
  * floating-point contraction (-ffp-contract=off), without fast-math and
@@ -585,18 +589,30 @@ static double cm_metrics(const int64_t *edges, int64_t m, const int64_t *start,
 #define CM_CONNECTED (-2) /* connected, with its incidence built */
 #define CM_NO_MEMORY (-3) /* the scratch could not be allocated */
 
+/* the root of v's tree in the union-find forest parent, halving the path
+ * it walks: each vertex on it is hung under its grandparent */
+static inline int64_t find_root(int64_t *parent, int64_t v)
+{
+    while (parent[v] != v) {
+        parent[v] = parent[parent[v]];
+        v = parent[v];
+    }
+    return v;
+}
+
 /* One pass over the m edges (tail, head) of a graph on n vertices, as
  * Graph checks them. Returns the id of the first offending edge: the first
  * with an endpoint out of range or a self-loop, unless an earlier edge
- * repeats the pair of an edge before it. Else CM_CONNECTED when a walk from
- * vertex 0 reaches every vertex, CM_SPLIT when it does not. start and ids
- * receive the CSR incidence of the edges before the first out of range or
- * self-loop: the edges of vertex v are ids[start[v] .. start[v + 1]), in
- * ascending id order. */
+ * repeats the pair of an edge before it. Else CM_CONNECTED when union-find
+ * joins every vertex into one tree, CM_SPLIT when it does not. start and
+ * ids receive the CSR incidence of the edges before the first out of range
+ * or self-loop: the edges of vertex v are ids[start[v] .. start[v + 1]), in
+ * ascending id order. One scratch of n entries serves the repeat scan's
+ * stamps, then the union-find forest. */
 static int64_t cm_graph(const int64_t *edges, int64_t m, int64_t n, int64_t *start,
                         int64_t *ids)
 {
-    int64_t f, v, p, q, end = m, first, reached = 1, *seen, *queue;
+    int64_t f, v, p, q, end = m, first, joined = 0, *seen;
 
     for (f = 0; f < m && end == m; f++) {
         const int64_t a = edges[2 * f], b = edges[2 * f + 1];
@@ -621,10 +637,9 @@ static int64_t cm_graph(const int64_t *edges, int64_t m, int64_t n, int64_t *sta
     memmove(start + 1, start, (size_t)n * sizeof *start);
     start[0] = 0;
 
-    seen = malloc(2 * (size_t)n * sizeof *seen);
+    seen = malloc((size_t)n * sizeof *seen);
     if (seen == NULL)
         return CM_NO_MEMORY;
-    queue = seen + n;
     /* at each vertex v, a neighbour stamped v already was reached by an
      * edge of lower id: the later id of the pair is a repeat */
     memset(seen, 0xff, (size_t)n * sizeof *seen);
@@ -639,26 +654,61 @@ static int64_t cm_graph(const int64_t *edges, int64_t m, int64_t n, int64_t *sta
                 first = f;
         }
     if (first == m) {
-        /* a walk from vertex 0 over the incidence, stamping each vertex it
-         * reaches n; queue[0 .. reached) are the vertices reached */
-        queue[0] = 0;
-        seen[0] = n;
-        for (q = 0; q < reached; q++) {
-            v = queue[q];
-            for (p = start[v]; p < start[v + 1]; p++) {
-                f = ids[p];
-                const int64_t w = edges[2 * f] ^ edges[2 * f + 1] ^ v;
-                if (seen[w] != n) {
-                    seen[w] = n;
-                    queue[reached++] = w;
-                }
+        /* union-find (Tarjan and van Leeuwen 1984) over the edges in id
+         * order, each vertex its own root at first: an edge whose ends have
+         * two roots links the larger under the smaller. n - 1 links join
+         * every vertex, and the pass stops there */
+        for (v = 0; v < n; v++)
+            seen[v] = v;
+        for (f = 0; f < m && joined < n - 1; f++) {
+            const int64_t a = find_root(seen, edges[2 * f]), b = find_root(seen, edges[2 * f + 1]);
+            if (a != b) {
+                seen[a > b ? a : b] = a > b ? b : a;
+                joined++;
             }
         }
     }
     free(seen);
     if (first < m)
         return first;
-    return reached == n ? CM_CONNECTED : CM_SPLIT;
+    return joined == n - 1 ? CM_CONNECTED : CM_SPLIT;
+}
+
+/* The kinds of entry a kernel buffer holds: int64 tables, doubles, and the
+ * generator's 32-bit state words. A buffer's format names its entries
+ * (struct module letters, native or standard sizes: numpy's int64 is 'l' on
+ * LP64 Linux and 'q' elsewhere), and its itemsize settles the letters whose
+ * size varies. */
+enum kind { INT64, DOUBLE, WORD };
+static const struct {
+    const char *letters, *name;
+    Py_ssize_t size;
+} KINDS[] = {{"lq", "int64", 8}, {"d", "float64", 8}, {"IL", "uint32", 4}};
+
+/* Take the buffer of obj into *view: C-contiguous, writable when asked,
+ * with entries of the kind. Returns 0, or -1 with an error raised (a
+ * read-only buffer where the kernel writes, or entries of another kind, a
+ * TypeError) and no buffer held. */
+static int take(PyObject *obj, Py_buffer *view, enum kind kind, int writable,
+                const char *entry)
+{
+    const char *format, *f;
+
+    if (PyObject_GetBuffer(obj, view, PyBUF_ND | PyBUF_FORMAT) < 0)
+        return -1;
+    format = f = view->format ? view->format : "B";
+    if (*f == '@' || *f == '=' || *f == (PY_LITTLE_ENDIAN ? '<' : '>'))
+        f++;
+    if (writable && view->readonly)
+        PyErr_Format(PyExc_TypeError, "%s writes here, and the buffer is read-only", entry);
+    else if (view->itemsize != KINDS[kind].size || f[0] == '\0' || f[1] != '\0'
+             || strchr(KINDS[kind].letters, f[0]) == NULL)
+        PyErr_Format(PyExc_TypeError, "%s takes %s entries here, not format '%s'", entry,
+                     KINDS[kind].name, format);
+    else
+        return 0;
+    PyBuffer_Release(view);
+    return -1;
 }
 
 /* A Context: its struct cm_ctx, and the buffers its pointers are into, held
@@ -666,6 +716,8 @@ static int64_t cm_graph(const int64_t *edges, int64_t m, int64_t n, int64_t *sta
  * constructor's arguments; the kernel writes those in WRITTEN */
 enum { V_EDGES, V_STARTS, V_IDS, V_OP, V_MT, V_TIMES, V_EDGE_IDS, V_TIES, V_DELTA, V_XI, N_VIEWS };
 #define WRITTEN (1 << V_OP | 1 << V_MT | 1 << V_DELTA | 1 << V_XI)
+static const enum kind VIEW_KINDS[N_VIEWS] = {INT64, INT64, INT64, DOUBLE, WORD,
+                                              DOUBLE, INT64, INT64, DOUBLE, DOUBLE};
 
 struct context {
     PyObject_HEAD
@@ -674,7 +726,7 @@ struct context {
 };
 
 /* Context(edges, starts, ids, opinions, mu, theta, circle, clock, count,
- * max_time, **names): each array taken through the buffer protocol,
+ * max_time, **names): each array taken through the buffer protocol (take),
  * and its size checked once against m and n. The graph's tables are taken
  * as Graph checked them, and the edge ids before end as the engine did. */
 static PyObject *context_new(PyTypeObject *type, PyObject *args, PyObject *kwargs)
@@ -702,8 +754,7 @@ static PyObject *context_new(PyTypeObject *type, PyObject *args, PyObject *kwarg
         goto fail;
     for (j = 0; j < N_VIEWS; j++)
         if (arrays[j] != NULL && arrays[j] != Py_None
-                && PyObject_GetBuffer(arrays[j], &v[j],
-                                      WRITTEN >> j & 1 ? PyBUF_WRITABLE : PyBUF_SIMPLE) < 0)
+                && take(arrays[j], &v[j], VIEW_KINDS[j], WRITTEN >> j & 1, "Context") < 0)
             goto fail;
     /* in bytes: 8 an int64 or a double, 4 a state word */
     m = v[V_EDGES].len / 16;
@@ -816,83 +867,145 @@ static PyTypeObject ContextType = {
 };
 
 /* metrics(edges, start, ids, opinions, circle): cm_metrics of the n
- * opinions on the int64 (m, 2) array edges, on the n vertices of the n + 1
- * starts and 2m ids of its incidence, each array taken through the buffer
- * protocol, its size checked, and the tables' entries as Graph checked them.
- * Returns (W, largest |gap|, flips, pairs); W is not finite, and the rest
- * 0, when a gap is not finite, or W when it rounds past DBL_MAX. */
+ * float64 opinions on the int64 (m, 2) array edges, on the n vertices of
+ * the n + 1 starts and 2m ids of its incidence, each array taken through
+ * the buffer protocol (take) and its size checked, and the tables' entries
+ * as Graph checked them. Returns (W, largest |gap|, flips, pairs); W is not
+ * finite, and the rest 0, when a gap is not finite, or W when it rounds
+ * past DBL_MAX. */
 static PyObject *metrics(PyObject *Py_UNUSED(module), PyObject *args)
 {
-    Py_buffer edges, start, ids, opinions;
-    int circle;
+    PyObject *arrays[4], *result = NULL;
+    Py_buffer v[4] = {{0}};
+    const Py_buffer *edges = &v[0], *start = &v[1], *ids = &v[2], *opinions = &v[3];
+    int circle, j;
     int64_t m, n;
-    double w = NAN;
+    double w;
     uint64_t *signs = NULL;
     struct cm_probe out = {0.0, 0, 0};
-    PyObject *result = NULL;
 
-    if (!PyArg_ParseTuple(args, "y*y*y*y*p", &edges, &start, &ids, &opinions, &circle))
+    if (!PyArg_ParseTuple(args, "OOOOp", &arrays[0], &arrays[1], &arrays[2], &arrays[3],
+                          &circle))
         return NULL;
-    m = edges.len / (2 * (Py_ssize_t)sizeof(int64_t));
-    n = start.len / (Py_ssize_t)sizeof(int64_t) - 1;
-    if (n < 0 || edges.len % (2 * sizeof(int64_t)) || start.len % sizeof(int64_t)
-            || ids.len != 2 * m * (Py_ssize_t)sizeof(int64_t)
-            || opinions.len != n * (Py_ssize_t)sizeof(double))
+    for (j = 0; j < 4; j++)
+        if (take(arrays[j], &v[j], j < 3 ? INT64 : DOUBLE, 0, "metrics") < 0)
+            goto done;
+    m = edges->len / 16;
+    n = start->len / 8 - 1;
+    if (n < 0 || edges->len % 16 || ids->len != 16 * m || opinions->len != 8 * n)
         PyErr_SetString(PyExc_ValueError, "metrics needs int64 edges, n + 1 starts, 2m ids, "
                         "and n opinions");
     else if ((signs = calloc((size_t)(n ? n : 1), sizeof *signs)) == NULL)
         PyErr_NoMemory();
     else {
-        w = cm_metrics(edges.buf, m, start.buf, ids.buf, n, opinions.buf, circle, signs, &out);
+        w = cm_metrics(edges->buf, m, start->buf, ids->buf, n, opinions->buf, circle, signs,
+                       &out);
         result = Py_BuildValue("ddLL", w, out.top, (long long)out.flips,
                                (long long)out.pairs);
     }
     free(signs);
-    PyBuffer_Release(&edges);
-    PyBuffer_Release(&start);
-    PyBuffer_Release(&ids);
-    PyBuffer_Release(&opinions);
+done:
+    for (j = 0; j < 4; j++)
+        PyBuffer_Release(&v[j]);
     return result;
 }
 
 /* graph(edges, n, start, ids): cm_graph of the int64 (m, 2) array edges on
  * n vertices, into the int64 arrays start (n + 1 entries) and ids (2m),
- * each taken through the buffer protocol. None for a connected graph, whose
- * incidence start and ids then hold; else the id of the first offending
- * edge, or -1 when the graph is not connected. */
+ * each taken through the buffer protocol (take). None for a connected
+ * graph, whose incidence start and ids then hold; else the id of the first
+ * offending edge, or -1 when the graph is not connected. */
 static PyObject *graph(PyObject *Py_UNUSED(module), PyObject *args)
 {
-    Py_buffer edges, start, ids;
+    PyObject *arrays[3], *result = NULL;
+    Py_buffer v[3] = {{0}};
+    const Py_buffer *edges = &v[0], *start = &v[1], *ids = &v[2];
     long long n;
-    int64_t m, found = CM_NO_MEMORY;
-    PyObject *result = NULL;
+    int64_t m, found;
+    int j;
 
-    if (!PyArg_ParseTuple(args, "y*Lw*w*", &edges, &n, &start, &ids))
+    if (!PyArg_ParseTuple(args, "OLOO", &arrays[0], &n, &arrays[1], &arrays[2]))
         return NULL;
-    m = edges.len / (2 * (Py_ssize_t)sizeof(int64_t));
-    if (n < 1 || n > INT64_C(1) << 32 || edges.len % (2 * sizeof(int64_t))
-            || start.len != (n + 1) * (Py_ssize_t)sizeof(int64_t)
-            || ids.len != 2 * m * (Py_ssize_t)sizeof(int64_t))
+    for (j = 0; j < 3; j++)
+        if (take(arrays[j], &v[j], INT64, j > 0, "graph") < 0)
+            goto done;
+    m = edges->len / 16;
+    if (n < 1 || n > INT64_C(1) << 32 || edges->len % 16 || start->len != 8 * (n + 1)
+            || ids->len != 16 * m) {
         PyErr_SetString(PyExc_ValueError, "graph needs int64 edges, 1 to 2**32 vertices, "
                         "and n + 1 starts and 2m ids");
-    else {
-        found = cm_graph(edges.buf, m, n, start.buf, ids.buf);
-        if (found == CM_NO_MEMORY)
-            PyErr_NoMemory();
-        else if (found == CM_CONNECTED)
-            result = Py_NewRef(Py_None);
-        else
-            result = PyLong_FromLongLong(found);
+        goto done;
     }
-    PyBuffer_Release(&edges);
-    PyBuffer_Release(&start);
-    PyBuffer_Release(&ids);
+    found = cm_graph(edges->buf, m, n, start->buf, ids->buf);
+    if (found == CM_NO_MEMORY)
+        PyErr_NoMemory();
+    else if (found == CM_CONNECTED)
+        result = Py_NewRef(Py_None);
+    else
+        result = PyLong_FromLongLong(found);
+done:
+    for (j = 0; j < 3; j++)
+        PyBuffer_Release(&v[j]);
+    return result;
+}
+
+/* n draws of random.random() from the generator whose getstate() words are
+ * mt, or of 1.0 - 2.0 * random() when circle, into out; mt then holds the
+ * state n draws one by one leave. Each word is read from the tempered
+ * block, and a new block is twisted when the index reaches MT_N, as
+ * genrand_uint32 does. */
+static void cm_uniform(uint32_t *mt, double *out, int64_t n, int circle)
+{
+    uint32_t tw[MT_N], index = mt[MT_N], w[2];
+    int64_t i;
+    int j;
+
+    temper_block(tw, mt);
+    for (i = 0; i < n; i++) {
+        for (j = 0; j < 2; j++) {
+            if (index >= MT_N) {
+                next_block(mt, tw);
+                index = 0;
+            }
+            w[j] = tw[index++];
+        }
+        const double r = random_double(w[0], w[1]);
+        out[i] = circle ? 1.0 - 2.0 * r : r;
+    }
+    mt[MT_N] = index;
+}
+
+/* uniform(mt, out, circle): cm_uniform of the 625 uint32 getstate() words
+ * mt into the float64 array out, one draw per entry, both taken writable
+ * through the buffer protocol (take). Returns None. */
+static PyObject *uniform(PyObject *Py_UNUSED(module), PyObject *args)
+{
+    PyObject *arrays[2], *result = NULL;
+    Py_buffer v[2] = {{0}};
+    const Py_buffer *mt = &v[0], *out = &v[1];
+    int circle, j;
+
+    if (!PyArg_ParseTuple(args, "OOp", &arrays[0], &arrays[1], &circle))
+        return NULL;
+    for (j = 0; j < 2; j++)
+        if (take(arrays[j], &v[j], j ? DOUBLE : WORD, 1, "uniform") < 0)
+            goto done;
+    if (mt->len != 4 * (MT_N + 1)) {
+        PyErr_SetString(PyExc_ValueError, "uniform needs 625 state words");
+        goto done;
+    }
+    cm_uniform(mt->buf, out->buf, out->len / 8, circle);
+    result = Py_NewRef(Py_None);
+done:
+    for (j = 0; j < 2; j++)
+        PyBuffer_Release(&v[j]);
     return result;
 }
 
 static PyMethodDef methods[] = {
     {"metrics", metrics, METH_VARARGS, "cm_metrics: one probe's W, top, flips and pairs"},
     {"graph", graph, METH_VARARGS, "cm_graph: check a graph and build its incidence"},
+    {"uniform", uniform, METH_VARARGS, "cm_uniform: a uniform start's draws"},
     {NULL, NULL, 0, NULL},
 };
 

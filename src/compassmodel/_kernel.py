@@ -6,8 +6,16 @@ $XDG_CACHE_HOME/compassmodel (default ~/.cache/compassmodel), under a name
 that hashes the source, the flags and the interpreter, and loaded with
 importlib. Without gcc or Python.h, or when reading the source, the build
 or the load fails (with a RuntimeWarning), `load()` returns None: the
-engine keeps to its Python loop, `Graph` to its numpy checks. `metrics` (a
-probe) and `graph` (`Graph`'s checks) are one call into C each.
+engine keeps to its Python loop and its numpy start, `Graph` to its numpy
+checks. The module's entries:
+- `Context`, one kernel run (below);
+- `metrics`, a probe's W, largest gap, flips and pairs;
+- `graph`, `Graph`'s checks, with connectivity by union-find, and its CSR
+  incidence;
+- `uniform`, a uniform start's draws from the generator's state words.
+The last three are one call into C each. Every entry takes its arrays
+through the buffer protocol and refuses, with TypeError, one whose entries
+are not of the kind it reads: int64 tables, float64 values, uint32 words.
 
 The life of a kernel run. `engine._run_loop` hands a Poisson or scripted
 run, without observers or with one DifferenceTracker of the run's own
@@ -158,6 +166,20 @@ def graph(edges: np.ndarray, n: int):
     starts.setflags(write=False)
     ids.setflags(write=False)
     return starts, ids
+
+
+def uniform(rng, n: int, circle: bool):
+    """`engine._uniform`'s n draws, as a list, in one pass of the kernel
+    from `rng`'s getstate() words, which it then sets as n draws one by one
+    leave them. None without the kernel."""
+    lib = load()
+    if not lib:
+        return None
+    version, words, gauss = rng.getstate()
+    mt, out = array.array("I", words), np.empty(n)
+    lib.uniform(mt, out, circle)
+    rng.setstate((version, tuple(mt), gauss))
+    return out.tolist()
 
 
 class Chunks:

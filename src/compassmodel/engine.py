@@ -223,12 +223,24 @@ def _check_chart(values, what: str, space: str) -> None:
 
 
 _BLOCK = 1 << 16  # the most draws a block takes: a bounded transient integer at 1e6
+# the fewest draws the kernel takes: below, its getstate() and setstate()
+# round trip (about 45 µs) costs more than the numpy blocks
+_KERNEL_DRAWS = 1 << 11
 
 
 def _uniform(rng: random.Random, n: int, circle: bool) -> list[float]:
-    """n draws of rng.random(), or of 1.0 - 2.0 * rng.random(), bit for bit:
-    getrandbits(64 * k) holds the next 2k words from its low end, so its i-th
-    64 bits hold the a (low) and b of ((a >> 5) * 2**26 + (b >> 6)) * 2**-53."""
+    """n draws of rng.random(), or of 1.0 - 2.0 * rng.random(), bit for bit,
+    leaving rng where they leave it. From _KERNEL_DRAWS on, the kernel draws
+    them in one pass from rng's state words (`_kernel.uniform`). Else, or
+    without the kernel, numpy does in blocks: getrandbits(64 * k) holds the
+    next 2k words from its low end, so its i-th 64 bits hold the a (low) and
+    b of ((a >> 5) * 2**26 + (b >> 6)) * 2**-53."""
+    if n >= _KERNEL_DRAWS:
+        # imported here, so the build and load of the kernel stay out of the package import
+        from . import _kernel
+        drawn = _kernel.uniform(rng, n, circle)
+        if drawn is not None:
+            return drawn
     r = np.empty(n)
     for done in range(0, n, _BLOCK):
         k = min(n - done, _BLOCK)

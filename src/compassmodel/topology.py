@@ -107,10 +107,12 @@ class Graph:
 
     The checks (endpoints in range, no self-loops, no repeated pair, a
     connected graph) name the first offending edge, as an edge-by-edge scan
-    would. When the compiled kernel loads they run in one O(n + m) C pass
-    (`_kernel.graph`) that also builds the CSR `incidence`, which the graph
-    then keeps; without it, and for fewer than n - 1 edges (refused before
-    any array with an entry per vertex exists), numpy passes check them.
+    would. When the compiled kernel loads they run in one C call
+    (`_kernel.graph`): a scan of the edges, a counting sort that builds the
+    CSR `incidence`, which the graph then keeps, a repeat scan over it, and
+    union-find over the edges for connectivity, in about O(n + m). Without
+    it, and for fewer than n - 1 edges (refused before any array with an
+    entry per vertex exists), numpy passes check them.
 
     Every other table is built from `edge_array` on first use: `incidence`
     when no kernel built it, and the tuple views the Python paths index
@@ -288,7 +290,10 @@ def build_torus(dims: list[int] | tuple[int, ...]) -> Graph:
 
     Vertices are mixed-radix tuples flattened row-major; each vertex gets
     one outgoing edge per axis, toward the +1 neighbor on that axis. A
-    single dimension [k] gives the same edge set as build_ring(k).
+    single dimension [k] gives the same edge set as build_ring(k). The
+    (n, axes, 2) table is written in place: the tails from one arange, and
+    each axis's heads the tails plus its stride, less d times it on the rows
+    whose coordinate is the last, d - 1.
     """
     dims = tuple(_count(d, "a torus side") for d in dims)
     if not dims:
@@ -297,12 +302,16 @@ def build_torus(dims: list[int] | tuple[int, ...]) -> Graph:
         raise ValueError(f"every side must be at least 3, got {list(dims)}")
     # the exact count, refused past 2**32 before any array exists
     n = _vertex_count(math.prod(dims))
-    grid = np.arange(n).reshape(dims)
-    edges = np.empty((n, len(dims), 2), dtype=np.int64)
-    edges[:, :, 0] = grid.reshape(n, 1)
-    for axis in range(len(dims)):
-        # the next vertex along the axis, the last coordinate's back to 0
-        edges[:, axis, 1] = np.roll(grid, -1, axis).ravel()
+    k = len(dims)
+    edges = np.empty((n, k, 2), dtype=np.int64)
+    tails = np.arange(n, dtype=np.int64)
+    edges[:, :, 0] = tails[:, None]
+    stride = n
+    for axis, d in enumerate(dims):
+        stride //= d
+        np.add(tails, stride, out=edges[:, axis, 1])
+        # a view whose axis 1 is this axis's coordinate
+        edges.reshape(-1, d, stride, k, 2)[:, d - 1, :, axis, 1] -= d * stride
     return Graph("torus", n, _Built(edges.reshape(-1, 2)))
 
 

@@ -2,19 +2,26 @@
 
 Hypothesis draws its examples from a seed derived from each test, and keeps
 no example database, so every run of the suite tries the same examples: a
-rare float corner either fails every run or none.
+rare float corner either fails every run or none. That is the `seeded`
+profile, the default. `HYPOTHESIS_PROFILE=mutation` picks the same settings
+without the shrink phase, so a mutated copy's failing example is reported
+as found, in seconds, not after minutes of shrinking.
 
 A probe measures the opinions, so a test that wants given gaps builds
 opinions that carry them exactly, on the interval, where a gap is
 op[head] - op[tail] and t - 0.0 is t (-0.0, NaN and the infinities too).
 """
 
-from hypothesis import settings
+import os
+
+from hypothesis import Phase, settings
 
 from compassmodel import Graph, graph_from_edges
 
 settings.register_profile("seeded", derandomize=True, database=None)
-settings.load_profile("seeded")
+settings.register_profile("mutation", settings.get_profile("seeded"),
+                          phases=[p for p in Phase if p is not Phase.shrink])
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "seeded"))
 
 
 def comb(terms):

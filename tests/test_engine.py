@@ -1,4 +1,5 @@
 import array
+import contextlib
 import gc
 import inspect
 import itertools
@@ -202,6 +203,81 @@ class TestScriptedStream:
         # an event at +inf used to hang the run; one at NaN was applied
         with deadline(2.0), pytest.raises(ValueError, match="must be finite"):
             run(new_simulation(build_path(3), Constant(0.1), stream=ScriptedStream(events)))
+
+
+class TestUniformStart:
+    """A uniform start is rng.random() draw by draw, bit for bit, and leaves
+    the generator where those draws leave it: drawn by the kernel in one
+    pass from the state words, or by numpy in blocks."""
+
+    @staticmethod
+    def states():
+        """Generators fresh (index 624), after one draw, and at index 623,
+        where the next draw's two words straddle a new block."""
+        odd = random.Random(3)
+        for _ in range(311):
+            odd.random()
+        odd.getrandbits(32)
+        once = random.Random(2)
+        once.random()
+        return [random.Random(1), once, odd]
+
+    @pytest.mark.parametrize("circle", [True, False], ids=["circle", "interval"])
+    @pytest.mark.parametrize("path", ["kernel", "numpy"])
+    def test_the_draws_and_the_state_are_draw_by_draws(self, path, circle):
+        lib = loop_lib("kernel") if path == "kernel" else False
+        calls = []
+        patches = [mock.patch.object(_kernel, "_lib", lib)]
+        if lib:
+            own = lib.uniform
+
+            def counted(mt, out, circle):
+                calls.append(len(out))
+                return own(mt, out, circle)
+
+            # every size through the kernel, which is counted
+            patches += [mock.patch.object(engine, "_KERNEL_DRAWS", 0),
+                        mock.patch.object(lib, "uniform", counted)]
+        sizes = [0, 1, 2, 311, 312, 313, 623, 624, 625, 10**4]
+        with contextlib.ExitStack() as stack:
+            for patch in patches:
+                stack.enter_context(patch)
+            for n in sizes:
+                for rng, twin in zip(self.states(), self.states()):
+                    got = engine._uniform(rng, n, circle)
+                    want = [1.0 - 2.0 * twin.random() if circle else twin.random()
+                            for _ in range(n)]
+                    assert list(map(float.hex, got)) == list(map(float.hex, want)), n
+                    assert rng.getstate() == twin.getstate(), n
+        assert calls == ([n for n in sizes for _ in range(3)] if lib else [])
+
+    @needs_kernel
+    def test_the_kernel_draws_the_large_starts(self):
+        # below _KERNEL_DRAWS the state's round trip costs more than numpy's
+        # blocks; from it on, one kernel call draws the whole start
+        lib = _kernel.load()
+        own, calls = lib.uniform, []
+
+        def counted(mt, out, circle):
+            calls.append(len(out))
+            return own(mt, out, circle)
+
+        small, large = engine._KERNEL_DRAWS - 1, engine._KERNEL_DRAWS
+        with mock.patch.object(lib, "uniform", counted):
+            starts = [initial_opinions(IidUniform(4), n, "circle") for n in (50, small, large)]
+        assert calls == [large]
+        with mock.patch.object(_kernel, "_lib", False):
+            assert starts == [initial_opinions(IidUniform(4), n, "circle")
+                              for n in (50, small, large)]
+
+    @needs_kernel
+    def test_the_uniform_entry_refuses_a_state_of_the_wrong_size(self):
+        lib = _kernel.load()
+        for words in (624, 626):
+            with pytest.raises(ValueError, match="uniform needs 625 state words"):
+                lib.uniform(array.array("I", bytes(4 * words)), np.empty(3), True)
+        with pytest.raises(TypeError, match="uniform writes here, and the buffer is read-only"):
+            lib.uniform(memoryview(array.array("I", bytes(2500))).toreadonly(), np.empty(3), True)
 
 
 class TestInitialOpinions:
@@ -1524,38 +1600,119 @@ def fuzz_graph_entry(lib, examples):
     return counts
 
 
+def fuzz_context_entry(lib, examples):
+    """Fuzz the build's `Context(...)`: a good case of `context_cases()`
+    with one change: an array's length one off; its entries as int32 or
+    float32, converted or the same bytes; a stride; a read-only array where
+    the kernel writes; the cursor and end at 0, at the schedule's length or
+    one past it; or a held edge at -1 or m. Each call refuses with
+    ValueError, TypeError or BufferError, or runs clean, a chunk and a W
+    sum; every change but the cursor's that can be refused is. Returns the
+    calls that ran and those refused."""
+    counts = [0, 0]
+    changes = ["none", "one off", "int32", "float32", "strided", "read-only", "cursor", "held"]
+
+    @settings(max_examples=examples, deadline=None)
+    @given(st.integers(0, 3), st.sampled_from(changes), st.data())
+    def check(which, change, data):
+        kwargs = [kw for _, good, kw in context_cases() if good][which]
+        name = data.draw(st.sampled_from([k for k, v in kwargs.items() if hasattr(v, "__len__")]))
+        a = np.array(kwargs[name])
+        if change == "one off":
+            a = a.ravel()[:-1] if data.draw(st.booleans()) else np.append(a, a.ravel()[:1])
+        elif change in ("int32", "float32"):
+            kind = np.dtype(change)
+            a = a.view(kind) if a.itemsize % 4 == 0 and data.draw(st.booleans()) else \
+                a.astype(kind)
+        elif change == "strided":
+            a = np.repeat(a.ravel(), 2)[::2]
+        elif change == "read-only":
+            a.setflags(write=False)
+        if change != "none":
+            kwargs[name] = a
+        if change == "cursor":
+            kwargs.update(cursor=data.draw(st.sampled_from([0, 3, 4])),
+                          end=data.draw(st.sampled_from([0, 3, 4])))
+        elif change == "held":
+            kwargs.update(drawn=True, t=0.05, e=data.draw(st.sampled_from([-1, 3])))
+        replay = "times" in kwargs
+        try:
+            ctx = lib.Context(**kwargs)
+        except (ValueError, TypeError, BufferError):
+            counts[1] += 1
+            assert change != "none" and not (
+                change == "cursor" and (not replay or 0 <= kwargs["cursor"] <= kwargs["end"] <= 3))
+            return
+        counts[0] += 1
+        refusable = change in ("one off", "int32", "float32", "strided", "held") or (
+            change == "read-only" and name in ("opinions", "mt", "delta", "xi"))
+        assert not refusable, (change, name)
+        ctx.run(5, math.inf)
+        assert ctx.total_w() >= 0.0
+
+    check()
+    return counts
+
+
+def uniform_entry_cases(lib):
+    """The build's `uniform` with 0, 1, 624 and 625 draws, from a fresh
+    state and from index 623, where a draw's two words straddle a new block,
+    against draw by draw, in the draws and the state; and with a state one
+    word short, refused. Returns the cases."""
+    cases = 0
+    for n in (0, 1, 624, 625):
+        for words in (0, 623):
+            rng, twin = random.Random(5), random.Random(5)
+            if words:
+                rng.getrandbits(32 * words)
+                twin.getrandbits(32 * words)
+            mt, out = array.array("I", rng.getstate()[1]), np.empty(n)
+            lib.uniform(mt, out, True)
+            assert hexes(out) == hexes([1.0 - 2.0 * twin.random() for _ in range(n)]), n
+            assert tuple(mt) == twin.getstate()[1], n
+            cases += 1
+    try:
+        lib.uniform(array.array("I", bytes(4 * 624)), np.empty(3), True)
+    except ValueError:
+        cases += 1
+    return cases
+
+
 # Run in a subprocess against a build of _kernel.c given as argv[1], with
 # the tests on the path: the twin machine of test_twins.py (the build's
 # runs against the Python loop's), twin runs at the draw boundaries, W in
 # C against math.fsum, and probe metrics against the numpy path (tiny gaps
 # at one vertex and at several, and a 64x64 torus), the graph pass against
 # the numpy checks, on valid and invalid edge lists, contexts built, run and
-# dropped, or refused, and a fuzz of the module's metrics and graph. The
+# dropped, or refused, a fuzz of metrics, graph and Context, and uniform's
+# draws at the block's edges against draw by draw. The
 # build checks every graph the script builds, and aborts the process on
 # undefined behaviour.
 UBSAN_CHECK = """
 import array, math, random, sys
 from unittest import mock
 import numpy as np
+from compassmodel import _kernel
+
+lib = _kernel._open(sys.argv[1])
+_kernel._lib = lib  # every graph the check and its imports build, the build checks
 import conftest
 from conftest import comb
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import run_state_machine_as_test
-from compassmodel import (Explicit, Graph, ModelParams, StopRule, _kernel, analysis,
-                          build_path, build_ring, build_torus, compute_metrics, graph_from_edges,
+from compassmodel import (Explicit, Graph, ModelParams, StopRule, analysis, build_path,
+                          build_ring, build_torus, compute_metrics, graph_from_edges,
                           new_simulation, run)
 from compassmodel.topology import _fault
 from test_twins import Twins
-
-lib = _kernel._open(sys.argv[1])
-_kernel._lib = lib  # every graph the check builds, the build checks
 run_state_machine_as_test(Twins, settings=settings(max_examples=40, stateful_step_count=12,
                                                    deadline=None))
 
 """ + "\n\n".join(map(inspect.getsource, (untemper, boundary_cases, boundary_run,
                                             context_cases, hexes, fuzz_metrics_entry,
-                                            fuzz_graph_entry))) + """
+                                            fuzz_graph_entry, fuzz_context_entry,
+                                            uniform_entry_cases))) + """
 
 bounds = boundary_cases()
 for case in bounds:
@@ -1646,10 +1803,11 @@ for name, good, kwargs in contexts:
     if isinstance(opinions, array.array):
         opinions.append(0.0)
 
-# the two module functions fuzzed: each call that runs and each refused
-fuzzed = [fuzz_metrics_entry(lib, 200), fuzz_graph_entry(lib, 200)]
+# the entries fuzzed: each call that runs and each refused
+fuzzed = [fuzz_metrics_entry(lib, 200), fuzz_graph_entry(lib, 200), fuzz_context_entry(lib, 200)]
 assert all(ran and refused for ran, refused in fuzzed), fuzzed
-print("ok", len(bounds), len(terms), len(probes), len(graphs), len(contexts), len(fuzzed))
+starts = uniform_entry_cases(lib)
+print("ok", len(bounds), len(terms), len(probes), len(graphs), len(contexts), len(fuzzed), starts)
 """
 
 
@@ -1742,10 +1900,10 @@ class TestKernel:
         # the Context type's method table names run, a METH_FASTCALL call of
         # cm_run on the context with the chunk's limit and next probe, and
         # total_w, a METH_NOARGS call of cm_total_w; the module's names
-        # metrics and graph, METH_VARARGS calls of cm_metrics and cm_graph on
-        # the buffers they are given; the module's init function is the one
-        # function the build exports, and the module holds Context, metrics
-        # and graph
+        # metrics, graph and uniform, METH_VARARGS calls of cm_metrics,
+        # cm_graph and cm_uniform on the buffers they take; the module's init
+        # function is the one function the build exports, and the module
+        # holds Context, graph, metrics and uniform
         source = re.sub(r"/\*.*?\*/", "", _kernel._SOURCE.read_text(), flags=re.S)
         defined = re.findall(r"^(?!static\b)(\w+)\s+(\w+)\(([^)]*)\)\s*\{", source, re.M)
         assert defined == [("PyMODINIT_FUNC", "PyInit__kernel_c", "void")]
@@ -1756,27 +1914,32 @@ class TestKernel:
                    "total_w": ("struct cm_ctx *c", "cm_total_w(c)")}
         assert table == [("run", "context_run", "METH_FASTCALL"),
                          ("total_w", "context_total_w", "METH_NOARGS"),
-                         ("metrics", "metrics", "METH_VARARGS"), ("graph", "graph", "METH_VARARGS")]
+                         ("metrics", "metrics", "METH_VARARGS"), ("graph", "graph", "METH_VARARGS"),
+                         ("uniform", "uniform", "METH_VARARGS")]
         assert "PyModule_AddType(m, &ContextType)" in source
         for name, (params, call) in methods.items():
             body = re.search(rf"^static PyObject \*context_{name}\(PyObject \*self, [^\n]*\)\n"
                              rf"\{{(.*?)^\}}", source, re.S | re.M)
             assert call in body.group(1)
             assert re.search(rf"^static \w+ cm_{name}\({re.escape(params)}\)$", source, re.M)
-        calls = {"metrics": "cm_metrics(edges.buf, m, start.buf, ids.buf, n,",
-                 "graph": "cm_graph(edges.buf, m, n, start.buf, ids.buf)"}
+        calls = {"metrics": "cm_metrics(edges->buf, m, start->buf, ids->buf, n, opinions->buf,",
+                 "graph": "cm_graph(edges->buf, m, n, start->buf, ids->buf)",
+                 "uniform": "cm_uniform(mt->buf, out->buf, out->len / 8, circle)"}
         for name, call in calls.items():
             body = re.search(rf"^static PyObject \*{name}\(PyObject \*Py_UNUSED\(module\), "
                              rf"PyObject \*args\)\n\{{(.*?)^\}}", source, re.S | re.M)
             assert call in body.group(1)
+            # every array through take(), which checks its entries' kind
+            assert "PyBuffer_Release(&v[j])" in body.group(1)
+            assert re.search(r"take\(arrays\[j\], &v\[j\], ", body.group(1))
             if name == "metrics":
                 # one buffer kind, the opinions, and one pass per space
-                assert 'PyArg_ParseTuple(args, "y*y*y*y*p",' in body.group(1)
+                assert 'PyArg_ParseTuple(args, "OOOOp",' in body.group(1)
                 assert source.count("return probe_pass(") == 2
         lib = _kernel.load()
         if lib:
             assert sorted(n for n in vars(lib) if not n.startswith("__")) == [
-                "Context", "graph", "metrics"]
+                "Context", "graph", "metrics", "uniform"]
 
     @needs_kernel
     @pytest.mark.parametrize("n,starts,ids", [(0, 1, 6), (2**32 + 1, 3, 6), (2, 4, 6),
@@ -1807,6 +1970,55 @@ class TestKernel:
                     (g.edge_array, starts, ids[:5])]:
             with pytest.raises(ValueError, match="metrics needs int64 edges"):
                 lib.metrics(*bad, np.zeros(4), True)
+
+    @needs_kernel
+    def test_int32_tables_of_the_right_byte_size_are_refused(self):
+        # a 5-path's 4 int32 edges are the bytes of 2 int64 edges, which 4
+        # ids fit: read as int64, the ids ran off the opinions and killed the
+        # process (exit 139). The entry now reads the buffers' formats
+        g = build_path(5)
+        starts, ids = g.incidence
+        with pytest.raises(TypeError, match="metrics takes int64 entries here, not format 'i'"):
+            _kernel.load().metrics(g.edge_array.astype(np.int32), starts, ids[:4].copy(),
+                                   np.zeros(5), True)
+
+    @needs_kernel
+    @pytest.mark.parametrize("entry", ["metrics", "graph", "uniform", "Context", "replay"])
+    def test_every_buffer_of_another_kind_is_refused(self, entry):
+        # each array in turn replaced by its own bytes read as another kind,
+        # so every size still fits: the entry refuses it by its format
+        lib = _kernel.load()
+        g = build_path(4)
+        starts, ids = g.incidence
+        others = {np.dtype(np.int64): (np.float64, np.uint64, np.int32),
+                  np.dtype(np.float64): (np.int64, np.float32),
+                  np.dtype(np.uint32): (np.int32, np.float32)}
+        if entry in ("Context", "replay"):
+            name, names = ("generator, tracked, held", ["edges", "starts", "ids", "opinions", "mt",
+                                                        "delta", "xi"]) if entry == "Context" \
+                else ("schedule from its cursor, tracked, held", ["times", "edge_ids", "ties"])
+            kwargs = next(kw for case, _, kw in context_cases() if case == name)
+            arrays = [np.array(kwargs[k]) for k in names]
+
+            def call(*given):
+                return lib.Context(**{**kwargs, **dict(zip(names, given))})
+        else:
+            arrays, call = {
+                "metrics": ([g.edge_array, starts, ids, np.zeros(4)],
+                            lambda *given: lib.metrics(*given, True)),
+                "graph": ([g.edge_array, np.empty(5, np.int64), np.empty(6, np.int64)],
+                          lambda e, s, i: lib.graph(e, 4, s, i)),
+                "uniform": ([np.array(random.Random(1).getstate()[1], np.uint32), np.empty(3)],
+                            lambda mt, out: lib.uniform(mt, out, True)),
+            }[entry]
+        call(*arrays)
+        for j, a in enumerate(arrays):
+            for kind in others[a.dtype]:
+                given = list(arrays)
+                given[j] = a.view(kind)
+                with pytest.raises(TypeError, match=rf"^{entry if entry != 'replay' else 'Context'}"
+                                                    r" takes \w+ entries here, not format"):
+                    call(*given)
 
     @needs_kernel
     def test_the_graph_entry_writes_only_writable_tables(self):
@@ -2068,7 +2280,7 @@ class TestKernel:
         done = subprocess.run([sys.executable, "-c", UBSAN_CHECK, str(lib)], env=env,
                               capture_output=True, text=True, timeout=600)
         assert done.returncode == 0, done.stderr[-3000:]
-        assert done.stdout.split() == ["ok", "64", "6", "5", "12", "29", "2"]
+        assert done.stdout.split() == ["ok", "64", "6", "5", "12", "29", "3", "9"]
 
 
 # pairs of opinions whose distance is exactly 1 (antipodal), nextafter(1, +inf),

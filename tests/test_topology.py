@@ -142,6 +142,7 @@ class TestBuildTorus:
         got = build_torus(dims).edge_array
         assert got.dtype == np.int64 and got.flags.c_contiguous
         assert np.array_equal(got, torus_edges_by_strides(dims))
+        assert np.array_equal(got, torus_edges_by_roll(dims))
 
     @pytest.mark.parametrize("dims", [[2**32, 2**32], [2**31, 2**31], [3, 2**62]])
     def test_a_count_past_2_32_is_refused_before_any_array(self, dims):
@@ -170,6 +171,19 @@ def torus_edges_by_strides(dims):
         last = idx // stride % d == d - 1
         heads[:, axis] = idx + np.where(last, (1 - d) * stride, stride)
     return np.stack((np.repeat(idx, len(dims)), heads.ravel()), axis=1)
+
+
+def torus_edges_by_roll(dims):
+    """The torus edge array as built before it was written in place: the
+    tails a row-major grid of ids, each axis's heads that grid rolled one
+    step back along the axis."""
+    n = math.prod(dims)
+    grid = np.arange(n).reshape(dims)
+    edges = np.empty((n, len(dims), 2), dtype=np.int64)
+    edges[:, :, 0] = grid.reshape(n, 1)
+    for axis in range(len(dims)):
+        edges[:, axis, 1] = np.roll(grid, -1, axis).ravel()
+    return edges.reshape(-1, 2)
 
 
 def torus_edges_by_loop(dims):
@@ -299,6 +313,38 @@ class TestGraphValidation:
                     got.append((type(exc), str(exc)))
         assert got[0] == got[1]
         assert got[0][0] is not ValueError or got[0][1] == first_fault(n, edges)
+
+    @pytest.mark.parametrize("case", ["path, reversed", "path, shuffled", "star",
+                                      "many components"])
+    def test_the_kernel_pass_and_the_numpy_checks_agree_at_scale(self, case):
+        # 10**5 vertices: union-find links a reversed path's edges from its
+        # far end, a shuffled one's in no order, a star's all at one root;
+        # 10**4 rings of 10 vertices have n edges and are not connected
+        lib = _kernel.load()
+        if lib is None:
+            pytest.skip("no compiled kernel")
+        n = 10**5
+        tails = np.arange(n - 1)
+        edges = np.stack((tails, tails + 1), axis=1)
+        if case == "path, reversed":
+            edges = edges[::-1]
+        elif case == "path, shuffled":
+            edges = edges[np.random.default_rng(5).permutation(n - 1)]
+        elif case == "star":
+            edges = np.stack((np.zeros(n - 1, np.int64), tails + 1), axis=1)
+        else:
+            ids = np.arange(n)
+            edges = np.stack((ids, np.where(ids % 10 == 9, ids - 9, ids + 1)), axis=1)
+        got = []
+        for each in (lib, False):
+            with mock.patch.object(_kernel, "_lib", each):
+                try:
+                    g = Graph("custom", n, edges)
+                    got.append([a.tolist() for a in g.incidence])
+                except ValueError as exc:
+                    got.append(str(exc))
+        assert got[0] == got[1]
+        assert (got[0] == "graph is not connected") == (case == "many components")
 
     def test_endpoint_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
